@@ -9,6 +9,11 @@ Conventions, fixed across the package:
   builders match arbitrary bit patterns without X sandwiches.
 * statevectors are dense complex vectors of length 2**n_qubits; the target
   scale is desk verification (roughly 20 qubits and below).
+
+The simulator views the amplitudes as an array of shape (2,)*n, with qubit q
+on axis n-1-q so that the flat order stays little-endian.  A gate fixes each
+control axis to its polarity and its target axis to 0 and to 1 by basic
+indexing, and updates the two resulting views of the state in place.
 """
 
 from __future__ import annotations
@@ -149,42 +154,35 @@ def zero_state(n_qubits: int) -> Statevector:
     return Statevector(amps)
 
 
-def _control_mask(index: np.ndarray, controls) -> np.ndarray | None:
-    mask = None
-    for ctrl, pol in controls:
-        bit = (index >> ctrl) & 1
-        cond = bit == pol
-        mask = cond if mask is None else (mask & cond)
-    return mask
-
-
 def apply(circuit: Circuit, state: Statevector) -> Statevector:
     """Run every gate in order on a copy of the state."""
     if state.n_qubits != circuit.n_qubits:
         raise ValueError(
             f"state has {state.n_qubits} qubits, circuit expects {circuit.n_qubits}")
     amps = state.amplitudes.copy()
-    index = np.arange(amps.size)
+    n = circuit.n_qubits
+    tensor = amps.reshape((2,) * n)
     for gate in circuit.gates:
-        mask = _control_mask(index, gate.controls)
-        tbit = (index >> gate.target) & 1
+        # The trailing Ellipsis keeps a fully fixed index a 0-d view, not a copy.
+        index = [slice(None)] * n + [Ellipsis]
+        for ctrl, pol in gate.controls:
+            index[n - 1 - ctrl] = pol
+        axis = n - 1 - gate.target
+        index[axis] = 1
+        a1 = tensor[tuple(index)]
         if gate.kind == "z":
-            sel = tbit == 1 if mask is None else (mask & (tbit == 1))
-            amps[sel] = -amps[sel]
+            np.negative(a1, out=a1)
             continue
-        sel0 = tbit == 0 if mask is None else (mask & (tbit == 0))
-        i0 = index[sel0]
-        i1 = i0 | (1 << gate.target)
-        a0 = amps[i0]
-        a1 = amps[i1]
+        index[axis] = 0
+        a0 = tensor[tuple(index)]
         if gate.kind == "x":
-            amps[i0] = a1
-            amps[i1] = a0
+            old0 = a0.copy()
+            a0[...] = a1
+            a1[...] = old0
         else:  # ry
             c = math.cos(0.5 * gate.theta)
             s = math.sin(0.5 * gate.theta)
-            amps[i0] = c * a0 - s * a1
-            amps[i1] = s * a0 + c * a1
+            a0[...], a1[...] = c * a0 - s * a1, s * a0 + c * a1
     return Statevector(amps)
 
 
@@ -194,9 +192,9 @@ def marginal_probability(state: Statevector, qubit: int, outcome: int) -> float:
         raise ValueError(f"qubit {qubit} out of range for {state.n_qubits}-qubit state")
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    index = np.arange(state.amplitudes.size)
-    sel = ((index >> qubit) & 1) == outcome
-    return float(np.sum(np.abs(state.amplitudes[sel]) ** 2))
+    # Copied out in index order so the pairwise sum matches a flat selection.
+    half = state.amplitudes.reshape(-1, 2, 2 ** qubit)[:, outcome, :]
+    return float(np.sum(np.abs(np.ascontiguousarray(half).ravel()) ** 2))
 
 
 def probabilities(state: Statevector, qubits=None) -> np.ndarray:

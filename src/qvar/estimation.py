@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .circuit import Circuit, Statevector, apply, inverse, marginal_probability, zero_state
 from .objective import ObjectiveCircuit
@@ -89,8 +89,8 @@ def clopper_pearson(ones: int, shots: int, alpha: float) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval at level 1 - alpha."""
     if shots < 1 or not 0 <= ones <= shots:
         raise ValueError("need 0 <= ones <= shots with shots >= 1")
-    lo = 0.0 if ones == 0 else float(stats.beta.ppf(alpha / 2, ones, shots - ones + 1))
-    hi = 1.0 if ones == shots else float(stats.beta.ppf(1 - alpha / 2, ones + 1, shots - ones))
+    lo = 0.0 if ones == 0 else float(special.betaincinv(ones, shots - ones + 1, alpha / 2))
+    hi = 1.0 if ones == shots else float(special.betaincinv(ones + 1, shots - ones, 1 - alpha / 2))
     return lo, hi
 
 

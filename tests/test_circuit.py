@@ -8,6 +8,43 @@ import pytest
 from qvar.circuit import (Circuit, Gate, Statevector, apply, inverse,
                           marginal_probability, probabilities, sample,
                           zero_state)
+from qvar.estimation import grover_operator
+from qvar.objective import ObjectiveCircuit
+
+
+def reference_apply(circuit, state):
+    """Mask-based simulator kept as the oracle for the axis-sliced kernel.
+
+    Selects amplitudes with boolean masks over the flat basis index, so it
+    shares no indexing logic with `apply`; its arithmetic is the same, so the
+    two must agree bit for bit.
+    """
+    amps = state.amplitudes.copy()
+    index = np.arange(amps.size)
+    for gate in circuit.gates:
+        mask = None
+        for ctrl, pol in gate.controls:
+            cond = ((index >> ctrl) & 1) == pol
+            mask = cond if mask is None else (mask & cond)
+        tbit = (index >> gate.target) & 1
+        if gate.kind == "z":
+            sel = tbit == 1 if mask is None else (mask & (tbit == 1))
+            amps[sel] = -amps[sel]
+            continue
+        sel0 = tbit == 0 if mask is None else (mask & (tbit == 0))
+        i0 = index[sel0]
+        i1 = i0 | (1 << gate.target)
+        a0 = amps[i0]
+        a1 = amps[i1]
+        if gate.kind == "x":
+            amps[i0] = a1
+            amps[i1] = a0
+        else:
+            c = math.cos(0.5 * gate.theta)
+            s = math.sin(0.5 * gate.theta)
+            amps[i0] = c * a0 - s * a1
+            amps[i1] = s * a0 + c * a1
+    return Statevector(amps)
 
 
 def random_circuit(rng, n, n_gates=12):
@@ -92,6 +129,68 @@ class TestGates:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply(Circuit(2).x(0), zero_state(3))
+
+
+class TestKernelOracle:
+    """The axis-sliced kernel against the mask reference, byte for byte."""
+
+    def assert_same(self, circ, state):
+        got = apply(circ, state).amplitudes
+        want = reference_apply(circ, state).amplitudes
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_circuits(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(150):
+            n = int(rng.integers(1, 11))
+            circ = random_circuit(rng, n, n_gates=60)
+            self.assert_same(circ, random_state(rng, n))
+
+    def test_single_qubit_gates(self):
+        # zero_state also checks the sign of zeros: z must negate, not scale
+        rng = np.random.default_rng(5)
+        for circ in (Circuit(1).z(0), Circuit(1).x(0), Circuit(1).ry(0.7, 0),
+                     Circuit(1).x(0).z(0)):
+            self.assert_same(circ, random_state(rng, 1))
+            self.assert_same(circ, zero_state(1))
+
+    def test_every_other_axis_fixed(self):
+        # controls on all other qubits leave 0-d views of the target axis
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 5):
+            for t in range(n):
+                for pattern in range(2 ** (n - 1)):
+                    others = [q for q in range(n) if q != t]
+                    ctrls = [(q, (pattern >> j) & 1) for j, q in enumerate(others)]
+                    circ = Circuit(n).z(t, ctrls).x(t, ctrls).ry(-1.3, t, ctrls)
+                    self.assert_same(circ, random_state(rng, n))
+
+    def test_polarity_zero_controls(self):
+        rng = np.random.default_rng(9)
+        circ = Circuit(4)
+        circ.ry(0.4, 0, [(1, 0)]).x(2, [(0, 0), (3, 0)]).z(3, [(1, 0), (2, 1)])
+        circ.ry(2.1, 1, [(0, 0), (2, 0), (3, 0)])
+        self.assert_same(circ, random_state(rng, 4))
+
+    def test_grover_operator(self):
+        # Q holds the n-1-controlled z that reflects about |0...0>
+        rng = np.random.default_rng(10)
+        for n in (2, 4, 7):
+            a = random_circuit(rng, n, n_gates=25)
+            q = grover_operator(ObjectiveCircuit(a, n - 1, "s_free", 0.0))
+            self.assert_same(q, random_state(rng, n))
+
+    def test_marginal_matches_flat_selection(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            n = int(rng.integers(1, 13))
+            state = random_state(rng, n)
+            index = np.arange(2 ** n)
+            for q in range(n):
+                for outcome in (0, 1):
+                    sel = ((index >> q) & 1) == outcome
+                    want = float(np.sum(np.abs(state.amplitudes[sel]) ** 2))
+                    assert marginal_probability(state, q, outcome) == want
 
 
 class TestInverse:

@@ -1,9 +1,14 @@
 """End-to-end CLI tests: config validation, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qvar
 from qvar.cli import ConfigError, load_config, main
 
 TWO_ASSET = {
@@ -276,3 +281,12 @@ class TestCompare:
         config = write_config(tmp_path, payload)
         assert main(["compare", "--config", config]) == 2
         assert "epsilon" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats roughly doubles start-up time and memory of the CLI
+    code = "import sys, qvar.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(qvar.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -119,6 +119,14 @@ class TestClopperPearson:
         with pytest.raises(ValueError):
             clopper_pearson(5, 4, 0.05)
 
+    @pytest.mark.parametrize("shots", [1, 100, 3000])
+    @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.3])
+    def test_matches_beta_quantiles(self, shots, alpha):
+        for ones in sorted({0, 1, shots // 2, shots - 1, shots}):
+            lo = 0.0 if ones == 0 else stats.beta.ppf(alpha / 2, ones, shots - ones + 1)
+            hi = 1.0 if ones == shots else stats.beta.ppf(1 - alpha / 2, ones + 1, shots - ones)
+            assert clopper_pearson(ones, shots, alpha) == (lo, hi)
+
 
 class TestIqae:
     def test_config_validation(self):
