@@ -7,23 +7,24 @@ verifies everything against classical enumeration and Monte Carlo oracles.
 """
 
 from .circuit import (Circuit, Gate, Statevector, apply, inverse,
-                      marginal_probability, probabilities, sample, zero_state)
+                      marginal_probability, probabilities, zero_state)
 from .estimation import (IqaeConfig, IqaeResult, clopper_pearson,
                          exact_amplitude, grover_operator, iqae)
 from .gaussian import (FactorGrid, conditional_pd, discretize_normal,
                        std_normal_cdf, std_normal_pdf, std_normal_ppf)
 from .objective import (ObjectiveCircuit, assemble_a, build_a_circuit,
                         build_s_free_comparator, build_weighted_sum,
-                        n_sum_qubits)
+                        n_sum_qubits, weighted_sum_register)
 from .resources import ResourceReport, estimate_resources
 from .risk import (BisectionProbe, EstimationFailure, LossDistribution,
-                   VarResult, cdf_point, economic_capital,
-                   exact_loss_distribution, expected_loss,
+                   VarResult, cdf_estimator, economic_capital,
+                   exact_loss_distribution, expected_loss, model_cdf,
                    monte_carlo_distribution, total_variation_distance,
                    var_bisection)
-from .uncertainty import (Asset, ModelCircuit, Portfolio, build_multi_rotation,
-                          build_single_factor, build_single_rotation,
-                          fit_linear_rotation, probability_loader)
+from .uncertainty import (Asset, ModelCircuit, Portfolio,
+                          build_model, build_multi_rotation, build_single_factor,
+                          build_single_rotation, fit_linear_rotation,
+                          probability_loader)
 
 __version__ = "0.1.0"
 
@@ -32,14 +33,14 @@ __all__ = [
     "Gate", "IqaeConfig",
     "IqaeResult", "LossDistribution", "ModelCircuit", "ObjectiveCircuit",
     "Portfolio", "ResourceReport", "Statevector", "VarResult", "apply",
-    "assemble_a", "build_a_circuit", "build_multi_rotation",
+    "assemble_a", "build_a_circuit", "build_model", "build_multi_rotation",
     "build_s_free_comparator", "build_single_factor", "build_single_rotation",
-    "build_weighted_sum", "cdf_point", "clopper_pearson", "conditional_pd",
+    "build_weighted_sum", "cdf_estimator", "clopper_pearson", "conditional_pd",
     "discretize_normal", "economic_capital", "estimate_resources",
     "exact_amplitude", "exact_loss_distribution", "expected_loss",
     "fit_linear_rotation", "grover_operator", "inverse", "iqae",
-    "marginal_probability", "monte_carlo_distribution", "n_sum_qubits",
-    "probabilities", "probability_loader", "sample", "std_normal_cdf",
+    "marginal_probability", "model_cdf", "monte_carlo_distribution",
+    "n_sum_qubits", "probabilities", "probability_loader", "std_normal_cdf",
     "std_normal_pdf", "std_normal_ppf", "total_variation_distance",
-    "var_bisection", "zero_state",
+    "var_bisection", "weighted_sum_register", "zero_state",
 ]

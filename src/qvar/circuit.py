@@ -220,16 +220,3 @@ def probabilities(state: Statevector, qubits=None) -> np.ndarray:
     np.add.at(out, keys, probs)
     return out
 
-
-def sample(state: Statevector, qubit: int, shots: int, seed: int) -> dict[int, int]:
-    """Measure one qubit `shots` times; deterministic for a given seed.
-
-    Uses numpy's PCG64 generator, which is stable across platforms, and draws
-    the number of ones as a single binomial variate.
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    p1 = min(max(marginal_probability(state, qubit, 1), 0.0), 1.0)
-    rng = np.random.default_rng(seed)
-    ones = int(rng.binomial(shots, p1))
-    return {0: shots - ones, 1: ones}

@@ -6,6 +6,11 @@ Subcommands:
   resources     qubit/gate accounting as JSON
   compare       consistency table across exact, classical, IQAE and MC paths
 
+With the exact and iqae estimators, analyze simulates the uncertainty model
+once and reads every bisection probe off that state.  compare still builds the full gate-level circuit for each
+threshold, as the oracle for its exact column, and checks the IQAE column,
+which comes from the shared model state, against it.
+
 Configs are JSON documents; every run echoes the fully resolved config so
 reports are self-describing, and all output is deterministic for a given
 (config, seed) pair.
@@ -21,18 +26,14 @@ from dataclasses import asdict
 import jsonschema
 import numpy as np
 
-from .estimation import IqaeConfig, exact_amplitude, iqae
+from .estimation import IqaeConfig, exact_amplitude
 from .gaussian import discretize_normal
-from .objective import build_a_circuit
+from .objective import MODES, build_a_circuit, weighted_sum_register
 from .resources import estimate_resources
-from .risk import (EstimationFailure, exact_loss_distribution, expected_loss,
+from .risk import (ESTIMATORS, EstimationFailure, cdf_estimator,
+                   exact_loss_distribution, expected_loss,
                    monte_carlo_distribution, var_bisection)
-from .uncertainty import Asset, Portfolio
-
-VARIANT_CHOICES = ("multi_rotation", "single_rotation", "single_factor")
-ENCODING_CHOICES = ("exact", "linear")
-ESTIMATOR_CHOICES = ("exact", "iqae", "classical")
-MODE_CHOICES = ("s_free", "weighted_sum")
+from .uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio
 
 DEFAULTS = {
     "bound_sigmas": 3.0,
@@ -93,10 +94,10 @@ CONFIG_SCHEMA = {
                 "shots_per_round": {"type": "integer", "minimum": 1},
                 "max_rounds": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer", "minimum": 0},
-                "variant": {"enum": list(VARIANT_CHOICES)},
-                "encoding": {"enum": list(ENCODING_CHOICES)},
-                "estimator": {"enum": list(ESTIMATOR_CHOICES)},
-                "mode": {"enum": list(MODE_CHOICES)},
+                "variant": {"enum": list(VARIANTS)},
+                "encoding": {"enum": list(ENCODINGS)},
+                "estimator": {"enum": list(ESTIMATORS)},
+                "mode": {"enum": list(MODES)},
                 "mc_paths": {"type": "integer", "minimum": 1},
             },
         },
@@ -161,30 +162,32 @@ def load_config(path: str, overrides=None) -> dict:
 
 
 def config_to_inputs(cfg: dict):
-    """Build the portfolio, factor grids and estimator from a resolved config."""
-    analysis = cfg["analysis"]
+    """Build the portfolio and factor grids from a resolved config."""
     factors = cfg["risk_factors"]
     portfolio = Portfolio([
         Asset(lgd=a["lgd"], p0=a["p0"], rho=a["rho"], alphas=tuple(a["alphas"]))
         for a in cfg["assets"]])
     grids = [discretize_normal(n_z, 0.0, 1.0, factors["bound_sigmas"])
              for n_z in factors["qubits_per_factor"]]
-    if analysis["estimator"] == "iqae":
-        estimator = IqaeConfig(
+    return portfolio, grids
+
+
+def build_estimator(cfg: dict, portfolio, grids, dist, kind: str):
+    """The cdf estimator of one run, built once from the resolved config."""
+    analysis = cfg["analysis"]
+    if analysis["mode"] == "weighted_sum":
+        weighted_sum_register(portfolio)     # rejects non-integer LGDs, naming the asset
+    iqae_config = None
+    if kind == "iqae":
+        iqae_config = IqaeConfig(
             epsilon=analysis["epsilon"],
             confidence=analysis["confidence"],
             shots_per_round=analysis["shots_per_round"],
             max_rounds=analysis["max_rounds"],
             seed=analysis["seed"],
         )
-    else:
-        estimator = analysis["estimator"]
-    return portfolio, grids, estimator
-
-
-def _resource_variant(variant: str) -> str:
-    # single_factor is the R=1 special case of the multi-rotation accounting
-    return "multi_rotation" if variant == "single_factor" else variant
+    return cdf_estimator(kind, portfolio, grids, dist=dist, iqae_config=iqae_config,
+                         variant=analysis["variant"], encoding=analysis["encoding"])
 
 
 def _dump_json(payload: dict) -> str:
@@ -200,13 +203,12 @@ def _emit(text: str, output: str | None):
 
 
 def cmd_analyze(cfg: dict, output: str | None) -> int:
-    portfolio, grids, estimator = config_to_inputs(cfg)
+    portfolio, grids = config_to_inputs(cfg)
     analysis = cfg["analysis"]
+    dist = exact_loss_distribution(portfolio, grids)
+    cdf = build_estimator(cfg, portfolio, grids, dist, analysis["estimator"])
     try:
-        result = var_bisection(
-            portfolio, grids, analysis["alpha"], estimator,
-            variant=analysis["variant"], encoding=analysis["encoding"],
-            mode=analysis["mode"])
+        result = var_bisection(dist, analysis["alpha"], cdf)
     except EstimationFailure as exc:
         trace = [{k: v for k, v in asdict(p).items() if v is not None}
                  for p in exc.trace]
@@ -232,7 +234,7 @@ def cmd_analyze(cfg: dict, output: str | None) -> int:
                 p.quantum_samples or 0 for p in result.bisection_trace) or None,
         },
         "resources": asdict(estimate_resources(
-            portfolio, grids, _resource_variant(analysis["variant"]), analysis["mode"])),
+            portfolio, grids, analysis["variant"], analysis["mode"])),
     }
     failed = [p for p in result.bisection_trace if p.converged is False]
     if failed:
@@ -246,7 +248,7 @@ def cmd_analyze(cfg: dict, output: str | None) -> int:
 
 
 def cmd_distribution(cfg: dict, output: str | None) -> int:
-    portfolio, grids, _ = config_to_inputs(cfg)
+    portfolio, grids = config_to_inputs(cfg)
     dist = exact_loss_distribution(portfolio, grids)
     lines = ["loss,probability,cdf"]
     cum = 0.0
@@ -258,39 +260,36 @@ def cmd_distribution(cfg: dict, output: str | None) -> int:
 
 
 def cmd_resources(cfg: dict, output: str | None) -> int:
-    portfolio, grids, _ = config_to_inputs(cfg)
+    portfolio, grids = config_to_inputs(cfg)
     analysis = cfg["analysis"]
     report = estimate_resources(
-        portfolio, grids, _resource_variant(analysis["variant"]), analysis["mode"])
+        portfolio, grids, analysis["variant"], analysis["mode"])
     _emit(_dump_json({"config": cfg, "resources": asdict(report)}), output)
     return 0
 
 
 def cmd_compare(cfg: dict, output: str | None) -> int:
-    portfolio, grids, _ = config_to_inputs(cfg)
+    portfolio, grids = config_to_inputs(cfg)
     analysis = cfg["analysis"]
     for key in ("epsilon", "confidence"):
         if key not in analysis:
             raise ConfigError(f"analysis.{key}: required by the compare command")
     epsilon = analysis["epsilon"]
-    confidence = analysis["confidence"]
     dist = exact_loss_distribution(portfolio, grids)
     mc = monte_carlo_distribution(portfolio, grids, analysis["mc_paths"],
                                   analysis["seed"])
+    sampled = build_estimator(cfg, portfolio, grids, dist, "iqae")
     header = (f"{'threshold':>12}  {'classical':>12}  {'exact':>12}  {'|e-c|':>9}  "
               f"{'iqae':>12}  {'|q-e|':>9}  {'<=eps':>5}  {'mc':>12}  {'|m-e|':>9}  {'<=3sd':>5}")
     lines = [header, "-" * len(header)]
     ok = True
-    for i, x in enumerate(dist.losses):
+    for x in dist.losses:
         x = float(x)
         classical = dist.cdf(x)
         a_circ = build_a_circuit(portfolio, grids, x, variant=analysis["variant"],
                                  encoding=analysis["encoding"], mode=analysis["mode"])
-        exact = exact_amplitude(a_circ)
-        q = iqae(a_circ, IqaeConfig(epsilon=epsilon, confidence=confidence,
-                                    shots_per_round=analysis["shots_per_round"],
-                                    max_rounds=analysis["max_rounds"],
-                                    seed=analysis["seed"] + i))
+        exact = exact_amplitude(a_circ)     # the gate-level oracle
+        q = sampled(x)
         mc_val = mc.cdf(x)
         sigma = max(np.sqrt(exact * (1 - exact) / analysis["mc_paths"]), 1e-12)
         q_ok = abs(q.estimate - exact) <= epsilon
@@ -321,10 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--output", default=None, help="output path (default: stdout)")
         cmd.add_argument("--seed", type=int, default=None, help="override analysis.seed")
-        cmd.add_argument("--estimator", choices=ESTIMATOR_CHOICES, default=None)
-        cmd.add_argument("--variant", choices=VARIANT_CHOICES, default=None)
-        cmd.add_argument("--encoding", choices=ENCODING_CHOICES, default=None)
-        cmd.add_argument("--mode", choices=MODE_CHOICES, default=None)
+        cmd.add_argument("--estimator", choices=ESTIMATORS, default=None)
+        cmd.add_argument("--variant", choices=VARIANTS, default=None)
+        cmd.add_argument("--encoding", choices=ENCODINGS, default=None)
+        cmd.add_argument("--mode", choices=MODES, default=None)
     return parser
 
 

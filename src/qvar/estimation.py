@@ -1,7 +1,9 @@
 """Amplitude estimation: exact readout, the Grover operator, and iterative QAE.
 
 The iterative scheme never touches phase estimation.  Each round measures the
-objective qubit of Q^k A|0>, where the power k is grown whenever the current
+objective qubit of Q^k A|0>, with outcome probabilities taken from the
+closed-form Grover law; the gate-level Grover operator is kept as the oracle
+that law is checked against.  The power k is grown whenever the current
 confidence interval for the amplitude angle fits inside an unambiguous
 half-plane after amplification.  Per-round intervals are exact Clopper-Pearson
 binomial bounds, combined across rounds through a union bound.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .circuit import Circuit, Statevector, apply, inverse, marginal_probability, zero_state
+from .circuit import Circuit, apply, inverse, marginal_probability, zero_state
 from .objective import ObjectiveCircuit
 
 
@@ -120,33 +122,19 @@ def _find_next_k(k: int, upper: bool, t_lo: float, t_hi: float,
     return k, upper
 
 
-class _PowerStates:
-    """Statevectors of Q^k A|0>, extended incrementally as k grows."""
+def iqae(amplitude: float, cfg: IqaeConfig) -> IqaeResult:
+    """Iterative amplitude estimation of an objective probability a.
 
-    def __init__(self, a_circuit: ObjectiveCircuit):
-        self._grover = grover_operator(a_circuit)
-        self._state = apply(a_circuit.circuit, zero_state(a_circuit.circuit.n_qubits))
-        self._k = 0
-        self._objective = a_circuit.objective_qubit
-
-    def probability(self, k: int) -> float:
-        if k < self._k:
-            raise ValueError("powers must be nondecreasing")
-        while self._k < k:
-            self._state = apply(self._grover, self._state)
-            self._k += 1
-        return min(max(marginal_probability(self._state, self._objective, 1), 0.0), 1.0)
-
-
-def iqae(a_circuit: ObjectiveCircuit, cfg: IqaeConfig) -> IqaeResult:
-    """Iterative amplitude estimation of P(objective = 1).
-
+    Each round measures Q^k A|0>, whose objective probability is
+    sin^2((2k+1) theta) with sin^2 theta = a; grover_operator obeys this law
+    at gate level, so the rounds draw from it directly.  a is clipped to
+    [0, 1] first, since statevector readouts can round just past the ends.
     With probability at least cfg.confidence the returned estimate is within
-    cfg.epsilon of the true amplitude.  Failure to converge inside
-    cfg.max_rounds is reported through the result, not raised.
+    cfg.epsilon of a.  Failure to converge inside cfg.max_rounds is reported
+    through the result, not raised.
     """
     rng = np.random.default_rng(cfg.seed)
-    states = _PowerStates(a_circuit)
+    theta = math.asin(math.sqrt(min(max(amplitude, 0.0), 1.0)))
 
     # Union bound over the largest number of power-advancing rounds.
     t_bound = max(1, int(math.floor(math.log2(math.pi / (4 * cfg.epsilon)))) + 1)
@@ -168,7 +156,7 @@ def iqae(a_circuit: ObjectiveCircuit, cfg: IqaeConfig) -> IqaeResult:
             acc_ones = acc_shots = 0
         powers.append(k)
 
-        prob = states.probability(k)
+        prob = math.sin((2 * k + 1) * theta) ** 2
         ones = int(rng.binomial(cfg.shots_per_round, prob))
         acc_ones += ones
         acc_shots += cfg.shots_per_round

@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 from . import arith
-from .circuit import Circuit, Gate
-from .uncertainty import (ModelCircuit, Portfolio, build_multi_rotation,
-                          build_single_factor, build_single_rotation)
+from .circuit import Circuit
+from .uncertainty import ModelCircuit, Portfolio, build_model
 
 MODES = ("s_free", "weighted_sum")
 
@@ -46,7 +45,11 @@ def n_sum_qubits(lgds) -> int:
     return int(math.floor(math.log2(total))) + 1
 
 
-def _check_integer_lgds(portfolio: Portfolio) -> list[int]:
+def weighted_sum_register(portfolio: Portfolio) -> tuple[list[int], int]:
+    """Integer LGDs and loss-register width of the weighted_sum mode.
+
+    Raises ValueError naming the first asset whose LGD is not an integer.
+    """
     lgds = []
     for k, asset in enumerate(portfolio.assets):
         if float(asset.lgd) != int(asset.lgd):
@@ -54,7 +57,7 @@ def _check_integer_lgds(portfolio: Portfolio) -> list[int]:
                 f"asset {k} has non-integer LGD {asset.lgd}; the weighted_sum mode "
                 f"only supports integer losses (use s_free instead)")
         lgds.append(int(asset.lgd))
-    return lgds
+    return lgds, n_sum_qubits(lgds) if sum(lgds) > 0 else 1
 
 
 def build_s_free_comparator(portfolio: Portfolio, threshold: float, objective: int,
@@ -90,10 +93,8 @@ def build_weighted_sum(portfolio: Portfolio, objective: int, threshold: float,
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    lgds = _check_integer_lgds(portfolio)
+    lgds, n_s = weighted_sum_register(portfolio)
     k = portfolio.k
-    total = sum(lgds)
-    n_s = n_sum_qubits(lgds) if total > 0 else 1
     if sum_qubits is None:
         sum_qubits = list(range(objective - n_s, objective))
     if asset_qubits is None:
@@ -136,19 +137,7 @@ def build_a_circuit(portfolio: Portfolio, grids, threshold: float, *,
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    grids = list(grids)
-    if variant == "multi_rotation":
-        model = build_multi_rotation(portfolio, grids, encoding)
-    elif variant == "single_factor":
-        if len(grids) != 1:
-            raise ValueError("single_factor variant takes exactly one grid")
-        model = build_single_factor(portfolio, grids[0], encoding)
-    elif variant == "single_rotation":
-        shared = portfolio.assets[0].alphas
-        model = build_single_rotation(portfolio, grids, shared)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
+    model = build_model(portfolio, grids, variant, encoding)
     width = model.circuit.n_qubits
     if mode == "s_free":
         objective = width
@@ -156,8 +145,7 @@ def build_a_circuit(portfolio: Portfolio, grids, threshold: float, *,
             portfolio, threshold, objective,
             asset_qubits=model.asset_qubits, n_qubits=width + 1)
     else:
-        lgds = _check_integer_lgds(portfolio)
-        n_s = n_sum_qubits(lgds) if sum(lgds) > 0 else 1
+        _, n_s = weighted_sum_register(portfolio)
         objective = width + n_s
         comparator = build_weighted_sum(
             portfolio, objective, threshold,

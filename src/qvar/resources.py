@@ -11,11 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .objective import n_sum_qubits
-from .uncertainty import Portfolio, index_sum_plan
-
-VARIANTS = ("multi_rotation", "single_rotation", "legacy_integer")
-MODES = ("s_free", "weighted_sum")
+from .objective import MODES, weighted_sum_register
+from .uncertainty import VARIANTS, Portfolio, index_sum_plan
 
 
 @dataclass
@@ -29,13 +26,6 @@ class ResourceReport:
     sum_register_width: int | None = None
 
 
-def _legacy_sum_width(portfolio: Portfolio) -> int:
-    lgds = [int(a.lgd) for a in portfolio.assets]
-    if any(float(a.lgd) != int(a.lgd) for a in portfolio.assets):
-        raise ValueError("weighted-sum accounting requires integer LGDs")
-    return n_sum_qubits(lgds) if sum(lgds) > 0 else 1
-
-
 def estimate_resources(portfolio: Portfolio, grids, variant: str = "multi_rotation",
                        mode: str = "s_free") -> ResourceReport:
     """Qubit/gate accounting for one pipeline configuration.
@@ -44,7 +34,8 @@ def estimate_resources(portfolio: Portfolio, grids, variant: str = "multi_rotati
     scalable (linear) encoding: K*R for the multi-rotation variant, K for the
     single-rotation one.  comparator_pattern_count is the worst-case number
     of comparison patterns (2**K direct patterns for s_free, 2**n_S sum-value
-    patterns for the legacy mode).
+    patterns for the legacy mode).  single_factor is the R = 1 case of the
+    multi-rotation variant and is reported as multi_rotation.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -56,8 +47,8 @@ def estimate_resources(portfolio: Portfolio, grids, variant: str = "multi_rotati
     k = portfolio.k
     n_factor = sum(g.n_z for g in grids)
 
-    if variant == "legacy_integer":
-        mode = "weighted_sum"
+    if variant == "single_factor":
+        variant = "multi_rotation"
 
     sum_width = None
     if variant == "single_rotation":
@@ -79,7 +70,7 @@ def estimate_resources(portfolio: Portfolio, grids, variant: str = "multi_rotati
         width_built = base + 1
         patterns = 2 ** k
     else:
-        n_s = _legacy_sum_width(portfolio)
+        _, n_s = weighted_sum_register(portfolio)
         width_paper = base + n_s + 1
         width_built = base + n_s + 1        # the built adder needs no carries
         patterns = 2 ** n_s

@@ -1,22 +1,26 @@
 """Risk measures: loss distributions, VaR bisection and classical oracles.
 
 The quantum pipeline estimates cumulative probabilities P[L <= x]; the
-functions here wrap it with a discrete bisection over the loss support and
-pair it with two classical references, an exact enumeration of the
-discretized model and a seeded Monte Carlo simulation.
+functions here read them off one simulation of the uncertainty model, wrap
+them in a discrete bisection over the loss support and pair them with two
+classical references, an exact enumeration of the discretized model and a
+seeded Monte Carlo simulation.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimation import IqaeConfig, exact_amplitude, iqae
+from .circuit import apply, zero_state
+from .estimation import IqaeConfig, iqae
 from .gaussian import conditional_pd
-from .objective import build_a_circuit
-from .uncertainty import Portfolio
+from .uncertainty import Portfolio, build_model
+
+ESTIMATORS = ("exact", "iqae", "classical")
 
 
 @dataclass(eq=False)
@@ -171,73 +175,80 @@ def total_variation_distance(a: LossDistribution, b: LossDistribution) -> float:
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
-def _probe_cdf(portfolio, grids, x, estimator, *, variant, encoding, mode) -> BisectionProbe:
-    if isinstance(estimator, LossDistribution):
-        return BisectionProbe(threshold=x, estimate=estimator.cdf(x))
-    if isinstance(estimator, IqaeConfig):
-        a_circ = build_a_circuit(portfolio, grids, x, variant=variant,
-                                 encoding=encoding, mode=mode)
-        res = iqae(a_circ, estimator)
+def model_cdf(portfolio: Portfolio, grids, *, variant: str = "multi_rotation",
+              encoding: str = "exact") -> Callable[[float], float]:
+    """P[L <= x] read off one simulation of the uncertainty model.
+
+    The comparator only moves the amplitudes of patterns with loss <= x onto
+    the objective half, so its readout is the model's |amplitude|^2 summed
+    over those patterns.  Summing the full array in flat index order with the
+    other entries zeroed reproduces exact_amplitude of the s_free circuit bit
+    for bit, and one simulation serves every threshold.
+    """
+    model = build_model(portfolio, grids, variant, encoding)
+    n = model.circuit.n_qubits
+    probs = np.abs(apply(model.circuit, zero_state(n)).amplitudes) ** 2
+    index = np.arange(probs.size)
+    # Summed asset by asset, as the comparator sums each pattern's loss.
+    state_loss = np.zeros(probs.size)
+    for lgd, qubit in zip(portfolio.lgds, model.asset_qubits):
+        state_loss += lgd * ((index >> qubit) & 1)
+    return lambda x: float(np.sum(np.where(state_loss <= x, probs, 0.0)))
+
+
+def cdf_estimator(kind: str, portfolio: Portfolio, grids, *,
+                  dist: LossDistribution | None = None,
+                  iqae_config: IqaeConfig | None = None,
+                  variant: str = "multi_rotation",
+                  encoding: str = "exact") -> Callable[[float], BisectionProbe]:
+    """The cdf estimator of one analysis, x -> BisectionProbe (see ESTIMATORS).
+
+    "classical" looks x up in dist (the exact enumeration by default) and
+    builds no circuit.  "exact" and "iqae" share one model_cdf simulation;
+    "iqae" samples each value through iterative QAE, its i-th call with seed
+    iqae_config.seed + i, so a run stays deterministic while its probes are
+    independent.
+    """
+    if kind not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {kind!r}")
+    if kind == "iqae" and iqae_config is None:
+        raise ValueError("the iqae estimator needs an IqaeConfig")
+    if kind == "classical":
+        dist = exact_loss_distribution(portfolio, grids) if dist is None else dist
+        return lambda x: BisectionProbe(threshold=x, estimate=dist.cdf(x))
+    cdf = model_cdf(portfolio, grids, variant=variant, encoding=encoding)
+    if kind == "exact":
+        return lambda x: BisectionProbe(threshold=x, estimate=cdf(x))
+    seeds = itertools.count(iqae_config.seed)
+
+    def sampled(x):
+        res = iqae(cdf(x), replace(iqae_config, seed=next(seeds)))
         return BisectionProbe(threshold=x, estimate=res.estimate,
                               ci_low=res.ci_low, ci_high=res.ci_high,
                               rounds=res.rounds, quantum_samples=res.quantum_samples,
                               converged=res.converged)
-    if estimator == "exact":
-        a_circ = build_a_circuit(portfolio, grids, x, variant=variant,
-                                 encoding=encoding, mode=mode)
-        return BisectionProbe(threshold=x, estimate=exact_amplitude(a_circ))
-    raise ValueError(f"unknown estimator {estimator!r}")
+    return sampled
 
 
-def cdf_point(portfolio: Portfolio, grids, x: float, estimator="exact", *,
-              variant: str = "multi_rotation", encoding: str = "exact",
-              mode: str = "s_free") -> float:
-    """P[L <= x] through the chosen path.
-
-    estimator is "exact" (statevector readout of the quantum pipeline),
-    "classical" (exact enumeration), a LossDistribution (lookup), or an
-    IqaeConfig (quantum pipeline sampled through iterative QAE).
-    """
-    if estimator == "classical":
-        estimator = exact_loss_distribution(portfolio, grids)
-    return _probe_cdf(portfolio, grids, x, estimator,
-                      variant=variant, encoding=encoding, mode=mode).estimate
-
-
-def var_bisection(portfolio: Portfolio, grids, alpha: float, estimator="exact", *,
-                  variant: str = "multi_rotation", encoding: str = "exact",
-                  mode: str = "s_free") -> VarResult:
-    """Smallest loss-support value whose estimated cdf reaches alpha.
+def var_bisection(dist: LossDistribution, alpha: float,
+                  cdf: Callable[[float], BisectionProbe]) -> VarResult:
+    """Smallest support value of dist whose estimated cdf reaches alpha.
 
     The search runs over the discrete loss support (the cdf is a step
-    function with at most 2**K jumps), probing thresholds by bisection.  For
-    the iqae estimator each probe gets its own derived seed so repeated
-    probes are independent but the whole search stays deterministic.
+    function with at most 2**K jumps), probing thresholds by bisection with
+    the estimator cdf; dist also supplies the expected loss.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    dist = exact_loss_distribution(portfolio, grids)
     el = expected_loss(dist)
-    if estimator == "classical":
-        estimator = dist
-
     trace: list[BisectionProbe] = []
-
-    def probe(x):
-        est = estimator
-        if isinstance(est, IqaeConfig):
-            est = replace(est, seed=est.seed + len(trace))
-        record = _probe_cdf(portfolio, grids, x, est,
-                            variant=variant, encoding=encoding, mode=mode)
-        trace.append(record)
-        return record
-
     support = dist.losses
     lo, hi = 0, support.size - 1
     best: BisectionProbe | None = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        record = probe(float(support[mid]))
+        record = cdf(float(support[mid]))
+        trace.append(record)
         if record.estimate >= alpha:
             best = record
             hi = mid - 1

@@ -9,6 +9,8 @@ Three constructions are provided:
   adder into a sum register, and a single rotation block per asset driven by
   the sum.  Requires all assets to share one weight vector.
 
+build_model dispatches on the variant names in VARIANTS.
+
 Two encodings exist for the first two builders.  The "exact" encoding spends
 one pattern-controlled rotation per joint grid point per asset, which is
 exponential in the total factor width; it exists as a desk-scale oracle.  The
@@ -33,6 +35,9 @@ import numpy as np
 from . import arith
 from .circuit import Circuit, Gate
 from .gaussian import FactorGrid, conditional_pd, std_normal_pdf
+
+VARIANTS = ("multi_rotation", "single_rotation", "single_factor")
+ENCODINGS = ("exact", "linear")
 
 
 @dataclass
@@ -198,7 +203,7 @@ def build_multi_rotation(portfolio: Portfolio, grids, encoding: str = "exact") -
     if len(grids) != portfolio.r:
         raise ValueError(
             f"portfolio has {portfolio.r} factors but {len(grids)} grids were given")
-    if encoding not in ("exact", "linear"):
+    if encoding not in ENCODINGS:
         raise ValueError(f"unknown encoding {encoding!r}")
     factor_ranges, n_factor = _factor_layout(grids)
     k = portfolio.k
@@ -352,3 +357,22 @@ def build_single_rotation(portfolio: Portfolio, grids, shared_alphas) -> ModelCi
             f"assets {asset_qubits}; common value step {plan.delta!r}, "
             f"points per factor {plan.n_points}")
     return ModelCircuit(circ, factor_ranges, asset_qubits, sum_qubits, note)
+
+
+def build_model(portfolio: Portfolio, grids, variant: str = "multi_rotation",
+                encoding: str = "exact") -> ModelCircuit:
+    """Build the uncertainty model of one variant (see VARIANTS).
+
+    The single-rotation variant has no encoding choice; it takes its shared
+    weight vector from the first asset and rejects any asset that differs.
+    """
+    grids = list(grids)
+    if variant == "multi_rotation":
+        return build_multi_rotation(portfolio, grids, encoding)
+    if variant == "single_factor":
+        if len(grids) != 1:
+            raise ValueError("single_factor variant takes exactly one grid")
+        return build_single_factor(portfolio, grids[0], encoding)
+    if variant == "single_rotation":
+        return build_single_rotation(portfolio, grids, portfolio.assets[0].alphas)
+    raise ValueError(f"unknown variant {variant!r}")

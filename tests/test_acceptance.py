@@ -18,8 +18,9 @@ from qvar.estimation import IqaeConfig, exact_amplitude, grover_operator, iqae
 from qvar.gaussian import discretize_normal
 from qvar.objective import ObjectiveCircuit, build_a_circuit, n_sum_qubits
 from qvar.resources import estimate_resources
-from qvar.risk import (exact_loss_distribution, monte_carlo_distribution,
-                       total_variation_distance, var_bisection)
+from qvar.risk import (cdf_estimator, exact_loss_distribution,
+                       monte_carlo_distribution, total_variation_distance,
+                       var_bisection)
 from qvar.uncertainty import Asset, Portfolio, fit_linear_rotation
 
 ALPHA = 0.95
@@ -59,7 +60,8 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_var_reproduction():
     start = time.perf_counter()
     pf, grids = two_asset_portfolio(), factor_grids()
-    res = var_bisection(pf, grids, ALPHA, "exact", encoding="exact")
+    dist = exact_loss_distribution(pf, grids)
+    res = var_bisection(dist, ALPHA, cdf_estimator("exact", pf, grids, encoding="exact"))
     probed = {p.threshold: p.estimate for p in res.bisection_trace}
     predecessor_ok = probed.get(1000.5, 1.0) < ALPHA
     elapsed = time.perf_counter() - start
@@ -79,7 +81,7 @@ def test_criterion_3_iqae_contract_at_reference_settings():
     hits = 0
     samples = []
     for seed in range(100):
-        res = iqae(a_circ, IqaeConfig(epsilon=0.002, confidence=0.99, seed=seed))
+        res = iqae(truth, IqaeConfig(epsilon=0.002, confidence=0.99, seed=seed))
         hits += abs(res.estimate - truth) <= 0.002
         samples.append(res.quantum_samples)
     median = float(np.median(samples))

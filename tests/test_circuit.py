@@ -1,4 +1,4 @@
-"""Simulator tests: gate semantics, control polarities, inversion, sampling."""
+"""Simulator tests: gate semantics, control polarities, inversion, marginals."""
 
 import math
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from qvar.circuit import (Circuit, Gate, Statevector, apply, inverse,
-                          marginal_probability, probabilities, sample,
-                          zero_state)
+                          marginal_probability, probabilities, zero_state)
 from qvar.estimation import grover_operator
 from qvar.objective import ObjectiveCircuit
 
@@ -251,32 +250,6 @@ class TestNormAndMarginals:
         assert joint[0b01] == pytest.approx(0.6, abs=1e-12)
         assert joint[0b11] == pytest.approx(0.4, abs=1e-12)
         assert joint.sum() == pytest.approx(1.0)
-
-
-class TestSampling:
-    def test_deterministic_given_seed(self):
-        theta = 2 * math.asin(math.sqrt(0.3))
-        state = apply(Circuit(1).ry(theta, 0), zero_state(1))
-        counts1 = sample(state, 0, 1000, seed=5)
-        counts2 = sample(state, 0, 1000, seed=5)
-        assert counts1 == counts2
-        assert counts1[0] + counts1[1] == 1000
-
-    def test_certain_outcome(self):
-        state = apply(Circuit(1).x(0), zero_state(1))
-        counts = sample(state, 0, 500, seed=1)
-        assert counts == {0: 0, 1: 500}
-
-    def test_binomial_concentration_pinned(self):
-        # one-off concentration check: 4.4 sigma tolerance at p = 0.3
-        theta = 2 * math.asin(math.sqrt(0.3))
-        state = apply(Circuit(1).ry(theta, 0), zero_state(1))
-        counts = sample(state, 0, 10 ** 6, seed=12345)
-        assert abs(counts[1] / 10 ** 6 - 0.3) < 0.002
-
-    def test_shot_validation(self):
-        with pytest.raises(ValueError):
-            sample(zero_state(1), 0, 0, seed=0)
 
 
 class TestDump:

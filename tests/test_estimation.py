@@ -7,10 +7,11 @@ import pytest
 from scipy import stats
 
 from qvar.circuit import Circuit, apply, marginal_probability, zero_state
-from qvar.estimation import (IqaeConfig, clopper_pearson, exact_amplitude,
-                             grover_operator, iqae)
+from qvar.estimation import (IqaeConfig, IqaeResult, _find_next_k, clopper_pearson,
+                             exact_amplitude, grover_operator, iqae)
 from qvar.gaussian import discretize_normal
 from qvar.objective import ObjectiveCircuit, build_a_circuit
+from qvar.risk import exact_loss_distribution
 from qvar.uncertainty import Asset, Portfolio
 
 
@@ -19,6 +20,73 @@ def bernoulli_circuit(a):
     circ = Circuit(1)
     circ.ry(2 * math.asin(math.sqrt(a)), 0)
     return ObjectiveCircuit(circ, 0, "s_free", 0.0)
+
+
+def bernoulli_amplitude(a):
+    return exact_amplitude(bernoulli_circuit(a))
+
+
+class PowerStates:
+    """Statevectors of Q^k A|0>, extended by applying the Grover circuit."""
+
+    def __init__(self, a_circuit):
+        self._grover = grover_operator(a_circuit)
+        self._state = apply(a_circuit.circuit, zero_state(a_circuit.circuit.n_qubits))
+        self._k = 0
+        self._objective = a_circuit.objective_qubit
+
+    def probability(self, k):
+        assert k >= self._k, "powers must be nondecreasing"
+        while self._k < k:
+            self._state = apply(self._grover, self._state)
+            self._k += 1
+        return min(max(marginal_probability(self._state, self._objective, 1), 0.0), 1.0)
+
+
+def reference_iqae(a_circuit, cfg):
+    """Iterative QAE drawing each round from the simulated Grover power state.
+
+    This is the gate-level form of qvar.estimation.iqae, which draws from the
+    closed-form law instead; the two must agree result for result.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    states = PowerStates(a_circuit)
+    t_bound = max(1, int(math.floor(math.log2(math.pi / (4 * cfg.epsilon)))) + 1)
+    alpha_round = (1.0 - cfg.confidence) / t_bound
+    t_lo, t_hi = 0.0, 0.25
+    a_lo, a_hi = 0.0, 1.0
+    k, upper = 0, True
+    acc_ones = acc_shots = 0
+    rounds = samples = 0
+    powers = []
+    while a_hi - a_lo > 2 * cfg.epsilon and rounds < cfg.max_rounds:
+        rounds += 1
+        k_next, upper = _find_next_k(k, upper, t_lo, t_hi)
+        if k_next != k:
+            k = k_next
+            acc_ones = acc_shots = 0
+        powers.append(k)
+        ones = int(rng.binomial(cfg.shots_per_round, states.probability(k)))
+        acc_ones += ones
+        acc_shots += cfg.shots_per_round
+        samples += cfg.shots_per_round * (2 * k + 1)
+        m_lo, m_hi = clopper_pearson(acc_ones, acc_shots, alpha_round)
+        if upper:
+            f_lo = math.acos(1.0 - 2.0 * m_lo) / (2.0 * math.pi)
+            f_hi = math.acos(1.0 - 2.0 * m_hi) / (2.0 * math.pi)
+        else:
+            f_lo = 1.0 - math.acos(1.0 - 2.0 * m_hi) / (2.0 * math.pi)
+            f_hi = 1.0 - math.acos(1.0 - 2.0 * m_lo) / (2.0 * math.pi)
+        scaling = 4 * k + 2
+        t_lo = max(t_lo, (int(scaling * t_lo) + f_lo) / scaling)
+        t_hi = min(t_hi, (int(scaling * t_hi) + f_hi) / scaling)
+        if t_hi < t_lo:
+            t_lo = t_hi = 0.5 * (t_lo + t_hi)
+        a_lo = math.sin(2.0 * math.pi * t_lo) ** 2
+        a_hi = math.sin(2.0 * math.pi * t_hi) ** 2
+    return IqaeResult(estimate=0.5 * (a_lo + a_hi), ci_low=a_lo, ci_high=a_hi,
+                      rounds=rounds, quantum_samples=samples,
+                      converged=a_hi - a_lo <= 2 * cfg.epsilon, powers=tuple(powers))
 
 
 def random_objective(rng, n):
@@ -138,21 +206,21 @@ class TestIqae:
             IqaeConfig(epsilon=0.01, confidence=0.9, shots_per_round=0)
 
     def test_zero_amplitude(self):
-        res = iqae(ObjectiveCircuit(Circuit(2).x(0), 1, "s_free", 0.0),
+        res = iqae(exact_amplitude(ObjectiveCircuit(Circuit(2).x(0), 1, "s_free", 0.0)),
                    IqaeConfig(epsilon=0.01, confidence=0.95, seed=3))
         assert res.converged
         assert res.ci_low == 0.0
         assert res.estimate <= 0.01
 
     def test_full_amplitude(self):
-        res = iqae(ObjectiveCircuit(Circuit(1).x(0), 0, "s_free", 0.0),
+        res = iqae(exact_amplitude(ObjectiveCircuit(Circuit(1).x(0), 0, "s_free", 0.0)),
                    IqaeConfig(epsilon=0.01, confidence=0.95, seed=3))
         assert res.converged
         assert res.ci_high == pytest.approx(1.0)
         assert abs(res.estimate - 1.0) <= 0.01
 
     def test_interval_contains_estimate_and_respects_width(self):
-        res = iqae(bernoulli_circuit(0.3), IqaeConfig(epsilon=0.005, confidence=0.95, seed=11))
+        res = iqae(bernoulli_amplitude(0.3), IqaeConfig(epsilon=0.005, confidence=0.95, seed=11))
         assert res.converged
         assert res.ci_low <= res.estimate <= res.ci_high
         assert res.ci_high - res.ci_low <= 2 * 0.005
@@ -160,12 +228,12 @@ class TestIqae:
     def test_coverage_over_seeds(self):
         # empirical coverage >= confidence - 3 binomial sigmas
         a_true = 0.3
-        a_circ = bernoulli_circuit(a_true)
+        amplitude = bernoulli_amplitude(a_true)
         confidence, epsilon, runs = 0.9, 0.01, 120
         estimate_hits = 0
         interval_hits = 0
         for seed in range(runs):
-            res = iqae(a_circ, IqaeConfig(epsilon=epsilon, confidence=confidence, seed=seed))
+            res = iqae(amplitude, IqaeConfig(epsilon=epsilon, confidence=confidence, seed=seed))
             estimate_hits += abs(res.estimate - a_true) <= epsilon
             interval_hits += res.ci_low <= a_true <= res.ci_high
         floor = confidence - 3 * math.sqrt(confidence * (1 - confidence) / runs)
@@ -173,24 +241,24 @@ class TestIqae:
         assert interval_hits / runs >= floor
 
     def test_samples_grow_as_epsilon_tightens(self):
-        a_circ = bernoulli_circuit(0.3)
+        amplitude = bernoulli_amplitude(0.3)
         samples = []
         for eps in (0.01, 0.005, 0.002):
-            res = iqae(a_circ, IqaeConfig(epsilon=eps, confidence=0.99, seed=42))
+            res = iqae(amplitude, IqaeConfig(epsilon=eps, confidence=0.99, seed=42))
             assert res.converged
             samples.append(res.quantum_samples)
         assert samples[0] <= samples[1] <= samples[2]
 
     def test_deterministic_given_seed(self):
-        a_circ = bernoulli_circuit(0.52)
+        amplitude = bernoulli_amplitude(0.52)
         cfg = IqaeConfig(epsilon=0.004, confidence=0.95, seed=77)
-        r1 = iqae(a_circ, cfg)
-        r2 = iqae(a_circ, cfg)
+        r1 = iqae(amplitude, cfg)
+        r2 = iqae(amplitude, cfg)
         assert (r1.estimate, r1.ci_low, r1.ci_high, r1.rounds, r1.quantum_samples) == \
                (r2.estimate, r2.ci_low, r2.ci_high, r2.rounds, r2.quantum_samples)
 
     def test_max_rounds_failure_is_a_value(self):
-        res = iqae(bernoulli_circuit(0.5),
+        res = iqae(bernoulli_amplitude(0.5),
                    IqaeConfig(epsilon=0.001, confidence=0.99, shots_per_round=2, max_rounds=3, seed=0))
         assert not res.converged
         assert res.rounds == 3
@@ -198,7 +266,40 @@ class TestIqae:
         assert 0.0 <= res.ci_low <= res.estimate <= res.ci_high <= 1.0
 
     def test_powers_nondecreasing(self):
-        res = iqae(bernoulli_circuit(0.3), IqaeConfig(epsilon=0.002, confidence=0.99, seed=4))
+        res = iqae(bernoulli_amplitude(0.3), IqaeConfig(epsilon=0.002, confidence=0.99, seed=4))
         assert all(a <= b for a, b in zip(res.powers, res.powers[1:]))
         assert res.quantum_samples == sum(
             100 * (2 * k + 1) for k in res.powers)
+
+    @pytest.mark.parametrize("amplitude", [1.0000000000000002, 1.0000000000000004, -0.0, -1e-17])
+    def test_readout_rounding_past_the_ends(self, amplitude):
+        # statevector readouts can land an ulp outside [0, 1]
+        res = iqae(amplitude, IqaeConfig(epsilon=0.01, confidence=0.95, seed=5))
+        assert res.converged
+        assert abs(res.estimate - min(max(amplitude, 0.0), 1.0)) <= 0.01
+
+
+class TestClosedFormMatchesGroverCircuit:
+    """iqae on the closed-form law gives the same results as simulating Q^k."""
+
+    def check(self, a_circ, epsilon, confidence, seeds=range(20)):
+        amplitude = exact_amplitude(a_circ)
+        for seed in seeds:
+            cfg = IqaeConfig(epsilon=epsilon, confidence=confidence, seed=seed)
+            assert iqae(amplitude, cfg) == reference_iqae(a_circ, cfg)
+
+    def test_two_asset_circuit(self):
+        pf = Portfolio([Asset(1000.5, 0.15, 0.10, (0.35, 0.20)),
+                        Asset(2000.5, 0.25, 0.05, (0.10, 0.25))])
+        grids = [discretize_normal(2), discretize_normal(2)]
+        self.check(build_a_circuit(pf, grids, 1500.0, encoding="exact"), 0.002, 0.99)
+
+    def test_random_four_asset_linear_circuit(self):
+        rng = np.random.default_rng(41)
+        pf = Portfolio([Asset(round(float(rng.uniform(500, 3000)), 1),
+                              float(rng.uniform(0.02, 0.3)), float(rng.uniform(0.05, 0.3)),
+                              tuple(rng.uniform(0.1, 0.5, 2))) for _ in range(4)])
+        grids = [discretize_normal(2), discretize_normal(2)]
+        support = exact_loss_distribution(pf, grids).losses
+        x = float(support[support.size // 2])
+        self.check(build_a_circuit(pf, grids, x, encoding="linear"), 0.002, 0.99)

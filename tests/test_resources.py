@@ -45,7 +45,7 @@ class TestWidthAccounting:
     def test_legacy_sum_register(self):
         assets = [Asset(1, 0.2, 0.1, (1.0,)), Asset(2, 0.2, 0.1, (1.0,)),
                   Asset(4, 0.2, 0.1, (1.0,))]
-        report = estimate_resources(Portfolio(assets), grids(1), "legacy_integer")
+        report = estimate_resources(Portfolio(assets), grids(1), "multi_rotation", "weighted_sum")
         assert report.sum_register_width == 3      # floor(log2(7)) + 1
         assert report.mode == "weighted_sum"
         # factors (2) + assets (3) + sum (3) + objective (1)

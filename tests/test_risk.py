@@ -1,12 +1,15 @@
 """Risk-measure tests: oracles, Monte Carlo, cdf paths and VaR bisection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qvar.estimation import IqaeConfig
+from qvar.estimation import IqaeConfig, exact_amplitude, iqae
 from qvar.gaussian import discretize_normal
-from qvar.risk import (LossDistribution, cdf_point, economic_capital,
-                       exact_loss_distribution, expected_loss,
+from qvar.objective import build_a_circuit
+from qvar.risk import (LossDistribution, cdf_estimator, economic_capital,
+                       exact_loss_distribution, expected_loss, model_cdf,
                        monte_carlo_distribution, total_variation_distance,
                        var_bisection)
 from qvar.uncertainty import Asset, Portfolio
@@ -25,6 +28,26 @@ def table_inputs():
                     Asset(2000.5, 0.25, 0.05, (0.10, 0.25))])
     grids = [discretize_normal(2), discretize_normal(2)]
     return pf, grids
+
+
+def bisect(pf, grids, alpha, kind, **options):
+    dist = exact_loss_distribution(pf, grids)
+    return var_bisection(dist, alpha, cdf_estimator(kind, pf, grids, dist=dist, **options))
+
+
+def random_portfolio(rng, k, r, shared=False, integer=False):
+    alphas = tuple(float(a) for a in rng.uniform(0.1, 0.5, r))
+    return Portfolio([
+        Asset(float(rng.integers(1, 7)) if integer else round(float(rng.uniform(500, 3000)), 1),
+              float(rng.uniform(0.02, 0.3)), float(rng.uniform(0.05, 0.3)),
+              alphas if shared else tuple(float(a) for a in rng.uniform(0.1, 0.5, r)))
+        for _ in range(k)])
+
+
+def thresholds(pf, grids):
+    """Every support point, plus one threshold below and one above."""
+    support = exact_loss_distribution(pf, grids).losses
+    return [float(support[0]) - 1.0, *map(float, support), float(support[-1]) + 1.0]
 
 
 class TestExactLossDistribution:
@@ -125,33 +148,82 @@ class TestExpectedLoss:
 
 
 class TestCdfPoint:
+    """Single cdf values through each kind of cdf_estimator."""
+
     def test_saturation(self):
         pf, grids = table_inputs()
-        assert cdf_point(pf, grids, 5000.0, "exact") == pytest.approx(1.0, abs=1e-12)
-        assert cdf_point(pf, grids, -0.5, "exact") == 0.0
+        cdf = cdf_estimator("exact", pf, grids)
+        assert cdf(5000.0).estimate == pytest.approx(1.0, abs=1e-12)
+        assert cdf(-0.5).estimate == 0.0
 
     def test_exact_vs_classical(self):
         pf, grids = table_inputs()
+        exact = cdf_estimator("exact", pf, grids)
+        classical = cdf_estimator("classical", pf, grids)
         for x in (0.0, 1500.0, 2000.5):
-            assert abs(cdf_point(pf, grids, x, "exact")
-                       - cdf_point(pf, grids, x, "classical")) < 1e-9
+            assert abs(exact(x).estimate - classical(x).estimate) < 1e-9
 
     def test_distribution_lookup_estimator(self):
         pf, grids = table_inputs()
-        dist = exact_loss_distribution(pf, grids)
-        assert cdf_point(pf, grids, 1500.0, dist) == pytest.approx(dist.cdf(1500.0))
+        dist = LossDistribution(np.array([0.0, 1200.0]), np.array([0.25, 0.75]))
+        probe = cdf_estimator("classical", pf, grids, dist=dist)(1500.0)
+        assert probe.estimate == dist.cdf(1500.0) == 1.0
+        assert probe.ci_low is None
 
     def test_iqae_estimator(self):
         pf, grids = table_inputs()
         cfg = IqaeConfig(epsilon=0.01, confidence=0.95, seed=13)
-        got = cdf_point(pf, grids, 1500.0, cfg)
-        exact = cdf_point(pf, grids, 1500.0, "exact")
+        got = cdf_estimator("iqae", pf, grids, iqae_config=cfg)(1500.0).estimate
+        exact = cdf_estimator("exact", pf, grids)(1500.0).estimate
         assert abs(got - exact) <= 0.01
 
     def test_unknown_estimator(self):
         pf, grids = table_inputs()
         with pytest.raises(ValueError):
-            cdf_point(pf, grids, 0.0, "nope")
+            cdf_estimator("nope", pf, grids)
+
+
+class TestModelCdf:
+    """One model simulation reproduces the per-threshold gate-level readout."""
+
+    @pytest.mark.parametrize("seed, variant, encoding, r, shared", [
+        (1, "multi_rotation", "exact", 2, False),
+        (2, "multi_rotation", "linear", 2, False),
+        (3, "single_factor", "exact", 1, False),
+        (4, "single_factor", "linear", 1, False),
+        (5, "single_rotation", "linear", 2, True),
+    ])
+    def test_equals_s_free_readout(self, seed, variant, encoding, r, shared):
+        rng = np.random.default_rng(seed)
+        for _ in range(12):
+            pf = random_portfolio(rng, int(rng.integers(1, 5)), r, shared=shared)
+            grids = [discretize_normal(int(rng.integers(1, 3))) for _ in range(r)]
+            cdf = model_cdf(pf, grids, variant=variant, encoding=encoding)
+            for x in thresholds(pf, grids):
+                a_circ = build_a_circuit(pf, grids, x, variant=variant, encoding=encoding)
+                assert cdf(x) == exact_amplitude(a_circ)
+
+    def test_weighted_sum_readout(self):
+        rng = np.random.default_rng(19)
+        for _ in range(8):
+            r = int(rng.integers(1, 3))
+            pf = random_portfolio(rng, int(rng.integers(1, 4)), r, integer=True)
+            grids = [discretize_normal(int(rng.integers(1, 3))) for _ in range(r)]
+            cdf = model_cdf(pf, grids, encoding="exact")
+            for x in thresholds(pf, grids):
+                a_circ = build_a_circuit(pf, grids, x, encoding="exact", mode="weighted_sum")
+                assert abs(cdf(x) - exact_amplitude(a_circ)) <= 1e-12
+
+    def test_iqae_probes_take_consecutive_seeds(self):
+        pf, grids = table_inputs()
+        cfg = IqaeConfig(epsilon=0.01, confidence=0.95, seed=30)
+        sampled = cdf_estimator("iqae", pf, grids, iqae_config=cfg)
+        cdf = model_cdf(pf, grids)
+        for i, x in enumerate((2000.5, 0.0, 2000.5)):
+            res = iqae(cdf(x), replace(cfg, seed=30 + i))
+            probe = sampled(x)
+            assert (probe.estimate, probe.ci_low, probe.ci_high, probe.quantum_samples) == \
+                   (res.estimate, res.ci_low, res.ci_high, res.quantum_samples)
 
 
 class TestVarBisection:
@@ -159,18 +231,18 @@ class TestVarBisection:
         pf = Portfolio([Asset(0.0, 0.2, 0.1, (1.0,))])
         grids = [discretize_normal(2)]
         for alpha in (0.05, 0.5, 0.99):
-            res = var_bisection(pf, grids, alpha, "classical")
+            res = bisect(pf, grids, alpha, "classical")
             assert res.var == 0.0
 
     def test_var_zero_when_cdf0_reaches_alpha(self):
         pf, grids = table_inputs()
-        res = var_bisection(pf, grids, 0.5, "exact")
+        res = bisect(pf, grids, 0.5, "exact")
         assert res.var == 0.0
         assert res.cdf_at_var >= 0.5
 
     def test_table_var_at_95(self):
         pf, grids = table_inputs()
-        res = var_bisection(pf, grids, 0.95, "exact")
+        res = bisect(pf, grids, 0.95, "exact")
         assert res.var == ORACLE_VAR_95
         assert abs(res.cdf_at_var - ORACLE_CDF_AT_VAR) < 1e-9
         assert abs(res.expected_loss - ORACLE_EL) < 1e-9
@@ -183,19 +255,19 @@ class TestVarBisection:
         pf, grids = table_inputs()
         dist = exact_loss_distribution(pf, grids)
         for alpha in np.linspace(0.05, 0.99, 20):
-            res = var_bisection(pf, grids, float(alpha), "classical")
+            res = bisect(pf, grids, float(alpha), "classical")
             assert res.var == dist.quantile(float(alpha))
 
     def test_var_monotone_in_alpha(self):
         pf, grids = table_inputs()
-        vars_ = [var_bisection(pf, grids, a, "exact").var
+        vars_ = [bisect(pf, grids, a, "exact").var
                  for a in (0.1, 0.5, 0.7, 0.9, 0.96, 0.99)]
         assert all(a <= b for a, b in zip(vars_, vars_[1:]))
 
     def test_iqae_estimator_trace_carries_intervals(self):
         pf, grids = table_inputs()
         cfg = IqaeConfig(epsilon=0.01, confidence=0.95, seed=21)
-        res = var_bisection(pf, grids, 0.95, cfg)
+        res = bisect(pf, grids, 0.95, "iqae", iqae_config=cfg)
         assert res.var == ORACLE_VAR_95
         for probe in res.bisection_trace:
             assert probe.ci_low is not None and probe.ci_high is not None
@@ -204,8 +276,9 @@ class TestVarBisection:
 
     def test_alpha_validated(self):
         pf, grids = table_inputs()
+        dist = exact_loss_distribution(pf, grids)
         with pytest.raises(ValueError):
-            var_bisection(pf, grids, 1.0, "exact")
+            var_bisection(dist, 1.0, cdf_estimator("exact", pf, grids))
 
 
 class TestEconomicCapital:
@@ -216,7 +289,7 @@ class TestEconomicCapital:
 
     def test_table_value(self):
         pf, grids = table_inputs()
-        res = var_bisection(pf, grids, 0.95, "exact")
+        res = bisect(pf, grids, 0.95, "exact")
         assert abs(economic_capital(res.var, res.expected_loss)
                    - (ORACLE_VAR_95 - ORACLE_EL)) < 1e-9
 
