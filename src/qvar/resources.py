@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .objective import MODES, weighted_sum_register
-from .uncertainty import VARIANTS, Portfolio, index_sum_plan
+from .uncertainty import VARIANTS, Portfolio, check_shared_alphas, index_sum_plan
 
 
 @dataclass
@@ -53,11 +53,7 @@ def estimate_resources(portfolio: Portfolio, grids, variant: str = "multi_rotati
     sum_width = None
     if variant == "single_rotation":
         shared = portfolio.assets[0].alphas
-        for idx, asset in enumerate(portfolio.assets):
-            if asset.alphas != shared:
-                raise ValueError(
-                    f"asset {idx} breaks the shared weight vector required by "
-                    f"the single-rotation variant")
+        check_shared_alphas(portfolio, shared)
         sum_width = index_sum_plan(grids, shared).n_sum
         base = n_factor + sum_width + k
         rotation_count = k

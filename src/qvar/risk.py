@@ -22,6 +22,10 @@ from .uncertainty import Portfolio, build_model
 
 ESTIMATORS = ("exact", "iqae", "classical")
 
+_BLOCK_ELEMENTS = 1 << 17    # floats in one enumeration block's weights and bit rows
+MAX_STATE_BYTES = 1 << 30    # model_cdf's statevector plus its readout arrays
+_BYTES_PER_AMPLITUDE = 40    # complex amplitude, float prob, int64 index, float loss
+
 
 @dataclass(eq=False)
 class LossDistribution:
@@ -97,11 +101,13 @@ class EstimationFailure(RuntimeError):
 
 def exact_loss_distribution(portfolio: Portfolio, grids,
                             max_enumeration: int = 10_000_000) -> LossDistribution:
-    """Exact loss distribution of the discretized model by full enumeration.
+    """Exact loss distribution of the discretized model by blocked enumeration.
 
-    Every joint factor realization is weighted by its grid probability and
-    every default pattern by the product of conditional (non)default
-    probabilities.  This is the verification oracle for the exact encoding.
+    Default patterns run in itertools.product order (asset 0 first), in
+    blocks of about _BLOCK_ELEMENTS floats.  A pattern's weight multiplies its
+    conditional (non)default probabilities left to right, and its loss and
+    factor-grid mixture are one dot product each, so the result equals the
+    pattern-by-pattern loop bit for bit.  This is the exact encoding's oracle.
     """
     grids = list(grids)
     if len(grids) != portfolio.r:
@@ -118,16 +124,19 @@ def exact_loss_distribution(portfolio: Portfolio, grids,
 
     pd = np.column_stack([
         conditional_pd(a.p0, a.rho, a.alphas, z_joint) for a in portfolio.assets])
-
-    lgds = np.asarray(portfolio.lgds)
-    losses = []
-    probs = []
-    for pattern in itertools.product((0, 1), repeat=k):
-        bits = np.asarray(pattern)
-        weight = np.prod(np.where(bits, pd, 1.0 - pd), axis=1)
-        losses.append(float(lgds @ bits))
-        probs.append(float(pz @ weight))
-    return LossDistribution.from_pairs(losses, probs)
+    q = np.stack([1.0 - pd, pd])                   # q[bit, z, asset]
+    lgds = np.asarray(portfolio.lgds, dtype=float)
+    tail = min(k, max(0, (_BLOCK_ELEMENTS // (m + k)).bit_length() - 1))
+    losses, probs = [], []
+    for start in range(0, 2 ** k, 2 ** tail):
+        bits = (np.arange(start, start + 2 ** tail)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        weight = np.prod(q[bits[0, :k - tail], :, np.arange(k - tail)], axis=0)[None, :]
+        for j in range(k - tail, k):
+            weight = (weight[:, None, :] * q[None, :, :, j]).reshape(-1, m)
+        # One 1-D dot per row, as `lgds @ bits` and `pz @ weight`; gemv rounds otherwise.
+        losses.append((bits[:, None, :].astype(float) @ lgds[:, None])[:, 0, 0])
+        probs.append((weight[:, None, :] @ pz[:, None])[:, 0, 0])
+    return LossDistribution.from_pairs(np.concatenate(losses), np.concatenate(probs))
 
 
 def monte_carlo_distribution(portfolio: Portfolio, grids, n_paths: int,
@@ -183,10 +192,16 @@ def model_cdf(portfolio: Portfolio, grids, *, variant: str = "multi_rotation",
     the objective half, so its readout is the model's |amplitude|^2 summed
     over those patterns.  Summing the full array in flat index order with the
     other entries zeroed reproduces exact_amplitude of the s_free circuit bit
-    for bit, and one simulation serves every threshold.
+    for bit, and one simulation serves every threshold.  A model over
+    MAX_STATE_BYTES is rejected before its state is allocated.
     """
     model = build_model(portfolio, grids, variant, encoding)
     n = model.circuit.n_qubits
+    need = _BYTES_PER_AMPLITUDE * 2 ** n
+    if need > MAX_STATE_BYTES:
+        raise ValueError(
+            f"the {n}-qubit model would need about {need} bytes of state, over the budget "
+            f"of {MAX_STATE_BYTES}; reduce risk_factors.qubits_per_factor or assets")
     probs = np.abs(apply(model.circuit, zero_state(n)).amplitudes) ** 2
     index = np.arange(probs.size)
     # Summed asset by asset, as the comparator sums each pattern's loss.

@@ -299,6 +299,15 @@ def index_sum_plan(grids, shared_alphas) -> IndexSumPlan:
     return IndexSumPlan(delta, n_points, bases, n_sum)
 
 
+def check_shared_alphas(portfolio: Portfolio, shared: tuple[float, ...]) -> None:
+    """Reject any asset whose weights differ from the single-rotation vector."""
+    for k_idx, asset in enumerate(portfolio.assets):
+        if asset.alphas != shared:
+            raise ValueError(
+                f"asset {k_idx} has weights {asset.alphas}, but the single-rotation "
+                f"variant requires the shared vector {shared}")
+
+
 def build_single_rotation(portfolio: Portfolio, grids, shared_alphas) -> ModelCircuit:
     """Single-rotation uncertainty model.
 
@@ -311,11 +320,7 @@ def build_single_rotation(portfolio: Portfolio, grids, shared_alphas) -> ModelCi
     shared = tuple(float(a) for a in shared_alphas)
     if len(shared) != len(grids):
         raise ValueError("one shared weight per factor grid")
-    for k_idx, asset in enumerate(portfolio.assets):
-        if asset.alphas != shared:
-            raise ValueError(
-                f"asset {k_idx} has weights {asset.alphas}, but the single-rotation "
-                f"variant requires the shared vector {shared}")
+    check_shared_alphas(portfolio, shared)
 
     plan = index_sum_plan(grids, shared)
     factor_ranges, n_factor = _factor_layout(grids)

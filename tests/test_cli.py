@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,36 @@ class TestVariants:
         config = write_config(tmp_path, TWO_ASSET)
         assert main(["analyze", "--config", config, "--variant", "single_rotation"]) == 1
         assert "asset 1" in capsys.readouterr().err
+
+    def test_single_rotation_message_same_for_every_estimator(self, tmp_path, capsys):
+        config = write_config(tmp_path, TWO_ASSET)
+        errors = set()
+        for estimator in ("classical", "exact", "iqae"):
+            assert main(["analyze", "--config", config, "--variant", "single_rotation",
+                         "--estimator", estimator]) == 1
+            errors.add(capsys.readouterr().err)
+        assert len(errors) == 1
+        assert "asset 1 has weights" in errors.pop()
+
+    def test_statevector_budget_refused_before_allocating(self, tmp_path, capsys):
+        # 8 factor qubits, an 8-qubit index sum and 10 assets: 26 qubits, about
+        # 2.7 GB of state and readout, while the enumeration (2**18 states) runs.
+        payload = {
+            "risk_factors": {"count": 1, "qubits_per_factor": 8},
+            "assets": [{"lgd": 100.5 * (i + 1), "p0": 0.1, "rho": 0.2, "alphas": [0.4]}
+                       for i in range(10)],
+            "analysis": {"alpha": 0.95, "estimator": "exact", "variant": "single_rotation"},
+        }
+        config = write_config(tmp_path, payload)
+        tracemalloc.start()
+        try:
+            assert main(["analyze", "--config", config]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert "26-qubit" in err and "risk_factors.qubits_per_factor" in err
+        assert peak < 100 * 2 ** 20
 
     def test_single_factor_requires_one_factor(self, tmp_path, capsys):
         config = write_config(tmp_path, TWO_ASSET)

@@ -1,17 +1,19 @@
 """Risk-measure tests: oracles, Monte Carlo, cdf paths and VaR bisection."""
 
+import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qvar.estimation import IqaeConfig, exact_amplitude, iqae
-from qvar.gaussian import discretize_normal
+from qvar.gaussian import conditional_pd, discretize_normal
 from qvar.objective import build_a_circuit
-from qvar.risk import (LossDistribution, cdf_estimator, economic_capital,
-                       exact_loss_distribution, expected_loss, model_cdf,
-                       monte_carlo_distribution, total_variation_distance,
-                       var_bisection)
+from qvar.risk import (MAX_STATE_BYTES, LossDistribution, cdf_estimator,
+                       economic_capital, exact_loss_distribution, expected_loss,
+                       model_cdf, monte_carlo_distribution,
+                       total_variation_distance, var_bisection)
 from qvar.uncertainty import Asset, Portfolio
 
 # frozen from the independent mpmath enumeration of the two-asset example
@@ -48,6 +50,103 @@ def thresholds(pf, grids):
     """Every support point, plus one threshold below and one above."""
     support = exact_loss_distribution(pf, grids).losses
     return [float(support[0]) - 1.0, *map(float, support), float(support[-1]) + 1.0]
+
+
+def reference_exact_loss_distribution(portfolio, grids):
+    """The pattern-by-pattern enumeration loop the blocked kernel replaced."""
+    idx = np.array(list(itertools.product(*(range(g.size) for g in grids))))
+    z_joint = np.column_stack([g.values[idx[:, c]] for c, g in enumerate(grids)])
+    pz = np.prod([g.probs[idx[:, c]] for c, g in enumerate(grids)], axis=0)
+    pd = np.column_stack([
+        conditional_pd(a.p0, a.rho, a.alphas, z_joint) for a in portfolio.assets])
+    lgds = np.asarray(portfolio.lgds)
+    losses = []
+    probs = []
+    for pattern in itertools.product((0, 1), repeat=portfolio.k):
+        bits = np.asarray(pattern)
+        weight = np.prod(np.where(bits, pd, 1.0 - pd), axis=1)
+        losses.append(float(lgds @ bits))
+        probs.append(float(pz @ weight))
+    return LossDistribution.from_pairs(losses, probs)
+
+
+def edge_portfolio(rng, k, r, *, p0=None, rho=None, lgd=None, alphas=None, decimals=1):
+    """Random portfolio with signed weights; keyword values override every asset."""
+    return Portfolio([
+        Asset(round(float(rng.uniform(0, 3000)), decimals) if lgd is None else lgd,
+              float(rng.uniform(0.01, 0.9)) if p0 is None else p0,
+              float(rng.uniform(0.0, 0.9)) if rho is None else rho,
+              tuple(float(a) for a in rng.uniform(-0.5, 0.5, r)) if alphas is None else alphas)
+        for _ in range(k)])
+
+
+def assert_same_bytes(pf, grids):
+    got = exact_loss_distribution(pf, grids)
+    want = reference_exact_loss_distribution(pf, grids)
+    assert got.losses.tobytes() == want.losses.tobytes()
+    assert got.probs.tobytes() == want.probs.tobytes()
+
+
+class TestBlockedEnumeration:
+    """The blocked kernel reproduces the pattern loop byte for byte."""
+
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_random_portfolios(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(2 if k < 13 else 1):
+            r = int(rng.integers(1, 4))
+            grids = [discretize_normal(int(n)) for n in rng.integers(1, 4, r)]
+            if k + sum(g.n_z for g in grids) > 18:
+                grids = grids[:1]
+            assert_same_bytes(edge_portfolio(rng, k, len(grids),
+                                             decimals=int(rng.integers(0, 3))), grids)
+
+    @pytest.mark.parametrize("k", [9, 10, 11, 12])
+    def test_block_seams(self, k):
+        # At M = 64 a block holds 2**10 patterns: one block up to K = 10, then 2, 4.
+        rng = np.random.default_rng(200 + k)
+        assert_same_bytes(edge_portfolio(rng, k, 2), [discretize_normal(3)] * 2)
+
+    def test_wide_portfolio_shape(self):
+        rng = np.random.default_rng(7)
+        pf = random_portfolio(rng, 14, 2)
+        assert_same_bytes(pf, [discretize_normal(3), discretize_normal(3)])
+
+    def test_sixteen_assets(self):
+        # 16 terms is where a BLAS dot starts its unrolled kernel; losses summed
+        # one asset at a time would round differently from `lgds @ bits` here.
+        rng = np.random.default_rng(16)
+        assert_same_bytes(edge_portfolio(rng, 16, 1), [discretize_normal(1)])
+
+    @pytest.mark.parametrize("options", [
+        {"rho": 0.0},
+        {"p0": 1e-12, "rho": 0.9, "alphas": (1.0, 1.0)},       # pd clipped at the tiny end
+        {"p0": 1 - 1e-12, "rho": 0.9, "alphas": (1.0, 1.0)},   # and at the top
+        {"lgd": 0.0},
+        {"alphas": (0.0, 0.0)},
+    ])
+    def test_edge_inputs(self, options):
+        rng = np.random.default_rng(31)
+        grids = [discretize_normal(2), discretize_normal(3)]
+        for k in (1, 6, 11):
+            assert_same_bytes(edge_portfolio(rng, k, 2, **options), grids)
+
+    def test_merged_zero_lgds(self):
+        rng = np.random.default_rng(32)
+        pf = edge_portfolio(rng, 10, 2)
+        pf = Portfolio([replace(a, lgd=0.0) if i % 3 == 0 else a
+                        for i, a in enumerate(pf.assets)])
+        assert_same_bytes(pf, [discretize_normal(2), discretize_normal(2)])
+
+    @pytest.mark.parametrize("n", [1, 7, 14, 16, 23, 64, 512])
+    def test_stacked_matmul_is_the_vector_dot(self, n):
+        # The kernel relies on (rows[:, None, :] @ v[:, None]) running the same
+        # dot as the loop's `v @ row`; a numpy/BLAS change there must fail here.
+        rng = np.random.default_rng(n)
+        rows = rng.random((300, n)) * rng.choice([1e-3, 1.0, 1e3], (300, n))
+        vector = rng.random(n)
+        stacked = (rows[:, None, :] @ vector[:, None])[:, 0, 0]
+        assert stacked.tobytes() == np.array([vector @ row for row in rows]).tobytes()
 
 
 class TestExactLossDistribution:
@@ -213,6 +312,18 @@ class TestModelCdf:
             for x in thresholds(pf, grids):
                 a_circ = build_a_circuit(pf, grids, x, encoding="exact", mode="weighted_sum")
                 assert abs(cdf(x) - exact_amplitude(a_circ)) <= 1e-12
+
+    def test_memory_guard_refuses_before_allocating(self):
+        # 20 assets on a 5-qubit factor: 25 qubits, about 1.3 GB of state and readout.
+        pf = Portfolio([Asset(100.0, 0.1, 0.2, (0.3,))] * 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="qubits_per_factor or assets"):
+                model_cdf(pf, [discretize_normal(5)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < MAX_STATE_BYTES // 100
 
     def test_iqae_probes_take_consecutive_seeds(self):
         pf, grids = table_inputs()
