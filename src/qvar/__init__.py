@@ -13,7 +13,7 @@ from .estimation import (IqaeConfig, IqaeResult, clopper_pearson,
 from .gaussian import (FactorGrid, conditional_pd, discretize_normal,
                        std_normal_cdf, std_normal_pdf, std_normal_ppf)
 from .objective import (ObjectiveCircuit, assemble_a, build_a_circuit,
-                        build_s_free_comparator, build_weighted_sum,
+                        build_comparator, build_s_free_comparator, build_weighted_sum,
                         n_sum_qubits, weighted_sum_register)
 from .resources import ResourceReport, estimate_resources
 from .risk import (BisectionProbe, EstimationFailure, LossDistribution,
@@ -33,7 +33,7 @@ __all__ = [
     "Gate", "IqaeConfig",
     "IqaeResult", "LossDistribution", "ModelCircuit", "ObjectiveCircuit",
     "Portfolio", "ResourceReport", "Statevector", "VarResult", "apply",
-    "assemble_a", "build_a_circuit", "build_model", "build_multi_rotation",
+    "assemble_a", "build_a_circuit", "build_comparator", "build_model", "build_multi_rotation",
     "build_s_free_comparator", "build_single_factor", "build_single_rotation",
     "build_weighted_sum", "cdf_estimator", "clopper_pearson", "conditional_pd",
     "discretize_normal", "economic_capital", "estimate_resources",

@@ -7,9 +7,10 @@ Subcommands:
   compare       consistency table across exact, classical, IQAE and MC paths
 
 With the exact and iqae estimators, analyze simulates the uncertainty model
-once and reads every bisection probe off that state.  compare still builds the full gate-level circuit for each
-threshold, as the oracle for its exact column, and checks the IQAE column,
-which comes from the shared model state, against it.
+once and reads every bisection probe off that state.  compare also simulates
+its model once, on the width of the full A circuit, and runs each threshold's
+comparator gates on a copy of that state: its exact column is the gate-level
+oracle of the comparator, and the IQAE column is checked against it.
 
 Configs are JSON documents; every run echoes the fully resolved config so
 reports are self-describing, and all output is deterministic for a given
@@ -26,14 +27,15 @@ from dataclasses import asdict
 import jsonschema
 import numpy as np
 
-from .estimation import IqaeConfig, exact_amplitude
+from .circuit import Circuit, apply, marginal_probability, zero_state
+from .estimation import IqaeConfig
 from .gaussian import discretize_normal
-from .objective import MODES, build_a_circuit, weighted_sum_register
+from .objective import MODES, build_comparator, objective_qubit, weighted_sum_register
 from .resources import estimate_resources
-from .risk import (ESTIMATORS, EstimationFailure, cdf_estimator,
+from .risk import (ESTIMATORS, EstimationFailure, cdf_estimator, check_state_budget,
                    exact_loss_distribution, expected_loss,
                    monte_carlo_distribution, var_bisection)
-from .uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio
+from .uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio, build_model
 
 DEFAULTS = {
     "bound_sigmas": 3.0,
@@ -205,6 +207,9 @@ def _emit(text: str, output: str | None):
 def cmd_analyze(cfg: dict, output: str | None) -> int:
     portfolio, grids = config_to_inputs(cfg)
     analysis = cfg["analysis"]
+    # Checks the variant and mode constraints before the enumeration runs.
+    resources = asdict(estimate_resources(
+        portfolio, grids, analysis["variant"], analysis["mode"]))
     dist = exact_loss_distribution(portfolio, grids)
     cdf = build_estimator(cfg, portfolio, grids, dist, analysis["estimator"])
     try:
@@ -233,8 +238,7 @@ def cmd_analyze(cfg: dict, output: str | None) -> int:
             "total_quantum_samples": sum(
                 p.quantum_samples or 0 for p in result.bisection_trace) or None,
         },
-        "resources": asdict(estimate_resources(
-            portfolio, grids, analysis["variant"], analysis["mode"])),
+        "resources": resources,
     }
     failed = [p for p in result.bisection_trace if p.converged is False]
     if failed:
@@ -275,10 +279,17 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
         if key not in analysis:
             raise ConfigError(f"analysis.{key}: required by the compare command")
     epsilon = analysis["epsilon"]
+    mode = analysis["mode"]
     dist = exact_loss_distribution(portfolio, grids)
+    model = build_model(portfolio, grids, analysis["variant"], analysis["encoding"])
+    n = objective_qubit(portfolio, model, mode) + 1
+    check_state_budget(n, "A circuit")
     mc = monte_carlo_distribution(portfolio, grids, analysis["mc_paths"],
                                   analysis["seed"])
     sampled = build_estimator(cfg, portfolio, grids, dist, "iqae")
+    # Model gates then comparator gates on one array, as exact_amplitude of the
+    # threshold's A circuit runs them, so the readout is that oracle bit for bit.
+    model_state = apply(Circuit(n).extend(model.circuit.gates), zero_state(n))
     header = (f"{'threshold':>12}  {'classical':>12}  {'exact':>12}  {'|e-c|':>9}  "
               f"{'iqae':>12}  {'|q-e|':>9}  {'<=eps':>5}  {'mc':>12}  {'|m-e|':>9}  {'<=3sd':>5}")
     lines = [header, "-" * len(header)]
@@ -286,9 +297,9 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     for x in dist.losses:
         x = float(x)
         classical = dist.cdf(x)
-        a_circ = build_a_circuit(portfolio, grids, x, variant=analysis["variant"],
-                                 encoding=analysis["encoding"], mode=analysis["mode"])
-        exact = exact_amplitude(a_circ)     # the gate-level oracle
+        comparator = build_comparator(portfolio, model, x, mode)
+        exact = marginal_probability(apply(comparator.circuit, model_state),
+                                     comparator.objective_qubit, 1)
         q = sampled(x)
         mc_val = mc.cdf(x)
         sigma = max(np.sqrt(exact * (1 - exact) / analysis["mc_paths"]), 1e-12)

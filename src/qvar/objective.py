@@ -127,29 +127,45 @@ def assemble_a(model: ModelCircuit, comparator: Circuit, objective: int,
     return ObjectiveCircuit(circ, objective, mode, threshold)
 
 
-def build_a_circuit(portfolio: Portfolio, grids, threshold: float, *,
-                    variant: str = "multi_rotation", encoding: str = "exact",
-                    mode: str = "s_free") -> ObjectiveCircuit:
-    """Build the complete estimation operator for one threshold.
+def objective_qubit(portfolio: Portfolio, model: ModelCircuit, mode: str) -> int:
+    """Index of the objective qubit, the top of the A register (objective + 1 wide).
 
-    Register order is [model][sum register, legacy mode only][objective], with
-    asset qubits at the top of the model block.
+    Register order is [model][sum register, weighted_sum only][objective].
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    model = build_model(portfolio, grids, variant, encoding)
     width = model.circuit.n_qubits
+    return width if mode == "s_free" else width + weighted_sum_register(portfolio)[1]
+
+
+def build_comparator(portfolio: Portfolio, model: ModelCircuit, threshold: float,
+                     mode: str) -> ObjectiveCircuit:
+    """The comparator of one threshold, wired onto a built model's asset qubits.
+
+    Its circuit spans the whole A register but holds only the comparator
+    gates, so one simulation of the model can serve every threshold.
+    """
+    objective = objective_qubit(portfolio, model, mode)
     if mode == "s_free":
-        objective = width
         comparator = build_s_free_comparator(
             portfolio, threshold, objective,
-            asset_qubits=model.asset_qubits, n_qubits=width + 1)
+            asset_qubits=model.asset_qubits, n_qubits=objective + 1)
     else:
-        _, n_s = weighted_sum_register(portfolio)
-        objective = width + n_s
         comparator = build_weighted_sum(
             portfolio, objective, threshold,
             asset_qubits=model.asset_qubits,
-            sum_qubits=list(range(width, width + n_s)),
+            sum_qubits=list(range(model.circuit.n_qubits, objective)),
             n_qubits=objective + 1)
-    return assemble_a(model, comparator, objective, threshold, mode)
+    return ObjectiveCircuit(comparator, objective, mode, threshold)
+
+
+def build_a_circuit(portfolio: Portfolio, grids, threshold: float, *,
+                    variant: str = "multi_rotation", encoding: str = "exact",
+                    mode: str = "s_free") -> ObjectiveCircuit:
+    """Build the complete estimation operator for one threshold: model, then comparator.
+
+    Asset qubits sit at the top of the model block (see objective_qubit).
+    """
+    model = build_model(portfolio, grids, variant, encoding)
+    comparator = build_comparator(portfolio, model, threshold, mode)
+    return assemble_a(model, comparator.circuit, comparator.objective_qubit, threshold, mode)

@@ -23,8 +23,9 @@ from .uncertainty import Portfolio, build_model
 ESTIMATORS = ("exact", "iqae", "classical")
 
 _BLOCK_ELEMENTS = 1 << 17    # floats in one enumeration block's weights and bit rows
-MAX_STATE_BYTES = 1 << 30    # model_cdf's statevector plus its readout arrays
-_BYTES_PER_AMPLITUDE = 40    # complex amplitude, float prob, int64 index, float loss
+MAX_STATE_BYTES = 1 << 30    # one statevector plus its readout arrays
+_BYTES_PER_AMPLITUDE = 40    # model_cdf: complex amplitude, float prob, int64 index,
+                             # float loss; compare: the state and one working copy
 
 
 @dataclass(eq=False)
@@ -99,6 +100,32 @@ class EstimationFailure(RuntimeError):
         self.trace = trace
 
 
+def _joint_grid(grids) -> tuple[np.ndarray, np.ndarray]:
+    """Joint factor values (M, R) and probabilities (M,) over the grid product.
+
+    Cells run in itertools.product order: the last factor varies fastest.
+    """
+    idx = np.indices([g.size for g in grids]).reshape(len(grids), -1)
+    z_joint = np.column_stack([g.values[i] for i, g in zip(idx, grids)])
+    pz = np.prod([g.probs[i] for i, g in zip(idx, grids)], axis=0)
+    return z_joint, pz
+
+
+def _grid_pds(portfolio: Portfolio, z_joint: np.ndarray) -> np.ndarray:
+    """Conditional default probabilities (M, K) at each joint grid cell."""
+    return np.column_stack([
+        conditional_pd(a.p0, a.rho, a.alphas, z_joint) for a in portfolio.assets])
+
+
+def check_state_budget(n_qubits: int, what: str) -> None:
+    """Refuse an n_qubits statevector over MAX_STATE_BYTES before it is allocated."""
+    need = _BYTES_PER_AMPLITUDE * 2 ** n_qubits
+    if need > MAX_STATE_BYTES:
+        raise ValueError(
+            f"the {n_qubits}-qubit {what} would need about {need} bytes of state, over the "
+            f"budget of {MAX_STATE_BYTES}; reduce risk_factors.qubits_per_factor or assets")
+
+
 def exact_loss_distribution(portfolio: Portfolio, grids,
                             max_enumeration: int = 10_000_000) -> LossDistribution:
     """Exact loss distribution of the discretized model by blocked enumeration.
@@ -118,12 +145,8 @@ def exact_loss_distribution(portfolio: Portfolio, grids,
         raise ValueError(
             f"enumeration would visit {m * 2 ** k} states, over the budget of {max_enumeration}")
 
-    idx = np.array(list(itertools.product(*(range(g.size) for g in grids))))
-    z_joint = np.column_stack([g.values[idx[:, c]] for c, g in enumerate(grids)])
-    pz = np.prod([g.probs[idx[:, c]] for c, g in enumerate(grids)], axis=0)
-
-    pd = np.column_stack([
-        conditional_pd(a.p0, a.rho, a.alphas, z_joint) for a in portfolio.assets])
+    z_joint, pz = _joint_grid(grids)
+    pd = _grid_pds(portfolio, z_joint)
     q = np.stack([1.0 - pd, pd])                   # q[bit, z, asset]
     lgds = np.asarray(portfolio.lgds, dtype=float)
     tail = min(k, max(0, (_BLOCK_ELEMENTS // (m + k)).bit_length() - 1))
@@ -144,7 +167,9 @@ def monte_carlo_distribution(portfolio: Portfolio, grids, n_paths: int,
     """Empirical loss distribution from seeded simulation of the same model.
 
     Draw order is fixed (factor indices first, factor by factor, then default
-    uniforms), so results are reproducible for a given seed.
+    uniforms), so results are reproducible for a given seed.  Conditional PDs
+    are evaluated once per joint grid cell and gathered by each path's cell,
+    which gives each path the value an evaluation at its own factor draw would.
     """
     grids = list(grids)
     if len(grids) != portfolio.r:
@@ -152,12 +177,11 @@ def monte_carlo_distribution(portfolio: Portfolio, grids, n_paths: int,
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     rng = np.random.default_rng(seed)
-    z = np.empty((n_paths, len(grids)))
-    for col, grid in enumerate(grids):
+    cell = np.zeros(n_paths, dtype=np.intp)
+    for grid in grids:
         idx = rng.choice(grid.size, size=n_paths, p=grid.probs / grid.probs.sum())
-        z[:, col] = grid.values[idx]
-    pd = np.column_stack([
-        conditional_pd(a.p0, a.rho, a.alphas, z) for a in portfolio.assets])
+        cell = cell * grid.size + idx
+    pd = _grid_pds(portfolio, _joint_grid(grids)[0])[cell]
     defaults = rng.random((n_paths, portfolio.k)) < pd
     losses = defaults @ np.asarray(portfolio.lgds)
     support, counts = np.unique(losses, return_counts=True)
@@ -197,11 +221,7 @@ def model_cdf(portfolio: Portfolio, grids, *, variant: str = "multi_rotation",
     """
     model = build_model(portfolio, grids, variant, encoding)
     n = model.circuit.n_qubits
-    need = _BYTES_PER_AMPLITUDE * 2 ** n
-    if need > MAX_STATE_BYTES:
-        raise ValueError(
-            f"the {n}-qubit model would need about {need} bytes of state, over the budget "
-            f"of {MAX_STATE_BYTES}; reduce risk_factors.qubits_per_factor or assets")
+    check_state_budget(n, "model")
     probs = np.abs(apply(model.circuit, zero_state(n)).amplitudes) ** 2
     index = np.arange(probs.size)
     # Summed asset by asset, as the comparator sums each pattern's loss.

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: config validation, output formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,10 +8,18 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qvar
-from qvar.cli import ConfigError, load_config, main
+import qvar.cli
+from qvar.circuit import marginal_probability
+from qvar.cli import ConfigError, config_to_inputs, load_config, main
+from qvar.estimation import exact_amplitude
+from qvar.objective import build_a_circuit
+from qvar.risk import exact_loss_distribution
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 TWO_ASSET = {
     "risk_factors": {"count": 2, "qubits_per_factor": 2, "bound_sigmas": 3.0},
@@ -187,6 +196,17 @@ class TestVariants:
         assert len(errors) == 1
         assert "asset 1 has weights" in errors.pop()
 
+    def test_classical_checks_variant_before_enumerating(self, tmp_path, capsys,
+                                                         monkeypatch):
+        def enumeration(*args, **kwargs):
+            raise AssertionError("the enumeration ran before the variant check")
+
+        monkeypatch.setattr(qvar.cli, "exact_loss_distribution", enumeration)
+        config = write_config(tmp_path, TWO_ASSET)
+        assert main(["analyze", "--config", config, "--variant", "single_rotation",
+                     "--estimator", "classical"]) == 1
+        assert "asset 1 has weights" in capsys.readouterr().err
+
     def test_statevector_budget_refused_before_allocating(self, tmp_path, capsys):
         # 8 factor qubits, an 8-qubit index sum and 10 assets: 26 qubits, about
         # 2.7 GB of state and readout, while the enumeration (2**18 states) runs.
@@ -305,6 +325,90 @@ class TestCompare:
         body = [line for line in text.split("\n") if "True" in line or "False" in line]
         assert len(body) == 4
         assert all("False" not in line for line in body)
+
+    @pytest.mark.parametrize("config, options, digest", [
+        ("two_asset.json", [],
+         "c230789c991f49176c894543f98b39d6a3c88b943e2baa2e05b54d99882e044b"),
+        ("two_asset_integer.json", ["--mode", "weighted_sum"],
+         "b2306e6dd24cbd228d4b297a2a63244a82e79a5b284085aac13eaa9484aa3224"),
+    ])
+    def test_golden_bytes(self, capsys, config, options, digest):
+        # SHA-256 of the table as the per-threshold A-circuit compare printed it.
+        assert main(["compare", "--config", str(CONFIGS / config), *options]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed, variant, encoding, mode, r", [
+        (1, "multi_rotation", "exact", "s_free", 2),
+        (2, "multi_rotation", "linear", "s_free", 2),
+        (3, "single_factor", "exact", "s_free", 1),
+        (4, "single_factor", "linear", "s_free", 1),
+        (5, "single_rotation", "linear", "s_free", 2),
+        (6, "multi_rotation", "exact", "weighted_sum", 2),
+        (7, "multi_rotation", "linear", "weighted_sum", 1),
+        (8, "single_rotation", "linear", "weighted_sum", 2),
+    ])
+    def test_exact_column_is_the_a_circuit_readout(self, tmp_path, monkeypatch,
+                                                   seed, variant, encoding, mode, r):
+        readouts = []
+
+        def recorded(state, qubit, outcome):
+            readouts.append(marginal_probability(state, qubit, outcome))
+            return readouts[-1]
+
+        monkeypatch.setattr(qvar.cli, "marginal_probability", recorded)
+        rng = np.random.default_rng(seed)
+        for trial in range(3):
+            shared = [float(a) for a in rng.uniform(0.1, 0.5, r)]
+            payload = {
+                "risk_factors": {"count": r,
+                                 "qubits_per_factor": [int(n) for n in rng.integers(1, 3, r)]},
+                "assets": [{"lgd": int(rng.integers(1, 7)) if mode == "weighted_sum"
+                            else round(float(rng.uniform(500, 3000)), 1),
+                            "p0": float(rng.uniform(0.02, 0.3)),
+                            "rho": float(rng.uniform(0.05, 0.3)),
+                            "alphas": shared if variant == "single_rotation"
+                            else [float(a) for a in rng.uniform(0.1, 0.5, r)]}
+                           for _ in range(int(rng.integers(1, 5)))],
+                "analysis": {"alpha": 0.95, "epsilon": 0.01, "confidence": 0.99,
+                             "seed": trial, "mc_paths": 1000, "variant": variant,
+                             "encoding": encoding, "mode": mode},
+            }
+            config = write_config(tmp_path, payload)
+            out = tmp_path / "compare.txt"
+            readouts.clear()
+            assert main(["compare", "--config", config, "--output", str(out)]) in (0, 1)
+            portfolio, grids = config_to_inputs(load_config(config))
+            dist = exact_loss_distribution(portfolio, grids)
+            oracle = [exact_amplitude(build_a_circuit(portfolio, grids, float(x), variant=variant,
+                                                      encoding=encoding, mode=mode))
+                      for x in dist.losses]
+            assert readouts == oracle
+            # The printed exact and |e-c| columns are that readout, not another value.
+            rows = [line.split()[2:4] for line in out.read_text().split("\n")[2:2 + len(oracle)]]
+            assert rows == [[f"{e:.9f}", f"{abs(e - dist.cdf(float(x))):.2e}"]
+                            for e, x in zip(oracle, dist.losses)]
+
+    def test_shared_state_budget_refused_before_allocating(self, tmp_path, capsys):
+        # A 24-qubit single-rotation model (8 factor qubits, an 8-qubit index sum,
+        # 8 assets) fits the budget, but with a 6-qubit loss register and the
+        # objective compare's state would be 31 qubits, about 34 GB.
+        payload = {
+            "risk_factors": {"count": 1, "qubits_per_factor": 8},
+            "assets": [{"lgd": i + 1, "p0": 0.1, "rho": 0.2, "alphas": [0.4]}
+                       for i in range(8)],
+            "analysis": {"alpha": 0.95, "epsilon": 0.01, "confidence": 0.99,
+                         "variant": "single_rotation"},
+        }
+        config = write_config(tmp_path, payload)
+        tracemalloc.start()
+        try:
+            assert main(["compare", "--config", config, "--mode", "weighted_sum"]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert "31-qubit A circuit" in err and "risk_factors.qubits_per_factor" in err
+        assert peak < 100 * 2 ** 20
 
     def test_compare_requires_iqae_settings(self, tmp_path, capsys):
         payload = json.loads(json.dumps(TWO_ASSET))

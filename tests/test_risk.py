@@ -80,6 +80,21 @@ def edge_portfolio(rng, k, r, *, p0=None, rho=None, lgd=None, alphas=None, decim
         for _ in range(k)])
 
 
+def reference_monte_carlo_distribution(portfolio, grids, n_paths, seed):
+    """The per-path Monte Carlo that gathering PDs from the factor grid replaced."""
+    rng = np.random.default_rng(seed)
+    z = np.empty((n_paths, len(grids)))
+    for col, grid in enumerate(grids):
+        idx = rng.choice(grid.size, size=n_paths, p=grid.probs / grid.probs.sum())
+        z[:, col] = grid.values[idx]
+    pd = np.column_stack([
+        conditional_pd(a.p0, a.rho, a.alphas, z) for a in portfolio.assets])
+    defaults = rng.random((n_paths, portfolio.k)) < pd
+    losses = defaults @ np.asarray(portfolio.lgds)
+    support, counts = np.unique(losses, return_counts=True)
+    return LossDistribution(support, counts / n_paths)
+
+
 def assert_same_bytes(pf, grids):
     got = exact_loss_distribution(pf, grids)
     want = reference_exact_loss_distribution(pf, grids)
@@ -147,6 +162,45 @@ class TestBlockedEnumeration:
         vector = rng.random(n)
         stacked = (rows[:, None, :] @ vector[:, None])[:, 0, 0]
         assert stacked.tobytes() == np.array([vector @ row for row in rows]).tobytes()
+
+
+class TestGridMonteCarlo:
+    """PDs gathered from the factor grid reproduce the per-path draws byte for byte."""
+
+    @staticmethod
+    def assert_same_draws(pf, grids, n_paths, seed):
+        got = monte_carlo_distribution(pf, grids, n_paths, seed)
+        want = reference_monte_carlo_distribution(pf, grids, n_paths, seed)
+        assert got.losses.tobytes() == want.losses.tobytes()
+        assert got.probs.tobytes() == want.probs.tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_random_portfolios(self, k):
+        rng = np.random.default_rng(300 + k)
+        for trial in range(3):
+            r = int(rng.integers(1, 4))
+            grids = [discretize_normal(int(n)) for n in rng.integers(1, 5, r)]
+            n_paths = int(10 ** rng.uniform(0, np.log10(2e5)))
+            self.assert_same_draws(edge_portfolio(rng, k, r), grids, n_paths, seed=k + trial)
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 3, 17, 4097, 200_000])
+    def test_path_counts(self, n_paths):
+        rng = np.random.default_rng(n_paths)
+        grids = [discretize_normal(3), discretize_normal(2), discretize_normal(4)]
+        self.assert_same_draws(edge_portfolio(rng, 5, 3), grids, n_paths, seed=n_paths)
+
+    @pytest.mark.parametrize("options", [
+        {"rho": 0.0},
+        {"p0": 1e-12, "rho": 0.9, "alphas": (1.0, 1.0)},       # pd clipped at the tiny end
+        {"p0": 1 - 1e-12, "rho": 0.9, "alphas": (1.0, 1.0)},   # and at the top
+        {"lgd": 0.0},
+        {"alphas": (0.0, 0.0)},
+    ])
+    def test_edge_inputs(self, options):
+        rng = np.random.default_rng(33)
+        grids = [discretize_normal(2), discretize_normal(3)]
+        for k in (1, 6, 11):
+            self.assert_same_draws(edge_portfolio(rng, k, 2, **options), grids, 50_000, seed=k)
 
 
 class TestExactLossDistribution:
