@@ -6,11 +6,13 @@ Subcommands:
   resources     qubit/gate accounting as JSON
   compare       consistency table across exact, classical, IQAE and MC paths
 
-With the exact and iqae estimators, analyze simulates the uncertainty model
-once and reads every bisection probe off that state.  compare also simulates
-its model once, on the width of the full A circuit, and runs each threshold's
-comparator gates on a copy of that state: its exact column is the gate-level
-oracle of the comparator, and the IQAE column is checked against it.
+analyze picks the cdf that its bisection probes (see ESTIMATORS): the exact
+enumeration for "classical", otherwise one model_state simulation read
+through model_cdf, exactly for "exact" and sampled through IQAE for "iqae".
+compare simulates its model once, on the width of the full A circuit, and
+serves both quantum columns from that state: each threshold's comparator
+gates run on a copy of it for the exact column, the gate-level oracle of the
+comparator, and model_cdf reads it for the IQAE column checked against that.
 
 Configs are JSON documents; every run echoes the fully resolved config so
 reports are self-describing, and all output is deterministic for a given
@@ -27,15 +29,16 @@ from dataclasses import asdict
 import jsonschema
 import numpy as np
 
-from .circuit import Circuit, apply, marginal_probability, zero_state
+from .circuit import apply, marginal_probability
 from .estimation import IqaeConfig
 from .gaussian import discretize_normal
-from .objective import MODES, build_comparator, objective_qubit, weighted_sum_register
+from .objective import MODES, build_comparator, objective_qubit
 from .resources import estimate_resources
-from .risk import (ESTIMATORS, EstimationFailure, cdf_estimator, check_state_budget,
-                   exact_loss_distribution, expected_loss,
-                   monte_carlo_distribution, var_bisection)
+from .risk import (EstimationFailure, cdf_estimator, exact_loss_distribution, expected_loss,
+                   model_cdf, model_state, monte_carlo_distribution, var_bisection)
 from .uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio, build_model
+
+ESTIMATORS = ("exact", "iqae", "classical")
 
 DEFAULTS = {
     "bound_sigmas": 3.0,
@@ -174,22 +177,11 @@ def config_to_inputs(cfg: dict):
     return portfolio, grids
 
 
-def build_estimator(cfg: dict, portfolio, grids, dist, kind: str):
-    """The cdf estimator of one run, built once from the resolved config."""
-    analysis = cfg["analysis"]
-    if analysis["mode"] == "weighted_sum":
-        weighted_sum_register(portfolio)     # rejects non-integer LGDs, naming the asset
-    iqae_config = None
-    if kind == "iqae":
-        iqae_config = IqaeConfig(
-            epsilon=analysis["epsilon"],
-            confidence=analysis["confidence"],
-            shots_per_round=analysis["shots_per_round"],
-            max_rounds=analysis["max_rounds"],
-            seed=analysis["seed"],
-        )
-    return cdf_estimator(kind, portfolio, grids, dist=dist, iqae_config=iqae_config,
-                         variant=analysis["variant"], encoding=analysis["encoding"])
+def iqae_config(analysis: dict) -> IqaeConfig:
+    """The IQAE settings of a resolved config's analysis section."""
+    return IqaeConfig(epsilon=analysis["epsilon"], confidence=analysis["confidence"],
+                      shots_per_round=analysis["shots_per_round"],
+                      max_rounds=analysis["max_rounds"], seed=analysis["seed"])
 
 
 def _dump_json(payload: dict) -> str:
@@ -211,9 +203,15 @@ def cmd_analyze(cfg: dict, output: str | None) -> int:
     resources = asdict(estimate_resources(
         portfolio, grids, analysis["variant"], analysis["mode"]))
     dist = exact_loss_distribution(portfolio, grids)
-    cdf = build_estimator(cfg, portfolio, grids, dist, analysis["estimator"])
+    kind = analysis["estimator"]
+    if kind == "classical":
+        cdf = dist.cdf
+    else:
+        model = build_model(portfolio, grids, analysis["variant"], analysis["encoding"])
+        cdf = model_cdf(portfolio, model, model_state(model, model.circuit.n_qubits))
+    estimator = cdf_estimator(cdf, iqae_config(analysis) if kind == "iqae" else None)
     try:
-        result = var_bisection(dist, analysis["alpha"], cdf)
+        result = var_bisection(dist, analysis["alpha"], estimator)
     except EstimationFailure as exc:
         trace = [{k: v for k, v in asdict(p).items() if v is not None}
                  for p in exc.trace]
@@ -282,14 +280,12 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     mode = analysis["mode"]
     dist = exact_loss_distribution(portfolio, grids)
     model = build_model(portfolio, grids, analysis["variant"], analysis["encoding"])
-    n = objective_qubit(portfolio, model, mode) + 1
-    check_state_budget(n, "A circuit")
-    mc = monte_carlo_distribution(portfolio, grids, analysis["mc_paths"],
-                                  analysis["seed"])
-    sampled = build_estimator(cfg, portfolio, grids, dist, "iqae")
     # Model gates then comparator gates on one array, as exact_amplitude of the
     # threshold's A circuit runs them, so the readout is that oracle bit for bit.
-    model_state = apply(Circuit(n).extend(model.circuit.gates), zero_state(n))
+    state = model_state(model, objective_qubit(portfolio, model, mode) + 1)
+    mc = monte_carlo_distribution(portfolio, grids, analysis["mc_paths"],
+                                  analysis["seed"])
+    sampled = cdf_estimator(model_cdf(portfolio, model, state), iqae_config(analysis))
     header = (f"{'threshold':>12}  {'classical':>12}  {'exact':>12}  {'|e-c|':>9}  "
               f"{'iqae':>12}  {'|q-e|':>9}  {'<=eps':>5}  {'mc':>12}  {'|m-e|':>9}  {'<=3sd':>5}")
     lines = [header, "-" * len(header)]
@@ -298,11 +294,12 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
         x = float(x)
         classical = dist.cdf(x)
         comparator = build_comparator(portfolio, model, x, mode)
-        exact = marginal_probability(apply(comparator.circuit, model_state),
+        exact = marginal_probability(apply(comparator.circuit, state),
                                      comparator.objective_qubit, 1)
         q = sampled(x)
         mc_val = mc.cdf(x)
-        sigma = max(np.sqrt(exact * (1 - exact) / analysis["mc_paths"]), 1e-12)
+        p = min(max(exact, 0.0), 1.0)        # a readout of 1 can round past it
+        sigma = max(np.sqrt(p * (1 - p) / analysis["mc_paths"]), 1e-12)
         q_ok = abs(q.estimate - exact) <= epsilon
         mc_ok = abs(mc_val - exact) <= 3 * sigma
         ok = ok and q_ok

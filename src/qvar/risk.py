@@ -15,17 +15,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuit import apply, zero_state
+from .circuit import Circuit, Statevector, apply, zero_state
 from .estimation import IqaeConfig, iqae
 from .gaussian import conditional_pd
-from .uncertainty import Portfolio, build_model
-
-ESTIMATORS = ("exact", "iqae", "classical")
+from .uncertainty import ModelCircuit, Portfolio
 
 _BLOCK_ELEMENTS = 1 << 17    # floats in one enumeration block's weights and bit rows
-MAX_STATE_BYTES = 1 << 30    # one statevector plus its readout arrays
-_BYTES_PER_AMPLITUDE = 40    # model_cdf: complex amplitude, float prob, int64 index,
-                             # float loss; compare: the state and one working copy
+MAX_STATE_BYTES = 1 << 30    # one simulation with its working copy and readout arrays
+_BYTES_PER_AMPLITUDE = 64    # traced peak per amplitude is about 57: the state, apply's copy
+                             # and its temporaries; gate lists grow with 2**(factor width),
+                             # not 2**n, so are not counted
 
 
 @dataclass(eq=False)
@@ -117,15 +116,6 @@ def _grid_pds(portfolio: Portfolio, z_joint: np.ndarray) -> np.ndarray:
         conditional_pd(a.p0, a.rho, a.alphas, z_joint) for a in portfolio.assets])
 
 
-def check_state_budget(n_qubits: int, what: str) -> None:
-    """Refuse an n_qubits statevector over MAX_STATE_BYTES before it is allocated."""
-    need = _BYTES_PER_AMPLITUDE * 2 ** n_qubits
-    if need > MAX_STATE_BYTES:
-        raise ValueError(
-            f"the {n_qubits}-qubit {what} would need about {need} bytes of state, over the "
-            f"budget of {MAX_STATE_BYTES}; reduce risk_factors.qubits_per_factor or assets")
-
-
 def exact_loss_distribution(portfolio: Portfolio, grids,
                             max_enumeration: int = 10_000_000) -> LossDistribution:
     """Exact loss distribution of the discretized model by blocked enumeration.
@@ -208,51 +198,54 @@ def total_variation_distance(a: LossDistribution, b: LossDistribution) -> float:
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
-def model_cdf(portfolio: Portfolio, grids, *, variant: str = "multi_rotation",
-              encoding: str = "exact") -> Callable[[float], float]:
-    """P[L <= x] read off one simulation of the uncertainty model.
+def model_state(model: ModelCircuit, n_qubits: int) -> Statevector:
+    """The model's gates run on |0> of n_qubits, which may exceed the model's width.
+
+    Qubits above the model stay |0>, so the first 2**model-width amplitudes
+    are the model-width simulation; compare runs its comparators on such a
+    state of the A circuit's width.  A state over MAX_STATE_BYTES is refused
+    before it is allocated.
+    """
+    need = _BYTES_PER_AMPLITUDE * 2 ** n_qubits
+    if need > MAX_STATE_BYTES:
+        what = "model" if n_qubits == model.circuit.n_qubits else "A circuit"
+        raise ValueError(
+            f"the {n_qubits}-qubit {what} would need about {need} bytes of state, over the "
+            f"budget of {MAX_STATE_BYTES}; reduce risk_factors.qubits_per_factor or assets")
+    return apply(Circuit(n_qubits).extend(model.circuit.gates), zero_state(n_qubits))
+
+
+def model_cdf(portfolio: Portfolio, model: ModelCircuit,
+              state: Statevector) -> Callable[[float], float]:
+    """P[L <= x] read off a model_state of the uncertainty model.
 
     The comparator only moves the amplitudes of patterns with loss <= x onto
     the objective half, so its readout is the model's |amplitude|^2 summed
-    over those patterns.  Summing the full array in flat index order with the
-    other entries zeroed reproduces exact_amplitude of the s_free circuit bit
-    for bit, and one simulation serves every threshold.  A model over
-    MAX_STATE_BYTES is rejected before its state is allocated.
+    over those patterns.  The asset qubits are the model's top K, so a basis
+    state's loss is its pattern's; summing the model's amplitudes in flat
+    index order with the other entries zeroed reproduces exact_amplitude of
+    the s_free circuit bit for bit, and one simulation serves every threshold.
     """
-    model = build_model(portfolio, grids, variant, encoding)
-    n = model.circuit.n_qubits
-    check_state_budget(n, "model")
-    probs = np.abs(apply(model.circuit, zero_state(n)).amplitudes) ** 2
-    index = np.arange(probs.size)
+    n, k = model.circuit.n_qubits, portfolio.k
+    probs = np.abs(state.amplitudes[:2 ** n]) ** 2
+    pattern = np.arange(2 ** k)
     # Summed asset by asset, as the comparator sums each pattern's loss.
-    state_loss = np.zeros(probs.size)
-    for lgd, qubit in zip(portfolio.lgds, model.asset_qubits):
-        state_loss += lgd * ((index >> qubit) & 1)
-    return lambda x: float(np.sum(np.where(state_loss <= x, probs, 0.0)))
+    loss = np.zeros(2 ** k)
+    for j, lgd in enumerate(portfolio.lgds):
+        loss += lgd * ((pattern >> j) & 1)
+    return lambda x: float(np.sum(np.where(np.repeat(loss <= x, 2 ** (n - k)), probs, 0.0)))
 
 
-def cdf_estimator(kind: str, portfolio: Portfolio, grids, *,
-                  dist: LossDistribution | None = None,
-                  iqae_config: IqaeConfig | None = None,
-                  variant: str = "multi_rotation",
-                  encoding: str = "exact") -> Callable[[float], BisectionProbe]:
-    """The cdf estimator of one analysis, x -> BisectionProbe (see ESTIMATORS).
+def cdf_estimator(cdf: Callable[[float], float],
+                  iqae_config: IqaeConfig | None = None) -> Callable[[float], BisectionProbe]:
+    """A bisection estimator, x -> BisectionProbe, around the cdf x -> P[L <= x].
 
-    "classical" looks x up in dist (the exact enumeration by default) and
-    builds no circuit.  "exact" and "iqae" share one model_cdf simulation;
-    "iqae" samples each value through iterative QAE, its i-th call with seed
+    Without iqae_config each probe is cdf(x) itself.  With it each probe
+    samples cdf(x) through iterative QAE, its i-th call with seed
     iqae_config.seed + i, so a run stays deterministic while its probes are
     independent.
     """
-    if kind not in ESTIMATORS:
-        raise ValueError(f"unknown estimator {kind!r}")
-    if kind == "iqae" and iqae_config is None:
-        raise ValueError("the iqae estimator needs an IqaeConfig")
-    if kind == "classical":
-        dist = exact_loss_distribution(portfolio, grids) if dist is None else dist
-        return lambda x: BisectionProbe(threshold=x, estimate=dist.cdf(x))
-    cdf = model_cdf(portfolio, grids, variant=variant, encoding=encoding)
-    if kind == "exact":
+    if iqae_config is None:
         return lambda x: BisectionProbe(threshold=x, estimate=cdf(x))
     seeds = itertools.count(iqae_config.seed)
 

@@ -97,7 +97,6 @@ class ModelCircuit:
     factor_qubits: list[range]
     asset_qubits: list[int]
     ancilla_qubits: list[int] = field(default_factory=list)
-    layout_note: str = ""
 
 
 def default_angle(pd: float) -> float:
@@ -234,11 +233,7 @@ def build_multi_rotation(portfolio: Portfolio, grids, encoding: str = "exact") -
             blocks = [(slope, list(reg)) for (slope, _), reg in zip(fits, factor_ranges)]
             circ.extend(_linear_rotation_gates(offset, blocks, asset_qubits[k_idx]))
 
-    note = (f"{encoding} encoding; factors {[list(r) for r in factor_ranges]}, "
-            f"assets {asset_qubits}; no ancillas")
-    if encoding == "exact":
-        note += "; exact form spends one rotation per joint grid point per asset (oracle scale only)"
-    return ModelCircuit(circ, factor_ranges, asset_qubits, [], note)
+    return ModelCircuit(circ, factor_ranges, asset_qubits)
 
 
 def build_single_factor(portfolio: Portfolio, grid: FactorGrid, encoding: str = "exact") -> ModelCircuit:
@@ -357,11 +352,7 @@ def build_single_rotation(portfolio: Portfolio, grids, shared_alphas) -> ModelCi
 
     circ.extend(g.adjoint() for g in reversed(adder))
 
-    note = (f"single-rotation; factors {[list(r) for r in factor_ranges]}, "
-            f"sum register {sum_qubits} ({n_sum} qubits, 0 carry ancillas), "
-            f"assets {asset_qubits}; common value step {plan.delta!r}, "
-            f"points per factor {plan.n_points}")
-    return ModelCircuit(circ, factor_ranges, asset_qubits, sum_qubits, note)
+    return ModelCircuit(circ, factor_ranges, asset_qubits, sum_qubits)
 
 
 def build_model(portfolio: Portfolio, grids, variant: str = "multi_rotation",

@@ -18,10 +18,10 @@ from qvar.estimation import IqaeConfig, exact_amplitude, grover_operator, iqae
 from qvar.gaussian import discretize_normal
 from qvar.objective import ObjectiveCircuit, build_a_circuit, n_sum_qubits
 from qvar.resources import estimate_resources
-from qvar.risk import (cdf_estimator, exact_loss_distribution,
+from qvar.risk import (cdf_estimator, exact_loss_distribution, model_cdf, model_state,
                        monte_carlo_distribution, total_variation_distance,
                        var_bisection)
-from qvar.uncertainty import Asset, Portfolio, fit_linear_rotation
+from qvar.uncertainty import Asset, Portfolio, build_model, fit_linear_rotation
 
 ALPHA = 0.95
 ORACLE_SUPPORT = [0.0, 1000.5, 2000.5, 3001.0]
@@ -61,7 +61,9 @@ def test_criterion_2_var_reproduction():
     start = time.perf_counter()
     pf, grids = two_asset_portfolio(), factor_grids()
     dist = exact_loss_distribution(pf, grids)
-    res = var_bisection(dist, ALPHA, cdf_estimator("exact", pf, grids, encoding="exact"))
+    model = build_model(pf, grids, encoding="exact")
+    cdf = model_cdf(pf, model, model_state(model, model.circuit.n_qubits))
+    res = var_bisection(dist, ALPHA, cdf_estimator(cdf))
     probed = {p.threshold: p.estimate for p in res.bisection_trace}
     predecessor_ok = probed.get(1000.5, 1.0) < ALPHA
     elapsed = time.perf_counter() - start

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,12 @@ import pytest
 
 import qvar
 import qvar.cli
-from qvar.circuit import marginal_probability
+import qvar.uncertainty
+from qvar.circuit import apply, marginal_probability
 from qvar.cli import ConfigError, config_to_inputs, load_config, main
 from qvar.estimation import exact_amplitude
 from qvar.objective import build_a_circuit
-from qvar.risk import exact_loss_distribution
+from qvar.risk import _BYTES_PER_AMPLITUDE, exact_loss_distribution
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -79,6 +81,12 @@ class TestConfigLoading:
         cfg = load_config(write_config(tmp_path, TWO_ASSET), {"seed": 3, "estimator": "classical"})
         assert cfg["analysis"]["seed"] == 3
         assert cfg["analysis"]["estimator"] == "classical"
+
+    def test_unknown_estimator_names_field(self, tmp_path):
+        bad = json.loads(json.dumps(TWO_ASSET))
+        bad["analysis"]["estimator"] = "nope"
+        with pytest.raises(ConfigError, match=r"analysis/estimator: 'nope' is not one of"):
+            load_config(write_config(tmp_path, bad))
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -209,7 +217,7 @@ class TestVariants:
 
     def test_statevector_budget_refused_before_allocating(self, tmp_path, capsys):
         # 8 factor qubits, an 8-qubit index sum and 10 assets: 26 qubits, about
-        # 2.7 GB of state and readout, while the enumeration (2**18 states) runs.
+        # 4.3 GB of state and readout, while the enumeration (2**18 states) runs.
         payload = {
             "risk_factors": {"count": 1, "qubits_per_factor": 8},
             "assets": [{"lgd": 100.5 * (i + 1), "p0": 0.1, "rho": 0.2, "alphas": [0.4]}
@@ -409,6 +417,63 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "31-qubit A circuit" in err and "risk_factors.qubits_per_factor" in err
         assert peak < 100 * 2 ** 20
+
+    def test_one_model_build_and_one_simulation_per_threshold(self, tmp_path, monkeypatch):
+        builds, applies = [], []
+
+        def counted(log, fn):
+            return lambda *args, **kwargs: log.append(1) or fn(*args, **kwargs)
+
+        monkeypatch.setattr(qvar.uncertainty, "build_multi_rotation",
+                            counted(builds, qvar.uncertainty.build_multi_rotation))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qvar") and getattr(module, "apply", None) is apply:
+                monkeypatch.setattr(module, "apply", counted(applies, apply))
+        payload = json.loads(json.dumps(TWO_ASSET))
+        payload["analysis"]["mc_paths"] = 1000
+        config = write_config(tmp_path, payload)
+        assert main(["compare", "--config", config, "--output", str(tmp_path / "t.txt")]) == 0
+        # The model's gates run once; each of the 4 support thresholds runs
+        # only its comparator on a copy of that state.
+        assert (len(builds), len(applies)) == (1, 1 + len(ORACLE_LOSSES))
+
+    def test_monte_carlo_sigma_clips_a_readout_past_one(self, tmp_path):
+        # One linear-encoded asset on a 1-qubit factor: the top threshold's
+        # readout rounds to 1 + 2**-52, where sqrt(e * (1 - e)) is NaN.
+        payload = {
+            "risk_factors": {"count": 1, "qubits_per_factor": 1},
+            "assets": [{"lgd": 4.0, "p0": 0.1, "rho": 0.05, "alphas": [0.1]}],
+            "analysis": {"alpha": 0.95, "epsilon": 0.01, "confidence": 0.99,
+                         "encoding": "linear", "mc_paths": 1000, "seed": 3},
+        }
+        config = write_config(tmp_path, payload)
+        portfolio, grids = config_to_inputs(load_config(config))
+        assert exact_amplitude(build_a_circuit(portfolio, grids, 4.0, encoding="linear")) > 1.0
+        out = tmp_path / "compare.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["compare", "--config", config, "--output", str(out)]) == 0
+        top = out.read_text().split("\n")[3].split()
+        assert top[0] == "4" and top[2] == "1.000000000" and top[-1] == "True"
+
+    @pytest.mark.parametrize("command, extra_qubits", [("analyze", 0), ("compare", 1)])
+    def test_peak_memory_within_the_state_budget(self, tmp_path, command, extra_qubits):
+        # 4 equal-LGD assets on two 7-qubit factors: an 18-qubit model whose
+        # simulation, not its gate list or the enumeration, sets the peak.
+        payload = {
+            "risk_factors": {"count": 2, "qubits_per_factor": 7},
+            "assets": [{"lgd": 1000.5, "p0": 0.1, "rho": 0.2, "alphas": [0.3, 0.2]}] * 4,
+            "analysis": {"alpha": 0.95, "epsilon": 0.01, "confidence": 0.99,
+                         "estimator": "exact", "encoding": "linear", "mc_paths": 100},
+        }
+        config = write_config(tmp_path, payload)
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", config, "--output", str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _BYTES_PER_AMPLITUDE * 2 ** (18 + extra_qubits)
 
     def test_compare_requires_iqae_settings(self, tmp_path, capsys):
         payload = json.loads(json.dumps(TWO_ASSET))

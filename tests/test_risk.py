@@ -9,12 +9,12 @@ import pytest
 
 from qvar.estimation import IqaeConfig, exact_amplitude, iqae
 from qvar.gaussian import conditional_pd, discretize_normal
-from qvar.objective import build_a_circuit
+from qvar.objective import build_a_circuit, objective_qubit
 from qvar.risk import (MAX_STATE_BYTES, LossDistribution, cdf_estimator,
                        economic_capital, exact_loss_distribution, expected_loss,
-                       model_cdf, monte_carlo_distribution,
+                       model_cdf, model_state, monte_carlo_distribution,
                        total_variation_distance, var_bisection)
-from qvar.uncertainty import Asset, Portfolio
+from qvar.uncertainty import Asset, Portfolio, build_model
 
 # frozen from the independent mpmath enumeration of the two-asset example
 ORACLE_LOSSES = [0.0, 1000.5, 2000.5, 3001.0]
@@ -32,9 +32,17 @@ def table_inputs():
     return pf, grids
 
 
-def bisect(pf, grids, alpha, kind, **options):
+def exact_cdf(pf, grids, variant="multi_rotation", encoding="exact"):
+    """model_cdf on one model-width simulation, as analyze reads it."""
+    model = build_model(pf, grids, variant, encoding)
+    return model_cdf(pf, model, model_state(model, model.circuit.n_qubits))
+
+
+def bisect(pf, grids, alpha, kind, iqae_config=None):
+    """VaR bisection with the classical ("classical") or model cdf."""
     dist = exact_loss_distribution(pf, grids)
-    return var_bisection(dist, alpha, cdf_estimator(kind, pf, grids, dist=dist, **options))
+    cdf = dist.cdf if kind == "classical" else exact_cdf(pf, grids)
+    return var_bisection(dist, alpha, cdf_estimator(cdf, iqae_config))
 
 
 def random_portfolio(rng, k, r, shared=False, integer=False):
@@ -305,35 +313,29 @@ class TestCdfPoint:
 
     def test_saturation(self):
         pf, grids = table_inputs()
-        cdf = cdf_estimator("exact", pf, grids)
+        cdf = cdf_estimator(exact_cdf(pf, grids))
         assert cdf(5000.0).estimate == pytest.approx(1.0, abs=1e-12)
         assert cdf(-0.5).estimate == 0.0
 
     def test_exact_vs_classical(self):
         pf, grids = table_inputs()
-        exact = cdf_estimator("exact", pf, grids)
-        classical = cdf_estimator("classical", pf, grids)
+        exact = cdf_estimator(exact_cdf(pf, grids))
+        classical = cdf_estimator(exact_loss_distribution(pf, grids).cdf)
         for x in (0.0, 1500.0, 2000.5):
             assert abs(exact(x).estimate - classical(x).estimate) < 1e-9
 
     def test_distribution_lookup_estimator(self):
-        pf, grids = table_inputs()
         dist = LossDistribution(np.array([0.0, 1200.0]), np.array([0.25, 0.75]))
-        probe = cdf_estimator("classical", pf, grids, dist=dist)(1500.0)
+        probe = cdf_estimator(dist.cdf)(1500.0)
         assert probe.estimate == dist.cdf(1500.0) == 1.0
         assert probe.ci_low is None
 
     def test_iqae_estimator(self):
         pf, grids = table_inputs()
         cfg = IqaeConfig(epsilon=0.01, confidence=0.95, seed=13)
-        got = cdf_estimator("iqae", pf, grids, iqae_config=cfg)(1500.0).estimate
-        exact = cdf_estimator("exact", pf, grids)(1500.0).estimate
+        got = cdf_estimator(exact_cdf(pf, grids), cfg)(1500.0).estimate
+        exact = cdf_estimator(exact_cdf(pf, grids))(1500.0).estimate
         assert abs(got - exact) <= 0.01
-
-    def test_unknown_estimator(self):
-        pf, grids = table_inputs()
-        with pytest.raises(ValueError):
-            cdf_estimator("nope", pf, grids)
 
 
 class TestModelCdf:
@@ -351,10 +353,36 @@ class TestModelCdf:
         for _ in range(12):
             pf = random_portfolio(rng, int(rng.integers(1, 5)), r, shared=shared)
             grids = [discretize_normal(int(rng.integers(1, 3))) for _ in range(r)]
-            cdf = model_cdf(pf, grids, variant=variant, encoding=encoding)
+            cdf = exact_cdf(pf, grids, variant, encoding)
             for x in thresholds(pf, grids):
                 a_circ = build_a_circuit(pf, grids, x, variant=variant, encoding=encoding)
                 assert cdf(x) == exact_amplitude(a_circ)
+
+    @pytest.mark.parametrize("mode", ["s_free", "weighted_sum"])
+    @pytest.mark.parametrize("seed, variant, encoding, r, shared", [
+        (21, "multi_rotation", "exact", 2, False),
+        (22, "multi_rotation", "linear", 2, False),
+        (23, "single_factor", "exact", 1, False),
+        (24, "single_factor", "linear", 1, False),
+        (25, "single_rotation", "linear", 2, True),
+    ])
+    def test_a_width_state_reads_as_model_width(self, seed, variant, encoding, r, shared,
+                                                 mode):
+        # compare's state spans the A circuit; its model prefix gives the same cdf.
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            pf = random_portfolio(rng, int(rng.integers(1, 5)), r, shared=shared,
+                                  integer=mode == "weighted_sum")
+            grids = [discretize_normal(int(rng.integers(1, 3))) for _ in range(r)]
+            model = build_model(pf, grids, variant, encoding)
+            wide = model_state(model, objective_qubit(pf, model, mode) + 1)
+            cdf = model_cdf(pf, model, wide)
+            narrow = model_cdf(pf, model, model_state(model, model.circuit.n_qubits))
+            for x in thresholds(pf, grids):
+                assert cdf(x) == narrow(x)
+                if mode == "s_free":
+                    a_circ = build_a_circuit(pf, grids, x, variant=variant, encoding=encoding)
+                    assert cdf(x) == exact_amplitude(a_circ)
 
     def test_weighted_sum_readout(self):
         rng = np.random.default_rng(19)
@@ -362,18 +390,19 @@ class TestModelCdf:
             r = int(rng.integers(1, 3))
             pf = random_portfolio(rng, int(rng.integers(1, 4)), r, integer=True)
             grids = [discretize_normal(int(rng.integers(1, 3))) for _ in range(r)]
-            cdf = model_cdf(pf, grids, encoding="exact")
+            cdf = exact_cdf(pf, grids)
             for x in thresholds(pf, grids):
                 a_circ = build_a_circuit(pf, grids, x, encoding="exact", mode="weighted_sum")
                 assert abs(cdf(x) - exact_amplitude(a_circ)) <= 1e-12
 
     def test_memory_guard_refuses_before_allocating(self):
-        # 20 assets on a 5-qubit factor: 25 qubits, about 1.3 GB of state and readout.
+        # 20 assets on a 5-qubit factor: 25 qubits, about 2.1 GB of state and readout.
         pf = Portfolio([Asset(100.0, 0.1, 0.2, (0.3,))] * 20)
+        model = build_model(pf, [discretize_normal(5)])
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="qubits_per_factor or assets"):
-                model_cdf(pf, [discretize_normal(5)])
+            with pytest.raises(ValueError, match="25-qubit model .*qubits_per_factor or assets"):
+                model_state(model, model.circuit.n_qubits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -382,8 +411,8 @@ class TestModelCdf:
     def test_iqae_probes_take_consecutive_seeds(self):
         pf, grids = table_inputs()
         cfg = IqaeConfig(epsilon=0.01, confidence=0.95, seed=30)
-        sampled = cdf_estimator("iqae", pf, grids, iqae_config=cfg)
-        cdf = model_cdf(pf, grids)
+        cdf = exact_cdf(pf, grids)
+        sampled = cdf_estimator(cdf, cfg)
         for i, x in enumerate((2000.5, 0.0, 2000.5)):
             res = iqae(cdf(x), replace(cfg, seed=30 + i))
             probe = sampled(x)
@@ -443,7 +472,7 @@ class TestVarBisection:
         pf, grids = table_inputs()
         dist = exact_loss_distribution(pf, grids)
         with pytest.raises(ValueError):
-            var_bisection(dist, 1.0, cdf_estimator("exact", pf, grids))
+            var_bisection(dist, 1.0, cdf_estimator(dist.cdf))
 
 
 class TestEconomicCapital:
