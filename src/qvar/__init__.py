@@ -18,7 +18,7 @@ from .objective import (ObjectiveCircuit, assemble_a, build_a_circuit,
 from .resources import ResourceReport, estimate_resources
 from .risk import (BisectionProbe, EstimationFailure, LossDistribution,
                    VarResult, cdf_estimator, economic_capital,
-                   exact_loss_distribution, expected_loss, model_cdf,
+                   exact_loss_distribution, expected_loss, model_distribution,
                    model_state, monte_carlo_distribution, total_variation_distance,
                    var_bisection)
 from .uncertainty import (Asset, ModelCircuit, Portfolio,
@@ -39,7 +39,7 @@ __all__ = [
     "discretize_normal", "economic_capital", "estimate_resources",
     "exact_amplitude", "exact_loss_distribution", "expected_loss",
     "fit_linear_rotation", "grover_operator", "inverse", "iqae",
-    "marginal_probability", "model_cdf", "model_state", "monte_carlo_distribution",
+    "marginal_probability", "model_distribution", "model_state", "monte_carlo_distribution",
     "n_sum_qubits", "probabilities", "probability_loader", "std_normal_cdf",
     "std_normal_pdf", "std_normal_ppf", "total_variation_distance",
     "var_bisection", "weighted_sum_register", "zero_state",

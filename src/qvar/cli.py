@@ -6,13 +6,12 @@ Subcommands:
   resources     qubit/gate accounting as JSON
   compare       consistency table across exact, classical, IQAE and MC paths
 
-analyze picks the cdf that its bisection probes (see ESTIMATORS): the exact
-enumeration for "classical", otherwise one model_state simulation read
-through model_cdf, exactly for "exact" and sampled through IQAE for "iqae".
-compare simulates its model once, on the width of the full A circuit, and
-serves both quantum columns from that state: each threshold's comparator
-gates run on a copy of it for the exact column, the gate-level oracle of the
-comparator, and model_cdf reads it for the IQAE column checked against that.
+analyze takes VaR, cdf, expected loss and economic capital from one loss
+distribution (see ESTIMATORS): the enumeration for "classical", else the
+model_distribution of one model_state, read exactly or through IQAE.  compare
+simulates its model once, at the A circuit's width: comparator gates on a copy
+per threshold give the exact column, model_distribution the IQAE column, the
+enumeration the rest.  Both refuse an over-budget width before building.
 
 Configs are JSON documents; every run echoes the fully resolved config so
 reports are self-describing, and all output is deterministic for a given
@@ -32,10 +31,11 @@ import numpy as np
 from .circuit import apply, marginal_probability
 from .estimation import IqaeConfig
 from .gaussian import discretize_normal
-from .objective import MODES, build_comparator, objective_qubit
-from .resources import estimate_resources
-from .risk import (EstimationFailure, cdf_estimator, exact_loss_distribution, expected_loss,
-                   model_cdf, model_state, monte_carlo_distribution, var_bisection)
+from .objective import MODES, build_comparator
+from .resources import estimate_resources, model_width
+from .risk import (EstimationFailure, cdf_estimator, check_state_budget,
+                   exact_loss_distribution, expected_loss, model_distribution, model_state,
+                   monte_carlo_distribution, var_bisection)
 from .uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio, build_model
 
 ESTIMATORS = ("exact", "iqae", "classical")
@@ -196,32 +196,30 @@ def _emit(text: str, output: str | None):
             fh.write(text)
 
 
+def _probes(trace) -> list[dict]:
+    return [{k: v for k, v in asdict(p).items() if v is not None} for p in trace]
+
+
 def cmd_analyze(cfg: dict, output: str | None) -> int:
     portfolio, grids = config_to_inputs(cfg)
     analysis = cfg["analysis"]
-    # Checks the variant and mode constraints before the enumeration runs.
-    resources = asdict(estimate_resources(
-        portfolio, grids, analysis["variant"], analysis["mode"]))
-    dist = exact_loss_distribution(portfolio, grids)
-    kind = analysis["estimator"]
+    variant, kind = analysis["variant"], analysis["estimator"]
+    # Checks the variant and mode constraints before anything is enumerated or built.
+    resources = asdict(estimate_resources(portfolio, grids, variant, analysis["mode"]))
     if kind == "classical":
-        cdf = dist.cdf
+        dist = exact_loss_distribution(portfolio, grids)
     else:
-        model = build_model(portfolio, grids, analysis["variant"], analysis["encoding"])
-        cdf = model_cdf(portfolio, model, model_state(model, model.circuit.n_qubits))
-    estimator = cdf_estimator(cdf, iqae_config(analysis) if kind == "iqae" else None)
+        check_state_budget(model_width(portfolio, grids, variant), "model")
+        model = build_model(portfolio, grids, variant, analysis["encoding"])
+        dist = model_distribution(portfolio, model, model_state(model, model.circuit.n_qubits))
+    estimator = cdf_estimator(dist.cdf, iqae_config(analysis) if kind == "iqae" else None)
     try:
         result = var_bisection(dist, analysis["alpha"], estimator)
     except EstimationFailure as exc:
-        trace = [{k: v for k, v in asdict(p).items() if v is not None}
-                 for p in exc.trace]
         _emit(_dump_json({"config": cfg, "error": str(exc),
-                          "results": {"bisection_trace": trace}}), output)
+                          "results": {"bisection_trace": _probes(exc.trace)}}), output)
         print(f"error: {exc}; partial report written", file=sys.stderr)
         return 1
-    naive_el = sum(a.lgd * a.p0 for a in portfolio.assets)
-    trace = [{k: v for k, v in asdict(p).items() if v is not None}
-             for p in result.bisection_trace]
     report = {
         "config": cfg,
         "results": {
@@ -229,10 +227,10 @@ def cmd_analyze(cfg: dict, output: str | None) -> int:
             "alpha": result.alpha,
             "cdf_at_var": result.cdf_at_var,
             "expected_loss": result.expected_loss,
-            "naive_expected_loss": naive_el,
+            "naive_expected_loss": sum(a.lgd * a.p0 for a in portfolio.assets),
             "economic_capital": result.economic_capital,
-            "estimator": analysis["estimator"],
-            "bisection_trace": trace,
+            "estimator": kind,
+            "bisection_trace": _probes(result.bisection_trace),
             "total_quantum_samples": sum(
                 p.quantum_samples or 0 for p in result.bisection_trace) or None,
         },
@@ -277,15 +275,16 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
         if key not in analysis:
             raise ConfigError(f"analysis.{key}: required by the compare command")
     epsilon = analysis["epsilon"]
-    mode = analysis["mode"]
+    variant, mode = analysis["variant"], analysis["mode"]
+    width = estimate_resources(portfolio, grids, variant, mode).width_built   # the A circuit's
+    check_state_budget(width, "A circuit")
     dist = exact_loss_distribution(portfolio, grids)
-    model = build_model(portfolio, grids, analysis["variant"], analysis["encoding"])
+    model = build_model(portfolio, grids, variant, analysis["encoding"])
     # Model gates then comparator gates on one array, as exact_amplitude of the
     # threshold's A circuit runs them, so the readout is that oracle bit for bit.
-    state = model_state(model, objective_qubit(portfolio, model, mode) + 1)
-    mc = monte_carlo_distribution(portfolio, grids, analysis["mc_paths"],
-                                  analysis["seed"])
-    sampled = cdf_estimator(model_cdf(portfolio, model, state), iqae_config(analysis))
+    state = model_state(model, width)
+    mc = monte_carlo_distribution(portfolio, grids, analysis["mc_paths"], analysis["seed"])
+    sampled = cdf_estimator(model_distribution(portfolio, model, state).cdf, iqae_config(analysis))
     header = (f"{'threshold':>12}  {'classical':>12}  {'exact':>12}  {'|e-c|':>9}  "
               f"{'iqae':>12}  {'|q-e|':>9}  {'<=eps':>5}  {'mc':>12}  {'|m-e|':>9}  {'<=3sd':>5}")
     lines = [header, "-" * len(header)]

@@ -4,8 +4,8 @@ Two modes build the "total loss <= x" flag:
 
 * s_free: reads the asset qubits directly; every default pattern whose loss
   stays within the threshold flips the objective through one pattern-
-  controlled X.  Losses are summed classically at build time, so LGD values
-  may be arbitrary nonnegative reals.
+  controlled X.  Losses come from the portfolio's loss table at build time,
+  so LGD values may be arbitrary nonnegative reals.
 * weighted_sum: the legacy construction; accumulates integer LGDs into a sum
   register, compares the register against the threshold, then uncomputes.
   Kept as the integer-only reference the s_free mode is checked against.
@@ -76,9 +76,7 @@ def build_s_free_comparator(portfolio: Portfolio, threshold: float, objective: i
     if n_qubits is None:
         n_qubits = objective + 1
     circ = Circuit(n_qubits)
-    lgds = portfolio.lgds
-    for pattern in itertools.product((0, 1), repeat=k):
-        loss = sum(lgds[i] * bit for i, bit in enumerate(pattern))
+    for pattern, loss in zip(itertools.product((0, 1), repeat=k), portfolio.pattern_losses()):
         if loss <= threshold:
             circ.x(objective, controls=tuple(zip(asset_qubits, pattern)))
     return circ

@@ -26,6 +26,16 @@ class ResourceReport:
     sum_register_width: int | None = None
 
 
+def model_width(portfolio: Portfolio, grids: list, variant: str) -> int:
+    """build_model's width, unbuilt: factor registers, single_rotation's index sum
+    (weights checked first) and the assets."""
+    width = sum(g.n_z for g in grids) + portfolio.k
+    if variant == "single_rotation":
+        check_shared_alphas(portfolio, portfolio.assets[0].alphas)
+        width += index_sum_plan(grids, portfolio.assets[0].alphas).n_sum
+    return width
+
+
 def estimate_resources(portfolio: Portfolio, grids, variant: str = "multi_rotation",
                        mode: str = "s_free") -> ResourceReport:
     """Qubit/gate accounting for one pipeline configuration.
@@ -45,21 +55,12 @@ def estimate_resources(portfolio: Portfolio, grids, variant: str = "multi_rotati
     if len(grids) != portfolio.r:
         raise ValueError(f"expected {portfolio.r} grids, got {len(grids)}")
     k = portfolio.k
-    n_factor = sum(g.n_z for g in grids)
 
-    if variant == "single_factor":
-        variant = "multi_rotation"
+    variant = "multi_rotation" if variant == "single_factor" else variant
 
-    sum_width = None
-    if variant == "single_rotation":
-        shared = portfolio.assets[0].alphas
-        check_shared_alphas(portfolio, shared)
-        sum_width = index_sum_plan(grids, shared).n_sum
-        base = n_factor + sum_width + k
-        rotation_count = k
-    else:
-        base = n_factor + k
-        rotation_count = k * portfolio.r
+    base = model_width(portfolio, grids, variant)
+    sum_width = (base - sum(g.n_z for g in grids) - k) or None   # single_rotation's index sum
+    rotation_count = k if variant == "single_rotation" else k * portfolio.r
 
     if mode == "s_free":
         width_paper = base + k + 1          # one amplitude-function ancilla per asset

@@ -1,10 +1,10 @@
 """Risk measures: loss distributions, VaR bisection and classical oracles.
 
-The quantum pipeline estimates cumulative probabilities P[L <= x]; the
-functions here read them off one simulation of the uncertainty model, wrap
-them in a discrete bisection over the loss support and pair them with two
-classical references, an exact enumeration of the discretized model and a
-seeded Monte Carlo simulation.
+Every distribution here takes its losses from the portfolio's one loss table
+and its support from LossDistribution.from_pairs: the model's own, read off
+one simulation of the uncertainty model, and two classical references, an
+exact enumeration of the discretized model and a seeded Monte Carlo
+simulation.  VaR is a discrete bisection over a distribution's support.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .estimation import IqaeConfig, iqae
 from .gaussian import conditional_pd
 from .uncertainty import ModelCircuit, Portfolio
 
-_BLOCK_ELEMENTS = 1 << 17    # floats in one enumeration block's weights and bit rows
+_BLOCK_ELEMENTS = 1 << 17    # floats in one enumeration block's weights
+_MERGE_RTOL = 1e-12          # losses this close, relative to the largest, are one point
 MAX_STATE_BYTES = 1 << 30    # one simulation with its working copy and readout arrays
 _BYTES_PER_AMPLITUDE = 64    # traced peak per amplitude is about 57: the state, apply's copy
                              # and its temporaries; gate lists grow with 2**(factor width),
@@ -46,13 +47,13 @@ class LossDistribution:
 
     @classmethod
     def from_pairs(cls, losses, probs) -> "LossDistribution":
-        """Aggregate duplicate losses and sort the support."""
-        losses = np.asarray(losses, dtype=float)
-        probs = np.asarray(probs, dtype=float)
-        support, inverse_idx = np.unique(losses, return_inverse=True)
-        agg = np.zeros(support.size)
-        np.add.at(agg, inverse_idx, probs)
-        return cls(support, agg)
+        """The one place losses become a support: sorted losses with gaps within
+        _MERGE_RTOL x the largest |loss| are one point, their largest, so `loss <= x`
+        there takes in them all; probabilities are summed in input order."""
+        support, inverse = np.unique(np.asarray(losses, dtype=float), return_inverse=True)
+        starts = np.diff(support) > _MERGE_RTOL * np.abs(support).max()
+        cluster = np.concatenate(([0], np.cumsum(starts)))[inverse]
+        return cls(support[np.append(starts, True)], np.bincount(cluster, weights=probs))
 
     def cdf(self, x: float) -> float:
         return float(self.probs[self.losses <= x].sum())
@@ -99,11 +100,13 @@ class EstimationFailure(RuntimeError):
         self.trace = trace
 
 
-def _joint_grid(grids) -> tuple[np.ndarray, np.ndarray]:
+def _joint_grid(portfolio: Portfolio, grids: list) -> tuple[np.ndarray, np.ndarray]:
     """Joint factor values (M, R) and probabilities (M,) over the grid product.
 
     Cells run in itertools.product order: the last factor varies fastest.
     """
+    if len(grids) != portfolio.r:
+        raise ValueError(f"expected {portfolio.r} grids, got {len(grids)}")
     idx = np.indices([g.size for g in grids]).reshape(len(grids), -1)
     z_joint = np.column_stack([g.values[i] for i, g in zip(idx, grids)])
     pz = np.prod([g.probs[i] for i, g in zip(idx, grids)], axis=0)
@@ -120,36 +123,35 @@ def exact_loss_distribution(portfolio: Portfolio, grids,
                             max_enumeration: int = 10_000_000) -> LossDistribution:
     """Exact loss distribution of the discretized model by blocked enumeration.
 
-    Default patterns run in itertools.product order (asset 0 first), in
-    blocks of about _BLOCK_ELEMENTS floats.  A pattern's weight multiplies its
-    conditional (non)default probabilities left to right, and its loss and
-    factor-grid mixture are one dot product each, so the result equals the
-    pattern-by-pattern loop bit for bit.  This is the exact encoding's oracle.
+    Default patterns run in the loss table's order, in blocks of about
+    _BLOCK_ELEMENTS floats.  A pattern's weight multiplies its conditional
+    (non)default probabilities left to right, and its factor-grid mixture is
+    one dot product, so the result equals the pattern-by-pattern loop bit for
+    bit.  This is the exact encoding's oracle.
     """
     grids = list(grids)
-    if len(grids) != portfolio.r:
-        raise ValueError(f"expected {portfolio.r} grids, got {len(grids)}")
     k = portfolio.k
     m = int(np.prod([g.size for g in grids]))
     if m * 2 ** k > max_enumeration:
         raise ValueError(
             f"enumeration would visit {m * 2 ** k} states, over the budget of {max_enumeration}")
 
-    z_joint, pz = _joint_grid(grids)
+    z_joint, pz = _joint_grid(portfolio, grids)
     pd = _grid_pds(portfolio, z_joint)
     q = np.stack([1.0 - pd, pd])                   # q[bit, z, asset]
-    lgds = np.asarray(portfolio.lgds, dtype=float)
-    tail = min(k, max(0, (_BLOCK_ELEMENTS // (m + k)).bit_length() - 1))
-    losses, probs = [], []
+    tail = min(k, max(0, (_BLOCK_ELEMENTS // m).bit_length() - 1))
+    # Reused by every block: fresh arrays per step page-fault once freed to the OS.
+    buffers = np.empty((2, 2 ** tail * m))
+    probs = np.empty((2 ** k, 1, 1))
     for start in range(0, 2 ** k, 2 ** tail):
-        bits = (np.arange(start, start + 2 ** tail)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-        weight = np.prod(q[bits[0, :k - tail], :, np.arange(k - tail)], axis=0)[None, :]
+        head = (start >> np.arange(k - 1, tail - 1, -1)) & 1
+        weight = np.prod(q[head, :, np.arange(k - tail)], axis=0)[None, :]
         for j in range(k - tail, k):
-            weight = (weight[:, None, :] * q[None, :, :, j]).reshape(-1, m)
-        # One 1-D dot per row, as `lgds @ bits` and `pz @ weight`; gemv rounds otherwise.
-        losses.append((bits[:, None, :].astype(float) @ lgds[:, None])[:, 0, 0])
-        probs.append((weight[:, None, :] @ pz[:, None])[:, 0, 0])
-    return LossDistribution.from_pairs(np.concatenate(losses), np.concatenate(probs))
+            out = buffers[j % 2, :2 * weight.size].reshape(-1, 2, m)
+            weight = np.multiply(weight[:, None, :], q[None, :, :, j], out=out).reshape(-1, m)
+        # One 1-D dot per row, as `pz @ weight`; gemv rounds otherwise.
+        np.matmul(weight[:, None, :], pz[:, None], out=probs[start:start + 2 ** tail])
+    return LossDistribution.from_pairs(portfolio.pattern_losses(), probs.ravel())
 
 
 def monte_carlo_distribution(portfolio: Portfolio, grids, n_paths: int,
@@ -160,10 +162,9 @@ def monte_carlo_distribution(portfolio: Portfolio, grids, n_paths: int,
     uniforms), so results are reproducible for a given seed.  Conditional PDs
     are evaluated once per joint grid cell and gathered by each path's cell,
     which gives each path the value an evaluation at its own factor draw would.
+    Counting paths per pattern of the loss table keeps the enumeration's support.
     """
     grids = list(grids)
-    if len(grids) != portfolio.r:
-        raise ValueError(f"expected {portfolio.r} grids, got {len(grids)}")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     rng = np.random.default_rng(seed)
@@ -171,11 +172,14 @@ def monte_carlo_distribution(portfolio: Portfolio, grids, n_paths: int,
     for grid in grids:
         idx = rng.choice(grid.size, size=n_paths, p=grid.probs / grid.probs.sum())
         cell = cell * grid.size + idx
-    pd = _grid_pds(portfolio, _joint_grid(grids)[0])[cell]
+    pd = _grid_pds(portfolio, _joint_grid(portfolio, grids)[0])[cell]
     defaults = rng.random((n_paths, portfolio.k)) < pd
-    losses = defaults @ np.asarray(portfolio.lgds)
-    support, counts = np.unique(losses, return_counts=True)
-    return LossDistribution(support, counts / n_paths)
+    # Product-order pattern codes; a float dot is exact here and beats an int one.
+    codes = defaults @ 2.0 ** np.arange(portfolio.k - 1, -1, -1)
+    counts = np.bincount(codes.astype(np.intp), minlength=2 ** portfolio.k)
+    dist = LossDistribution.from_pairs(portfolio.pattern_losses(), counts / n_paths)
+    seen = dist.probs > 0
+    return LossDistribution(dist.losses[seen], dist.probs[seen])
 
 
 def expected_loss(dist: LossDistribution) -> float:
@@ -198,42 +202,31 @@ def total_variation_distance(a: LossDistribution, b: LossDistribution) -> float:
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
-def model_state(model: ModelCircuit, n_qubits: int) -> Statevector:
-    """The model's gates run on |0> of n_qubits, which may exceed the model's width.
-
-    Qubits above the model stay |0>, so the first 2**model-width amplitudes
-    are the model-width simulation; compare runs its comparators on such a
-    state of the A circuit's width.  A state over MAX_STATE_BYTES is refused
-    before it is allocated.
-    """
+def check_state_budget(n_qubits: int, what: str) -> None:
+    """Refuse an n_qubits-wide simulation of `what` whose state would pass MAX_STATE_BYTES."""
     need = _BYTES_PER_AMPLITUDE * 2 ** n_qubits
     if need > MAX_STATE_BYTES:
-        what = "model" if n_qubits == model.circuit.n_qubits else "A circuit"
         raise ValueError(
             f"the {n_qubits}-qubit {what} would need about {need} bytes of state, over the "
             f"budget of {MAX_STATE_BYTES}; reduce risk_factors.qubits_per_factor or assets")
+
+
+def model_state(model: ModelCircuit, n_qubits: int) -> Statevector:
+    """The model's gates run on |0> of n_qubits (>= the model's width; the first
+    2**width amplitudes are the model's), refused before allocation past the budget."""
+    check_state_budget(n_qubits, "model" if n_qubits == model.circuit.n_qubits else "A circuit")
     return apply(Circuit(n_qubits).extend(model.circuit.gates), zero_state(n_qubits))
 
 
-def model_cdf(portfolio: Portfolio, model: ModelCircuit,
-              state: Statevector) -> Callable[[float], float]:
-    """P[L <= x] read off a model_state of the uncertainty model.
-
-    The comparator only moves the amplitudes of patterns with loss <= x onto
-    the objective half, so its readout is the model's |amplitude|^2 summed
-    over those patterns.  The asset qubits are the model's top K, so a basis
-    state's loss is its pattern's; summing the model's amplitudes in flat
-    index order with the other entries zeroed reproduces exact_amplitude of
-    the s_free circuit bit for bit, and one simulation serves every threshold.
-    """
+def model_distribution(portfolio: Portfolio, model: ModelCircuit,
+                       state: Statevector) -> LossDistribution:
+    """The model's own loss distribution, off a model_state: each pattern of its top
+    K (asset) qubits sums |amplitude|^2; its cdf is every threshold's s_free readout."""
     n, k = model.circuit.n_qubits, portfolio.k
     probs = np.abs(state.amplitudes[:2 ** n]) ** 2
-    pattern = np.arange(2 ** k)
-    # Summed asset by asset, as the comparator sums each pattern's loss.
-    loss = np.zeros(2 ** k)
-    for j, lgd in enumerate(portfolio.lgds):
-        loss += lgd * ((pattern >> j) & 1)
-    return lambda x: float(np.sum(np.where(np.repeat(loss <= x, 2 ** (n - k)), probs, 0.0)))
+    # Axis i of the reshape is asset K-1-i; reversing the K axes gives product order.
+    per_pattern = probs.reshape((2,) * k + (-1,)).sum(axis=-1).transpose().ravel()
+    return LossDistribution.from_pairs(portfolio.pattern_losses(), per_pattern)
 
 
 def cdf_estimator(cdf: Callable[[float], float],

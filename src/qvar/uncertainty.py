@@ -88,6 +88,14 @@ class Portfolio:
     def lgds(self) -> list[float]:
         return [a.lgd for a in self.assets]
 
+    def pattern_losses(self) -> np.ndarray:
+        """The one loss table: each default pattern's loss, in itertools.product
+        order (asset 0 most significant), summed asset by asset from 0.0."""
+        loss = np.zeros(1)
+        for lgd in self.lgds:
+            loss = (loss[:, None] + np.array([0.0, lgd])).ravel()
+        return loss
+
 
 @dataclass(eq=False)
 class ModelCircuit:

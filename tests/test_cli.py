@@ -8,12 +8,14 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 import pytest
 
 import qvar
 import qvar.cli
+import qvar.risk
 import qvar.uncertainty
 from qvar.circuit import apply, marginal_probability
 from qvar.cli import ConfigError, config_to_inputs, load_config, main
@@ -42,6 +44,25 @@ TWO_ASSET = {
 # oracle values for the example portfolio
 ORACLE_VAR_95 = 2000.5
 ORACLE_LOSSES = ["0", "1000.5", "2000.5", "3001"]
+
+# verify_compare benchmark portfolio (perfbench/workloads.py, seed 303, op 27):
+# 721.9 + 1076.3 and 1798.2, and 1974.6 + 1798.2 and 721.9 + 1076.3 + 1974.6,
+# are equal losses that floating-point sums put an ulp apart.
+ULP_PAIRS = {
+    "risk_factors": {"count": 2, "qubits_per_factor": 2, "bound_sigmas": 3.0},
+    "assets": [
+        {"lgd": 1076.3, "p0": 0.2699315058682171, "rho": 0.11317737496585716,
+         "alphas": [0.14139937321065257, 0.14651490232211437]},
+        {"lgd": 1974.6, "p0": 0.04468540577007542, "rho": 0.08673509020228747,
+         "alphas": [0.14837702836715658, 0.2547855572904385]},
+        {"lgd": 721.9, "p0": 0.10570825584506767, "rho": 0.28723852503242253,
+         "alphas": [0.45380884316350467, 0.3326176546096982]},
+        {"lgd": 1798.2, "p0": 0.17382563777852827, "rho": 0.2008613311086943,
+         "alphas": [0.4198192589742732, 0.38345001136514834]},
+    ],
+    "analysis": {"alpha": 0.95, "epsilon": 0.01, "confidence": 0.9999, "seed": 737789134,
+                 "variant": "multi_rotation", "mode": "s_free"},
+}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -108,6 +129,30 @@ class TestAnalyze:
         assert abs(report["results"]["economic_capital"]
                    - (report["results"]["var"] - report["results"]["expected_loss"])) == 0.0
         assert report["results"]["naive_expected_loss"] == pytest.approx(650.2)
+
+    @pytest.mark.parametrize("encoding, el", [("linear", 638.8016880906326),
+                                              ("exact", 629.8368296500787)])
+    def test_report_comes_from_the_configured_model(self, tmp_path, encoding, el):
+        # The linear model's own EL, not the exact-encoding enumeration's 629.84.
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", str(CONFIGS / "two_asset.json"),
+                     "--encoding", encoding, "--output", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["expected_loss"] == pytest.approx(el, rel=1e-14)
+        assert results["economic_capital"] == results["var"] - results["expected_loss"]
+
+    @pytest.mark.parametrize("estimator", ["exact", "iqae"])
+    def test_model_estimators_never_enumerate(self, tmp_path, monkeypatch, estimator):
+        def enumeration(*args, **kwargs):
+            raise AssertionError("analyze enumerated the loss distribution")
+
+        monkeypatch.setattr(qvar.cli, "exact_loss_distribution", enumeration)
+        monkeypatch.setattr(qvar.risk, "exact_loss_distribution", enumeration)
+        config = write_config(tmp_path, TWO_ASSET)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", config, "--estimator", estimator,
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["var"] == ORACLE_VAR_95
 
     def test_byte_identical_reports(self, tmp_path):
         payload = json.loads(json.dumps(TWO_ASSET))
@@ -217,7 +262,7 @@ class TestVariants:
 
     def test_statevector_budget_refused_before_allocating(self, tmp_path, capsys):
         # 8 factor qubits, an 8-qubit index sum and 10 assets: 26 qubits, about
-        # 4.3 GB of state and readout, while the enumeration (2**18 states) runs.
+        # 4.3 GB of state and readout, refused before the model is built.
         payload = {
             "risk_factors": {"count": 1, "qubits_per_factor": 8},
             "assets": [{"lgd": 100.5 * (i + 1), "p0": 0.1, "rho": 0.2, "alphas": [0.4]}
@@ -234,6 +279,32 @@ class TestVariants:
         err = capsys.readouterr().err
         assert "26-qubit" in err and "risk_factors.qubits_per_factor" in err
         assert peak < 100 * 2 ** 20
+
+    @pytest.mark.parametrize("command, refused", [("analyze", "25-qubit model"),
+                                                  ("compare", "26-qubit A circuit")])
+    def test_model_over_budget_refused_before_building(self, tmp_path, capsys, command,
+                                                        refused):
+        # 13 assets on one 12-qubit factor: an exact-encoding model of 25 qubits
+        # whose 13 x 4096 pattern-controlled rotations take tens of seconds to build.
+        payload = {
+            "risk_factors": {"count": 1, "qubits_per_factor": 12},
+            "assets": [{"lgd": 100.5 * (i + 1), "p0": 0.1, "rho": 0.2, "alphas": [0.4]}
+                       for i in range(13)],
+            "analysis": {"alpha": 0.95, "epsilon": 0.01, "confidence": 0.99,
+                         "estimator": "exact", "encoding": "exact"},
+        }
+        config = write_config(tmp_path, payload)
+        tracemalloc.start()
+        start = perf_counter()
+        try:
+            assert main([command, "--config", config]) == 1
+            elapsed = perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert refused in err and "risk_factors.qubits_per_factor" in err
+        assert elapsed < 1.0 and peak < 2 ** 20
 
     def test_single_factor_requires_one_factor(self, tmp_path, capsys):
         config = write_config(tmp_path, TWO_ASSET)
@@ -395,6 +466,20 @@ class TestCompare:
             rows = [line.split()[2:4] for line in out.read_text().split("\n")[2:2 + len(oracle)]]
             assert rows == [[f"{e:.9f}", f"{abs(e - dist.cdf(float(x))):.2e}"]
                             for e, x in zip(oracle, dist.losses)]
+
+    def test_ulp_apart_losses_print_one_threshold(self, tmp_path):
+        # Every distinct loss once, as integer tenths sum them; before losses
+        # shared one support rule, 1798.2 and 3772.8 each printed twice.
+        config = write_config(tmp_path, ULP_PAIRS)
+        out = tmp_path / "compare.txt"
+        assert main(["compare", "--config", config, "--output", str(out)]) == 0
+        tenths = [round(a["lgd"] * 10) for a in ULP_PAIRS["assets"]]
+        sums = sorted({sum(t for t, bit in zip(tenths, bits) if bit)
+                       for bits in np.ndindex(*[2] * len(tenths))})
+        lines = out.read_text().split("\n")
+        printed = [line.split()[0] for line in lines[2:lines.index("")]]
+        assert len(sums) == 14
+        assert printed == [f"{s / 10:.6g}" for s in sums]
 
     def test_shared_state_budget_refused_before_allocating(self, tmp_path, capsys):
         # A 24-qubit single-rotation model (8 factor qubits, an 8-qubit index sum,

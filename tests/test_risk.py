@@ -12,7 +12,7 @@ from qvar.gaussian import conditional_pd, discretize_normal
 from qvar.objective import build_a_circuit, objective_qubit
 from qvar.risk import (MAX_STATE_BYTES, LossDistribution, cdf_estimator,
                        economic_capital, exact_loss_distribution, expected_loss,
-                       model_cdf, model_state, monte_carlo_distribution,
+                       model_distribution, model_state, monte_carlo_distribution,
                        total_variation_distance, var_bisection)
 from qvar.uncertainty import Asset, Portfolio, build_model
 
@@ -33,9 +33,9 @@ def table_inputs():
 
 
 def exact_cdf(pf, grids, variant="multi_rotation", encoding="exact"):
-    """model_cdf on one model-width simulation, as analyze reads it."""
+    """The model distribution's cdf on one model-width simulation, as analyze reads it."""
     model = build_model(pf, grids, variant, encoding)
-    return model_cdf(pf, model, model_state(model, model.circuit.n_qubits))
+    return model_distribution(pf, model, model_state(model, model.circuit.n_qubits)).cdf
 
 
 def bisect(pf, grids, alpha, kind, iqae_config=None):
@@ -61,19 +61,21 @@ def thresholds(pf, grids):
 
 
 def reference_exact_loss_distribution(portfolio, grids):
-    """The pattern-by-pattern enumeration loop the blocked kernel replaced."""
+    """The pattern-by-pattern enumeration loop the blocked kernel replaced.
+
+    Each pattern's loss is summed in Python, asset by asset.
+    """
     idx = np.array(list(itertools.product(*(range(g.size) for g in grids))))
     z_joint = np.column_stack([g.values[idx[:, c]] for c, g in enumerate(grids)])
     pz = np.prod([g.probs[idx[:, c]] for c, g in enumerate(grids)], axis=0)
     pd = np.column_stack([
         conditional_pd(a.p0, a.rho, a.alphas, z_joint) for a in portfolio.assets])
-    lgds = np.asarray(portfolio.lgds)
     losses = []
     probs = []
     for pattern in itertools.product((0, 1), repeat=portfolio.k):
         bits = np.asarray(pattern)
         weight = np.prod(np.where(bits, pd, 1.0 - pd), axis=1)
-        losses.append(float(lgds @ bits))
+        losses.append(sum(lgd * bit for lgd, bit in zip(portfolio.lgds, pattern)))
         probs.append(float(pz @ weight))
     return LossDistribution.from_pairs(losses, probs)
 
@@ -89,7 +91,11 @@ def edge_portfolio(rng, k, r, *, p0=None, rho=None, lgd=None, alphas=None, decim
 
 
 def reference_monte_carlo_distribution(portfolio, grids, n_paths, seed):
-    """The per-path Monte Carlo that gathering PDs from the factor grid replaced."""
+    """The per-path Monte Carlo that gathering PDs from the factor grid replaced.
+
+    Paths are counted per default pattern, each pattern's loss is summed in
+    Python, asset by asset, and unseen patterns are dropped after merging.
+    """
     rng = np.random.default_rng(seed)
     z = np.empty((n_paths, len(grids)))
     for col, grid in enumerate(grids):
@@ -98,9 +104,14 @@ def reference_monte_carlo_distribution(portfolio, grids, n_paths, seed):
     pd = np.column_stack([
         conditional_pd(a.p0, a.rho, a.alphas, z) for a in portfolio.assets])
     defaults = rng.random((n_paths, portfolio.k)) < pd
-    losses = defaults @ np.asarray(portfolio.lgds)
-    support, counts = np.unique(losses, return_counts=True)
-    return LossDistribution(support, counts / n_paths)
+    seen, counts = np.unique(defaults, axis=0, return_counts=True)
+    per_pattern = dict(zip(map(tuple, seen.astype(int).tolist()), counts.tolist()))
+    patterns = list(itertools.product((0, 1), repeat=portfolio.k))
+    dist = LossDistribution.from_pairs(
+        [sum(lgd * bit for lgd, bit in zip(portfolio.lgds, p)) for p in patterns],
+        [per_pattern.get(p, 0) / n_paths for p in patterns])
+    keep = dist.probs > 0
+    return LossDistribution(dist.losses[keep], dist.probs[keep])
 
 
 def assert_same_bytes(pf, grids):
@@ -124,9 +135,9 @@ class TestBlockedEnumeration:
             assert_same_bytes(edge_portfolio(rng, k, len(grids),
                                              decimals=int(rng.integers(0, 3))), grids)
 
-    @pytest.mark.parametrize("k", [9, 10, 11, 12])
+    @pytest.mark.parametrize("k", [9, 10, 11, 12, 13])
     def test_block_seams(self, k):
-        # At M = 64 a block holds 2**10 patterns: one block up to K = 10, then 2, 4.
+        # At M = 64 a block holds 2**11 patterns: one block up to K = 11, then 2, 4.
         rng = np.random.default_rng(200 + k)
         assert_same_bytes(edge_portfolio(rng, k, 2), [discretize_normal(3)] * 2)
 
@@ -136,8 +147,8 @@ class TestBlockedEnumeration:
         assert_same_bytes(pf, [discretize_normal(3), discretize_normal(3)])
 
     def test_sixteen_assets(self):
-        # 16 terms is where a BLAS dot starts its unrolled kernel; losses summed
-        # one asset at a time would round differently from `lgds @ bits` here.
+        # 16 terms is where a BLAS dot starts its unrolled kernel; a loss taken
+        # as `lgds @ bits` would round differently from the asset-by-asset sum.
         rng = np.random.default_rng(16)
         assert_same_bytes(edge_portfolio(rng, 16, 1), [discretize_normal(1)])
 
@@ -271,6 +282,17 @@ class TestMonteCarlo:
         sigma = np.sqrt(0.25 * 0.75 / n)
         assert abs(freq - 0.25) < 3 * sigma
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_support_is_a_subset_of_the_enumeration(self, k):
+        # Equal sums of 0.1-step LGDs land an ulp apart; Monte Carlo paths must
+        # still land on the enumeration's support points, byte for byte.
+        rng = np.random.default_rng(400 + k)
+        pf = random_portfolio(rng, k, 2)
+        grids = [discretize_normal(2), discretize_normal(1)]
+        mc = monte_carlo_distribution(pf, grids, 20_000, seed=k)
+        support = exact_loss_distribution(pf, grids).losses
+        assert set(mc.losses.view(np.int64)) <= set(support.view(np.int64))
+
     def test_deterministic(self):
         pf, grids = table_inputs()
         d1 = monte_carlo_distribution(pf, grids, 1000, seed=4)
@@ -339,7 +361,11 @@ class TestCdfPoint:
 
 
 class TestModelCdf:
-    """One model simulation reproduces the per-threshold gate-level readout."""
+    """One model simulation reproduces the per-threshold gate-level readout.
+
+    The model distribution's cdf sums per-support probabilities where the
+    readout sums 2**n masked amplitudes, so the two agree to rounding.
+    """
 
     @pytest.mark.parametrize("seed, variant, encoding, r, shared", [
         (1, "multi_rotation", "exact", 2, False),
@@ -356,7 +382,7 @@ class TestModelCdf:
             cdf = exact_cdf(pf, grids, variant, encoding)
             for x in thresholds(pf, grids):
                 a_circ = build_a_circuit(pf, grids, x, variant=variant, encoding=encoding)
-                assert cdf(x) == exact_amplitude(a_circ)
+                assert abs(cdf(x) - exact_amplitude(a_circ)) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["s_free", "weighted_sum"])
     @pytest.mark.parametrize("seed, variant, encoding, r, shared", [
@@ -376,13 +402,14 @@ class TestModelCdf:
             grids = [discretize_normal(int(rng.integers(1, 3))) for _ in range(r)]
             model = build_model(pf, grids, variant, encoding)
             wide = model_state(model, objective_qubit(pf, model, mode) + 1)
-            cdf = model_cdf(pf, model, wide)
-            narrow = model_cdf(pf, model, model_state(model, model.circuit.n_qubits))
+            cdf = model_distribution(pf, model, wide).cdf
+            narrow = model_distribution(pf, model,
+                                        model_state(model, model.circuit.n_qubits)).cdf
             for x in thresholds(pf, grids):
                 assert cdf(x) == narrow(x)
                 if mode == "s_free":
                     a_circ = build_a_circuit(pf, grids, x, variant=variant, encoding=encoding)
-                    assert cdf(x) == exact_amplitude(a_circ)
+                    assert abs(cdf(x) - exact_amplitude(a_circ)) <= 1e-12
 
     def test_weighted_sum_readout(self):
         rng = np.random.default_rng(19)
@@ -493,6 +520,23 @@ class TestLossDistribution:
         dist = LossDistribution.from_pairs([1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
         assert np.allclose(dist.losses, [0.0, 1.0])
         assert np.allclose(dist.probs, [0.5, 0.5])
+
+    def test_from_pairs_merges_an_ulp_cluster_at_its_largest(self):
+        low = 0.0 + 1076.3 + 721.9                   # 1798.1999999999998
+        high = np.nextafter(1798.2, np.inf)
+        assert low < 1798.2 < high
+        dist = LossDistribution.from_pairs([1798.2, 0.0, high, low], [0.25, 0.5, 0.125, 0.125])
+        assert dist.losses.tolist() == [0.0, high]
+        assert dist.probs.tolist() == [0.5, 0.5]
+        assert dist.cdf(high) == 1.0
+
+    def test_from_pairs_keeps_points_past_the_tolerance(self):
+        top = 1e6
+        step = 2e-12 * top                           # twice the merge tolerance
+        losses = [0.0, 5.0, 5.0 + step, 5.0 + 2 * step, top]
+        dist = LossDistribution.from_pairs(losses[::-1], [0.2] * 5)
+        assert dist.losses.tolist() == losses
+        assert dist.probs.tolist() == [0.2] * 5
 
     def test_validation(self):
         with pytest.raises(ValueError):
