@@ -11,7 +11,7 @@ distribution (see ESTIMATORS): the enumeration for "classical", else the
 model_distribution of one model_state, read exactly or through IQAE.  compare
 simulates its model once, at the A circuit's width: comparator gates on a copy
 per threshold give the exact column, model_distribution the IQAE column, the
-enumeration the rest.  Both refuse an over-budget width before building.
+enumeration the rest.  Both refuse an over-budget model before building.
 
 Configs are JSON documents; every run echoes the fully resolved config so
 reports are self-describing, and all output is deterministic for a given
@@ -25,14 +25,13 @@ import json
 import sys
 from dataclasses import asdict
 
-import jsonschema
 import numpy as np
 
 from .circuit import apply, marginal_probability
 from .estimation import IqaeConfig
 from .gaussian import discretize_normal
 from .objective import MODES, build_comparator
-from .resources import estimate_resources, model_width
+from .resources import estimate_resources, model_gates, model_width
 from .risk import (EstimationFailure, cdf_estimator, check_state_budget,
                    exact_loss_distribution, expected_loss, model_distribution, model_state,
                    monte_carlo_distribution, var_bisection)
@@ -40,18 +39,7 @@ from .uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio, build_model
 
 ESTIMATORS = ("exact", "iqae", "classical")
 
-DEFAULTS = {
-    "bound_sigmas": 3.0,
-    "shots_per_round": 100,
-    "max_rounds": 64,
-    "seed": 0,
-    "variant": "multi_rotation",
-    "encoding": "linear",
-    "estimator": "iqae",
-    "mode": "s_free",
-    "mc_paths": 100_000,
-}
-
+# Every config field's type, bounds and default, as a Draft 2020-12 JSON Schema.
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["risk_factors", "assets", "analysis"],
@@ -63,14 +51,9 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "count": {"type": "integer", "minimum": 1},
-                "qubits_per_factor": {
-                    "oneOf": [
-                        {"type": "integer", "minimum": 1},
-                        {"type": "array", "minItems": 1,
-                         "items": {"type": "integer", "minimum": 1}},
-                    ]
-                },
-                "bound_sigmas": {"type": "number", "exclusiveMinimum": 0},
+                "qubits_per_factor": {"type": ["integer", "array"], "minimum": 1, "minItems": 1,
+                                      "items": {"type": "integer", "minimum": 1}},
+                "bound_sigmas": {"type": "number", "exclusiveMinimum": 0, "default": 3.0},
             },
         },
         "assets": {
@@ -96,22 +79,62 @@ CONFIG_SCHEMA = {
                 "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                 "epsilon": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
                 "confidence": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "shots_per_round": {"type": "integer", "minimum": 1},
-                "max_rounds": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-                "variant": {"enum": list(VARIANTS)},
-                "encoding": {"enum": list(ENCODINGS)},
-                "estimator": {"enum": list(ESTIMATORS)},
-                "mode": {"enum": list(MODES)},
-                "mc_paths": {"type": "integer", "minimum": 1},
+                "shots_per_round": {"type": "integer", "minimum": 1, "default": 100},
+                "max_rounds": {"type": "integer", "minimum": 1, "default": 64},
+                "seed": {"type": "integer", "minimum": 0, "default": 0},
+                "variant": {"enum": list(VARIANTS), "default": "multi_rotation"},
+                "encoding": {"enum": list(ENCODINGS), "default": "linear"},
+                "estimator": {"enum": list(ESTIMATORS), "default": "iqae"},
+                "mode": {"enum": list(MODES), "default": "s_free"},
+                "mc_paths": {"type": "integer", "minimum": 1, "default": 100_000},
             },
         },
     },
 }
 
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "number": (int, float)}
+_BOUNDS = (("minimum", lambda v, b: v < b, "is less than the minimum of"),
+           ("exclusiveMinimum", lambda v, b: v <= b, "is less than or equal to the minimum of"),
+           ("exclusiveMaximum", lambda v, b: v >= b, "is greater than or equal to the maximum of"))
+
 
 class ConfigError(ValueError):
     """Invalid configuration, with a field-path diagnostic."""
+
+
+def _is_type(value, name: str) -> bool:
+    return (isinstance(value, _JSON_TYPES[name]) and not isinstance(value, bool)
+            and (not isinstance(value, float) or bool(np.isfinite(value))))
+
+
+def _schema_errors(value, schema: dict, path=()) -> list[tuple[tuple, str]]:
+    """(path, message) per way `value` breaks a CONFIG_SCHEMA node, in jsonschema's words but
+    "integer" a JSON integer and "number" a finite one; fills in absent properties' defaults."""
+    types = [schema["type"]] if isinstance(schema.get("type"), str) else schema.get("type", [])
+    errors = []
+    if types and not any(_is_type(value, t) for t in types):
+        errors.append((path, f"{value!r} is not of type {', '.join(map(repr, types))}"))
+    if "enum" in schema and value not in schema["enum"]:
+        errors.append((path, f"{value!r} is not one of {schema['enum']!r}"))
+    if _is_type(value, "number"):
+        errors += [(path, f"{value!r} {text} {schema[key]!r}") for key, fails, text in _BOUNDS
+                   if key in schema and fails(value, schema[key])]
+    elif isinstance(value, list) and "items" in schema:
+        if len(value) < schema.get("minItems", 0):
+            errors.append((path, f"{value!r} should be non-empty"))
+        for idx, item in enumerate(value):
+            errors += _schema_errors(item, schema["items"], (*path, idx))
+    elif isinstance(value, dict) and "properties" in schema:
+        errors += [(path, f"{key!r} is a required property")
+                   for key in schema["required"] if key not in value]
+        extras = sorted(value.keys() - schema["properties"].keys())
+        if extras and schema["additionalProperties"] is False:
+            errors.append((path, "Additional properties are not allowed (%s %s unexpected)" % (
+                ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")))
+        for key, sub in schema["properties"].items():
+            if key in value or "default" in sub:
+                errors += _schema_errors(value.setdefault(key, sub.get("default")), sub, (*path, key))
+    return errors
 
 
 def load_config(path: str, overrides=None) -> dict:
@@ -122,28 +145,19 @@ def load_config(path: str, overrides=None) -> dict:
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    cfg = json.loads(json.dumps(raw))        # deep copy
-    if overrides and isinstance(cfg.get("analysis"), dict):
-        cfg["analysis"].update({k: v for k, v in overrides.items() if v is not None})
+    if isinstance(cfg, dict) and isinstance(cfg.get("analysis"), dict):
+        cfg["analysis"].update({k: v for k, v in (overrides or {}).items() if v is not None})
 
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    errors = sorted(_schema_errors(cfg, CONFIG_SCHEMA), key=lambda e: e[0])
     if errors:
-        listing = "; ".join(
-            ("/".join(str(p) for p in err.absolute_path) or "<root>") + ": " + err.message
-            for err in errors)
+        listing = "; ".join(f"{'/'.join(map(str, p)) or '<root>'}: {msg}" for p, msg in errors)
         raise ConfigError(f"{path}: schema violations: {listing}")
 
     analysis = cfg["analysis"]
     factors = cfg["risk_factors"]
-    factors.setdefault("bound_sigmas", DEFAULTS["bound_sigmas"])
-    for key in ("shots_per_round", "max_rounds", "seed", "variant",
-                "encoding", "estimator", "mode", "mc_paths"):
-        analysis.setdefault(key, DEFAULTS[key])
-
     r = factors["count"]
     qubits = factors["qubits_per_factor"]
     if isinstance(qubits, list):
@@ -203,14 +217,15 @@ def _probes(trace) -> list[dict]:
 def cmd_analyze(cfg: dict, output: str | None) -> int:
     portfolio, grids = config_to_inputs(cfg)
     analysis = cfg["analysis"]
-    variant, kind = analysis["variant"], analysis["estimator"]
+    variant, kind, encoding = analysis["variant"], analysis["estimator"], analysis["encoding"]
     # Checks the variant and mode constraints before anything is enumerated or built.
     resources = asdict(estimate_resources(portfolio, grids, variant, analysis["mode"]))
     if kind == "classical":
         dist = exact_loss_distribution(portfolio, grids)
     else:
-        check_state_budget(model_width(portfolio, grids, variant), "model")
-        model = build_model(portfolio, grids, variant, analysis["encoding"])
+        check_state_budget(model_width(portfolio, grids, variant), "model",
+                           model_gates(portfolio, grids, variant, encoding))
+        model = build_model(portfolio, grids, variant, encoding)
         dist = model_distribution(portfolio, model, model_state(model, model.circuit.n_qubits))
     estimator = cdf_estimator(dist.cdf, iqae_config(analysis) if kind == "iqae" else None)
     try:
@@ -275,11 +290,11 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
         if key not in analysis:
             raise ConfigError(f"analysis.{key}: required by the compare command")
     epsilon = analysis["epsilon"]
-    variant, mode = analysis["variant"], analysis["mode"]
+    variant, mode, encoding = analysis["variant"], analysis["mode"], analysis["encoding"]
     width = estimate_resources(portfolio, grids, variant, mode).width_built   # the A circuit's
-    check_state_budget(width, "A circuit")
+    check_state_budget(width, "A circuit", model_gates(portfolio, grids, variant, encoding))
     dist = exact_loss_distribution(portfolio, grids)
-    model = build_model(portfolio, grids, variant, analysis["encoding"])
+    model = build_model(portfolio, grids, variant, encoding)
     # Model gates then comparator gates on one array, as exact_amplitude of the
     # threshold's A circuit runs them, so the readout is that oracle bit for bit.
     state = model_state(model, width)

@@ -36,6 +36,32 @@ def model_width(portfolio: Portfolio, grids: list, variant: str) -> int:
     return width
 
 
+def model_gates(portfolio: Portfolio, grids: list, variant: str,
+                encoding: str) -> tuple[int, int]:
+    """build_model's (gates, control entries), unbuilt: upper bounds, as builders skip
+    zero angles.  Factor loaders take sum(2**q - 1) gates; then exact encoding adds
+    K*M rotations with sum(q) controls each, linear encoding K*(1 + sum(q)) rotations,
+    and single_rotation an index adder, K*(1 + n_sum) rotations and the adder's inverse."""
+    qs = [g.n_z for g in grids]
+    k, total = portfolio.k, sum(qs)
+    gates = sum(2 ** q - 1 for q in qs)
+    controls = sum((q - 2) * 2 ** q + 2 for q in qs)    # 2**d loader gates with d controls
+    if variant == "single_rotation":
+        plan = index_sum_plan(grids, portfolio.assets[0].alphas)
+        # Bit j of a factor register increments the sum's top n_sum - j qubits.
+        incs = [plan.n_sum - j for q, n in zip(qs, plan.n_points)
+                for j in range(min(q, plan.n_sum)) if 1 << j <= n - 1]
+        gates += 2 * sum(incs) + k * (1 + plan.n_sum)
+        controls += sum(m * (m + 1) for m in incs) + k * plan.n_sum
+    elif encoding == "exact":
+        gates += k * 2 ** total
+        controls += k * 2 ** total * total
+    else:
+        gates += k * (1 + total)
+        controls += k * total
+    return gates, controls
+
+
 def estimate_resources(portfolio: Portfolio, grids, variant: str = "multi_rotation",
                        mode: str = "s_free") -> ResourceReport:
     """Qubit/gate accounting for one pipeline configuration.

@@ -24,8 +24,9 @@ _BLOCK_ELEMENTS = 1 << 17    # floats in one enumeration block's weights
 _MERGE_RTOL = 1e-12          # losses this close, relative to the largest, are one point
 MAX_STATE_BYTES = 1 << 30    # one simulation with its working copy and readout arrays
 _BYTES_PER_AMPLITUDE = 64    # traced peak per amplitude is about 57: the state, apply's copy
-                             # and its temporaries; gate lists grow with 2**(factor width),
-                             # not 2**n, so are not counted
+                             # and its temporaries
+_BYTES_PER_GATE = 256        # traced, a built Gate is about 240 B, controls aside
+_BYTES_PER_CONTROL = 64      # a fresh (qubit, polarity) pair and its slot
 
 
 @dataclass(eq=False)
@@ -202,13 +203,16 @@ def total_variation_distance(a: LossDistribution, b: LossDistribution) -> float:
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
-def check_state_budget(n_qubits: int, what: str) -> None:
-    """Refuse an n_qubits-wide simulation of `what` whose state would pass MAX_STATE_BYTES."""
-    need = _BYTES_PER_AMPLITUDE * 2 ** n_qubits
+def check_state_budget(n_qubits: int, what: str, gates: tuple[int, int] = (0, 0)) -> None:
+    """Refuse an n_qubits-wide simulation of `what` whose state, plus a gate list of
+    `gates` = (gates, control entries) yet to be built, would pass MAX_STATE_BYTES."""
+    need = (_BYTES_PER_AMPLITUDE * 2 ** n_qubits + _BYTES_PER_GATE * gates[0]
+            + _BYTES_PER_CONTROL * gates[1])
     if need > MAX_STATE_BYTES:
+        listed = f" and {gates[0]} gates" if gates[0] else ""
         raise ValueError(
-            f"the {n_qubits}-qubit {what} would need about {need} bytes of state, over the "
-            f"budget of {MAX_STATE_BYTES}; reduce risk_factors.qubits_per_factor or assets")
+            f"the {n_qubits}-qubit {what} would need about {need} bytes of state{listed}, over "
+            f"the budget of {MAX_STATE_BYTES}; reduce risk_factors.qubits_per_factor or assets")
 
 
 def model_state(model: ModelCircuit, n_qubits: int) -> Statevector:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: config validation, output formats, determinism."""
 
+import copy
 import hashlib
 import json
 import os
@@ -18,7 +19,7 @@ import qvar.cli
 import qvar.risk
 import qvar.uncertainty
 from qvar.circuit import apply, marginal_probability
-from qvar.cli import ConfigError, config_to_inputs, load_config, main
+from qvar.cli import CONFIG_SCHEMA, ConfigError, _schema_errors, config_to_inputs, load_config, main
 from qvar.estimation import exact_amplitude
 from qvar.objective import build_a_circuit
 from qvar.risk import _BYTES_PER_AMPLITUDE, exact_loss_distribution
@@ -71,6 +72,65 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def set_field(cfg, field, value):
+    """A copy of cfg with the value at a '/'-separated field path replaced."""
+    cfg = copy.deepcopy(cfg)
+    *parents, last = [int(p) if p.isdigit() else p for p in field.split("/")]
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return cfg
+
+
+def schema_nodes(value, schema, path=()):
+    """(path, schema) of every value present in a config, root first."""
+    yield path, schema
+    if isinstance(value, list) and isinstance(schema.get("items"), dict):
+        for idx, item in enumerate(value):
+            yield from schema_nodes(item, schema["items"], path + (idx,))
+    elif isinstance(value, dict) and "properties" in schema:
+        for key, sub in schema["properties"].items():
+            if key in value:
+                yield from schema_nodes(value[key], sub, path + (key,))
+
+
+def mutate(cfg, rng):
+    """One random edit of a config: a wrong type, a value at or past a bound, a
+    missing or unknown key, a bad enum or an empty array.  Integral floats in
+    integer fields and non-finite numbers, which only jsonschema accepts, never
+    appear."""
+    nodes = list(schema_nodes(cfg, CONFIG_SCHEMA))
+    path, schema = nodes[rng.integers(len(nodes))]
+    parent, value = None, cfg
+    for key in path:
+        parent, value = value, value[key]
+    pick = lambda options: options[rng.integers(len(options))]
+    pool = ["x", None, True, 0.5, -3, 0, 5, [], [1], [0.5], {}, {"a": 1}]
+    kinds = ["type"]
+    bounds = [schema[k] for k in ("minimum", "exclusiveMinimum", "exclusiveMaximum") if k in schema]
+    kinds += ["bound"] * bool(bounds) + ["enum"] * ("enum" in schema)
+    kinds += ["empty"] * isinstance(value, list) + ["missing", "unknown"] * isinstance(value, dict)
+    kind = pick(kinds)
+    if kind == "missing" and value:
+        del value[pick(sorted(value))]
+        return cfg
+    if kind == "unknown":
+        value[pick(["extra", "bogus"])] = 1
+        return cfg
+    if kind == "bound":
+        steps = [-1, 0, 1] if "integer" in schema["type"] else [-1, -0.25, 0, 0.25, 1]
+        new = pick(bounds) + pick(steps)
+    elif kind == "enum":
+        new = pick(["nope", 7, *schema["enum"]])
+    else:
+        new = [] if kind == "empty" else copy.deepcopy(pick(pool))
+    if parent is None:
+        return new
+    parent[path[-1]] = new
+    return cfg
+
+
 class TestConfigLoading:
     def test_defaults_filled(self, tmp_path):
         cfg = load_config(write_config(tmp_path, TWO_ASSET))
@@ -114,6 +174,63 @@ class TestConfigLoading:
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(str(path))
+
+    def test_walker_agrees_with_jsonschema(self):
+        # The walker against jsonschema as an oracle, on seeded mutants of the
+        # repository configs: the same verdict and the same error paths.
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+        oracle = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+        bases = [json.loads((CONFIGS / name).read_text())
+                 for name in ("two_asset.json", "two_asset_integer.json")] + [TWO_ASSET]
+        rng = np.random.default_rng(2020)
+        verdicts = []
+        for trial in range(600):
+            cfg = copy.deepcopy(bases[trial % len(bases)])
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                cfg = mutate(cfg, rng)
+            expected = sorted(tuple(e.absolute_path) for e in oracle.iter_errors(cfg))
+            got = sorted(path for path, _ in _schema_errors(copy.deepcopy(cfg), CONFIG_SCHEMA))
+            assert got == expected, cfg
+            verdicts.append(not got)
+        assert min(sum(verdicts), len(verdicts) - sum(verdicts)) >= 50
+
+    @pytest.mark.parametrize("text", ["[]", '"config"', "3"])
+    def test_non_object_config_names_the_root(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["analyze", "--config", str(path)]) == 2
+        assert f"<root>: {json.loads(text)!r} is not of type 'object'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("analyze", "risk_factors/count", 2.0),
+        ("analyze", "risk_factors/qubits_per_factor", 2.0),
+        ("analyze", "risk_factors/qubits_per_factor/1", 2.0),
+        ("analyze", "analysis/seed", 3.0),
+        ("analyze", "analysis/shots_per_round", 100.0),
+        ("analyze", "analysis/max_rounds", 64.0),
+        ("compare", "analysis/mc_paths", 1000.0),
+    ])
+    def test_integer_fields_take_json_integers(self, tmp_path, capsys, command, field, value):
+        # An integral float once passed the schema and crashed the run or left no path.
+        listed = set_field(TWO_ASSET, "risk_factors/qubits_per_factor", [2, 2])
+        bad = set_field(listed, field, value)
+        assert main([command, "--config", write_config(tmp_path, bad)]) == 2
+        assert f"{field}: {value!r} is not of type 'integer'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("assets/0/lgd", float("inf")),
+        ("assets/0/lgd", float("nan")),
+        ("assets/1/alphas/0", float("nan")),
+        ("risk_factors/bound_sigmas", float("inf")),
+        ("analysis/alpha", float("nan")),
+        ("analysis/epsilon", float("-inf")),
+    ])
+    def test_non_finite_numbers_refused(self, tmp_path, capsys, field, value):
+        # json reads NaN and Infinity; lgd Infinity once gave a report holding NaN.
+        bad = set_field(TWO_ASSET, field, value)
+        assert main(["analyze", "--config", write_config(tmp_path, bad)]) == 2
+        assert f"{field}: {value!r} is not of type 'number'" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -305,6 +422,36 @@ class TestVariants:
         err = capsys.readouterr().err
         assert refused in err and "risk_factors.qubits_per_factor" in err
         assert elapsed < 1.0 and peak < 2 ** 20
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("qubits, encoding", [(20, "exact"), (22, "linear")])
+    def test_gate_list_refused_before_building(self, tmp_path, capsys, monkeypatch, command,
+                                               qubits, encoding):
+        # 2 assets on one wide factor: a 22- or 24-qubit model whose state fits the
+        # budget but whose 3.1M or 4.2M gates, most with 20 controls, would take GBs.
+        def build(*args, **kwargs):
+            raise AssertionError("the model was built past the budget")
+
+        monkeypatch.setattr(qvar.cli, "build_model", build)
+        payload = {
+            "risk_factors": {"count": 1, "qubits_per_factor": qubits},
+            "assets": [{"lgd": 100.5 * (i + 1), "p0": 0.1, "rho": 0.2, "alphas": [0.4]}
+                       for i in range(2)],
+            "analysis": {"alpha": 0.95, "epsilon": 0.01, "confidence": 0.99,
+                         "estimator": "exact", "encoding": encoding},
+        }
+        config = write_config(tmp_path, payload)
+        tracemalloc.start()
+        start = perf_counter()
+        try:
+            assert main([command, "--config", config]) == 1
+            elapsed = perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert "gates, over the budget" in err and "risk_factors.qubits_per_factor" in err
+        assert elapsed < 1.0 and peak < 200 * 2 ** 20
 
     def test_single_factor_requires_one_factor(self, tmp_path, capsys):
         config = write_config(tmp_path, TWO_ASSET)
@@ -568,9 +715,11 @@ class TestCompare:
         assert "epsilon" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats roughly doubles start-up time and memory of the CLI
-    code = "import sys, qvar.cli; print('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.stats", "jsonschema"])
+def test_import_leaves_module_unloaded(module):
+    # scipy.stats roughly doubles start-up time and memory of the CLI; jsonschema
+    # is no dependency, only the differential test's oracle.
+    code = f"import sys, qvar.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(qvar.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)

@@ -1,12 +1,13 @@
 """Resource-accounting tests against the published width figures."""
 
+import numpy as np
 import pytest
 
 from qvar.estimation import exact_amplitude
 from qvar.gaussian import discretize_normal
 from qvar.objective import build_a_circuit
-from qvar.resources import estimate_resources
-from qvar.uncertainty import Asset, Portfolio, build_multi_rotation
+from qvar.resources import estimate_resources, model_gates
+from qvar.uncertainty import Asset, Portfolio, build_model, build_multi_rotation
 
 
 def two_asset_portfolio():
@@ -108,6 +109,30 @@ class TestGateAccounting:
         per_factor_blocks = {(t, frozenset({0, 1} if min(cs) < 2 else {2, 3}))
                              for t, cs in blocks}
         assert len(per_factor_blocks) == report.rotation_count
+
+    @pytest.mark.parametrize("variant, encoding, r", [
+        ("multi_rotation", "exact", 1), ("multi_rotation", "exact", 2),
+        ("multi_rotation", "linear", 2), ("single_factor", "linear", 1),
+        ("single_rotation", "linear", 1), ("single_rotation", "linear", 2),
+    ])
+    def test_model_gates_bound_the_built_model(self, variant, encoding, r):
+        # Equal where no angle is zero; single_rotation's scaled loaders skip the
+        # branches of their zero tails, so there it is an upper bound.
+        rng = np.random.default_rng(r)
+        for _ in range(4):
+            shared = tuple(rng.uniform(0.1, 0.5, r))
+            pf = Portfolio([Asset(100.5, rng.uniform(0.02, 0.3), rng.uniform(0.05, 0.3),
+                                  shared if variant == "single_rotation"
+                                  else tuple(rng.uniform(0.1, 0.5, r)))
+                            for _ in range(int(rng.integers(1, 5)))])
+            g = [discretize_normal(int(n)) for n in rng.integers(1, 5, r)]
+            gates = build_model(pf, g, variant, encoding).circuit.gates
+            built = (len(gates), sum(len(gate.controls) for gate in gates))
+            counted = model_gates(pf, g, variant, encoding)
+            if variant == "single_rotation" and r > 1:
+                assert counted[0] >= built[0] and counted[1] >= built[1]
+            else:
+                assert counted == built
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
