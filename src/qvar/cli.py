@@ -11,7 +11,8 @@ distribution (see ESTIMATORS): the enumeration for "classical", else the
 model_distribution of one model_state, read exactly or through IQAE.  compare
 simulates its model once, at the A circuit's width: comparator gates on a copy
 per threshold give the exact column, model_distribution the IQAE column, the
-enumeration the rest.  Both refuse an over-budget model before building.
+enumeration the rest.  Both refuse an over-budget model before building, and
+every command refuses an over-budget factor grid before discretizing it.
 
 Configs are JSON documents; every run echoes the fully resolved config so
 reports are self-describing, and all output is deterministic for a given
@@ -181,11 +182,14 @@ def load_config(path: str, overrides=None) -> dict:
 
 
 def config_to_inputs(cfg: dict):
-    """Build the portfolio and factor grids from a resolved config."""
+    """Build the portfolio and factor grids from a resolved config; a factor grid
+    over the state budget is refused before any grid is allocated."""
     factors = cfg["risk_factors"]
     portfolio = Portfolio([
         Asset(lgd=a["lgd"], p0=a["p0"], rho=a["rho"], alphas=tuple(a["alphas"]))
         for a in cfg["assets"]])
+    for n_z in factors["qubits_per_factor"]:
+        check_state_budget(n_z, "factor grid")
     grids = [discretize_normal(n_z, 0.0, 1.0, factors["bound_sigmas"])
              for n_z in factors["qubits_per_factor"]]
     return portfolio, grids

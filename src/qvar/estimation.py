@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .circuit import Circuit, apply, inverse, marginal_probability, zero_state
 from .objective import ObjectiveCircuit
@@ -88,9 +87,15 @@ def grover_operator(a_circuit: ObjectiveCircuit) -> Circuit:
 
 
 def clopper_pearson(ones: int, shots: int, alpha: float) -> tuple[float, float]:
-    """Exact two-sided binomial confidence interval at level 1 - alpha."""
+    """Exact two-sided binomial confidence interval at level 1 - alpha.
+
+    qvar's one use of scipy, imported on the first call, so classical and
+    exact runs never load it: a pure-Python beta quantile measured 50-120 ms
+    per verify_compare operation against about 1 ms through betaincinv.
+    """
     if shots < 1 or not 0 <= ones <= shots:
         raise ValueError("need 0 <= ones <= shots with shots >= 1")
+    from scipy import special
     lo = 0.0 if ones == 0 else float(special.betaincinv(ones, shots - ones + 1, alpha / 2))
     hi = 1.0 if ones == shots else float(special.betaincinv(ones + 1, shots - ones, 1 - alpha / 2))
     return lo, hi

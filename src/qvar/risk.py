@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import Circuit, Statevector, apply, zero_state
 from .estimation import IqaeConfig, iqae
-from .gaussian import conditional_pd
+from .gaussian import conditional_pd_table
 from .uncertainty import ModelCircuit, Portfolio
 
 _BLOCK_ELEMENTS = 1 << 17    # floats in one enumeration block's weights
@@ -116,8 +116,7 @@ def _joint_grid(portfolio: Portfolio, grids: list) -> tuple[np.ndarray, np.ndarr
 
 def _grid_pds(portfolio: Portfolio, z_joint: np.ndarray) -> np.ndarray:
     """Conditional default probabilities (M, K) at each joint grid cell."""
-    return np.column_stack([
-        conditional_pd(a.p0, a.rho, a.alphas, z_joint) for a in portfolio.assets])
+    return conditional_pd_table([(a.p0, a.rho, a.alphas) for a in portfolio.assets], z_joint)
 
 
 def exact_loss_distribution(portfolio: Portfolio, grids,

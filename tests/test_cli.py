@@ -453,6 +453,29 @@ class TestVariants:
         assert "gates, over the budget" in err and "risk_factors.qubits_per_factor" in err
         assert elapsed < 1.0 and peak < 200 * 2 ** 20
 
+    @pytest.mark.parametrize("command", ["resources", "distribution"])
+    def test_factor_grid_refused_before_discretizing(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        # One 22-qubit factor against a 64 MiB budget: its 2**22 grid points at 64 B
+        # each are refused before discretize_normal takes its 172 MB.  The full
+        # budget refuses qubits_per_factor >= 25 by the same rule.
+        monkeypatch.setattr(qvar.risk, "MAX_STATE_BYTES", 1 << 26)
+        payload = {
+            "risk_factors": {"count": 1, "qubits_per_factor": 22},
+            "assets": [{"lgd": 100.5, "p0": 0.1, "rho": 0.2, "alphas": [0.4]}],
+            "analysis": {"alpha": 0.95, "estimator": "classical"},
+        }
+        config = write_config(tmp_path, payload)
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", config]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert "22-qubit factor grid" in err and "risk_factors.qubits_per_factor" in err
+        assert peak < 100 * 2 ** 20
+
     def test_single_factor_requires_one_factor(self, tmp_path, capsys):
         config = write_config(tmp_path, TWO_ASSET)
         assert main(["analyze", "--config", config, "--variant", "single_factor"]) == 2
@@ -715,12 +738,30 @@ class TestCompare:
         assert "epsilon" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "jsonschema"])
+@pytest.mark.parametrize("module", ["scipy", "scipy.stats", "jsonschema"])
 def test_import_leaves_module_unloaded(module):
-    # scipy.stats roughly doubles start-up time and memory of the CLI; jsonschema
-    # is no dependency, only the differential test's oracle.
+    # scipy.special is about half the CLI's start-up time, and only IQAE's
+    # Clopper-Pearson bound needs it; scipy.stats roughly doubles start-up time
+    # and memory; jsonschema is no dependency, only the differential test's oracle.
     code = f"import sys, qvar.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(qvar.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["analyze", "--estimator", "classical"], False),
+    (["analyze", "--estimator", "exact"], False),
+    (["distribution"], False),
+    (["resources"], False),
+    (["analyze", "--estimator", "iqae"], True),
+], ids=["analyze-classical", "analyze-exact", "distribution", "resources", "analyze-iqae"])
+def test_scipy_is_loaded_only_by_iqae(tmp_path, argv, loaded):
+    argv = argv + ["--config", str(CONFIGS / "two_asset.json"),
+                   "--output", str(tmp_path / "out")]
+    code = f"import sys, qvar.cli; print(qvar.cli.main({argv!r}), 'scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(qvar.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split() == ["0", str(loaded)]

@@ -1,17 +1,20 @@
 """Normal-kernel and discretization tests.
 
 High-precision reference values were computed independently with mpmath
-(40 decimal digits) before the implementation existed and frozen here.
+(40 decimal digits) before the implementation existed and frozen here.  The
+Cephes ports are pinned bit for bit to scipy.special, whose erfc and ndtri
+they reproduce, and conditional_pd to its scipy-based form.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
-from qvar.gaussian import (FactorGrid, conditional_pd, discretize_normal,
-                           std_normal_cdf, std_normal_pdf, std_normal_ppf)
+from qvar.gaussian import (_MAXLOG, FactorGrid, conditional_pd, conditional_pd_table,
+                           discretize_normal, erfc, erfc_array, ndtri, std_normal_cdf,
+                           std_normal_pdf, std_normal_ppf)
 
 # mpmath oracles
 CDF_AT_1 = 0.84134474606854294859
@@ -74,6 +77,126 @@ class TestPpf:
         for bad in (0.0, 1.0, -0.1, 1.1, float("nan")):
             with pytest.raises(ValueError):
                 std_normal_ppf(bad)
+
+
+def reference_std_normal_ppf(p):
+    """std_normal_ppf as it stood on scipy: ndtri seed, two guarded Newton steps."""
+    arr = np.asarray(p, dtype=float)
+    x = np.atleast_1d(np.asarray(special.ndtri(arr), dtype=float))
+    target = np.atleast_1d(arr)
+    for _ in range(2):
+        density = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+        ok = density > 1e-20
+        err = 0.5 * special.erfc(-x / np.sqrt(2.0)) - target
+        step = np.zeros_like(x)
+        step[ok] = np.clip(err[ok] / density[ok], -1.0, 1.0)
+        x = x - step
+    return float(x[0]) if arr.ndim == 0 else x
+
+
+def reference_conditional_pd(p0, rho, alphas, z):
+    """conditional_pd as it stood on scipy.special's erfc and ndtri."""
+    combined = np.asarray(z, dtype=float) @ np.asarray(alphas, dtype=float)
+    arg = (reference_std_normal_ppf(p0) - np.sqrt(rho) * combined) / np.sqrt(1.0 - rho)
+    out = 0.5 * special.erfc(-np.asarray(arg) / np.sqrt(2.0))
+    tiny, top = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+    if np.ndim(out) == 0:
+        return float(min(max(float(out), tiny), top))
+    return np.clip(out, tiny, top)
+
+
+def ulps(x, n):
+    """x and its n nearest doubles on either side."""
+    out = [x]
+    for direction in (np.inf, -np.inf):
+        y = x
+        for _ in range(n):
+            y = float(np.nextafter(y, direction))
+            out.append(y)
+    return out
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    bad = got.view(np.int64) != want.view(np.int64)
+    assert not bad.any(), (np.flatnonzero(bad)[:5], got[bad][:5], want[bad][:5])
+
+
+class TestCephesKernels:
+    # Branch edges: |x| = 1 and 8 pick the polynomial, sqrt(MAXLOG) ~ 26.64 is
+    # where exp(-x^2) underflows, 27 where erfc_array stops evaluating.
+    EDGES = [v for e in (1.0, 8.0, math.sqrt(_MAXLOG), 27.0) for s in (1.0, -1.0)
+             for v in ulps(s * e, 3)] + [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-200, 40.0, -40.0,
+        1e300, -1e300, 0.5]
+
+    def test_erfc_array_matches_scipy_on_dense_grid(self):
+        xs = np.linspace(-40.0, 40.0, 800_001)
+        assert_same_bits(erfc_array(xs), special.erfc(xs))
+
+    def test_scalar_erfc_matches_scipy(self):
+        xs = np.linspace(-40.0, 40.0, 80_001)
+        assert_same_bits([erfc(x) for x in xs.tolist()], special.erfc(xs))
+
+    def test_erfc_branch_edges(self):
+        xs = np.array(self.EDGES)
+        assert_same_bits([erfc(x) for x in self.EDGES], special.erfc(xs))
+        assert_same_bits(erfc_array(xs), special.erfc(xs))
+        assert_same_bits(erfc_array(xs.reshape(2, -1)), special.erfc(xs).reshape(2, -1))
+
+    def test_ndtri_matches_scipy_with_both_tails(self):
+        exp_m2, exp_m32 = math.exp(-2.0), math.exp(-32.0)
+        ps = np.concatenate([
+            np.linspace(0.0, 1.0, 400_001)[1:-1],
+            np.logspace(-300, -1, 3_000), 1.0 - np.logspace(-16, -1, 3_000),
+            [v for e in (exp_m2, 1.0 - exp_m2, exp_m32, 1.0 - exp_m32, 0.5)
+             for v in ulps(e, 3)],
+            [5e-324, 2.2250738585072014e-308, 1e-300, float(np.nextafter(1.0, 0.0))]])
+        assert_same_bits([ndtri(p) for p in ps.tolist()], special.ndtri(ps))
+
+    def test_ppf_matches_the_scipy_seeded_form(self):
+        rng = np.random.default_rng(11)
+        ps = np.concatenate([rng.uniform(0.0, 1.0, 2_000), np.logspace(-300, -1, 200),
+                             1.0 - np.logspace(-16, -1, 200)])
+        ps = ps[(ps > 0.0) & (ps < 1.0)]
+        assert_same_bits(std_normal_ppf(ps), reference_std_normal_ppf(ps))
+        assert_same_bits([std_normal_ppf(p) for p in ps[:300].tolist()],
+                         reference_std_normal_ppf(ps[:300]))
+
+
+class TestConditionalPdBits:
+    """conditional_pd on the Cephes ports returns the scipy form's bytes."""
+
+    CASES = [(0.15, 0.1, (0.35, 0.2)), (1e-12, 0.9, (1.0, 0.5)), (1.0 - 1e-12, 0.9, (1.0, 0.5)),
+             (0.5, 0.0, (0.3, -0.7)), (0.03, 0.45, (-0.2, 0.9))]
+
+    @pytest.mark.parametrize("p0, rho, alphas", CASES)
+    def test_scalar_one_d_and_table(self, p0, rho, alphas):
+        rng = np.random.default_rng(int(p0 * 1e6) + int(rho * 100))
+        z = np.concatenate([rng.uniform(-40.0, 40.0, (300, 2)), rng.normal(0.0, 1.0, (300, 2))])
+        for row in z[::37]:
+            got = conditional_pd(p0, rho, alphas, row)
+            assert isinstance(got, float)
+            assert_same_bits(got, reference_conditional_pd(p0, rho, alphas, row))
+            assert_same_bits(conditional_pd(p0, rho, alphas, list(row)), got)
+        assert_same_bits(conditional_pd(p0, rho, alphas, z),
+                         reference_conditional_pd(p0, rho, alphas, z))
+        assert_same_bits(conditional_pd(p0, rho, alphas, z.reshape(20, 30, 2)),
+                         reference_conditional_pd(p0, rho, alphas, z).reshape(20, 30))
+
+    def test_clip_edges_are_reached(self):
+        z = np.array([[40.0, 40.0], [-40.0, -40.0]])
+        assert conditional_pd(1e-12, 0.9, (1.0, 0.5), z)[0] == np.nextafter(0.0, 1.0)
+        assert conditional_pd(1.0 - 1e-12, 0.9, (1.0, 0.5), z)[1] == np.nextafter(1.0, 0.0)
+
+    def test_table_is_the_stacked_columns(self):
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-5.0, 5.0, (64, 2))
+        table = conditional_pd_table(self.CASES, z)
+        assert table.shape == (64, len(self.CASES))
+        assert_same_bits(table, np.column_stack(
+            [reference_conditional_pd(*case, z) for case in self.CASES]))
 
 
 class TestDiscretizeNormal:
