@@ -22,6 +22,7 @@ reports are self-describing, and all output is deterministic for a given
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -332,6 +333,7 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     return 0 if ok else 1
 
 
+@functools.cache    # one argparse tree per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qvar",

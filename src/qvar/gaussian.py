@@ -263,21 +263,24 @@ def discretize_normal(n_z: int, mean: float = 0.0, std: float = 1.0,
     return FactorGrid(n_z=int(n_z), z_min=lo, z_max=hi, values=values, probs=probs)
 
 
-def _pd_argument(p0: float, rho: float, alphas, z):
-    """(F^-1(p0) - sqrt(rho) * z @ alphas) / sqrt(1 - rho), the argument of F in PD(z)."""
+def _pd_argument(p0: float, rho: float, alphas):
+    """z -> (F^-1(p0) - sqrt(rho) * z @ alphas) / sqrt(1 - rho), the argument of F in
+    PD(z), with the parameters checked and F^-1(p0) evaluated once."""
     if not 0.0 < p0 < 1.0:
         raise ValueError("conditional_pd requires p0 strictly inside (0, 1)")
     if not 0.0 <= rho < 1.0:
         raise ValueError("conditional_pd requires rho in [0, 1)")
     alphas = np.asarray(alphas, dtype=float)
-    z_arr = np.asarray(z, dtype=float)
     if alphas.ndim != 1 or alphas.size < 1:
         raise ValueError("alphas must be a nonempty 1-D weight vector")
-    if z_arr.shape[-1:] != alphas.shape:
-        raise ValueError(f"realization vector must have length {alphas.size}")
-    combined = z_arr @ alphas
     quantile = std_normal_ppf(p0)
-    return (quantile - np.sqrt(rho) * combined) / np.sqrt(1.0 - rho)
+
+    def argument(z):
+        z_arr = np.asarray(z, dtype=float)
+        if z_arr.shape[-1:] != alphas.shape:
+            raise ValueError(f"realization vector must have length {alphas.size}")
+        return (quantile - np.sqrt(rho) * (z_arr @ alphas)) / np.sqrt(1.0 - rho)
+    return argument
 
 
 def _open_unit_cdf(arg):
@@ -292,6 +295,13 @@ def _open_unit_cdf(arg):
     return np.clip(out, tiny, top)
 
 
+def conditional_pd_curve(p0: float, rho: float, alphas):
+    """z -> conditional_pd(p0, rho, alphas, z), with F^-1(p0) evaluated once for
+    all of one obligor's realizations."""
+    argument = _pd_argument(p0, rho, alphas)
+    return lambda z: _open_unit_cdf(argument(z))
+
+
 def conditional_pd(p0: float, rho: float, alphas, z):
     """Conditional default probability given factor realizations.
 
@@ -299,10 +309,10 @@ def conditional_pd(p0: float, rho: float, alphas, z):
     `z` may be a vector of R realizations or an array whose last axis has
     length R, in which case the result is vectorized over the leading axes.
     """
-    return _open_unit_cdf(_pd_argument(p0, rho, alphas, z))
+    return conditional_pd_curve(p0, rho, alphas)(z)
 
 
 def conditional_pd_table(obligors, z) -> np.ndarray:
     """conditional_pd of each obligor, a (p0, rho, alphas) triple, stacked on a
     new last axis: each obligor's z @ alphas apart, one F call for the table."""
-    return _open_unit_cdf(np.stack([_pd_argument(*o, z) for o in obligors], axis=-1))
+    return _open_unit_cdf(np.stack([_pd_argument(*o)(z) for o in obligors], axis=-1))

@@ -102,21 +102,15 @@ class EstimationFailure(RuntimeError):
 
 
 def _joint_grid(portfolio: Portfolio, grids: list) -> tuple[np.ndarray, np.ndarray]:
-    """Joint factor values (M, R) and probabilities (M,) over the grid product.
-
-    Cells run in itertools.product order: the last factor varies fastest.
+    """Conditional default probabilities (M, K) and probabilities (M,) of the
+    joint grid cells, in itertools.product order: the last factor varies fastest.
     """
     if len(grids) != portfolio.r:
         raise ValueError(f"expected {portfolio.r} grids, got {len(grids)}")
     idx = np.indices([g.size for g in grids]).reshape(len(grids), -1)
     z_joint = np.column_stack([g.values[i] for i, g in zip(idx, grids)])
     pz = np.prod([g.probs[i] for i, g in zip(idx, grids)], axis=0)
-    return z_joint, pz
-
-
-def _grid_pds(portfolio: Portfolio, z_joint: np.ndarray) -> np.ndarray:
-    """Conditional default probabilities (M, K) at each joint grid cell."""
-    return conditional_pd_table([(a.p0, a.rho, a.alphas) for a in portfolio.assets], z_joint)
+    return conditional_pd_table([(a.p0, a.rho, a.alphas) for a in portfolio.assets], z_joint), pz
 
 
 def exact_loss_distribution(portfolio: Portfolio, grids,
@@ -136,8 +130,7 @@ def exact_loss_distribution(portfolio: Portfolio, grids,
         raise ValueError(
             f"enumeration would visit {m * 2 ** k} states, over the budget of {max_enumeration}")
 
-    z_joint, pz = _joint_grid(portfolio, grids)
-    pd = _grid_pds(portfolio, z_joint)
+    pd, pz = _joint_grid(portfolio, grids)
     q = np.stack([1.0 - pd, pd])                   # q[bit, z, asset]
     tail = min(k, max(0, (_BLOCK_ELEMENTS // m).bit_length() - 1))
     # Reused by every block: fresh arrays per step page-fault once freed to the OS.
@@ -158,25 +151,41 @@ def monte_carlo_distribution(portfolio: Portfolio, grids, n_paths: int,
                              seed: int) -> LossDistribution:
     """Empirical loss distribution from seeded simulation of the same model.
 
-    Draw order is fixed (factor indices first, factor by factor, then default
-    uniforms), so results are reproducible for a given seed.  Conditional PDs
-    are evaluated once per joint grid cell and gathered by each path's cell,
-    which gives each path the value an evaluation at its own factor draw would.
-    Counting paths per pattern of the loss table keeps the enumeration's support.
+    The draws are default_rng(seed)'s, in a fixed order: each factor's n_paths
+    uniforms, factor by factor, then the (n_paths, K) default uniforms.  They are
+    read as F + 1 streams (the i-th is PCG64(seed) advanced i * n_paths draws), one
+    block of paths at a time through reused buffers, so memory is flat in n_paths.
+    A factor index is rng.choice's inverse-cdf draw, PDs are gathered from a table
+    of the joint grid cells, and counting paths per pattern of the loss table
+    keeps the enumeration's support.
     """
     grids = list(grids)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    rng = np.random.default_rng(seed)
-    cell = np.zeros(n_paths, dtype=np.intp)
-    for grid in grids:
-        idx = rng.choice(grid.size, size=n_paths, p=grid.probs / grid.probs.sum())
-        cell = cell * grid.size + idx
-    pd = _grid_pds(portfolio, _joint_grid(portfolio, grids)[0])[cell]
-    defaults = rng.random((n_paths, portfolio.k)) < pd
-    # Product-order pattern codes; a float dot is exact here and beats an int one.
-    codes = defaults @ 2.0 ** np.arange(portfolio.k - 1, -1, -1)
-    counts = np.bincount(codes.astype(np.intp), minlength=2 ** portfolio.k)
+    k = portfolio.k
+    pd = _joint_grid(portfolio, grids)[0]
+    cdfs = [c / c[-1] for c in (np.cumsum(g.probs / g.probs.sum()) for g in grids)]
+    streams = [np.random.Generator(np.random.PCG64(seed).advance(i * n_paths))
+               for i in range(len(grids) + 1)]
+    # A block's buffers hold about _BLOCK_ELEMENTS floats, as an enumeration block does.
+    # Never fewer rows than the count array, which each block's bincount fills.
+    rows = min(n_paths, max(_BLOCK_ELEMENTS // (2 * k + 3), 2 ** k))
+    cell, codes = np.empty(rows, dtype=np.intp), np.empty(rows)
+    draws, pds, powers = np.empty((rows, k)), np.empty((rows, k)), 2.0 ** np.arange(k - 1, -1, -1)
+    counts = np.zeros(2 ** k, dtype=np.intp)
+    for start in range(0, n_paths, rows):
+        n = min(rows, n_paths - start)
+        c = cell[:n]
+        c.fill(0)
+        for cdf, stream in zip(cdfs, streams):
+            draw = stream.random(out=codes[:n])
+            c *= cdf.size
+            c += cdf.searchsorted(draw, "right")    # rng.choice's own inverse-cdf draw
+        np.take(pd, c, axis=0, out=pds[:n], mode="clip")
+        defaults = np.less(streams[-1].random(out=draws[:n]), pds[:n], out=draws[:n])
+        # Product-order pattern codes; a float dot is exact here and beats an int one.
+        c[:] = np.matmul(defaults, powers, out=codes[:n])
+        counts += np.bincount(c, minlength=2 ** k)
     dist = LossDistribution.from_pairs(portfolio.pattern_losses(), counts / n_paths)
     seen = dist.probs > 0
     return LossDistribution(dist.losses[seen], dist.probs[seen])

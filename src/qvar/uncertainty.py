@@ -34,7 +34,7 @@ import numpy as np
 
 from . import arith
 from .circuit import Circuit, Gate
-from .gaussian import FactorGrid, conditional_pd, std_normal_pdf
+from .gaussian import FactorGrid, conditional_pd, conditional_pd_curve, std_normal_pdf
 
 VARIANTS = ("multi_rotation", "single_rotation", "single_factor")
 ENCODINGS = ("exact", "linear")
@@ -221,14 +221,15 @@ def build_multi_rotation(portfolio: Portfolio, grids, encoding: str = "exact") -
         circ.extend(loader_gates(grid.probs, reg))
 
     if encoding == "exact":
+        cells = [([g.values[i] for g, i in zip(grids, combo)],
+                  [(q, (i >> j) & 1) for i, reg in zip(combo, factor_ranges)
+                   for j, q in enumerate(reg)])
+                 for combo in itertools.product(*(range(g.size) for g in grids))]
         for k_idx, asset in enumerate(portfolio.assets):
-            for combo in itertools.product(*(range(g.size) for g in grids)):
-                z = [g.values[i] for g, i in zip(grids, combo)]
-                theta = default_angle(conditional_pd(asset.p0, asset.rho, asset.alphas, z))
-                controls = []
-                for idx, reg in zip(combo, factor_ranges):
-                    controls.extend((q, (idx >> j) & 1) for j, q in enumerate(reg))
-                circ.ry(theta, asset_qubits[k_idx], controls)
+            pd_at = conditional_pd_curve(asset.p0, asset.rho, asset.alphas)
+            # One 1-D z @ alphas per cell: a stacked matrix product rounds otherwise.
+            for z, controls in cells:
+                circ.ry(default_angle(pd_at(z)), asset_qubits[k_idx], controls)
     else:
         mid = [g.mid_value for g in grids]
         for k_idx, asset in enumerate(portfolio.assets):

@@ -765,3 +765,32 @@ def test_scipy_is_loaded_only_by_iqae(tmp_path, argv, loaded):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.split() == ["0", str(loaded)]
+
+
+class TestParser:
+    def test_main_builds_one_parser(self, tmp_path):
+        qvar.cli.build_parser.cache_clear()
+        config = write_config(tmp_path, TWO_ASSET)
+        for _ in range(2):
+            assert main(["resources", "--config", config, "--output", str(tmp_path / "o")]) == 0
+        assert qvar.cli.build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["compare", "--help"], 0), ([], 2), (["bogus"], 2),
+        (["analyze", "--config", "c.json", "--estimator", "nope"], 2)])
+    @pytest.mark.parametrize("columns", ["40", "120"])
+    def test_help_and_errors_unchanged(self, capsys, monkeypatch, argv, code, columns):
+        # The cached parser, after serving a run, prints what a fresh one prints: help is
+        # wrapped to the terminal's width when it is printed, not when the parser is built.
+        monkeypatch.setenv("COLUMNS", columns)
+        main(["resources", "--config", str(CONFIGS / "two_asset.json"), "--output", os.devnull])
+        capsys.readouterr()
+        printed = []
+        for parser in (qvar.cli.build_parser(), qvar.cli.build_parser.__wrapped__()):
+            with pytest.raises(SystemExit) as exit_:
+                parser.parse_args(argv)
+            printed.append((exit_.value.code, capsys.readouterr()))
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert (exit_.value.code, capsys.readouterr()) == printed[0] == printed[1]
+        assert exit_.value.code == code

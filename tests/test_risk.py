@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qvar.risk as risk
 from qvar.estimation import IqaeConfig, exact_amplitude, iqae
 from qvar.gaussian import conditional_pd, discretize_normal
 from qvar.objective import build_a_circuit, objective_qubit
@@ -207,6 +208,35 @@ class TestGridMonteCarlo:
         rng = np.random.default_rng(n_paths)
         grids = [discretize_normal(3), discretize_normal(2), discretize_normal(4)]
         self.assert_same_draws(edge_portfolio(rng, 5, 3), grids, n_paths, seed=n_paths)
+
+    @pytest.mark.parametrize("k", [4, 14])
+    def test_block_seams(self, k):
+        # At 14 assets the 2**14-entry count array, not the buffer budget, sets the block.
+        rng = np.random.default_rng(71)
+        grids = [discretize_normal(2), discretize_normal(3)]
+        pf = edge_portfolio(rng, k, 2)
+        block = max(risk._BLOCK_ELEMENTS // (2 * k + 3), 2 ** k)    # paths per block
+        for n_paths in (1, block - 1, block, block + 1, 3 * block + 7):
+            self.assert_same_draws(pf, grids, n_paths, seed=n_paths)
+
+    @pytest.mark.parametrize("qubits", [[1, 3], [2, 1, 2], [5], [6, 1]])
+    def test_unequal_factor_grids(self, qubits):
+        rng = np.random.default_rng(sum(qubits))
+        grids = [discretize_normal(q) for q in qubits]
+        for k in (1, 3, 7):
+            self.assert_same_draws(edge_portfolio(rng, k, len(grids)), grids, 30_011, seed=k)
+
+    def test_memory_does_not_grow_with_paths(self):
+        rng = np.random.default_rng(8)
+        pf = random_portfolio(rng, 4, 2)
+        grids = [discretize_normal(2), discretize_normal(2)]
+        tracemalloc.start()
+        try:
+            monte_carlo_distribution(pf, grids, 10 ** 6, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     @pytest.mark.parametrize("options", [
         {"rho": 0.0},

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qvar.circuit import apply, marginal_probability, probabilities, zero_state
-from qvar.gaussian import discretize_normal
+import qvar.gaussian
+from qvar.circuit import Gate, apply, marginal_probability, probabilities, zero_state
+from qvar.gaussian import conditional_pd, discretize_normal
 from qvar.uncertainty import (Asset, Portfolio, build_multi_rotation,
                               build_single_factor, build_single_rotation,
-                              fit_linear_rotation, index_sum_plan,
-                              probability_loader)
+                              default_angle, fit_linear_rotation, index_sum_plan,
+                              loader_gates, probability_loader)
 
 # the running two-asset, two-factor example
 ASSETS = [
@@ -171,6 +172,40 @@ class TestMultiRotationExact:
                     conditional = joint[fbits | (1 << 4)] / p_joint
                     want = oracle_pd(asset, (grids[0].values[i1], grids[1].values[i2]))
                     assert abs(conditional - want) < 1e-9
+
+    @staticmethod
+    def reference_exact_gates(portfolio, grids):
+        """The exact encoding's gates as built with one conditional_pd call per cell."""
+        starts = [sum(g.n_z for g in grids[:r]) for r in range(len(grids) + 1)]
+        gates = [g for grid, s in zip(grids, starts)
+                 for g in loader_gates(grid.probs, range(s, s + grid.n_z))]
+        for k_idx, asset in enumerate(portfolio.assets):
+            for combo in itertools.product(*(range(g.size) for g in grids)):
+                z = [g.values[i] for g, i in zip(grids, combo)]
+                theta = default_angle(conditional_pd(asset.p0, asset.rho, asset.alphas, z))
+                controls = tuple((s + j, (idx >> j) & 1)
+                                 for idx, grid, s in zip(combo, grids, starts)
+                                 for j in range(grid.n_z))
+                gates.append(Gate("ry", starts[-1] + k_idx, theta, controls))
+        return gates
+
+    @pytest.mark.parametrize("qubits", [(4, 4), (1, 3), (2, 1, 2), (5,)])
+    def test_one_quantile_per_asset_and_the_per_cell_gates(self, monkeypatch, qubits):
+        rng = np.random.default_rng(sum(qubits))
+        pf = Portfolio([Asset(float(rng.uniform(500, 3000)), float(rng.uniform(0.02, 0.3)),
+                              float(rng.uniform(0.05, 0.3)),
+                              tuple(float(a) for a in rng.uniform(-0.5, 0.5, len(qubits))))
+                        for _ in range(4)])
+        grids = [discretize_normal(q) for q in qubits]
+        want = self.reference_exact_gates(pf, grids)
+        ppf = qvar.gaussian.std_normal_ppf
+        calls = []
+        monkeypatch.setattr(qvar.gaussian, "std_normal_ppf",
+                            lambda p: calls.append(p) or ppf(p))
+        got = build_multi_rotation(pf, grids, "exact").circuit.gates
+        assert calls == [a.p0 for a in pf.assets]
+        assert [(g.kind, g.target, g.theta, g.controls) for g in got] == [
+            (g.kind, g.target, g.theta, g.controls) for g in want]
 
 
 class TestLinearEncoding:
