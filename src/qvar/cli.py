@@ -9,10 +9,11 @@ Subcommands:
 analyze takes VaR, cdf, expected loss and economic capital from one loss
 distribution (see ESTIMATORS): the enumeration for "classical", else the
 model_distribution of one model_state, read exactly or through IQAE.  compare
-simulates its model once, at the A circuit's width: comparator gates on a copy
-per threshold give the exact column, model_distribution the IQAE column, the
-enumeration the rest.  Both refuse an over-budget model before building, and
-every command refuses an over-budget factor grid before discretizing it.
+simulates its model once, at the A circuit's width: each threshold's comparator
+gates (s_free's built once per run) on a copy give the exact column,
+model_distribution the IQAE column, the enumeration the rest.  Both refuse an
+over-budget model before building, and every command refuses an over-budget
+factor grid before discretizing it.
 
 Configs are JSON documents; every run echoes the fully resolved config so
 reports are self-describing, and all output is deterministic for a given
@@ -32,7 +33,7 @@ import numpy as np
 from .circuit import apply, marginal_probability
 from .estimation import IqaeConfig
 from .gaussian import discretize_normal
-from .objective import MODES, build_comparator
+from .objective import MODES, comparators
 from .resources import estimate_resources, model_gates, model_width
 from .risk import (EstimationFailure, cdf_estimator, check_state_budget,
                    exact_loss_distribution, expected_loss, model_distribution, model_state,
@@ -305,6 +306,7 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     state = model_state(model, width)
     mc = monte_carlo_distribution(portfolio, grids, analysis["mc_paths"], analysis["seed"])
     sampled = cdf_estimator(model_distribution(portfolio, model, state).cdf, iqae_config(analysis))
+    comparator_at = comparators(portfolio, model, mode)
     header = (f"{'threshold':>12}  {'classical':>12}  {'exact':>12}  {'|e-c|':>9}  "
               f"{'iqae':>12}  {'|q-e|':>9}  {'<=eps':>5}  {'mc':>12}  {'|m-e|':>9}  {'<=3sd':>5}")
     lines = [header, "-" * len(header)]
@@ -312,7 +314,7 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     for x in dist.losses:
         x = float(x)
         classical = dist.cdf(x)
-        comparator = build_comparator(portfolio, model, x, mode)
+        comparator = comparator_at(x)
         exact = marginal_probability(apply(comparator.circuit, state),
                                      comparator.objective_qubit, 1)
         q = sampled(x)

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import arith
 from .circuit import Circuit
@@ -155,6 +158,32 @@ def build_comparator(portfolio: Portfolio, model: ModelCircuit, threshold: float
             sum_qubits=list(range(model.circuit.n_qubits, objective)),
             n_qubits=objective + 1)
     return ObjectiveCircuit(comparator, objective, mode, threshold)
+
+
+def comparators(portfolio: Portfolio, model: ModelCircuit,
+                mode: str) -> Callable[[float], ObjectiveCircuit]:
+    """build_comparator for the thresholds of one run, threshold -> ObjectiveCircuit.
+
+    s_free builds its 2**K pattern-controlled X gates once, in product order; each
+    threshold's circuit holds those whose pattern loses at most the threshold,
+    which is the gate list build_comparator builds.  weighted_sum builds each
+    threshold's comparator.
+    """
+    objective = objective_qubit(portfolio, model, mode)   # refuses a bad mode or LGD now
+    if mode == "weighted_sum":
+        return lambda threshold: build_comparator(portfolio, model, threshold, mode)
+    losses = portfolio.pattern_losses()
+    # Every pattern loses at most the largest loss, so this holds all 2**K gates.
+    gates = build_s_free_comparator(portfolio, float(losses.max()), objective,
+                                    asset_qubits=model.asset_qubits,
+                                    n_qubits=objective + 1).gates
+
+    def comparator(threshold: float) -> ObjectiveCircuit:
+        if not math.isfinite(threshold):
+            raise ValueError("threshold must be finite")
+        within = [gates[i] for i in np.flatnonzero(losses <= threshold)]
+        return ObjectiveCircuit(Circuit(objective + 1, within), objective, mode, threshold)
+    return comparator
 
 
 def build_a_circuit(portfolio: Portfolio, grids, threshold: float, *,

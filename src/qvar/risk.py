@@ -21,6 +21,7 @@ from .gaussian import conditional_pd_table
 from .uncertainty import ModelCircuit, Portfolio
 
 _BLOCK_ELEMENTS = 1 << 17    # floats in one enumeration block's weights
+_GUIDE_BUCKETS = 1 << 12     # a power of two, so u * _GUIDE_BUCKETS is exact
 _MERGE_RTOL = 1e-12          # losses this close, relative to the largest, are one point
 MAX_STATE_BYTES = 1 << 30    # one simulation with its working copy and readout arrays
 _BYTES_PER_AMPLITUDE = 64    # traced peak per amplitude is about 57: the state, apply's copy
@@ -147,6 +148,27 @@ def exact_loss_distribution(portfolio: Portfolio, grids,
     return LossDistribution.from_pairs(portfolio.pattern_losses(), probs.ravel())
 
 
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Chen and Asau's guide table of a cdf ending at 1: entry j is
+    cdf.searchsorted(u, "right"), the same for every u in [j, j + 1) / _GUIDE_BUCKETS
+    that no cdf point splits, and -1 in a bucket that one does."""
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    lo, hi = cdf.searchsorted(edges[:-1], "right"), cdf.searchsorted(edges[1:], "left")
+    return np.where(lo == hi, lo, -1)
+
+
+def _guide_draw(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray,
+                bucket: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """cdf.searchsorted(u, "right") for uniforms u in [0, 1), into the integer array
+    out: looked up in cdf's guide table, searched only where a cdf point splits the
+    bucket.  bucket is an integer array of u's size, overwritten."""
+    np.multiply(u, _GUIDE_BUCKETS, out=bucket, casting="unsafe")   # exact, then floored
+    np.take(guide, bucket, out=out, mode="clip")                  # "raise" would buffer
+    split = np.flatnonzero(out < 0)
+    out[split] = cdf.searchsorted(u[split], "right")
+    return out
+
+
 def monte_carlo_distribution(portfolio: Portfolio, grids, n_paths: int,
                              seed: int) -> LossDistribution:
     """Empirical loss distribution from seeded simulation of the same model.
@@ -155,9 +177,11 @@ def monte_carlo_distribution(portfolio: Portfolio, grids, n_paths: int,
     uniforms, factor by factor, then the (n_paths, K) default uniforms.  They are
     read as F + 1 streams (the i-th is PCG64(seed) advanced i * n_paths draws), one
     block of paths at a time through reused buffers, so memory is flat in n_paths.
-    A factor index is rng.choice's inverse-cdf draw, PDs are gathered from a table
-    of the joint grid cells, and counting paths per pattern of the loss table
-    keeps the enumeration's support.
+    A factor index is rng.choice's inverse-cdf draw, cdf.searchsorted(u, "right"),
+    taken from a guide table of _GUIDE_BUCKETS buckets per factor cdf: only draws
+    in a bucket that a cdf point splits are searched.  PDs are gathered from a
+    table of the joint grid cells, and counting paths per pattern of the loss
+    table keeps the enumeration's support.
     """
     grids = list(grids)
     if n_paths < 1:
@@ -165,6 +189,7 @@ def monte_carlo_distribution(portfolio: Portfolio, grids, n_paths: int,
     k = portfolio.k
     pd = _joint_grid(portfolio, grids)[0]
     cdfs = [c / c[-1] for c in (np.cumsum(g.probs / g.probs.sum()) for g in grids)]
+    guides = [_guide_table(cdf) for cdf in cdfs]
     streams = [np.random.Generator(np.random.PCG64(seed).advance(i * n_paths))
                for i in range(len(grids) + 1)]
     # A block's buffers hold about _BLOCK_ELEMENTS floats, as an enumeration block does.
@@ -172,15 +197,18 @@ def monte_carlo_distribution(portfolio: Portfolio, grids, n_paths: int,
     rows = min(n_paths, max(_BLOCK_ELEMENTS // (2 * k + 3), 2 ** k))
     cell, codes = np.empty(rows, dtype=np.intp), np.empty(rows)
     draws, pds, powers = np.empty((rows, k)), np.empty((rows, k)), 2.0 ** np.arange(k - 1, -1, -1)
+    # The factor draws come before the defaults: their guide buckets and grid
+    # indices borrow the default and PD buffers, read as integers.
+    bucket, point = (b.reshape(-1).view(np.intp)[:rows] for b in (draws, pds))
     counts = np.zeros(2 ** k, dtype=np.intp)
     for start in range(0, n_paths, rows):
         n = min(rows, n_paths - start)
         c = cell[:n]
         c.fill(0)
-        for cdf, stream in zip(cdfs, streams):
+        for cdf, guide, stream in zip(cdfs, guides, streams):
             draw = stream.random(out=codes[:n])
             c *= cdf.size
-            c += cdf.searchsorted(draw, "right")    # rng.choice's own inverse-cdf draw
+            c += _guide_draw(cdf, guide, draw, bucket[:n], point[:n])
         np.take(pd, c, axis=0, out=pds[:n], mode="clip")
         defaults = np.less(streams[-1].random(out=draws[:n]), pds[:n], out=draws[:n])
         # Product-order pattern codes; a float dot is exact here and beats an int one.

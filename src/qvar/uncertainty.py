@@ -34,7 +34,7 @@ import numpy as np
 
 from . import arith
 from .circuit import Circuit, Gate
-from .gaussian import FactorGrid, conditional_pd, conditional_pd_curve, std_normal_pdf
+from .gaussian import FactorGrid, conditional_pd_curve, std_normal_pdf
 
 VARIANTS = ("multi_rotation", "single_rotation", "single_factor")
 ENCODINGS = ("exact", "linear")
@@ -160,17 +160,24 @@ def fit_linear_rotation(asset: Asset, factor_index: int, grids) -> tuple[float, 
     Returns (slope, offset) in radians per index step such that
     slope * i + offset reproduces the true angle exactly at i = 0 and
     i = 2**n_z - 1, with every other factor held at its mid-grid value.
+    The linear builder fits every factor of an asset, and takes its mid-grid
+    angle, on one conditional_pd_curve, so F^-1(p0) is evaluated once per asset.
     """
     grids = list(grids)
     if not 0 <= factor_index < len(grids):
         raise ValueError(f"factor index {factor_index} out of range")
+    return _secant(conditional_pd_curve(asset.p0, asset.rho, asset.alphas), factor_index, grids)
+
+
+def _secant(pd_at, factor_index: int, grids: list) -> tuple[float, float]:
+    """fit_linear_rotation of the asset whose conditional PD is pd_at."""
     z_ref = [g.mid_value for g in grids]
     grid = grids[factor_index]
 
     def angle_at(z_i):
         z = list(z_ref)
         z[factor_index] = z_i
-        return default_angle(conditional_pd(asset.p0, asset.rho, asset.alphas, z))
+        return default_angle(pd_at(z))
 
     theta_lo = angle_at(grid.values[0])
     theta_hi = angle_at(grid.values[-1])
@@ -233,8 +240,9 @@ def build_multi_rotation(portfolio: Portfolio, grids, encoding: str = "exact") -
     else:
         mid = [g.mid_value for g in grids]
         for k_idx, asset in enumerate(portfolio.assets):
-            fits = [fit_linear_rotation(asset, r, grids) for r in range(len(grids))]
-            theta_mid = default_angle(conditional_pd(asset.p0, asset.rho, asset.alphas, mid))
+            pd_at = conditional_pd_curve(asset.p0, asset.rho, asset.alphas)
+            fits = [_secant(pd_at, r, grids) for r in range(len(grids))]
+            theta_mid = default_angle(pd_at(mid))
             # Per-factor secants each carry their own intercept; anchoring the
             # combined offset at the mid-grid angle keeps the sum exact for a
             # truly affine angle function and reduces to the single secant at R=1.
@@ -353,8 +361,8 @@ def build_single_rotation(portfolio: Portfolio, grids, shared_alphas) -> ModelCi
     y_lo = float(plan.y_of_sum(0))
     y_hi = float(plan.y_of_sum(plan.s_max))
     for k_idx, asset in enumerate(portfolio.assets):
-        theta_lo = default_angle(conditional_pd(asset.p0, asset.rho, (1.0,), (y_lo,)))
-        theta_hi = default_angle(conditional_pd(asset.p0, asset.rho, (1.0,), (y_hi,)))
+        pd_at = conditional_pd_curve(asset.p0, asset.rho, (1.0,))
+        theta_lo, theta_hi = default_angle(pd_at((y_lo,))), default_angle(pd_at((y_hi,)))
         slope = (theta_hi - theta_lo) / plan.s_max if plan.s_max else 0.0
         circ.extend(_linear_rotation_gates(theta_lo, [(slope, sum_qubits)],
                                            asset_qubits[k_idx]))

@@ -14,9 +14,10 @@ from scipy import stats
 from qvar.circuit import Circuit, apply, marginal_probability, zero_state
 from qvar.estimation import exact_amplitude
 from qvar.gaussian import discretize_normal
-from qvar.objective import (assemble_a, build_a_circuit, build_s_free_comparator,
-                            build_weighted_sum, n_sum_qubits)
-from qvar.uncertainty import Asset, Portfolio, build_multi_rotation
+from qvar.objective import (MODES, assemble_a, build_a_circuit, build_comparator,
+                            build_s_free_comparator, build_weighted_sum, comparators,
+                            n_sum_qubits)
+from qvar.uncertainty import Asset, Portfolio, build_model, build_multi_rotation
 
 ASSETS = [
     Asset(1000.5, 0.15, 0.10, (0.35, 0.20)),
@@ -119,6 +120,50 @@ class TestWeightedSum:
                 a_free = exact_amplitude(build_a_circuit(pf, grids, float(x), mode="s_free"))
                 a_sum = exact_amplitude(build_a_circuit(pf, grids, float(x), mode="weighted_sum"))
                 assert abs(a_free - a_sum) < 1e-10
+
+
+class TestComparators:
+    """The once-per-run comparators are build_comparator's, threshold by threshold."""
+
+    @staticmethod
+    def portfolio(rng, k, mode):
+        return Portfolio([
+            Asset(float(rng.integers(0, 7)) if mode == "weighted_sum"
+                  else round(float(rng.uniform(0, 3000)), 1),
+                  float(rng.uniform(0.02, 0.3)), float(rng.uniform(0.05, 0.3)),
+                  tuple(float(a) for a in rng.uniform(0.1, 0.5, 2)))
+            for _ in range(k)])
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("variant, encoding", [("multi_rotation", "exact"),
+                                                   ("multi_rotation", "linear"),
+                                                   ("single_rotation", "linear")])
+    def test_gate_for_gate(self, mode, variant, encoding):
+        rng = np.random.default_rng(len(mode) + len(variant) + len(encoding))
+        for k in (1, 3, 6):
+            pf = self.portfolio(rng, k, mode)
+            if variant == "single_rotation":
+                pf = Portfolio([Asset(a.lgd, a.p0, a.rho, pf.assets[0].alphas)
+                                for a in pf.assets])
+            model = build_model(pf, [discretize_normal(2), discretize_normal(1)],
+                                variant, encoding)
+            at = comparators(pf, model, mode)
+            support = np.unique(pf.pattern_losses())
+            # Below the support, on and between its points, and above it.
+            for x in [support[0] - 1.0, *support, *(support[:-1] + np.diff(support) / 2),
+                      support[-1] + 0.5, support[-1] + 1e6]:
+                got, want = at(float(x)), build_comparator(pf, model, float(x), mode)
+                assert got.circuit.gates == want.circuit.gates
+                assert (got.circuit.n_qubits, got.objective_qubit, got.mode, got.threshold) == (
+                    want.circuit.n_qubits, want.objective_qubit, want.mode, want.threshold)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_non_finite_threshold_rejected(self, mode):
+        pf = self.portfolio(np.random.default_rng(4), 3, mode)
+        at = comparators(pf, build_model(pf, [discretize_normal(1)] * 2), mode)
+        for x in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="threshold must be finite"):
+                at(x)
 
 
 class TestAssembleA:

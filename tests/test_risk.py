@@ -226,6 +226,35 @@ class TestGridMonteCarlo:
         for k in (1, 3, 7):
             self.assert_same_draws(edge_portfolio(rng, k, len(grids)), grids, 30_011, seed=k)
 
+    @pytest.mark.parametrize("qubits", [[8], [10], [12], [10, 2]])
+    def test_wide_factor_grids(self, qubits):
+        # Here a sizeable share of draws falls in guide buckets that a cdf point
+        # splits, and is searched.
+        rng = np.random.default_rng(400 + sum(qubits))
+        grids = [discretize_normal(q) for q in qubits]
+        for k in (1, 4):
+            self.assert_same_draws(edge_portfolio(rng, k, len(grids)), grids, 50_021, seed=k)
+
+    @pytest.mark.parametrize("n_z", range(1, 13))
+    def test_guide_table_is_searchsorted(self, n_z):
+        probs = discretize_normal(n_z).probs
+        cdf = np.cumsum(probs / probs.sum())
+        cdf /= cdf[-1]
+        guide = risk._guide_table(cdf)
+        assert guide.size == risk._GUIDE_BUCKETS
+        edges = np.arange(risk._GUIDE_BUCKETS + 1) / risk._GUIDE_BUCKETS
+        # Every cdf point and bucket edge, and their neighbours, within [0, 1).
+        points = np.concatenate([cdf, edges])
+        u = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = risk._guide_draw(cdf, guide, u, np.empty(u.size, np.intp),
+                               np.empty(u.size, np.intp))
+        assert got.tolist() == cdf.searchsorted(u, "right").tolist()
+        # Searched are exactly the buckets with a cdf point strictly inside.
+        scaled = cdf * risk._GUIDE_BUCKETS
+        split = np.unique(np.floor(scaled[scaled != np.floor(scaled)]).astype(int))
+        assert np.flatnonzero(guide < 0).tolist() == split.tolist()
+
     def test_memory_does_not_grow_with_paths(self):
         rng = np.random.default_rng(8)
         pf = random_portfolio(rng, 4, 2)

@@ -4,6 +4,7 @@ The oracles below use scipy.stats directly so they stay independent of the
 package's own normal kernels.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -14,7 +15,7 @@ from scipy import stats
 import qvar.gaussian
 from qvar.circuit import Gate, apply, marginal_probability, probabilities, zero_state
 from qvar.gaussian import conditional_pd, discretize_normal
-from qvar.uncertainty import (Asset, Portfolio, build_multi_rotation,
+from qvar.uncertainty import (Asset, Portfolio, build_model, build_multi_rotation,
                               build_single_factor, build_single_rotation,
                               default_angle, fit_linear_rotation, index_sum_plan,
                               loader_gates, probability_loader)
@@ -206,6 +207,45 @@ class TestMultiRotationExact:
         assert calls == [a.p0 for a in pf.assets]
         assert [(g.kind, g.target, g.theta, g.controls) for g in got] == [
             (g.kind, g.target, g.theta, g.controls) for g in want]
+
+
+class TestOneQuantilePerAsset:
+    """The linear and single-rotation builders evaluate F^-1(p0) once per asset, as
+    the exact encoding does (TestMultiRotationExact), and emit the gates they did
+    with one conditional_pd call per angle."""
+
+    # SHA-256 of each model's gates, every angle in hex, as built with one
+    # conditional_pd call per angle.
+    CASES = [
+        ("multi_rotation", "linear", (2, 3),
+         "65298c13f61363df828361b2fb405f35d95864e10df55b65cd139d6dc6054116"),
+        ("multi_rotation", "linear", (5,),
+         "c09869a569435558c19a4cd82230e2a95faf40cf3c8148f7e366e353b998263d"),
+        ("single_factor", "linear", (3,),
+         "bf20d8673ded5dd60da30e0468775b38be71e7e968e268a3337c107e2867bd85"),
+        ("single_rotation", "linear", (2, 3),
+         "c48607220c06941d213e66aa5a78e607985a10bce2645617731e942098d2d6c5"),
+        ("single_rotation", "linear", (4, 1, 2),
+         "6f38bef99368e47a8eb71ca30e01189ad2410b5d5d83ae91258538170eddc52d"),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_quantile_calls_and_gates(self, monkeypatch, case):
+        variant, encoding, qubits, digest = self.CASES[case]
+        rng = np.random.default_rng(41 + case)
+        shared = tuple(float(a) for a in rng.uniform(-0.5, 0.5, len(qubits)))
+        pf = Portfolio([Asset(float(rng.uniform(500, 3000)), float(rng.uniform(0.02, 0.3)),
+                              float(rng.uniform(0.05, 0.3)), shared) for _ in range(5)])
+        grids = [discretize_normal(q) for q in qubits]
+        ppf = qvar.gaussian.std_normal_ppf
+        calls = []
+        monkeypatch.setattr(qvar.gaussian, "std_normal_ppf",
+                            lambda p: calls.append(p) or ppf(p))
+        gates = build_model(pf, grids, variant, encoding).circuit.gates
+        assert calls == [a.p0 for a in pf.assets]
+        text = "\n".join(f"{g.kind} {g.target} {g.theta.hex() if g.theta is not None else None} "
+                         f"{g.controls}" for g in gates)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestLinearEncoding:
