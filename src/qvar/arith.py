@@ -57,16 +57,3 @@ def weighted_sum_gates(inputs, weights, sum_register) -> list[Gate]:
             gates.extend(add_constant_gates(sum_register, int(weight), controls=((qubit, 1),)))
     return gates
 
-
-def register_sum_gates(registers, max_values, sum_register) -> list[Gate]:
-    """Accumulate the binary values of several registers into a sum register.
-
-    `max_values[r]` is the largest index register r can hold with nonzero
-    amplitude; higher bits of that register are skipped.
-    """
-    gates = []
-    for reg, max_value in zip(registers, max_values):
-        for j, qubit in enumerate(reg):
-            if (1 << j) <= max_value:
-                gates.extend(add_constant_gates(sum_register, 1 << j, controls=((qubit, 1),)))
-    return gates

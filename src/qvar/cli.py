@@ -12,8 +12,8 @@ model_distribution of one model_state, read exactly or through IQAE.  compare
 simulates its model once, at the A circuit's width: each threshold's comparator
 gates (s_free's built once per run) on a copy give the exact column,
 model_distribution the IQAE column, the enumeration the rest.  Both refuse an
-over-budget model before building, and every command refuses an over-budget
-factor grid before discretizing it.
+over-budget model, compare with its comparator's gates, before building, and
+every command refuses an over-budget factor grid before discretizing it.
 
 Configs are JSON documents; every run echoes the fully resolved config so
 reports are self-describing, and all output is deterministic for a given
@@ -34,7 +34,7 @@ from .circuit import apply, marginal_probability
 from .estimation import IqaeConfig
 from .gaussian import discretize_normal
 from .objective import MODES, comparators
-from .resources import estimate_resources, model_gates, model_width
+from .resources import comparator_gates, estimate_resources, model_gates, model_width
 from .risk import (EstimationFailure, cdf_estimator, check_state_budget,
                    exact_loss_distribution, expected_loss, model_distribution, model_state,
                    monte_carlo_distribution, var_bisection)
@@ -298,7 +298,9 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     epsilon = analysis["epsilon"]
     variant, mode, encoding = analysis["variant"], analysis["mode"], analysis["encoding"]
     width = estimate_resources(portfolio, grids, variant, mode).width_built   # the A circuit's
-    check_state_budget(width, "A circuit", model_gates(portfolio, grids, variant, encoding))
+    gates = tuple(m + c for m, c in zip(model_gates(portfolio, grids, variant, encoding),
+                                        comparator_gates(portfolio, mode)))
+    check_state_budget(width, "A circuit", gates)
     dist = exact_loss_distribution(portfolio, grids)
     model = build_model(portfolio, grids, variant, encoding)
     # Model gates then comparator gates on one array, as exact_amplitude of the

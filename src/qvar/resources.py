@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .objective import MODES, weighted_sum_register
-from .uncertainty import VARIANTS, Portfolio, check_shared_alphas, index_sum_plan
+from .uncertainty import (VARIANTS, Portfolio, check_shared_alphas, check_single_factor,
+                          index_sum_plan)
 
 
 @dataclass
@@ -28,9 +29,11 @@ class ResourceReport:
 
 def model_width(portfolio: Portfolio, grids: list, variant: str) -> int:
     """build_model's width, unbuilt: factor registers, single_rotation's index sum
-    (weights checked first) and the assets."""
+    and the assets.  The variant's factor or weight rule is checked first."""
     width = sum(g.n_z for g in grids) + portfolio.k
-    if variant == "single_rotation":
+    if variant == "single_factor":
+        check_single_factor(portfolio)
+    elif variant == "single_rotation":
         check_shared_alphas(portfolio, portfolio.assets[0].alphas)
         width += index_sum_plan(grids, portfolio.assets[0].alphas).n_sum
     return width
@@ -62,6 +65,19 @@ def model_gates(portfolio: Portfolio, grids: list, variant: str,
     return gates, controls
 
 
+def comparator_gates(portfolio: Portfolio, mode: str) -> tuple[int, int]:
+    """The comparator's (gates, control entries) at its largest threshold, unbuilt:
+    s_free's 2**K pattern-controlled X gates with K controls each; weighted_sum's at
+    most 2**n_s flips with n_s controls each, between its adder and un-adder."""
+    k = portfolio.k
+    if mode == "s_free":
+        return 2 ** k, k * 2 ** k
+    lgds, n_s = weighted_sum_register(portfolio)
+    # Bit j of an LGD increments the register's top n_s - j qubits under one control.
+    incs = [n_s - j for lgd in lgds for j in range(n_s) if lgd >> j & 1]
+    return 2 ** n_s + 2 * sum(incs), n_s * 2 ** n_s + sum(m * (m + 1) for m in incs)
+
+
 def estimate_resources(portfolio: Portfolio, grids, variant: str = "multi_rotation",
                        mode: str = "s_free") -> ResourceReport:
     """Qubit/gate accounting for one pipeline configuration.
@@ -82,9 +98,8 @@ def estimate_resources(portfolio: Portfolio, grids, variant: str = "multi_rotati
         raise ValueError(f"expected {portfolio.r} grids, got {len(grids)}")
     k = portfolio.k
 
-    variant = "multi_rotation" if variant == "single_factor" else variant
-
     base = model_width(portfolio, grids, variant)
+    variant = "multi_rotation" if variant == "single_factor" else variant
     sum_width = (base - sum(g.n_z for g in grids) - k) or None   # single_rotation's index sum
     rotation_count = k if variant == "single_rotation" else k * portfolio.r
 

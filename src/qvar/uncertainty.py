@@ -1,17 +1,17 @@
 """Builders for the uncertainty-loading operator.
 
-Three constructions are provided:
+Two constructions are provided:
 
-* build_single_factor: one latent factor, the classic layout.
 * build_multi_rotation: one register per factor; every factor register
-  controls one rotation block per asset.
+  controls one rotation block per asset.  The single_factor variant is its
+  one-factor case (check_single_factor).
 * build_single_rotation: factor marginals scaled by their weights, an index
   adder into a sum register, and a single rotation block per asset driven by
   the sum.  Requires all assets to share one weight vector.
 
 build_model dispatches on the variant names in VARIANTS.
 
-Two encodings exist for the first two builders.  The "exact" encoding spends
+Two encodings exist for the multi-rotation builder.  The "exact" encoding spends
 one pattern-controlled rotation per joint grid point per asset, which is
 exponential in the total factor width; it exists as a desk-scale oracle.  The
 "linear" encoding approximates the rotation angle by an affine function of
@@ -20,8 +20,8 @@ the grid indices (endpoint secant per factor) and is the scalable form.
 Register layout (little-endian throughout):
   multi-rotation:  [factor 0][factor 1]...[assets]
   single-rotation: [factor 0]...[sum register][assets]
-Asset qubits always sit at the top so that a comparator appended later can
-find them immediately below its objective qubit.
+Asset qubits always sit at the top of the model, where objective.comparators
+finds them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import arith
 from .circuit import Circuit, Gate
-from .gaussian import FactorGrid, conditional_pd_curve, std_normal_pdf
+from .gaussian import conditional_pd_curve, std_normal_pdf
 
 VARIANTS = ("multi_rotation", "single_rotation", "single_factor")
 ENCODINGS = ("exact", "linear")
@@ -253,13 +253,6 @@ def build_multi_rotation(portfolio: Portfolio, grids, encoding: str = "exact") -
     return ModelCircuit(circ, factor_ranges, asset_qubits)
 
 
-def build_single_factor(portfolio: Portfolio, grid: FactorGrid, encoding: str = "exact") -> ModelCircuit:
-    """Single-factor model; requires every asset to carry exactly one weight."""
-    if portfolio.r != 1:
-        raise ValueError("build_single_factor requires a single-factor portfolio")
-    return build_multi_rotation(portfolio, [grid], encoding)
-
-
 @dataclass
 class IndexSumPlan:
     """Common-step discretization used by the single-rotation builder.
@@ -311,6 +304,13 @@ def index_sum_plan(grids, shared_alphas) -> IndexSumPlan:
     return IndexSumPlan(delta, n_points, bases, n_sum)
 
 
+def check_single_factor(portfolio: Portfolio) -> None:
+    """Reject a portfolio of more than one factor for the single_factor variant."""
+    if portfolio.r != 1:
+        raise ValueError(f"the single_factor variant requires a single-factor portfolio, "
+                         f"got {portfolio.r} factors")
+
+
 def check_shared_alphas(portfolio: Portfolio, shared: tuple[float, ...]) -> None:
     """Reject any asset whose weights differ from the single-rotation vector."""
     for k_idx, asset in enumerate(portfolio.assets):
@@ -354,8 +354,10 @@ def build_single_rotation(portfolio: Portfolio, grids, shared_alphas) -> ModelCi
             probs[:n_r] = density / density.sum()
         circ.extend(loader_gates(probs, reg))
 
-    adder = arith.register_sum_gates([list(r) for r in factor_ranges],
-                                     [n - 1 for n in plan.n_points], sum_qubits)
+    # Bit j of a factor register adds 2**j to the sum, for the bits its n_points admit.
+    bits = [(q, 1 << j) for reg, n_r in zip(factor_ranges, plan.n_points)
+            for j, q in enumerate(reg) if 1 << j <= n_r - 1]
+    adder = arith.weighted_sum_gates([q for q, _ in bits], [w for _, w in bits], sum_qubits)
     circ.extend(adder)
 
     y_lo = float(plan.y_of_sum(0))
@@ -376,16 +378,16 @@ def build_model(portfolio: Portfolio, grids, variant: str = "multi_rotation",
                 encoding: str = "exact") -> ModelCircuit:
     """Build the uncertainty model of one variant (see VARIANTS).
 
-    The single-rotation variant has no encoding choice; it takes its shared
-    weight vector from the first asset and rejects any asset that differs.
+    single_factor is multi_rotation on a portfolio of one factor.  The
+    single-rotation variant has no encoding choice; it takes its shared weight
+    vector from the first asset and rejects any asset that differs.
     """
     grids = list(grids)
     if variant == "multi_rotation":
         return build_multi_rotation(portfolio, grids, encoding)
     if variant == "single_factor":
-        if len(grids) != 1:
-            raise ValueError("single_factor variant takes exactly one grid")
-        return build_single_factor(portfolio, grids[0], encoding)
+        check_single_factor(portfolio)
+        return build_multi_rotation(portfolio, grids, encoding)
     if variant == "single_rotation":
         return build_single_rotation(portfolio, grids, portfolio.assets[0].alphas)
     raise ValueError(f"unknown variant {variant!r}")

@@ -673,6 +673,29 @@ class TestCompare:
         assert "31-qubit A circuit" in err and "risk_factors.qubits_per_factor" in err
         assert peak < 100 * 2 ** 20
 
+    @pytest.mark.parametrize("mode, lgds, width", [
+        ("s_free", [100] * 12, 14),            # 2**12 pattern gates with 12 controls each
+        ("weighted_sum", [2 ** 12 - 1], 15),   # 2**12 register values with 12 controls each
+    ])
+    def test_comparator_gates_refused_before_building(self, tmp_path, capsys, monkeypatch,
+                                                      mode, lgds, width):
+        # Against a 4 MiB budget the A circuit's state (1-2 MiB) and model gates fit,
+        # but its comparator, about 4 MiB of gates, does not: compare stops first.
+        monkeypatch.setattr(qvar.risk, "MAX_STATE_BYTES", 1 << 22)
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(qvar.cli, "build_model", unbuilt)
+        payload = {
+            "risk_factors": {"count": 1, "qubits_per_factor": 1},
+            "assets": [{"lgd": lgd, "p0": 0.1, "rho": 0.2, "alphas": [0.4]} for lgd in lgds],
+            "analysis": {"alpha": 0.95, "epsilon": 0.01, "confidence": 0.99, "mode": mode},
+        }
+        config = write_config(tmp_path, payload)
+        assert main(["compare", "--config", config]) == 1
+        assert f"{width}-qubit A circuit" in capsys.readouterr().err
+
     def test_one_model_build_and_one_simulation_per_threshold(self, tmp_path, monkeypatch):
         builds, applies = [], []
 

@@ -4,6 +4,7 @@ Frozen expected amplitudes come from the independent mpmath enumeration of
 the two-asset example run before the build.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -14,9 +15,8 @@ from scipy import stats
 from qvar.circuit import Circuit, apply, marginal_probability, zero_state
 from qvar.estimation import exact_amplitude
 from qvar.gaussian import discretize_normal
-from qvar.objective import (MODES, assemble_a, build_a_circuit, build_comparator,
-                            build_s_free_comparator, build_weighted_sum, comparators,
-                            n_sum_qubits)
+from qvar.objective import (MODES, ObjectiveCircuit, build_a_circuit, build_s_free_comparator,
+                            build_weighted_sum, comparators, n_sum_qubits, weighted_sum_register)
 from qvar.uncertainty import Asset, Portfolio, build_model, build_multi_rotation
 
 ASSETS = [
@@ -54,14 +54,14 @@ class TestSFreeComparator:
     def test_pattern_counts(self):
         pf, _ = table_inputs()
         # 1000.5 <= 1500 < 2000.5: only {} and {asset 0} qualify
-        comp = build_s_free_comparator(pf, 1500.0, objective=6, n_qubits=7)
+        comp = build_s_free_comparator(pf, 1500.0, 6, [4, 5], 7)
         assert comp.n_gates == 2
         # everything qualifies at the total loss
-        assert build_s_free_comparator(pf, 3001.0, objective=6, n_qubits=7).n_gates == 4
+        assert build_s_free_comparator(pf, 3001.0, 6, [4, 5], 7).n_gates == 4
         # only the empty pattern at zero
-        assert build_s_free_comparator(pf, 0.0, objective=6, n_qubits=7).n_gates == 1
+        assert build_s_free_comparator(pf, 0.0, 6, [4, 5], 7).n_gates == 1
         # nothing below zero
-        assert build_s_free_comparator(pf, -1.0, objective=6, n_qubits=7).n_gates == 0
+        assert build_s_free_comparator(pf, -1.0, 6, [4, 5], 7).n_gates == 0
 
     def test_gate_count_equals_qualifying_patterns(self):
         rng = np.random.default_rng(9)
@@ -71,7 +71,7 @@ class TestSFreeComparator:
             assets = [Asset(float(l), 0.2, 0.1, (1.0,)) for l in lgds]
             pf = Portfolio(assets)
             x = float(rng.uniform(-1, lgds.sum() + 1))
-            comp = build_s_free_comparator(pf, x, objective=k, n_qubits=k + 1)
+            comp = build_s_free_comparator(pf, x, k, range(k), k + 1)
             qualifying = sum(
                 1 for pattern in itertools.product((0, 1), repeat=k)
                 if np.dot(lgds, pattern) <= x)
@@ -80,7 +80,7 @@ class TestSFreeComparator:
     def test_non_finite_threshold_rejected(self):
         pf, _ = table_inputs()
         with pytest.raises(ValueError):
-            build_s_free_comparator(pf, float("nan"), objective=6)
+            build_s_free_comparator(pf, float("nan"), 6, [4, 5], 7)
 
 
 class TestWeightedSum:
@@ -123,7 +123,7 @@ class TestWeightedSum:
 
 
 class TestComparators:
-    """The once-per-run comparators are build_comparator's, threshold by threshold."""
+    """The once-per-run comparators are the per-threshold builders', laid out by hand."""
 
     @staticmethod
     def portfolio(rng, k, mode):
@@ -148,14 +148,23 @@ class TestComparators:
             model = build_model(pf, [discretize_normal(2), discretize_normal(1)],
                                 variant, encoding)
             at = comparators(pf, model, mode)
+            # [model][loss register, weighted_sum only][objective]
+            width = model.circuit.n_qubits
+            objective = width + (weighted_sum_register(pf)[1] if mode == "weighted_sum" else 0)
             support = np.unique(pf.pattern_losses())
             # Below the support, on and between its points, and above it.
             for x in [support[0] - 1.0, *support, *(support[:-1] + np.diff(support) / 2),
                       support[-1] + 0.5, support[-1] + 1e6]:
-                got, want = at(float(x)), build_comparator(pf, model, float(x), mode)
-                assert got.circuit.gates == want.circuit.gates
+                if mode == "s_free":
+                    want = build_s_free_comparator(pf, float(x), objective, model.asset_qubits,
+                                                   objective + 1)
+                else:
+                    want = build_weighted_sum(pf, float(x), objective, model.asset_qubits,
+                                              list(range(width, objective)), objective + 1)
+                got = at(float(x))
+                assert got.circuit.gates == want.gates
                 assert (got.circuit.n_qubits, got.objective_qubit, got.mode, got.threshold) == (
-                    want.circuit.n_qubits, want.objective_qubit, want.mode, want.threshold)
+                    want.n_qubits, objective, mode, float(x))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_non_finite_threshold_rejected(self, mode):
@@ -170,8 +179,8 @@ class TestAssembleA:
     def test_table_amplitude_at_1500(self):
         pf, grids = table_inputs()
         model = build_multi_rotation(pf, grids, "exact")
-        comp = build_s_free_comparator(pf, 1500.0, objective=6, n_qubits=7)
-        a_circ = assemble_a(model, comp, objective=6, threshold=1500.0)
+        comp = build_s_free_comparator(pf, 1500.0, 6, model.asset_qubits, 7)
+        a_circ = ObjectiveCircuit(Circuit(7, model.circuit.gates + comp.gates), 6, "s_free", 1500.0)
         assert abs(exact_amplitude(a_circ) - ORACLE_CDF[1000.5]) < 1e-9
 
     def test_amplitudes_on_support_match_oracle(self):
@@ -196,16 +205,47 @@ class TestAssembleA:
                 for x in (-1.0, 0.0, 500.0, 1000.5, 2000.5, 3001.0, 5000.0)]
         assert all(a <= b + 1e-15 for a, b in zip(amps, amps[1:]))
 
-    def test_width_mismatch_rejected(self):
-        pf, grids = table_inputs()
-        model = build_multi_rotation(pf, grids, "exact")
-        small = Circuit(3)
-        with pytest.raises(ValueError):
-            assemble_a(model, small, objective=2)
-
     def test_unknown_variant_and_mode(self):
         pf, grids = table_inputs()
         with pytest.raises(ValueError):
             build_a_circuit(pf, grids, 0.0, variant="nope")
         with pytest.raises(ValueError):
             build_a_circuit(pf, grids, 0.0, mode="nope")
+
+
+class TestACircuitPin:
+    """build_a_circuit's gates, objective qubit and width, pinned bit for bit over seeded
+    portfolios x variants x encodings x thresholds below, on, between and above the support."""
+
+    DIGESTS = {
+        "s_free": "3e16aa8b5a91cd3ac30c725f209ce96a5ba867cf70117ec52b418412f66a52dc",
+        "weighted_sum": "70d37bb7d80be12c5f24cdad8373b6286001477f570bb3b4bb83388a19f54f6d",
+    }
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_digest(self, mode):
+        digest = hashlib.sha256()
+        for seed, variant, encoding in itertools.product(
+                range(12), ("multi_rotation", "single_rotation", "single_factor"),
+                ("exact", "linear")):
+            rng = np.random.default_rng(seed)
+            r = 1 if variant == "single_factor" else 1 + seed % 2
+            shared = tuple(float(a) for a in rng.uniform(0.1, 0.5, r))
+            pf = Portfolio([Asset(int(rng.integers(0, 9)) if mode == "weighted_sum"
+                                  else round(float(rng.uniform(0, 3000)), 1),
+                                  float(rng.uniform(0.02, 0.3)), float(rng.uniform(0.05, 0.3)),
+                                  shared if variant == "single_rotation"
+                                  else tuple(float(a) for a in rng.uniform(0.1, 0.5, r)))
+                            for _ in range(1 + seed % 4)])
+            grids = [discretize_normal(int(n)) for n in rng.integers(1, 3, r)]
+            support = np.unique(pf.pattern_losses())
+            for x in [support[0] - 1.0, *support, *(support[:-1] + np.diff(support) / 2),
+                      support[-1] + 1e6]:
+                a = build_a_circuit(pf, grids, float(x), variant=variant, encoding=encoding,
+                                    mode=mode)
+                digest.update(f"{a.circuit.n_qubits} {a.objective_qubit} {a.mode} "
+                              f"{a.threshold!r}\n{a.circuit.dump()}\n".encode())
+                # dump prints 16 digits; the hex angles pin every bit.
+                digest.update(" ".join(g.theta.hex() for g in a.circuit.gates
+                                       if g.kind == "ry").encode())
+        assert digest.hexdigest() == self.DIGESTS[mode]

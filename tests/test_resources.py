@@ -5,8 +5,8 @@ import pytest
 
 from qvar.estimation import exact_amplitude
 from qvar.gaussian import discretize_normal
-from qvar.objective import build_a_circuit
-from qvar.resources import estimate_resources, model_gates
+from qvar.objective import MODES, build_a_circuit, comparators
+from qvar.resources import comparator_gates, estimate_resources, model_gates
 from qvar.uncertainty import Asset, Portfolio, build_model, build_multi_rotation
 
 
@@ -133,6 +133,24 @@ class TestGateAccounting:
                 assert counted[0] >= built[0] and counted[1] >= built[1]
             else:
                 assert counted == built
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_comparator_gates_bound_the_built_comparator(self, mode):
+        # Equal once the threshold passes every pattern and register value; an
+        # upper bound at the largest loss, where weighted_sum flips sum(LGD) + 1 values.
+        rng = np.random.default_rng(len(mode))
+        for _ in range(6):
+            pf = Portfolio([Asset(int(rng.integers(0, 40)), 0.1, 0.1, (0.3,))
+                            for _ in range(int(rng.integers(1, 6)))])
+            at = comparators(pf, build_model(pf, grids(1, 1)), mode)
+            counted = comparator_gates(pf, mode)
+            for x in (float(pf.pattern_losses().max()), 2.0 ** 20):
+                gates = at(x).circuit.gates
+                built = (len(gates), sum(len(gate.controls) for gate in gates))
+                if x == 2.0 ** 20:
+                    assert counted == built
+                else:
+                    assert counted[0] >= built[0] and counted[1] >= built[1]
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

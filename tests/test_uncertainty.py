@@ -15,9 +15,9 @@ from scipy import stats
 import qvar.gaussian
 from qvar.circuit import Gate, apply, marginal_probability, probabilities, zero_state
 from qvar.gaussian import conditional_pd, discretize_normal
+from qvar.resources import estimate_resources
 from qvar.uncertainty import (Asset, Portfolio, build_model, build_multi_rotation,
-                              build_single_factor, build_single_rotation,
-                              default_angle, fit_linear_rotation, index_sum_plan,
+                              build_single_rotation, default_angle, fit_linear_rotation, index_sum_plan,
                               loader_gates, probability_loader)
 
 # the running two-asset, two-factor example
@@ -105,7 +105,7 @@ class TestMultiRotationExact:
     def test_zero_rho_single_asset(self):
         pf = Portfolio([Asset(10.0, 0.3, 0.0, (1.0,))])
         for encoding in ("exact", "linear"):
-            model = build_single_factor(pf, discretize_normal(2), encoding)
+            model = build_model(pf, [discretize_normal(2)], "single_factor", encoding)
             state = apply(model.circuit, zero_state(model.circuit.n_qubits))
             assert marginal_probability(state, model.asset_qubits[0], 1) == pytest.approx(0.3, abs=1e-12)
 
@@ -113,12 +113,16 @@ class TestMultiRotationExact:
         # first example asset as a single-factor problem with unit weight
         pf = Portfolio([Asset(1000.5, 0.15, 0.10, (1.0,))])
         grid = discretize_normal(2)
-        model = build_single_factor(pf, grid, "exact")
+        model = build_model(pf, [grid], "single_factor", "exact")
         assert np.abs(model_joint(model) - oracle_joint(pf, [grid])).max() < 1e-9
 
     def test_single_factor_requires_one_factor(self):
-        with pytest.raises(ValueError):
-            build_single_factor(Portfolio(ASSETS), discretize_normal(2))
+        # One rule for the builder and the resource count, with grids to match.
+        grids = [discretize_normal(2), discretize_normal(2)]
+        with pytest.raises(ValueError, match="single_factor variant requires"):
+            build_model(Portfolio(ASSETS), grids, "single_factor")
+        with pytest.raises(ValueError, match="single_factor variant requires"):
+            estimate_resources(Portfolio(ASSETS), grids, "single_factor")
 
     def test_all_zero_weights_marginal(self):
         shared = (0.0, 0.0)
@@ -296,7 +300,7 @@ class TestLinearEncoding:
         # R=1 with alpha=1: the general combination and the classic form agree
         pf = Portfolio([Asset(3.0, 0.2, 0.15, (1.0,))])
         grid = discretize_normal(2)
-        a = model_joint(build_single_factor(pf, grid, "exact"))
+        a = model_joint(build_model(pf, [grid], "single_factor", "exact"))
         b = model_joint(build_multi_rotation(pf, [grid], "exact"))
         assert np.abs(a - b).max() < 1e-12
 
@@ -364,7 +368,7 @@ class TestSingleRotation:
         pf = Portfolio([Asset(7.0, 0.2, 0.1, (1.0,)), Asset(3.0, 0.3, 0.2, (1.0,))])
         grid = discretize_normal(2)
         single = build_single_rotation(pf, [grid], (1.0,))
-        linear = build_single_factor(pf, grid, "linear")
+        linear = build_model(pf, [grid], "single_factor", "linear")
         s_state = apply(single.circuit, zero_state(single.circuit.n_qubits))
         l_state = apply(linear.circuit, zero_state(linear.circuit.n_qubits))
         s_joint = probabilities(s_state, list(single.factor_qubits[0]) + single.asset_qubits)
