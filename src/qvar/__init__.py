@@ -16,12 +16,11 @@ from .objective import (ObjectiveCircuit, build_a_circuit, build_s_free_comparat
                         build_weighted_sum, comparators, n_sum_qubits, weighted_sum_register)
 from .resources import ResourceReport, estimate_resources
 from .risk import (BisectionProbe, EstimationFailure, LossDistribution,
-                   VarResult, cdf_estimator, economic_capital,
-                   exact_loss_distribution, expected_loss, model_distribution,
-                   model_state, monte_carlo_distribution, total_variation_distance,
-                   var_bisection)
-from .uncertainty import (Asset, ModelCircuit, Portfolio, build_model, build_multi_rotation,
-                          build_single_rotation, fit_linear_rotation, probability_loader)
+                   VarResult, cdf_estimator, economic_capital, exact_loss_distribution,
+                   expected_loss, model_distribution, monte_carlo_distribution,
+                   total_variation_distance, var_bisection)
+from .uncertainty import (Asset, ModelCircuit, Portfolio, build_model, fit_linear_rotation,
+                          model_table, probability_loader)
 
 __version__ = "0.1.0"
 
@@ -30,13 +29,13 @@ __all__ = [
     "Gate", "IqaeConfig",
     "IqaeResult", "LossDistribution", "ModelCircuit", "ObjectiveCircuit",
     "Portfolio", "ResourceReport", "Statevector", "VarResult", "apply",
-    "build_a_circuit", "build_model", "build_multi_rotation", "build_s_free_comparator",
-    "build_single_rotation", "build_weighted_sum", "cdf_estimator", "clopper_pearson",
+    "build_a_circuit", "build_model", "build_s_free_comparator",
+    "build_weighted_sum", "cdf_estimator", "clopper_pearson",
     "comparators", "conditional_pd",
     "discretize_normal", "economic_capital", "estimate_resources",
     "exact_amplitude", "exact_loss_distribution", "expected_loss",
     "fit_linear_rotation", "grover_operator", "inverse", "iqae",
-    "marginal_probability", "model_distribution", "model_state", "monte_carlo_distribution",
+    "marginal_probability", "model_distribution", "model_table", "monte_carlo_distribution",
     "n_sum_qubits", "probabilities", "probability_loader", "std_normal_cdf",
     "std_normal_pdf", "std_normal_ppf", "total_variation_distance",
     "var_bisection", "weighted_sum_register", "zero_state",

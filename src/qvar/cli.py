@@ -8,12 +8,12 @@ Subcommands:
 
 analyze takes VaR, cdf, expected loss and economic capital from one loss
 distribution (see ESTIMATORS): the enumeration for "classical", else the
-model_distribution of one model_state, read exactly or through IQAE.  compare
-simulates its model once, at the A circuit's width: each threshold's comparator
-gates (s_free's built once per run) on a copy give the exact column,
-model_distribution the IQAE column, the enumeration the rest.  Both refuse an
-over-budget model, compare with its comparator's gates, before building, and
-every command refuses an over-budget factor grid before discretizing it.
+model_distribution of the model's angle table, with no gate or statevector,
+read exactly or through IQAE.  compare simulates its model once, at the A
+circuit's width: each threshold's comparator gates (s_free's built once per
+run) on a copy give the readout, its exact column, that IQAE samples; the
+enumeration gives the rest.  Each refuses an over-budget model before building
+it, and every command refuses an over-budget factor grid before discretizing it.
 
 Configs are JSON documents; every run echoes the fully resolved config so
 reports are self-describing, and all output is deterministic for a given
@@ -30,13 +30,13 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .circuit import apply, marginal_probability
+from .circuit import Circuit, apply, marginal_probability, zero_state
 from .estimation import IqaeConfig
 from .gaussian import discretize_normal
 from .objective import MODES, comparators
-from .resources import comparator_gates, estimate_resources, model_gates, model_width
+from .resources import comparator_gates, estimate_resources, model_gates
 from .risk import (EstimationFailure, cdf_estimator, check_state_budget,
-                   exact_loss_distribution, expected_loss, model_distribution, model_state,
+                   exact_loss_distribution, expected_loss, model_distribution,
                    monte_carlo_distribution, var_bisection)
 from .uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio, build_model
 
@@ -226,13 +226,8 @@ def cmd_analyze(cfg: dict, output: str | None) -> int:
     variant, kind, encoding = analysis["variant"], analysis["estimator"], analysis["encoding"]
     # Checks the variant and mode constraints before anything is enumerated or built.
     resources = asdict(estimate_resources(portfolio, grids, variant, analysis["mode"]))
-    if kind == "classical":
-        dist = exact_loss_distribution(portfolio, grids)
-    else:
-        check_state_budget(model_width(portfolio, grids, variant), "model",
-                           model_gates(portfolio, grids, variant, encoding))
-        model = build_model(portfolio, grids, variant, encoding)
-        dist = model_distribution(portfolio, model, model_state(model, model.circuit.n_qubits))
+    dist = (exact_loss_distribution(portfolio, grids) if kind == "classical"
+            else model_distribution(portfolio, grids, variant, encoding))
     estimator = cdf_estimator(dist.cdf, iqae_config(analysis) if kind == "iqae" else None)
     try:
         result = var_bisection(dist, analysis["alpha"], estimator)
@@ -300,14 +295,16 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     width = estimate_resources(portfolio, grids, variant, mode).width_built   # the A circuit's
     gates = tuple(m + c for m, c in zip(model_gates(portfolio, grids, variant, encoding),
                                         comparator_gates(portfolio, mode)))
-    check_state_budget(width, "A circuit", gates)
+    # s_free's comparators keep a loss, an index and a gate reference per pattern.
+    check_state_budget(width, "A circuit", gates, 3 * 2 ** portfolio.k if mode == "s_free" else 0)
     dist = exact_loss_distribution(portfolio, grids)
     model = build_model(portfolio, grids, variant, encoding)
     # Model gates then comparator gates on one array, as exact_amplitude of the
     # threshold's A circuit runs them, so the readout is that oracle bit for bit.
-    state = model_state(model, width)
+    state = apply(Circuit(width).extend(model.circuit.gates), zero_state(width))
     mc = monte_carlo_distribution(portfolio, grids, analysis["mc_paths"], analysis["seed"])
-    sampled = cdf_estimator(model_distribution(portfolio, model, state).cdf, iqae_config(analysis))
+    readout = {}        # each threshold's A-circuit readout, handed on to IQAE to sample
+    sampled = cdf_estimator(readout.pop, iqae_config(analysis))
     comparator_at = comparators(portfolio, model, mode)
     header = (f"{'threshold':>12}  {'classical':>12}  {'exact':>12}  {'|e-c|':>9}  "
               f"{'iqae':>12}  {'|q-e|':>9}  {'<=eps':>5}  {'mc':>12}  {'|m-e|':>9}  {'<=3sd':>5}")
@@ -317,8 +314,8 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
         x = float(x)
         classical = dist.cdf(x)
         comparator = comparator_at(x)
-        exact = marginal_probability(apply(comparator.circuit, state),
-                                     comparator.objective_qubit, 1)
+        exact = readout[x] = marginal_probability(apply(comparator.circuit, state),
+                                                  comparator.objective_qubit, 1)
         q = sampled(x)
         mc_val = mc.cdf(x)
         p = min(max(exact, 0.0), 1.0)        # a readout of 1 can round past it

@@ -74,10 +74,11 @@ def build_s_free_comparator(portfolio: Portfolio, threshold: float, objective: i
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
     circ = Circuit(n_qubits)
+    pairs = [((q, 0), (q, 1)) for q in asset_qubits]    # one of each, shared by every gate
     for pattern, loss in zip(itertools.product((0, 1), repeat=portfolio.k),
                              portfolio.pattern_losses()):
         if loss <= threshold:
-            circ.x(objective, controls=tuple(zip(asset_qubits, pattern)))
+            circ.x(objective, controls=tuple(pair[bit] for pair, bit in zip(pairs, pattern)))
     return circ
 
 

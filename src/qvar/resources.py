@@ -27,18 +27,6 @@ class ResourceReport:
     sum_register_width: int | None = None
 
 
-def model_width(portfolio: Portfolio, grids: list, variant: str) -> int:
-    """build_model's width, unbuilt: factor registers, single_rotation's index sum
-    and the assets.  The variant's factor or weight rule is checked first."""
-    width = sum(g.n_z for g in grids) + portfolio.k
-    if variant == "single_factor":
-        check_single_factor(portfolio)
-    elif variant == "single_rotation":
-        check_shared_alphas(portfolio, portfolio.assets[0].alphas)
-        width += index_sum_plan(grids, portfolio.assets[0].alphas).n_sum
-    return width
-
-
 def model_gates(portfolio: Portfolio, grids: list, variant: str,
                 encoding: str) -> tuple[int, int]:
     """build_model's (gates, control entries), unbuilt: upper bounds, as builders skip
@@ -98,9 +86,16 @@ def estimate_resources(portfolio: Portfolio, grids, variant: str = "multi_rotati
         raise ValueError(f"expected {portfolio.r} grids, got {len(grids)}")
     k = portfolio.k
 
-    base = model_width(portfolio, grids, variant)
+    # build_model's width, unbuilt: the factor registers, single_rotation's index sum
+    # and the assets, once the variant's factor or weight rule holds.
+    sum_width = None
+    if variant == "single_factor":
+        check_single_factor(portfolio)
+    elif variant == "single_rotation":
+        check_shared_alphas(portfolio, portfolio.assets[0].alphas)
+        sum_width = index_sum_plan(grids, portfolio.assets[0].alphas).n_sum
+    base = sum(g.n_z for g in grids) + k + (sum_width or 0)
     variant = "multi_rotation" if variant == "single_factor" else variant
-    sum_width = (base - sum(g.n_z for g in grids) - k) or None   # single_rotation's index sum
     rotation_count = k if variant == "single_rotation" else k * portfolio.r
 
     if mode == "s_free":

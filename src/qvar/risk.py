@@ -1,10 +1,10 @@
 """Risk measures: loss distributions, VaR bisection and classical oracles.
 
 Every distribution here takes its losses from the portfolio's one loss table
-and its support from LossDistribution.from_pairs: the model's own, read off
-one simulation of the uncertainty model, and two classical references, an
-exact enumeration of the discretized model and a seeded Monte Carlo
-simulation.  VaR is a discrete bisection over a distribution's support.
+and its support from LossDistribution.from_pairs: the model's own, the blocked
+enumeration of its model_table with no statevector, and two classical
+references, the same enumeration of the discretized model and a seeded Monte
+Carlo simulation.  VaR is a discrete bisection over a distribution's support.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuit import Circuit, Statevector, apply, zero_state
 from .estimation import IqaeConfig, iqae
 from .gaussian import conditional_pd_table
-from .uncertainty import ModelCircuit, Portfolio
+from .uncertainty import Portfolio, model_table
 
 _BLOCK_ELEMENTS = 1 << 17    # floats in one enumeration block's weights
 _GUIDE_BUCKETS = 1 << 12     # a power of two, so u * _GUIDE_BUCKETS is exact
 _MERGE_RTOL = 1e-12          # losses this close, relative to the largest, are one point
+_MAX_ENUMERATION = 10_000_000  # (joint cell, default pattern) states one enumeration visits
 MAX_STATE_BYTES = 1 << 30    # one simulation with its working copy and readout arrays
 _BYTES_PER_AMPLITUDE = 64    # traced peak per amplitude is about 57: the state, apply's copy
                              # and its temporaries
@@ -114,24 +114,21 @@ def _joint_grid(portfolio: Portfolio, grids: list) -> tuple[np.ndarray, np.ndarr
     return conditional_pd_table([(a.p0, a.rho, a.alphas) for a in portfolio.assets], z_joint), pz
 
 
-def exact_loss_distribution(portfolio: Portfolio, grids,
-                            max_enumeration: int = 10_000_000) -> LossDistribution:
-    """Exact loss distribution of the discretized model by blocked enumeration.
-
+def _enumeration(portfolio: Portfolio, grids, max_enumeration: int, table) -> LossDistribution:
+    """Loss distribution of a mixture over the joint grid cells, by blocked
+    enumeration: table(portfolio, grids) gives the cells' default probabilities
+    (M, K) and probabilities (M,), and is not made past max_enumeration states.
     Default patterns run in the loss table's order, in blocks of about
     _BLOCK_ELEMENTS floats.  A pattern's weight multiplies its conditional
-    (non)default probabilities left to right, and its factor-grid mixture is
-    one dot product, so the result equals the pattern-by-pattern loop bit for
-    bit.  This is the exact encoding's oracle.
-    """
+    (non)default probabilities left to right, and its mixture is one dot
+    product, so the result equals the pattern-by-pattern loop bit for bit."""
     grids = list(grids)
     k = portfolio.k
     m = int(np.prod([g.size for g in grids]))
     if m * 2 ** k > max_enumeration:
-        raise ValueError(
-            f"enumeration would visit {m * 2 ** k} states, over the budget of {max_enumeration}")
-
-    pd, pz = _joint_grid(portfolio, grids)
+        raise ValueError(f"enumeration would visit {m * 2 ** k} states, over the budget of "
+                         f"{max_enumeration}; reduce risk_factors.qubits_per_factor or assets")
+    pd, pz = table(portfolio, grids)
     q = np.stack([1.0 - pd, pd])                   # q[bit, z, asset]
     tail = min(k, max(0, (_BLOCK_ELEMENTS // m).bit_length() - 1))
     # Reused by every block: fresh arrays per step page-fault once freed to the OS.
@@ -146,6 +143,24 @@ def exact_loss_distribution(portfolio: Portfolio, grids,
         # One 1-D dot per row, as `pz @ weight`; gemv rounds otherwise.
         np.matmul(weight[:, None, :], pz[:, None], out=probs[start:start + 2 ** tail])
     return LossDistribution.from_pairs(portfolio.pattern_losses(), probs.ravel())
+
+
+def exact_loss_distribution(portfolio: Portfolio, grids,
+                            max_enumeration: int = _MAX_ENUMERATION) -> LossDistribution:
+    """Exact loss distribution of the discretized model by blocked enumeration of
+    the joint grid's true conditional PDs.  This is the exact encoding's oracle."""
+    return _enumeration(portfolio, grids, max_enumeration, _joint_grid)
+
+
+def model_distribution(portfolio: Portfolio, grids, variant: str = "multi_rotation",
+                       encoding: str = "exact") -> LossDistribution:
+    """The model's own loss distribution, with no statevector: the enumeration of its
+    model_table, asset k defaulting on cell c with pd = sin^2(angles[c, k] / 2).  Its
+    cdf is the A circuit's s_free readout at every threshold, to rounding."""
+    def table(portfolio, grids):
+        pz, angles = model_table(portfolio, grids, variant, encoding)
+        return np.sin(0.5 * angles) ** 2, pz
+    return _enumeration(portfolio, grids, _MAX_ENUMERATION, table)
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
@@ -239,34 +254,17 @@ def total_variation_distance(a: LossDistribution, b: LossDistribution) -> float:
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
-def check_state_budget(n_qubits: int, what: str, gates: tuple[int, int] = (0, 0)) -> None:
+def check_state_budget(n_qubits: int, what: str, gates=(0, 0), tables: int = 0) -> None:
     """Refuse an n_qubits-wide simulation of `what` whose state, plus a gate list of
-    `gates` = (gates, control entries) yet to be built, would pass MAX_STATE_BYTES."""
+    `gates` = (gates, control entries) yet to be built and `tables` entries of 8-byte
+    arrays and lists kept beside them, would pass MAX_STATE_BYTES."""
     need = (_BYTES_PER_AMPLITUDE * 2 ** n_qubits + _BYTES_PER_GATE * gates[0]
-            + _BYTES_PER_CONTROL * gates[1])
+            + _BYTES_PER_CONTROL * gates[1] + 8 * tables)
     if need > MAX_STATE_BYTES:
         listed = f" and {gates[0]} gates" if gates[0] else ""
         raise ValueError(
             f"the {n_qubits}-qubit {what} would need about {need} bytes of state{listed}, over "
             f"the budget of {MAX_STATE_BYTES}; reduce risk_factors.qubits_per_factor or assets")
-
-
-def model_state(model: ModelCircuit, n_qubits: int) -> Statevector:
-    """The model's gates run on |0> of n_qubits (>= the model's width; the first
-    2**width amplitudes are the model's), refused before allocation past the budget."""
-    check_state_budget(n_qubits, "model" if n_qubits == model.circuit.n_qubits else "A circuit")
-    return apply(Circuit(n_qubits).extend(model.circuit.gates), zero_state(n_qubits))
-
-
-def model_distribution(portfolio: Portfolio, model: ModelCircuit,
-                       state: Statevector) -> LossDistribution:
-    """The model's own loss distribution, off a model_state: each pattern of its top
-    K (asset) qubits sums |amplitude|^2; its cdf is every threshold's s_free readout."""
-    n, k = model.circuit.n_qubits, portfolio.k
-    probs = np.abs(state.amplitudes[:2 ** n]) ** 2
-    # Axis i of the reshape is asset K-1-i; reversing the K axes gives product order.
-    per_pattern = probs.reshape((2,) * k + (-1,)).sum(axis=-1).transpose().ravel()
-    return LossDistribution.from_pairs(portfolio.pattern_losses(), per_pattern)
 
 
 def cdf_estimator(cdf: Callable[[float], float],

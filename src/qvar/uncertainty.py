@@ -1,17 +1,20 @@
-"""Builders for the uncertainty-loading operator.
+"""Uncertainty-loading models: their numbers, their gates and their mixture.
 
 Two constructions are provided:
 
-* build_multi_rotation: one register per factor; every factor register
-  controls one rotation block per asset.  The single_factor variant is its
-  one-factor case (check_single_factor).
-* build_single_rotation: factor marginals scaled by their weights, an index
-  adder into a sum register, and a single rotation block per asset driven by
-  the sum.  Requires all assets to share one weight vector.
+* multi_rotation: one register per factor; every factor register controls one
+  rotation block per asset.  The single_factor variant is its one-factor case
+  (check_single_factor).
+* single_rotation: factor marginals scaled by their weights, an index adder
+  into a sum register, and a single rotation block per asset driven by the
+  sum.  Requires all assets to share one weight vector.
 
-build_model dispatches on the variant names in VARIANTS.
+Each has one private function computing its numbers once: the factor loaders'
+probabilities, single_rotation's index-sum plan and each asset's rotation.
+build_model emits the gates from them (see VARIANTS), and model_table the
+classical mixture: RYs on an asset qubit add up to one angle per joint cell.
 
-Two encodings exist for the multi-rotation builder.  The "exact" encoding spends
+Two encodings exist for the multi-rotation model.  The "exact" encoding spends
 one pattern-controlled rotation per joint grid point per asset, which is
 exponential in the total factor width; it exists as a desk-scale oracle.  The
 "linear" encoding approximates the rotation angle by an affine function of
@@ -160,7 +163,7 @@ def fit_linear_rotation(asset: Asset, factor_index: int, grids) -> tuple[float, 
     Returns (slope, offset) in radians per index step such that
     slope * i + offset reproduces the true angle exactly at i = 0 and
     i = 2**n_z - 1, with every other factor held at its mid-grid value.
-    The linear builder fits every factor of an asset, and takes its mid-grid
+    The linear encoding fits every factor of an asset, and takes its mid-grid
     angle, on one conditional_pd_curve, so F^-1(p0) is evaluated once per asset.
     """
     grids = list(grids)
@@ -196,66 +199,35 @@ def _linear_rotation_gates(offset, slopes_and_registers, target) -> list[Gate]:
     return gates
 
 
-def _factor_layout(grids) -> tuple[list[range], int]:
-    ranges = []
-    offset = 0
-    for grid in grids:
-        ranges.append(range(offset, offset + grid.n_z))
-        offset += grid.n_z
-    return ranges, offset
-
-
-def build_multi_rotation(portfolio: Portfolio, grids, encoding: str = "exact") -> ModelCircuit:
-    """Multi-rotation uncertainty model: one register per factor.
-
-    Width is sum(n_z) + K with no ancillas.  In the exact encoding the joint
-    distribution over (factors, assets) reproduces the classical model to
-    float precision; in the linear encoding every asset receives one affine
-    rotation block per factor, with the slope carrying that factor's weight.
-    """
-    grids = list(grids)
-    if len(grids) != portfolio.r:
-        raise ValueError(
-            f"portfolio has {portfolio.r} factors but {len(grids)} grids were given")
+def _multi_rotation(portfolio: Portfolio, grids: list, encoding: str):
+    """multi_rotation's numbers: the grids' probabilities, no index-sum plan, and each
+    asset's angle on every joint cell ((M, K), product order) in the exact encoding,
+    or its offset and one slope per factor register in the linear one."""
     if encoding not in ENCODINGS:
         raise ValueError(f"unknown encoding {encoding!r}")
-    factor_ranges, n_factor = _factor_layout(grids)
-    k = portfolio.k
-    circ = Circuit(n_factor + k)
-    asset_qubits = [n_factor + i for i in range(k)]
-
-    for grid, reg in zip(grids, factor_ranges):
-        circ.extend(loader_gates(grid.probs, reg))
-
+    curves = [conditional_pd_curve(a.p0, a.rho, a.alphas) for a in portfolio.assets]
     if encoding == "exact":
-        cells = [([g.values[i] for g, i in zip(grids, combo)],
-                  [(q, (i >> j) & 1) for i, reg in zip(combo, factor_ranges)
-                   for j, q in enumerate(reg)])
-                 for combo in itertools.product(*(range(g.size) for g in grids))]
-        for k_idx, asset in enumerate(portfolio.assets):
-            pd_at = conditional_pd_curve(asset.p0, asset.rho, asset.alphas)
+        angles = np.empty((int(np.prod([g.size for g in grids])), portfolio.k))
+        for k_idx, pd_at in enumerate(curves):
             # One 1-D z @ alphas per cell: a stacked matrix product rounds otherwise.
-            for z, controls in cells:
-                circ.ry(default_angle(pd_at(z)), asset_qubits[k_idx], controls)
-    else:
-        mid = [g.mid_value for g in grids]
-        for k_idx, asset in enumerate(portfolio.assets):
-            pd_at = conditional_pd_curve(asset.p0, asset.rho, asset.alphas)
-            fits = [_secant(pd_at, r, grids) for r in range(len(grids))]
-            theta_mid = default_angle(pd_at(mid))
-            # Per-factor secants each carry their own intercept; anchoring the
-            # combined offset at the mid-grid angle keeps the sum exact for a
-            # truly affine angle function and reduces to the single secant at R=1.
-            offset = sum(off for _, off in fits) - (len(grids) - 1) * theta_mid
-            blocks = [(slope, list(reg)) for (slope, _), reg in zip(fits, factor_ranges)]
-            circ.extend(_linear_rotation_gates(offset, blocks, asset_qubits[k_idx]))
-
-    return ModelCircuit(circ, factor_ranges, asset_qubits)
+            for cell, z in enumerate(itertools.product(*(g.values for g in grids))):
+                angles[cell, k_idx] = default_angle(pd_at(z))
+        return [g.probs for g in grids], None, angles
+    mid = [g.mid_value for g in grids]
+    affine = []
+    for pd_at in curves:
+        fits = [_secant(pd_at, r, grids) for r in range(len(grids))]
+        # Per-factor secants each carry their own intercept; anchoring the
+        # combined offset at the mid-grid angle keeps the sum exact for a
+        # truly affine angle function and reduces to the single secant at R=1.
+        offset = sum(off for _, off in fits) - (len(grids) - 1) * default_angle(pd_at(mid))
+        affine.append((offset, [slope for slope, _ in fits]))
+    return [g.probs for g in grids], None, affine
 
 
 @dataclass
 class IndexSumPlan:
-    """Common-step discretization used by the single-rotation builder.
+    """Common-step discretization used by the single-rotation model.
 
     Every factor marginal alpha_r * Z_r is sampled with the same value step
     delta, so adding grid indices adds values: y(s) = delta * s + base.
@@ -320,74 +292,99 @@ def check_shared_alphas(portfolio: Portfolio, shared: tuple[float, ...]) -> None
                 f"variant requires the shared vector {shared}")
 
 
-def build_single_rotation(portfolio: Portfolio, grids, shared_alphas) -> ModelCircuit:
-    """Single-rotation uncertainty model.
-
-    Loads each scaled marginal alpha_r * Z_r (diagonal covariance), adds the
-    grid indices into a sum register, applies exactly one affine rotation
-    block per asset controlled on the sum, then uncomputes the adder so the
-    sum register returns to |0>.
-    """
-    grids = list(grids)
-    shared = tuple(float(a) for a in shared_alphas)
-    if len(shared) != len(grids):
-        raise ValueError("one shared weight per factor grid")
+def _single_rotation(portfolio: Portfolio, grids: list):
+    """single_rotation's numbers: each factor register's marginal alpha_r * Z_r
+    (diagonal covariance; a zero tail beyond its n_points), the index-sum plan, and
+    each asset's offset and slope over the sum register.  The shared weight vector
+    is the first asset's; any asset that differs is refused."""
+    shared = portfolio.assets[0].alphas
     check_shared_alphas(portfolio, shared)
-
     plan = index_sum_plan(grids, shared)
-    factor_ranges, n_factor = _factor_layout(grids)
-    n_sum = plan.n_sum
-    k = portfolio.k
-    sum_qubits = list(range(n_factor, n_factor + n_sum))
-    asset_qubits = [n_factor + n_sum + i for i in range(k)]
-    circ = Circuit(n_factor + n_sum + k)
-
-    # Scaled marginals on the factor registers (zero tail beyond n_points).
-    for grid, reg, alpha, n_r, base in zip(grids, factor_ranges, shared,
-                                           plan.n_points, plan.bases):
+    loads = []
+    for grid, alpha, n_r, base in zip(grids, shared, plan.n_points, plan.bases):
         probs = np.zeros(grid.size)
         if n_r == 1 or alpha == 0.0:
             probs[0] = 1.0
         else:
-            values = base + plan.delta * np.arange(n_r)
-            density = std_normal_pdf(values / abs(alpha))
+            density = std_normal_pdf((base + plan.delta * np.arange(n_r)) / abs(alpha))
             probs[:n_r] = density / density.sum()
-        circ.extend(loader_gates(probs, reg))
-
-    # Bit j of a factor register adds 2**j to the sum, for the bits its n_points admit.
-    bits = [(q, 1 << j) for reg, n_r in zip(factor_ranges, plan.n_points)
-            for j, q in enumerate(reg) if 1 << j <= n_r - 1]
-    adder = arith.weighted_sum_gates([q for q, _ in bits], [w for _, w in bits], sum_qubits)
-    circ.extend(adder)
-
-    y_lo = float(plan.y_of_sum(0))
-    y_hi = float(plan.y_of_sum(plan.s_max))
-    for k_idx, asset in enumerate(portfolio.assets):
+        loads.append(probs)
+    y_lo, y_hi = float(plan.y_of_sum(0)), float(plan.y_of_sum(plan.s_max))
+    affine = []
+    for asset in portfolio.assets:
         pd_at = conditional_pd_curve(asset.p0, asset.rho, (1.0,))
         theta_lo, theta_hi = default_angle(pd_at((y_lo,))), default_angle(pd_at((y_hi,)))
-        slope = (theta_hi - theta_lo) / plan.s_max if plan.s_max else 0.0
-        circ.extend(_linear_rotation_gates(theta_lo, [(slope, sum_qubits)],
-                                           asset_qubits[k_idx]))
+        affine.append((theta_lo, [(theta_hi - theta_lo) / plan.s_max if plan.s_max else 0.0]))
+    return loads, plan, affine
 
-    circ.extend(g.adjoint() for g in reversed(adder))
 
-    return ModelCircuit(circ, factor_ranges, asset_qubits, sum_qubits)
+def _numbers(portfolio: Portfolio, grids: list, variant: str, encoding: str):
+    """One variant's numbers (see VARIANTS): the factor registers' probability vectors,
+    the IndexSumPlan or None, and the (M, K) angles or each asset's (offset, slopes)."""
+    if variant == "single_factor":
+        check_single_factor(portfolio)
+    elif variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if len(grids) != portfolio.r:
+        raise ValueError(f"portfolio has {portfolio.r} factors but {len(grids)} grids were given")
+    if variant == "single_rotation":
+        return _single_rotation(portfolio, grids)
+    return _multi_rotation(portfolio, grids, encoding)
 
 
 def build_model(portfolio: Portfolio, grids, variant: str = "multi_rotation",
                 encoding: str = "exact") -> ModelCircuit:
-    """Build the uncertainty model of one variant (see VARIANTS).
+    """Build the uncertainty model of one variant (see VARIANTS) from its numbers: the
+    factor loaders, single_rotation's index adder into the sum register, each asset's
+    rotations, then the adder's inverse, so the sum register returns to |0>.
 
-    single_factor is multi_rotation on a portfolio of one factor.  The
-    single-rotation variant has no encoding choice; it takes its shared weight
-    vector from the first asset and rejects any asset that differs.
+    Width is sum(n_z) + K, plus single_rotation's sum register.  single_factor is
+    multi_rotation on a portfolio of one factor.  The single-rotation variant has no
+    encoding choice.
     """
     grids = list(grids)
-    if variant == "multi_rotation":
-        return build_multi_rotation(portfolio, grids, encoding)
-    if variant == "single_factor":
-        check_single_factor(portfolio)
-        return build_multi_rotation(portfolio, grids, encoding)
-    if variant == "single_rotation":
-        return build_single_rotation(portfolio, grids, portfolio.assets[0].alphas)
-    raise ValueError(f"unknown variant {variant!r}")
+    loads, plan, rotations = _numbers(portfolio, grids, variant, encoding)
+    starts = list(itertools.accumulate((g.n_z for g in grids), initial=0))
+    factor_ranges = [range(s, s + g.n_z) for s, g in zip(starts, grids)]
+    sum_qubits = list(range(starts[-1], starts[-1] + plan.n_sum)) if plan else []
+    asset_qubits = [starts[-1] + len(sum_qubits) + i for i in range(portfolio.k)]
+    circ = Circuit(asset_qubits[-1] + 1)
+    for probs, reg in zip(loads, factor_ranges):
+        circ.extend(loader_gates(probs, reg))
+    adder = []
+    if plan:
+        # Bit j of a factor register adds 2**j to the sum, for the bits its n_points admit.
+        bits = [(q, 1 << j) for reg, n_r in zip(factor_ranges, plan.n_points)
+                for j, q in enumerate(reg) if 1 << j <= n_r - 1]
+        adder = arith.weighted_sum_gates([q for q, _ in bits], [w for _, w in bits], sum_qubits)
+    circ.extend(adder)
+    if isinstance(rotations, np.ndarray):
+        cells = [[(q, (i >> j) & 1) for i, reg in zip(cell, factor_ranges)
+                  for j, q in enumerate(reg)]
+                 for cell in itertools.product(*(range(g.size) for g in grids))]
+        for target, angles in zip(asset_qubits, rotations.T):
+            for angle, controls in zip(angles, cells):
+                circ.ry(angle, target, controls)
+    else:
+        registers = [sum_qubits] if plan else factor_ranges
+        for (offset, slopes), target in zip(rotations, asset_qubits):
+            circ.extend(_linear_rotation_gates(offset, zip(slopes, registers), target))
+    circ.extend(g.adjoint() for g in reversed(adder))
+    return ModelCircuit(circ, factor_ranges, asset_qubits, sum_qubits)
+
+
+def model_table(portfolio: Portfolio, grids, variant: str = "multi_rotation",
+                encoding: str = "exact") -> tuple[np.ndarray, np.ndarray]:
+    """build_model's model as a classical mixture, no gate built: the probabilities (M,)
+    of the factor registers' joint cells in itertools.product order, and each asset's
+    total angle on each cell (M, K).  RYs on one qubit add up, so on cell c asset k
+    defaults with probability sin^2(angles[c, k] / 2)."""
+    grids = list(grids)
+    loads, plan, rotations = _numbers(portfolio, grids, variant, encoding)
+    idx = np.indices([g.size for g in grids]).reshape(len(grids), -1)
+    pz = np.prod([p[i] for i, p in zip(idx, loads)], axis=0)
+    if isinstance(rotations, np.ndarray):
+        return pz, rotations
+    offsets, slopes = (np.array(v) for v in zip(*rotations))
+    # An index register holds a factor's grid index, or single_rotation's their sum.
+    return pz, offsets + (idx.sum(axis=0)[:, None] if plan else idx.T) @ slopes.T

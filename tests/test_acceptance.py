@@ -19,9 +19,8 @@ from qvar.gaussian import discretize_normal
 from qvar.objective import ObjectiveCircuit, build_a_circuit, n_sum_qubits
 from qvar.resources import estimate_resources
 from qvar.risk import (cdf_estimator, exact_loss_distribution, model_distribution,
-                       model_state, monte_carlo_distribution, total_variation_distance,
-                       var_bisection)
-from qvar.uncertainty import Asset, Portfolio, build_model, fit_linear_rotation
+                       monte_carlo_distribution, total_variation_distance, var_bisection)
+from qvar.uncertainty import Asset, Portfolio, fit_linear_rotation
 
 ALPHA = 0.95
 ORACLE_SUPPORT = [0.0, 1000.5, 2000.5, 3001.0]
@@ -61,8 +60,7 @@ def test_criterion_2_var_reproduction():
     start = time.perf_counter()
     pf, grids = two_asset_portfolio(), factor_grids()
     dist = exact_loss_distribution(pf, grids)
-    model = build_model(pf, grids, encoding="exact")
-    cdf = model_distribution(pf, model, model_state(model, model.circuit.n_qubits)).cdf
+    cdf = model_distribution(pf, grids, encoding="exact").cdf
     res = var_bisection(dist, ALPHA, cdf_estimator(cdf))
     probed = {p.threshold: p.estimate for p in res.bisection_trace}
     predecessor_ok = probed.get(1000.5, 1.0) < ALPHA

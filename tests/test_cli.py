@@ -23,6 +23,7 @@ from qvar.cli import CONFIG_SCHEMA, ConfigError, _schema_errors, config_to_input
 from qvar.estimation import exact_amplitude
 from qvar.objective import build_a_circuit
 from qvar.risk import _BYTES_PER_AMPLITUDE, exact_loss_distribution
+from qvar.uncertainty import model_table
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -260,11 +261,14 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("estimator", ["exact", "iqae"])
     def test_model_estimators_never_enumerate(self, tmp_path, monkeypatch, estimator):
-        def enumeration(*args, **kwargs):
-            raise AssertionError("analyze enumerated the loss distribution")
+        # Nor build a gate or simulate: the model's distribution is its angle table's.
+        def refused(*args, **kwargs):
+            raise AssertionError("analyze enumerated the classical model, built or simulated")
 
-        monkeypatch.setattr(qvar.cli, "exact_loss_distribution", enumeration)
-        monkeypatch.setattr(qvar.risk, "exact_loss_distribution", enumeration)
+        for name, module in list(sys.modules.items()):
+            for fn in ("exact_loss_distribution", "build_model", "apply", "zero_state"):
+                if name.startswith("qvar") and hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refused)
         config = write_config(tmp_path, TWO_ASSET)
         out = tmp_path / "report.json"
         assert main(["analyze", "--config", config, "--estimator", estimator,
@@ -378,31 +382,37 @@ class TestVariants:
         assert "asset 1 has weights" in capsys.readouterr().err
 
     def test_statevector_budget_refused_before_allocating(self, tmp_path, capsys):
-        # 8 factor qubits, an 8-qubit index sum and 10 assets: 26 qubits, about
-        # 4.3 GB of state and readout, refused before the model is built.
+        # 8 factor qubits, an 8-qubit index sum and 10 assets: a 26-qubit model and a
+        # 27-qubit A circuit, about 8.6 GB of state and readout, refused before compare
+        # builds the model.  analyze enumerates its angle table, 2**18 states, instead.
         payload = {
             "risk_factors": {"count": 1, "qubits_per_factor": 8},
             "assets": [{"lgd": 100.5 * (i + 1), "p0": 0.1, "rho": 0.2, "alphas": [0.4]}
                        for i in range(10)],
-            "analysis": {"alpha": 0.95, "estimator": "exact", "variant": "single_rotation"},
+            "analysis": {"alpha": 0.95, "epsilon": 0.01, "confidence": 0.99,
+                         "estimator": "exact", "variant": "single_rotation"},
         }
         config = write_config(tmp_path, payload)
         tracemalloc.start()
         try:
-            assert main(["analyze", "--config", config]) == 1
+            assert main(["compare", "--config", config]) == 1
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         err = capsys.readouterr().err
-        assert "26-qubit" in err and "risk_factors.qubits_per_factor" in err
+        assert "27-qubit A circuit" in err and "risk_factors.qubits_per_factor" in err
         assert peak < 100 * 2 ** 20
+        assert main(["analyze", "--config", config, "--output", str(tmp_path / "r.json")]) == 0
 
-    @pytest.mark.parametrize("command, refused", [("analyze", "25-qubit model"),
-                                                  ("compare", "26-qubit A circuit")])
+    @pytest.mark.parametrize("command, refused", [
+        pytest.param("analyze", "enumeration would visit 33554432 states",
+                     id="analyze-25-qubit model"),
+        ("compare", "26-qubit A circuit")])
     def test_model_over_budget_refused_before_building(self, tmp_path, capsys, command,
                                                         refused):
         # 13 assets on one 12-qubit factor: an exact-encoding model of 25 qubits
-        # whose 13 x 4096 pattern-controlled rotations take tens of seconds to build.
+        # whose 13 x 4096 pattern-controlled rotations take tens of seconds to build,
+        # and whose 2**25 states the enumeration refuses.
         payload = {
             "risk_factors": {"count": 1, "qubits_per_factor": 12},
             "assets": [{"lgd": 100.5 * (i + 1), "p0": 0.1, "rho": 0.2, "alphas": [0.4]}
@@ -423,12 +433,16 @@ class TestVariants:
         assert refused in err and "risk_factors.qubits_per_factor" in err
         assert elapsed < 1.0 and peak < 2 ** 20
 
-    @pytest.mark.parametrize("command", ["analyze", "compare"])
-    @pytest.mark.parametrize("qubits, encoding", [(20, "exact"), (22, "linear")])
+    @pytest.mark.parametrize("qubits, encoding, command, refused", [
+        (20, "exact", "compare", "gates, over the budget"),
+        (22, "linear", "compare", "gates, over the budget"),
+        (22, "linear", "analyze", "enumeration would visit 16777216 states"),
+    ], ids=["20-exact-compare", "22-linear-compare", "22-linear-analyze"])
     def test_gate_list_refused_before_building(self, tmp_path, capsys, monkeypatch, command,
-                                               qubits, encoding):
+                                               qubits, encoding, refused):
         # 2 assets on one wide factor: a 22- or 24-qubit model whose state fits the
         # budget but whose 3.1M or 4.2M gates, most with 20 controls, would take GBs.
+        # analyze builds no gate; the 24-qubit model's 2**24 states pass its budget.
         def build(*args, **kwargs):
             raise AssertionError("the model was built past the budget")
 
@@ -450,8 +464,29 @@ class TestVariants:
         finally:
             tracemalloc.stop()
         err = capsys.readouterr().err
-        assert "gates, over the budget" in err and "risk_factors.qubits_per_factor" in err
+        assert refused in err and "risk_factors.qubits_per_factor" in err
         assert elapsed < 1.0 and peak < 200 * 2 ** 20
+
+    @pytest.mark.parametrize("assets, code", [(5, 0), (6, 1)], ids=["23-qubit", "24-qubit"])
+    def test_multi_rotation_width_limit(self, tmp_path, capsys, monkeypatch, assets, code):
+        # Linear models on two 9-qubit factors: at 23 qubits analyze enumerates 2**23
+        # states, within its budget of 1e7; at 24 it is refused before the angle table.
+        tables = []
+        monkeypatch.setattr(qvar.risk, "model_table",
+                            lambda *args: tables.append(args) or model_table(*args))
+        payload = {
+            "risk_factors": {"count": 2, "qubits_per_factor": 9},
+            "assets": [{"lgd": 1000.5 + 250 * i, "p0": 0.1, "rho": 0.2, "alphas": [0.3, 0.2]}
+                       for i in range(assets)],
+            "analysis": {"alpha": 0.95, "estimator": "exact", "encoding": "linear"},
+        }
+        config = write_config(tmp_path, payload)
+        assert main(["analyze", "--config", config, "--output", str(tmp_path / "r.json")]) == code
+        assert len(tables) == 1 - code
+        if code:
+            assert capsys.readouterr().err == (
+                "error: enumeration would visit 16777216 states, over the budget of 10000000; "
+                "reduce risk_factors.qubits_per_factor or assets\n")
 
     @pytest.mark.parametrize("command", ["resources", "distribution"])
     def test_factor_grid_refused_before_discretizing(self, tmp_path, capsys, monkeypatch,
@@ -702,8 +737,7 @@ class TestCompare:
         def counted(log, fn):
             return lambda *args, **kwargs: log.append(1) or fn(*args, **kwargs)
 
-        monkeypatch.setattr(qvar.uncertainty, "build_multi_rotation",
-                            counted(builds, qvar.uncertainty.build_multi_rotation))
+        monkeypatch.setattr(qvar.cli, "build_model", counted(builds, qvar.cli.build_model))
         for name, module in list(sys.modules.items()):
             if name.startswith("qvar") and getattr(module, "apply", None) is apply:
                 monkeypatch.setattr(module, "apply", counted(applies, apply))
@@ -737,7 +771,8 @@ class TestCompare:
     @pytest.mark.parametrize("command, extra_qubits", [("analyze", 0), ("compare", 1)])
     def test_peak_memory_within_the_state_budget(self, tmp_path, command, extra_qubits):
         # 4 equal-LGD assets on two 7-qubit factors: an 18-qubit model whose
-        # simulation, not its gate list or the enumeration, sets the peak.
+        # simulation, not its gate list or the enumeration, sets compare's peak;
+        # analyze enumerates its angle table and simulates nothing.
         payload = {
             "risk_factors": {"count": 2, "qubits_per_factor": 7},
             "assets": [{"lgd": 1000.5, "p0": 0.1, "rho": 0.2, "alphas": [0.3, 0.2]}] * 4,
@@ -752,6 +787,29 @@ class TestCompare:
         finally:
             tracemalloc.stop()
         assert peak <= _BYTES_PER_AMPLITUDE * 2 ** (18 + extra_qubits)
+
+    def test_s_free_budget_covers_the_traced_peak(self, tmp_path, monkeypatch, capsys):
+        # 16 equal-LGD assets on one 1-qubit factor: 2**16 pattern gates of 16 controls
+        # each, beside the state and the comparator's loss, index and gate-reference
+        # tables.  A fresh process, as `qvar compare` is, also loads scipy for IQAE while
+        # they are alive.  A budget one byte under that traced peak must refuse the run.
+        payload = {
+            "risk_factors": {"count": 1, "qubits_per_factor": 1},
+            "assets": [{"lgd": 1000.5, "p0": 0.1, "rho": 0.2, "alphas": [0.4]}] * 16,
+            "analysis": {"alpha": 0.95, "epsilon": 0.01, "confidence": 0.99, "mc_paths": 1000},
+        }
+        argv = ["compare", "--config", write_config(tmp_path, payload),
+                "--output", str(tmp_path / "out")]
+        script = ("import tracemalloc, qvar.cli; tracemalloc.start(); "
+                  f"code = qvar.cli.main({argv!r}); print(code, tracemalloc.get_traced_memory()[1])")
+        env = dict(os.environ, PYTHONPATH=str(Path(qvar.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True, env=env)
+        code, peak = map(int, out.stdout.split())
+        assert code == 0
+        monkeypatch.setattr(qvar.risk, "MAX_STATE_BYTES", peak - 1)
+        assert main(argv) == 1
+        assert "18-qubit A circuit" in capsys.readouterr().err
 
     def test_compare_requires_iqae_settings(self, tmp_path, capsys):
         payload = json.loads(json.dumps(TWO_ASSET))

@@ -17,7 +17,7 @@ from qvar.estimation import exact_amplitude
 from qvar.gaussian import discretize_normal
 from qvar.objective import (MODES, ObjectiveCircuit, build_a_circuit, build_s_free_comparator,
                             build_weighted_sum, comparators, n_sum_qubits, weighted_sum_register)
-from qvar.uncertainty import Asset, Portfolio, build_model, build_multi_rotation
+from qvar.uncertainty import Asset, Portfolio, build_model
 
 ASSETS = [
     Asset(1000.5, 0.15, 0.10, (0.35, 0.20)),
@@ -178,7 +178,7 @@ class TestComparators:
 class TestAssembleA:
     def test_table_amplitude_at_1500(self):
         pf, grids = table_inputs()
-        model = build_multi_rotation(pf, grids, "exact")
+        model = build_model(pf, grids, "multi_rotation", "exact")
         comp = build_s_free_comparator(pf, 1500.0, 6, model.asset_qubits, 7)
         a_circ = ObjectiveCircuit(Circuit(7, model.circuit.gates + comp.gates), 6, "s_free", 1500.0)
         assert abs(exact_amplitude(a_circ) - ORACLE_CDF[1000.5]) < 1e-9

@@ -7,7 +7,7 @@ from qvar.estimation import exact_amplitude
 from qvar.gaussian import discretize_normal
 from qvar.objective import MODES, build_a_circuit, comparators
 from qvar.resources import comparator_gates, estimate_resources, model_gates
-from qvar.uncertainty import Asset, Portfolio, build_model, build_multi_rotation
+from qvar.uncertainty import Asset, Portfolio, build_model
 
 
 def two_asset_portfolio():
@@ -101,7 +101,7 @@ class TestGateAccounting:
                             if gate.kind == "x" and gate.target == built.objective_qubit]
         assert len(comparator_gates) <= report.comparator_pattern_count
 
-        model = build_multi_rotation(pf, g, "linear")
+        model = build_model(pf, g, "multi_rotation", "linear")
         blocks = {(gate.target, tuple(sorted(c for c, _ in gate.controls)))
                   for gate in model.circuit.gates
                   if gate.kind == "ry" and gate.target in model.asset_qubits and gate.controls}

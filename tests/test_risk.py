@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import qvar.risk as risk
+from qvar.circuit import Circuit, apply, zero_state
 from qvar.estimation import IqaeConfig, exact_amplitude, iqae
 from qvar.gaussian import conditional_pd, discretize_normal
 from qvar.objective import build_a_circuit, objective_qubit
-from qvar.risk import (MAX_STATE_BYTES, LossDistribution, cdf_estimator,
-                       economic_capital, exact_loss_distribution, expected_loss,
-                       model_distribution, model_state, monte_carlo_distribution,
-                       total_variation_distance, var_bisection)
+from qvar.risk import (LossDistribution, cdf_estimator, economic_capital,
+                       exact_loss_distribution, expected_loss, model_distribution,
+                       monte_carlo_distribution, total_variation_distance, var_bisection)
 from qvar.uncertainty import Asset, Portfolio, build_model
 
 # frozen from the independent mpmath enumeration of the two-asset example
@@ -34,9 +34,23 @@ def table_inputs():
 
 
 def exact_cdf(pf, grids, variant="multi_rotation", encoding="exact"):
-    """The model distribution's cdf on one model-width simulation, as analyze reads it."""
-    model = build_model(pf, grids, variant, encoding)
-    return model_distribution(pf, model, model_state(model, model.circuit.n_qubits)).cdf
+    """The model distribution's cdf, off its angle table, as analyze reads it."""
+    return model_distribution(pf, grids, variant, encoding).cdf
+
+
+def model_state(model, n_qubits):
+    """The model's gates run on |0> of n_qubits, its width or an A circuit's."""
+    return apply(Circuit(n_qubits).extend(model.circuit.gates), zero_state(n_qubits))
+
+
+def state_distribution(portfolio, model, state):
+    """The oracle of the model distribution, off a model_state: each pattern of the
+    model's top K (asset) qubits sums |amplitude|^2 over its first 2**width amplitudes."""
+    n, k = model.circuit.n_qubits, portfolio.k
+    probs = np.abs(state.amplitudes[:2 ** n]) ** 2
+    # Axis i of the reshape is asset K-1-i; reversing the K axes gives product order.
+    per_pattern = probs.reshape((2,) * k + (-1,)).sum(axis=-1).transpose().ravel()
+    return LossDistribution.from_pairs(portfolio.pattern_losses(), per_pattern)
 
 
 def bisect(pf, grids, alpha, kind, iqae_config=None):
@@ -420,10 +434,11 @@ class TestCdfPoint:
 
 
 class TestModelCdf:
-    """One model simulation reproduces the per-threshold gate-level readout.
+    """The model's angle table reproduces its simulation and the per-threshold
+    gate-level readout.
 
-    The model distribution's cdf sums per-support probabilities where the
-    readout sums 2**n masked amplitudes, so the two agree to rounding.
+    The table's cdf mixes sin^2(angle / 2) over the cells where the readout
+    sums 2**n masked amplitudes, so the two agree to rounding.
     """
 
     @pytest.mark.parametrize("seed, variant, encoding, r, shared", [
@@ -450,25 +465,27 @@ class TestModelCdf:
         (23, "single_factor", "exact", 1, False),
         (24, "single_factor", "linear", 1, False),
         (25, "single_rotation", "linear", 2, True),
+        (26, "single_rotation", "exact", 2, True),
     ])
     def test_a_width_state_reads_as_model_width(self, seed, variant, encoding, r, shared,
                                                  mode):
-        # compare's state spans the A circuit; its model prefix gives the same cdf.
+        # The statevector oracle, at the model's width and at the mode's A width (as
+        # compare simulates it), pins the angle table: one support, cdf within 1e-12.
+        # 10 models per case, 120 in all.
         rng = np.random.default_rng(seed)
-        for _ in range(6):
+        for _ in range(10):
             pf = random_portfolio(rng, int(rng.integers(1, 5)), r, shared=shared,
                                   integer=mode == "weighted_sum")
-            grids = [discretize_normal(int(rng.integers(1, 3))) for _ in range(r)]
+            grids = [discretize_normal(int(rng.integers(1, 4))) for _ in range(r)]
+            table = model_distribution(pf, grids, variant, encoding)
             model = build_model(pf, grids, variant, encoding)
-            wide = model_state(model, objective_qubit(pf, model, mode) + 1)
-            cdf = model_distribution(pf, model, wide).cdf
-            narrow = model_distribution(pf, model,
-                                        model_state(model, model.circuit.n_qubits)).cdf
-            for x in thresholds(pf, grids):
-                assert cdf(x) == narrow(x)
-                if mode == "s_free":
-                    a_circ = build_a_circuit(pf, grids, x, variant=variant, encoding=encoding)
-                    assert abs(cdf(x) - exact_amplitude(a_circ)) <= 1e-12
+            narrow = state_distribution(pf, model, model_state(model, model.circuit.n_qubits))
+            wide = state_distribution(pf, model,
+                                      model_state(model, objective_qubit(pf, model, mode) + 1))
+            assert wide.probs.tobytes() == narrow.probs.tobytes()
+            for oracle in (narrow, wide):
+                assert oracle.losses.tobytes() == table.losses.tobytes()
+                assert np.abs(np.cumsum(oracle.probs) - np.cumsum(table.probs)).max() <= 1e-12
 
     def test_weighted_sum_readout(self):
         rng = np.random.default_rng(19)
@@ -481,18 +498,16 @@ class TestModelCdf:
                 a_circ = build_a_circuit(pf, grids, x, encoding="exact", mode="weighted_sum")
                 assert abs(cdf(x) - exact_amplitude(a_circ)) <= 1e-12
 
-    def test_memory_guard_refuses_before_allocating(self):
-        # 20 assets on a 5-qubit factor: 25 qubits, about 2.1 GB of state and readout.
+    def test_enumeration_budget_refuses_before_the_table(self, monkeypatch):
+        # 20 assets on a 5-qubit factor: 2**25 states, over the enumeration's 1e7.
+        def table(*args, **kwargs):
+            raise AssertionError("the angle table was made past the budget")
+
+        monkeypatch.setattr(risk, "model_table", table)
         pf = Portfolio([Asset(100.0, 0.1, 0.2, (0.3,))] * 20)
-        model = build_model(pf, [discretize_normal(5)])
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="25-qubit model .*qubits_per_factor or assets"):
-                model_state(model, model.circuit.n_qubits)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < MAX_STATE_BYTES // 100
+        with pytest.raises(ValueError, match="33554432 states, over the budget of 10000000; "
+                                             "reduce risk_factors.qubits_per_factor or assets"):
+            model_distribution(pf, [discretize_normal(5)])
 
     def test_iqae_probes_take_consecutive_seeds(self):
         pf, grids = table_inputs()

@@ -16,9 +16,8 @@ import qvar.gaussian
 from qvar.circuit import Gate, apply, marginal_probability, probabilities, zero_state
 from qvar.gaussian import conditional_pd, discretize_normal
 from qvar.resources import estimate_resources
-from qvar.uncertainty import (Asset, Portfolio, build_model, build_multi_rotation,
-                              build_single_rotation, default_angle, fit_linear_rotation, index_sum_plan,
-                              loader_gates, probability_loader)
+from qvar.uncertainty import (Asset, Portfolio, build_model, default_angle, fit_linear_rotation,
+                              index_sum_plan, loader_gates, probability_loader)
 
 # the running two-asset, two-factor example
 ASSETS = [
@@ -89,14 +88,14 @@ class TestMultiRotationExact:
     def test_table_joint_matches_oracle(self):
         pf = Portfolio(ASSETS)
         grids = [discretize_normal(2), discretize_normal(2)]
-        model = build_multi_rotation(pf, grids, "exact")
+        model = build_model(pf, grids, "multi_rotation", "exact")
         assert model.circuit.n_qubits == 6          # 4 factor qubits + 2 assets
         assert np.abs(model_joint(model) - oracle_joint(pf, grids)).max() < 1e-9
 
     def test_grid_register_marginals_equal_grid_probs(self):
         pf = Portfolio(ASSETS)
         grids = [discretize_normal(2), discretize_normal(2, 0.0, 1.0, 2.0)]
-        model = build_multi_rotation(pf, grids, "exact")
+        model = build_model(pf, grids, "multi_rotation", "exact")
         state = apply(model.circuit, zero_state(model.circuit.n_qubits))
         for grid, reg in zip(grids, model.factor_qubits):
             marg = probabilities(state, list(reg))
@@ -128,7 +127,7 @@ class TestMultiRotationExact:
         shared = (0.0, 0.0)
         pf = Portfolio([Asset(1.0, 0.15, 0.10, shared), Asset(2.0, 0.25, 0.05, shared)])
         grids = [discretize_normal(2), discretize_normal(2)]
-        model = build_multi_rotation(pf, grids, "exact")
+        model = build_model(pf, grids, "multi_rotation", "exact")
         state = apply(model.circuit, zero_state(model.circuit.n_qubits))
         for asset, q in zip(pf.assets, model.asset_qubits):
             want = stats.norm.cdf(stats.norm.ppf(asset.p0) / math.sqrt(1 - asset.rho))
@@ -138,7 +137,7 @@ class TestMultiRotationExact:
         for r in (1, 2, 3):
             assets = [Asset(1.0, 0.2, 0.1, tuple([0.3] * r))]
             grids = [discretize_normal(2) for _ in range(r)]
-            model = build_multi_rotation(Portfolio(assets), grids, "linear")
+            model = build_model(Portfolio(assets), grids, "multi_rotation", "linear")
             assert model.circuit.n_qubits == 2 * r + 1
 
     def test_randomized_joint_property(self):
@@ -153,19 +152,19 @@ class TestMultiRotationExact:
                             tuple(rng.uniform(-0.5, 0.8, r)))
                       for _ in range(k)]
             pf = Portfolio(assets)
-            model = build_multi_rotation(pf, grids, "exact")
+            model = build_model(pf, grids, "multi_rotation", "exact")
             assert model.circuit.n_qubits <= 12
             assert np.abs(model_joint(model) - oracle_joint(pf, grids)).max() < 1e-9
 
     def test_grid_count_mismatch(self):
         with pytest.raises(ValueError):
-            build_multi_rotation(Portfolio(ASSETS), [discretize_normal(2)], "exact")
+            build_model(Portfolio(ASSETS), [discretize_normal(2)], "multi_rotation", "exact")
 
     def test_conditional_defaults_per_joint_state(self):
         # P(asset k = 1 | factor registers in joint state i) equals the model PD
         pf = Portfolio(ASSETS)
         grids = [discretize_normal(2), discretize_normal(2)]
-        model = build_multi_rotation(pf, grids, "exact")
+        model = build_model(pf, grids, "multi_rotation", "exact")
         state = apply(model.circuit, zero_state(model.circuit.n_qubits))
         for k, asset in enumerate(pf.assets):
             order = [q for reg in model.factor_qubits for q in reg] + [model.asset_qubits[k]]
@@ -207,7 +206,7 @@ class TestMultiRotationExact:
         calls = []
         monkeypatch.setattr(qvar.gaussian, "std_normal_ppf",
                             lambda p: calls.append(p) or ppf(p))
-        got = build_multi_rotation(pf, grids, "exact").circuit.gates
+        got = build_model(pf, grids, "multi_rotation", "exact").circuit.gates
         assert calls == [a.p0 for a in pf.assets]
         assert [(g.kind, g.target, g.theta, g.controls) for g in got] == [
             (g.kind, g.target, g.theta, g.controls) for g in want]
@@ -283,8 +282,8 @@ class TestLinearEncoding:
         pf = Portfolio([Asset(1.0, alphas=(0.35, 0.2), **shared_kwargs),
                         Asset(2.0, alphas=(0.1, 0.25), **shared_kwargs)])
         grids = [discretize_normal(2), discretize_normal(2)]
-        exact = model_joint(build_multi_rotation(pf, grids, "exact"))
-        linear = model_joint(build_multi_rotation(pf, grids, "linear"))
+        exact = model_joint(build_model(pf, grids, "multi_rotation", "exact"))
+        linear = model_joint(build_model(pf, grids, "multi_rotation", "linear"))
         assert np.abs(exact - linear).max() < 1e-12
 
     def test_linear_converges_to_exact_as_rho_vanishes(self):
@@ -292,8 +291,8 @@ class TestLinearEncoding:
         for rho in (1e-12, 1e-13):
             pf = Portfolio([Asset(1.0, 0.15, rho, (0.35, 0.2)),
                             Asset(2.0, 0.25, rho, (0.1, 0.25))])
-            exact = model_joint(build_multi_rotation(pf, grids, "exact"))
-            linear = model_joint(build_multi_rotation(pf, grids, "linear"))
+            exact = model_joint(build_model(pf, grids, "multi_rotation", "exact"))
+            linear = model_joint(build_model(pf, grids, "multi_rotation", "linear"))
             assert np.abs(exact - linear).max() < 1e-10
 
     def test_single_factor_unit_weight_matches_multi(self):
@@ -301,14 +300,14 @@ class TestLinearEncoding:
         pf = Portfolio([Asset(3.0, 0.2, 0.15, (1.0,))])
         grid = discretize_normal(2)
         a = model_joint(build_model(pf, [grid], "single_factor", "exact"))
-        b = model_joint(build_multi_rotation(pf, [grid], "exact"))
+        b = model_joint(build_model(pf, [grid], "multi_rotation", "exact"))
         assert np.abs(a - b).max() < 1e-12
 
     def test_rotation_block_count(self):
         # linear encoding: one affine block per (asset, factor) pair
         pf = Portfolio(ASSETS)
         grids = [discretize_normal(2), discretize_normal(2)]
-        model = build_multi_rotation(pf, grids, "linear")
+        model = build_model(pf, grids, "multi_rotation", "linear")
         ry_on_assets = [g for g in model.circuit.gates
                         if g.kind == "ry" and g.target in model.asset_qubits]
         # per asset: 1 offset rotation + n_z controlled per factor
@@ -325,12 +324,12 @@ class TestSingleRotation:
     def test_heterogeneous_alphas_rejected(self):
         grids = [discretize_normal(2), discretize_normal(2)]
         with pytest.raises(ValueError, match="asset 1"):
-            build_single_rotation(Portfolio(ASSETS), grids, ASSETS[0].alphas)
+            build_model(Portfolio(ASSETS), grids, "single_rotation")
 
     def test_marginals_match_sum_grid_oracle(self):
         pf = self.portfolio()
         grids = [discretize_normal(2), discretize_normal(2)]
-        model = build_single_rotation(pf, grids, self.SHARED)
+        model = build_model(pf, grids, "single_rotation")
         plan = index_sum_plan(grids, self.SHARED)
 
         # classical convolution over the induced sum grid
@@ -360,14 +359,14 @@ class TestSingleRotation:
     def test_sum_register_uncomputed(self):
         pf = self.portfolio()
         grids = [discretize_normal(2), discretize_normal(2)]
-        model = build_single_rotation(pf, grids, self.SHARED)
+        model = build_model(pf, grids, "single_rotation")
         state = apply(model.circuit, zero_state(model.circuit.n_qubits))
         assert probabilities(state, model.ancilla_qubits)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_reduces_to_single_factor_linear_at_r1(self):
         pf = Portfolio([Asset(7.0, 0.2, 0.1, (1.0,)), Asset(3.0, 0.3, 0.2, (1.0,))])
         grid = discretize_normal(2)
-        single = build_single_rotation(pf, [grid], (1.0,))
+        single = build_model(pf, [grid], "single_rotation")
         linear = build_model(pf, [grid], "single_factor", "linear")
         s_state = apply(single.circuit, zero_state(single.circuit.n_qubits))
         l_state = apply(linear.circuit, zero_state(linear.circuit.n_qubits))
@@ -382,7 +381,7 @@ class TestSingleRotation:
             shared = tuple([0.3] * r)
             assets = [Asset(1.0, 0.2, 0.1, shared), Asset(2.0, 0.25, 0.05, shared)]
             grids = [discretize_normal(1) for _ in range(r)]
-            model = build_single_rotation(Portfolio(assets), grids, shared)
+            model = build_model(Portfolio(assets), grids, "single_rotation")
             counts = []
             for q in model.asset_qubits:
                 gates = [g for g in model.circuit.gates if g.kind == "ry" and g.target == q]
@@ -402,7 +401,7 @@ class TestSingleRotation:
         shared = (0.4, 0.0)
         pf = Portfolio([Asset(1.0, 0.2, 0.1, shared)])
         grids = [discretize_normal(2), discretize_normal(2)]
-        model = build_single_rotation(pf, grids, shared)
+        model = build_model(pf, grids, "single_rotation")
         plan = index_sum_plan(grids, shared)
         assert plan.n_points[1] == 1
         state = apply(model.circuit, zero_state(model.circuit.n_qubits))
