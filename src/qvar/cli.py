@@ -17,7 +17,8 @@ it, and every command refuses an over-budget factor grid before discretizing it.
 
 Configs are JSON documents; every run echoes the fully resolved config so
 reports are self-describing, and all output is deterministic for a given
-(config, seed) pair.
+(config, seed) pair.  iqae_config checks epsilon and confidence only where IQAE
+runs.  A bad config, or a path that cannot be read or written, exits 2.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ import numpy as np
 from .circuit import Circuit, apply, marginal_probability, zero_state
 from .estimation import IqaeConfig
 from .gaussian import discretize_normal
-from .objective import MODES, comparators
-from .resources import comparator_gates, estimate_resources, model_gates
+from .objective import MODES, comparator_gates, comparators
+from .resources import estimate_resources
 from .risk import (EstimationFailure, cdf_estimator, check_state_budget,
                    exact_loss_distribution, expected_loss, model_distribution,
                    monte_carlo_distribution, var_bisection)
-from .uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio, build_model
+from .uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio, build_model, model_gates
 
 ESTIMATORS = ("exact", "iqae", "classical")
 
@@ -146,11 +147,13 @@ def load_config(path: str, overrides=None) -> dict:
     Command-line overrides are merged before schema validation so they obey
     the same constraints as config values.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:                  # open's message names the path
+        raise ConfigError(str(exc)) from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:   # JSON text is UTF-8
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if isinstance(cfg, dict) and isinstance(cfg.get("analysis"), dict):
         cfg["analysis"].update({k: v for k, v in (overrides or {}).items() if v is not None})
 
@@ -159,7 +162,6 @@ def load_config(path: str, overrides=None) -> dict:
         listing = "; ".join(f"{'/'.join(map(str, p)) or '<root>'}: {msg}" for p, msg in errors)
         raise ConfigError(f"{path}: schema violations: {listing}")
 
-    analysis = cfg["analysis"]
     factors = cfg["risk_factors"]
     r = factors["count"]
     qubits = factors["qubits_per_factor"]
@@ -173,13 +175,9 @@ def load_config(path: str, overrides=None) -> dict:
         if len(asset["alphas"]) != r:
             raise ConfigError(
                 f"assets[{idx}].alphas: expected {r} weights, got {len(asset['alphas'])}")
-    if analysis["variant"] == "single_factor" and r != 1:
+    if cfg["analysis"]["variant"] == "single_factor" and r != 1:
         raise ConfigError(
             f"analysis.variant: single_factor requires risk_factors.count = 1, got {r}")
-    if analysis["estimator"] == "iqae":
-        for key in ("epsilon", "confidence"):
-            if key not in analysis:
-                raise ConfigError(f"analysis.{key}: required when estimator is 'iqae'")
     return cfg
 
 
@@ -198,7 +196,12 @@ def config_to_inputs(cfg: dict):
 
 
 def iqae_config(analysis: dict) -> IqaeConfig:
-    """The IQAE settings of a resolved config's analysis section."""
+    """The IQAE settings of a resolved config's analysis section, and the one check that
+    epsilon and confidence, which have no default, are given where IQAE runs."""
+    for key in ("epsilon", "confidence"):
+        if key not in analysis:
+            raise ConfigError(f"analysis.{key}: required where IQAE runs "
+                              f"(analyze --estimator iqae, and compare)")
     return IqaeConfig(epsilon=analysis["epsilon"], confidence=analysis["confidence"],
                       shots_per_round=analysis["shots_per_round"],
                       max_rounds=analysis["max_rounds"], seed=analysis["seed"])
@@ -221,14 +224,15 @@ def _probes(trace) -> list[dict]:
 
 
 def cmd_analyze(cfg: dict, output: str | None) -> int:
-    portfolio, grids = config_to_inputs(cfg)
     analysis = cfg["analysis"]
     variant, kind, encoding = analysis["variant"], analysis["estimator"], analysis["encoding"]
+    settings = iqae_config(analysis) if kind == "iqae" else None
+    portfolio, grids = config_to_inputs(cfg)
     # Checks the variant and mode constraints before anything is enumerated or built.
     resources = asdict(estimate_resources(portfolio, grids, variant, analysis["mode"]))
     dist = (exact_loss_distribution(portfolio, grids) if kind == "classical"
             else model_distribution(portfolio, grids, variant, encoding))
-    estimator = cdf_estimator(dist.cdf, iqae_config(analysis) if kind == "iqae" else None)
+    estimator = cdf_estimator(dist.cdf, settings)
     try:
         result = var_bisection(dist, analysis["alpha"], estimator)
     except EstimationFailure as exc:
@@ -285,12 +289,9 @@ def cmd_resources(cfg: dict, output: str | None) -> int:
 
 
 def cmd_compare(cfg: dict, output: str | None) -> int:
-    portfolio, grids = config_to_inputs(cfg)
     analysis = cfg["analysis"]
-    for key in ("epsilon", "confidence"):
-        if key not in analysis:
-            raise ConfigError(f"analysis.{key}: required by the compare command")
-    epsilon = analysis["epsilon"]
+    settings = iqae_config(analysis)
+    portfolio, grids = config_to_inputs(cfg)
     variant, mode, encoding = analysis["variant"], analysis["mode"], analysis["encoding"]
     width = estimate_resources(portfolio, grids, variant, mode).width_built   # the A circuit's
     gates = tuple(m + c for m, c in zip(model_gates(portfolio, grids, variant, encoding),
@@ -304,7 +305,7 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     state = apply(Circuit(width).extend(model.circuit.gates), zero_state(width))
     mc = monte_carlo_distribution(portfolio, grids, analysis["mc_paths"], analysis["seed"])
     readout = {}        # each threshold's A-circuit readout, handed on to IQAE to sample
-    sampled = cdf_estimator(readout.pop, iqae_config(analysis))
+    sampled = cdf_estimator(readout.pop, settings)
     comparator_at = comparators(portfolio, model, mode)
     header = (f"{'threshold':>12}  {'classical':>12}  {'exact':>12}  {'|e-c|':>9}  "
               f"{'iqae':>12}  {'|q-e|':>9}  {'<=eps':>5}  {'mc':>12}  {'|m-e|':>9}  {'<=3sd':>5}")
@@ -320,7 +321,7 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
         mc_val = mc.cdf(x)
         p = min(max(exact, 0.0), 1.0)        # a readout of 1 can round past it
         sigma = max(np.sqrt(p * (1 - p) / analysis["mc_paths"]), 1e-12)
-        q_ok = abs(q.estimate - exact) <= epsilon
+        q_ok = abs(q.estimate - exact) <= settings.epsilon
         mc_ok = abs(mc_val - exact) <= 3 * sigma
         ok = ok and q_ok
         lines.append(
@@ -376,7 +377,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         return COMMANDS[args.command](cfg, args.output)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:       # a config, or a path unread or unwritten
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

@@ -2,8 +2,9 @@
 
 The A register is [model][sum register, weighted_sum only][objective].
 comparators(portfolio, model, mode) is the one place a comparator is wired onto
-a built model's asset qubits; build_a_circuit is the model's gates, then one
-threshold's comparator gates.  Two modes build the "total loss <= x" flag:
+a built model's asset qubits, and comparator_gates counts its gates unbuilt;
+build_a_circuit is the model's gates, then one threshold's comparator gates.
+Two modes build the "total loss <= x" flag:
 
 * s_free: reads the asset qubits directly; every default pattern whose loss
   stays within the threshold flips the objective through one pattern-
@@ -105,11 +106,25 @@ def build_weighted_sum(portfolio: Portfolio, threshold: float, objective: int,
 
 
 def objective_qubit(portfolio: Portfolio, model: ModelCircuit, mode: str) -> int:
-    """Index of the objective qubit, the top of the A register (objective + 1 wide)."""
+    """Index of the objective qubit, the top of the A register (objective + 1 wide),
+    on a built or a model_layout model: the one check of the mode."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     width = model.circuit.n_qubits
     return width if mode == "s_free" else width + weighted_sum_register(portfolio)[1]
+
+
+def comparator_gates(portfolio: Portfolio, mode: str) -> tuple[int, int]:
+    """The comparator's (gates, control entries) at its largest threshold, unbuilt:
+    s_free's 2**K pattern-controlled X gates with K controls each; weighted_sum's at
+    most 2**n_s flips with n_s controls each, between its adder and un-adder."""
+    k = portfolio.k
+    if mode == "s_free":
+        return 2 ** k, k * 2 ** k
+    lgds, n_s = weighted_sum_register(portfolio)
+    # Bit j of an LGD increments the register's top n_s - j qubits under one control.
+    incs = [n_s - j for lgd in lgds for j in range(n_s) if lgd >> j & 1]
+    return 2 ** n_s + 2 * sum(incs), n_s * 2 ** n_s + sum(m * (m + 1) for m in incs)
 
 
 def comparators(portfolio: Portfolio, model: ModelCircuit,

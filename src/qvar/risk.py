@@ -107,7 +107,7 @@ def _joint_grid(portfolio: Portfolio, grids: list) -> tuple[np.ndarray, np.ndarr
     joint grid cells, in itertools.product order: the last factor varies fastest.
     """
     if len(grids) != portfolio.r:
-        raise ValueError(f"expected {portfolio.r} grids, got {len(grids)}")
+        raise ValueError(f"portfolio has {portfolio.r} factors but {len(grids)} grids were given")
     idx = np.indices([g.size for g in grids]).reshape(len(grids), -1)
     z_joint = np.column_stack([g.values[i] for i, g in zip(idx, grids)])
     pz = np.prod([g.probs[i] for i, g in zip(idx, grids)], axis=0)

@@ -1,18 +1,19 @@
-"""Uncertainty-loading models: their numbers, their gates and their mixture.
+"""Uncertainty-loading models: their layout, their numbers, their gates and their mixture.
 
 Two constructions are provided:
 
 * multi_rotation: one register per factor; every factor register controls one
-  rotation block per asset.  The single_factor variant is its one-factor case
-  (check_single_factor).
+  rotation block per asset.  The single_factor variant is its one-factor case.
 * single_rotation: factor marginals scaled by their weights, an index adder
   into a sum register, and a single rotation block per asset driven by the
   sum.  Requires all assets to share one weight vector.
 
-Each has one private function computing its numbers once: the factor loaders'
-probabilities, single_rotation's index-sum plan and each asset's rotation.
-build_model emits the gates from them (see VARIANTS), and model_table the
-classical mixture: RYs on an asset qubit add up to one angle per joint cell.
+model_layout is the one check of a variant's rules and the one place its
+registers are laid out.  Each construction has one private function computing
+its numbers once: the factor loaders' probabilities and each asset's rotation.
+build_model emits the gates from them (see VARIANTS), model_gates counts those
+gates unbuilt, and model_table gives the classical mixture: RYs on an asset
+qubit add up to one angle per joint cell.
 
 Two encodings exist for the multi-rotation model.  The "exact" encoding spends
 one pattern-controlled rotation per joint grid point per asset, which is
@@ -102,7 +103,7 @@ class Portfolio:
 
 @dataclass(eq=False)
 class ModelCircuit:
-    """A built uncertainty operator plus its register map."""
+    """An uncertainty operator plus its register map (model_layout's has no gates yet)."""
 
     circuit: Circuit
     factor_qubits: list[range]
@@ -200,9 +201,9 @@ def _linear_rotation_gates(offset, slopes_and_registers, target) -> list[Gate]:
 
 
 def _multi_rotation(portfolio: Portfolio, grids: list, encoding: str):
-    """multi_rotation's numbers: the grids' probabilities, no index-sum plan, and each
-    asset's angle on every joint cell ((M, K), product order) in the exact encoding,
-    or its offset and one slope per factor register in the linear one."""
+    """multi_rotation's numbers: the grids' probabilities and each asset's angle on every
+    joint cell ((M, K), product order) in the exact encoding, or its offset and one slope
+    per factor register in the linear one."""
     if encoding not in ENCODINGS:
         raise ValueError(f"unknown encoding {encoding!r}")
     curves = [conditional_pd_curve(a.p0, a.rho, a.alphas) for a in portfolio.assets]
@@ -212,7 +213,7 @@ def _multi_rotation(portfolio: Portfolio, grids: list, encoding: str):
             # One 1-D z @ alphas per cell: a stacked matrix product rounds otherwise.
             for cell, z in enumerate(itertools.product(*(g.values for g in grids))):
                 angles[cell, k_idx] = default_angle(pd_at(z))
-        return [g.probs for g in grids], None, angles
+        return [g.probs for g in grids], angles
     mid = [g.mid_value for g in grids]
     affine = []
     for pd_at in curves:
@@ -222,7 +223,7 @@ def _multi_rotation(portfolio: Portfolio, grids: list, encoding: str):
         # truly affine angle function and reduces to the single secant at R=1.
         offset = sum(off for _, off in fits) - (len(grids) - 1) * default_angle(pd_at(mid))
         affine.append((offset, [slope for slope, _ in fits]))
-    return [g.probs for g in grids], None, affine
+    return [g.probs for g in grids], affine
 
 
 @dataclass
@@ -276,30 +277,11 @@ def index_sum_plan(grids, shared_alphas) -> IndexSumPlan:
     return IndexSumPlan(delta, n_points, bases, n_sum)
 
 
-def check_single_factor(portfolio: Portfolio) -> None:
-    """Reject a portfolio of more than one factor for the single_factor variant."""
-    if portfolio.r != 1:
-        raise ValueError(f"the single_factor variant requires a single-factor portfolio, "
-                         f"got {portfolio.r} factors")
-
-
-def check_shared_alphas(portfolio: Portfolio, shared: tuple[float, ...]) -> None:
-    """Reject any asset whose weights differ from the single-rotation vector."""
-    for k_idx, asset in enumerate(portfolio.assets):
-        if asset.alphas != shared:
-            raise ValueError(
-                f"asset {k_idx} has weights {asset.alphas}, but the single-rotation "
-                f"variant requires the shared vector {shared}")
-
-
-def _single_rotation(portfolio: Portfolio, grids: list):
-    """single_rotation's numbers: each factor register's marginal alpha_r * Z_r
-    (diagonal covariance; a zero tail beyond its n_points), the index-sum plan, and
-    each asset's offset and slope over the sum register.  The shared weight vector
-    is the first asset's; any asset that differs is refused."""
+def _single_rotation(portfolio: Portfolio, grids: list, plan: IndexSumPlan):
+    """single_rotation's numbers on its index-sum plan: each factor register's marginal
+    alpha_r * Z_r (diagonal covariance; a zero tail beyond its n_points), and each
+    asset's offset and slope over the sum register."""
     shared = portfolio.assets[0].alphas
-    check_shared_alphas(portfolio, shared)
-    plan = index_sum_plan(grids, shared)
     loads = []
     for grid, alpha, n_r, base in zip(grids, shared, plan.n_points, plan.bases):
         probs = np.zeros(grid.size)
@@ -315,62 +297,111 @@ def _single_rotation(portfolio: Portfolio, grids: list):
         pd_at = conditional_pd_curve(asset.p0, asset.rho, (1.0,))
         theta_lo, theta_hi = default_angle(pd_at((y_lo,))), default_angle(pd_at((y_hi,)))
         affine.append((theta_lo, [(theta_hi - theta_lo) / plan.s_max if plan.s_max else 0.0]))
-    return loads, plan, affine
+    return loads, affine
+
+
+def model_layout(portfolio: Portfolio, grids,
+                 variant: str) -> tuple[ModelCircuit, IndexSumPlan | None]:
+    """The one check of a variant's rules and layout of its registers: build_model's model
+    with no gates yet, sum(n_z) + K qubits plus single_rotation's sum register, and
+    single_rotation's IndexSumPlan (else None).  single_factor needs one factor, every
+    variant one grid per factor, and single_rotation every asset on the first's weights."""
+    grids = list(grids)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant == "single_factor" and portfolio.r != 1:
+        raise ValueError(f"the single_factor variant requires a single-factor portfolio, "
+                         f"got {portfolio.r} factors")
+    if len(grids) != portfolio.r:
+        raise ValueError(f"portfolio has {portfolio.r} factors but {len(grids)} grids were given")
+    plan = None
+    if variant == "single_rotation":
+        shared = portfolio.assets[0].alphas
+        for k_idx, asset in enumerate(portfolio.assets):
+            if asset.alphas != shared:
+                raise ValueError(
+                    f"asset {k_idx} has weights {asset.alphas}, but the single-rotation "
+                    f"variant requires the shared vector {shared}")
+        plan = index_sum_plan(grids, shared)
+    starts = list(itertools.accumulate((g.n_z for g in grids), initial=0))
+    sum_qubits = list(range(starts[-1], starts[-1] + plan.n_sum)) if plan else []
+    asset_qubits = [starts[-1] + len(sum_qubits) + i for i in range(portfolio.k)]
+    return ModelCircuit(Circuit(asset_qubits[-1] + 1),
+                        [range(s, s + g.n_z) for s, g in zip(starts, grids)],
+                        asset_qubits, sum_qubits), plan
 
 
 def _numbers(portfolio: Portfolio, grids: list, variant: str, encoding: str):
-    """One variant's numbers (see VARIANTS): the factor registers' probability vectors,
-    the IndexSumPlan or None, and the (M, K) angles or each asset's (offset, slopes)."""
-    if variant == "single_factor":
-        check_single_factor(portfolio)
-    elif variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if len(grids) != portfolio.r:
-        raise ValueError(f"portfolio has {portfolio.r} factors but {len(grids)} grids were given")
-    if variant == "single_rotation":
-        return _single_rotation(portfolio, grids)
-    return _multi_rotation(portfolio, grids, encoding)
+    """One variant's model_layout and numbers: the factor registers' probability vectors,
+    and the (M, K) angles or each asset's (offset, slopes)."""
+    model, plan = model_layout(portfolio, grids, variant)
+    if plan:
+        return model, plan, *_single_rotation(portfolio, grids, plan)
+    return model, plan, *_multi_rotation(portfolio, grids, encoding)
+
+
+def _adder_bits(model: ModelCircuit, plan: IndexSumPlan | None) -> list[tuple[int, int]]:
+    """single_rotation's index adder inputs as (qubit, j): bit j of a factor register adds
+    2**j to the sum, for the bits its n_points admit; none without a plan."""
+    return [(q, j) for reg, n_r in zip(model.factor_qubits, plan.n_points if plan else ())
+            for j, q in enumerate(reg) if 1 << j <= n_r - 1]
 
 
 def build_model(portfolio: Portfolio, grids, variant: str = "multi_rotation",
                 encoding: str = "exact") -> ModelCircuit:
-    """Build the uncertainty model of one variant (see VARIANTS) from its numbers: the
-    factor loaders, single_rotation's index adder into the sum register, each asset's
-    rotations, then the adder's inverse, so the sum register returns to |0>.
+    """Build the uncertainty model of one variant (see VARIANTS) on its model_layout from
+    its numbers: the factor loaders, single_rotation's index adder into the sum register,
+    each asset's rotations, then the adder's inverse, so the sum register returns to |0>.
 
-    Width is sum(n_z) + K, plus single_rotation's sum register.  single_factor is
-    multi_rotation on a portfolio of one factor.  The single-rotation variant has no
-    encoding choice.
+    single_factor is multi_rotation on a portfolio of one factor.  The single-rotation
+    variant has no encoding choice.
     """
     grids = list(grids)
-    loads, plan, rotations = _numbers(portfolio, grids, variant, encoding)
-    starts = list(itertools.accumulate((g.n_z for g in grids), initial=0))
-    factor_ranges = [range(s, s + g.n_z) for s, g in zip(starts, grids)]
-    sum_qubits = list(range(starts[-1], starts[-1] + plan.n_sum)) if plan else []
-    asset_qubits = [starts[-1] + len(sum_qubits) + i for i in range(portfolio.k)]
-    circ = Circuit(asset_qubits[-1] + 1)
-    for probs, reg in zip(loads, factor_ranges):
+    model, plan, loads, rotations = _numbers(portfolio, grids, variant, encoding)
+    circ = model.circuit
+    for probs, reg in zip(loads, model.factor_qubits):
         circ.extend(loader_gates(probs, reg))
-    adder = []
-    if plan:
-        # Bit j of a factor register adds 2**j to the sum, for the bits its n_points admit.
-        bits = [(q, 1 << j) for reg, n_r in zip(factor_ranges, plan.n_points)
-                for j, q in enumerate(reg) if 1 << j <= n_r - 1]
-        adder = arith.weighted_sum_gates([q for q, _ in bits], [w for _, w in bits], sum_qubits)
+    bits = _adder_bits(model, plan)
+    adder = arith.weighted_sum_gates([q for q, _ in bits], [1 << j for _, j in bits],
+                                     model.ancilla_qubits)
     circ.extend(adder)
     if isinstance(rotations, np.ndarray):
-        cells = [[(q, (i >> j) & 1) for i, reg in zip(cell, factor_ranges)
+        cells = [[(q, (i >> j) & 1) for i, reg in zip(cell, model.factor_qubits)
                   for j, q in enumerate(reg)]
                  for cell in itertools.product(*(range(g.size) for g in grids))]
-        for target, angles in zip(asset_qubits, rotations.T):
+        for target, angles in zip(model.asset_qubits, rotations.T):
             for angle, controls in zip(angles, cells):
                 circ.ry(angle, target, controls)
     else:
-        registers = [sum_qubits] if plan else factor_ranges
-        for (offset, slopes), target in zip(rotations, asset_qubits):
+        registers = [model.ancilla_qubits] if plan else model.factor_qubits
+        for (offset, slopes), target in zip(rotations, model.asset_qubits):
             circ.extend(_linear_rotation_gates(offset, zip(slopes, registers), target))
     circ.extend(g.adjoint() for g in reversed(adder))
-    return ModelCircuit(circ, factor_ranges, asset_qubits, sum_qubits)
+    return model
+
+
+def model_gates(portfolio: Portfolio, grids, variant: str, encoding: str) -> tuple[int, int]:
+    """build_model's (gates, control entries), unbuilt: upper bounds, as builders skip
+    zero angles.  Factor loaders take sum(2**q - 1) gates; then exact encoding adds
+    K*M rotations with sum(q) controls each, linear encoding K*(1 + sum(q)) rotations,
+    and single_rotation an index adder, K*(1 + n_sum) rotations and the adder's inverse."""
+    model, plan = model_layout(portfolio, grids, variant)
+    qs = [len(reg) for reg in model.factor_qubits]
+    k, total = portfolio.k, sum(qs)
+    gates = sum(2 ** q - 1 for q in qs)
+    controls = sum((q - 2) * 2 ** q + 2 for q in qs)    # 2**d loader gates with d controls
+    if plan:
+        # Bit j of a factor register increments the sum's top n_sum - j qubits.
+        incs = [plan.n_sum - j for _, j in _adder_bits(model, plan)]
+        gates += 2 * sum(incs) + k * (1 + plan.n_sum)
+        controls += sum(m * (m + 1) for m in incs) + k * plan.n_sum
+    elif encoding == "exact":
+        gates += k * 2 ** total
+        controls += k * 2 ** total * total
+    else:
+        gates += k * (1 + total)
+        controls += k * total
+    return gates, controls
 
 
 def model_table(portfolio: Portfolio, grids, variant: str = "multi_rotation",
@@ -380,7 +411,7 @@ def model_table(portfolio: Portfolio, grids, variant: str = "multi_rotation",
     total angle on each cell (M, K).  RYs on one qubit add up, so on cell c asset k
     defaults with probability sin^2(angles[c, k] / 2)."""
     grids = list(grids)
-    loads, plan, rotations = _numbers(portfolio, grids, variant, encoding)
+    _, plan, loads, rotations = _numbers(portfolio, grids, variant, encoding)
     idx = np.indices([g.size for g in grids]).reshape(len(grids), -1)
     pz = np.prod([p[i] for i, p in zip(idx, loads)], axis=0)
     if isinstance(rotations, np.ndarray):

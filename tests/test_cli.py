@@ -19,7 +19,8 @@ import qvar.cli
 import qvar.risk
 import qvar.uncertainty
 from qvar.circuit import apply, marginal_probability
-from qvar.cli import CONFIG_SCHEMA, ConfigError, _schema_errors, config_to_inputs, load_config, main
+from qvar.cli import (CONFIG_SCHEMA, ConfigError, _schema_errors, config_to_inputs, iqae_config,
+                      load_config, main)
 from qvar.estimation import exact_amplitude
 from qvar.objective import build_a_circuit
 from qvar.risk import _BYTES_PER_AMPLITUDE, exact_loss_distribution
@@ -153,11 +154,13 @@ class TestConfigLoading:
             load_config(write_config(tmp_path, bad))
 
     def test_iqae_requires_epsilon(self, tmp_path):
+        # The config loads: only iqae_config, where IQAE runs, needs the settings.
         bad = json.loads(json.dumps(TWO_ASSET))
         del bad["analysis"]["epsilon"]
         bad["analysis"]["estimator"] = "iqae"
-        with pytest.raises(ConfigError, match="epsilon"):
-            load_config(write_config(tmp_path, bad))
+        cfg = load_config(write_config(tmp_path, bad))
+        with pytest.raises(ConfigError, match=r"^analysis\.epsilon: required where IQAE runs"):
+            iqae_config(cfg["analysis"])
 
     def test_overrides_apply(self, tmp_path):
         cfg = load_config(write_config(tmp_path, TWO_ASSET), {"seed": 3, "estimator": "classical"})
@@ -306,6 +309,28 @@ class TestAnalyze:
     def test_missing_config_file(self, capsys):
         assert main(["analyze", "--config", "/nonexistent/nope.json"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["config is a directory", "output is a directory",
+                                      "config is not UTF-8", "config is missing",
+                                      "output directory is missing"])
+    @pytest.mark.parametrize("command", ["analyze", "distribution", "resources", "compare"])
+    def test_unreadable_or_unwritable_path_is_one_error_line(self, tmp_path, capsys, case,
+                                                              command):
+        config, output = write_config(tmp_path, TWO_ASSET), str(tmp_path / "report")
+        if case == "config is a directory":
+            config = str(tmp_path)
+        elif case == "output is a directory":
+            output = str(tmp_path)
+        elif case == "config is not UTF-8":
+            Path(config).write_bytes(json.dumps(TWO_ASSET).replace("0.95", "\"\xe9\"").encode("latin-1"))
+        elif case == "config is missing":
+            config = str(tmp_path / "absent.json")
+        else:
+            output = str(tmp_path / "absent" / "report")
+        assert main([command, "--config", config, "--output", output]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert (config if "config" in case else output) in err
 
     def test_weighted_sum_rejects_non_integer(self, tmp_path, capsys):
         config = write_config(tmp_path, TWO_ASSET)
@@ -817,6 +842,34 @@ class TestCompare:
         config = write_config(tmp_path, payload)
         assert main(["compare", "--config", config]) == 2
         assert "epsilon" in capsys.readouterr().err
+
+
+class TestIqaeSettings:
+    """epsilon and confidence are required only where IQAE runs, and checked first there."""
+
+    ALPHA_ONLY = {**TWO_ASSET, "analysis": {"alpha": 0.95}}
+
+    @pytest.mark.parametrize("argv", [["distribution"], ["resources"],
+                                      ["analyze", "--estimator", "classical"],
+                                      ["analyze", "--estimator", "exact"]])
+    def test_alpha_only_config_runs_without_iqae(self, tmp_path, capsys, argv):
+        config = write_config(tmp_path, self.ALPHA_ONLY)
+        assert main([*argv, "--config", config]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [["analyze", "--estimator", "iqae"], ["compare"],
+                                      ["compare", "--estimator", "classical"]])
+    @pytest.mark.parametrize("missing", ["epsilon", "confidence"])
+    def test_iqae_refused_before_the_inputs(self, tmp_path, capsys, monkeypatch, argv, missing):
+        def refused(cfg):
+            raise AssertionError("config_to_inputs ran before the IQAE settings were checked")
+        monkeypatch.setattr(qvar.cli, "config_to_inputs", refused)
+        payload = json.loads(json.dumps(TWO_ASSET))
+        del payload["analysis"][missing]
+        assert main([*argv, "--config", write_config(tmp_path, payload)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: analysis.{missing}: required where IQAE runs "
+            f"(analyze --estimator iqae, and compare)\n")
 
 
 @pytest.mark.parametrize("module", ["scipy", "scipy.stats", "jsonschema"])

@@ -5,9 +5,11 @@ import pytest
 
 from qvar.estimation import exact_amplitude
 from qvar.gaussian import discretize_normal
-from qvar.objective import MODES, build_a_circuit, comparators
-from qvar.resources import comparator_gates, estimate_resources, model_gates
-from qvar.uncertainty import Asset, Portfolio, build_model
+from qvar.objective import MODES, build_a_circuit, comparator_gates, comparators
+from qvar.resources import estimate_resources
+from qvar.risk import exact_loss_distribution
+from qvar.uncertainty import (ENCODINGS, VARIANTS, Asset, Portfolio, build_model, model_gates,
+                              model_table)
 
 
 def two_asset_portfolio():
@@ -159,3 +161,56 @@ class TestGateAccounting:
             estimate_resources(two_asset_portfolio(), grids(), "multi_rotation", "bogus")
         with pytest.raises(ValueError):
             estimate_resources(two_asset_portfolio(), grids(1), "multi_rotation")
+
+
+class TestRuleParity:
+    """estimate_resources and the gate counts follow the builders' rules: one width, and
+    one refusal in the same words for every variant-rule violation."""
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_width_built_is_the_built_width(self, variant, mode, encoding):
+        rng = np.random.default_rng([VARIANTS.index(variant), MODES.index(mode),
+                                     ENCODINGS.index(encoding)])
+        for _ in range(4):
+            r = 1 if variant == "single_factor" else int(rng.integers(1, 3))
+            shared = variant == "single_rotation" or rng.random() < 0.5
+            weights = tuple(rng.uniform(-0.5, 0.5, r))
+            pf = Portfolio([Asset(int(rng.integers(0, 9)) if mode == "weighted_sum"
+                                  else float(rng.uniform(0.0, 9.0)),
+                                  rng.uniform(0.02, 0.3), rng.uniform(0.0, 0.3),
+                                  weights if shared else tuple(rng.uniform(-0.5, 0.5, r)))
+                            for _ in range(int(rng.integers(1, 5)))])
+            g = [discretize_normal(int(n)) for n in rng.integers(1, 4, r)]
+            built = build_a_circuit(pf, g, float(pf.pattern_losses().max()), variant=variant,
+                                    encoding=encoding, mode=mode)
+            assert estimate_resources(pf, g, variant, mode).width_built == built.circuit.n_qubits
+
+    @pytest.mark.parametrize("variant, r, n_grids, shared", [
+        ("bogus", 2, 2, True),                      # an unknown variant
+        ("single_factor", 2, 2, True),              # single_factor on two factors
+        ("multi_rotation", 2, 1, False),            # a grid short
+        ("single_factor", 1, 2, True),              # a grid over
+        ("single_rotation", 2, 3, True),            # a grid over
+        ("single_rotation", 2, 2, False),           # weights that differ
+    ])
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_every_rule_refused_in_the_same_words(self, variant, r, n_grids, shared, encoding):
+        weights = tuple([0.3] * r)
+        pf = Portfolio([Asset(1000.5, 0.15, 0.1, weights),
+                        Asset(2000.5, 0.25, 0.05, weights if shared else tuple([0.2] * r))])
+        g = grids(n_grids)
+        calls = [lambda: build_model(pf, g, variant, encoding),
+                 lambda: model_table(pf, g, variant, encoding),
+                 lambda: model_gates(pf, g, variant, encoding)]
+        # The variant's rule comes before weighted_sum's refusal of these real LGDs.
+        calls += [lambda mode=mode: estimate_resources(pf, g, variant, mode) for mode in MODES]
+        if n_grids != r:
+            calls.append(lambda: exact_loss_distribution(pf, g))
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError) as refused:
+                call()
+            messages.add(str(refused.value))
+        assert len(messages) == 1, messages
