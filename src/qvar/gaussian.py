@@ -9,6 +9,8 @@ obligor given factor realizations z = (z_1, ..., z_R) is
 
 where F is the standard normal CDF, p0 the unconditional anchor probability,
 rho the factor sensitivity and alpha_i the per-factor weights.
+conditional_pd_table is its one evaluator: F^-1(p0) once per obligor and one
+F call for all obligors at all of the given realizations.
 
 F and the seed of F^-1 are ports of S. L. Moshier's Cephes erfc (ndtr.c) and
 ndtri (ndtri.c), the algorithms behind scipy.special's erfc and ndtri: the
@@ -263,9 +265,9 @@ def discretize_normal(n_z: int, mean: float = 0.0, std: float = 1.0,
     return FactorGrid(n_z=int(n_z), z_min=lo, z_max=hi, values=values, probs=probs)
 
 
-def _pd_argument(p0: float, rho: float, alphas):
-    """z -> (F^-1(p0) - sqrt(rho) * z @ alphas) / sqrt(1 - rho), the argument of F in
-    PD(z), with the parameters checked and F^-1(p0) evaluated once."""
+def _pd_argument(p0: float, rho: float, alphas, z):
+    """(F^-1(p0) - sqrt(rho) * z @ alphas) / sqrt(1 - rho), the argument of F in PD(z),
+    with the parameters checked and F^-1(p0) evaluated once for all of z."""
     if not 0.0 < p0 < 1.0:
         raise ValueError("conditional_pd requires p0 strictly inside (0, 1)")
     if not 0.0 <= rho < 1.0:
@@ -273,46 +275,33 @@ def _pd_argument(p0: float, rho: float, alphas):
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size < 1:
         raise ValueError("alphas must be a nonempty 1-D weight vector")
-    quantile = std_normal_ppf(p0)
-
-    def argument(z):
-        z_arr = np.asarray(z, dtype=float)
-        if z_arr.shape[-1:] != alphas.shape:
-            raise ValueError(f"realization vector must have length {alphas.size}")
-        return (quantile - np.sqrt(rho) * (z_arr @ alphas)) / np.sqrt(1.0 - rho)
-    return argument
+    if z.shape[-1:] != alphas.shape:
+        raise ValueError(f"realization vector must have length {alphas.size}")
+    return (std_normal_ppf(p0) - np.sqrt(rho) * (z @ alphas)) / np.sqrt(1.0 - rho)
 
 
-def _open_unit_cdf(arg):
-    """F(arg), kept strictly inside (0, 1)."""
-    out = std_normal_cdf(arg)
+def conditional_pd_table(obligors, z) -> np.ndarray:
+    """The one conditional-PD evaluator: conditional_pd of each obligor, a (p0, rho,
+    alphas) triple, stacked on a new last axis, with one F call for the table.
+
+    `z` is a vector of R realizations or an array whose last axis has length R.
+    Each obligor's z @ alphas is one matrix product, so its rounding follows z's
+    shape: points shaped (N, 1, R) each take their own 1-D dot, as a vector z
+    does, where an (N, R) matrix takes one matrix-vector product.
+    """
+    z = np.asarray(z, dtype=float)
+    out = std_normal_cdf(np.stack([_pd_argument(*o, z) for o in obligors], axis=-1))
     # F never reaches 0 or 1 for finite arguments; keep the output strictly
     # inside the open interval even where the double-precision cdf saturates.
-    tiny = np.nextafter(0.0, 1.0)
-    top = np.nextafter(1.0, 0.0)
-    if np.ndim(out) == 0:
-        return float(min(max(out, tiny), top))
-    return np.clip(out, tiny, top)
-
-
-def conditional_pd_curve(p0: float, rho: float, alphas):
-    """z -> conditional_pd(p0, rho, alphas, z), with F^-1(p0) evaluated once for
-    all of one obligor's realizations."""
-    argument = _pd_argument(p0, rho, alphas)
-    return lambda z: _open_unit_cdf(argument(z))
+    return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
 def conditional_pd(p0: float, rho: float, alphas, z):
-    """Conditional default probability given factor realizations.
+    """Conditional default probability given factor realizations: one obligor's
+    column of conditional_pd_table.
 
     With R = 1 and alphas = (1,) this is the classic single-factor form.
     `z` may be a vector of R realizations or an array whose last axis has
     length R, in which case the result is vectorized over the leading axes.
     """
-    return conditional_pd_curve(p0, rho, alphas)(z)
-
-
-def conditional_pd_table(obligors, z) -> np.ndarray:
-    """conditional_pd of each obligor, a (p0, rho, alphas) triple, stacked on a
-    new last axis: each obligor's z @ alphas apart, one F call for the table."""
-    return _open_unit_cdf(np.stack([_pd_argument(*o)(z) for o in obligors], axis=-1))
+    return np.take(conditional_pd_table([(p0, rho, alphas)], z), 0, axis=-1)

@@ -114,10 +114,10 @@ def _joint_grid(portfolio: Portfolio, grids: list) -> tuple[np.ndarray, np.ndarr
     return conditional_pd_table([(a.p0, a.rho, a.alphas) for a in portfolio.assets], z_joint), pz
 
 
-def _enumeration(portfolio: Portfolio, grids, max_enumeration: int, table) -> LossDistribution:
+def _enumeration(portfolio: Portfolio, grids, table) -> LossDistribution:
     """Loss distribution of a mixture over the joint grid cells, by blocked
     enumeration: table(portfolio, grids) gives the cells' default probabilities
-    (M, K) and probabilities (M,), and is not made past max_enumeration states.
+    (M, K) and probabilities (M,), and is not made past _MAX_ENUMERATION states.
     Default patterns run in the loss table's order, in blocks of about
     _BLOCK_ELEMENTS floats.  A pattern's weight multiplies its conditional
     (non)default probabilities left to right, and its mixture is one dot
@@ -125,9 +125,9 @@ def _enumeration(portfolio: Portfolio, grids, max_enumeration: int, table) -> Lo
     grids = list(grids)
     k = portfolio.k
     m = int(np.prod([g.size for g in grids]))
-    if m * 2 ** k > max_enumeration:
+    if m * 2 ** k > _MAX_ENUMERATION:
         raise ValueError(f"enumeration would visit {m * 2 ** k} states, over the budget of "
-                         f"{max_enumeration}; reduce risk_factors.qubits_per_factor or assets")
+                         f"{_MAX_ENUMERATION}; reduce risk_factors.qubits_per_factor or assets")
     pd, pz = table(portfolio, grids)
     q = np.stack([1.0 - pd, pd])                   # q[bit, z, asset]
     tail = min(k, max(0, (_BLOCK_ELEMENTS // m).bit_length() - 1))
@@ -145,11 +145,10 @@ def _enumeration(portfolio: Portfolio, grids, max_enumeration: int, table) -> Lo
     return LossDistribution.from_pairs(portfolio.pattern_losses(), probs.ravel())
 
 
-def exact_loss_distribution(portfolio: Portfolio, grids,
-                            max_enumeration: int = _MAX_ENUMERATION) -> LossDistribution:
+def exact_loss_distribution(portfolio: Portfolio, grids) -> LossDistribution:
     """Exact loss distribution of the discretized model by blocked enumeration of
     the joint grid's true conditional PDs.  This is the exact encoding's oracle."""
-    return _enumeration(portfolio, grids, max_enumeration, _joint_grid)
+    return _enumeration(portfolio, grids, _joint_grid)
 
 
 def model_distribution(portfolio: Portfolio, grids, variant: str = "multi_rotation",
@@ -160,7 +159,7 @@ def model_distribution(portfolio: Portfolio, grids, variant: str = "multi_rotati
     def table(portfolio, grids):
         pz, angles = model_table(portfolio, grids, variant, encoding)
         return np.sin(0.5 * angles) ** 2, pz
-    return _enumeration(portfolio, grids, _MAX_ENUMERATION, table)
+    return _enumeration(portfolio, grids, table)
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:

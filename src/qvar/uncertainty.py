@@ -10,7 +10,9 @@ Two constructions are provided:
 
 model_layout is the one check of a variant's rules and the one place its
 registers are laid out.  Each construction has one private function computing
-its numbers once: the factor loaders' probabilities and each asset's rotation.
+its numbers once: the factor loaders' probabilities and each asset's rotation,
+whose PDs come from one gaussian.conditional_pd_table call over all of the
+model's points.
 build_model emits the gates from them (see VARIANTS), model_gates counts those
 gates unbuilt, and model_table gives the classical mixture: RYs on an asset
 qubit add up to one angle per joint cell.
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import arith
 from .circuit import Circuit, Gate
-from .gaussian import conditional_pd_curve, std_normal_pdf
+from .gaussian import conditional_pd_table, std_normal_pdf
 
 VARIANTS = ("multi_rotation", "single_rotation", "single_factor")
 ENCODINGS = ("exact", "linear")
@@ -111,9 +113,20 @@ class ModelCircuit:
     ancilla_qubits: list[int] = field(default_factory=list)
 
 
-def default_angle(pd: float) -> float:
-    """Rotation angle that puts probability pd on |1>: 2*arcsin(sqrt(pd))."""
-    return 2.0 * math.asin(math.sqrt(min(max(pd, 0.0), 1.0)))
+def default_angle(pd):
+    """Rotation angle that puts probability pd on |1>: 2*arcsin(sqrt(pd)), of a float or
+    elementwise of an array, each element by math.asin as the float's."""
+    if np.ndim(pd) == 0:
+        return 2.0 * math.asin(math.sqrt(min(max(pd, 0.0), 1.0)))
+    root = np.sqrt(np.clip(pd, 0.0, 1.0))
+    return 2.0 * np.fromiter(map(math.asin, root.flat), float, root.size).reshape(root.shape)
+
+
+def _angles(obligors, z) -> np.ndarray:
+    """default_angle of each obligor's conditional PD at each of the points z (N, R), as
+    (N, K).  The points go in shaped (N, 1, R), so each z @ alphas is its own 1-D dot,
+    rounded as one point's is; a matrix product rounds otherwise and moves the gates."""
+    return default_angle(conditional_pd_table(obligors, z[:, None, :]))[:, 0, :]
 
 
 def loader_gates(probs, qubits) -> list[Gate]:
@@ -137,7 +150,7 @@ def loader_gates(probs, qubits) -> list[Gate]:
             return
         mid = (lo + hi) // 2
         mass1 = float(probs[mid:hi].sum())
-        theta = 2.0 * math.asin(math.sqrt(min(mass1 / mass, 1.0)))
+        theta = default_angle(mass1 / mass)
         if theta != 0.0:
             gates.append(Gate("ry", qubits[level], theta, tuple(controls)))
         if level == 0:
@@ -164,29 +177,24 @@ def fit_linear_rotation(asset: Asset, factor_index: int, grids) -> tuple[float, 
     Returns (slope, offset) in radians per index step such that
     slope * i + offset reproduces the true angle exactly at i = 0 and
     i = 2**n_z - 1, with every other factor held at its mid-grid value.
-    The linear encoding fits every factor of an asset, and takes its mid-grid
-    angle, on one conditional_pd_curve, so F^-1(p0) is evaluated once per asset.
     """
     grids = list(grids)
     if not 0 <= factor_index < len(grids):
         raise ValueError(f"factor index {factor_index} out of range")
-    return _secant(conditional_pd_curve(asset.p0, asset.rho, asset.alphas), factor_index, grids)
+    lows, slopes, _ = _secants([(asset.p0, asset.rho, asset.alphas)], grids)
+    return float(slopes[factor_index, 0]), float(lows[factor_index, 0])
 
 
-def _secant(pd_at, factor_index: int, grids: list) -> tuple[float, float]:
-    """fit_linear_rotation of the asset whose conditional PD is pd_at."""
-    z_ref = [g.mid_value for g in grids]
-    grid = grids[factor_index]
-
-    def angle_at(z_i):
-        z = list(z_ref)
-        z[factor_index] = z_i
-        return default_angle(pd_at(z))
-
-    theta_lo = angle_at(grid.values[0])
-    theta_hi = angle_at(grid.values[-1])
-    slope = (theta_hi - theta_lo) / (grid.size - 1)
-    return slope, theta_lo
+def _secants(obligors, grids: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each obligor's endpoint secant along each factor, with the other factors at their
+    mid-grid values: the angles at index 0 (R, K), the slopes (R, K), and the angle at
+    the mid point (K,), from one table of the 2R endpoints and the mid point."""
+    points = np.array([[g.mid_value for g in grids]] * (2 * len(grids) + 1))
+    for r, grid in enumerate(grids):
+        points[2 * r:2 * r + 2, r] = grid.values[[0, -1]]
+    angles = _angles(obligors, points)
+    lows, highs = angles[0:-1:2], angles[1:-1:2]
+    return lows, (highs - lows) / np.array([[g.size - 1] for g in grids]), angles[-1]
 
 
 def _linear_rotation_gates(offset, slopes_and_registers, target) -> list[Gate]:
@@ -202,28 +210,20 @@ def _linear_rotation_gates(offset, slopes_and_registers, target) -> list[Gate]:
 
 def _multi_rotation(portfolio: Portfolio, grids: list, encoding: str):
     """multi_rotation's numbers: the grids' probabilities and each asset's angle on every
-    joint cell ((M, K), product order) in the exact encoding, or its offset and one slope
-    per factor register in the linear one."""
-    if encoding not in ENCODINGS:
-        raise ValueError(f"unknown encoding {encoding!r}")
-    curves = [conditional_pd_curve(a.p0, a.rho, a.alphas) for a in portfolio.assets]
+    joint cell ((M, K), product order) in the exact encoding, or in the linear one the
+    assets' offsets (K,) and slopes (K, R), one per factor register."""
+    obligors = [(a.p0, a.rho, a.alphas) for a in portfolio.assets]
     if encoding == "exact":
-        angles = np.empty((int(np.prod([g.size for g in grids])), portfolio.k))
-        for k_idx, pd_at in enumerate(curves):
-            # One 1-D z @ alphas per cell: a stacked matrix product rounds otherwise.
-            for cell, z in enumerate(itertools.product(*(g.values for g in grids))):
-                angles[cell, k_idx] = default_angle(pd_at(z))
-        return [g.probs for g in grids], angles
-    mid = [g.mid_value for g in grids]
-    affine = []
-    for pd_at in curves:
-        fits = [_secant(pd_at, r, grids) for r in range(len(grids))]
-        # Per-factor secants each carry their own intercept; anchoring the
-        # combined offset at the mid-grid angle keeps the sum exact for a
-        # truly affine angle function and reduces to the single secant at R=1.
-        offset = sum(off for _, off in fits) - (len(grids) - 1) * default_angle(pd_at(mid))
-        affine.append((offset, [slope for slope, _ in fits]))
-    return [g.probs for g in grids], affine
+        idx = np.indices([g.size for g in grids]).reshape(len(grids), -1)
+        cells = np.column_stack([g.values[i] for i, g in zip(idx, grids)])
+        return [g.probs for g in grids], _angles(obligors, cells)
+    lows, slopes, mid = _secants(obligors, grids)
+    # Per-factor secants each carry their own intercept; anchoring the
+    # combined offset at the mid-grid angle keeps the sum exact for a
+    # truly affine angle function and reduces to the single secant at R=1.  The slopes
+    # go in C order: model_table's matrix product may round by the layout it reads.
+    return [g.probs for g in grids], (sum(lows) - (len(grids) - 1) * mid,
+                                      np.ascontiguousarray(slopes.T))
 
 
 @dataclass
@@ -291,13 +291,10 @@ def _single_rotation(portfolio: Portfolio, grids: list, plan: IndexSumPlan):
             density = std_normal_pdf((base + plan.delta * np.arange(n_r)) / abs(alpha))
             probs[:n_r] = density / density.sum()
         loads.append(probs)
-    y_lo, y_hi = float(plan.y_of_sum(0)), float(plan.y_of_sum(plan.s_max))
-    affine = []
-    for asset in portfolio.assets:
-        pd_at = conditional_pd_curve(asset.p0, asset.rho, (1.0,))
-        theta_lo, theta_hi = default_angle(pd_at((y_lo,))), default_angle(pd_at((y_hi,)))
-        affine.append((theta_lo, [(theta_hi - theta_lo) / plan.s_max if plan.s_max else 0.0]))
-    return loads, affine
+    ends = plan.y_of_sum(np.array([0, plan.s_max]))[:, None]
+    lows, highs = _angles([(a.p0, a.rho, (1.0,)) for a in portfolio.assets], ends)
+    slopes = (highs - lows) / plan.s_max if plan.s_max else np.zeros_like(lows)
+    return loads, (lows, slopes[:, None])
 
 
 def model_layout(portfolio: Portfolio, grids,
@@ -331,10 +328,18 @@ def model_layout(portfolio: Portfolio, grids,
                         asset_qubits, sum_qubits), plan
 
 
+def _layout(portfolio: Portfolio, grids: list, variant: str, encoding: str):
+    """model_layout of a variant in an encoding: every variant refuses one not in ENCODINGS,
+    though single_rotation has no encoding choice."""
+    if encoding not in ENCODINGS:
+        raise ValueError(f"unknown encoding {encoding!r}")
+    return model_layout(portfolio, grids, variant)
+
+
 def _numbers(portfolio: Portfolio, grids: list, variant: str, encoding: str):
-    """One variant's model_layout and numbers: the factor registers' probability vectors,
-    and the (M, K) angles or each asset's (offset, slopes)."""
-    model, plan = model_layout(portfolio, grids, variant)
+    """One variant's _layout and numbers: the factor registers' probability vectors, and
+    the (M, K) angles or the assets' offsets (K,) and slopes (K, registers)."""
+    model, plan = _layout(portfolio, grids, variant, encoding)
     if plan:
         return model, plan, *_single_rotation(portfolio, grids, plan)
     return model, plan, *_multi_rotation(portfolio, grids, encoding)
@@ -374,7 +379,7 @@ def build_model(portfolio: Portfolio, grids, variant: str = "multi_rotation",
                 circ.ry(angle, target, controls)
     else:
         registers = [model.ancilla_qubits] if plan else model.factor_qubits
-        for (offset, slopes), target in zip(rotations, model.asset_qubits):
+        for offset, slopes, target in zip(*(r.tolist() for r in rotations), model.asset_qubits):
             circ.extend(_linear_rotation_gates(offset, zip(slopes, registers), target))
     circ.extend(g.adjoint() for g in reversed(adder))
     return model
@@ -385,7 +390,7 @@ def model_gates(portfolio: Portfolio, grids, variant: str, encoding: str) -> tup
     zero angles.  Factor loaders take sum(2**q - 1) gates; then exact encoding adds
     K*M rotations with sum(q) controls each, linear encoding K*(1 + sum(q)) rotations,
     and single_rotation an index adder, K*(1 + n_sum) rotations and the adder's inverse."""
-    model, plan = model_layout(portfolio, grids, variant)
+    model, plan = _layout(portfolio, grids, variant, encoding)
     qs = [len(reg) for reg in model.factor_qubits]
     k, total = portfolio.k, sum(qs)
     gates = sum(2 ** q - 1 for q in qs)
@@ -416,6 +421,6 @@ def model_table(portfolio: Portfolio, grids, variant: str = "multi_rotation",
     pz = np.prod([p[i] for i, p in zip(idx, loads)], axis=0)
     if isinstance(rotations, np.ndarray):
         return pz, rotations
-    offsets, slopes = (np.array(v) for v in zip(*rotations))
+    offsets, slopes = rotations
     # An index register holds a factor's grid index, or single_rotation's their sum.
     return pz, offsets + (idx.sum(axis=0)[:, None] if plan else idx.T) @ slopes.T

@@ -214,3 +214,15 @@ class TestRuleParity:
                 call()
             messages.add(str(refused.value))
         assert len(messages) == 1, messages
+
+    @pytest.mark.parametrize("variant, r", [("multi_rotation", 2), ("single_factor", 1),
+                                            ("single_rotation", 2)])
+    def test_unknown_encoding_refused_by_every_variant(self, variant, r):
+        pf = Portfolio([Asset(1000.5, 0.15, 0.1, (0.3,) * r), Asset(2000.5, 0.25, 0.05, (0.3,) * r)])
+        g = grids(r)
+        messages = set()
+        for call in (build_model, model_table, model_gates):
+            with pytest.raises(ValueError) as refused:
+                call(pf, g, variant, "bogus")
+            messages.add(str(refused.value))
+        assert messages == {"unknown encoding 'bogus'"}

@@ -187,15 +187,18 @@ class TestBlockedEnumeration:
                         for i, a in enumerate(pf.assets)])
         assert_same_bytes(pf, [discretize_normal(2), discretize_normal(2)])
 
-    @pytest.mark.parametrize("n", [1, 7, 14, 16, 23, 64, 512])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 14, 16, 23, 64, 512])
     def test_stacked_matmul_is_the_vector_dot(self, n):
         # The kernel relies on (rows[:, None, :] @ v[:, None]) running the same
-        # dot as the loop's `v @ row`; a numpy/BLAS change there must fail here.
+        # dot as the loop's `v @ row`, and conditional_pd_table's z @ alphas on
+        # (N, 1, R) points on `row @ v`; a numpy/BLAS change there must fail here.
         rng = np.random.default_rng(n)
         rows = rng.random((300, n)) * rng.choice([1e-3, 1.0, 1e3], (300, n))
         vector = rng.random(n)
         stacked = (rows[:, None, :] @ vector[:, None])[:, 0, 0]
         assert stacked.tobytes() == np.array([vector @ row for row in rows]).tobytes()
+        points = (rows[:, None, :] @ vector)[:, 0]
+        assert points.tobytes() == np.array([row @ vector for row in rows]).tobytes()
 
 
 class TestGridMonteCarlo:

@@ -17,7 +17,7 @@ from qvar.circuit import Gate, apply, marginal_probability, probabilities, zero_
 from qvar.gaussian import conditional_pd, discretize_normal
 from qvar.resources import estimate_resources
 from qvar.uncertainty import (Asset, Portfolio, build_model, default_angle, fit_linear_rotation,
-                              index_sum_plan, loader_gates, probability_loader)
+                              index_sum_plan, loader_gates, model_table, probability_loader)
 
 # the running two-asset, two-factor example
 ASSETS = [
@@ -249,6 +249,30 @@ class TestOneQuantilePerAsset:
         text = "\n".join(f"{g.kind} {g.target} {g.theta.hex() if g.theta is not None else None} "
                          f"{g.controls}" for g in gates)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestOneTablePerModel:
+    """build_model and model_table evaluate a model's PDs in one conditional_pd_table call:
+    one F call for all of its points and F^-1(p0) once per asset."""
+
+    @pytest.mark.parametrize("variant, encoding", [("multi_rotation", "exact"),
+                                                   ("multi_rotation", "linear"),
+                                                   ("single_rotation", "exact")])
+    @pytest.mark.parametrize("build", [build_model, model_table])
+    def test_one_cdf_call(self, monkeypatch, build, variant, encoding):
+        rng = np.random.default_rng(61)
+        shared = tuple(float(a) for a in rng.uniform(-0.5, 0.5, 2))
+        pf = Portfolio([Asset(float(rng.uniform(500, 3000)), float(rng.uniform(0.02, 0.3)),
+                              float(rng.uniform(0.05, 0.3)), shared) for _ in range(3)])
+        cdf, ppf = qvar.gaussian.std_normal_cdf, qvar.gaussian.std_normal_ppf
+        cdf_calls, ppf_calls = [], []
+        monkeypatch.setattr(qvar.gaussian, "std_normal_cdf",
+                            lambda x: cdf_calls.append(x) or cdf(x))
+        monkeypatch.setattr(qvar.gaussian, "std_normal_ppf",
+                            lambda p: ppf_calls.append(p) or ppf(p))
+        build(pf, [discretize_normal(2), discretize_normal(3)], variant, encoding)
+        assert len(cdf_calls) == 1
+        assert ppf_calls == [a.p0 for a in pf.assets]
 
 
 class TestLinearEncoding:
