@@ -12,8 +12,8 @@ from .estimation import (IqaeConfig, IqaeResult, clopper_pearson,
                          exact_amplitude, grover_operator, iqae)
 from .gaussian import (FactorGrid, conditional_pd, discretize_normal,
                        std_normal_cdf, std_normal_pdf, std_normal_ppf)
-from .objective import (ObjectiveCircuit, build_a_circuit, build_s_free_comparator,
-                        build_weighted_sum, comparators, n_sum_qubits, weighted_sum_register)
+from .objective import (ObjectiveCircuit, build_a_circuit, comparator, n_sum_qubits,
+                        weighted_sum_register)
 from .resources import ResourceReport, estimate_resources
 from .risk import (BisectionProbe, EstimationFailure, LossDistribution,
                    VarResult, cdf_estimator, economic_capital, exact_loss_distribution,
@@ -29,9 +29,8 @@ __all__ = [
     "Gate", "IqaeConfig",
     "IqaeResult", "LossDistribution", "ModelCircuit", "ObjectiveCircuit",
     "Portfolio", "ResourceReport", "Statevector", "VarResult", "apply",
-    "build_a_circuit", "build_model", "build_s_free_comparator",
-    "build_weighted_sum", "cdf_estimator", "clopper_pearson",
-    "comparators", "conditional_pd",
+    "build_a_circuit", "build_model", "cdf_estimator", "clopper_pearson",
+    "comparator", "conditional_pd",
     "discretize_normal", "economic_capital", "estimate_resources",
     "exact_amplitude", "exact_loss_distribution", "expected_loss",
     "fit_linear_rotation", "grover_operator", "inverse", "iqae",

@@ -10,9 +10,10 @@ analyze takes VaR, cdf, expected loss and economic capital from one loss
 distribution (see ESTIMATORS): the enumeration for "classical", else the
 model_distribution of the model's angle table, with no gate or statevector,
 read exactly or through IQAE.  compare simulates its model once, at the A
-circuit's width: each threshold's comparator gates (s_free's built once per
-run) on a copy give the readout, its exact column, that IQAE samples; the
-enumeration gives the rest.  Each refuses an over-budget model before building
+circuit's width, and steps that one state up the support: each threshold
+applies only the comparator gates for the losses above the previous one, and
+the objective's marginal is the readout, its exact column, that IQAE samples;
+the enumeration gives the rest.  Each refuses an over-budget model before building
 it, and every command refuses an over-budget factor grid before discretizing it.
 
 Configs are JSON documents; every run echoes the fully resolved config so
@@ -34,7 +35,7 @@ import numpy as np
 from .circuit import Circuit, apply, marginal_probability, zero_state
 from .estimation import IqaeConfig
 from .gaussian import discretize_normal
-from .objective import MODES, comparator_gates, comparators
+from .objective import MODES, comparator, comparator_gates
 from .resources import estimate_resources
 from .risk import (EstimationFailure, cdf_estimator, check_state_budget,
                    exact_loss_distribution, expected_loss, model_distribution,
@@ -296,17 +297,19 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     width = estimate_resources(portfolio, grids, variant, mode).width_built   # the A circuit's
     gates = tuple(m + c for m, c in zip(model_gates(portfolio, grids, variant, encoding),
                                         comparator_gates(portfolio, mode)))
-    # s_free's comparators keep a loss, an index and a gate reference per pattern.
+    # s_free's increment keeps a loss table, masks and an index array over the 2**K
+    # patterns, and its gates; zero LGDs can put every pattern in one increment.
     check_state_budget(width, "A circuit", gates, 3 * 2 ** portfolio.k if mode == "s_free" else 0)
     dist = exact_loss_distribution(portfolio, grids)
     model = build_model(portfolio, grids, variant, encoding)
     # Model gates then comparator gates on one array, as exact_amplitude of the
-    # threshold's A circuit runs them, so the readout is that oracle bit for bit.
+    # threshold's A circuit runs them; every comparator gate is an X, an exact
+    # swap, so the running state's readout is that oracle bit for bit.
     state = apply(Circuit(width).extend(model.circuit.gates), zero_state(width))
     mc = monte_carlo_distribution(portfolio, grids, analysis["mc_paths"], analysis["seed"])
     readout = {}        # each threshold's A-circuit readout, handed on to IQAE to sample
     sampled = cdf_estimator(readout.pop, settings)
-    comparator_at = comparators(portfolio, model, mode)
+    above = -np.inf
     header = (f"{'threshold':>12}  {'classical':>12}  {'exact':>12}  {'|e-c|':>9}  "
               f"{'iqae':>12}  {'|q-e|':>9}  {'<=eps':>5}  {'mc':>12}  {'|m-e|':>9}  {'<=3sd':>5}")
     lines = [header, "-" * len(header)]
@@ -314,9 +317,10 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     for x in dist.losses:
         x = float(x)
         classical = dist.cdf(x)
-        comparator = comparator_at(x)
-        exact = readout[x] = marginal_probability(apply(comparator.circuit, state),
-                                                  comparator.objective_qubit, 1)
+        step = comparator(portfolio, model, mode, x, above)
+        state = apply(step.circuit, state)
+        exact = readout[x] = marginal_probability(state, step.objective_qubit, 1)
+        above = x
         q = sampled(x)
         mc_val = mc.cdf(x)
         p = min(max(exact, 0.0), 1.0)        # a readout of 1 can round past it

@@ -1,9 +1,11 @@
 """Comparison operator turning an uncertainty model into the estimation circuit.
 
 The A register is [model][sum register, weighted_sum only][objective].
-comparators(portfolio, model, mode) is the one place a comparator is wired onto
-a built model's asset qubits, and comparator_gates counts its gates unbuilt;
-build_a_circuit is the model's gates, then one threshold's comparator gates.
+comparator(portfolio, model, mode, threshold, above) is the one place a
+comparator is wired onto a built model's asset qubits: the gates that flip the
+objective for losses in (above, threshold], so compare can step one state from
+threshold to threshold.  comparator_gates counts its gates unbuilt, and
+build_a_circuit is the model's gates, then one threshold's whole comparator.
 Two modes build the "total loss <= x" flag:
 
 * s_free: reads the asset qubits directly; every default pattern whose loss
@@ -17,9 +19,7 @@ Two modes build the "total loss <= x" flag:
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,44 +67,6 @@ def weighted_sum_register(portfolio: Portfolio) -> tuple[list[int], int]:
     return lgds, n_sum_qubits(lgds) if sum(lgds) > 0 else 1
 
 
-def build_s_free_comparator(portfolio: Portfolio, threshold: float, objective: int,
-                            asset_qubits, n_qubits: int) -> Circuit:
-    """Pattern-enumeration comparator on the asset qubits: one pattern-controlled X
-    on the objective per default pattern whose loss is within the threshold (at
-    most 2**K gates)."""
-    if not math.isfinite(threshold):
-        raise ValueError("threshold must be finite")
-    circ = Circuit(n_qubits)
-    pairs = [((q, 0), (q, 1)) for q in asset_qubits]    # one of each, shared by every gate
-    for pattern, loss in zip(itertools.product((0, 1), repeat=portfolio.k),
-                             portfolio.pattern_losses()):
-        if loss <= threshold:
-            circ.x(objective, controls=tuple(pair[bit] for pair, bit in zip(pairs, pattern)))
-    return circ
-
-
-def build_weighted_sum(portfolio: Portfolio, threshold: float, objective: int,
-                       asset_qubits, sum_qubits, n_qubits: int) -> Circuit:
-    """Legacy comparator: integer loss adder into sum_qubits, threshold flip, un-adder.
-
-    The adder works through multi-controlled increments, so no carry ancillas
-    are allocated.
-    """
-    if not math.isfinite(threshold):
-        raise ValueError("threshold must be finite")
-    lgds, _ = weighted_sum_register(portfolio)
-    circ = Circuit(n_qubits)
-
-    adder = arith.weighted_sum_gates(asset_qubits, lgds, sum_qubits)
-    circ.extend(adder)
-    limit = min(int(math.floor(threshold)), 2 ** len(sum_qubits) - 1)
-    for value in range(0, limit + 1):
-        pattern = tuple((q, (value >> j) & 1) for j, q in enumerate(sum_qubits))
-        circ.x(objective, controls=pattern)
-    circ.extend(g.adjoint() for g in reversed(adder))
-    return circ
-
-
 def objective_qubit(portfolio: Portfolio, model: ModelCircuit, mode: str) -> int:
     """Index of the objective qubit, the top of the A register (objective + 1 wide),
     on a built or a model_layout model: the one check of the mode."""
@@ -127,35 +89,39 @@ def comparator_gates(portfolio: Portfolio, mode: str) -> tuple[int, int]:
     return 2 ** n_s + 2 * sum(incs), n_s * 2 ** n_s + sum(m * (m + 1) for m in incs)
 
 
-def comparators(portfolio: Portfolio, model: ModelCircuit,
-                mode: str) -> Callable[[float], ObjectiveCircuit]:
-    """The comparators of one run's thresholds on a built model, threshold -> ObjectiveCircuit.
+def comparator(portfolio: Portfolio, model: ModelCircuit, mode: str, threshold: float,
+               above: float = -math.inf) -> ObjectiveCircuit:
+    """The comparator gates that flip the objective for every loss in (above, threshold],
+    on a built model's A register.
 
-    Each circuit spans the whole A register but holds only the comparator gates,
-    so one simulation of the model can serve every threshold.  s_free builds its
-    2**K pattern-controlled X gates once, in product order; each threshold's
-    circuit holds those whose pattern loses at most the threshold, which is the
-    gate list build_s_free_comparator builds.  weighted_sum builds each
-    threshold's comparator.
+    s_free: one pattern-controlled X per default pattern whose loss lies in that
+    range, in product order.  weighted_sum: the integer loss adder into the sum
+    register, one X per register value in (floor(above), floor(threshold)], then
+    the un-adder.  Every gate is an X, so applying the increments of ascending
+    thresholds in turn gives the same amplitudes, bit for bit, as the last
+    threshold's comparator from above = -inf.
     """
-    objective = objective_qubit(portfolio, model, mode)   # refuses a bad mode or LGD now
-    n_qubits = objective + 1
-    if mode == "weighted_sum":
-        sum_qubits = list(range(model.circuit.n_qubits, objective))
-        return lambda threshold: ObjectiveCircuit(
-            build_weighted_sum(portfolio, threshold, objective, model.asset_qubits,
-                               sum_qubits, n_qubits), objective, mode, threshold)
-    losses = portfolio.pattern_losses()
-    # Every pattern loses at most the largest loss, so this holds all 2**K gates.
-    gates = build_s_free_comparator(portfolio, float(losses.max()), objective,
-                                    model.asset_qubits, n_qubits).gates
-
-    def comparator(threshold: float) -> ObjectiveCircuit:
-        if not math.isfinite(threshold):
-            raise ValueError("threshold must be finite")
-        within = [gates[i] for i in np.flatnonzero(losses <= threshold)]
-        return ObjectiveCircuit(Circuit(n_qubits, within), objective, mode, threshold)
-    return comparator
+    objective = objective_qubit(portfolio, model, mode)   # refuses a bad mode or LGD
+    if not math.isfinite(threshold):
+        raise ValueError("threshold must be finite")
+    circ = Circuit(objective + 1)
+    if mode == "s_free":
+        k, losses = portfolio.k, portfolio.pattern_losses()
+        pairs = [((q, 0), (q, 1)) for q in model.asset_qubits]   # shared by every gate
+        for i in map(int, np.flatnonzero((losses > above) & (losses <= threshold))):
+            circ.x(objective, (pair[i >> (k - 1 - j) & 1] for j, pair in enumerate(pairs)))
+    else:
+        # No carry ancillas: the adder works through multi-controlled increments.
+        lgds, n_s = weighted_sum_register(portfolio)
+        sum_qubits = range(objective - n_s, objective)
+        adder = arith.weighted_sum_gates(model.asset_qubits, lgds, sum_qubits)
+        first = math.floor(max(above, -1.0)) + 1          # register values are nonnegative
+        last = min(math.floor(threshold), 2 ** n_s - 1)
+        circ.extend(adder)
+        for value in range(first, last + 1):
+            circ.x(objective, ((q, value >> j & 1) for j, q in enumerate(sum_qubits)))
+        circ.extend(g.adjoint() for g in reversed(adder))
+    return ObjectiveCircuit(circ, objective, mode, threshold)
 
 
 def build_a_circuit(portfolio: Portfolio, grids, threshold: float, *,
@@ -163,7 +129,6 @@ def build_a_circuit(portfolio: Portfolio, grids, threshold: float, *,
                     mode: str = "s_free") -> ObjectiveCircuit:
     """Build the complete estimation operator for one threshold: model, then comparator."""
     model = build_model(portfolio, grids, variant, encoding)
-    comparator = comparators(portfolio, model, mode)(threshold)
-    return ObjectiveCircuit(
-        Circuit(comparator.circuit.n_qubits, model.circuit.gates + comparator.circuit.gates),
-        comparator.objective_qubit, mode, threshold)
+    comp = comparator(portfolio, model, mode, threshold)
+    circuit = Circuit(comp.circuit.n_qubits, model.circuit.gates + comp.circuit.gates)
+    return ObjectiveCircuit(circuit, comp.objective_qubit, mode, threshold)

@@ -26,7 +26,7 @@ the grid indices (endpoint secant per factor) and is the scalable form.
 Register layout (little-endian throughout):
   multi-rotation:  [factor 0][factor 1]...[assets]
   single-rotation: [factor 0]...[sum register][assets]
-Asset qubits always sit at the top of the model, where objective.comparators
+Asset qubits always sit at the top of the model, where objective.comparator
 finds them.
 """
 

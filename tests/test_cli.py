@@ -756,23 +756,33 @@ class TestCompare:
         assert main(["compare", "--config", config]) == 1
         assert f"{width}-qubit A circuit" in capsys.readouterr().err
 
-    def test_one_model_build_and_one_simulation_per_threshold(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("config, mode, flips", [
+        ("two_asset.json", "s_free", 4),               # each of the 4 pattern gates once
+        ("two_asset_integer.json", "weighted_sum", 4),  # register values 0..3 once each
+    ])
+    def test_one_model_build_and_one_simulation_per_threshold(self, tmp_path, monkeypatch,
+                                                              config, mode, flips):
         builds, applies = [], []
 
-        def counted(log, fn):
-            return lambda *args, **kwargs: log.append(1) or fn(*args, **kwargs)
+        def simulated(circuit, state):
+            # The objective is the A register's top qubit; only comparators flip it.
+            applies.append(sum(g.kind == "x" and g.target == circuit.n_qubits - 1
+                               for g in circuit.gates))
+            return apply(circuit, state)
 
-        monkeypatch.setattr(qvar.cli, "build_model", counted(builds, qvar.cli.build_model))
+        build_model = qvar.cli.build_model
+        monkeypatch.setattr(qvar.cli, "build_model",
+                            lambda *args: builds.append(1) or build_model(*args))
         for name, module in list(sys.modules.items()):
             if name.startswith("qvar") and getattr(module, "apply", None) is apply:
-                monkeypatch.setattr(module, "apply", counted(applies, apply))
-        payload = json.loads(json.dumps(TWO_ASSET))
+                monkeypatch.setattr(module, "apply", simulated)
+        payload = json.loads((CONFIGS / config).read_text())
         payload["analysis"]["mc_paths"] = 1000
-        config = write_config(tmp_path, payload)
-        assert main(["compare", "--config", config, "--output", str(tmp_path / "t.txt")]) == 0
-        # The model's gates run once; each of the 4 support thresholds runs
-        # only its comparator on a copy of that state.
-        assert (len(builds), len(applies)) == (1, 1 + len(ORACLE_LOSSES))
+        argv = ["compare", "--config", write_config(tmp_path, payload), "--mode", mode]
+        assert main([*argv, "--output", str(tmp_path / "t.txt")]) == 0
+        # The model's gates run once; each of the 4 support thresholds then runs only
+        # the flips its losses add, on one running state: each flip runs once in all.
+        assert (len(builds), len(applies), sum(applies)) == (1, 1 + len(ORACLE_LOSSES), flips)
 
     def test_monte_carlo_sigma_clips_a_readout_past_one(self, tmp_path):
         # One linear-encoded asset on a 1-qubit factor: the top threshold's
@@ -814,10 +824,11 @@ class TestCompare:
         assert peak <= _BYTES_PER_AMPLITUDE * 2 ** (18 + extra_qubits)
 
     def test_s_free_budget_covers_the_traced_peak(self, tmp_path, monkeypatch, capsys):
-        # 16 equal-LGD assets on one 1-qubit factor: 2**16 pattern gates of 16 controls
-        # each, beside the state and the comparator's loss, index and gate-reference
-        # tables.  A fresh process, as `qvar compare` is, also loads scipy for IQAE while
-        # they are alive.  A budget one byte under that traced peak must refuse the run.
+        # 16 equal-LGD assets on one 1-qubit factor: the budget prices 2**16 pattern gates
+        # of 16 controls each and three 8-byte tables per pattern beside the state; compare
+        # holds one increment's gates, loss table, masks and index array at a time.  A
+        # fresh process, as `qvar compare` is, also loads scipy for IQAE while they are
+        # alive.  A budget one byte under that traced peak must refuse the run.
         payload = {
             "risk_factors": {"count": 1, "qubits_per_factor": 1},
             "assets": [{"lgd": 1000.5, "p0": 0.1, "rho": 0.2, "alphas": [0.4]}] * 16,

@@ -7,16 +7,17 @@ the two-asset example run before the build.
 import hashlib
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from qvar.circuit import Circuit, apply, marginal_probability, zero_state
+from qvar.circuit import Circuit, Statevector, apply
 from qvar.estimation import exact_amplitude
 from qvar.gaussian import discretize_normal
-from qvar.objective import (MODES, ObjectiveCircuit, build_a_circuit, build_s_free_comparator,
-                            build_weighted_sum, comparators, n_sum_qubits, weighted_sum_register)
+from qvar.objective import (MODES, ObjectiveCircuit, build_a_circuit, comparator, n_sum_qubits,
+                            weighted_sum_register)
 from qvar.uncertainty import Asset, Portfolio, build_model
 
 ASSETS = [
@@ -52,16 +53,19 @@ class TestNSumQubits:
 
 class TestSFreeComparator:
     def test_pattern_counts(self):
-        pf, _ = table_inputs()
+        pf, grids = table_inputs()
+        model = build_model(pf, grids)
+
+        def n_gates(x):
+            return comparator(pf, model, "s_free", x).circuit.n_gates
         # 1000.5 <= 1500 < 2000.5: only {} and {asset 0} qualify
-        comp = build_s_free_comparator(pf, 1500.0, 6, [4, 5], 7)
-        assert comp.n_gates == 2
+        assert n_gates(1500.0) == 2
         # everything qualifies at the total loss
-        assert build_s_free_comparator(pf, 3001.0, 6, [4, 5], 7).n_gates == 4
+        assert n_gates(3001.0) == 4
         # only the empty pattern at zero
-        assert build_s_free_comparator(pf, 0.0, 6, [4, 5], 7).n_gates == 1
+        assert n_gates(0.0) == 1
         # nothing below zero
-        assert build_s_free_comparator(pf, -1.0, 6, [4, 5], 7).n_gates == 0
+        assert n_gates(-1.0) == 0
 
     def test_gate_count_equals_qualifying_patterns(self):
         rng = np.random.default_rng(9)
@@ -71,16 +75,16 @@ class TestSFreeComparator:
             assets = [Asset(float(l), 0.2, 0.1, (1.0,)) for l in lgds]
             pf = Portfolio(assets)
             x = float(rng.uniform(-1, lgds.sum() + 1))
-            comp = build_s_free_comparator(pf, x, k, range(k), k + 1)
+            comp = comparator(pf, build_model(pf, [discretize_normal(1)]), "s_free", x)
             qualifying = sum(
                 1 for pattern in itertools.product((0, 1), repeat=k)
                 if np.dot(lgds, pattern) <= x)
-            assert comp.n_gates == qualifying <= 2 ** k
+            assert comp.circuit.n_gates == qualifying <= 2 ** k
 
     def test_non_finite_threshold_rejected(self):
-        pf, _ = table_inputs()
+        pf, grids = table_inputs()
         with pytest.raises(ValueError):
-            build_s_free_comparator(pf, float("nan"), 6, [4, 5], 7)
+            comparator(pf, build_model(pf, grids), "s_free", float("nan"))
 
 
 class TestWeightedSum:
@@ -123,7 +127,8 @@ class TestWeightedSum:
 
 
 class TestComparators:
-    """The once-per-run comparators are the per-threshold builders', laid out by hand."""
+    """Ascending thresholds' increments, applied in turn, are each threshold's whole
+    comparator, amplitude for amplitude."""
 
     @staticmethod
     def portfolio(rng, k, mode):
@@ -138,7 +143,7 @@ class TestComparators:
     @pytest.mark.parametrize("variant, encoding", [("multi_rotation", "exact"),
                                                    ("multi_rotation", "linear"),
                                                    ("single_rotation", "linear")])
-    def test_gate_for_gate(self, mode, variant, encoding):
+    def test_increments_step_to_the_comparator(self, mode, variant, encoding):
         rng = np.random.default_rng(len(mode) + len(variant) + len(encoding))
         for k in (1, 3, 6):
             pf = self.portfolio(rng, k, mode)
@@ -147,39 +152,52 @@ class TestComparators:
                                 for a in pf.assets])
             model = build_model(pf, [discretize_normal(2), discretize_normal(1)],
                                 variant, encoding)
-            at = comparators(pf, model, mode)
             # [model][loss register, weighted_sum only][objective]
             width = model.circuit.n_qubits
             objective = width + (weighted_sum_register(pf)[1] if mode == "weighted_sum" else 0)
+            start = Statevector(rng.normal(size=2 ** (objective + 1))
+                                + 1j * rng.normal(size=2 ** (objective + 1)))
             support = np.unique(pf.pattern_losses())
-            # Below the support, on and between its points, and above it.
-            for x in [support[0] - 1.0, *support, *(support[:-1] + np.diff(support) / 2),
-                      support[-1] + 0.5, support[-1] + 1e6]:
+            # Below the support, on and between its points, and above it, ascending.
+            thresholds = sorted([support[0] - 1.0, *support,
+                                 *(support[:-1] + np.diff(support) / 2),
+                                 support[-1] + 0.5, support[-1] + 1e6])
+            state, above, stepped = start, -math.inf, Counter()
+            for x in map(float, thresholds):
+                step = comparator(pf, model, mode, x, above)
+                whole = comparator(pf, model, mode, x)
+                got = (step.circuit.n_qubits, step.objective_qubit, step.mode, step.threshold)
+                assert got == (objective + 1, objective, mode, x)
+                state = apply(step.circuit, state)
+                assert np.array_equal(state.amplitudes, apply(whole.circuit, start).amplitudes)
                 if mode == "s_free":
-                    want = build_s_free_comparator(pf, float(x), objective, model.asset_qubits,
-                                                   objective + 1)
-                else:
-                    want = build_weighted_sum(pf, float(x), objective, model.asset_qubits,
-                                              list(range(width, objective)), objective + 1)
-                got = at(float(x))
-                assert got.circuit.gates == want.gates
-                assert (got.circuit.n_qubits, got.objective_qubit, got.mode, got.threshold) == (
-                    want.n_qubits, objective, mode, float(x))
+                    stepped.update(step.circuit.gates)
+                    assert stepped == Counter(whole.circuit.gates)
+                above = x
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_above_at_or_past_threshold_adds_no_flip(self, mode):
+        pf = self.portfolio(np.random.default_rng(5), 4, mode)
+        model = build_model(pf, [discretize_normal(1)] * 2)
+        for x in np.unique(pf.pattern_losses()):
+            for above in (x, x + 0.5, x + 1e6):
+                comp = comparator(pf, model, mode, float(x), float(above))
+                assert not any(g.target == comp.objective_qubit for g in comp.circuit.gates)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_non_finite_threshold_rejected(self, mode):
         pf = self.portfolio(np.random.default_rng(4), 3, mode)
-        at = comparators(pf, build_model(pf, [discretize_normal(1)] * 2), mode)
+        model = build_model(pf, [discretize_normal(1)] * 2)
         for x in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="threshold must be finite"):
-                at(x)
+                comparator(pf, model, mode, x)
 
 
 class TestAssembleA:
     def test_table_amplitude_at_1500(self):
         pf, grids = table_inputs()
         model = build_model(pf, grids, "multi_rotation", "exact")
-        comp = build_s_free_comparator(pf, 1500.0, 6, model.asset_qubits, 7)
+        comp = comparator(pf, model, "s_free", 1500.0).circuit
         a_circ = ObjectiveCircuit(Circuit(7, model.circuit.gates + comp.gates), 6, "s_free", 1500.0)
         assert abs(exact_amplitude(a_circ) - ORACLE_CDF[1000.5]) < 1e-9
 

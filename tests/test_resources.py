@@ -5,7 +5,7 @@ import pytest
 
 from qvar.estimation import exact_amplitude
 from qvar.gaussian import discretize_normal
-from qvar.objective import MODES, build_a_circuit, comparator_gates, comparators
+from qvar.objective import MODES, build_a_circuit, comparator, comparator_gates
 from qvar.resources import estimate_resources
 from qvar.risk import exact_loss_distribution
 from qvar.uncertainty import (ENCODINGS, VARIANTS, Asset, Portfolio, build_model, model_gates,
@@ -144,10 +144,10 @@ class TestGateAccounting:
         for _ in range(6):
             pf = Portfolio([Asset(int(rng.integers(0, 40)), 0.1, 0.1, (0.3,))
                             for _ in range(int(rng.integers(1, 6)))])
-            at = comparators(pf, build_model(pf, grids(1, 1)), mode)
+            model = build_model(pf, grids(1, 1))
             counted = comparator_gates(pf, mode)
             for x in (float(pf.pattern_losses().max()), 2.0 ** 20):
-                gates = at(x).circuit.gates
+                gates = comparator(pf, model, mode, x).circuit.gates
                 built = (len(gates), sum(len(gate.controls) for gate in gates))
                 if x == 2.0 ** 20:
                     assert counted == built
