@@ -13,8 +13,8 @@ read exactly or through IQAE.  compare simulates its model once, at the A
 circuit's width, and steps that one state up the support: each threshold
 applies only the comparator gates for the losses above the previous one, and
 the objective's marginal is the readout, its exact column, that IQAE samples;
-the enumeration gives the rest.  Each refuses an over-budget model before building
-it, and every command refuses an over-budget factor grid before discretizing it.
+the enumeration gives the rest.  risk.check_budget prices every command's run from
+the config's sizes and refuses it before any grid is discretized.
 
 Configs are JSON documents; every run echoes the fully resolved config so
 reports are self-describing, and all output is deterministic for a given
@@ -34,13 +34,13 @@ import numpy as np
 
 from .circuit import Circuit, apply, marginal_probability, zero_state
 from .estimation import IqaeConfig
-from .gaussian import discretize_normal
-from .objective import MODES, comparator, comparator_gates
+from .gaussian import GridShape, discretize_normal
+from .objective import MODES, comparator
 from .resources import estimate_resources
-from .risk import (EstimationFailure, cdf_estimator, check_state_budget,
+from .risk import (EstimationFailure, cdf_estimator, check_budget,
                    exact_loss_distribution, expected_loss, model_distribution,
                    monte_carlo_distribution, var_bisection)
-from .uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio, build_model, model_gates
+from .uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio, build_model
 
 ESTIMATORS = ("exact", "iqae", "classical")
 
@@ -182,18 +182,16 @@ def load_config(path: str, overrides=None) -> dict:
     return cfg
 
 
-def config_to_inputs(cfg: dict):
-    """Build the portfolio and factor grids from a resolved config; a factor grid
-    over the state budget is refused before any grid is allocated."""
+def config_to_inputs(cfg: dict, **run):
+    """The portfolio and factor grids of a resolved config, discretized only once
+    risk.check_budget, given the grids' shapes and the command's `run` keywords, passes."""
     factors = cfg["risk_factors"]
     portfolio = Portfolio([
         Asset(lgd=a["lgd"], p0=a["p0"], rho=a["rho"], alphas=tuple(a["alphas"]))
         for a in cfg["assets"]])
-    for n_z in factors["qubits_per_factor"]:
-        check_state_budget(n_z, "factor grid")
-    grids = [discretize_normal(n_z, 0.0, 1.0, factors["bound_sigmas"])
-             for n_z in factors["qubits_per_factor"]]
-    return portfolio, grids
+    qubits, bound = factors["qubits_per_factor"], factors["bound_sigmas"]
+    check_budget(portfolio, [GridShape(n_z, -bound, bound) for n_z in qubits], **run)
+    return portfolio, [discretize_normal(n_z, 0.0, 1.0, bound) for n_z in qubits]
 
 
 def iqae_config(analysis: dict) -> IqaeConfig:
@@ -228,7 +226,7 @@ def cmd_analyze(cfg: dict, output: str | None) -> int:
     analysis = cfg["analysis"]
     variant, kind, encoding = analysis["variant"], analysis["estimator"], analysis["encoding"]
     settings = iqae_config(analysis) if kind == "iqae" else None
-    portfolio, grids = config_to_inputs(cfg)
+    portfolio, grids = config_to_inputs(cfg, iqae=settings is not None)
     # Checks the variant and mode constraints before anything is enumerated or built.
     resources = asdict(estimate_resources(portfolio, grids, variant, analysis["mode"]))
     dist = (exact_loss_distribution(portfolio, grids) if kind == "classical"
@@ -281,7 +279,7 @@ def cmd_distribution(cfg: dict, output: str | None) -> int:
 
 
 def cmd_resources(cfg: dict, output: str | None) -> int:
-    portfolio, grids = config_to_inputs(cfg)
+    portfolio, grids = config_to_inputs(cfg, enumerated=False)
     analysis = cfg["analysis"]
     report = estimate_resources(
         portfolio, grids, analysis["variant"], analysis["mode"])
@@ -292,14 +290,9 @@ def cmd_resources(cfg: dict, output: str | None) -> int:
 def cmd_compare(cfg: dict, output: str | None) -> int:
     analysis = cfg["analysis"]
     settings = iqae_config(analysis)
-    portfolio, grids = config_to_inputs(cfg)
     variant, mode, encoding = analysis["variant"], analysis["mode"], analysis["encoding"]
+    portfolio, grids = config_to_inputs(cfg, iqae=True, circuit=(variant, mode, encoding))
     width = estimate_resources(portfolio, grids, variant, mode).width_built   # the A circuit's
-    gates = tuple(m + c for m, c in zip(model_gates(portfolio, grids, variant, encoding),
-                                        comparator_gates(portfolio, mode)))
-    # s_free's increment keeps a loss table, masks and an index array over the 2**K
-    # patterns, and its gates; zero LGDs can put every pattern in one increment.
-    check_state_budget(width, "A circuit", gates, 3 * 2 ** portfolio.k if mode == "s_free" else 0)
     dist = exact_loss_distribution(portfolio, grids)
     model = build_model(portfolio, grids, variant, encoding)
     # Model gates then comparator gates on one array, as exact_amplitude of the

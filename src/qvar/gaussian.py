@@ -9,8 +9,8 @@ obligor given factor realizations z = (z_1, ..., z_R) is
 
 where F is the standard normal CDF, p0 the unconditional anchor probability,
 rho the factor sensitivity and alpha_i the per-factor weights.
-conditional_pd_table is its one evaluator: F^-1(p0) once per obligor and one
-F call for all obligors at all of the given realizations.
+conditional_pd_table is its one evaluator: per block of 2**16 realizations,
+F^-1(p0) once per obligor and one F call for all obligors.
 
 F and the seed of F^-1 are ports of S. L. Moshier's Cephes erfc (ndtr.c) and
 ndtri (ndtri.c), the algorithms behind scipy.special's erfc and ndtri: the
@@ -28,6 +28,7 @@ import numpy as np
 
 _SQRT2 = float(np.sqrt(2.0))
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+_PD_BLOCK_ROWS = 1 << 16      # leading rows of z that conditional_pd_table evaluates at once
 
 # Cephes ndtr.c: erfc(x) = exp(-x^2) P(x)/Q(x) for 1 <= |x| < 8 and
 # exp(-x^2) R(x)/S(x) past 8; erf(x) = x T(x^2)/U(x^2) for |x| < 1.
@@ -199,34 +200,12 @@ def _polished_ndtri(p: float) -> float:
 
 
 @dataclass(eq=False)
-class FactorGrid:
-    """Truncated, discretized distribution of one latent risk factor.
-
-    values[i] = a_z * i + b_z with a_z = (z_max - z_min) / (2**n_z - 1) and
-    b_z = z_min; probs[i] is the probability assigned to grid point i.
-    """
+class GridShape:
+    """A factor grid before its arrays: 2**n_z equally spaced points on [z_min, z_max]."""
 
     n_z: int
     z_min: float
     z_max: float
-    values: np.ndarray = field(repr=False)
-    probs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.n_z < 1:
-            raise ValueError("FactorGrid needs n_z >= 1")
-        size = 2 ** self.n_z
-        self.values = np.asarray(self.values, dtype=float)
-        self.probs = np.asarray(self.probs, dtype=float)
-        if self.values.shape != (size,) or self.probs.shape != (size,):
-            raise ValueError(f"grid arrays must have length 2**n_z = {size}")
-        steps = np.diff(self.values)
-        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=0, atol=1e-12 * max(1.0, abs(steps[0]))):
-            raise ValueError("grid values must be strictly increasing and equally spaced")
-        if np.any(self.probs < 0):
-            raise ValueError("grid probabilities must be nonnegative")
-        if abs(self.probs.sum() - 1.0) > 1e-12:
-            raise ValueError("grid probabilities must sum to 1")
 
     @property
     def size(self) -> int:
@@ -241,6 +220,33 @@ class FactorGrid:
     def mid_value(self) -> float:
         """Center of the truncated range (not necessarily a grid point)."""
         return 0.5 * (self.z_min + self.z_max)
+
+
+@dataclass(eq=False)
+class FactorGrid(GridShape):
+    """Truncated, discretized distribution of one latent risk factor.
+
+    values[i] = a_z * i + b_z with a_z = (z_max - z_min) / (2**n_z - 1) and
+    b_z = z_min; probs[i] is the probability assigned to grid point i.
+    """
+
+    values: np.ndarray = field(repr=False)
+    probs: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if self.n_z < 1:
+            raise ValueError("FactorGrid needs n_z >= 1")
+        self.values = np.asarray(self.values, dtype=float)
+        self.probs = np.asarray(self.probs, dtype=float)
+        if self.values.shape != (self.size,) or self.probs.shape != (self.size,):
+            raise ValueError(f"grid arrays must have length 2**n_z = {self.size}")
+        steps = np.diff(self.values)
+        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=0, atol=1e-12 * max(1.0, abs(steps[0]))):
+            raise ValueError("grid values must be strictly increasing and equally spaced")
+        if np.any(self.probs < 0):
+            raise ValueError("grid probabilities must be nonnegative")
+        if abs(self.probs.sum() - 1.0) > 1e-12:
+            raise ValueError("grid probabilities must sum to 1")
 
 
 def discretize_normal(n_z: int, mean: float = 0.0, std: float = 1.0,
@@ -282,14 +288,20 @@ def _pd_argument(p0: float, rho: float, alphas, z):
 
 def conditional_pd_table(obligors, z) -> np.ndarray:
     """The one conditional-PD evaluator: conditional_pd of each obligor, a (p0, rho,
-    alphas) triple, stacked on a new last axis, with one F call for the table.
+    alphas) triple, stacked on a new last axis, with one F call per _PD_BLOCK_ROWS rows.
 
     `z` is a vector of R realizations or an array whose last axis has length R.
     Each obligor's z @ alphas is one matrix product, so its rounding follows z's
     shape: points shaped (N, 1, R) each take their own 1-D dot, as a vector z
-    does, where an (N, R) matrix takes one matrix-vector product.
+    does, where an (N, R) matrix takes one matrix-vector product, row by row.
     """
     z = np.asarray(z, dtype=float)
+    if z.ndim > 1 and len(z) > _PD_BLOCK_ROWS:     # every later step is elementwise
+        out = np.empty(z.shape[:-1] + (len(obligors),))
+        for start in range(0, len(z), _PD_BLOCK_ROWS):
+            out[start:start + _PD_BLOCK_ROWS] = conditional_pd_table(
+                obligors, z[start:start + _PD_BLOCK_ROWS])
+        return out
     out = std_normal_cdf(np.stack([_pd_argument(*o, z) for o in obligors], axis=-1))
     # F never reaches 0 or 1 for finite arguments; keep the output strictly
     # inside the open interval even where the double-precision cdf saturates.

@@ -5,11 +5,13 @@ and its support from LossDistribution.from_pairs: the model's own, the blocked
 enumeration of its model_table with no statevector, and two classical
 references, the same enumeration of the discretized model and a seeded Monte
 Carlo simulation.  VaR is a discrete bisection over a distribution's support.
+check_budget is the one check that a run fits, in bytes and in enumerated states.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -17,15 +19,19 @@ import numpy as np
 
 from .estimation import IqaeConfig, iqae
 from .gaussian import conditional_pd_table
-from .uncertainty import Portfolio, model_table
+from .objective import comparator_gates
+from .resources import estimate_resources
+from .uncertainty import Portfolio, joint_cells, model_gates, model_layout, model_table
 
 _BLOCK_ELEMENTS = 1 << 17    # floats in one enumeration block's weights
 _GUIDE_BUCKETS = 1 << 12     # a power of two, so u * _GUIDE_BUCKETS is exact
 _MERGE_RTOL = 1e-12          # losses this close, relative to the largest, are one point
-_MAX_ENUMERATION = 10_000_000  # (joint cell, default pattern) states one enumeration visits
-MAX_STATE_BYTES = 1 << 30    # one simulation with its working copy and readout arrays
-_BYTES_PER_AMPLITUDE = 64    # traced peak per amplitude is about 57: the state, apply's copy
-                             # and its temporaries
+_MAX_ENUMERATION = 10_000_000  # (joint cell, default pattern) states: a bound on time
+MAX_STATE_BYTES = 1 << 30    # what one run keeps at once: grids, scipy, state, gates, tables
+_BYTES_PER_GRID_POINT = 16   # a grid's values and probs
+_BYTES_DISCRETIZING = 32     # per point, discretize_normal's temporaries: 25 B traced
+_IQAE_BYTES = 24 << 20       # scipy.special, which IQAE's first interval imports: 15-22 MB
+_BYTES_PER_AMPLITUDE = 64    # the state, apply's copy and its temporaries: 57 B traced
 _BYTES_PER_GATE = 256        # traced, a built Gate is about 240 B, controls aside
 _BYTES_PER_CONTROL = 64      # a fresh (qubit, polarity) pair and its slot
 
@@ -103,12 +109,9 @@ class EstimationFailure(RuntimeError):
 
 
 def _joint_grid(portfolio: Portfolio, grids: list) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional default probabilities (M, K) and probabilities (M,) of the
-    joint grid cells, in itertools.product order: the last factor varies fastest.
-    """
-    if len(grids) != portfolio.r:
-        raise ValueError(f"portfolio has {portfolio.r} factors but {len(grids)} grids were given")
-    idx = np.indices([g.size for g in grids]).reshape(len(grids), -1)
+    """Conditional default probabilities (M, K) and probabilities (M,) of the joint cells."""
+    model_layout(portfolio, grids, "multi_rotation")     # the check of one grid per factor
+    idx = joint_cells(grids)
     z_joint = np.column_stack([g.values[i] for i, g in zip(idx, grids)])
     pz = np.prod([g.probs[i] for i, g in zip(idx, grids)], axis=0)
     return conditional_pd_table([(a.p0, a.rho, a.alphas) for a in portfolio.assets], z_joint), pz
@@ -117,18 +120,15 @@ def _joint_grid(portfolio: Portfolio, grids: list) -> tuple[np.ndarray, np.ndarr
 def _enumeration(portfolio: Portfolio, grids, table) -> LossDistribution:
     """Loss distribution of a mixture over the joint grid cells, by blocked
     enumeration: table(portfolio, grids) gives the cells' default probabilities
-    (M, K) and probabilities (M,), and is not made past _MAX_ENUMERATION states.
+    (M, K) and probabilities (M,), and is not made past check_budget's count.
     Default patterns run in the loss table's order, in blocks of about
     _BLOCK_ELEMENTS floats.  A pattern's weight multiplies its conditional
     (non)default probabilities left to right, and its mixture is one dot
     product, so the result equals the pattern-by-pattern loop bit for bit."""
     grids = list(grids)
-    k = portfolio.k
-    m = int(np.prod([g.size for g in grids]))
-    if m * 2 ** k > _MAX_ENUMERATION:
-        raise ValueError(f"enumeration would visit {m * 2 ** k} states, over the budget of "
-                         f"{_MAX_ENUMERATION}; reduce risk_factors.qubits_per_factor or assets")
+    check_budget(portfolio, grids)
     pd, pz = table(portfolio, grids)
+    k, m = portfolio.k, pz.size
     q = np.stack([1.0 - pd, pd])                   # q[bit, z, asset]
     tail = min(k, max(0, (_BLOCK_ELEMENTS // m).bit_length() - 1))
     # Reused by every block: fresh arrays per step page-fault once freed to the OS.
@@ -253,17 +253,35 @@ def total_variation_distance(a: LossDistribution, b: LossDistribution) -> float:
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
-def check_state_budget(n_qubits: int, what: str, gates=(0, 0), tables: int = 0) -> None:
-    """Refuse an n_qubits-wide simulation of `what` whose state, plus a gate list of
-    `gates` = (gates, control entries) yet to be built and `tables` entries of 8-byte
-    arrays and lists kept beside them, would pass MAX_STATE_BYTES."""
-    need = (_BYTES_PER_AMPLITUDE * 2 ** n_qubits + _BYTES_PER_GATE * gates[0]
-            + _BYTES_PER_CONTROL * gates[1] + 8 * tables)
+def check_budget(portfolio: Portfolio, grids, enumerated: bool = True, iqae: bool = False,
+                 circuit: tuple[str, str, str] | None = None) -> None:
+    """The one check that a run fits, made from sizes alone (grids may be GridShapes)
+    before anything is allocated.  In bytes, against MAX_STATE_BYTES: the grids, all kept
+    and one being discretized; scipy where `iqae` runs; with circuit = (variant, mode,
+    encoding), compare's A circuit.  In states, where `enumerated`: cells times 2**K."""
+    points = [g.size for g in grids]
+    states = math.prod(points) * 2 ** portfolio.k if enumerated else 0
+    need = (_BYTES_PER_GRID_POINT * sum(points) + _BYTES_DISCRETIZING * max(points, default=0)
+            + (_IQAE_BYTES if iqae else 0))
+    what, held = f"the {'-, '.join(str(g.n_z) for g in grids)}-qubit factor grids", ""
+    if circuit:
+        variant, mode, encoding = circuit
+        width = estimate_resources(portfolio, grids, variant, mode).width_built
+        gates, controls = map(sum, zip(model_gates(portfolio, grids, variant, encoding),
+                                       comparator_gates(portfolio, mode)))
+        # s_free's increment keeps a loss table, masks and an index array over the 2**K
+        # patterns, and its gates; zero LGDs can put every pattern in one increment.
+        need += (_BYTES_PER_AMPLITUDE * 2 ** width + _BYTES_PER_GATE * gates
+                 + _BYTES_PER_CONTROL * controls
+                 + (3 * 8 * 2 ** portfolio.k if mode == "s_free" else 0))
+        what, held = f"the {width}-qubit A circuit", f" of state, factor grids and {gates} gates"
     if need > MAX_STATE_BYTES:
-        listed = f" and {gates[0]} gates" if gates[0] else ""
-        raise ValueError(
-            f"the {n_qubits}-qubit {what} would need about {need} bytes of state{listed}, over "
-            f"the budget of {MAX_STATE_BYTES}; reduce risk_factors.qubits_per_factor or assets")
+        over = f"{what} would need about {need} bytes{held}, over the budget of {MAX_STATE_BYTES}"
+    elif states > _MAX_ENUMERATION:
+        over = f"enumeration would visit {states} states, over the budget of {_MAX_ENUMERATION}"
+    else:
+        return
+    raise ValueError(f"{over}; reduce risk_factors.qubits_per_factor or assets")
 
 
 def cdf_estimator(cdf: Callable[[float], float],

@@ -9,10 +9,10 @@ Two constructions are provided:
   sum.  Requires all assets to share one weight vector.
 
 model_layout is the one check of a variant's rules and the one place its
-registers are laid out.  Each construction has one private function computing
-its numbers once: the factor loaders' probabilities and each asset's rotation,
-whose PDs come from one gaussian.conditional_pd_table call over all of the
-model's points.
+registers are laid out, joint_cells the one order of the joint grid cells.  Each
+construction has one private function computing its numbers once: the factor
+loaders' probabilities and each asset's rotation, whose PDs come from one
+gaussian.conditional_pd_table call over all of the model's points.
 build_model emits the gates from them (see VARIANTS), model_gates counts those
 gates unbuilt, and model_table gives the classical mixture: RYs on an asset
 qubit add up to one angle per joint cell.
@@ -122,6 +122,12 @@ def default_angle(pd):
     return 2.0 * np.fromiter(map(math.asin, root.flat), float, root.size).reshape(root.shape)
 
 
+def joint_cells(grids) -> np.ndarray:
+    """The one joint-cell layout: each cell's index on every grid, (R, M), in
+    itertools.product order, the last factor varying fastest."""
+    return np.indices([g.size for g in grids]).reshape(len(grids), -1)
+
+
 def _angles(obligors, z) -> np.ndarray:
     """default_angle of each obligor's conditional PD at each of the points z (N, R), as
     (N, K).  The points go in shaped (N, 1, R), so each z @ alphas is its own 1-D dot,
@@ -214,8 +220,7 @@ def _multi_rotation(portfolio: Portfolio, grids: list, encoding: str):
     assets' offsets (K,) and slopes (K, R), one per factor register."""
     obligors = [(a.p0, a.rho, a.alphas) for a in portfolio.assets]
     if encoding == "exact":
-        idx = np.indices([g.size for g in grids]).reshape(len(grids), -1)
-        cells = np.column_stack([g.values[i] for i, g in zip(idx, grids)])
+        cells = np.column_stack([g.values[i] for i, g in zip(joint_cells(grids), grids)])
         return [g.probs for g in grids], _angles(obligors, cells)
     lows, slopes, mid = _secants(obligors, grids)
     # Per-factor secants each carry their own intercept; anchoring the
@@ -297,13 +302,16 @@ def _single_rotation(portfolio: Portfolio, grids: list, plan: IndexSumPlan):
     return loads, (lows, slopes[:, None])
 
 
-def model_layout(portfolio: Portfolio, grids,
-                 variant: str) -> tuple[ModelCircuit, IndexSumPlan | None]:
+def model_layout(portfolio: Portfolio, grids, variant: str,
+                 encoding: str = "exact") -> tuple[ModelCircuit, IndexSumPlan | None]:
     """The one check of a variant's rules and layout of its registers: build_model's model
     with no gates yet, sum(n_z) + K qubits plus single_rotation's sum register, and
     single_rotation's IndexSumPlan (else None).  single_factor needs one factor, every
-    variant one grid per factor, and single_rotation every asset on the first's weights."""
+    variant one grid per factor and an encoding in ENCODINGS (single_rotation has no
+    choice of one), and single_rotation every asset on the first's weights."""
     grids = list(grids)
+    if encoding not in ENCODINGS:
+        raise ValueError(f"unknown encoding {encoding!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "single_factor" and portfolio.r != 1:
@@ -328,18 +336,10 @@ def model_layout(portfolio: Portfolio, grids,
                         asset_qubits, sum_qubits), plan
 
 
-def _layout(portfolio: Portfolio, grids: list, variant: str, encoding: str):
-    """model_layout of a variant in an encoding: every variant refuses one not in ENCODINGS,
-    though single_rotation has no encoding choice."""
-    if encoding not in ENCODINGS:
-        raise ValueError(f"unknown encoding {encoding!r}")
-    return model_layout(portfolio, grids, variant)
-
-
 def _numbers(portfolio: Portfolio, grids: list, variant: str, encoding: str):
-    """One variant's _layout and numbers: the factor registers' probability vectors, and
-    the (M, K) angles or the assets' offsets (K,) and slopes (K, registers)."""
-    model, plan = _layout(portfolio, grids, variant, encoding)
+    """One variant's model_layout and numbers: the factor registers' probability vectors,
+    and the (M, K) angles or the assets' offsets (K,) and slopes (K, registers)."""
+    model, plan = model_layout(portfolio, grids, variant, encoding)
     if plan:
         return model, plan, *_single_rotation(portfolio, grids, plan)
     return model, plan, *_multi_rotation(portfolio, grids, encoding)
@@ -372,8 +372,7 @@ def build_model(portfolio: Portfolio, grids, variant: str = "multi_rotation",
     circ.extend(adder)
     if isinstance(rotations, np.ndarray):
         cells = [[(q, (i >> j) & 1) for i, reg in zip(cell, model.factor_qubits)
-                  for j, q in enumerate(reg)]
-                 for cell in itertools.product(*(range(g.size) for g in grids))]
+                  for j, q in enumerate(reg)] for cell in joint_cells(grids).T.tolist()]
         for target, angles in zip(model.asset_qubits, rotations.T):
             for angle, controls in zip(angles, cells):
                 circ.ry(angle, target, controls)
@@ -390,7 +389,7 @@ def model_gates(portfolio: Portfolio, grids, variant: str, encoding: str) -> tup
     zero angles.  Factor loaders take sum(2**q - 1) gates; then exact encoding adds
     K*M rotations with sum(q) controls each, linear encoding K*(1 + sum(q)) rotations,
     and single_rotation an index adder, K*(1 + n_sum) rotations and the adder's inverse."""
-    model, plan = _layout(portfolio, grids, variant, encoding)
+    model, plan = model_layout(portfolio, grids, variant, encoding)
     qs = [len(reg) for reg in model.factor_qubits]
     k, total = portfolio.k, sum(qs)
     gates = sum(2 ** q - 1 for q in qs)
@@ -417,7 +416,7 @@ def model_table(portfolio: Portfolio, grids, variant: str = "multi_rotation",
     defaults with probability sin^2(angles[c, k] / 2)."""
     grids = list(grids)
     _, plan, loads, rotations = _numbers(portfolio, grids, variant, encoding)
-    idx = np.indices([g.size for g in grids]).reshape(len(grids), -1)
+    idx = joint_cells(grids)
     pz = np.prod([p[i] for i, p in zip(idx, loads)], axis=0)
     if isinstance(rotations, np.ndarray):
         return pz, rotations

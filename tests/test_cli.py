@@ -28,6 +28,11 @@ from qvar.uncertainty import model_table
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a grid was discretized past the budget")
+
+
 TWO_ASSET = {
     "risk_factors": {"count": 2, "qubits_per_factor": 2, "bound_sigmas": 3.0},
     "assets": [
@@ -516,10 +521,11 @@ class TestVariants:
     @pytest.mark.parametrize("command", ["resources", "distribution"])
     def test_factor_grid_refused_before_discretizing(self, tmp_path, capsys, monkeypatch,
                                                      command):
-        # One 22-qubit factor against a 64 MiB budget: its 2**22 grid points at 64 B
-        # each are refused before discretize_normal takes its 172 MB.  The full
-        # budget refuses qubits_per_factor >= 25 by the same rule.
+        # One 22-qubit factor against a 64 MiB budget: its 2**22 grid points, 16 B each
+        # kept and 32 B more while discretize_normal runs, are refused before it takes its
+        # 172 MB.  The full budget refuses qubits_per_factor >= 25 by the same rule.
         monkeypatch.setattr(qvar.risk, "MAX_STATE_BYTES", 1 << 26)
+        monkeypatch.setattr(qvar.cli, "discretize_normal", _unreachable)
         payload = {
             "risk_factors": {"count": 1, "qubits_per_factor": 22},
             "assets": [{"lgd": 100.5, "p0": 0.1, "rho": 0.2, "alphas": [0.4]}],
@@ -535,6 +541,54 @@ class TestVariants:
         err = capsys.readouterr().err
         assert "22-qubit factor grid" in err and "risk_factors.qubits_per_factor" in err
         assert peak < 100 * 2 ** 20
+
+    @pytest.mark.parametrize("command", ["analyze", "distribution"])
+    def test_enumeration_refused_before_discretizing(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        # 1 asset on one 23-qubit factor: its grid fits the budget, but the enumeration's
+        # 2**24 states do not, and the count is checked before the grid takes 328 MiB.
+        monkeypatch.setattr(qvar.cli, "discretize_normal", _unreachable)
+        payload = {
+            "risk_factors": {"count": 1, "qubits_per_factor": 23},
+            "assets": [{"lgd": 100.5, "p0": 0.1, "rho": 0.2, "alphas": [0.4]}],
+            "analysis": {"alpha": 0.95, "estimator": "classical"},
+        }
+        config = write_config(tmp_path, payload)
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", config]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == (
+            "error: enumeration would visit 16777216 states, over the budget of 10000000; "
+            "reduce risk_factors.qubits_per_factor or assets\n")
+        assert peak < 2 ** 20
+
+    def test_budget_prices_the_grids_it_discretizes(self, tmp_path, monkeypatch):
+        # The shapes the budget is checked on are the discretized grids' sizes and ranges.
+        shapes = []
+        monkeypatch.setattr(qvar.cli, "check_budget", lambda pf, grids, **run: shapes.extend(grids))
+        payload = copy.deepcopy(TWO_ASSET)
+        payload["risk_factors"] = {"count": 2, "qubits_per_factor": [2, 3], "bound_sigmas": 2.7}
+        _, grids = config_to_inputs(load_config(write_config(tmp_path, payload)))
+        assert [(s.n_z, s.z_min, s.z_max) for s in shapes] == [
+            (g.n_z, g.z_min, g.z_max) for g in grids]
+
+    def test_resources_refuses_summed_grids(self, tmp_path, capsys, monkeypatch):
+        # Three 20-qubit factors against a 72 MiB budget: each grid alone fits, but all
+        # three kept (48 MiB) and one being discretized (32 MiB) do not.
+        monkeypatch.setattr(qvar.risk, "MAX_STATE_BYTES", 72 << 20)
+        monkeypatch.setattr(qvar.cli, "discretize_normal", _unreachable)
+        payload = {
+            "risk_factors": {"count": 3, "qubits_per_factor": 20},
+            "assets": [{"lgd": 100.5, "p0": 0.1, "rho": 0.2, "alphas": [0.4, 0.2, 0.1]}],
+            "analysis": {"alpha": 0.95},
+        }
+        assert main(["resources", "--config", write_config(tmp_path, payload)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the 20-, 20-, 20-qubit factor grids would need about 83886080 bytes, over "
+            "the budget of 75497472; reduce risk_factors.qubits_per_factor or assets\n")
 
     def test_single_factor_requires_one_factor(self, tmp_path, capsys):
         config = write_config(tmp_path, TWO_ASSET)
@@ -739,9 +793,9 @@ class TestCompare:
     ])
     def test_comparator_gates_refused_before_building(self, tmp_path, capsys, monkeypatch,
                                                       mode, lgds, width):
-        # Against a 4 MiB budget the A circuit's state (1-2 MiB) and model gates fit,
+        # Against 4 MiB beside scipy the A circuit's state (1-2 MiB) and model gates fit,
         # but its comparator, about 4 MiB of gates, does not: compare stops first.
-        monkeypatch.setattr(qvar.risk, "MAX_STATE_BYTES", 1 << 22)
+        monkeypatch.setattr(qvar.risk, "MAX_STATE_BYTES", (1 << 22) + qvar.risk._IQAE_BYTES)
 
         def unbuilt(*args, **kwargs):
             raise AssertionError("the model was built")
@@ -823,15 +877,14 @@ class TestCompare:
             tracemalloc.stop()
         assert peak <= _BYTES_PER_AMPLITUDE * 2 ** (18 + extra_qubits)
 
-    def test_s_free_budget_covers_the_traced_peak(self, tmp_path, monkeypatch, capsys):
-        # 16 equal-LGD assets on one 1-qubit factor: the budget prices 2**16 pattern gates
-        # of 16 controls each and three 8-byte tables per pattern beside the state; compare
-        # holds one increment's gates, loss table, masks and index array at a time.  A
-        # fresh process, as `qvar compare` is, also loads scipy for IQAE while they are
-        # alive.  A budget one byte under that traced peak must refuse the run.
+    @staticmethod
+    def _refused_one_byte_under_the_traced_peak(tmp_path, monkeypatch, capsys, assets):
+        """`assets` equal-LGD assets on one 1-qubit factor, compared in a fresh process, as
+        `qvar compare` is, which loads scipy for IQAE: a budget one byte under that traced
+        peak must refuse the run."""
         payload = {
             "risk_factors": {"count": 1, "qubits_per_factor": 1},
-            "assets": [{"lgd": 1000.5, "p0": 0.1, "rho": 0.2, "alphas": [0.4]}] * 16,
+            "assets": [{"lgd": 1000.5, "p0": 0.1, "rho": 0.2, "alphas": [0.4]}] * assets,
             "analysis": {"alpha": 0.95, "epsilon": 0.01, "confidence": 0.99, "mc_paths": 1000},
         }
         argv = ["compare", "--config", write_config(tmp_path, payload),
@@ -845,7 +898,18 @@ class TestCompare:
         assert code == 0
         monkeypatch.setattr(qvar.risk, "MAX_STATE_BYTES", peak - 1)
         assert main(argv) == 1
-        assert "18-qubit A circuit" in capsys.readouterr().err
+        assert f"{assets + 2}-qubit A circuit" in capsys.readouterr().err
+
+    def test_s_free_budget_covers_the_traced_peak(self, tmp_path, monkeypatch, capsys):
+        # 16 assets: the budget prices 2**16 pattern gates of 16 controls each and three
+        # 8-byte tables per pattern beside the state; compare holds one increment's gates,
+        # loss table, masks and index array at a time, while scipy loads.
+        self._refused_one_byte_under_the_traced_peak(tmp_path, monkeypatch, capsys, 16)
+
+    def test_scipy_import_is_priced(self, tmp_path, monkeypatch, capsys):
+        # 12 assets: the state, gates and tables come to about 5.3 MB, and scipy's import
+        # takes the traced peak past 16 MB; the budget prices it as one fixed term.
+        self._refused_one_byte_under_the_traced_peak(tmp_path, monkeypatch, capsys, 12)
 
     def test_compare_requires_iqae_settings(self, tmp_path, capsys):
         payload = json.loads(json.dumps(TWO_ASSET))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+import qvar.gaussian
 from qvar.gaussian import (_MAXLOG, FactorGrid, conditional_pd, conditional_pd_table,
                            discretize_normal, erfc, erfc_array, ndtri, std_normal_cdf,
                            std_normal_pdf, std_normal_ppf)
@@ -197,6 +198,21 @@ class TestConditionalPdBits:
         assert table.shape == (64, len(self.CASES))
         assert_same_bits(table, np.column_stack(
             [reference_conditional_pd(*case, z) for case in self.CASES]))
+
+    @pytest.mark.parametrize("shape", ["(N, R)", "(N, 1, R)"])
+    def test_blocked_table_is_one_unblocked_call(self, monkeypatch, shape):
+        # 3 full blocks of 1,024 rows and a ragged one of 77, in both shapes the
+        # model code passes: every step after z @ alphas is elementwise.
+        rng = np.random.default_rng(17)
+        z = rng.uniform(-6.0, 6.0, (3 * 1024 + 77, 2))
+        z = z if shape == "(N, R)" else z[:, None, :]
+        unblocked = conditional_pd_table(self.CASES, z)
+        cdf, calls = qvar.gaussian.std_normal_cdf, []
+        monkeypatch.setattr(qvar.gaussian, "_PD_BLOCK_ROWS", 1024)
+        monkeypatch.setattr(qvar.gaussian, "std_normal_cdf", lambda x: calls.append(1) or cdf(x))
+        blocked = conditional_pd_table(self.CASES, z)
+        assert len(calls) == 4 and blocked.shape == unblocked.shape
+        assert blocked.tobytes() == unblocked.tobytes()
 
 
 class TestDiscretizeNormal:
