@@ -13,8 +13,8 @@ read exactly or through IQAE.  compare simulates its model once, at the A
 circuit's width, and steps that one state up the support: each threshold
 applies only the comparator gates for the losses above the previous one, and
 the objective's marginal is the readout, its exact column, that IQAE samples;
-the enumeration gives the rest.  risk.check_budget prices every command's run from
-the config's sizes and refuses it before any grid is discretized.
+the enumeration gives the rest.  factor_grids discretizes a config's grid shapes once
+risk.check_budget admits the run; resources reads the shapes alone, priced by nothing.
 
 Configs are JSON documents; every run echoes the fully resolved config so
 reports are self-describing, and all output is deterministic for a given
@@ -34,7 +34,7 @@ import numpy as np
 
 from .circuit import Circuit, apply, marginal_probability, zero_state
 from .estimation import IqaeConfig
-from .gaussian import GridShape, discretize_normal
+from .gaussian import FactorGrid, GridShape, discretize_normal
 from .objective import MODES, comparator
 from .resources import estimate_resources
 from .risk import (EstimationFailure, cdf_estimator, check_budget,
@@ -182,16 +182,19 @@ def load_config(path: str, overrides=None) -> dict:
     return cfg
 
 
-def config_to_inputs(cfg: dict, **run):
-    """The portfolio and factor grids of a resolved config, discretized only once
-    risk.check_budget, given the grids' shapes and the command's `run` keywords, passes."""
+def config_to_inputs(cfg: dict) -> tuple[Portfolio, list[GridShape]]:
+    """The portfolio and factor-grid shapes of a resolved config; no grid exists yet."""
     factors = cfg["risk_factors"]
-    portfolio = Portfolio([
-        Asset(lgd=a["lgd"], p0=a["p0"], rho=a["rho"], alphas=tuple(a["alphas"]))
-        for a in cfg["assets"]])
-    qubits, bound = factors["qubits_per_factor"], factors["bound_sigmas"]
-    check_budget(portfolio, [GridShape(n_z, -bound, bound) for n_z in qubits], **run)
-    return portfolio, [discretize_normal(n_z, 0.0, 1.0, bound) for n_z in qubits]
+    portfolio = Portfolio([Asset(lgd=a["lgd"], p0=a["p0"], rho=a["rho"], alphas=tuple(a["alphas"]))
+                           for a in cfg["assets"]])
+    bound = factors["bound_sigmas"]
+    return portfolio, [GridShape(n_z, -bound, bound) for n_z in factors["qubits_per_factor"]]
+
+
+def factor_grids(portfolio: Portfolio, shapes, **run) -> list[FactorGrid]:
+    """The grids of `shapes`, discretized once check_budget(portfolio, shapes, **run) passes."""
+    check_budget(portfolio, shapes, **run)
+    return [discretize_normal(s.n_z, 0.0, 1.0, s.z_max) for s in shapes]
 
 
 def iqae_config(analysis: dict) -> IqaeConfig:
@@ -226,9 +229,10 @@ def cmd_analyze(cfg: dict, output: str | None) -> int:
     analysis = cfg["analysis"]
     variant, kind, encoding = analysis["variant"], analysis["estimator"], analysis["encoding"]
     settings = iqae_config(analysis) if kind == "iqae" else None
-    portfolio, grids = config_to_inputs(cfg, iqae=settings is not None)
-    # Checks the variant and mode constraints before anything is enumerated or built.
-    resources = asdict(estimate_resources(portfolio, grids, variant, analysis["mode"]))
+    portfolio, shapes = config_to_inputs(cfg)
+    # Checks the variant and mode rules before any grid exists.
+    resources = asdict(estimate_resources(portfolio, shapes, variant, analysis["mode"]))
+    grids = factor_grids(portfolio, shapes, iqae=settings is not None)
     dist = (exact_loss_distribution(portfolio, grids) if kind == "classical"
             else model_distribution(portfolio, grids, variant, encoding))
     estimator = cdf_estimator(dist.cdf, settings)
@@ -267,8 +271,8 @@ def cmd_analyze(cfg: dict, output: str | None) -> int:
 
 
 def cmd_distribution(cfg: dict, output: str | None) -> int:
-    portfolio, grids = config_to_inputs(cfg)
-    dist = exact_loss_distribution(portfolio, grids)
+    portfolio, shapes = config_to_inputs(cfg)
+    dist = exact_loss_distribution(portfolio, factor_grids(portfolio, shapes))
     lines = ["loss,probability,cdf"]
     cum = 0.0
     for loss, prob in zip(dist.losses, dist.probs):
@@ -279,10 +283,8 @@ def cmd_distribution(cfg: dict, output: str | None) -> int:
 
 
 def cmd_resources(cfg: dict, output: str | None) -> int:
-    portfolio, grids = config_to_inputs(cfg, enumerated=False)
     analysis = cfg["analysis"]
-    report = estimate_resources(
-        portfolio, grids, analysis["variant"], analysis["mode"])
+    report = estimate_resources(*config_to_inputs(cfg), analysis["variant"], analysis["mode"])
     _emit(_dump_json({"config": cfg, "resources": asdict(report)}), output)
     return 0
 
@@ -291,7 +293,8 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     analysis = cfg["analysis"]
     settings = iqae_config(analysis)
     variant, mode, encoding = analysis["variant"], analysis["mode"], analysis["encoding"]
-    portfolio, grids = config_to_inputs(cfg, iqae=True, circuit=(variant, mode, encoding))
+    portfolio, shapes = config_to_inputs(cfg)
+    grids = factor_grids(portfolio, shapes, iqae=True, circuit=(variant, mode, encoding))
     width = estimate_resources(portfolio, grids, variant, mode).width_built   # the A circuit's
     dist = exact_loss_distribution(portfolio, grids)
     model = build_model(portfolio, grids, variant, encoding)

@@ -253,14 +253,14 @@ def total_variation_distance(a: LossDistribution, b: LossDistribution) -> float:
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
-def check_budget(portfolio: Portfolio, grids, enumerated: bool = True, iqae: bool = False,
+def check_budget(portfolio: Portfolio, grids, iqae: bool = False,
                  circuit: tuple[str, str, str] | None = None) -> None:
     """The one check that a run fits, made from sizes alone (grids may be GridShapes)
     before anything is allocated.  In bytes, against MAX_STATE_BYTES: the grids, all kept
     and one being discretized; scipy where `iqae` runs; with circuit = (variant, mode,
-    encoding), compare's A circuit.  In states, where `enumerated`: cells times 2**K."""
+    encoding), compare's A circuit.  In states: the enumeration's cells times 2**K."""
     points = [g.size for g in grids]
-    states = math.prod(points) * 2 ** portfolio.k if enumerated else 0
+    states = math.prod(points) * 2 ** portfolio.k
     need = (_BYTES_PER_GRID_POINT * sum(points) + _BYTES_DISCRETIZING * max(points, default=0)
             + (_IQAE_BYTES if iqae else 0))
     what, held = f"the {'-, '.join(str(g.n_z) for g in grids)}-qubit factor grids", ""

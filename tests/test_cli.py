@@ -19,8 +19,8 @@ import qvar.cli
 import qvar.risk
 import qvar.uncertainty
 from qvar.circuit import apply, marginal_probability
-from qvar.cli import (CONFIG_SCHEMA, ConfigError, _schema_errors, config_to_inputs, iqae_config,
-                      load_config, main)
+from qvar.cli import (CONFIG_SCHEMA, ConfigError, _schema_errors, config_to_inputs, factor_grids,
+                      iqae_config, load_config, main)
 from qvar.estimation import exact_amplitude
 from qvar.objective import build_a_circuit
 from qvar.risk import _BYTES_PER_AMPLITUDE, exact_loss_distribution
@@ -518,7 +518,7 @@ class TestVariants:
                 "error: enumeration would visit 16777216 states, over the budget of 10000000; "
                 "reduce risk_factors.qubits_per_factor or assets\n")
 
-    @pytest.mark.parametrize("command", ["resources", "distribution"])
+    @pytest.mark.parametrize("command", ["analyze", "distribution"])
     def test_factor_grid_refused_before_discretizing(self, tmp_path, capsys, monkeypatch,
                                                      command):
         # One 22-qubit factor against a 64 MiB budget: its 2**22 grid points, 16 B each
@@ -565,30 +565,64 @@ class TestVariants:
             "reduce risk_factors.qubits_per_factor or assets\n")
         assert peak < 2 ** 20
 
+    def test_analyze_checks_its_variant_before_the_budget(self, tmp_path, capsys, monkeypatch):
+        # Two assets on two 12-qubit factors with their own weights: over the enumeration's
+        # count (2**26 states) and invalid for single_rotation.  The variant's rule is
+        # checked on the shapes, before the budget and before any grid exists.
+        monkeypatch.setattr(qvar.cli, "discretize_normal", _unreachable)
+        payload = {
+            "risk_factors": {"count": 2, "qubits_per_factor": 12},
+            "assets": [{"lgd": 100.5, "p0": 0.1, "rho": 0.2, "alphas": [0.4, 0.1]},
+                       {"lgd": 200.5, "p0": 0.2, "rho": 0.1, "alphas": [0.3, 0.2]}],
+            "analysis": {"alpha": 0.95, "estimator": "exact", "variant": "single_rotation"},
+        }
+        assert main(["analyze", "--config", write_config(tmp_path, payload)]) == 1
+        assert capsys.readouterr().err == (
+            "error: asset 1 has weights (0.3, 0.2), but the single-rotation variant requires "
+            "the shared vector (0.4, 0.1)\n")
+
     def test_budget_prices_the_grids_it_discretizes(self, tmp_path, monkeypatch):
         # The shapes the budget is checked on are the discretized grids' sizes and ranges.
         shapes = []
         monkeypatch.setattr(qvar.cli, "check_budget", lambda pf, grids, **run: shapes.extend(grids))
         payload = copy.deepcopy(TWO_ASSET)
         payload["risk_factors"] = {"count": 2, "qubits_per_factor": [2, 3], "bound_sigmas": 2.7}
-        _, grids = config_to_inputs(load_config(write_config(tmp_path, payload)))
+        grids = factor_grids(*config_to_inputs(load_config(write_config(tmp_path, payload))))
         assert [(s.n_z, s.z_min, s.z_max) for s in shapes] == [
             (g.n_z, g.z_min, g.z_max) for g in grids]
 
-    def test_resources_refuses_summed_grids(self, tmp_path, capsys, monkeypatch):
+    THREE_20_QUBIT_FACTORS = {
+        "risk_factors": {"count": 3, "qubits_per_factor": 20},
+        "assets": [{"lgd": 100.5, "p0": 0.1, "rho": 0.2, "alphas": [0.4, 0.2, 0.1]}],
+        "analysis": {"alpha": 0.95},
+    }
+
+    def test_distribution_refuses_summed_grids(self, tmp_path, capsys, monkeypatch):
         # Three 20-qubit factors against a 72 MiB budget: each grid alone fits, but all
-        # three kept (48 MiB) and one being discretized (32 MiB) do not.
+        # three kept (48 MiB) and one being discretized (32 MiB) do not.  The grids'
+        # bytes are checked before the enumeration's count.
         monkeypatch.setattr(qvar.risk, "MAX_STATE_BYTES", 72 << 20)
         monkeypatch.setattr(qvar.cli, "discretize_normal", _unreachable)
-        payload = {
-            "risk_factors": {"count": 3, "qubits_per_factor": 20},
-            "assets": [{"lgd": 100.5, "p0": 0.1, "rho": 0.2, "alphas": [0.4, 0.2, 0.1]}],
-            "analysis": {"alpha": 0.95},
-        }
-        assert main(["resources", "--config", write_config(tmp_path, payload)]) == 1
+        config = write_config(tmp_path, self.THREE_20_QUBIT_FACTORS)
+        assert main(["distribution", "--config", config]) == 1
         assert capsys.readouterr().err == (
             "error: the 20-, 20-, 20-qubit factor grids would need about 83886080 bytes, over "
             "the budget of 75497472; reduce risk_factors.qubits_per_factor or assets\n")
+
+    def test_resources_reads_shapes_alone(self, tmp_path, capsys, monkeypatch):
+        # resources prices nothing and discretizes no grid: its report needs each grid's
+        # n_z and range only, so three 20-qubit factors run without a byte of grid.
+        monkeypatch.setattr(qvar.cli, "discretize_normal", _unreachable)
+        config = write_config(tmp_path, self.THREE_20_QUBIT_FACTORS)
+        tracemalloc.start()
+        try:
+            assert main(["resources", "--config", config]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        report = json.loads(capsys.readouterr().out)["resources"]
+        assert report["width_built"] == 3 * 20 + 1 + 1
+        assert peak < 2 ** 20
 
     def test_single_factor_requires_one_factor(self, tmp_path, capsys):
         config = write_config(tmp_path, TWO_ASSET)
@@ -740,7 +774,8 @@ class TestCompare:
             out = tmp_path / "compare.txt"
             readouts.clear()
             assert main(["compare", "--config", config, "--output", str(out)]) in (0, 1)
-            portfolio, grids = config_to_inputs(load_config(config))
+            portfolio, shapes = config_to_inputs(load_config(config))
+            grids = factor_grids(portfolio, shapes)
             dist = exact_loss_distribution(portfolio, grids)
             oracle = [exact_amplitude(build_a_circuit(portfolio, grids, float(x), variant=variant,
                                                       encoding=encoding, mode=mode))
@@ -848,7 +883,8 @@ class TestCompare:
                          "encoding": "linear", "mc_paths": 1000, "seed": 3},
         }
         config = write_config(tmp_path, payload)
-        portfolio, grids = config_to_inputs(load_config(config))
+        portfolio, shapes = config_to_inputs(load_config(config))
+        grids = factor_grids(portfolio, shapes)
         assert exact_amplitude(build_a_circuit(portfolio, grids, 4.0, encoding="linear")) > 1.0
         out = tmp_path / "compare.txt"
         with warnings.catch_warnings():

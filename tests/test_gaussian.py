@@ -14,7 +14,7 @@ from scipy import special, stats
 
 import qvar.gaussian
 from qvar.gaussian import (_MAXLOG, FactorGrid, conditional_pd, conditional_pd_table,
-                           discretize_normal, erfc, erfc_array, ndtri, std_normal_cdf,
+                           discretize_normal, erfc_array, ndtri, std_normal_cdf,
                            std_normal_pdf, std_normal_ppf)
 
 # mpmath oracles
@@ -136,13 +136,12 @@ class TestCephesKernels:
         xs = np.linspace(-40.0, 40.0, 800_001)
         assert_same_bits(erfc_array(xs), special.erfc(xs))
 
-    def test_scalar_erfc_matches_scipy(self):
-        xs = np.linspace(-40.0, 40.0, 80_001)
-        assert_same_bits([erfc(x) for x in xs.tolist()], special.erfc(xs))
-
     def test_erfc_branch_edges(self):
         xs = np.array(self.EDGES)
-        assert_same_bits([erfc(x) for x in self.EDGES], special.erfc(xs))
+        # A scalar F runs the array kernel on a 0-d input, near erfc's edges here.
+        ys = [-x * math.sqrt(2.0) for x in self.EDGES]
+        assert_same_bits([std_normal_cdf(y) for y in ys],
+                         0.5 * special.erfc(-np.array(ys) / np.sqrt(2.0)))
         assert_same_bits(erfc_array(xs), special.erfc(xs))
         assert_same_bits(erfc_array(xs.reshape(2, -1)), special.erfc(xs).reshape(2, -1))
 
@@ -207,11 +206,16 @@ class TestConditionalPdBits:
         z = rng.uniform(-6.0, 6.0, (3 * 1024 + 77, 2))
         z = z if shape == "(N, R)" else z[:, None, :]
         unblocked = conditional_pd_table(self.CASES, z)
-        cdf, calls = qvar.gaussian.std_normal_cdf, []
+        cdf, ppf = qvar.gaussian.std_normal_cdf, qvar.gaussian.std_normal_ppf
+        calls, quantile_calls = [], []
         monkeypatch.setattr(qvar.gaussian, "_PD_BLOCK_ROWS", 1024)
         monkeypatch.setattr(qvar.gaussian, "std_normal_cdf", lambda x: calls.append(1) or cdf(x))
+        monkeypatch.setattr(qvar.gaussian, "std_normal_ppf",
+                            lambda p: quantile_calls.append(p) or ppf(p))
         blocked = conditional_pd_table(self.CASES, z)
         assert len(calls) == 4 and blocked.shape == unblocked.shape
+        # F^-1 runs once for the whole table, on every obligor's p0, not once per block.
+        assert quantile_calls == [[p0 for p0, _, _ in self.CASES]]
         assert blocked.tobytes() == unblocked.tobytes()
 
 

@@ -207,15 +207,15 @@ class TestMultiRotationExact:
         monkeypatch.setattr(qvar.gaussian, "std_normal_ppf",
                             lambda p: calls.append(p) or ppf(p))
         got = build_model(pf, grids, "multi_rotation", "exact").circuit.gates
-        assert calls == [a.p0 for a in pf.assets]
+        assert calls == [[a.p0 for a in pf.assets]]
         assert [(g.kind, g.target, g.theta, g.controls) for g in got] == [
             (g.kind, g.target, g.theta, g.controls) for g in want]
 
 
 class TestOneQuantilePerAsset:
-    """The linear and single-rotation builders evaluate F^-1(p0) once per asset, as
-    the exact encoding does (TestMultiRotationExact), and emit the gates they did
-    with one conditional_pd call per angle."""
+    """The linear and single-rotation builders evaluate F^-1(p0) once per asset, in one
+    call for all assets as the exact encoding does (TestMultiRotationExact), and emit
+    the gates they did with one conditional_pd call per angle."""
 
     # SHA-256 of each model's gates, every angle in hex, as built with one
     # conditional_pd call per angle.
@@ -245,7 +245,7 @@ class TestOneQuantilePerAsset:
         monkeypatch.setattr(qvar.gaussian, "std_normal_ppf",
                             lambda p: calls.append(p) or ppf(p))
         gates = build_model(pf, grids, variant, encoding).circuit.gates
-        assert calls == [a.p0 for a in pf.assets]
+        assert calls == [[a.p0 for a in pf.assets]]
         text = "\n".join(f"{g.kind} {g.target} {g.theta.hex() if g.theta is not None else None} "
                          f"{g.controls}" for g in gates)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -253,7 +253,7 @@ class TestOneQuantilePerAsset:
 
 class TestOneTablePerModel:
     """build_model and model_table evaluate a model's PDs in one conditional_pd_table call:
-    one F call for all of its points and F^-1(p0) once per asset."""
+    one F call for all of its points and one F^-1 call for all assets' p0."""
 
     @pytest.mark.parametrize("variant, encoding", [("multi_rotation", "exact"),
                                                    ("multi_rotation", "linear"),
@@ -272,7 +272,7 @@ class TestOneTablePerModel:
                             lambda p: ppf_calls.append(p) or ppf(p))
         build(pf, [discretize_normal(2), discretize_normal(3)], variant, encoding)
         assert len(cdf_calls) == 1
-        assert ppf_calls == [a.p0 for a in pf.assets]
+        assert ppf_calls == [[a.p0 for a in pf.assets]]
 
 
 class TestLinearEncoding:
