@@ -39,6 +39,13 @@ def add_constant_gates(register, value: int, controls=()) -> list[Gate]:
     return gates
 
 
+def weighted_sum_size(weights, width: int) -> tuple[int, int]:
+    """(gates, control entries) of weighted_sum_gates and its inverse, unbuilt: bit j of a
+    weight is an increment of the top width - j qubits, m gates with m(m + 1) / 2 controls."""
+    incs = [width - j for weight in weights for j in range(width) if int(weight) >> j & 1]
+    return 2 * sum(incs), sum(m * (m + 1) for m in incs)
+
+
 def weighted_sum_gates(inputs, weights, sum_register) -> list[Gate]:
     """Accumulate sum_k weights[k] * inputs[k] into a little-endian register.
 

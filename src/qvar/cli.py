@@ -188,13 +188,13 @@ def config_to_inputs(cfg: dict) -> tuple[Portfolio, list[GridShape]]:
     portfolio = Portfolio([Asset(lgd=a["lgd"], p0=a["p0"], rho=a["rho"], alphas=tuple(a["alphas"]))
                            for a in cfg["assets"]])
     bound = factors["bound_sigmas"]
-    return portfolio, [GridShape(n_z, -bound, bound) for n_z in factors["qubits_per_factor"]]
+    return portfolio, [GridShape(n_z, bound) for n_z in factors["qubits_per_factor"]]
 
 
 def factor_grids(portfolio: Portfolio, shapes, **run) -> list[FactorGrid]:
     """The grids of `shapes`, discretized once check_budget(portfolio, shapes, **run) passes."""
     check_budget(portfolio, shapes, **run)
-    return [discretize_normal(s.n_z, 0.0, 1.0, s.z_max) for s in shapes]
+    return [discretize_normal(s.n_z, s.bound) for s in shapes]
 
 
 def iqae_config(analysis: dict) -> IqaeConfig:

@@ -101,14 +101,13 @@ def clopper_pearson(ones: int, shots: int, alpha: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _find_next_k(k: int, upper: bool, t_lo: float, t_hi: float,
-                 min_ratio: float = 2.0) -> tuple[int, bool]:
+def _find_next_k(k: int, upper: bool, t_lo: float, t_hi: float) -> tuple[int, bool]:
     """Largest usable Grover power for the current angle interval.
 
     Angles are fractions of a full turn.  A power k is usable when the scaled
     interval [(4k+2)t_lo, (4k+2)t_hi] mod 1 sits entirely in one half-plane,
     so the measured probability can be inverted unambiguously.  Powers below
-    min_ratio times the current scaling are not worth the switch.
+    twice the current scaling are not worth the switch.
     """
     k_old = 4 * k + 2
     width = t_hi - t_lo
@@ -116,7 +115,7 @@ def _find_next_k(k: int, upper: bool, t_lo: float, t_hi: float,
         return k, upper
     k_cap = int(0.5 / width)
     scaling = k_cap - (k_cap - 2) % 4
-    while scaling >= min_ratio * k_old:
+    while scaling >= 2 * k_old:
         f_lo = (scaling * t_lo) % 1.0
         f_hi = (scaling * t_hi) % 1.0
         if f_hi >= f_lo and f_hi <= 0.5:

@@ -1,7 +1,7 @@
 """Standard-normal math kernels and discretization of latent risk factors.
 
 The default model treats each systemic risk factor as a standard normal
-variable truncated to a finite range and discretized onto a qubit grid of
+variable truncated at +-bound_sigmas and discretized onto a qubit grid of
 2**n_z equally spaced points.  The conditional default probability of an
 obligor given factor realizations z = (z_1, ..., z_R) is
 
@@ -165,33 +165,22 @@ def std_normal_ppf(p):
 
 @dataclass(eq=False)
 class GridShape:
-    """A factor grid before its arrays: 2**n_z equally spaced points on [z_min, z_max]."""
+    """A factor grid before its arrays: 2**n_z equally spaced points on [-bound, bound]."""
 
     n_z: int
-    z_min: float
-    z_max: float
+    bound: float
 
     @property
     def size(self) -> int:
         return 2 ** self.n_z
 
-    @property
-    def step(self) -> float:
-        """Affine coefficient a_z (value spacing per index step)."""
-        return (self.z_max - self.z_min) / (2 ** self.n_z - 1)
-
-    @property
-    def mid_value(self) -> float:
-        """Center of the truncated range (not necessarily a grid point)."""
-        return 0.5 * (self.z_min + self.z_max)
-
 
 @dataclass(eq=False)
 class FactorGrid(GridShape):
-    """Truncated, discretized distribution of one latent risk factor.
+    """Truncated, discretized standard normal of one latent risk factor.
 
-    values[i] = a_z * i + b_z with a_z = (z_max - z_min) / (2**n_z - 1) and
-    b_z = z_min; probs[i] is the probability assigned to grid point i.
+    values[i] = -bound + 2 * bound * i / (2**n_z - 1); probs[i] is the
+    probability assigned to grid point i.
     """
 
     values: np.ndarray = field(repr=False)
@@ -207,32 +196,26 @@ class FactorGrid(GridShape):
         steps = np.diff(self.values)
         if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=0, atol=1e-12 * max(1.0, abs(steps[0]))):
             raise ValueError("grid values must be strictly increasing and equally spaced")
+        # linspace keeps its endpoints, so a discretized grid meets these exactly.
+        if self.values[0] != -self.bound or self.values[-1] != self.bound:
+            raise ValueError(f"grid values must run from -bound to bound = {self.bound}")
         if np.any(self.probs < 0):
             raise ValueError("grid probabilities must be nonnegative")
         if abs(self.probs.sum() - 1.0) > 1e-12:
             raise ValueError("grid probabilities must sum to 1")
 
 
-def discretize_normal(n_z: int, mean: float = 0.0, std: float = 1.0,
-                      bound_sigmas: float = 3.0) -> FactorGrid:
-    """Discretize a normal distribution onto 2**n_z equally spaced points.
-
-    The grid spans [mean - bound_sigmas*std, mean + bound_sigmas*std] and each
-    point receives probability proportional to the normal density there,
-    renormalized to sum to one.
-    """
+def discretize_normal(n_z: int, bound_sigmas: float = 3.0) -> FactorGrid:
+    """Discretize a standard normal onto 2**n_z equally spaced points on [-bound_sigmas,
+    bound_sigmas], each with probability proportional to the normal density there,
+    renormalized to sum to one."""
     if not isinstance(n_z, (int, np.integer)) or n_z < 1:
         raise ValueError("discretize_normal requires an integer n_z >= 1")
-    if std <= 0:
-        raise ValueError("discretize_normal requires std > 0")
     if bound_sigmas <= 0:
         raise ValueError("discretize_normal requires bound_sigmas > 0")
-    lo = mean - bound_sigmas * std
-    hi = mean + bound_sigmas * std
-    values = np.linspace(lo, hi, 2 ** n_z)
-    density = std_normal_pdf((values - mean) / std)
-    probs = density / density.sum()
-    return FactorGrid(n_z=int(n_z), z_min=lo, z_max=hi, values=values, probs=probs)
+    values = np.linspace(-bound_sigmas, bound_sigmas, 2 ** n_z)
+    density = std_normal_pdf(values)
+    return FactorGrid(int(n_z), bound_sigmas, values, density / density.sum())
 
 
 def _check_obligor(p0: float, rho: float, alphas, z) -> None:

@@ -84,9 +84,8 @@ def comparator_gates(portfolio: Portfolio, mode: str) -> tuple[int, int]:
     if mode == "s_free":
         return 2 ** k, k * 2 ** k
     lgds, n_s = weighted_sum_register(portfolio)
-    # Bit j of an LGD increments the register's top n_s - j qubits under one control.
-    incs = [n_s - j for lgd in lgds for j in range(n_s) if lgd >> j & 1]
-    return 2 ** n_s + 2 * sum(incs), n_s * 2 ** n_s + sum(m * (m + 1) for m in incs)
+    gates, controls = arith.weighted_sum_size(lgds, n_s)
+    return 2 ** n_s + gates, n_s * 2 ** n_s + controls
 
 
 def comparator(portfolio: Portfolio, model: ModelCircuit, mode: str, threshold: float,

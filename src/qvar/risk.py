@@ -117,17 +117,14 @@ def _joint_grid(portfolio: Portfolio, grids: list) -> tuple[np.ndarray, np.ndarr
     return conditional_pd_table([(a.p0, a.rho, a.alphas) for a in portfolio.assets], z_joint), pz
 
 
-def _enumeration(portfolio: Portfolio, grids, table) -> LossDistribution:
+def _enumeration(portfolio: Portfolio, pd: np.ndarray, pz: np.ndarray) -> LossDistribution:
     """Loss distribution of a mixture over the joint grid cells, by blocked
-    enumeration: table(portfolio, grids) gives the cells' default probabilities
-    (M, K) and probabilities (M,), and is not made past check_budget's count.
+    enumeration of the cells' default probabilities pd (M, K) and probabilities
+    pz (M,), which callers make only once check_budget admits the count.
     Default patterns run in the loss table's order, in blocks of about
     _BLOCK_ELEMENTS floats.  A pattern's weight multiplies its conditional
     (non)default probabilities left to right, and its mixture is one dot
     product, so the result equals the pattern-by-pattern loop bit for bit."""
-    grids = list(grids)
-    check_budget(portfolio, grids)
-    pd, pz = table(portfolio, grids)
     k, m = portfolio.k, pz.size
     q = np.stack([1.0 - pd, pd])                   # q[bit, z, asset]
     tail = min(k, max(0, (_BLOCK_ELEMENTS // m).bit_length() - 1))
@@ -148,7 +145,9 @@ def _enumeration(portfolio: Portfolio, grids, table) -> LossDistribution:
 def exact_loss_distribution(portfolio: Portfolio, grids) -> LossDistribution:
     """Exact loss distribution of the discretized model by blocked enumeration of
     the joint grid's true conditional PDs.  This is the exact encoding's oracle."""
-    return _enumeration(portfolio, grids, _joint_grid)
+    grids = list(grids)
+    check_budget(portfolio, grids)
+    return _enumeration(portfolio, *_joint_grid(portfolio, grids))
 
 
 def model_distribution(portfolio: Portfolio, grids, variant: str = "multi_rotation",
@@ -156,10 +155,10 @@ def model_distribution(portfolio: Portfolio, grids, variant: str = "multi_rotati
     """The model's own loss distribution, with no statevector: the enumeration of its
     model_table, asset k defaulting on cell c with pd = sin^2(angles[c, k] / 2).  Its
     cdf is the A circuit's s_free readout at every threshold, to rounding."""
-    def table(portfolio, grids):
-        pz, angles = model_table(portfolio, grids, variant, encoding)
-        return np.sin(0.5 * angles) ** 2, pz
-    return _enumeration(portfolio, grids, table)
+    grids = list(grids)
+    check_budget(portfolio, grids)
+    pz, angles = model_table(portfolio, grids, variant, encoding)
+    return _enumeration(portfolio, np.sin(0.5 * angles) ** 2, pz)
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:

@@ -182,7 +182,7 @@ def fit_linear_rotation(asset: Asset, factor_index: int, grids) -> tuple[float, 
 
     Returns (slope, offset) in radians per index step such that
     slope * i + offset reproduces the true angle exactly at i = 0 and
-    i = 2**n_z - 1, with every other factor held at its mid-grid value.
+    i = 2**n_z - 1, with every other factor held at 0, its grid's center.
     """
     grids = list(grids)
     if not 0 <= factor_index < len(grids):
@@ -192,10 +192,10 @@ def fit_linear_rotation(asset: Asset, factor_index: int, grids) -> tuple[float, 
 
 
 def _secants(obligors, grids: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each obligor's endpoint secant along each factor, with the other factors at their
-    mid-grid values: the angles at index 0 (R, K), the slopes (R, K), and the angle at
-    the mid point (K,), from one table of the 2R endpoints and the mid point."""
-    points = np.array([[g.mid_value for g in grids]] * (2 * len(grids) + 1))
+    """Each obligor's endpoint secant along each factor, with the other factors at 0, the
+    grids' center: the angles at index 0 (R, K), the slopes (R, K), and the angle at the
+    center (K,), from one table of the 2R endpoints and the center."""
+    points = np.zeros((2 * len(grids) + 1, len(grids)))
     for r, grid in enumerate(grids):
         points[2 * r:2 * r + 2, r] = grid.values[[0, -1]]
     angles = _angles(obligors, points)
@@ -267,7 +267,7 @@ def index_sum_plan(grids, shared_alphas) -> IndexSumPlan:
     alphas = [float(a) for a in shared_alphas]
     if len(alphas) != len(grids):
         raise ValueError("one weight per factor grid")
-    widths = [abs(a) * (g.z_max - g.z_min) for a, g in zip(alphas, grids)]
+    widths = [abs(a) * 2 * g.bound for a, g in zip(alphas, grids)]
     steps = [w / (g.size - 1) for w, g in zip(widths, grids) if w > 0]
     delta = max(steps) if steps else 1.0
     n_points = []
@@ -395,10 +395,9 @@ def model_gates(portfolio: Portfolio, grids, variant: str, encoding: str) -> tup
     gates = sum(2 ** q - 1 for q in qs)
     controls = sum((q - 2) * 2 ** q + 2 for q in qs)    # 2**d loader gates with d controls
     if plan:
-        # Bit j of a factor register increments the sum's top n_sum - j qubits.
-        incs = [plan.n_sum - j for _, j in _adder_bits(model, plan)]
-        gates += 2 * sum(incs) + k * (1 + plan.n_sum)
-        controls += sum(m * (m + 1) for m in incs) + k * plan.n_sum
+        adder = arith.weighted_sum_size([1 << j for _, j in _adder_bits(model, plan)], plan.n_sum)
+        gates += adder[0] + k * (1 + plan.n_sum)
+        controls += adder[1] + k * plan.n_sum
     elif encoding == "exact":
         gates += k * 2 ** total
         controls += k * 2 ** total * total

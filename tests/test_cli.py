@@ -582,14 +582,13 @@ class TestVariants:
             "the shared vector (0.4, 0.1)\n")
 
     def test_budget_prices_the_grids_it_discretizes(self, tmp_path, monkeypatch):
-        # The shapes the budget is checked on are the discretized grids' sizes and ranges.
+        # The shapes the budget is checked on are the discretized grids' sizes and bounds.
         shapes = []
         monkeypatch.setattr(qvar.cli, "check_budget", lambda pf, grids, **run: shapes.extend(grids))
         payload = copy.deepcopy(TWO_ASSET)
         payload["risk_factors"] = {"count": 2, "qubits_per_factor": [2, 3], "bound_sigmas": 2.7}
         grids = factor_grids(*config_to_inputs(load_config(write_config(tmp_path, payload))))
-        assert [(s.n_z, s.z_min, s.z_max) for s in shapes] == [
-            (g.n_z, g.z_min, g.z_max) for g in grids]
+        assert [(s.n_z, s.bound) for s in shapes] == [(g.n_z, g.bound) for g in grids]
 
     THREE_20_QUBIT_FACTORS = {
         "risk_factors": {"count": 3, "qubits_per_factor": 20},
@@ -707,6 +706,37 @@ class TestResources:
         assert main(["resources", "--config", config, "--output", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["resources"]["sum_register_width"] == 2
+
+
+# Two assets on one shared weight vector, so single_rotation runs, on grids truncated at
+# 2.5 rather than the default 3: the bound reaches the grid values, the linear secants and
+# single_rotation's index-sum plan.
+SHARED_ALPHAS_AT_2_5 = {
+    "risk_factors": {"count": 2, "qubits_per_factor": [2, 3], "bound_sigmas": 2.5},
+    "assets": [
+        {"lgd": 1000.5, "p0": 0.15, "rho": 0.1, "alphas": [0.35, 0.2]},
+        {"lgd": 2000.5, "p0": 0.25, "rho": 0.05, "alphas": [0.35, 0.2]},
+    ],
+    "analysis": {"alpha": 0.95},
+}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["analyze", "--estimator", "exact", "--encoding", "linear"],
+     "a3618da3398594a33372d594b996d0a693cf91a3876875afb3ebacbdd539f7ec"),
+    (["analyze", "--estimator", "exact", "--encoding", "exact"],
+     "75efd376a859007b0142223d14655b8843e7b1a4474b4a8e76b5f71acac2cedd"),
+    (["analyze", "--estimator", "exact", "--variant", "single_rotation"],
+     "1dc9f9786163af3eac28106e44b46f30c1769be8ba952203118103b395763dff"),
+    (["distribution"], "9bb825ccd81a31fd3b2860f277bac7303c572780c8329d5a5b61e2c9a806e27a"),
+    (["resources", "--variant", "single_rotation"],
+     "ef8f6b374755b541caabd703c85de7a2c09fb4d4a794a41bc098cd8cf4c2b3ac"),
+])
+def test_non_default_bound_golden_bytes(tmp_path, capsys, argv, digest):
+    # SHA-256 of stdout as the grids with a mean, a std and a [z_min, z_max] range printed it.
+    config = write_config(tmp_path, SHARED_ALPHAS_AT_2_5)
+    assert main([argv[0], "--config", config, *argv[1:]]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestCompare:

@@ -221,12 +221,12 @@ class TestConditionalPdBits:
 
 class TestDiscretizeNormal:
     def test_two_point_grid(self):
-        grid = discretize_normal(1, 0.0, 1.0, 1.0)
+        grid = discretize_normal(1, 1.0)
         assert np.allclose(grid.values, [-1.0, 1.0])
         assert np.allclose(grid.probs, [0.5, 0.5])
 
     def test_four_point_grid_matches_hand_normalized_density(self):
-        grid = discretize_normal(2, 0.0, 1.0, 3.0)
+        grid = discretize_normal(2, 3.0)
         density = std_normal_pdf(np.array([-3.0, -1.0, 1.0, 3.0]))
         expected = density / density.sum()
         assert np.allclose(grid.probs, expected, atol=1e-15)
@@ -235,30 +235,37 @@ class TestDiscretizeNormal:
 
     def test_symmetry_and_normalization(self):
         for n_z in (1, 2, 3, 4):
-            grid = discretize_normal(n_z, 0.0, 1.0, 3.0)
+            grid = discretize_normal(n_z, 3.0)
             assert abs(grid.probs.sum() - 1.0) < 1e-12
             assert np.all(grid.probs >= 0)
             assert np.allclose(grid.probs, grid.probs[::-1], atol=1e-12)
 
     def test_affine_map(self):
-        grid = discretize_normal(3, 0.5, 2.0, 2.5)
-        a_z = (grid.z_max - grid.z_min) / (2 ** 3 - 1)
-        assert np.allclose(grid.values, grid.z_min + a_z * np.arange(8))
-        assert abs(grid.step - a_z) < 1e-15
+        # A standard grid's points lie 2 * bound / (2**n_z - 1) apart, from -bound.
+        grid = discretize_normal(3, 2.5)
+        a_z = 2 * 2.5 / (2 ** 3 - 1)
+        assert np.allclose(grid.values, -2.5 + a_z * np.arange(8))
+        assert np.abs(np.diff(grid.values) - a_z).max() < 1e-15
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             discretize_normal(0)
         with pytest.raises(ValueError):
-            discretize_normal(2, 0.0, -1.0)
-        with pytest.raises(ValueError):
-            discretize_normal(2, 0.0, 1.0, 0.0)
+            discretize_normal(2, 0.0)
 
     def test_grid_invariants_enforced(self):
         with pytest.raises(ValueError):
-            FactorGrid(1, -1.0, 1.0, np.array([1.0, -1.0]), np.array([0.5, 0.5]))
+            FactorGrid(1, 1.0, np.array([1.0, -1.0]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            FactorGrid(1, -1.0, 1.0, np.array([-1.0, 1.0]), np.array([0.7, 0.7]))
+            FactorGrid(1, 1.0, np.array([-1.0, 1.0]), np.array([0.7, 0.7]))
+
+    @pytest.mark.parametrize("values", [[-3.0, 3.0], [-1.0, 0.5], [-0.5, 1.0]])
+    def test_values_run_from_minus_bound_to_bound(self, values):
+        # single_rotation's index-sum plan reads a grid's bound and its PDs are evaluated
+        # at its values, so the two must agree.
+        with pytest.raises(ValueError, match="from -bound to bound"):
+            FactorGrid(1, 1.0, np.array(values), np.array([0.5, 0.5]))
+        FactorGrid(1, 1.0, np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
 
 
 class TestConditionalPd:

@@ -75,7 +75,7 @@ class TestLoader:
             assert np.abs(np.abs(state.amplitudes) ** 2 - probs).max() < 1e-12
 
     def test_grid_marginals(self):
-        grid = discretize_normal(3, 0.0, 1.0, 2.5)
+        grid = discretize_normal(3, 2.5)
         state = apply(probability_loader(grid.probs), zero_state(3))
         assert np.abs(np.abs(state.amplitudes) ** 2 - grid.probs).max() < 1e-10
 
@@ -94,7 +94,7 @@ class TestMultiRotationExact:
 
     def test_grid_register_marginals_equal_grid_probs(self):
         pf = Portfolio(ASSETS)
-        grids = [discretize_normal(2), discretize_normal(2, 0.0, 1.0, 2.0)]
+        grids = [discretize_normal(2), discretize_normal(2, 2.0)]
         model = build_model(pf, grids, "multi_rotation", "exact")
         state = apply(model.circuit, zero_state(model.circuit.n_qubits))
         for grid, reg in zip(grids, model.factor_qubits):
@@ -145,8 +145,8 @@ class TestMultiRotationExact:
         for _ in range(8):
             r = int(rng.integers(1, 3))
             k = int(rng.integers(1, 4))
-            grids = [discretize_normal(int(rng.integers(1, 3)), 0.0, 1.0,
-                                       float(rng.uniform(1.5, 4.0))) for _ in range(r)]
+            grids = [discretize_normal(int(rng.integers(1, 3)), float(rng.uniform(1.5, 4.0)))
+                     for _ in range(r)]
             assets = [Asset(float(rng.uniform(0, 50)), float(rng.uniform(0.05, 0.6)),
                             float(rng.uniform(0.0, 0.5)),
                             tuple(rng.uniform(-0.5, 0.8, r)))
@@ -277,11 +277,11 @@ class TestOneTablePerModel:
 
 class TestLinearEncoding:
     def test_fit_reproduces_endpoints(self):
-        grids = [discretize_normal(2), discretize_normal(3, 0.0, 1.0, 2.0)]
+        grids = [discretize_normal(2), discretize_normal(3, 2.0)]
         for asset in ASSETS:
             for f, grid in enumerate(grids):
                 slope, offset = fit_linear_rotation(asset, f, grids)
-                mids = [g.mid_value for g in grids]
+                mids = [0.0] * len(grids)     # each grid's center
                 for i in (0, grid.size - 1):
                     z = list(mids)
                     z[f] = grid.values[i]
