@@ -35,7 +35,7 @@ import numpy as np
 from .circuit import Circuit, apply, marginal_probability, zero_state
 from .estimation import IqaeConfig
 from .gaussian import FactorGrid, GridShape, discretize_normal
-from .objective import MODES, comparator
+from .objective import MODES, comparator, objective_qubit
 from .resources import estimate_resources
 from .risk import (EstimationFailure, cdf_estimator, check_budget,
                    exact_loss_distribution, expected_loss, model_distribution,
@@ -43,6 +43,8 @@ from .risk import (EstimationFailure, cdf_estimator, check_budget,
 from .uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio, build_model
 
 ESTIMATORS = ("exact", "iqae", "classical")
+# The analysis fields every subcommand can override from the command line, with their choices.
+OVERRIDES = {"estimator": ESTIMATORS, "variant": VARIANTS, "encoding": ENCODINGS, "mode": MODES}
 
 # Every config field's type, bounds and default, as a Draft 2020-12 JSON Schema.
 CONFIG_SCHEMA = {
@@ -295,9 +297,10 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     variant, mode, encoding = analysis["variant"], analysis["mode"], analysis["encoding"]
     portfolio, shapes = config_to_inputs(cfg)
     grids = factor_grids(portfolio, shapes, iqae=True, circuit=(variant, mode, encoding))
-    width = estimate_resources(portfolio, grids, variant, mode).width_built   # the A circuit's
     dist = exact_loss_distribution(portfolio, grids)
     model = build_model(portfolio, grids, variant, encoding)
+    objective = objective_qubit(portfolio, model, mode)
+    width = objective + 1                   # the A circuit's, the objective on top
     # Model gates then comparator gates on one array, as exact_amplitude of the
     # threshold's A circuit runs them; every comparator gate is an X, an exact
     # swap, so the running state's readout is that oracle bit for bit.
@@ -313,9 +316,8 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     for x in dist.losses:
         x = float(x)
         classical = dist.cdf(x)
-        step = comparator(portfolio, model, mode, x, above)
-        state = apply(step.circuit, state)
-        exact = readout[x] = marginal_probability(state, step.objective_qubit, 1)
+        state = apply(comparator(portfolio, model, mode, x, above), state)
+        exact = readout[x] = marginal_probability(state, objective, 1)
         above = x
         q = sampled(x)
         mc_val = mc.cdf(x)
@@ -350,10 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--output", default=None, help="output path (default: stdout)")
         cmd.add_argument("--seed", type=int, default=None, help="override analysis.seed")
-        cmd.add_argument("--estimator", choices=ESTIMATORS, default=None)
-        cmd.add_argument("--variant", choices=VARIANTS, default=None)
-        cmd.add_argument("--encoding", choices=ENCODINGS, default=None)
-        cmd.add_argument("--mode", choices=MODES, default=None)
+        for field, choices in OVERRIDES.items():
+            cmd.add_argument(f"--{field}", choices=choices, default=None)
     return parser
 
 
@@ -367,13 +367,7 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "estimator": args.estimator,
-        "variant": args.variant,
-        "encoding": args.encoding,
-        "mode": args.mode,
-    }
+    overrides = {"seed": args.seed, **{field: getattr(args, field) for field in OVERRIDES}}
     try:
         cfg = load_config(args.config, overrides)
         return COMMANDS[args.command](cfg, args.output)

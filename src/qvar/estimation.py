@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, apply, inverse, marginal_probability, zero_state
-from .objective import ObjectiveCircuit
 
 
 @dataclass
@@ -60,23 +59,23 @@ class IqaeResult:
     powers: tuple[int, ...] = ()
 
 
-def exact_amplitude(a_circuit: ObjectiveCircuit) -> float:
-    """Objective-qubit probability of A|0...0>, read off the statevector."""
-    state = apply(a_circuit.circuit, zero_state(a_circuit.circuit.n_qubits))
-    return marginal_probability(state, a_circuit.objective_qubit, 1)
+def exact_amplitude(a: Circuit) -> float:
+    """Objective-qubit probability of A|0...0>, read off the statevector; the
+    objective is A's top qubit."""
+    state = apply(a, zero_state(a.n_qubits))
+    return marginal_probability(state, a.n_qubits - 1, 1)
 
 
-def grover_operator(a_circuit: ObjectiveCircuit) -> Circuit:
+def grover_operator(a: Circuit) -> Circuit:
     """Q = A * S0 * A^-1 * S_good (rightmost factor acts first).
 
-    S_good flips the phase of states whose objective qubit is 1 (a plain Z);
-    S0 flips the phase of the all-zeros state, realized as an X-conjugated Z
-    on qubit 0 controlled on every other qubit being 0.
+    S_good flips the phase of states whose objective qubit, A's top one, is 1
+    (a plain Z); S0 flips the phase of the all-zeros state, realized as an
+    X-conjugated Z on qubit 0 controlled on every other qubit being 0.
     """
-    a = a_circuit.circuit
     n = a.n_qubits
     q = Circuit(n)
-    q.z(a_circuit.objective_qubit)
+    q.z(n - 1)
     q.extend(inverse(a).gates)
     others = tuple((i, 0) for i in range(1, n))
     q.x(0)

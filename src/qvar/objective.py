@@ -1,6 +1,7 @@
 """Comparison operator turning an uncertainty model into the estimation circuit.
 
-The A register is [model][sum register, weighted_sum only][objective].
+The A register is [model][sum register, weighted_sum only][objective]: the
+objective is its top qubit, so a circuit's width gives it.
 comparator(portfolio, model, mode, threshold, above) is the one place a
 comparator is wired onto a built model's asset qubits: the gates that flip the
 objective for losses in (above, threshold], so compare can step one state from
@@ -20,7 +21,6 @@ Two modes build the "total loss <= x" flag:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,29 +31,9 @@ from .uncertainty import ModelCircuit, Portfolio, build_model
 MODES = ("s_free", "weighted_sum")
 
 
-@dataclass(eq=False)
-class ObjectiveCircuit:
-    """Full estimation operator with its flag qubit and threshold."""
-
-    circuit: Circuit
-    objective_qubit: int
-    mode: str
-    threshold: float
-
-
-def n_sum_qubits(lgds) -> int:
-    """Width of the legacy loss register: floor(log2(sum LGD)) + 1."""
-    lgds = [int(v) for v in lgds]
-    if not lgds or any(v < 0 for v in lgds):
-        raise ValueError("need a nonempty list of nonnegative integers")
-    total = sum(lgds)
-    if total < 1:
-        raise ValueError("sum of LGDs must be at least 1")
-    return int(math.floor(math.log2(total))) + 1
-
-
 def weighted_sum_register(portfolio: Portfolio) -> tuple[list[int], int]:
-    """Integer LGDs and loss-register width of the weighted_sum mode.
+    """Integer LGDs and loss-register width of the weighted_sum mode: the bit length of
+    the LGDs' sum, at least 1, as index_sum_plan sizes its sum register.
 
     Raises ValueError naming the first asset whose LGD is not an integer.
     """
@@ -64,7 +44,7 @@ def weighted_sum_register(portfolio: Portfolio) -> tuple[list[int], int]:
                 f"asset {k} has non-integer LGD {asset.lgd}; the weighted_sum mode "
                 f"only supports integer losses (use s_free instead)")
         lgds.append(int(asset.lgd))
-    return lgds, n_sum_qubits(lgds) if sum(lgds) > 0 else 1
+    return lgds, max(1, sum(lgds).bit_length())
 
 
 def objective_qubit(portfolio: Portfolio, model: ModelCircuit, mode: str) -> int:
@@ -89,7 +69,7 @@ def comparator_gates(portfolio: Portfolio, mode: str) -> tuple[int, int]:
 
 
 def comparator(portfolio: Portfolio, model: ModelCircuit, mode: str, threshold: float,
-               above: float = -math.inf) -> ObjectiveCircuit:
+               above: float = -math.inf) -> Circuit:
     """The comparator gates that flip the objective for every loss in (above, threshold],
     on a built model's A register.
 
@@ -120,14 +100,13 @@ def comparator(portfolio: Portfolio, model: ModelCircuit, mode: str, threshold: 
         for value in range(first, last + 1):
             circ.x(objective, ((q, value >> j & 1) for j, q in enumerate(sum_qubits)))
         circ.extend(g.adjoint() for g in reversed(adder))
-    return ObjectiveCircuit(circ, objective, mode, threshold)
+    return circ
 
 
 def build_a_circuit(portfolio: Portfolio, grids, threshold: float, *,
                     variant: str = "multi_rotation", encoding: str = "exact",
-                    mode: str = "s_free") -> ObjectiveCircuit:
+                    mode: str = "s_free") -> Circuit:
     """Build the complete estimation operator for one threshold: model, then comparator."""
     model = build_model(portfolio, grids, variant, encoding)
     comp = comparator(portfolio, model, mode, threshold)
-    circuit = Circuit(comp.circuit.n_qubits, model.circuit.gates + comp.circuit.gates)
-    return ObjectiveCircuit(circuit, comp.objective_qubit, mode, threshold)
+    return Circuit(comp.n_qubits, model.circuit.gates + comp.gates)

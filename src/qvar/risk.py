@@ -237,11 +237,6 @@ def expected_loss(dist: LossDistribution) -> float:
     return float(dist.losses @ dist.probs)
 
 
-def economic_capital(var: float, el: float) -> float:
-    """Capital held against unexpected loss: VaR minus expected loss."""
-    return var - el
-
-
 def total_variation_distance(a: LossDistribution, b: LossDistribution) -> float:
     """TV distance between two loss distributions on the union support."""
     support = np.union1d(a.losses, b.losses)
@@ -338,6 +333,6 @@ def var_bisection(dist: LossDistribution, alpha: float,
         alpha=alpha,
         cdf_at_var=best.estimate,
         expected_loss=el,
-        economic_capital=economic_capital(best.threshold, el),
+        economic_capital=best.threshold - el,
         bisection_trace=trace,
     )

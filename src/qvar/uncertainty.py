@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +82,14 @@ class Portfolio:
             if len(asset.alphas) != r:
                 raise ValueError(
                     f"asset {k} carries {len(asset.alphas)} weights, expected {r}")
+        total = 0.0
+        try:
+            for lgd in self.lgds:       # left to right, as pattern_losses sums its last entry
+                total += lgd
+        except OverflowError:           # an integer LGD past the largest float
+            total = math.inf
+        if not math.isfinite(total):
+            raise ValueError(f"the LGDs sum to {total}, past the largest float")
 
     @property
     def k(self) -> int:
@@ -168,29 +177,6 @@ def loader_gates(probs, qubits) -> list[Gate]:
     return gates
 
 
-def probability_loader(probs) -> Circuit:
-    """Standalone circuit loading a probability vector on its own register."""
-    probs = np.asarray(probs, dtype=float)
-    n = probs.size.bit_length() - 1
-    circ = Circuit(n)
-    circ.extend(loader_gates(probs, range(n)))
-    return circ
-
-
-def fit_linear_rotation(asset: Asset, factor_index: int, grids) -> tuple[float, float]:
-    """Endpoint-secant fit of the rotation angle along one factor's grid.
-
-    Returns (slope, offset) in radians per index step such that
-    slope * i + offset reproduces the true angle exactly at i = 0 and
-    i = 2**n_z - 1, with every other factor held at 0, its grid's center.
-    """
-    grids = list(grids)
-    if not 0 <= factor_index < len(grids):
-        raise ValueError(f"factor index {factor_index} out of range")
-    lows, slopes, _ = _secants([(asset.p0, asset.rho, asset.alphas)], grids)
-    return float(slopes[factor_index, 0]), float(lows[factor_index, 0])
-
-
 def _secants(obligors, grids: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each obligor's endpoint secant along each factor, with the other factors at 0, the
     grids' center: the angles at index 0 (R, K), the slopes (R, K), and the angle at the
@@ -231,29 +217,17 @@ def _multi_rotation(portfolio: Portfolio, grids: list, encoding: str):
                                       np.ascontiguousarray(slopes.T))
 
 
-@dataclass
-class IndexSumPlan:
+class IndexSumPlan(NamedTuple):
     """Common-step discretization used by the single-rotation model.
 
     Every factor marginal alpha_r * Z_r is sampled with the same value step
-    delta, so adding grid indices adds values: y(s) = delta * s + base.
+    delta on its first n_points[r] indices, so adding grid indices adds values;
+    the sum register holds every index sum in n_sum qubits.
     """
 
     delta: float
     n_points: list[int]
-    bases: list[float]
     n_sum: int
-
-    @property
-    def s_max(self) -> int:
-        return sum(n - 1 for n in self.n_points)
-
-    @property
-    def base(self) -> float:
-        return sum(self.bases)
-
-    def y_of_sum(self, s) -> float:
-        return self.delta * np.asarray(s) + self.base
 
 
 def index_sum_plan(grids, shared_alphas) -> IndexSumPlan:
@@ -271,24 +245,23 @@ def index_sum_plan(grids, shared_alphas) -> IndexSumPlan:
     steps = [w / (g.size - 1) for w, g in zip(widths, grids) if w > 0]
     delta = max(steps) if steps else 1.0
     n_points = []
-    bases = []
     for width, grid in zip(widths, grids):
         n_r = int(math.floor(width / delta + 1e-9)) + 1 if width > 0 else 1
-        n_r = min(n_r, grid.size)
-        n_points.append(n_r)
-        bases.append(-0.5 * delta * (n_r - 1))
+        n_points.append(min(n_r, grid.size))
     s_max = sum(n - 1 for n in n_points)
-    n_sum = max(1, s_max.bit_length())
-    return IndexSumPlan(delta, n_points, bases, n_sum)
+    return IndexSumPlan(delta, n_points, max(1, s_max.bit_length()))
 
 
 def _single_rotation(portfolio: Portfolio, grids: list, plan: IndexSumPlan):
     """single_rotation's numbers on its index-sum plan: each factor register's marginal
-    alpha_r * Z_r (diagonal covariance; a zero tail beyond its n_points), and each
-    asset's offset and slope over the sum register."""
+    alpha_r * Z_r (diagonal covariance; a zero tail beyond its n_points), centred on
+    its base value, and each asset's offset and slope over the sum register, whose
+    value s stands for delta * s + sum(bases)."""
     shared = portfolio.assets[0].alphas
+    bases = [-0.5 * plan.delta * (n_r - 1) for n_r in plan.n_points]
+    s_max = sum(n - 1 for n in plan.n_points)
     loads = []
-    for grid, alpha, n_r, base in zip(grids, shared, plan.n_points, plan.bases):
+    for grid, alpha, n_r, base in zip(grids, shared, plan.n_points, bases):
         probs = np.zeros(grid.size)
         if n_r == 1 or alpha == 0.0:
             probs[0] = 1.0
@@ -296,9 +269,9 @@ def _single_rotation(portfolio: Portfolio, grids: list, plan: IndexSumPlan):
             density = std_normal_pdf((base + plan.delta * np.arange(n_r)) / abs(alpha))
             probs[:n_r] = density / density.sum()
         loads.append(probs)
-    ends = plan.y_of_sum(np.array([0, plan.s_max]))[:, None]
+    ends = (plan.delta * np.array([0, s_max]) + sum(bases))[:, None]
     lows, highs = _angles([(a.p0, a.rho, (1.0,)) for a in portfolio.assets], ends)
-    slopes = (highs - lows) / plan.s_max if plan.s_max else np.zeros_like(lows)
+    slopes = (highs - lows) / s_max if s_max else np.zeros_like(lows)
     return loads, (lows, slopes[:, None])
 
 

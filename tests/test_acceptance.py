@@ -16,11 +16,11 @@ from qvar.circuit import Circuit, apply, marginal_probability, zero_state
 from qvar.cli import main
 from qvar.estimation import IqaeConfig, exact_amplitude, grover_operator, iqae
 from qvar.gaussian import discretize_normal
-from qvar.objective import ObjectiveCircuit, build_a_circuit, n_sum_qubits
+from qvar.objective import build_a_circuit, weighted_sum_register
 from qvar.resources import estimate_resources
 from qvar.risk import (cdf_estimator, exact_loss_distribution, model_distribution,
                        monte_carlo_distribution, total_variation_distance, var_bisection)
-from qvar.uncertainty import Asset, Portfolio, fit_linear_rotation
+from qvar.uncertainty import Asset, Portfolio, _secants
 
 ALPHA = 0.95
 ORACLE_SUPPORT = [0.0, 1000.5, 2000.5, 3001.0]
@@ -113,11 +113,11 @@ def test_criterion_5_legacy_equivalence():
         a_free = exact_amplitude(build_a_circuit(pf, grids, x, encoding="exact", mode="s_free"))
         a_sum = exact_amplitude(build_a_circuit(pf, grids, x, encoding="exact", mode="weighted_sum"))
         worst = max(worst, abs(a_free - a_sum))
-    n_s = n_sum_qubits([1, 2])
+    n_s = weighted_sum_register(pf)[1]
     ok = worst < 1e-10 and n_s == 2
     report(5, ok,
            f"integer portfolio: |s_free - weighted_sum| max = {worst:.2e} (tol 1e-10) "
-           f"over all integer thresholds; n_sum_qubits([1,2]) = {n_s}")
+           f"over all integer thresholds; loss register for LGDs [1,2]: {n_s} qubits")
 
 
 def test_criterion_6_non_integer_rejection_and_acceptance():
@@ -150,10 +150,9 @@ def test_criterion_7_grover_identity():
             if n > 1:
                 other = int(rng.choice([q for q in range(n) if q != t]))
                 circ.ry(float(rng.uniform(-2, 2)), t, ((other, int(rng.integers(2))),))
-        a_circ = ObjectiveCircuit(circ, n - 1, "s_free", 0.0)
-        a = exact_amplitude(a_circ)
+        a = exact_amplitude(circ)           # the objective is qubit n - 1, the top one
         theta = math.asin(math.sqrt(a))
-        q = grover_operator(a_circ)
+        q = grover_operator(circ)
         state = apply(circ, zero_state(n))
         for k in range(9):
             want = math.sin((2 * k + 1) * theta) ** 2
@@ -179,7 +178,8 @@ def test_criterion_9_linear_encoding_sanity():
     worst_fit = 0.0
     for asset in pf.assets:
         for f, grid in enumerate(grids):
-            slope, offset = fit_linear_rotation(asset, f, grids)
+            lows, slopes, _ = _secants([(asset.p0, asset.rho, asset.alphas)], grids)
+            slope, offset = slopes[f, 0], lows[f, 0]
             mids = [0.0] * len(grids)         # each grid's center
             for i in (0, grid.size - 1):
                 z = list(mids)

@@ -8,7 +8,6 @@ import pytest
 from qvar.circuit import (Circuit, Gate, Statevector, apply, inverse,
                           marginal_probability, probabilities, zero_state)
 from qvar.estimation import grover_operator
-from qvar.objective import ObjectiveCircuit
 
 
 def reference_apply(circuit, state):
@@ -176,7 +175,7 @@ class TestKernelOracle:
         rng = np.random.default_rng(10)
         for n in (2, 4, 7):
             a = random_circuit(rng, n, n_gates=25)
-            q = grover_operator(ObjectiveCircuit(a, n - 1, "s_free", 0.0))
+            q = grover_operator(a)
             self.assert_same(q, random_state(rng, n))
 
     def test_marginal_matches_flat_selection(self):

@@ -19,8 +19,8 @@ import qvar.cli
 import qvar.risk
 import qvar.uncertainty
 from qvar.circuit import apply, marginal_probability
-from qvar.cli import (CONFIG_SCHEMA, ConfigError, _schema_errors, config_to_inputs, factor_grids,
-                      iqae_config, load_config, main)
+from qvar.cli import (CONFIG_SCHEMA, OVERRIDES, ConfigError, _schema_errors, config_to_inputs,
+                      factor_grids, iqae_config, load_config, main)
 from qvar.estimation import exact_amplitude
 from qvar.objective import build_a_circuit
 from qvar.risk import _BYTES_PER_AMPLITUDE, exact_loss_distribution
@@ -707,6 +707,31 @@ class TestResources:
         report = json.loads(out.read_text())
         assert report["resources"]["sum_register_width"] == 2
 
+    def test_loss_register_holds_2_49_minus_1_in_49_qubits(self, tmp_path, capsys):
+        # floor(log2(t)) + 1 reads 50 here; the register's integer rule needs 49.
+        payload = {"risk_factors": {"count": 1, "qubits_per_factor": 1},
+                   "assets": [{"lgd": 2 ** 49 - 1, "p0": 0.1, "rho": 0.1, "alphas": [0.3]}],
+                   "analysis": {"alpha": 0.95, "mode": "weighted_sum"}}
+        assert main(["resources", "--config", write_config(tmp_path, payload)]) == 0
+        report = json.loads(capsys.readouterr().out)["resources"]
+        assert (report["sum_register_width"], report["width_built"],
+                report["comparator_pattern_count"]) == (49, 1 + 1 + 49 + 1, 2 ** 49)
+
+
+class TestOverflowingLosses:
+    @pytest.mark.parametrize("argv", [
+        ["distribution"], ["analyze", "--estimator", "classical"],
+        ["analyze", "--estimator", "exact"], ["resources"], ["compare"]])
+    @pytest.mark.parametrize("lgds", [[1e308, 1e308], [10 ** 400]])
+    def test_lgds_summing_past_the_largest_float_refused(self, tmp_path, capsys, argv, lgds):
+        payload = copy.deepcopy(TWO_ASSET)
+        payload["assets"] = [dict(payload["assets"][0], lgd=lgd) for lgd in lgds]
+        config = write_config(tmp_path, payload)
+        assert main([argv[0], "--config", config, *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: the LGDs sum to inf") and err.count("\n") == 1
+
 
 # Two assets on one shared weight vector, so single_rotation runs, on grids truncated at
 # 2.5 rather than the default 3: the bound reaches the grid values, the linear secants and
@@ -1043,6 +1068,11 @@ def test_scipy_is_loaded_only_by_iqae(tmp_path, argv, loaded):
 
 
 class TestParser:
+    def test_overrides_take_the_schema_choices(self):
+        analysis = CONFIG_SCHEMA["properties"]["analysis"]["properties"]
+        for field, choices in OVERRIDES.items():
+            assert list(choices) == analysis[field]["enum"]
+
     def test_main_builds_one_parser(self, tmp_path):
         qvar.cli.build_parser.cache_clear()
         config = write_config(tmp_path, TWO_ASSET)

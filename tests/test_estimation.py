@@ -10,7 +10,7 @@ from qvar.circuit import Circuit, apply, marginal_probability, zero_state
 from qvar.estimation import (IqaeConfig, IqaeResult, _find_next_k, clopper_pearson,
                              exact_amplitude, grover_operator, iqae)
 from qvar.gaussian import discretize_normal
-from qvar.objective import ObjectiveCircuit, build_a_circuit
+from qvar.objective import build_a_circuit
 from qvar.risk import exact_loss_distribution
 from qvar.uncertainty import Asset, Portfolio
 
@@ -19,7 +19,7 @@ def bernoulli_circuit(a):
     """Single-qubit operator with P(objective = 1) = a."""
     circ = Circuit(1)
     circ.ry(2 * math.asin(math.sqrt(a)), 0)
-    return ObjectiveCircuit(circ, 0, "s_free", 0.0)
+    return circ
 
 
 def bernoulli_amplitude(a):
@@ -31,9 +31,9 @@ class PowerStates:
 
     def __init__(self, a_circuit):
         self._grover = grover_operator(a_circuit)
-        self._state = apply(a_circuit.circuit, zero_state(a_circuit.circuit.n_qubits))
+        self._state = apply(a_circuit, zero_state(a_circuit.n_qubits))
         self._k = 0
-        self._objective = a_circuit.objective_qubit
+        self._objective = a_circuit.n_qubits - 1
 
     def probability(self, k):
         assert k >= self._k, "powers must be nondecreasing"
@@ -97,7 +97,7 @@ def random_objective(rng, n):
         if n > 1:
             other = int(rng.choice([q for q in range(n) if q != t]))
             circ.ry(float(rng.uniform(-2, 2)), t, ((other, int(rng.integers(2))),))
-    return ObjectiveCircuit(circ, n - 1, "s_free", 0.0)
+    return circ
 
 
 class TestExactAmplitude:
@@ -105,29 +105,29 @@ class TestExactAmplitude:
         assert exact_amplitude(bernoulli_circuit(0.3)) == pytest.approx(0.3, abs=1e-12)
 
     def test_idle_objective(self):
-        assert exact_amplitude(ObjectiveCircuit(Circuit(2).x(0), 1, "s_free", 0.0)) == 0.0
+        assert exact_amplitude(Circuit(2).x(0)) == 0.0
 
     def test_invariant_under_appended_identities(self):
         a_circ = bernoulli_circuit(0.42)
         base = exact_amplitude(a_circ)
-        padded = Circuit(1, list(a_circ.circuit.gates))
+        padded = Circuit(1, list(a_circ.gates))
         padded.ry(0.0, 0)
         padded.x(0)
         padded.x(0)
-        assert abs(exact_amplitude(ObjectiveCircuit(padded, 0, "s_free", 0.0)) - base) < 1e-12
+        assert abs(exact_amplitude(padded) - base) < 1e-12
 
 
 class TestGroverOperator:
     def test_quarter_amplitude_single_step(self):
         # a = 1/4 means theta = pi/6; one Grover step amplifies to sin^2(pi/2) = 1
         a_circ = bernoulli_circuit(0.25)
-        state = apply(a_circ.circuit, zero_state(1))
+        state = apply(a_circ, zero_state(1))
         state = apply(grover_operator(a_circ), state)
         assert marginal_probability(state, 0, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_amplitude_stays_zero(self):
-        a_circ = ObjectiveCircuit(Circuit(2).x(0), 1, "s_free", 0.0)
-        state = apply(a_circ.circuit, zero_state(2))
+        a_circ = Circuit(2).x(0)
+        state = apply(a_circ, zero_state(2))
         q = grover_operator(a_circ)
         for _ in range(4):
             state = apply(q, state)
@@ -141,10 +141,10 @@ class TestGroverOperator:
             a = exact_amplitude(a_circ)
             theta = math.asin(math.sqrt(a))
             q = grover_operator(a_circ)
-            state = apply(a_circ.circuit, zero_state(n))
+            state = apply(a_circ, zero_state(n))
             for k in range(9):
                 want = math.sin((2 * k + 1) * theta) ** 2
-                got = marginal_probability(state, a_circ.objective_qubit, 1)
+                got = marginal_probability(state, a_circ.n_qubits - 1, 1)
                 assert abs(got - want) < 1e-9
                 state = apply(q, state)
 
@@ -156,10 +156,10 @@ class TestGroverOperator:
         a = exact_amplitude(a_circ)
         theta = math.asin(math.sqrt(a))
         q = grover_operator(a_circ)
-        state = apply(a_circ.circuit, zero_state(a_circ.circuit.n_qubits))
+        state = apply(a_circ, zero_state(a_circ.n_qubits))
         for k in range(5):
             want = math.sin((2 * k + 1) * theta) ** 2
-            assert abs(marginal_probability(state, a_circ.objective_qubit, 1) - want) < 1e-9
+            assert abs(marginal_probability(state, a_circ.n_qubits - 1, 1) - want) < 1e-9
             state = apply(q, state)
 
 
@@ -206,14 +206,14 @@ class TestIqae:
             IqaeConfig(epsilon=0.01, confidence=0.9, shots_per_round=0)
 
     def test_zero_amplitude(self):
-        res = iqae(exact_amplitude(ObjectiveCircuit(Circuit(2).x(0), 1, "s_free", 0.0)),
+        res = iqae(exact_amplitude(Circuit(2).x(0)),
                    IqaeConfig(epsilon=0.01, confidence=0.95, seed=3))
         assert res.converged
         assert res.ci_low == 0.0
         assert res.estimate <= 0.01
 
     def test_full_amplitude(self):
-        res = iqae(exact_amplitude(ObjectiveCircuit(Circuit(1).x(0), 0, "s_free", 0.0)),
+        res = iqae(exact_amplitude(Circuit(1).x(0)),
                    IqaeConfig(epsilon=0.01, confidence=0.95, seed=3))
         assert res.converged
         assert res.ci_high == pytest.approx(1.0)

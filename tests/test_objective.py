@@ -16,9 +16,9 @@ from scipy import stats
 from qvar.circuit import Circuit, Statevector, apply
 from qvar.estimation import exact_amplitude
 from qvar.gaussian import discretize_normal
-from qvar.objective import (MODES, ObjectiveCircuit, build_a_circuit, comparator, n_sum_qubits,
+from qvar.objective import (MODES, build_a_circuit, comparator, objective_qubit,
                             weighted_sum_register)
-from qvar.uncertainty import Asset, Portfolio, build_model
+from qvar.uncertainty import VARIANTS, Asset, Portfolio, build_model
 
 ASSETS = [
     Asset(1000.5, 0.15, 0.10, (0.35, 0.20)),
@@ -37,18 +37,31 @@ def table_inputs():
     return Portfolio(ASSETS), [discretize_normal(2), discretize_normal(2)]
 
 
-class TestNSumQubits:
-    def test_examples(self):
-        assert n_sum_qubits([1, 2]) == 2
-        assert n_sum_qubits([3, 4]) == 3
-        assert n_sum_qubits([1]) == 1
-        assert n_sum_qubits([1, 2, 4]) == 3
+class TestWeightedSumRegister:
+    """The loss register holds every integer loss sum t in max(1, t.bit_length()) qubits,
+    the single-rotation sum register's rule."""
 
-    def test_zero_sum_rejected(self):
-        with pytest.raises(ValueError):
-            n_sum_qubits([0, 0])
-        with pytest.raises(ValueError):
-            n_sum_qubits([])
+    @staticmethod
+    def width(*lgds):
+        return weighted_sum_register(Portfolio([Asset(v, 0.1, 0.1, (0.3,)) for v in lgds]))[1]
+
+    def test_examples(self):
+        assert self.width(1, 2) == 2
+        assert self.width(3, 4) == 3
+        assert self.width(1) == 1
+        assert self.width(1, 2, 4) == 3
+
+    def test_zero_sum_keeps_one_qubit(self):
+        assert self.width(0, 0) == 1
+        assert self.width(0) == 1
+
+    def test_equals_the_float_log_rule_below_2_16(self):
+        for t in range(1, 2 ** 16):
+            assert self.width(t) == math.floor(math.log2(t)) + 1
+
+    def test_holds_2_49_minus_1_in_49_qubits(self):
+        # The first t where floor(log2(t)) + 1 gives 50, as log2 rounds up to 49.0.
+        assert self.width(2 ** 49 - 1) == 49
 
 
 class TestSFreeComparator:
@@ -57,7 +70,7 @@ class TestSFreeComparator:
         model = build_model(pf, grids)
 
         def n_gates(x):
-            return comparator(pf, model, "s_free", x).circuit.n_gates
+            return comparator(pf, model, "s_free", x).n_gates
         # 1000.5 <= 1500 < 2000.5: only {} and {asset 0} qualify
         assert n_gates(1500.0) == 2
         # everything qualifies at the total loss
@@ -79,7 +92,7 @@ class TestSFreeComparator:
             qualifying = sum(
                 1 for pattern in itertools.product((0, 1), repeat=k)
                 if np.dot(lgds, pattern) <= x)
-            assert comp.circuit.n_gates == qualifying <= 2 ** k
+            assert comp.n_gates == qualifying <= 2 ** k
 
     def test_non_finite_threshold_rejected(self):
         pf, grids = table_inputs()
@@ -166,13 +179,13 @@ class TestComparators:
             for x in map(float, thresholds):
                 step = comparator(pf, model, mode, x, above)
                 whole = comparator(pf, model, mode, x)
-                got = (step.circuit.n_qubits, step.objective_qubit, step.mode, step.threshold)
-                assert got == (objective + 1, objective, mode, x)
-                state = apply(step.circuit, state)
-                assert np.array_equal(state.amplitudes, apply(whole.circuit, start).amplitudes)
+                got = (step.n_qubits, step.n_qubits - 1)
+                assert got == (objective + 1, objective)
+                state = apply(step, state)
+                assert np.array_equal(state.amplitudes, apply(whole, start).amplitudes)
                 if mode == "s_free":
-                    stepped.update(step.circuit.gates)
-                    assert stepped == Counter(whole.circuit.gates)
+                    stepped.update(step.gates)
+                    assert stepped == Counter(whole.gates)
                 above = x
 
     @pytest.mark.parametrize("mode", MODES)
@@ -182,7 +195,28 @@ class TestComparators:
         for x in np.unique(pf.pattern_losses()):
             for above in (x, x + 0.5, x + 1e6):
                 comp = comparator(pf, model, mode, float(x), float(above))
-                assert not any(g.target == comp.objective_qubit for g in comp.circuit.gates)
+                assert not any(g.target == comp.n_qubits - 1 for g in comp.gates)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_top_qubit_is_the_objective(self, variant, mode):
+        # No wrapper carries the objective: every comparator and A circuit puts it on
+        # top, at objective_qubit, and only its flips target it.
+        rng = np.random.default_rng([VARIANTS.index(variant), MODES.index(mode)])
+        for k in (1, 3):
+            pf = self.portfolio(rng, k, mode)
+            r = 1 if variant == "single_factor" else 2
+            pf = Portfolio([Asset(a.lgd, a.p0, a.rho, pf.assets[0].alphas[:r]) for a in pf.assets])
+            grids = [discretize_normal(2), discretize_normal(1)][:r]
+            model = build_model(pf, grids, variant)
+            objective = objective_qubit(pf, model, mode)
+            x = float(pf.pattern_losses().max())
+            comp = comparator(pf, model, mode, x)
+            a = build_a_circuit(pf, grids, x, variant=variant, mode=mode)
+            assert comp.n_qubits == a.n_qubits == objective + 1
+            flips = [g for g in comp.gates if g.target == objective]
+            assert flips and all(g.kind == "x" for g in flips)
+            assert not any(g.target == objective for g in model.circuit.gates)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_non_finite_threshold_rejected(self, mode):
@@ -197,8 +231,8 @@ class TestAssembleA:
     def test_table_amplitude_at_1500(self):
         pf, grids = table_inputs()
         model = build_model(pf, grids, "multi_rotation", "exact")
-        comp = comparator(pf, model, "s_free", 1500.0).circuit
-        a_circ = ObjectiveCircuit(Circuit(7, model.circuit.gates + comp.gates), 6, "s_free", 1500.0)
+        comp = comparator(pf, model, "s_free", 1500.0)
+        a_circ = Circuit(7, model.circuit.gates + comp.gates)     # objective 6, on top
         assert abs(exact_amplitude(a_circ) - ORACLE_CDF[1000.5]) < 1e-9
 
     def test_amplitudes_on_support_match_oracle(self):
@@ -257,13 +291,12 @@ class TestACircuitPin:
                             for _ in range(1 + seed % 4)])
             grids = [discretize_normal(int(n)) for n in rng.integers(1, 3, r)]
             support = np.unique(pf.pattern_losses())
-            for x in [support[0] - 1.0, *support, *(support[:-1] + np.diff(support) / 2),
-                      support[-1] + 1e6]:
-                a = build_a_circuit(pf, grids, float(x), variant=variant, encoding=encoding,
-                                    mode=mode)
-                digest.update(f"{a.circuit.n_qubits} {a.objective_qubit} {a.mode} "
-                              f"{a.threshold!r}\n{a.circuit.dump()}\n".encode())
+            for x in map(float, [support[0] - 1.0, *support,
+                                 *(support[:-1] + np.diff(support) / 2), support[-1] + 1e6]):
+                a = build_a_circuit(pf, grids, x, variant=variant, encoding=encoding, mode=mode)
+                # The objective is the top qubit.
+                digest.update(f"{a.n_qubits} {a.n_qubits - 1} {mode} {x!r}\n{a.dump()}\n".encode())
                 # dump prints 16 digits; the hex angles pin every bit.
-                digest.update(" ".join(g.theta.hex() for g in a.circuit.gates
+                digest.update(" ".join(g.theta.hex() for g in a.gates
                                        if g.kind == "ry").encode())
         assert digest.hexdigest() == self.DIGESTS[mode]

@@ -98,9 +98,9 @@ class TestGateAccounting:
         report = estimate_resources(pf, g, "multi_rotation", "s_free")
 
         built = build_a_circuit(pf, g, 1500.0, encoding="exact")
-        assert built.circuit.n_qubits == report.width_built
-        comparator_gates = [gate for gate in built.circuit.gates
-                            if gate.kind == "x" and gate.target == built.objective_qubit]
+        assert built.n_qubits == report.width_built
+        comparator_gates = [gate for gate in built.gates
+                            if gate.kind == "x" and gate.target == built.n_qubits - 1]
         assert len(comparator_gates) <= report.comparator_pattern_count
 
         model = build_model(pf, g, "multi_rotation", "linear")
@@ -147,7 +147,7 @@ class TestGateAccounting:
             model = build_model(pf, grids(1, 1))
             counted = comparator_gates(pf, mode)
             for x in (float(pf.pattern_losses().max()), 2.0 ** 20):
-                gates = comparator(pf, model, mode, x).circuit.gates
+                gates = comparator(pf, model, mode, x).gates
                 built = (len(gates), sum(len(gate.controls) for gate in gates))
                 if x == 2.0 ** 20:
                     assert counted == built
@@ -185,7 +185,7 @@ class TestRuleParity:
             g = [discretize_normal(int(n)) for n in rng.integers(1, 4, r)]
             built = build_a_circuit(pf, g, float(pf.pattern_losses().max()), variant=variant,
                                     encoding=encoding, mode=mode)
-            assert estimate_resources(pf, g, variant, mode).width_built == built.circuit.n_qubits
+            assert estimate_resources(pf, g, variant, mode).width_built == built.n_qubits
 
     @pytest.mark.parametrize("variant, r, n_grids, shared", [
         ("bogus", 2, 2, True),                      # an unknown variant

@@ -12,7 +12,7 @@ from qvar.circuit import Circuit, apply, zero_state
 from qvar.estimation import IqaeConfig, exact_amplitude, iqae
 from qvar.gaussian import conditional_pd, discretize_normal
 from qvar.objective import build_a_circuit, objective_qubit
-from qvar.risk import (LossDistribution, cdf_estimator, economic_capital,
+from qvar.risk import (LossDistribution, cdf_estimator,
                        exact_loss_distribution, expected_loss, model_distribution,
                        monte_carlo_distribution, total_variation_distance, var_bisection)
 from qvar.uncertainty import Asset, Portfolio, build_model
@@ -580,16 +580,22 @@ class TestVarBisection:
 
 
 class TestEconomicCapital:
+    """var_bisection reports VaR minus expected loss as the economic capital."""
+
+    @staticmethod
+    def capital(losses, probs, alpha):
+        dist = LossDistribution(np.array(losses), np.array(probs))
+        return var_bisection(dist, alpha, cdf_estimator(dist.cdf)).economic_capital
+
     def test_examples(self):
-        assert economic_capital(100.0, 25.0) == 75.0
-        assert economic_capital(7.0, 7.0) == 0.0
-        assert economic_capital(0.0, 5.0) == -5.0  # degenerate, not clamped
+        assert self.capital([0.0, 100.0], [0.75, 0.25], 0.9) == 75.0     # VaR 100, EL 25
+        assert self.capital([7.0], [1.0], 0.5) == 0.0                      # VaR 7, EL 7
+        assert self.capital([0.0, 20.0], [0.75, 0.25], 0.5) == -5.0        # degenerate, not clamped
 
     def test_table_value(self):
         pf, grids = table_inputs()
         res = bisect(pf, grids, 0.95, "exact")
-        assert abs(economic_capital(res.var, res.expected_loss)
-                   - (ORACLE_VAR_95 - ORACLE_EL)) < 1e-9
+        assert abs(res.economic_capital - (ORACLE_VAR_95 - ORACLE_EL)) < 1e-9
 
 
 class TestLossDistribution:

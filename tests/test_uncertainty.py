@@ -13,11 +13,11 @@ import pytest
 from scipy import stats
 
 import qvar.gaussian
-from qvar.circuit import Gate, apply, marginal_probability, probabilities, zero_state
+from qvar.circuit import Circuit, Gate, apply, marginal_probability, probabilities, zero_state
 from qvar.gaussian import conditional_pd, discretize_normal
 from qvar.resources import estimate_resources
-from qvar.uncertainty import (Asset, Portfolio, build_model, default_angle, fit_linear_rotation,
-                              index_sum_plan, loader_gates, model_table, probability_loader)
+from qvar.uncertainty import (Asset, Portfolio, _secants, build_model, default_angle,
+                              index_sum_plan, loader_gates, model_table)
 
 # the running two-asset, two-factor example
 ASSETS = [
@@ -55,6 +55,18 @@ def oracle_joint(portfolio, grids):
     return out
 
 
+def loaded_state(probs):
+    """The state loader_gates prepare on a register of their own, from |0...0>."""
+    n = len(probs).bit_length() - 1
+    return apply(Circuit(n).extend(loader_gates(probs, range(n))), zero_state(n))
+
+
+def secant(asset, f, grids):
+    """(slope, offset) of one asset's endpoint secant along factor f."""
+    lows, slopes, _ = _secants([(asset.p0, asset.rho, asset.alphas)], grids)
+    return slopes[f, 0], lows[f, 0]
+
+
 def model_joint(model):
     state = apply(model.circuit, zero_state(model.circuit.n_qubits))
     order = [q for reg in model.factor_qubits for q in reg] + model.asset_qubits
@@ -71,17 +83,17 @@ class TestLoader:
             if probs.sum() == 0:
                 probs[0] = 1.0
             probs /= probs.sum()
-            state = apply(probability_loader(probs), zero_state(m))
+            state = loaded_state(probs)
             assert np.abs(np.abs(state.amplitudes) ** 2 - probs).max() < 1e-12
 
     def test_grid_marginals(self):
         grid = discretize_normal(3, 2.5)
-        state = apply(probability_loader(grid.probs), zero_state(3))
+        state = loaded_state(grid.probs)
         assert np.abs(np.abs(state.amplitudes) ** 2 - grid.probs).max() < 1e-10
 
     def test_rejects_bad_vectors(self):
         with pytest.raises(ValueError):
-            probability_loader([0.5, 0.6])
+            loaded_state([0.5, 0.6])
 
 
 class TestMultiRotationExact:
@@ -280,7 +292,7 @@ class TestLinearEncoding:
         grids = [discretize_normal(2), discretize_normal(3, 2.0)]
         for asset in ASSETS:
             for f, grid in enumerate(grids):
-                slope, offset = fit_linear_rotation(asset, f, grids)
+                slope, offset = secant(asset, f, grids)
                 mids = [0.0] * len(grids)     # each grid's center
                 for i in (0, grid.size - 1):
                     z = list(mids)
@@ -290,14 +302,14 @@ class TestLinearEncoding:
 
     def test_fit_frozen_value(self):
         grids = [discretize_normal(2), discretize_normal(2)]
-        slope, offset = fit_linear_rotation(ASSETS[0], 0, grids)
+        slope, offset = secant(ASSETS[0], 0, grids)
         assert abs(slope - FIT_SLOPE_A0_F0) < 1e-12
         assert abs(offset - FIT_OFFSET_A0_F0) < 1e-12
 
     def test_constant_angle_for_zero_rho(self):
         asset = Asset(5.0, 0.2, 0.0, (0.4, 0.1))
         grids = [discretize_normal(2), discretize_normal(2)]
-        slope, offset = fit_linear_rotation(asset, 0, grids)
+        slope, offset = secant(asset, 0, grids)
         assert slope == pytest.approx(0.0, abs=1e-14)
         assert offset == pytest.approx(2 * math.asin(math.sqrt(0.2)), abs=1e-12)
 
@@ -356,25 +368,32 @@ class TestSingleRotation:
         model = build_model(pf, grids, "single_rotation")
         plan = index_sum_plan(grids, self.SHARED)
 
-        # classical convolution over the induced sum grid
+        # classical convolution over the induced sum grid: factor r's values start at
+        # its base and step by delta, so sum register value s stands for y(s)
+        bases = [-0.5 * plan.delta * (n_r - 1) for n_r in plan.n_points]
+        s_max = sum(n_r - 1 for n_r in plan.n_points)
+
+        def y_of_sum(s):
+            return plan.delta * s + sum(bases)
+
         per_factor = []
-        for grid, alpha, n_r, base in zip(grids, self.SHARED, plan.n_points, plan.bases):
+        for grid, alpha, n_r, base in zip(grids, self.SHARED, plan.n_points, bases):
             values = base + plan.delta * np.arange(n_r)
             dens = stats.norm.pdf(values / abs(alpha))
             per_factor.append(dens / dens.sum())
-        sum_probs = np.zeros(plan.s_max + 1)
+        sum_probs = np.zeros(s_max + 1)
         for combo in itertools.product(*(range(n) for n in plan.n_points)):
             sum_probs[sum(combo)] += np.prod([per_factor[r][i] for r, i in enumerate(combo)])
 
-        y_lo = plan.y_of_sum(0)
-        y_hi = plan.y_of_sum(plan.s_max)
+        y_lo = y_of_sum(0)
+        y_hi = y_of_sum(s_max)
         state = apply(model.circuit, zero_state(model.circuit.n_qubits))
         for asset, q in zip(pf.assets, model.asset_qubits):
             def theta_at(y):
                 pd = stats.norm.cdf(
                     (stats.norm.ppf(asset.p0) - math.sqrt(asset.rho) * y) / math.sqrt(1 - asset.rho))
                 return 2 * math.asin(math.sqrt(pd))
-            slope = (theta_at(y_hi) - theta_at(y_lo)) / plan.s_max
+            slope = (theta_at(y_hi) - theta_at(y_lo)) / s_max
             offset = theta_at(y_lo)
             want = sum(p * math.sin(0.5 * (offset + slope * s)) ** 2
                        for s, p in enumerate(sum_probs))
@@ -440,6 +459,14 @@ class TestValidation:
             Asset(1.0, 0.0, 0.1, (1.0,))
         with pytest.raises(ValueError):
             Asset(1.0, 0.2, 1.0, (1.0,))
+
+    def test_portfolio_refuses_lgds_summing_past_the_largest_float(self):
+        for lgds in ([1e308, 1e308], [10 ** 400], [1.0, math.inf]):
+            with pytest.raises(ValueError, match="the LGDs sum to inf, past the largest float"):
+                Portfolio([Asset(lgd, 0.1, 0.1, (0.3,)) for lgd in lgds])
+        # The largest float itself is a loss the table can hold.
+        pf = Portfolio([Asset(lgd, 0.1, 0.1, (0.3,)) for lgd in (1.7e308, 0.0, 0.07e308)])
+        assert pf.pattern_losses()[-1] == 1.7e308 + 0.07e308 <= np.finfo(float).max
 
     def test_portfolio_requires_uniform_factor_count(self):
         with pytest.raises(ValueError, match="asset 1"):
