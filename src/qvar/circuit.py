@@ -110,20 +110,6 @@ class Circuit:
     def n_gates(self) -> int:
         return len(self.gates)
 
-    def dump(self) -> str:
-        """Debug text form, one gate per line, stable for golden tests."""
-        lines = []
-        for gate in self.gates:
-            head = f"ry({gate.theta:+.15e})" if gate.kind == "ry" else gate.kind
-            ctrl = " ".join(f"q{c}={p}" for c, p in gate.controls)
-            lines.append(f"{head} q{gate.target}" + (f" | {ctrl}" if ctrl else ""))
-        return "\n".join(lines)
-
-
-def inverse(circuit: Circuit) -> Circuit:
-    """Adjoint circuit: reversed gate order, each gate replaced by its adjoint."""
-    return Circuit(circuit.n_qubits, [g.adjoint() for g in reversed(circuit.gates)])
-
 
 @dataclass(eq=False)
 class Statevector:
@@ -140,9 +126,6 @@ class Statevector:
     @property
     def n_qubits(self) -> int:
         return self.amplitudes.size.bit_length() - 1
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def zero_state(n_qubits: int) -> Statevector:
@@ -195,28 +178,3 @@ def marginal_probability(state: Statevector, qubit: int, outcome: int) -> float:
     # Copied out in index order so the pairwise sum matches a flat selection.
     half = state.amplitudes.reshape(-1, 2, 2 ** qubit)[:, outcome, :]
     return float(np.sum(np.abs(np.ascontiguousarray(half).ravel()) ** 2))
-
-
-def probabilities(state: Statevector, qubits=None) -> np.ndarray:
-    """Measurement distribution, optionally marginalized onto `qubits`.
-
-    When `qubits` is given, bit j of the returned index corresponds to the
-    j-th entry of `qubits`.
-    """
-    probs = np.abs(state.amplitudes) ** 2
-    if qubits is None:
-        return probs
-    qubits = list(qubits)
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("duplicate qubit in marginal request")
-    for q in qubits:
-        if not 0 <= q < state.n_qubits:
-            raise ValueError(f"qubit {q} out of range")
-    index = np.arange(probs.size)
-    keys = np.zeros(probs.size, dtype=np.int64)
-    for j, q in enumerate(qubits):
-        keys |= (((index >> q) & 1) << j)
-    out = np.zeros(2 ** len(qubits))
-    np.add.at(out, keys, probs)
-    return out
-

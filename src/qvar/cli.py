@@ -37,9 +37,8 @@ from .estimation import IqaeConfig
 from .gaussian import FactorGrid, GridShape, discretize_normal
 from .objective import MODES, comparator, objective_qubit
 from .resources import estimate_resources
-from .risk import (EstimationFailure, cdf_estimator, check_budget,
-                   exact_loss_distribution, expected_loss, model_distribution,
-                   monte_carlo_distribution, var_bisection)
+from .risk import (cdf_estimator, check_budget, exact_loss_distribution, expected_loss,
+                   model_distribution, monte_carlo_distribution, var_bisection)
 from .uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio, build_model
 
 ESTIMATORS = ("exact", "iqae", "classical")
@@ -237,14 +236,7 @@ def cmd_analyze(cfg: dict, output: str | None) -> int:
     grids = factor_grids(portfolio, shapes, iqae=settings is not None)
     dist = (exact_loss_distribution(portfolio, grids) if kind == "classical"
             else model_distribution(portfolio, grids, variant, encoding))
-    estimator = cdf_estimator(dist.cdf, settings)
-    try:
-        result = var_bisection(dist, analysis["alpha"], estimator)
-    except EstimationFailure as exc:
-        _emit(_dump_json({"config": cfg, "error": str(exc),
-                          "results": {"bisection_trace": _probes(exc.trace)}}), output)
-        print(f"error: {exc}; partial report written", file=sys.stderr)
-        return 1
+    result = var_bisection(dist, analysis["alpha"], cdf_estimator(dist.cdf, settings))
     report = {
         "config": cfg,
         "results": {
@@ -301,9 +293,9 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     model = build_model(portfolio, grids, variant, encoding)
     objective = objective_qubit(portfolio, model, mode)
     width = objective + 1                   # the A circuit's, the objective on top
-    # Model gates then comparator gates on one array, as exact_amplitude of the
-    # threshold's A circuit runs them; every comparator gate is an X, an exact
-    # swap, so the running state's readout is that oracle bit for bit.
+    # Model gates then comparator gates on one array, as the test oracle exact_amplitude
+    # (tests/oracles.py) runs a threshold's A circuit; every comparator gate is an X, an
+    # exact swap, so the running state's readout is that oracle's, bit for bit.
     state = apply(Circuit(width).extend(model.circuit.gates), zero_state(width))
     mc = monte_carlo_distribution(portfolio, grids, analysis["mc_paths"], analysis["seed"])
     readout = {}        # each threshold's A-circuit readout, handed on to IQAE to sample

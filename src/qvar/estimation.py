@@ -1,11 +1,11 @@
-"""Amplitude estimation: exact readout, the Grover operator, and iterative QAE.
+"""Iterative amplitude estimation with exact Clopper-Pearson intervals.
 
 The iterative scheme never touches phase estimation.  Each round measures the
 objective qubit of Q^k A|0>, with outcome probabilities taken from the
-closed-form Grover law; the gate-level Grover operator is kept as the oracle
-that law is checked against.  The power k is grown whenever the current
-confidence interval for the amplitude angle fits inside an unambiguous
-half-plane after amplification.  Per-round intervals are exact Clopper-Pearson
+closed-form Grover law; the gate-level Grover operator that law is checked
+against is the test oracle tests/oracles.grover_operator.  The power k is grown
+whenever the current confidence interval for the amplitude angle fits inside an
+unambiguous half-plane after amplification.  Per-round intervals are exact Clopper-Pearson
 binomial bounds, combined across rounds through a union bound.
 """
 
@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .circuit import Circuit, apply, inverse, marginal_probability, zero_state
 
 
 @dataclass
@@ -57,32 +55,6 @@ class IqaeResult:
     quantum_samples: int
     converged: bool = True
     powers: tuple[int, ...] = ()
-
-
-def exact_amplitude(a: Circuit) -> float:
-    """Objective-qubit probability of A|0...0>, read off the statevector; the
-    objective is A's top qubit."""
-    state = apply(a, zero_state(a.n_qubits))
-    return marginal_probability(state, a.n_qubits - 1, 1)
-
-
-def grover_operator(a: Circuit) -> Circuit:
-    """Q = A * S0 * A^-1 * S_good (rightmost factor acts first).
-
-    S_good flips the phase of states whose objective qubit, A's top one, is 1
-    (a plain Z); S0 flips the phase of the all-zeros state, realized as an
-    X-conjugated Z on qubit 0 controlled on every other qubit being 0.
-    """
-    n = a.n_qubits
-    q = Circuit(n)
-    q.z(n - 1)
-    q.extend(inverse(a).gates)
-    others = tuple((i, 0) for i in range(1, n))
-    q.x(0)
-    q.z(0, controls=others)
-    q.x(0)
-    q.extend(a.gates)
-    return q
 
 
 def clopper_pearson(ones: int, shots: int, alpha: float) -> tuple[float, float]:
@@ -129,8 +101,8 @@ def iqae(amplitude: float, cfg: IqaeConfig) -> IqaeResult:
     """Iterative amplitude estimation of an objective probability a.
 
     Each round measures Q^k A|0>, whose objective probability is
-    sin^2((2k+1) theta) with sin^2 theta = a; grover_operator obeys this law
-    at gate level, so the rounds draw from it directly.  a is clipped to
+    sin^2((2k+1) theta) with sin^2 theta = a; the test oracle grover_operator
+    obeys this law at gate level, so the rounds draw from it directly.  a is clipped to
     [0, 1] first, since statevector readouts can round just past the ends.
     With probability at least cfg.confidence the returned estimate is within
     cfg.epsilon of a.  Failure to converge inside cfg.max_rounds is reported

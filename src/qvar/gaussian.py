@@ -238,8 +238,8 @@ def _pd_argument(quantiles, obligors, z) -> np.ndarray:
 
 
 def conditional_pd_table(obligors, z) -> np.ndarray:
-    """The one conditional-PD evaluator: conditional_pd of each obligor, a (p0, rho,
-    alphas) triple, stacked on a new last axis, with one F^-1 call for all obligors'
+    """The one conditional-PD evaluator: the default probability given z of each
+    obligor, a (p0, rho, alphas) triple, stacked on a new last axis, with one F^-1 call for all obligors'
     p0 and one F call per _PD_BLOCK_ROWS rows.
 
     `z` is a vector of R realizations or an array whose last axis has length R.
@@ -261,14 +261,3 @@ def conditional_pd_table(obligors, z) -> np.ndarray:
     # F never reaches 0 or 1 for finite arguments; keep the output strictly
     # inside the open interval even where the double-precision cdf saturates.
     return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=out)
-
-
-def conditional_pd(p0: float, rho: float, alphas, z):
-    """Conditional default probability given factor realizations: one obligor's
-    column of conditional_pd_table.
-
-    With R = 1 and alphas = (1,) this is the classic single-factor form.
-    `z` may be a vector of R realizations or an array whose last axis has
-    length R, in which case the result is vectorized over the leading axes.
-    """
-    return np.take(conditional_pd_table([(p0, rho, alphas)], z), 0, axis=-1)

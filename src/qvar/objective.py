@@ -5,8 +5,9 @@ objective is its top qubit, so a circuit's width gives it.
 comparator(portfolio, model, mode, threshold, above) is the one place a
 comparator is wired onto a built model's asset qubits: the gates that flip the
 objective for losses in (above, threshold], so compare can step one state from
-threshold to threshold.  comparator_gates counts its gates unbuilt, and
-build_a_circuit is the model's gates, then one threshold's whole comparator.
+threshold to threshold.  comparator_gates counts its gates unbuilt.  One
+threshold's whole A circuit, the model's gates then its comparator, is the test
+oracle tests/oracles.build_a_circuit.
 Two modes build the "total loss <= x" flag:
 
 * s_free: reads the asset qubits directly; every default pattern whose loss
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import arith
 from .circuit import Circuit
-from .uncertainty import ModelCircuit, Portfolio, build_model
+from .uncertainty import ModelCircuit, Portfolio
 
 MODES = ("s_free", "weighted_sum")
 
@@ -101,12 +102,3 @@ def comparator(portfolio: Portfolio, model: ModelCircuit, mode: str, threshold: 
             circ.x(objective, ((q, value >> j & 1) for j, q in enumerate(sum_qubits)))
         circ.extend(g.adjoint() for g in reversed(adder))
     return circ
-
-
-def build_a_circuit(portfolio: Portfolio, grids, threshold: float, *,
-                    variant: str = "multi_rotation", encoding: str = "exact",
-                    mode: str = "s_free") -> Circuit:
-    """Build the complete estimation operator for one threshold: model, then comparator."""
-    model = build_model(portfolio, grids, variant, encoding)
-    comp = comparator(portfolio, model, mode, threshold)
-    return Circuit(comp.n_qubits, model.circuit.gates + comp.gates)

@@ -66,18 +66,11 @@ class LossDistribution:
     def cdf(self, x: float) -> float:
         return float(self.probs[self.losses <= x].sum())
 
-    def quantile(self, alpha: float) -> float:
-        """Smallest support value whose cdf reaches alpha."""
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        cum = np.cumsum(self.probs)
-        idx = int(np.searchsorted(cum, alpha - 1e-12))
-        return float(self.losses[min(idx, self.losses.size - 1)])
-
 
 @dataclass
 class BisectionProbe:
-    """One cdf evaluation inside the bisection; CI fields are iqae-only."""
+    """One probe of the bisection: a cdf estimate, or the top support point's
+    certain 1.0; CI fields are iqae-only."""
 
     threshold: float
     estimate: float
@@ -98,14 +91,6 @@ class VarResult:
     expected_loss: float
     economic_capital: float
     bisection_trace: list[BisectionProbe] = field(default_factory=list)
-
-
-class EstimationFailure(RuntimeError):
-    """Bisection could not locate the quantile; carries the partial trace."""
-
-    def __init__(self, message: str, trace: list[BisectionProbe]):
-        super().__init__(message)
-        self.trace = trace
 
 
 def _joint_grid(portfolio: Portfolio, grids: list) -> tuple[np.ndarray, np.ndarray]:
@@ -237,16 +222,6 @@ def expected_loss(dist: LossDistribution) -> float:
     return float(dist.losses @ dist.probs)
 
 
-def total_variation_distance(a: LossDistribution, b: LossDistribution) -> float:
-    """TV distance between two loss distributions on the union support."""
-    support = np.union1d(a.losses, b.losses)
-    pa = np.zeros(support.size)
-    pb = np.zeros(support.size)
-    pa[np.searchsorted(support, a.losses)] = a.probs
-    pb[np.searchsorted(support, b.losses)] = b.probs
-    return 0.5 * float(np.abs(pa - pb).sum())
-
-
 def check_budget(portfolio: Portfolio, grids, iqae: bool = False,
                  circuit: tuple[str, str, str] | None = None) -> None:
     """The one check that a run fits, made from sizes alone (grids may be GridShapes)
@@ -306,7 +281,9 @@ def var_bisection(dist: LossDistribution, alpha: float,
 
     The search runs over the discrete loss support (the cdf is a step
     function with at most 2**K jumps), probing thresholds by bisection with
-    the estimator cdf; dist also supplies the expected loss.
+    the estimator cdf; dist also supplies the expected loss.  No loss exceeds
+    the top support point, so its cdf is 1 and it is never estimated: it is
+    recorded as certain, and it is the VaR where no lower point reaches alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -314,20 +291,16 @@ def var_bisection(dist: LossDistribution, alpha: float,
     trace: list[BisectionProbe] = []
     support = dist.losses
     lo, hi = 0, support.size - 1
-    best: BisectionProbe | None = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        record = cdf(float(support[mid]))
+        x = float(support[mid])
+        record = BisectionProbe(threshold=x, estimate=1.0) if mid == support.size - 1 else cdf(x)
         trace.append(record)
         if record.estimate >= alpha:
             best = record
             hi = mid - 1
         else:
             lo = mid + 1
-    if best is None:
-        raise EstimationFailure(
-            f"no support point reached the target level {alpha}; "
-            f"largest estimate {max(p.estimate for p in trace)}", trace)
     return VarResult(
         var=best.threshold,
         alpha=alpha,

@@ -1,0 +1,139 @@
+"""Test-side oracles: what the tests check qvar against, and nothing a command runs.
+
+The gate-level path: build_a_circuit assembles one threshold's whole estimation
+operator A (model, then comparator), exact_amplitude reads its objective off
+the statevector, and grover_operator builds Q from A and inverse(A), the gate
+law that estimation.iqae samples in closed form.  compare steps one state
+through the same gates, so exact_amplitude is its readout's oracle.
+
+The reference rules: quantile, the textbook smallest loss whose cdf reaches a
+level; total_variation_distance between two loss distributions; conditional_pd,
+one obligor's column of gaussian.conditional_pd_table.  probabilities and dump
+give a state's measurement distribution and a circuit's text form.
+
+tests/ has no __init__.py, so pytest puts it on sys.path and `from oracles
+import ...` works from every test module.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qvar.circuit import Circuit, Statevector, apply, marginal_probability, zero_state
+from qvar.gaussian import conditional_pd_table
+from qvar.objective import comparator
+from qvar.risk import LossDistribution
+from qvar.uncertainty import Portfolio, build_model
+
+
+def dump(circuit: Circuit) -> str:
+    """Debug text form, one gate per line, stable for golden tests."""
+    lines = []
+    for gate in circuit.gates:
+        head = f"ry({gate.theta:+.15e})" if gate.kind == "ry" else gate.kind
+        ctrl = " ".join(f"q{c}={p}" for c, p in gate.controls)
+        lines.append(f"{head} q{gate.target}" + (f" | {ctrl}" if ctrl else ""))
+    return "\n".join(lines)
+
+
+def inverse(circuit: Circuit) -> Circuit:
+    """Adjoint circuit: reversed gate order, each gate replaced by its adjoint."""
+    return Circuit(circuit.n_qubits, [g.adjoint() for g in reversed(circuit.gates)])
+
+
+def probabilities(state: Statevector, qubits=None) -> np.ndarray:
+    """Measurement distribution, optionally marginalized onto `qubits`.
+
+    When `qubits` is given, bit j of the returned index corresponds to the
+    j-th entry of `qubits`.
+    """
+    probs = np.abs(state.amplitudes) ** 2
+    if qubits is None:
+        return probs
+    qubits = list(qubits)
+    if len(set(qubits)) != len(qubits):
+        raise ValueError("duplicate qubit in marginal request")
+    for q in qubits:
+        if not 0 <= q < state.n_qubits:
+            raise ValueError(f"qubit {q} out of range")
+    index = np.arange(probs.size)
+    keys = np.zeros(probs.size, dtype=np.int64)
+    for j, q in enumerate(qubits):
+        keys |= (((index >> q) & 1) << j)
+    out = np.zeros(2 ** len(qubits))
+    np.add.at(out, keys, probs)
+    return out
+
+
+def exact_amplitude(a: Circuit) -> float:
+    """Objective-qubit probability of A|0...0>, read off the statevector; the
+    objective is A's top qubit."""
+    state = apply(a, zero_state(a.n_qubits))
+    return marginal_probability(state, a.n_qubits - 1, 1)
+
+
+def grover_operator(a: Circuit) -> Circuit:
+    """Q = A * S0 * A^-1 * S_good (rightmost factor acts first).
+
+    S_good flips the phase of states whose objective qubit, A's top one, is 1
+    (a plain Z); S0 flips the phase of the all-zeros state, realized as an
+    X-conjugated Z on qubit 0 controlled on every other qubit being 0.
+    """
+    n = a.n_qubits
+    q = Circuit(n)
+    q.z(n - 1)
+    q.extend(inverse(a).gates)
+    others = tuple((i, 0) for i in range(1, n))
+    q.x(0)
+    q.z(0, controls=others)
+    q.x(0)
+    q.extend(a.gates)
+    return q
+
+
+def build_a_circuit(portfolio: Portfolio, grids, threshold: float, *,
+                    variant: str = "multi_rotation", encoding: str = "exact",
+                    mode: str = "s_free") -> Circuit:
+    """Build the complete estimation operator for one threshold: model, then comparator."""
+    model = build_model(portfolio, grids, variant, encoding)
+    comp = comparator(portfolio, model, mode, threshold)
+    return Circuit(comp.n_qubits, model.circuit.gates + comp.gates)
+
+
+def conditional_pd(p0: float, rho: float, alphas, z):
+    """Conditional default probability given factor realizations: one obligor's
+    column of conditional_pd_table.
+
+    With R = 1 and alphas = (1,) this is the classic single-factor form.
+    `z` may be a vector of R realizations or an array whose last axis has
+    length R, in which case the result is vectorized over the leading axes.
+    """
+    return np.take(conditional_pd_table([(p0, rho, alphas)], z), 0, axis=-1)
+
+
+def quantile(dist: LossDistribution, alpha: float) -> float:
+    """Smallest support value whose cdf reaches alpha.
+
+    A rule of its own, not var_bisection's: it searches the running sum
+    np.cumsum(probs) and accepts a cdf 1e-12 short of alpha, where var_bisection
+    accepts dist.cdf(x) >= alpha exactly, and that cdf is a masked pairwise sum
+    that can round a few ulp away from the running one.  The slack keeps a level
+    that a cdf step meets in exact arithmetic from falling one support point high
+    on rounding.  The two rules agree wherever no cdf value lies within 1e-12
+    below alpha, which the tests' alpha grids keep to.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    cum = np.cumsum(dist.probs)
+    idx = int(np.searchsorted(cum, alpha - 1e-12))
+    return float(dist.losses[min(idx, dist.losses.size - 1)])
+
+
+def total_variation_distance(a: LossDistribution, b: LossDistribution) -> float:
+    """TV distance between two loss distributions on the union support."""
+    support = np.union1d(a.losses, b.losses)
+    pa = np.zeros(support.size)
+    pb = np.zeros(support.size)
+    pa[np.searchsorted(support, a.losses)] = a.probs
+    pb[np.searchsorted(support, b.losses)] = b.probs
+    return 0.5 * float(np.abs(pa - pb).sum())

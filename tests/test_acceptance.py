@@ -14,13 +14,16 @@ import numpy as np
 
 from qvar.circuit import Circuit, apply, marginal_probability, zero_state
 from qvar.cli import main
-from qvar.estimation import IqaeConfig, exact_amplitude, grover_operator, iqae
+from qvar.estimation import IqaeConfig, iqae
 from qvar.gaussian import discretize_normal
-from qvar.objective import build_a_circuit, weighted_sum_register
+from qvar.objective import weighted_sum_register
 from qvar.resources import estimate_resources
 from qvar.risk import (cdf_estimator, exact_loss_distribution, model_distribution,
-                       monte_carlo_distribution, total_variation_distance, var_bisection)
+                       monte_carlo_distribution, var_bisection)
 from qvar.uncertainty import Asset, Portfolio, _secants
+
+from oracles import (build_a_circuit, conditional_pd, exact_amplitude, grover_operator,
+                     total_variation_distance)
 
 ALPHA = 0.95
 ORACLE_SUPPORT = [0.0, 1000.5, 2000.5, 3001.0]
@@ -184,7 +187,6 @@ def test_criterion_9_linear_encoding_sanity():
             for i in (0, grid.size - 1):
                 z = list(mids)
                 z[f] = grid.values[i]
-                from qvar.gaussian import conditional_pd
                 true_theta = 2 * math.asin(math.sqrt(
                     conditional_pd(asset.p0, asset.rho, asset.alphas, z)))
                 worst_fit = max(worst_fit, abs(slope * i + offset - true_theta))

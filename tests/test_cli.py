@@ -21,10 +21,10 @@ import qvar.uncertainty
 from qvar.circuit import apply, marginal_probability
 from qvar.cli import (CONFIG_SCHEMA, OVERRIDES, ConfigError, _schema_errors, config_to_inputs,
                       factor_grids, iqae_config, load_config, main)
-from qvar.estimation import exact_amplitude
-from qvar.objective import build_a_circuit
 from qvar.risk import _BYTES_PER_AMPLITUDE, exact_loss_distribution
 from qvar.uncertainty import model_table
+
+from oracles import build_a_circuit, exact_amplitude
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -342,19 +342,40 @@ class TestAnalyze:
         assert main(["analyze", "--config", config, "--mode", "weighted_sum"]) == 1
         assert "asset 0" in capsys.readouterr().err
 
-    def test_unreachable_level_gives_partial_report(self, tmp_path, capsys):
-        # probes are hopeless at these settings and never reach alpha = 0.95
+    def test_unreachable_level_reports_the_top_point(self, tmp_path, capsys):
+        # sampled probes are hopeless at these settings and never reach alpha = 0.95,
+        # so the VaR is the top support point, certain and never sampled
         payload = json.loads(json.dumps(TWO_ASSET))
         payload["analysis"].update({"estimator": "iqae", "epsilon": 0.001,
                                     "shots_per_round": 1, "max_rounds": 2})
         config = write_config(tmp_path, payload)
-        out = tmp_path / "partial.json"
+        out = tmp_path / "flagged.json"
         assert main(["analyze", "--config", config, "--output", str(out)]) == 1
-        assert "target level" in capsys.readouterr().err
-        report = json.loads(out.read_text())
-        assert "error" in report
-        assert report["results"]["bisection_trace"]
-        assert "var" not in report["results"]
+        assert "did not converge" in capsys.readouterr().err
+        results = json.loads(out.read_text())["results"]
+        *sampled, top = results["bisection_trace"]
+        assert (results["var"], results["cdf_at_var"]) == (3001.0, 1.0)
+        assert top == {"threshold": 3001.0, "estimate": 1.0}
+        assert [p["threshold"] for p in sampled] == [1000.5, 2000.5]
+        assert all(p["estimate"] < 0.95 and p["converged"] is False for p in sampled)
+        assert results["estimation_failures"] == [1000.5, 2000.5]
+
+    @pytest.mark.parametrize("encoding", ["exact", "linear"])
+    @pytest.mark.parametrize("estimator", ["exact", "iqae", "classical"])
+    def test_level_one_ulp_below_one_is_the_top_point(self, tmp_path, capsys, estimator,
+                                                      encoding):
+        # The linear model's cdf ends 2 ulp below 1, and IQAE's estimate is the midpoint
+        # of an interval capped at 1: neither reaches this level, the top point does.
+        payload = {"risk_factors": {"count": 1, "qubits_per_factor": 2},
+                   "assets": [{"lgd": 1000, "p0": 0.1, "rho": 0.1, "alphas": [0.3]}] * 2,
+                   "analysis": {"alpha": 0.9999999999999999, "epsilon": 0.01,
+                                "confidence": 0.95}}
+        config = write_config(tmp_path, payload)
+        assert main(["analyze", "--config", config, "--estimator", estimator,
+                     "--encoding", encoding]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert (results["var"], results["cdf_at_var"]) == (2000.0, 1.0)
+        assert results["bisection_trace"][-1] == {"threshold": 2000.0, "estimate": 1.0}
 
     def test_non_convergent_probe_flags_report(self, tmp_path, capsys):
         # alpha low enough that even wide-interval estimates clear it, so the

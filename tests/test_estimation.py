@@ -7,12 +7,12 @@ import pytest
 from scipy import stats
 
 from qvar.circuit import Circuit, apply, marginal_probability, zero_state
-from qvar.estimation import (IqaeConfig, IqaeResult, _find_next_k, clopper_pearson,
-                             exact_amplitude, grover_operator, iqae)
+from qvar.estimation import IqaeConfig, IqaeResult, _find_next_k, clopper_pearson, iqae
 from qvar.gaussian import discretize_normal
-from qvar.objective import build_a_circuit
 from qvar.risk import exact_loss_distribution
 from qvar.uncertainty import Asset, Portfolio
+
+from oracles import build_a_circuit, exact_amplitude, grover_operator
 
 
 def bernoulli_circuit(a):

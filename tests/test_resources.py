@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from qvar.estimation import exact_amplitude
 from qvar.gaussian import discretize_normal
-from qvar.objective import MODES, build_a_circuit, comparator, comparator_gates
+from qvar.objective import MODES, comparator, comparator_gates
 from qvar.resources import estimate_resources
 from qvar.risk import exact_loss_distribution
 from qvar.uncertainty import (ENCODINGS, VARIANTS, Asset, Portfolio, build_model, model_gates,
                               model_table)
+
+from oracles import build_a_circuit
 
 
 def two_asset_portfolio():

@@ -9,13 +9,15 @@ import pytest
 
 import qvar.risk as risk
 from qvar.circuit import Circuit, apply, zero_state
-from qvar.estimation import IqaeConfig, exact_amplitude, iqae
-from qvar.gaussian import conditional_pd, discretize_normal
-from qvar.objective import build_a_circuit, objective_qubit
-from qvar.risk import (LossDistribution, cdf_estimator,
-                       exact_loss_distribution, expected_loss, model_distribution,
-                       monte_carlo_distribution, total_variation_distance, var_bisection)
+from qvar.estimation import IqaeConfig, iqae
+from qvar.gaussian import discretize_normal
+from qvar.objective import objective_qubit
+from qvar.risk import (LossDistribution, cdf_estimator, exact_loss_distribution, expected_loss,
+                       model_distribution, monte_carlo_distribution, var_bisection)
 from qvar.uncertainty import Asset, Portfolio, build_model
+
+from oracles import (build_a_circuit, conditional_pd, exact_amplitude, quantile,
+                     total_variation_distance)
 
 # frozen from the independent mpmath enumeration of the two-asset example
 ORACLE_LOSSES = [0.0, 1000.5, 2000.5, 3001.0]
@@ -393,7 +395,6 @@ class TestExpectedLoss:
         el = expected_loss(dist)
         assert abs(el - ORACLE_EL) < 1e-9
         # sum_k LGD_k * unconditional PD_k computed from the same model
-        from qvar.gaussian import conditional_pd
         import itertools
         el_identity = 0.0
         for asset in pf.assets:
@@ -554,7 +555,7 @@ class TestVarBisection:
         dist = exact_loss_distribution(pf, grids)
         for alpha in np.linspace(0.05, 0.99, 20):
             res = bisect(pf, grids, float(alpha), "classical")
-            assert res.var == dist.quantile(float(alpha))
+            assert res.var == quantile(dist, float(alpha))
 
     def test_var_monotone_in_alpha(self):
         pf, grids = table_inputs()
@@ -571,6 +572,37 @@ class TestVarBisection:
             assert probe.ci_low is not None and probe.ci_high is not None
             assert probe.ci_low <= probe.estimate <= probe.ci_high
             assert probe.quantum_samples > 0
+
+    def test_top_point_is_certain_and_never_estimated(self):
+        def plain_bisection(dist, alpha):
+            lo, hi, seen = 0, dist.losses.size - 1, []
+            while lo <= hi:
+                mid = (lo + hi) // 2
+                seen.append(float(dist.losses[mid]))
+                if dist.cdf(dist.losses[mid]) >= alpha:
+                    hi = mid - 1
+                else:
+                    lo = mid + 1
+            return seen
+
+        rng = np.random.default_rng(48)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            dist = LossDistribution(np.cumsum(rng.uniform(0.5, 2.0, n)), rng.dirichlet(np.ones(n)))
+            alpha = float(rng.choice([rng.uniform(0.01, 0.99), 0.9999999999999999]))
+            calls = []
+
+            def estimator(x):
+                calls.append(x)
+                return risk.BisectionProbe(threshold=x, estimate=dist.cdf(x))
+            res = var_bisection(dist, alpha, estimator)
+            probed = [p.threshold for p in res.bisection_trace]
+            top = float(dist.losses[-1])
+            assert probed == plain_bisection(dist, alpha)
+            assert calls == [x for x in probed if x != top]
+            if top in probed:
+                assert res.bisection_trace[-1] == risk.BisectionProbe(threshold=top, estimate=1.0)
+            assert res.var == min(p.threshold for p in res.bisection_trace if p.estimate >= alpha)
 
     def test_alpha_validated(self):
         pf, grids = table_inputs()
@@ -631,5 +663,5 @@ class TestLossDistribution:
         dist = LossDistribution(np.array([0.0, 2.0, 5.0]), np.array([0.2, 0.5, 0.3]))
         assert dist.cdf(-1.0) == 0.0
         assert dist.cdf(2.0) == pytest.approx(0.7)
-        assert dist.quantile(0.7) == 2.0
-        assert dist.quantile(0.71) == 5.0
+        assert quantile(dist, 0.7) == 2.0
+        assert quantile(dist, 0.71) == 5.0
