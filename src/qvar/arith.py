@@ -27,9 +27,7 @@ def increment_gates(register, controls=()) -> list[Gate]:
 
 
 def add_constant_gates(register, value: int, controls=()) -> list[Gate]:
-    """Add a classical constant (mod 2**len(register)) under a control pattern."""
-    if value < 0:
-        raise ValueError("add_constant_gates takes a nonnegative constant")
+    """Add a nonnegative classical constant (mod 2**len(register)) under a control pattern."""
     register = list(register)
     value &= (1 << len(register)) - 1
     gates = []
@@ -49,18 +47,12 @@ def weighted_sum_size(weights, width: int) -> tuple[int, int]:
 def weighted_sum_gates(inputs, weights, sum_register) -> list[Gate]:
     """Accumulate sum_k weights[k] * inputs[k] into a little-endian register.
 
-    Each input is a single qubit holding a 0/1 value; weights must be
-    nonnegative integers.
+    Each input is a single qubit holding a 0/1 value, with one nonnegative integer
+    weight each: weighted_sum_register's LGDs, which it checks, or the index adder's
+    powers of two.
     """
-    inputs = list(inputs)
-    weights = list(weights)
-    if len(inputs) != len(weights):
-        raise ValueError("one weight per input qubit")
     gates = []
     for qubit, weight in zip(inputs, weights):
-        if int(weight) != weight or weight < 0:
-            raise ValueError("weights must be nonnegative integers")
         if weight:
-            gates.extend(add_constant_gates(sum_register, int(weight), controls=((qubit, 1),)))
+            gates.extend(add_constant_gates(sum_register, weight, controls=((qubit, 1),)))
     return gates
-

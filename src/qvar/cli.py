@@ -259,7 +259,8 @@ def cmd_analyze(cfg: dict, output: str | None) -> int:
     _emit(_dump_json(report), output)
     if failed:
         print(f"error: estimation did not converge at thresholds "
-              f"{[p.threshold for p in failed]}; partial report written", file=sys.stderr)
+              f"{[p.threshold for p in failed]}; the report was written and lists them "
+              f"under estimation_failures", file=sys.stderr)
         return 1
     return 0
 

@@ -218,19 +218,6 @@ def discretize_normal(n_z: int, bound_sigmas: float = 3.0) -> FactorGrid:
     return FactorGrid(int(n_z), bound_sigmas, values, density / density.sum())
 
 
-def _check_obligor(p0: float, rho: float, alphas, z) -> None:
-    """The checks of one obligor's (p0, rho, alphas) against realizations z."""
-    if not 0.0 < p0 < 1.0:
-        raise ValueError("conditional_pd requires p0 strictly inside (0, 1)")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("conditional_pd requires rho in [0, 1)")
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1 or alphas.size < 1:
-        raise ValueError("alphas must be a nonempty 1-D weight vector")
-    if z.shape[-1:] != alphas.shape:
-        raise ValueError(f"realization vector must have length {alphas.size}")
-
-
 def _pd_argument(quantiles, obligors, z) -> np.ndarray:
     """The argument of F in each obligor's PD(z), from its quantile F^-1(p0), on a new last axis."""
     return np.stack([(q - np.sqrt(rho) * (z @ np.asarray(alphas, dtype=float))) / np.sqrt(1.0 - rho)
@@ -239,8 +226,9 @@ def _pd_argument(quantiles, obligors, z) -> np.ndarray:
 
 def conditional_pd_table(obligors, z) -> np.ndarray:
     """The one conditional-PD evaluator: the default probability given z of each
-    obligor, a (p0, rho, alphas) triple, stacked on a new last axis, with one F^-1 call for all obligors'
-    p0 and one F call per _PD_BLOCK_ROWS rows.
+    obligor, a (p0, rho, alphas) triple that Asset has checked, stacked on a new last
+    axis, with one F^-1 call for all obligors' p0 and one F call per _PD_BLOCK_ROWS
+    leading rows of z; a vector z, or a table of at most that many rows, is one block.
 
     `z` is a vector of R realizations or an array whose last axis has length R.
     Each obligor's z @ alphas is one matrix product, so its rounding follows z's
@@ -248,16 +236,11 @@ def conditional_pd_table(obligors, z) -> np.ndarray:
     does, where an (N, R) matrix takes one matrix-vector product, row by row.
     """
     z = np.asarray(z, dtype=float)
-    for obligor in obligors:
-        _check_obligor(*obligor, z)
     quantiles = std_normal_ppf([p0 for p0, _, _ in obligors]).tolist()
-    if z.ndim < 2 or len(z) <= _PD_BLOCK_ROWS:
-        out = std_normal_cdf(_pd_argument(quantiles, obligors, z))
-    else:                               # every step after z @ alphas is elementwise
-        out = np.empty(z.shape[:-1] + (len(obligors),))
-        for start in range(0, len(z), _PD_BLOCK_ROWS):
-            rows = slice(start, start + _PD_BLOCK_ROWS)
-            out[rows] = std_normal_cdf(_pd_argument(quantiles, obligors, z[rows]))
+    out = np.empty(z.shape[:-1] + (len(obligors),))
+    for start in range(0, len(z), _PD_BLOCK_ROWS):    # every step after z @ alphas is elementwise
+        rows = slice(start, start + _PD_BLOCK_ROWS)
+        out[rows] = std_normal_cdf(_pd_argument(quantiles, obligors, z[rows]))
     # F never reaches 0 or 1 for finite arguments; keep the output strictly
     # inside the open interval even where the double-precision cdf saturates.
     return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=out)

@@ -111,17 +111,17 @@ def _enumeration(portfolio: Portfolio, pd: np.ndarray, pz: np.ndarray) -> LossDi
     (non)default probabilities left to right, and its mixture is one dot
     product, so the result equals the pattern-by-pattern loop bit for bit."""
     k, m = portfolio.k, pz.size
-    q = np.stack([1.0 - pd, pd])                   # q[bit, z, asset]
+    q = np.ascontiguousarray(np.stack([1.0 - pd, pd]).transpose(2, 0, 1))   # q[asset, bit, z]
     tail = min(k, max(0, (_BLOCK_ELEMENTS // m).bit_length() - 1))
     # Reused by every block: fresh arrays per step page-fault once freed to the OS.
     buffers = np.empty((2, 2 ** tail * m))
     probs = np.empty((2 ** k, 1, 1))
     for start in range(0, 2 ** k, 2 ** tail):
         head = (start >> np.arange(k - 1, tail - 1, -1)) & 1
-        weight = np.prod(q[head, :, np.arange(k - tail)], axis=0)[None, :]
+        weight = np.prod(q[np.arange(k - tail), head], axis=0)[None, :]
         for j in range(k - tail, k):
             out = buffers[j % 2, :2 * weight.size].reshape(-1, 2, m)
-            weight = np.multiply(weight[:, None, :], q[None, :, :, j], out=out).reshape(-1, m)
+            weight = np.multiply(weight[:, None, :], q[j], out=out).reshape(-1, m)
         # One 1-D dot per row, as `pz @ weight`; gemv rounds otherwise.
         np.matmul(weight[:, None, :], pz[:, None], out=probs[start:start + 2 ** tail])
     return LossDistribution.from_pairs(portfolio.pattern_losses(), probs.ravel())

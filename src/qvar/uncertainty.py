@@ -149,15 +149,12 @@ def loader_gates(probs, qubits) -> list[Gate]:
 
     Recursive pattern-controlled-rotation construction: the register is split
     bit by bit from the most significant end, each split rotating the next
-    qubit by the conditional mass ratio.  Works for any nonnegative normalized
-    probability vector, including ones with zero entries.
+    qubit by the conditional mass ratio.  probs is a nonnegative vector of
+    2**len(qubits) entries summing to 1, zeros allowed: a FactorGrid's, which
+    checks that, or single_rotation's marginal, normalized as it is made.
     """
     probs = np.asarray(probs, dtype=float)
     qubits = list(qubits)
-    if probs.size != 2 ** len(qubits):
-        raise ValueError("probability vector length must be 2**len(qubits)")
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError("need a nonnegative probability vector summing to 1")
     gates: list[Gate] = []
 
     def descend(level, lo, hi, controls, mass):

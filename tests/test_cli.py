@@ -79,6 +79,18 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def traced_run(argv):
+    """(exit code, tracemalloc's peak in bytes) of qvar.cli.main(argv) in a fresh process,
+    as the installed `qvar` runs it, with nothing imported beforehand."""
+    script = ("import tracemalloc, qvar.cli; tracemalloc.start(); "
+              f"code = qvar.cli.main({argv!r}); print(code, tracemalloc.get_traced_memory()[1])")
+    env = dict(os.environ, PYTHONPATH=str(Path(qvar.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=env)
+    code, peak = map(int, out.stdout.split())
+    return code, peak
+
+
 def set_field(cfg, field, value):
     """A copy of cfg with the value at a '/'-separated field path replaced."""
     cfg = copy.deepcopy(cfg)
@@ -351,7 +363,9 @@ class TestAnalyze:
         config = write_config(tmp_path, payload)
         out = tmp_path / "flagged.json"
         assert main(["analyze", "--config", config, "--output", str(out)]) == 1
-        assert "did not converge" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "did not converge" in err and "partial" not in err
+        assert "the report was written and lists them under estimation_failures" in err
         results = json.loads(out.read_text())["results"]
         *sampled, top = results["bisection_trace"]
         assert (results["var"], results["cdf_at_var"]) == (3001.0, 1.0)
@@ -538,6 +552,22 @@ class TestVariants:
             assert capsys.readouterr().err == (
                 "error: enumeration would visit 16777216 states, over the budget of 10000000; "
                 "reduce risk_factors.qubits_per_factor or assets\n")
+
+    @pytest.mark.parametrize("estimator", ["classical", "exact"])
+    def test_enumeration_count_fits_the_byte_budget(self, tmp_path, estimator):
+        # 22 assets on one 1-qubit factor: 2**22 default patterns on 2 cells, 2**23 states,
+        # the most the enumeration's count admits.  The count is a bound on time and
+        # prices no byte, so the run's traced peak (230 MB) must fit the byte budget.
+        payload = {
+            "risk_factors": {"count": 1, "qubits_per_factor": 1},
+            "assets": [{"lgd": 100.5 * (i + 1), "p0": 0.1, "rho": 0.2, "alphas": [0.4]}
+                       for i in range(22)],
+            "analysis": {"alpha": 0.95, "estimator": estimator},
+        }
+        assert 2 * 2 ** 22 <= qvar.risk._MAX_ENUMERATION < 2 * 2 ** 23
+        code, peak = traced_run(["analyze", "--config", write_config(tmp_path, payload),
+                                 "--output", str(tmp_path / "r.json")])
+        assert code == 0 and peak < qvar.risk.MAX_STATE_BYTES
 
     @pytest.mark.parametrize("command", ["analyze", "distribution"])
     def test_factor_grid_refused_before_discretizing(self, tmp_path, capsys, monkeypatch,
@@ -1001,12 +1031,7 @@ class TestCompare:
         }
         argv = ["compare", "--config", write_config(tmp_path, payload),
                 "--output", str(tmp_path / "out")]
-        script = ("import tracemalloc, qvar.cli; tracemalloc.start(); "
-                  f"code = qvar.cli.main({argv!r}); print(code, tracemalloc.get_traced_memory()[1])")
-        env = dict(os.environ, PYTHONPATH=str(Path(qvar.__file__).parents[1]))
-        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                             text=True, check=True, env=env)
-        code, peak = map(int, out.stdout.split())
+        code, peak = traced_run(argv)
         assert code == 0
         monkeypatch.setattr(qvar.risk, "MAX_STATE_BYTES", peak - 1)
         assert main(argv) == 1

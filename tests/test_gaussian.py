@@ -303,13 +303,3 @@ class TestConditionalPd:
         out = conditional_pd(0.25, 0.05, (0.1, 0.25), z)
         assert out.shape == (3,)
         assert abs(out[0] - conditional_pd(0.25, 0.05, (0.1, 0.25), (0.0, 0.0))) < 1e-15
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            conditional_pd(0.15, 1.0, (1.0,), (0.0,))
-        with pytest.raises(ValueError):
-            conditional_pd(0.15, -0.1, (1.0,), (0.0,))
-        with pytest.raises(ValueError):
-            conditional_pd(0.0, 0.1, (1.0,), (0.0,))
-        with pytest.raises(ValueError):
-            conditional_pd(0.15, 0.1, (1.0, 0.5), (0.0,))

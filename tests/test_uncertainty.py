@@ -16,8 +16,9 @@ import qvar.gaussian
 from qvar.circuit import Circuit, Gate, apply, marginal_probability, zero_state
 from qvar.gaussian import discretize_normal
 from qvar.resources import estimate_resources
+from qvar.risk import exact_loss_distribution
 from qvar.uncertainty import (Asset, Portfolio, _secants, build_model, default_angle,
-                              index_sum_plan, loader_gates, model_table)
+                              index_sum_plan, loader_gates, model_layout, model_table)
 
 from oracles import conditional_pd, probabilities
 
@@ -92,10 +93,6 @@ class TestLoader:
         grid = discretize_normal(3, 2.5)
         state = loaded_state(grid.probs)
         assert np.abs(np.abs(state.amplitudes) ** 2 - grid.probs).max() < 1e-10
-
-    def test_rejects_bad_vectors(self):
-        with pytest.raises(ValueError):
-            loaded_state([0.5, 0.6])
 
 
 class TestMultiRotationExact:
@@ -455,12 +452,17 @@ class TestSingleRotation:
 
 class TestValidation:
     def test_asset_validation(self):
+        # Asset owns the obligor's rules; conditional_pd_table evaluates only checked ones.
         with pytest.raises(ValueError):
             Asset(-1.0, 0.2, 0.1, (1.0,))
-        with pytest.raises(ValueError):
-            Asset(1.0, 0.0, 0.1, (1.0,))
-        with pytest.raises(ValueError):
-            Asset(1.0, 0.2, 1.0, (1.0,))
+        for p0 in (0.0, 1.0):
+            with pytest.raises(ValueError, match="p0 must lie strictly inside"):
+                Asset(1.0, p0, 0.1, (1.0,))
+        for rho in (1.0, -0.1):
+            with pytest.raises(ValueError, match="rho must lie in"):
+                Asset(1.0, 0.2, rho, (1.0,))
+        with pytest.raises(ValueError, match="at least one factor weight"):
+            Asset(1.0, 0.2, 0.1, ())
 
     def test_portfolio_refuses_lgds_summing_past_the_largest_float(self):
         for lgds in ([1e308, 1e308], [10 ** 400], [1.0, math.inf]):
@@ -473,3 +475,16 @@ class TestValidation:
     def test_portfolio_requires_uniform_factor_count(self):
         with pytest.raises(ValueError, match="asset 1"):
             Portfolio([Asset(1.0, 0.2, 0.1, (1.0,)), Asset(1.0, 0.2, 0.1, (1.0, 0.5))])
+
+    def test_one_grid_per_factor(self):
+        # model_layout owns the weights' match to the grids, for the model builders and
+        # for the enumeration oracle alike.
+        pf = Portfolio(ASSETS)
+        for grids in ([discretize_normal(2)], [discretize_normal(2)] * 3):
+            message = f"portfolio has 2 factors but {len(grids)} grids were given"
+            with pytest.raises(ValueError, match=message):
+                model_layout(pf, grids, "multi_rotation")
+            with pytest.raises(ValueError, match=message):
+                build_model(pf, grids)
+            with pytest.raises(ValueError, match=message):
+                exact_loss_distribution(pf, grids)
