@@ -13,7 +13,7 @@ from .gaussian import (FactorGrid, discretize_normal, std_normal_cdf, std_normal
 from .objective import comparator, weighted_sum_register
 from .resources import ResourceReport, estimate_resources
 from .risk import (BisectionProbe, LossDistribution, VarResult, cdf_estimator,
-                   exact_loss_distribution, expected_loss, model_distribution,
+                   exact_loss_distribution, expected_loss, joint_grid, model_distribution,
                    monte_carlo_distribution, var_bisection)
 from .uncertainty import Asset, ModelCircuit, Portfolio, build_model, model_table
 
@@ -25,7 +25,7 @@ __all__ = [
     "Portfolio", "ResourceReport", "Statevector", "VarResult", "apply",
     "build_model", "cdf_estimator", "clopper_pearson", "comparator",
     "discretize_normal", "estimate_resources",
-    "exact_loss_distribution", "expected_loss", "iqae",
+    "exact_loss_distribution", "expected_loss", "iqae", "joint_grid",
     "marginal_probability", "model_distribution", "model_table", "monte_carlo_distribution",
     "std_normal_cdf", "std_normal_pdf", "std_normal_ppf",
     "var_bisection", "weighted_sum_register", "zero_state",

@@ -118,7 +118,7 @@ class Statevector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        self.amplitudes = np.ascontiguousarray(self.amplitudes, dtype=complex)
         n = self.amplitudes.size
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError("statevector length must be a power of two >= 2")
@@ -139,12 +139,18 @@ def zero_state(n_qubits: int) -> Statevector:
 
 def apply(circuit: Circuit, state: Statevector) -> Statevector:
     """Run every gate in order on a copy of the state."""
+    out = Statevector(state.amplitudes.copy())
+    evolve(circuit, out)
+    return out
+
+
+def evolve(circuit: Circuit, state: Statevector) -> None:
+    """The one gate kernel: run every gate in order on the state's amplitudes, in place."""
     if state.n_qubits != circuit.n_qubits:
         raise ValueError(
             f"state has {state.n_qubits} qubits, circuit expects {circuit.n_qubits}")
-    amps = state.amplitudes.copy()
     n = circuit.n_qubits
-    tensor = amps.reshape((2,) * n)
+    tensor = state.amplitudes.reshape((2,) * n)
     for gate in circuit.gates:
         # The trailing Ellipsis keeps a fully fixed index a 0-d view, not a copy.
         index = [slice(None)] * n + [Ellipsis]
@@ -166,7 +172,6 @@ def apply(circuit: Circuit, state: Statevector) -> Statevector:
             c = math.cos(0.5 * gate.theta)
             s = math.sin(0.5 * gate.theta)
             a0[...], a1[...] = c * a0 - s * a1, s * a0 + c * a1
-    return Statevector(amps)
 
 
 def marginal_probability(state: Statevector, qubit: int, outcome: int) -> float:

@@ -10,11 +10,11 @@ analyze takes VaR, cdf, expected loss and economic capital from one loss
 distribution (see ESTIMATORS): the enumeration for "classical", else the
 model_distribution of the model's angle table, with no gate or statevector,
 read exactly or through IQAE.  compare simulates its model once, at the A
-circuit's width, and steps that one state up the support: each threshold
-applies only the comparator gates for the losses above the previous one, and
-the objective's marginal is the readout, its exact column, that IQAE samples;
-the enumeration gives the rest.  factor_grids discretizes a config's grid shapes once
-risk.check_budget admits the run; resources reads the shapes alone, priced by nothing.
+circuit's width, and steps that one state up the support in place: each threshold
+applies only the comparator gates for the losses above the previous one, and the
+objective's marginal is the readout, its exact column, that IQAE samples; one joint-grid
+table gives the enumeration and Monte Carlo the rest.  factor_grids discretizes each distinct
+grid shape once risk.check_budget admits the run; resources reads the shapes alone, unpriced.
 
 Configs are JSON documents; every run echoes the fully resolved config so
 reports are self-describing, and all output is deterministic for a given
@@ -32,13 +32,14 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .circuit import Circuit, apply, marginal_probability, zero_state
+from .circuit import Circuit, apply, evolve, marginal_probability, zero_state
 from .estimation import IqaeConfig
 from .gaussian import FactorGrid, GridShape, discretize_normal
 from .objective import MODES, comparator, objective_qubit
 from .resources import estimate_resources
-from .risk import (cdf_estimator, check_budget, exact_loss_distribution, expected_loss,
-                   model_distribution, monte_carlo_distribution, var_bisection)
+from .risk import (cdf_estimator, check_budget, exact_loss_distribution, expected_loss, joint_grid,
+                   mixture_distribution, model_distribution, monte_carlo_distribution,
+                   var_bisection)
 from .uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio, build_model
 
 ESTIMATORS = ("exact", "iqae", "classical")
@@ -193,9 +194,10 @@ def config_to_inputs(cfg: dict) -> tuple[Portfolio, list[GridShape]]:
 
 
 def factor_grids(portfolio: Portfolio, shapes, **run) -> list[FactorGrid]:
-    """The grids of `shapes`, discretized once check_budget(portfolio, shapes, **run) passes."""
+    """The grids of `shapes`, each distinct one discretized once check_budget(...) passes."""
     check_budget(portfolio, shapes, **run)
-    return [discretize_normal(s.n_z, s.bound) for s in shapes]
+    discretized = functools.cache(discretize_normal)     # factors of one shape share its grid
+    return [discretized(s.n_z, s.bound) for s in shapes]
 
 
 def iqae_config(analysis: dict) -> IqaeConfig:
@@ -290,7 +292,8 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     variant, mode, encoding = analysis["variant"], analysis["mode"], analysis["encoding"]
     portfolio, shapes = config_to_inputs(cfg)
     grids = factor_grids(portfolio, shapes, iqae=True, circuit=(variant, mode, encoding))
-    dist = exact_loss_distribution(portfolio, grids)
+    pd, pz = joint_grid(portfolio, grids)
+    dist = mixture_distribution(portfolio, pd, pz)
     model = build_model(portfolio, grids, variant, encoding)
     objective = objective_qubit(portfolio, model, mode)
     width = objective + 1                   # the A circuit's, the objective on top
@@ -298,7 +301,7 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     # (tests/oracles.py) runs a threshold's A circuit; every comparator gate is an X, an
     # exact swap, so the running state's readout is that oracle's, bit for bit.
     state = apply(Circuit(width).extend(model.circuit.gates), zero_state(width))
-    mc = monte_carlo_distribution(portfolio, grids, analysis["mc_paths"], analysis["seed"])
+    mc = monte_carlo_distribution(portfolio, grids, pd, analysis["mc_paths"], analysis["seed"])
     readout = {}        # each threshold's A-circuit readout, handed on to IQAE to sample
     sampled = cdf_estimator(readout.pop, settings)
     above = -np.inf
@@ -306,10 +309,9 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
               f"{'iqae':>12}  {'|q-e|':>9}  {'<=eps':>5}  {'mc':>12}  {'|m-e|':>9}  {'<=3sd':>5}")
     lines = [header, "-" * len(header)]
     ok = True
-    for x in dist.losses:
-        x = float(x)
+    for x in dist.losses.tolist():
         classical = dist.cdf(x)
-        state = apply(comparator(portfolio, model, mode, x, above), state)
+        evolve(comparator(portfolio, model, mode, x, above), state)
         exact = readout[x] = marginal_probability(state, objective, 1)
         above = x
         q = sampled(x)

@@ -62,14 +62,15 @@ def clopper_pearson(ones: int, shots: int, alpha: float) -> tuple[float, float]:
 
     qvar's one use of scipy, imported on the first call, so classical and
     exact runs never load it: a pure-Python beta quantile measured 50-120 ms
-    per verify_compare operation against about 1 ms through betaincinv.
+    per verify_compare operation against about 1 ms through betaincinv, here one
+    elementwise call for both bounds, a bound fixed at 0 or 1 on a placeholder 1.
     """
     if shots < 1 or not 0 <= ones <= shots:
         raise ValueError("need 0 <= ones <= shots with shots >= 1")
     from scipy import special
-    lo = 0.0 if ones == 0 else float(special.betaincinv(ones, shots - ones + 1, alpha / 2))
-    hi = 1.0 if ones == shots else float(special.betaincinv(ones + 1, shots - ones, 1 - alpha / 2))
-    return lo, hi
+    lo, hi = special.betaincinv((max(ones, 1), ones + 1), (shots - ones + 1, max(shots - ones, 1)),
+                                (alpha / 2, 1 - alpha / 2)).tolist()
+    return 0.0 if ones == 0 else lo, 1.0 if ones == shots else hi
 
 
 def _find_next_k(k: int, upper: bool, t_lo: float, t_hi: float) -> tuple[int, bool]:

@@ -9,8 +9,8 @@ obligor given factor realizations z = (z_1, ..., z_R) is
 
 where F is the standard normal CDF, p0 the unconditional anchor probability,
 rho the factor sensitivity and alpha_i the per-factor weights.
-conditional_pd_table is its one evaluator: one F^-1 call for all obligors' p0,
-then one F call for all obligors per block of 2**16 realizations.
+conditional_pd_table is its one evaluator, on each obligor's F^-1(p0) from
+Portfolio.obligors: one F call for all obligors per block of 2**16 realizations.
 
 F and the seed of F^-1 are ports of S. L. Moshier's Cephes erfc (ndtr.c) and
 ndtri (ndtri.c), the algorithms behind scipy.special's erfc and ndtri: the
@@ -218,17 +218,17 @@ def discretize_normal(n_z: int, bound_sigmas: float = 3.0) -> FactorGrid:
     return FactorGrid(int(n_z), bound_sigmas, values, density / density.sum())
 
 
-def _pd_argument(quantiles, obligors, z) -> np.ndarray:
-    """The argument of F in each obligor's PD(z), from its quantile F^-1(p0), on a new last axis."""
+def _pd_argument(obligors, z) -> np.ndarray:
+    """The argument of F in each obligor's PD(z), on a new last axis."""
     return np.stack([(q - np.sqrt(rho) * (z @ np.asarray(alphas, dtype=float))) / np.sqrt(1.0 - rho)
-                     for q, (_, rho, alphas) in zip(quantiles, obligors)], axis=-1)
+                     for q, rho, alphas in obligors], axis=-1)
 
 
 def conditional_pd_table(obligors, z) -> np.ndarray:
     """The one conditional-PD evaluator: the default probability given z of each
-    obligor, a (p0, rho, alphas) triple that Asset has checked, stacked on a new last
-    axis, with one F^-1 call for all obligors' p0 and one F call per _PD_BLOCK_ROWS
-    leading rows of z; a vector z, or a table of at most that many rows, is one block.
+    obligor, a (F^-1(p0), rho, alphas) triple of an Asset that has checked p0, rho and
+    alphas, stacked on a new last axis, with one F call per _PD_BLOCK_ROWS leading rows
+    of z; a vector z, or a table of at most that many rows, is one block.
 
     `z` is a vector of R realizations or an array whose last axis has length R.
     Each obligor's z @ alphas is one matrix product, so its rounding follows z's
@@ -236,11 +236,10 @@ def conditional_pd_table(obligors, z) -> np.ndarray:
     does, where an (N, R) matrix takes one matrix-vector product, row by row.
     """
     z = np.asarray(z, dtype=float)
-    quantiles = std_normal_ppf([p0 for p0, _, _ in obligors]).tolist()
     out = np.empty(z.shape[:-1] + (len(obligors),))
     for start in range(0, len(z), _PD_BLOCK_ROWS):    # every step after z @ alphas is elementwise
         rows = slice(start, start + _PD_BLOCK_ROWS)
-        out[rows] = std_normal_cdf(_pd_argument(quantiles, obligors, z[rows]))
+        out[rows] = std_normal_cdf(_pd_argument(obligors, z[rows]))
     # F never reaches 0 or 1 for finite arguments; keep the output strictly
     # inside the open interval even where the double-precision cdf saturates.
     return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=out)

@@ -86,7 +86,7 @@ def comparator(portfolio: Portfolio, model: ModelCircuit, mode: str, threshold: 
         raise ValueError("threshold must be finite")
     circ = Circuit(objective + 1)
     if mode == "s_free":
-        k, losses = portfolio.k, portfolio.pattern_losses()
+        k, losses = portfolio.k, portfolio.pattern_losses
         pairs = [((q, 0), (q, 1)) for q in model.asset_qubits]   # shared by every gate
         for i in map(int, np.flatnonzero((losses > above) & (losses <= threshold))):
             circ.x(objective, (pair[i >> (k - 1 - j) & 1] for j, pair in enumerate(pairs)))

@@ -2,9 +2,9 @@
 
 Every distribution here takes its losses from the portfolio's one loss table
 and its support from LossDistribution.from_pairs: the model's own, the blocked
-enumeration of its model_table with no statevector, and two classical
-references, the same enumeration of the discretized model and a seeded Monte
-Carlo simulation.  VaR is a discrete bisection over a distribution's support.
+enumeration of its model_table with no statevector, and two classical references
+that read one joint_grid table, the same enumeration of the discretized model and a
+seeded Monte Carlo simulation.  VaR is a discrete bisection over a distribution's support.
 check_budget is the one check that a run fits, in bytes and in enumerated states.
 """
 
@@ -93,16 +93,16 @@ class VarResult:
     bisection_trace: list[BisectionProbe] = field(default_factory=list)
 
 
-def _joint_grid(portfolio: Portfolio, grids: list) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional default probabilities (M, K) and probabilities (M,) of the joint cells."""
+def joint_grid(portfolio: Portfolio, grids: list) -> tuple[np.ndarray, np.ndarray]:
+    """The discretized model's one table: each joint cell's PDs (M, K) and probability (M,)."""
     model_layout(portfolio, grids, "multi_rotation")     # the check of one grid per factor
     idx = joint_cells(grids)
     z_joint = np.column_stack([g.values[i] for i, g in zip(idx, grids)])
     pz = np.prod([g.probs[i] for i, g in zip(idx, grids)], axis=0)
-    return conditional_pd_table([(a.p0, a.rho, a.alphas) for a in portfolio.assets], z_joint), pz
+    return conditional_pd_table(portfolio.obligors, z_joint), pz
 
 
-def _enumeration(portfolio: Portfolio, pd: np.ndarray, pz: np.ndarray) -> LossDistribution:
+def mixture_distribution(portfolio: Portfolio, pd: np.ndarray, pz: np.ndarray) -> LossDistribution:
     """Loss distribution of a mixture over the joint grid cells, by blocked
     enumeration of the cells' default probabilities pd (M, K) and probabilities
     pz (M,), which callers make only once check_budget admits the count.
@@ -124,7 +124,7 @@ def _enumeration(portfolio: Portfolio, pd: np.ndarray, pz: np.ndarray) -> LossDi
             weight = np.multiply(weight[:, None, :], q[j], out=out).reshape(-1, m)
         # One 1-D dot per row, as `pz @ weight`; gemv rounds otherwise.
         np.matmul(weight[:, None, :], pz[:, None], out=probs[start:start + 2 ** tail])
-    return LossDistribution.from_pairs(portfolio.pattern_losses(), probs.ravel())
+    return LossDistribution.from_pairs(portfolio.pattern_losses, probs.ravel())
 
 
 def exact_loss_distribution(portfolio: Portfolio, grids) -> LossDistribution:
@@ -132,7 +132,7 @@ def exact_loss_distribution(portfolio: Portfolio, grids) -> LossDistribution:
     the joint grid's true conditional PDs.  This is the exact encoding's oracle."""
     grids = list(grids)
     check_budget(portfolio, grids)
-    return _enumeration(portfolio, *_joint_grid(portfolio, grids))
+    return mixture_distribution(portfolio, *joint_grid(portfolio, grids))
 
 
 def model_distribution(portfolio: Portfolio, grids, variant: str = "multi_rotation",
@@ -143,7 +143,7 @@ def model_distribution(portfolio: Portfolio, grids, variant: str = "multi_rotati
     grids = list(grids)
     check_budget(portfolio, grids)
     pz, angles = model_table(portfolio, grids, variant, encoding)
-    return _enumeration(portfolio, np.sin(0.5 * angles) ** 2, pz)
+    return mixture_distribution(portfolio, np.sin(0.5 * angles) ** 2, pz)
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
@@ -167,27 +167,26 @@ def _guide_draw(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray,
     return out
 
 
-def monte_carlo_distribution(portfolio: Portfolio, grids, n_paths: int,
+def monte_carlo_distribution(portfolio: Portfolio, grids, pd: np.ndarray, n_paths: int,
                              seed: int) -> LossDistribution:
-    """Empirical loss distribution from seeded simulation of the same model.
+    """Empirical loss distribution from seeded simulation of the same model, whose
+    joint grid cells default with the probabilities pd, joint_grid's (M, K) table.
 
     The draws are default_rng(seed)'s, in a fixed order: each factor's n_paths
     uniforms, factor by factor, then the (n_paths, K) default uniforms.  They are
     read as F + 1 streams (the i-th is PCG64(seed) advanced i * n_paths draws), one
     block of paths at a time through reused buffers, so memory is flat in n_paths.
     A factor index is rng.choice's inverse-cdf draw, cdf.searchsorted(u, "right"),
-    taken from a guide table of _GUIDE_BUCKETS buckets per factor cdf: only draws
-    in a bucket that a cdf point splits are searched.  PDs are gathered from a
-    table of the joint grid cells, and counting paths per pattern of the loss
-    table keeps the enumeration's support.
+    taken from a guide table of _GUIDE_BUCKETS buckets per distinct grid's cdf: only
+    draws in a bucket that a cdf point splits are searched.  PDs are gathered from pd,
+    and counting paths per pattern of the loss table keeps the enumeration's support.
     """
     grids = list(grids)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     k = portfolio.k
-    pd = _joint_grid(portfolio, grids)[0]
-    cdfs = [c / c[-1] for c in (np.cumsum(g.probs / g.probs.sum()) for g in grids)]
-    guides = [_guide_table(cdf) for cdf in cdfs]
+    cdfs = {id(g): c / c[-1] for g, c in ((g, np.cumsum(g.probs / g.probs.sum())) for g in grids)}
+    guides = {key: _guide_table(cdf) for key, cdf in cdfs.items()}
     streams = [np.random.Generator(np.random.PCG64(seed).advance(i * n_paths))
                for i in range(len(grids) + 1)]
     # A block's buffers hold about _BLOCK_ELEMENTS floats, as an enumeration block does.
@@ -203,7 +202,8 @@ def monte_carlo_distribution(portfolio: Portfolio, grids, n_paths: int,
         n = min(rows, n_paths - start)
         c = cell[:n]
         c.fill(0)
-        for cdf, guide, stream in zip(cdfs, guides, streams):
+        for grid, stream in zip(grids, streams):
+            cdf, guide = cdfs[id(grid)], guides[id(grid)]
             draw = stream.random(out=codes[:n])
             c *= cdf.size
             c += _guide_draw(cdf, guide, draw, bucket[:n], point[:n])
@@ -212,7 +212,7 @@ def monte_carlo_distribution(portfolio: Portfolio, grids, n_paths: int,
         # Product-order pattern codes; a float dot is exact here and beats an int one.
         c[:] = np.matmul(defaults, powers, out=codes[:n])
         counts += np.bincount(c, minlength=2 ** k)
-    dist = LossDistribution.from_pairs(portfolio.pattern_losses(), counts / n_paths)
+    dist = LossDistribution.from_pairs(portfolio.pattern_losses, counts / n_paths)
     seen = dist.probs > 0
     return LossDistribution(dist.losses[seen], dist.probs[seen])
 

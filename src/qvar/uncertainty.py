@@ -35,11 +35,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from . import arith
+from . import arith, gaussian
 from .circuit import Circuit, Gate
 from .gaussian import conditional_pd_table, std_normal_pdf
 
@@ -103,12 +104,20 @@ class Portfolio:
     def lgds(self) -> list[float]:
         return [a.lgd for a in self.assets]
 
+    @cached_property
+    def obligors(self) -> list[tuple[float, float, tuple[float, ...]]]:
+        """Each asset's (F^-1(p0), rho, alphas), from one std_normal_ppf call on first use."""
+        quantiles = gaussian.std_normal_ppf([a.p0 for a in self.assets]).tolist()
+        return [(q, a.rho, a.alphas) for q, a in zip(quantiles, self.assets)]
+
+    @cached_property
     def pattern_losses(self) -> np.ndarray:
-        """The one loss table: each default pattern's loss, in itertools.product
-        order (asset 0 most significant), summed asset by asset from 0.0."""
+        """The one loss table, built once and read-only: each default pattern's loss in
+        itertools.product order (asset 0 most significant), summed asset by asset from 0.0."""
         loss = np.zeros(1)
         for lgd in self.lgds:
             loss = (loss[:, None] + np.array([0.0, lgd])).ravel()
+        loss.flags.writeable = False
         return loss
 
 
@@ -201,11 +210,10 @@ def _multi_rotation(portfolio: Portfolio, grids: list, encoding: str):
     """multi_rotation's numbers: the grids' probabilities and each asset's angle on every
     joint cell ((M, K), product order) in the exact encoding, or in the linear one the
     assets' offsets (K,) and slopes (K, R), one per factor register."""
-    obligors = [(a.p0, a.rho, a.alphas) for a in portfolio.assets]
     if encoding == "exact":
         cells = np.column_stack([g.values[i] for i, g in zip(joint_cells(grids), grids)])
-        return [g.probs for g in grids], _angles(obligors, cells)
-    lows, slopes, mid = _secants(obligors, grids)
+        return [g.probs for g in grids], _angles(portfolio.obligors, cells)
+    lows, slopes, mid = _secants(portfolio.obligors, grids)
     # Per-factor secants each carry their own intercept; anchoring the
     # combined offset at the mid-grid angle keeps the sum exact for a
     # truly affine angle function and reduces to the single secant at R=1.  The slopes
@@ -267,7 +275,7 @@ def _single_rotation(portfolio: Portfolio, grids: list, plan: IndexSumPlan):
             probs[:n_r] = density / density.sum()
         loads.append(probs)
     ends = (plan.delta * np.array([0, s_max]) + sum(bases))[:, None]
-    lows, highs = _angles([(a.p0, a.rho, (1.0,)) for a in portfolio.assets], ends)
+    lows, highs = _angles([(q, rho, (1.0,)) for q, rho, _ in portfolio.obligors], ends)
     slopes = (highs - lows) / s_max if s_max else np.zeros_like(lows)
     return loads, (lows, slopes[:, None])
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from qvar.circuit import Circuit, Statevector, apply, marginal_probability, zero_state
-from qvar.gaussian import conditional_pd_table
+from qvar.gaussian import conditional_pd_table, std_normal_ppf
 from qvar.objective import comparator
 from qvar.risk import LossDistribution
 from qvar.uncertainty import Portfolio, build_model
@@ -108,7 +108,7 @@ def conditional_pd(p0: float, rho: float, alphas, z):
     `z` may be a vector of R realizations or an array whose last axis has
     length R, in which case the result is vectorized over the leading axes.
     """
-    return np.take(conditional_pd_table([(p0, rho, alphas)], z), 0, axis=-1)
+    return np.take(conditional_pd_table([(std_normal_ppf(p0), rho, alphas)], z), 0, axis=-1)
 
 
 def quantile(dist: LossDistribution, alpha: float) -> float:

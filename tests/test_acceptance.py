@@ -18,7 +18,7 @@ from qvar.estimation import IqaeConfig, iqae
 from qvar.gaussian import discretize_normal
 from qvar.objective import weighted_sum_register
 from qvar.resources import estimate_resources
-from qvar.risk import (cdf_estimator, exact_loss_distribution, model_distribution,
+from qvar.risk import (cdf_estimator, exact_loss_distribution, joint_grid, model_distribution,
                        monte_carlo_distribution, var_bisection)
 from qvar.uncertainty import Asset, Portfolio, _secants
 
@@ -169,7 +169,7 @@ def test_criterion_7_grover_identity():
 
 def test_criterion_8_monte_carlo_consistency():
     pf, grids = two_asset_portfolio(), factor_grids()
-    mc = monte_carlo_distribution(pf, grids, 10 ** 6, seed=20260810)
+    mc = monte_carlo_distribution(pf, grids, joint_grid(pf, grids)[0], 10 ** 6, seed=20260810)
     exact = exact_loss_distribution(pf, grids)
     tv = total_variation_distance(mc, exact)
     report(8, tv < 0.01,
@@ -181,7 +181,7 @@ def test_criterion_9_linear_encoding_sanity():
     worst_fit = 0.0
     for asset in pf.assets:
         for f, grid in enumerate(grids):
-            lows, slopes, _ = _secants([(asset.p0, asset.rho, asset.alphas)], grids)
+            lows, slopes, _ = _secants(Portfolio([asset]).obligors, grids)
             slope, offset = slopes[f, 0], lows[f, 0]
             mids = [0.0] * len(grids)         # each grid's center
             for i in (0, grid.size - 1):

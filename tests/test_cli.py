@@ -1,6 +1,7 @@
 """End-to-end CLI tests: config validation, output formats, determinism."""
 
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -18,11 +19,12 @@ import qvar
 import qvar.cli
 import qvar.risk
 import qvar.uncertainty
-from qvar.circuit import apply, marginal_probability
+from qvar.circuit import evolve, marginal_probability
 from qvar.cli import (CONFIG_SCHEMA, OVERRIDES, ConfigError, _schema_errors, config_to_inputs,
                       factor_grids, iqae_config, load_config, main)
+from qvar.gaussian import conditional_pd_table, discretize_normal
 from qvar.risk import _BYTES_PER_AMPLITUDE, exact_loss_distribution
-from qvar.uncertainty import model_table
+from qvar.uncertainty import ENCODINGS, Portfolio, model_table
 
 from oracles import build_a_circuit, exact_amplitude
 
@@ -286,7 +288,8 @@ class TestAnalyze:
             raise AssertionError("analyze enumerated the classical model, built or simulated")
 
         for name, module in list(sys.modules.items()):
-            for fn in ("exact_loss_distribution", "build_model", "apply", "zero_state"):
+            for fn in ("exact_loss_distribution", "joint_grid", "build_model", "apply", "evolve",
+                       "zero_state"):
                 if name.startswith("qvar") and hasattr(module, fn):
                     monkeypatch.setattr(module, fn, refused)
         config = write_config(tmp_path, TWO_ASSET)
@@ -963,14 +966,14 @@ class TestCompare:
             # The objective is the A register's top qubit; only comparators flip it.
             applies.append(sum(g.kind == "x" and g.target == circuit.n_qubits - 1
                                for g in circuit.gates))
-            return apply(circuit, state)
+            evolve(circuit, state)
 
         build_model = qvar.cli.build_model
         monkeypatch.setattr(qvar.cli, "build_model",
                             lambda *args: builds.append(1) or build_model(*args))
         for name, module in list(sys.modules.items()):
-            if name.startswith("qvar") and getattr(module, "apply", None) is apply:
-                monkeypatch.setattr(module, "apply", simulated)
+            if name.startswith("qvar") and getattr(module, "evolve", None) is evolve:
+                monkeypatch.setattr(module, "evolve", simulated)
         payload = json.loads((CONFIGS / config).read_text())
         payload["analysis"]["mc_paths"] = 1000
         argv = ["compare", "--config", write_config(tmp_path, payload), "--mode", mode]
@@ -978,6 +981,40 @@ class TestCompare:
         # The model's gates run once; each of the 4 support thresholds then runs only
         # the flips its losses add, on one running state: each flip runs once in all.
         assert (len(builds), len(applies), sum(applies)) == (1, 1 + len(ORACLE_LOSSES), flips)
+
+    @pytest.mark.parametrize("qubits, shapes", [(2, 1), ([2, 3], 2)])
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_each_table_once_per_run(self, tmp_path, monkeypatch, qubits, shapes, encoding):
+        # One F^-1 call for the portfolio, one PD table for the model's points and one for
+        # the joint grid, which the enumeration and the Monte Carlo share, one loss table,
+        # one grid per distinct shape, and one kernel call for the model and per threshold.
+        calls = dict.fromkeys(["ppf", "table", "losses", "grids", "kernel"], 0)
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        counters = {conditional_pd_table: "table", discretize_normal: "grids", evolve: "kernel",
+                    qvar.gaussian.std_normal_ppf: "ppf"}
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qvar"):
+                for attr, value in list(vars(module).items()):
+                    if callable(value) and value in counters:
+                        monkeypatch.setattr(module, attr, counted(counters[value], value))
+        losses = functools.cached_property(counted("losses", Portfolio.pattern_losses.func))
+        losses.__set_name__(Portfolio, "pattern_losses")
+        monkeypatch.setattr(Portfolio, "pattern_losses", losses)
+        payload = json.loads(json.dumps(TWO_ASSET))
+        payload["risk_factors"]["qubits_per_factor"] = qubits
+        payload["analysis"].update(encoding=encoding, mc_paths=1000)
+        out = tmp_path / "t.txt"
+        assert main(["compare", "--config", write_config(tmp_path, payload),
+                     "--output", str(out)]) == 0
+        rows = out.read_text().split("\n\n")[0].split("\n")[2:]
+        assert len(rows) == 4       # the support points 0, 1000.5, 2000.5 and 3001
+        assert calls == {"ppf": 1, "table": 2, "losses": 1, "grids": shapes, "kernel": 1 + 4}
 
     def test_monte_carlo_sigma_clips_a_readout_past_one(self, tmp_path):
         # One linear-encoded asset on a 1-qubit factor: the top threshold's

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from qvar.circuit import Circuit, apply, marginal_probability, zero_state
 from qvar.estimation import IqaeConfig, IqaeResult, _find_next_k, clopper_pearson, iqae
@@ -194,6 +194,17 @@ class TestClopperPearson:
             lo = 0.0 if ones == 0 else stats.beta.ppf(alpha / 2, ones, shots - ones + 1)
             hi = 1.0 if ones == shots else stats.beta.ppf(1 - alpha / 2, ones + 1, shots - ones)
             assert clopper_pearson(ones, shots, alpha) == (lo, hi)
+
+    @pytest.mark.parametrize("shots", [1, 100, 300])
+    @pytest.mark.parametrize("alpha", [1e-4, 0.05, 0.3])
+    def test_one_call_is_the_two_call_form(self, shots, alpha):
+        # Both bounds from one betaincinv call are the doubles of one call per bound.
+        for ones in range(shots + 1):
+            lo = 0.0 if ones == 0 else float(special.betaincinv(ones, shots - ones + 1, alpha / 2))
+            hi = (1.0 if ones == shots
+                  else float(special.betaincinv(ones + 1, shots - ones, 1 - alpha / 2)))
+            got = clopper_pearson(ones, shots, alpha)
+            assert got == (lo, hi) and all(type(b) is float for b in got)
 
 
 class TestIqae:

@@ -171,6 +171,8 @@ class TestConditionalPdBits:
 
     CASES = [(0.15, 0.1, (0.35, 0.2)), (1e-12, 0.9, (1.0, 0.5)), (1.0 - 1e-12, 0.9, (1.0, 0.5)),
              (0.5, 0.0, (0.3, -0.7)), (0.03, 0.45, (-0.2, 0.9))]
+    # conditional_pd_table's obligors: each case's F^-1(p0), rho and alphas.
+    OBLIGORS = [(std_normal_ppf(p0), rho, alphas) for p0, rho, alphas in CASES]
 
     @pytest.mark.parametrize("p0, rho, alphas", CASES)
     def test_scalar_one_d_and_table(self, p0, rho, alphas):
@@ -194,7 +196,7 @@ class TestConditionalPdBits:
     def test_table_is_the_stacked_columns(self):
         rng = np.random.default_rng(5)
         z = rng.uniform(-5.0, 5.0, (64, 2))
-        table = conditional_pd_table(self.CASES, z)
+        table = conditional_pd_table(self.OBLIGORS, z)
         assert table.shape == (64, len(self.CASES))
         assert_same_bits(table, np.column_stack(
             [reference_conditional_pd(*case, z) for case in self.CASES]))
@@ -206,17 +208,17 @@ class TestConditionalPdBits:
         rng = np.random.default_rng(17)
         z = rng.uniform(-6.0, 6.0, (3 * 1024 + 77, 2))
         z = z if shape == "(N, R)" else z[:, None, :]
-        unblocked = conditional_pd_table(self.CASES, z)
+        unblocked = conditional_pd_table(self.OBLIGORS, z)
         cdf, ppf = qvar.gaussian.std_normal_cdf, qvar.gaussian.std_normal_ppf
         calls, quantile_calls = [], []
         monkeypatch.setattr(qvar.gaussian, "_PD_BLOCK_ROWS", 1024)
         monkeypatch.setattr(qvar.gaussian, "std_normal_cdf", lambda x: calls.append(1) or cdf(x))
         monkeypatch.setattr(qvar.gaussian, "std_normal_ppf",
                             lambda p: quantile_calls.append(p) or ppf(p))
-        blocked = conditional_pd_table(self.CASES, z)
+        blocked = conditional_pd_table(self.OBLIGORS, z)
         assert len(calls) == 4 and blocked.shape == unblocked.shape
-        # F^-1 runs once for the whole table, on every obligor's p0, not once per block.
-        assert quantile_calls == [[p0 for p0, _, _ in self.CASES]]
+        # The table reads each obligor's F^-1(p0); it computes none (Portfolio.obligors does).
+        assert quantile_calls == []
         assert blocked.tobytes() == unblocked.tobytes()
 
 

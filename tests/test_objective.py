@@ -170,7 +170,7 @@ class TestComparators:
             objective = width + (weighted_sum_register(pf)[1] if mode == "weighted_sum" else 0)
             start = Statevector(rng.normal(size=2 ** (objective + 1))
                                 + 1j * rng.normal(size=2 ** (objective + 1)))
-            support = np.unique(pf.pattern_losses())
+            support = np.unique(pf.pattern_losses)
             # Below the support, on and between its points, and above it, ascending.
             thresholds = sorted([support[0] - 1.0, *support,
                                  *(support[:-1] + np.diff(support) / 2),
@@ -192,7 +192,7 @@ class TestComparators:
     def test_above_at_or_past_threshold_adds_no_flip(self, mode):
         pf = self.portfolio(np.random.default_rng(5), 4, mode)
         model = build_model(pf, [discretize_normal(1)] * 2)
-        for x in np.unique(pf.pattern_losses()):
+        for x in np.unique(pf.pattern_losses):
             for above in (x, x + 0.5, x + 1e6):
                 comp = comparator(pf, model, mode, float(x), float(above))
                 assert not any(g.target == comp.n_qubits - 1 for g in comp.gates)
@@ -210,7 +210,7 @@ class TestComparators:
             grids = [discretize_normal(2), discretize_normal(1)][:r]
             model = build_model(pf, grids, variant)
             objective = objective_qubit(pf, model, mode)
-            x = float(pf.pattern_losses().max())
+            x = float(pf.pattern_losses.max())
             comp = comparator(pf, model, mode, x)
             a = build_a_circuit(pf, grids, x, variant=variant, mode=mode)
             assert comp.n_qubits == a.n_qubits == objective + 1
@@ -290,7 +290,7 @@ class TestACircuitPin:
                                   else tuple(float(a) for a in rng.uniform(0.1, 0.5, r)))
                             for _ in range(1 + seed % 4)])
             grids = [discretize_normal(int(n)) for n in rng.integers(1, 3, r)]
-            support = np.unique(pf.pattern_losses())
+            support = np.unique(pf.pattern_losses)
             for x in map(float, [support[0] - 1.0, *support,
                                  *(support[:-1] + np.diff(support) / 2), support[-1] + 1e6]):
                 a = build_a_circuit(pf, grids, x, variant=variant, encoding=encoding, mode=mode)

@@ -147,7 +147,7 @@ class TestGateAccounting:
                             for _ in range(int(rng.integers(1, 6)))])
             model = build_model(pf, grids(1, 1))
             counted = comparator_gates(pf, mode)
-            for x in (float(pf.pattern_losses().max()), 2.0 ** 20):
+            for x in (float(pf.pattern_losses.max()), 2.0 ** 20):
                 gates = comparator(pf, model, mode, x).gates
                 built = (len(gates), sum(len(gate.controls) for gate in gates))
                 if x == 2.0 ** 20:
@@ -184,7 +184,7 @@ class TestRuleParity:
                                   weights if shared else tuple(rng.uniform(-0.5, 0.5, r)))
                             for _ in range(int(rng.integers(1, 5)))])
             g = [discretize_normal(int(n)) for n in rng.integers(1, 4, r)]
-            built = build_a_circuit(pf, g, float(pf.pattern_losses().max()), variant=variant,
+            built = build_a_circuit(pf, g, float(pf.pattern_losses.max()), variant=variant,
                                     encoding=encoding, mode=mode)
             assert estimate_resources(pf, g, variant, mode).width_built == built.n_qubits
 

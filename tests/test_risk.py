@@ -13,7 +13,7 @@ from qvar.estimation import IqaeConfig, iqae
 from qvar.gaussian import discretize_normal
 from qvar.objective import objective_qubit
 from qvar.risk import (LossDistribution, cdf_estimator, exact_loss_distribution, expected_loss,
-                       model_distribution, monte_carlo_distribution, var_bisection)
+                       joint_grid, model_distribution, monte_carlo_distribution, var_bisection)
 from qvar.uncertainty import Asset, Portfolio, build_model
 
 from oracles import (build_a_circuit, conditional_pd, exact_amplitude, quantile,
@@ -52,7 +52,7 @@ def state_distribution(portfolio, model, state):
     probs = np.abs(state.amplitudes[:2 ** n]) ** 2
     # Axis i of the reshape is asset K-1-i; reversing the K axes gives product order.
     per_pattern = probs.reshape((2,) * k + (-1,)).sum(axis=-1).transpose().ravel()
-    return LossDistribution.from_pairs(portfolio.pattern_losses(), per_pattern)
+    return LossDistribution.from_pairs(portfolio.pattern_losses, per_pattern)
 
 
 def bisect(pf, grids, alpha, kind, iqae_config=None):
@@ -208,7 +208,7 @@ class TestGridMonteCarlo:
 
     @staticmethod
     def assert_same_draws(pf, grids, n_paths, seed):
-        got = monte_carlo_distribution(pf, grids, n_paths, seed)
+        got = monte_carlo_distribution(pf, grids, joint_grid(pf, grids)[0], n_paths, seed)
         want = reference_monte_carlo_distribution(pf, grids, n_paths, seed)
         assert got.losses.tobytes() == want.losses.tobytes()
         assert got.probs.tobytes() == want.probs.tobytes()
@@ -254,6 +254,17 @@ class TestGridMonteCarlo:
         for k in (1, 4):
             self.assert_same_draws(edge_portfolio(rng, k, len(grids)), grids, 50_021, seed=k)
 
+    def test_one_guide_table_per_distinct_grid(self, monkeypatch):
+        # cli.factor_grids gives factors of one shape one FactorGrid: its guide table is
+        # built once, and the draws are those of separate grids.
+        rng = np.random.default_rng(23)
+        shared = discretize_normal(2)
+        grids = [shared, discretize_normal(3), shared]
+        made, guide_table = [], risk._guide_table
+        monkeypatch.setattr(risk, "_guide_table", lambda cdf: made.append(1) or guide_table(cdf))
+        self.assert_same_draws(edge_portfolio(rng, 4, 3), grids, 5003, seed=23)
+        assert len(made) == 2
+
     @pytest.mark.parametrize("n_z", range(1, 13))
     def test_guide_table_is_searchsorted(self, n_z):
         probs = discretize_normal(n_z).probs
@@ -280,7 +291,7 @@ class TestGridMonteCarlo:
         grids = [discretize_normal(2), discretize_normal(2)]
         tracemalloc.start()
         try:
-            monte_carlo_distribution(pf, grids, 10 ** 6, seed=8)
+            monte_carlo_distribution(pf, grids, joint_grid(pf, grids)[0], 10 ** 6, seed=8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -332,30 +343,32 @@ class TestExactLossDistribution:
 class TestMonteCarlo:
     def test_single_path_single_atom(self):
         pf, grids = table_inputs()
-        dist = monte_carlo_distribution(pf, grids, 1, seed=0)
+        dist = monte_carlo_distribution(pf, grids, joint_grid(pf, grids)[0], 1, seed=0)
         assert dist.losses.size == 1
         assert dist.probs[0] == 1.0
 
     def test_tv_distance_pinned_seed(self):
         pf, grids = table_inputs()
-        mc = monte_carlo_distribution(pf, grids, 10 ** 6, seed=20260810)
+        pd = joint_grid(pf, grids)[0]
+        mc = monte_carlo_distribution(pf, grids, pd, 10 ** 6, seed=20260810)
         exact = exact_loss_distribution(pf, grids)
         assert total_variation_distance(mc, exact) < 0.01
 
     def test_tv_shrinks_with_more_paths(self):
         pf, grids = table_inputs()
         exact = exact_loss_distribution(pf, grids)
+        pd = joint_grid(pf, grids)[0]
         tv_small = total_variation_distance(
-            monte_carlo_distribution(pf, grids, 10 ** 4, seed=5), exact)
+            monte_carlo_distribution(pf, grids, pd, 10 ** 4, seed=5), exact)
         tv_large = total_variation_distance(
-            monte_carlo_distribution(pf, grids, 10 ** 5, seed=5), exact)
+            monte_carlo_distribution(pf, grids, pd, 10 ** 5, seed=5), exact)
         assert tv_large < tv_small
 
     def test_bernoulli_frequency(self):
         pf = Portfolio([Asset(1.0, 0.25, 0.0, (1.0,))])
         grids = [discretize_normal(2)]
         n = 10 ** 5
-        dist = monte_carlo_distribution(pf, grids, n, seed=99)
+        dist = monte_carlo_distribution(pf, grids, joint_grid(pf, grids)[0], n, seed=99)
         freq = dist.probs[dist.losses == 1.0].sum()
         sigma = np.sqrt(0.25 * 0.75 / n)
         assert abs(freq - 0.25) < 3 * sigma
@@ -367,14 +380,15 @@ class TestMonteCarlo:
         rng = np.random.default_rng(400 + k)
         pf = random_portfolio(rng, k, 2)
         grids = [discretize_normal(2), discretize_normal(1)]
-        mc = monte_carlo_distribution(pf, grids, 20_000, seed=k)
+        mc = monte_carlo_distribution(pf, grids, joint_grid(pf, grids)[0], 20_000, seed=k)
         support = exact_loss_distribution(pf, grids).losses
         assert set(mc.losses.view(np.int64)) <= set(support.view(np.int64))
 
     def test_deterministic(self):
         pf, grids = table_inputs()
-        d1 = monte_carlo_distribution(pf, grids, 1000, seed=4)
-        d2 = monte_carlo_distribution(pf, grids, 1000, seed=4)
+        pd = joint_grid(pf, grids)[0]
+        d1 = monte_carlo_distribution(pf, grids, pd, 1000, seed=4)
+        d2 = monte_carlo_distribution(pf, grids, pd, 1000, seed=4)
         assert np.array_equal(d1.losses, d2.losses)
         assert np.array_equal(d1.probs, d2.probs)
 

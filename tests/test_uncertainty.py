@@ -66,7 +66,7 @@ def loaded_state(probs):
 
 def secant(asset, f, grids):
     """(slope, offset) of one asset's endpoint secant along factor f."""
-    lows, slopes, _ = _secants([(asset.p0, asset.rho, asset.alphas)], grids)
+    lows, slopes, _ = _secants(Portfolio([asset]).obligors, grids)
     return slopes[f, 0], lows[f, 0]
 
 
@@ -470,7 +470,17 @@ class TestValidation:
                 Portfolio([Asset(lgd, 0.1, 0.1, (0.3,)) for lgd in lgds])
         # The largest float itself is a loss the table can hold.
         pf = Portfolio([Asset(lgd, 0.1, 0.1, (0.3,)) for lgd in (1.7e308, 0.0, 0.07e308)])
-        assert pf.pattern_losses()[-1] == 1.7e308 + 0.07e308 <= np.finfo(float).max
+        assert pf.pattern_losses[-1] == 1.7e308 + 0.07e308 <= np.finfo(float).max
+
+    def test_loss_table_is_built_once_and_read_only(self):
+        pf = Portfolio([Asset(lgd, 0.1, 0.1, (0.3,)) for lgd in (1000.5, 250.0, 3.0)])
+        losses = pf.pattern_losses
+        assert pf.pattern_losses is losses
+        with pytest.raises(ValueError, match="read-only"):
+            losses[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            losses += 1.0
+        assert losses.tolist() == [0.0, 3.0, 250.0, 253.0, 1000.5, 1003.5, 1250.5, 1253.5]
 
     def test_portfolio_requires_uniform_factor_count(self):
         with pytest.raises(ValueError, match="asset 1"):
