@@ -8,8 +8,7 @@ verifies everything against classical enumeration and Monte Carlo oracles.
 
 from .circuit import Circuit, Gate, Statevector, apply, marginal_probability, zero_state
 from .estimation import IqaeConfig, IqaeResult, clopper_pearson, iqae
-from .gaussian import (FactorGrid, discretize_normal, std_normal_cdf, std_normal_pdf,
-                       std_normal_ppf)
+from .gaussian import FactorGrid, std_normal_cdf, std_normal_pdf, std_normal_ppf
 from .objective import comparator, weighted_sum_register
 from .resources import ResourceReport, estimate_resources
 from .risk import (BisectionProbe, LossDistribution, VarResult, cdf_estimator,
@@ -24,7 +23,7 @@ __all__ = [
     "IqaeResult", "LossDistribution", "ModelCircuit",
     "Portfolio", "ResourceReport", "Statevector", "VarResult", "apply",
     "build_model", "cdf_estimator", "clopper_pearson", "comparator",
-    "discretize_normal", "estimate_resources",
+    "estimate_resources",
     "exact_loss_distribution", "expected_loss", "iqae", "joint_grid",
     "marginal_probability", "model_distribution", "model_table", "monte_carlo_distribution",
     "std_normal_cdf", "std_normal_pdf", "std_normal_ppf",

@@ -13,8 +13,8 @@ read exactly or through IQAE.  compare simulates its model once, at the A
 circuit's width, and steps that one state up the support in place: each threshold
 applies only the comparator gates for the losses above the previous one, and the
 objective's marginal is the readout, its exact column, that IQAE samples; one joint-grid
-table gives the enumeration and Monte Carlo the rest.  factor_grids discretizes each distinct
-grid shape once risk.check_budget admits the run; resources reads the shapes alone, unpriced.
+table gives the enumeration and Monte Carlo the rest.  Every other command calls check_budget
+before any grid computes its arrays; resources reads the grids' shapes alone, unpriced.
 
 Configs are JSON documents; every run echoes the fully resolved config so
 reports are self-describing, and all output is deterministic for a given
@@ -34,7 +34,7 @@ import numpy as np
 
 from .circuit import Circuit, apply, evolve, marginal_probability, zero_state
 from .estimation import IqaeConfig
-from .gaussian import FactorGrid, GridShape, discretize_normal
+from .gaussian import FactorGrid
 from .objective import MODES, comparator, objective_qubit
 from .resources import estimate_resources
 from .risk import (cdf_estimator, check_budget, exact_loss_distribution, expected_loss, joint_grid,
@@ -184,20 +184,14 @@ def load_config(path: str, overrides=None) -> dict:
     return cfg
 
 
-def config_to_inputs(cfg: dict) -> tuple[Portfolio, list[GridShape]]:
-    """The portfolio and factor-grid shapes of a resolved config; no grid exists yet."""
+def config_to_inputs(cfg: dict) -> tuple[Portfolio, list[FactorGrid]]:
+    """The portfolio and factor grids of a resolved config, one per distinct n_z, no arrays yet."""
     factors = cfg["risk_factors"]
     portfolio = Portfolio([Asset(lgd=a["lgd"], p0=a["p0"], rho=a["rho"], alphas=tuple(a["alphas"]))
                            for a in cfg["assets"]])
-    bound = factors["bound_sigmas"]
-    return portfolio, [GridShape(n_z, bound) for n_z in factors["qubits_per_factor"]]
-
-
-def factor_grids(portfolio: Portfolio, shapes, **run) -> list[FactorGrid]:
-    """The grids of `shapes`, each distinct one discretized once check_budget(...) passes."""
-    check_budget(portfolio, shapes, **run)
-    discretized = functools.cache(discretize_normal)     # factors of one shape share its grid
-    return [discretized(s.n_z, s.bound) for s in shapes]
+    qubits, bound = factors["qubits_per_factor"], factors["bound_sigmas"]
+    shared = {n_z: FactorGrid(n_z, bound) for n_z in qubits}
+    return portfolio, [shared[n_z] for n_z in qubits]
 
 
 def iqae_config(analysis: dict) -> IqaeConfig:
@@ -232,10 +226,10 @@ def cmd_analyze(cfg: dict, output: str | None) -> int:
     analysis = cfg["analysis"]
     variant, kind, encoding = analysis["variant"], analysis["estimator"], analysis["encoding"]
     settings = iqae_config(analysis) if kind == "iqae" else None
-    portfolio, shapes = config_to_inputs(cfg)
-    # Checks the variant and mode rules before any grid exists.
-    resources = asdict(estimate_resources(portfolio, shapes, variant, analysis["mode"]))
-    grids = factor_grids(portfolio, shapes, iqae=settings is not None)
+    portfolio, grids = config_to_inputs(cfg)
+    # Checks the variant and mode rules before the budget, and both before any grid's arrays.
+    resources = asdict(estimate_resources(portfolio, grids, variant, analysis["mode"]))
+    check_budget(portfolio, grids, iqae=settings is not None)
     dist = (exact_loss_distribution(portfolio, grids) if kind == "classical"
             else model_distribution(portfolio, grids, variant, encoding))
     result = var_bisection(dist, analysis["alpha"], cdf_estimator(dist.cdf, settings))
@@ -268,8 +262,9 @@ def cmd_analyze(cfg: dict, output: str | None) -> int:
 
 
 def cmd_distribution(cfg: dict, output: str | None) -> int:
-    portfolio, shapes = config_to_inputs(cfg)
-    dist = exact_loss_distribution(portfolio, factor_grids(portfolio, shapes))
+    portfolio, grids = config_to_inputs(cfg)
+    check_budget(portfolio, grids)
+    dist = exact_loss_distribution(portfolio, grids)
     lines = ["loss,probability,cdf"]
     cum = 0.0
     for loss, prob in zip(dist.losses, dist.probs):
@@ -290,8 +285,8 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     analysis = cfg["analysis"]
     settings = iqae_config(analysis)
     variant, mode, encoding = analysis["variant"], analysis["mode"], analysis["encoding"]
-    portfolio, shapes = config_to_inputs(cfg)
-    grids = factor_grids(portfolio, shapes, iqae=True, circuit=(variant, mode, encoding))
+    portfolio, grids = config_to_inputs(cfg)
+    check_budget(portfolio, grids, iqae=True, circuit=(variant, mode, encoding))
     pd, pz = joint_grid(portfolio, grids)
     dist = mixture_distribution(portfolio, pd, pz)
     model = build_model(portfolio, grids, variant, encoding)

@@ -2,8 +2,8 @@
 
 The default model treats each systemic risk factor as a standard normal
 variable truncated at +-bound_sigmas and discretized onto a qubit grid of
-2**n_z equally spaced points.  The conditional default probability of an
-obligor given factor realizations z = (z_1, ..., z_R) is
+2**n_z equally spaced points, a FactorGrid.  The conditional default probability
+of an obligor given factor realizations z = (z_1, ..., z_R) is
 
     PD(z) = F((F^-1(p0) - sqrt(rho) * sum_i alpha_i z_i) / sqrt(1 - rho))
 
@@ -22,7 +22,9 @@ doubles bit for bit without importing it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -164,58 +166,41 @@ def std_normal_ppf(p):
 
 
 @dataclass(eq=False)
-class GridShape:
-    """A factor grid before its arrays: 2**n_z equally spaced points on [-bound, bound]."""
+class FactorGrid:
+    """Truncated, discretized standard normal of one latent risk factor: its values, 2**n_z
+    points equally spaced on [-bound, bound], and its probs, the normal density there
+    renormalized to sum to one, each computed on first use; until then a grid is its shape."""
 
     n_z: int
-    bound: float
+    bound: float = 3.0
+
+    def __post_init__(self):
+        if not isinstance(self.n_z, (int, np.integer)) or self.n_z < 1:
+            raise ValueError("FactorGrid needs an integer n_z >= 1")
+        if not 0.0 < self.bound < math.inf:         # NaN fails both comparisons
+            raise ValueError("FactorGrid needs a finite bound > 0")
+        self.n_z = int(self.n_z)
+        # The two points nearest 0, as np.linspace computes them; no float counts 2**1024.
+        if self.n_z < sys.float_info.max_exp:
+            mid, step = self.size // 2, 2.0 * self.bound / (self.size - 1)
+            nearest = min(abs((mid - 1) * step - self.bound), abs(mid * step - self.bound))
+            if not math.exp(-0.5 * nearest * nearest) / _SQRT_2PI > 0.0:
+                raise ValueError(f"every point of a {self.n_z}-qubit grid at +-{self.bound} "
+                                 f"sigmas has density 0; reduce risk_factors.bound_sigmas "
+                                 f"or raise risk_factors.qubits_per_factor")
 
     @property
     def size(self) -> int:
         return 2 ** self.n_z
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        return np.linspace(-self.bound, self.bound, self.size)
 
-@dataclass(eq=False)
-class FactorGrid(GridShape):
-    """Truncated, discretized standard normal of one latent risk factor.
-
-    values[i] = -bound + 2 * bound * i / (2**n_z - 1); probs[i] is the
-    probability assigned to grid point i.
-    """
-
-    values: np.ndarray = field(repr=False)
-    probs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.n_z < 1:
-            raise ValueError("FactorGrid needs n_z >= 1")
-        self.values = np.asarray(self.values, dtype=float)
-        self.probs = np.asarray(self.probs, dtype=float)
-        if self.values.shape != (self.size,) or self.probs.shape != (self.size,):
-            raise ValueError(f"grid arrays must have length 2**n_z = {self.size}")
-        steps = np.diff(self.values)
-        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=0, atol=1e-12 * max(1.0, abs(steps[0]))):
-            raise ValueError("grid values must be strictly increasing and equally spaced")
-        # linspace keeps its endpoints, so a discretized grid meets these exactly.
-        if self.values[0] != -self.bound or self.values[-1] != self.bound:
-            raise ValueError(f"grid values must run from -bound to bound = {self.bound}")
-        if np.any(self.probs < 0):
-            raise ValueError("grid probabilities must be nonnegative")
-        if abs(self.probs.sum() - 1.0) > 1e-12:
-            raise ValueError("grid probabilities must sum to 1")
-
-
-def discretize_normal(n_z: int, bound_sigmas: float = 3.0) -> FactorGrid:
-    """Discretize a standard normal onto 2**n_z equally spaced points on [-bound_sigmas,
-    bound_sigmas], each with probability proportional to the normal density there,
-    renormalized to sum to one."""
-    if not isinstance(n_z, (int, np.integer)) or n_z < 1:
-        raise ValueError("discretize_normal requires an integer n_z >= 1")
-    if bound_sigmas <= 0:
-        raise ValueError("discretize_normal requires bound_sigmas > 0")
-    values = np.linspace(-bound_sigmas, bound_sigmas, 2 ** n_z)
-    density = std_normal_pdf(values)
-    return FactorGrid(int(n_z), bound_sigmas, values, density / density.sum())
+    @cached_property
+    def probs(self) -> np.ndarray:
+        density = std_normal_pdf(self.values)
+        return density / density.sum()
 
 
 def _pd_argument(obligors, z) -> np.ndarray:

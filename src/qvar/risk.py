@@ -29,7 +29,7 @@ _MERGE_RTOL = 1e-12          # losses this close, relative to the largest, are o
 _MAX_ENUMERATION = 10_000_000  # (joint cell, default pattern) states: a bound on time
 MAX_STATE_BYTES = 1 << 30    # what one run keeps at once: grids, scipy, state, gates, tables
 _BYTES_PER_GRID_POINT = 16   # a grid's values and probs
-_BYTES_DISCRETIZING = 32     # per point, discretize_normal's temporaries: 25 B traced
+_BYTES_DISCRETIZING = 32     # per point, the temporaries of a grid's first probs: 25 B traced
 _IQAE_BYTES = 24 << 20       # scipy.special, which IQAE's first interval imports: 15-22 MB
 _BYTES_PER_AMPLITUDE = 64    # the state, apply's copy and its temporaries: 57 B traced
 _BYTES_PER_GATE = 256        # traced, a built Gate is about 240 B, controls aside
@@ -224,10 +224,10 @@ def expected_loss(dist: LossDistribution) -> float:
 
 def check_budget(portfolio: Portfolio, grids, iqae: bool = False,
                  circuit: tuple[str, str, str] | None = None) -> None:
-    """The one check that a run fits, made from sizes alone (grids may be GridShapes)
-    before anything is allocated.  In bytes, against MAX_STATE_BYTES: the grids, all kept
-    and one being discretized; scipy where `iqae` runs; with circuit = (variant, mode,
-    encoding), compare's A circuit.  In states: the enumeration's cells times 2**K."""
+    """The one check that a run fits, made from sizes alone before any grid's arrays exist.
+    In bytes, against MAX_STATE_BYTES: the grids' arrays, all kept and one being computed;
+    scipy where `iqae` runs; with circuit = (variant, mode, encoding), compare's A circuit.
+    In states: the enumeration's cells times 2**K."""
     points = [g.size for g in grids]
     states = math.prod(points) * 2 ** portfolio.k
     need = (_BYTES_PER_GRID_POINT * sum(points) + _BYTES_DISCRETIZING * max(points, default=0)

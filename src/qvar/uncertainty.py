@@ -159,8 +159,8 @@ def loader_gates(probs, qubits) -> list[Gate]:
     Recursive pattern-controlled-rotation construction: the register is split
     bit by bit from the most significant end, each split rotating the next
     qubit by the conditional mass ratio.  probs is a nonnegative vector of
-    2**len(qubits) entries summing to 1, zeros allowed: a FactorGrid's, which
-    checks that, or single_rotation's marginal, normalized as it is made.
+    2**len(qubits) entries summing to 1, zeros allowed: a FactorGrid's, whose shape refuses
+    a grid of zero density, or single_rotation's marginal, normalized as it is made.
     """
     probs = np.asarray(probs, dtype=float)
     qubits = list(qubits)

@@ -15,7 +15,7 @@ import numpy as np
 from qvar.circuit import Circuit, apply, marginal_probability, zero_state
 from qvar.cli import main
 from qvar.estimation import IqaeConfig, iqae
-from qvar.gaussian import discretize_normal
+from qvar.gaussian import FactorGrid
 from qvar.objective import weighted_sum_register
 from qvar.resources import estimate_resources
 from qvar.risk import (cdf_estimator, exact_loss_distribution, joint_grid, model_distribution,
@@ -37,7 +37,7 @@ def two_asset_portfolio(lgds=(1000.5, 2000.5)):
 
 
 def factor_grids():
-    return [discretize_normal(2), discretize_normal(2)]
+    return [FactorGrid(2), FactorGrid(2)]
 
 
 def report(number, ok, detail):

@@ -21,8 +21,8 @@ import qvar.risk
 import qvar.uncertainty
 from qvar.circuit import evolve, marginal_probability
 from qvar.cli import (CONFIG_SCHEMA, OVERRIDES, ConfigError, _schema_errors, config_to_inputs,
-                      factor_grids, iqae_config, load_config, main)
-from qvar.gaussian import conditional_pd_table, discretize_normal
+                      iqae_config, load_config, main)
+from qvar.gaussian import FactorGrid, conditional_pd_table
 from qvar.risk import _BYTES_PER_AMPLITUDE, exact_loss_distribution
 from qvar.uncertainty import ENCODINGS, Portfolio, model_table
 
@@ -32,7 +32,13 @@ CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 def _unreachable(*args, **kwargs):
-    raise AssertionError("a grid was discretized past the budget")
+    raise AssertionError("a grid computed its arrays past the budget")
+
+
+def _no_grid_arrays(monkeypatch):
+    """Fail the test if any FactorGrid computes or reads its values or probs."""
+    for name in ("values", "probs"):
+        monkeypatch.setattr(FactorGrid, name, property(_unreachable))
 
 
 TWO_ASSET = {
@@ -573,13 +579,13 @@ class TestVariants:
         assert code == 0 and peak < qvar.risk.MAX_STATE_BYTES
 
     @pytest.mark.parametrize("command", ["analyze", "distribution"])
-    def test_factor_grid_refused_before_discretizing(self, tmp_path, capsys, monkeypatch,
-                                                     command):
+    def test_factor_grid_refused_before_its_arrays(self, tmp_path, capsys, monkeypatch,
+                                                   command):
         # One 22-qubit factor against a 64 MiB budget: its 2**22 grid points, 16 B each
-        # kept and 32 B more while discretize_normal runs, are refused before it takes its
-        # 172 MB.  The full budget refuses qubits_per_factor >= 25 by the same rule.
+        # kept and 32 B more while its probs are computed, are refused before its arrays
+        # take 172 MB.  The full budget refuses qubits_per_factor >= 25 by the same rule.
         monkeypatch.setattr(qvar.risk, "MAX_STATE_BYTES", 1 << 26)
-        monkeypatch.setattr(qvar.cli, "discretize_normal", _unreachable)
+        _no_grid_arrays(monkeypatch)
         payload = {
             "risk_factors": {"count": 1, "qubits_per_factor": 22},
             "assets": [{"lgd": 100.5, "p0": 0.1, "rho": 0.2, "alphas": [0.4]}],
@@ -597,11 +603,11 @@ class TestVariants:
         assert peak < 100 * 2 ** 20
 
     @pytest.mark.parametrize("command", ["analyze", "distribution"])
-    def test_enumeration_refused_before_discretizing(self, tmp_path, capsys, monkeypatch,
-                                                     command):
+    def test_enumeration_refused_before_grid_arrays(self, tmp_path, capsys, monkeypatch,
+                                                    command):
         # 1 asset on one 23-qubit factor: its grid fits the budget, but the enumeration's
-        # 2**24 states do not, and the count is checked before the grid takes 328 MiB.
-        monkeypatch.setattr(qvar.cli, "discretize_normal", _unreachable)
+        # 2**24 states do not, and the count is checked before the grid's arrays take 328 MiB.
+        _no_grid_arrays(monkeypatch)
         payload = {
             "risk_factors": {"count": 1, "qubits_per_factor": 23},
             "assets": [{"lgd": 100.5, "p0": 0.1, "rho": 0.2, "alphas": [0.4]}],
@@ -622,8 +628,8 @@ class TestVariants:
     def test_analyze_checks_its_variant_before_the_budget(self, tmp_path, capsys, monkeypatch):
         # Two assets on two 12-qubit factors with their own weights: over the enumeration's
         # count (2**26 states) and invalid for single_rotation.  The variant's rule is
-        # checked on the shapes, before the budget and before any grid exists.
-        monkeypatch.setattr(qvar.cli, "discretize_normal", _unreachable)
+        # checked on the grids' shapes, before the budget and before any grid's arrays.
+        _no_grid_arrays(monkeypatch)
         payload = {
             "risk_factors": {"count": 2, "qubits_per_factor": 12},
             "assets": [{"lgd": 100.5, "p0": 0.1, "rho": 0.2, "alphas": [0.4, 0.1]},
@@ -635,14 +641,19 @@ class TestVariants:
             "error: asset 1 has weights (0.3, 0.2), but the single-rotation variant requires "
             "the shared vector (0.4, 0.1)\n")
 
-    def test_budget_prices_the_grids_it_discretizes(self, tmp_path, monkeypatch):
-        # The shapes the budget is checked on are the discretized grids' sizes and bounds.
-        shapes = []
-        monkeypatch.setattr(qvar.cli, "check_budget", lambda pf, grids, **run: shapes.extend(grids))
+    def test_budget_prices_the_grids_the_run_reads(self, tmp_path, monkeypatch):
+        # The grids the budget is checked on are the ones the enumeration then reads.
+        priced, read = [], []
+        monkeypatch.setattr(qvar.cli, "check_budget", lambda pf, grids, **run: priced.extend(grids))
+        enumerate_ = qvar.cli.exact_loss_distribution
+        monkeypatch.setattr(qvar.cli, "exact_loss_distribution",
+                            lambda pf, grids: read.extend(grids) or enumerate_(pf, grids))
         payload = copy.deepcopy(TWO_ASSET)
         payload["risk_factors"] = {"count": 2, "qubits_per_factor": [2, 3], "bound_sigmas": 2.7}
-        grids = factor_grids(*config_to_inputs(load_config(write_config(tmp_path, payload))))
-        assert [(s.n_z, s.bound) for s in shapes] == [(g.n_z, g.bound) for g in grids]
+        assert main(["distribution", "--config", write_config(tmp_path, payload),
+                     "--output", str(tmp_path / "d.csv")]) == 0
+        assert [(g.n_z, g.bound) for g in priced] == [(2, 2.7), (3, 2.7)]
+        assert len(read) == 2 and all(g is h for g, h in zip(priced, read))
 
     THREE_20_QUBIT_FACTORS = {
         "risk_factors": {"count": 3, "qubits_per_factor": 20},
@@ -652,10 +663,10 @@ class TestVariants:
 
     def test_distribution_refuses_summed_grids(self, tmp_path, capsys, monkeypatch):
         # Three 20-qubit factors against a 72 MiB budget: each grid alone fits, but all
-        # three kept (48 MiB) and one being discretized (32 MiB) do not.  The grids'
+        # three kept (48 MiB) and one computing its arrays (32 MiB) do not.  The grids'
         # bytes are checked before the enumeration's count.
         monkeypatch.setattr(qvar.risk, "MAX_STATE_BYTES", 72 << 20)
-        monkeypatch.setattr(qvar.cli, "discretize_normal", _unreachable)
+        _no_grid_arrays(monkeypatch)
         config = write_config(tmp_path, self.THREE_20_QUBIT_FACTORS)
         assert main(["distribution", "--config", config]) == 1
         assert capsys.readouterr().err == (
@@ -663,9 +674,9 @@ class TestVariants:
             "the budget of 75497472; reduce risk_factors.qubits_per_factor or assets\n")
 
     def test_resources_reads_shapes_alone(self, tmp_path, capsys, monkeypatch):
-        # resources prices nothing and discretizes no grid: its report needs each grid's
-        # n_z and range only, so three 20-qubit factors run without a byte of grid.
-        monkeypatch.setattr(qvar.cli, "discretize_normal", _unreachable)
+        # resources prices nothing and computes no grid's arrays: its report needs each
+        # grid's n_z and range only, so three 20-qubit factors run without a byte of grid.
+        _no_grid_arrays(monkeypatch)
         config = write_config(tmp_path, self.THREE_20_QUBIT_FACTORS)
         tracemalloc.start()
         try:
@@ -787,6 +798,35 @@ class TestOverflowingLosses:
         assert err.startswith("error: the LGDs sum to inf") and err.count("\n") == 1
 
 
+class TestUnderflowingGrid:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--estimator", "classical"], ["analyze", "--estimator", "exact"],
+        ["compare"]])
+    @pytest.mark.parametrize("qubits, bound", [(1, 40), (3, 1e200)])
+    def test_grid_of_zero_density_refused(self, tmp_path, capsys, argv, qubits, bound):
+        # Every grid point's density underflows to 0, so its probs would be NaN, and so
+        # every expected loss and gate angle: the grid's shape refuses it, in one line.
+        payload = json.loads((CONFIGS / "two_asset.json").read_text())
+        payload["risk_factors"].update(qubits_per_factor=qubits, bound_sigmas=bound)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([argv[0], "--config", write_config(tmp_path, payload), *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "risk_factors.bound_sigmas" in err and "risk_factors.qubits_per_factor" in err
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["analyze", "--estimator", "classical"],
+         "0077cb2bd86dea7aeee158548f3f28cbc79647287c4e85b2e9d657441a3fe055"),
+        (["compare"], "b046b8dba9c51306b18fa53aa3893c8411c4d12974e2de9fe6ac21e191fa071b")])
+    def test_subnormal_densities_keep_their_bytes(self, tmp_path, capsys, argv, digest):
+        # At 38 sigmas a 1-qubit grid's densities are subnormal but positive, so it runs.
+        payload = json.loads((CONFIGS / "two_asset.json").read_text())
+        payload["risk_factors"].update(qubits_per_factor=1, bound_sigmas=38.0)
+        assert main([argv[0], "--config", write_config(tmp_path, payload), *argv[1:]]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # Two assets on one shared weight vector, so single_rotation runs, on grids truncated at
 # 2.5 rather than the default 3: the bound reaches the grid values, the linear secants and
 # single_rotation's index-sum plan.
@@ -883,8 +923,7 @@ class TestCompare:
             out = tmp_path / "compare.txt"
             readouts.clear()
             assert main(["compare", "--config", config, "--output", str(out)]) in (0, 1)
-            portfolio, shapes = config_to_inputs(load_config(config))
-            grids = factor_grids(portfolio, shapes)
+            portfolio, grids = config_to_inputs(load_config(config))
             dist = exact_loss_distribution(portfolio, grids)
             oracle = [exact_amplitude(build_a_circuit(portfolio, grids, float(x), variant=variant,
                                                       encoding=encoding, mode=mode))
@@ -987,8 +1026,9 @@ class TestCompare:
     def test_each_table_once_per_run(self, tmp_path, monkeypatch, qubits, shapes, encoding):
         # One F^-1 call for the portfolio, one PD table for the model's points and one for
         # the joint grid, which the enumeration and the Monte Carlo share, one loss table,
-        # one grid per distinct shape, and one kernel call for the model and per threshold.
-        calls = dict.fromkeys(["ppf", "table", "losses", "grids", "kernel"], 0)
+        # one budget check, then each distinct grid shape's values and probs once, and
+        # one kernel call for the model and per threshold.
+        calls = dict.fromkeys(["ppf", "table", "losses", "budget", "values", "probs", "kernel"], 0)
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -996,8 +1036,14 @@ class TestCompare:
                 return fn(*args, **kwargs)
             return wrapper
 
-        counters = {conditional_pd_table: "table", discretize_normal: "grids", evolve: "kernel",
-                    qvar.gaussian.std_normal_ppf: "ppf"}
+        def after_budget(key, fn):
+            def wrapper(grid):
+                assert calls["budget"] == 1, f"a grid computed its {key} before the budget"
+                return counted(key, fn)(grid)
+            return wrapper
+
+        counters = {conditional_pd_table: "table", evolve: "kernel",
+                    qvar.gaussian.std_normal_ppf: "ppf", qvar.risk.check_budget: "budget"}
         for name, module in list(sys.modules.items()):
             if name.startswith("qvar"):
                 for attr, value in list(vars(module).items()):
@@ -1006,6 +1052,10 @@ class TestCompare:
         losses = functools.cached_property(counted("losses", Portfolio.pattern_losses.func))
         losses.__set_name__(Portfolio, "pattern_losses")
         monkeypatch.setattr(Portfolio, "pattern_losses", losses)
+        for name in ("values", "probs"):
+            array = functools.cached_property(after_budget(name, getattr(FactorGrid, name).func))
+            array.__set_name__(FactorGrid, name)
+            monkeypatch.setattr(FactorGrid, name, array)
         payload = json.loads(json.dumps(TWO_ASSET))
         payload["risk_factors"]["qubits_per_factor"] = qubits
         payload["analysis"].update(encoding=encoding, mc_paths=1000)
@@ -1014,7 +1064,8 @@ class TestCompare:
                      "--output", str(out)]) == 0
         rows = out.read_text().split("\n\n")[0].split("\n")[2:]
         assert len(rows) == 4       # the support points 0, 1000.5, 2000.5 and 3001
-        assert calls == {"ppf": 1, "table": 2, "losses": 1, "grids": shapes, "kernel": 1 + 4}
+        assert calls == {"ppf": 1, "table": 2, "losses": 1, "budget": 1, "values": shapes,
+                         "probs": shapes, "kernel": 1 + 4}
 
     def test_monte_carlo_sigma_clips_a_readout_past_one(self, tmp_path):
         # One linear-encoded asset on a 1-qubit factor: the top threshold's
@@ -1026,8 +1077,7 @@ class TestCompare:
                          "encoding": "linear", "mc_paths": 1000, "seed": 3},
         }
         config = write_config(tmp_path, payload)
-        portfolio, shapes = config_to_inputs(load_config(config))
-        grids = factor_grids(portfolio, shapes)
+        portfolio, grids = config_to_inputs(load_config(config))
         assert exact_amplitude(build_a_circuit(portfolio, grids, 4.0, encoding="linear")) > 1.0
         out = tmp_path / "compare.txt"
         with warnings.catch_warnings():

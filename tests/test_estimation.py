@@ -8,7 +8,7 @@ from scipy import special, stats
 
 from qvar.circuit import Circuit, apply, marginal_probability, zero_state
 from qvar.estimation import IqaeConfig, IqaeResult, _find_next_k, clopper_pearson, iqae
-from qvar.gaussian import discretize_normal
+from qvar.gaussian import FactorGrid
 from qvar.risk import exact_loss_distribution
 from qvar.uncertainty import Asset, Portfolio
 
@@ -151,7 +151,7 @@ class TestGroverOperator:
     def test_rotation_identity_full_pipeline(self):
         pf = Portfolio([Asset(1000.5, 0.15, 0.10, (0.35, 0.20)),
                         Asset(2000.5, 0.25, 0.05, (0.10, 0.25))])
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         a_circ = build_a_circuit(pf, grids, 1500.0, encoding="exact")
         a = exact_amplitude(a_circ)
         theta = math.asin(math.sqrt(a))
@@ -302,7 +302,7 @@ class TestClosedFormMatchesGroverCircuit:
     def test_two_asset_circuit(self):
         pf = Portfolio([Asset(1000.5, 0.15, 0.10, (0.35, 0.20)),
                         Asset(2000.5, 0.25, 0.05, (0.10, 0.25))])
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         self.check(build_a_circuit(pf, grids, 1500.0, encoding="exact"), 0.002, 0.99)
 
     def test_random_four_asset_linear_circuit(self):
@@ -310,7 +310,7 @@ class TestClosedFormMatchesGroverCircuit:
         pf = Portfolio([Asset(round(float(rng.uniform(500, 3000)), 1),
                               float(rng.uniform(0.02, 0.3)), float(rng.uniform(0.05, 0.3)),
                               tuple(rng.uniform(0.1, 0.5, 2))) for _ in range(4)])
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         support = exact_loss_distribution(pf, grids).losses
         x = float(support[support.size // 2])
         self.check(build_a_circuit(pf, grids, x, encoding="linear"), 0.002, 0.99)

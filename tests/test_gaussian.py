@@ -7,14 +7,15 @@ they reproduce, and conditional_pd to its scipy-based form.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
 import qvar.gaussian
-from qvar.gaussian import (_MAXLOG, FactorGrid, conditional_pd_table, discretize_normal,
-                           erfc_array, ndtri, std_normal_cdf, std_normal_pdf, std_normal_ppf)
+from qvar.gaussian import (_MAXLOG, FactorGrid, conditional_pd_table, erfc_array, ndtri,
+                           std_normal_cdf, std_normal_pdf, std_normal_ppf)
 
 from oracles import conditional_pd
 
@@ -222,14 +223,14 @@ class TestConditionalPdBits:
         assert blocked.tobytes() == unblocked.tobytes()
 
 
-class TestDiscretizeNormal:
+class TestFactorGrid:
     def test_two_point_grid(self):
-        grid = discretize_normal(1, 1.0)
+        grid = FactorGrid(1, 1.0)
         assert np.allclose(grid.values, [-1.0, 1.0])
         assert np.allclose(grid.probs, [0.5, 0.5])
 
     def test_four_point_grid_matches_hand_normalized_density(self):
-        grid = discretize_normal(2, 3.0)
+        grid = FactorGrid(2, 3.0)
         density = std_normal_pdf(np.array([-3.0, -1.0, 1.0, 3.0]))
         expected = density / density.sum()
         assert np.allclose(grid.probs, expected, atol=1e-15)
@@ -238,37 +239,90 @@ class TestDiscretizeNormal:
 
     def test_symmetry_and_normalization(self):
         for n_z in (1, 2, 3, 4):
-            grid = discretize_normal(n_z, 3.0)
+            grid = FactorGrid(n_z, 3.0)
             assert abs(grid.probs.sum() - 1.0) < 1e-12
             assert np.all(grid.probs >= 0)
             assert np.allclose(grid.probs, grid.probs[::-1], atol=1e-12)
 
     def test_affine_map(self):
         # A standard grid's points lie 2 * bound / (2**n_z - 1) apart, from -bound.
-        grid = discretize_normal(3, 2.5)
+        grid = FactorGrid(3, 2.5)
         a_z = 2 * 2.5 / (2 ** 3 - 1)
         assert np.allclose(grid.values, -2.5 + a_z * np.arange(8))
         assert np.abs(np.diff(grid.values) - a_z).max() < 1e-15
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            discretize_normal(0)
-        with pytest.raises(ValueError):
-            discretize_normal(2, 0.0)
+        for n_z in (0, -1, 1.0, 2.5):
+            with pytest.raises(ValueError, match="integer n_z"):
+                FactorGrid(n_z)
+        for bound in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite bound"):
+                FactorGrid(2, bound)
 
-    def test_grid_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            FactorGrid(1, 1.0, np.array([1.0, -1.0]), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            FactorGrid(1, 1.0, np.array([-1.0, 1.0]), np.array([0.7, 0.7]))
+    # At 38 sigmas a 1-qubit grid's two densities are subnormal, but positive.
+    SWEEP = [(n_z, bound) for n_z in range(1, 9) for bound in (0.1, 1.0, 2.5, 3.0, 7.3, 38.0)]
 
-    @pytest.mark.parametrize("values", [[-3.0, 3.0], [-1.0, 0.5], [-0.5, 1.0]])
-    def test_values_run_from_minus_bound_to_bound(self, values):
+    @pytest.mark.parametrize("n_z, bound", SWEEP)
+    def test_grid_invariants_enforced(self, n_z, bound):
+        # Every derived grid has 2**n_z equally spaced points and probs summing to 1.
+        grid = FactorGrid(n_z, bound)
+        assert grid.values.shape == grid.probs.shape == (2 ** n_z,)
+        steps = np.diff(grid.values)
+        assert np.all(steps > 0)
+        assert np.abs(steps - 2 * bound / (2 ** n_z - 1)).max() <= 1e-12 * steps[0]
+        assert np.all(grid.probs >= 0) and abs(grid.probs.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n_z, bound", SWEEP)
+    def test_values_run_from_minus_bound_to_bound(self, n_z, bound):
         # single_rotation's index-sum plan reads a grid's bound and its PDs are evaluated
-        # at its values, so the two must agree.
-        with pytest.raises(ValueError, match="from -bound to bound"):
-            FactorGrid(1, 1.0, np.array(values), np.array([0.5, 0.5]))
-        FactorGrid(1, 1.0, np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        # at its values, so the two agree exactly.
+        grid = FactorGrid(n_z, bound)
+        assert grid.values[0] == -bound and grid.values[-1] == bound
+
+    def test_arrays_computed_once_on_first_use(self):
+        # A grid is its shape until its arrays are read, even one no float can count.
+        grid = FactorGrid(30)
+        assert grid.size == 2 ** 30 and "values" not in vars(grid) and "probs" not in vars(grid)
+        assert FactorGrid(2000).size == 2 ** 2000
+        grid = FactorGrid(3, 2.5)
+        assert grid.probs is grid.probs and grid.values is grid.values
+
+    @pytest.mark.parametrize("n_z, bound", [(1, 40.0), (3, 1e200), (2, 1e308), (1, 1e308)])
+    def test_underflowing_density_refused(self, n_z, bound):
+        # Every point's density would underflow to 0 and the probs would be NaN; the
+        # shape alone refuses the grid, in floats, so no numpy warning precedes it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refused:
+                FactorGrid(n_z, bound)
+        message = str(refused.value)
+        assert "risk_factors.bound_sigmas" in message
+        assert "risk_factors.qubits_per_factor" in message
+
+    @pytest.mark.parametrize("n_z", [1, 2, 3, 4])
+    def test_underflow_refusal_matches_the_arrays(self, n_z):
+        # Around the largest bound whose grid keeps a point of positive density, a grid
+        # is refused exactly where its computed density would be 0 everywhere.
+        def dead(bound):
+            with np.errstate(all="ignore"):
+                return std_normal_pdf(np.linspace(-bound, bound, 2 ** n_z)).sum() == 0.0
+        lo, hi = 1.0, 1e4
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if dead(mid) else (mid, hi)
+        bound = lo
+        for _ in range(20):
+            bound = math.nextafter(bound, 0.0)
+        seen = set()
+        for _ in range(40):
+            seen.add(dead(bound))
+            if dead(bound):
+                with pytest.raises(ValueError, match="density 0"):
+                    FactorGrid(n_z, bound)
+            else:
+                assert FactorGrid(n_z, bound).probs.sum() == pytest.approx(1.0, abs=1e-12)
+            bound = math.nextafter(bound, math.inf)
+        assert seen == {False, True}
 
 
 class TestConditionalPd:

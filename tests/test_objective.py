@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from qvar.circuit import Circuit, Statevector, apply
-from qvar.gaussian import discretize_normal
+from qvar.gaussian import FactorGrid
 from qvar.objective import MODES, comparator, objective_qubit, weighted_sum_register
 from qvar.uncertainty import VARIANTS, Asset, Portfolio, build_model
 
@@ -34,7 +34,7 @@ ORACLE_CDF = {
 
 
 def table_inputs():
-    return Portfolio(ASSETS), [discretize_normal(2), discretize_normal(2)]
+    return Portfolio(ASSETS), [FactorGrid(2), FactorGrid(2)]
 
 
 class TestWeightedSumRegister:
@@ -88,7 +88,7 @@ class TestSFreeComparator:
             assets = [Asset(float(l), 0.2, 0.1, (1.0,)) for l in lgds]
             pf = Portfolio(assets)
             x = float(rng.uniform(-1, lgds.sum() + 1))
-            comp = comparator(pf, build_model(pf, [discretize_normal(1)]), "s_free", x)
+            comp = comparator(pf, build_model(pf, [FactorGrid(1)]), "s_free", x)
             qualifying = sum(
                 1 for pattern in itertools.product((0, 1), repeat=k)
                 if np.dot(lgds, pattern) <= x)
@@ -112,7 +112,7 @@ class TestWeightedSum:
 
     def test_matches_s_free_at_every_integer_threshold(self):
         pf = self.integer_portfolio()
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         for x in (-1.0, 0.0, 1.0, 2.0, 3.0, 10.0):
             a_free = exact_amplitude(build_a_circuit(pf, grids, x, mode="s_free"))
             a_sum = exact_amplitude(build_a_circuit(pf, grids, x, mode="weighted_sum"))
@@ -120,7 +120,7 @@ class TestWeightedSum:
 
     def test_all_zero_lgds_accept_everything(self):
         pf = Portfolio([Asset(0, 0.2, 0.1, (1.0,)), Asset(0, 0.3, 0.1, (1.0,))])
-        grids = [discretize_normal(1)]
+        grids = [FactorGrid(1)]
         for x in (0.0, 1.0):
             assert exact_amplitude(build_a_circuit(pf, grids, x, mode="weighted_sum")) == pytest.approx(1.0, abs=1e-12)
 
@@ -131,7 +131,7 @@ class TestWeightedSum:
             assets = [Asset(int(rng.integers(0, 5)), float(rng.uniform(0.1, 0.5)),
                             float(rng.uniform(0, 0.4)), (1.0,)) for _ in range(k)]
             pf = Portfolio(assets)
-            grids = [discretize_normal(1)]
+            grids = [FactorGrid(1)]
             total = sum(a.lgd for a in assets)
             for x in range(-1, int(total) + 2):
                 a_free = exact_amplitude(build_a_circuit(pf, grids, float(x), mode="s_free"))
@@ -163,7 +163,7 @@ class TestComparators:
             if variant == "single_rotation":
                 pf = Portfolio([Asset(a.lgd, a.p0, a.rho, pf.assets[0].alphas)
                                 for a in pf.assets])
-            model = build_model(pf, [discretize_normal(2), discretize_normal(1)],
+            model = build_model(pf, [FactorGrid(2), FactorGrid(1)],
                                 variant, encoding)
             # [model][loss register, weighted_sum only][objective]
             width = model.circuit.n_qubits
@@ -191,7 +191,7 @@ class TestComparators:
     @pytest.mark.parametrize("mode", MODES)
     def test_above_at_or_past_threshold_adds_no_flip(self, mode):
         pf = self.portfolio(np.random.default_rng(5), 4, mode)
-        model = build_model(pf, [discretize_normal(1)] * 2)
+        model = build_model(pf, [FactorGrid(1)] * 2)
         for x in np.unique(pf.pattern_losses):
             for above in (x, x + 0.5, x + 1e6):
                 comp = comparator(pf, model, mode, float(x), float(above))
@@ -207,7 +207,7 @@ class TestComparators:
             pf = self.portfolio(rng, k, mode)
             r = 1 if variant == "single_factor" else 2
             pf = Portfolio([Asset(a.lgd, a.p0, a.rho, pf.assets[0].alphas[:r]) for a in pf.assets])
-            grids = [discretize_normal(2), discretize_normal(1)][:r]
+            grids = [FactorGrid(2), FactorGrid(1)][:r]
             model = build_model(pf, grids, variant)
             objective = objective_qubit(pf, model, mode)
             x = float(pf.pattern_losses.max())
@@ -221,7 +221,7 @@ class TestComparators:
     @pytest.mark.parametrize("mode", MODES)
     def test_non_finite_threshold_rejected(self, mode):
         pf = self.portfolio(np.random.default_rng(4), 3, mode)
-        model = build_model(pf, [discretize_normal(1)] * 2)
+        model = build_model(pf, [FactorGrid(1)] * 2)
         for x in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="threshold must be finite"):
                 comparator(pf, model, mode, x)
@@ -247,7 +247,7 @@ class TestAssembleA:
 
     def test_single_asset_below_lgd(self):
         pf = Portfolio([Asset(10.0, 0.3, 0.0, (1.0,))])
-        grids = [discretize_normal(2)]
+        grids = [FactorGrid(2)]
         a_circ = build_a_circuit(pf, grids, 9.999, encoding="exact")
         assert exact_amplitude(a_circ) == pytest.approx(0.7, abs=1e-12)
 
@@ -289,7 +289,7 @@ class TestACircuitPin:
                                   shared if variant == "single_rotation"
                                   else tuple(float(a) for a in rng.uniform(0.1, 0.5, r)))
                             for _ in range(1 + seed % 4)])
-            grids = [discretize_normal(int(n)) for n in rng.integers(1, 3, r)]
+            grids = [FactorGrid(int(n)) for n in rng.integers(1, 3, r)]
             support = np.unique(pf.pattern_losses)
             for x in map(float, [support[0] - 1.0, *support,
                                  *(support[:-1] + np.diff(support) / 2), support[-1] + 1e6]):

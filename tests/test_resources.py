@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qvar.gaussian import discretize_normal
+from qvar.gaussian import FactorGrid
 from qvar.objective import MODES, comparator, comparator_gates
 from qvar.resources import estimate_resources
 from qvar.risk import exact_loss_distribution
@@ -19,7 +19,7 @@ def two_asset_portfolio():
 
 
 def grids(r=2, n_z=2):
-    return [discretize_normal(n_z) for _ in range(r)]
+    return [FactorGrid(n_z) for _ in range(r)]
 
 
 class TestWidthAccounting:
@@ -128,7 +128,7 @@ class TestGateAccounting:
                                   shared if variant == "single_rotation"
                                   else tuple(rng.uniform(0.1, 0.5, r)))
                             for _ in range(int(rng.integers(1, 5)))])
-            g = [discretize_normal(int(n)) for n in rng.integers(1, 5, r)]
+            g = [FactorGrid(int(n)) for n in rng.integers(1, 5, r)]
             gates = build_model(pf, g, variant, encoding).circuit.gates
             built = (len(gates), sum(len(gate.controls) for gate in gates))
             counted = model_gates(pf, g, variant, encoding)
@@ -183,7 +183,7 @@ class TestRuleParity:
                                   rng.uniform(0.02, 0.3), rng.uniform(0.0, 0.3),
                                   weights if shared else tuple(rng.uniform(-0.5, 0.5, r)))
                             for _ in range(int(rng.integers(1, 5)))])
-            g = [discretize_normal(int(n)) for n in rng.integers(1, 4, r)]
+            g = [FactorGrid(int(n)) for n in rng.integers(1, 4, r)]
             built = build_a_circuit(pf, g, float(pf.pattern_losses.max()), variant=variant,
                                     encoding=encoding, mode=mode)
             assert estimate_resources(pf, g, variant, mode).width_built == built.n_qubits

@@ -10,7 +10,7 @@ import pytest
 import qvar.risk as risk
 from qvar.circuit import Circuit, apply, zero_state
 from qvar.estimation import IqaeConfig, iqae
-from qvar.gaussian import discretize_normal
+from qvar.gaussian import FactorGrid
 from qvar.objective import objective_qubit
 from qvar.risk import (LossDistribution, cdf_estimator, exact_loss_distribution, expected_loss,
                        joint_grid, model_distribution, monte_carlo_distribution, var_bisection)
@@ -31,7 +31,7 @@ ORACLE_CDF_AT_VAR = 0.9652513075681205
 def table_inputs():
     pf = Portfolio([Asset(1000.5, 0.15, 0.10, (0.35, 0.20)),
                     Asset(2000.5, 0.25, 0.05, (0.10, 0.25))])
-    grids = [discretize_normal(2), discretize_normal(2)]
+    grids = [FactorGrid(2), FactorGrid(2)]
     return pf, grids
 
 
@@ -146,7 +146,7 @@ class TestBlockedEnumeration:
         rng = np.random.default_rng(100 + k)
         for _ in range(2 if k < 13 else 1):
             r = int(rng.integers(1, 4))
-            grids = [discretize_normal(int(n)) for n in rng.integers(1, 4, r)]
+            grids = [FactorGrid(int(n)) for n in rng.integers(1, 4, r)]
             if k + sum(g.n_z for g in grids) > 18:
                 grids = grids[:1]
             assert_same_bytes(edge_portfolio(rng, k, len(grids),
@@ -156,18 +156,18 @@ class TestBlockedEnumeration:
     def test_block_seams(self, k):
         # At M = 64 a block holds 2**11 patterns: one block up to K = 11, then 2, 4.
         rng = np.random.default_rng(200 + k)
-        assert_same_bytes(edge_portfolio(rng, k, 2), [discretize_normal(3)] * 2)
+        assert_same_bytes(edge_portfolio(rng, k, 2), [FactorGrid(3)] * 2)
 
     def test_wide_portfolio_shape(self):
         rng = np.random.default_rng(7)
         pf = random_portfolio(rng, 14, 2)
-        assert_same_bytes(pf, [discretize_normal(3), discretize_normal(3)])
+        assert_same_bytes(pf, [FactorGrid(3), FactorGrid(3)])
 
     def test_sixteen_assets(self):
         # 16 terms is where a BLAS dot starts its unrolled kernel; a loss taken
         # as `lgds @ bits` would round differently from the asset-by-asset sum.
         rng = np.random.default_rng(16)
-        assert_same_bytes(edge_portfolio(rng, 16, 1), [discretize_normal(1)])
+        assert_same_bytes(edge_portfolio(rng, 16, 1), [FactorGrid(1)])
 
     @pytest.mark.parametrize("options", [
         {"rho": 0.0},
@@ -178,7 +178,7 @@ class TestBlockedEnumeration:
     ])
     def test_edge_inputs(self, options):
         rng = np.random.default_rng(31)
-        grids = [discretize_normal(2), discretize_normal(3)]
+        grids = [FactorGrid(2), FactorGrid(3)]
         for k in (1, 6, 11):
             assert_same_bytes(edge_portfolio(rng, k, 2, **options), grids)
 
@@ -187,7 +187,7 @@ class TestBlockedEnumeration:
         pf = edge_portfolio(rng, 10, 2)
         pf = Portfolio([replace(a, lgd=0.0) if i % 3 == 0 else a
                         for i, a in enumerate(pf.assets)])
-        assert_same_bytes(pf, [discretize_normal(2), discretize_normal(2)])
+        assert_same_bytes(pf, [FactorGrid(2), FactorGrid(2)])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 14, 16, 23, 64, 512])
     def test_stacked_matmul_is_the_vector_dot(self, n):
@@ -218,21 +218,21 @@ class TestGridMonteCarlo:
         rng = np.random.default_rng(300 + k)
         for trial in range(3):
             r = int(rng.integers(1, 4))
-            grids = [discretize_normal(int(n)) for n in rng.integers(1, 5, r)]
+            grids = [FactorGrid(int(n)) for n in rng.integers(1, 5, r)]
             n_paths = int(10 ** rng.uniform(0, np.log10(2e5)))
             self.assert_same_draws(edge_portfolio(rng, k, r), grids, n_paths, seed=k + trial)
 
     @pytest.mark.parametrize("n_paths", [1, 2, 3, 17, 4097, 200_000])
     def test_path_counts(self, n_paths):
         rng = np.random.default_rng(n_paths)
-        grids = [discretize_normal(3), discretize_normal(2), discretize_normal(4)]
+        grids = [FactorGrid(3), FactorGrid(2), FactorGrid(4)]
         self.assert_same_draws(edge_portfolio(rng, 5, 3), grids, n_paths, seed=n_paths)
 
     @pytest.mark.parametrize("k", [4, 14])
     def test_block_seams(self, k):
         # At 14 assets the 2**14-entry count array, not the buffer budget, sets the block.
         rng = np.random.default_rng(71)
-        grids = [discretize_normal(2), discretize_normal(3)]
+        grids = [FactorGrid(2), FactorGrid(3)]
         pf = edge_portfolio(rng, k, 2)
         block = max(risk._BLOCK_ELEMENTS // (2 * k + 3), 2 ** k)    # paths per block
         for n_paths in (1, block - 1, block, block + 1, 3 * block + 7):
@@ -241,7 +241,7 @@ class TestGridMonteCarlo:
     @pytest.mark.parametrize("qubits", [[1, 3], [2, 1, 2], [5], [6, 1]])
     def test_unequal_factor_grids(self, qubits):
         rng = np.random.default_rng(sum(qubits))
-        grids = [discretize_normal(q) for q in qubits]
+        grids = [FactorGrid(q) for q in qubits]
         for k in (1, 3, 7):
             self.assert_same_draws(edge_portfolio(rng, k, len(grids)), grids, 30_011, seed=k)
 
@@ -250,16 +250,16 @@ class TestGridMonteCarlo:
         # Here a sizeable share of draws falls in guide buckets that a cdf point
         # splits, and is searched.
         rng = np.random.default_rng(400 + sum(qubits))
-        grids = [discretize_normal(q) for q in qubits]
+        grids = [FactorGrid(q) for q in qubits]
         for k in (1, 4):
             self.assert_same_draws(edge_portfolio(rng, k, len(grids)), grids, 50_021, seed=k)
 
     def test_one_guide_table_per_distinct_grid(self, monkeypatch):
-        # cli.factor_grids gives factors of one shape one FactorGrid: its guide table is
+        # config_to_inputs gives factors of one shape one FactorGrid: its guide table is
         # built once, and the draws are those of separate grids.
         rng = np.random.default_rng(23)
-        shared = discretize_normal(2)
-        grids = [shared, discretize_normal(3), shared]
+        shared = FactorGrid(2)
+        grids = [shared, FactorGrid(3), shared]
         made, guide_table = [], risk._guide_table
         monkeypatch.setattr(risk, "_guide_table", lambda cdf: made.append(1) or guide_table(cdf))
         self.assert_same_draws(edge_portfolio(rng, 4, 3), grids, 5003, seed=23)
@@ -267,7 +267,7 @@ class TestGridMonteCarlo:
 
     @pytest.mark.parametrize("n_z", range(1, 13))
     def test_guide_table_is_searchsorted(self, n_z):
-        probs = discretize_normal(n_z).probs
+        probs = FactorGrid(n_z).probs
         cdf = np.cumsum(probs / probs.sum())
         cdf /= cdf[-1]
         guide = risk._guide_table(cdf)
@@ -288,7 +288,7 @@ class TestGridMonteCarlo:
     def test_memory_does_not_grow_with_paths(self):
         rng = np.random.default_rng(8)
         pf = random_portfolio(rng, 4, 2)
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         tracemalloc.start()
         try:
             monte_carlo_distribution(pf, grids, joint_grid(pf, grids)[0], 10 ** 6, seed=8)
@@ -306,7 +306,7 @@ class TestGridMonteCarlo:
     ])
     def test_edge_inputs(self, options):
         rng = np.random.default_rng(33)
-        grids = [discretize_normal(2), discretize_normal(3)]
+        grids = [FactorGrid(2), FactorGrid(3)]
         for k in (1, 6, 11):
             self.assert_same_draws(edge_portfolio(rng, k, 2, **options), grids, 50_000, seed=k)
 
@@ -314,7 +314,7 @@ class TestGridMonteCarlo:
 class TestExactLossDistribution:
     def test_single_asset_uncorrelated(self):
         pf = Portfolio([Asset(100.0, 0.25, 0.0, (1.0,))])
-        dist = exact_loss_distribution(pf, [discretize_normal(2)])
+        dist = exact_loss_distribution(pf, [FactorGrid(2)])
         assert np.allclose(dist.losses, [0.0, 100.0])
         assert np.allclose(dist.probs, [0.75, 0.25], atol=1e-12)
 
@@ -330,14 +330,14 @@ class TestExactLossDistribution:
 
     def test_budget_guard(self):
         pf = Portfolio([Asset(1.0, 0.2, 0.1, (0.5, 0.5, 0.5))])
-        grids = [discretize_normal(8), discretize_normal(8), discretize_normal(8)]
+        grids = [FactorGrid(8), FactorGrid(8), FactorGrid(8)]
         with pytest.raises(ValueError, match="budget"):
             exact_loss_distribution(pf, grids)
 
     def test_grid_count_checked(self):
         pf, _ = table_inputs()
         with pytest.raises(ValueError):
-            exact_loss_distribution(pf, [discretize_normal(2)])
+            exact_loss_distribution(pf, [FactorGrid(2)])
 
 
 class TestMonteCarlo:
@@ -366,7 +366,7 @@ class TestMonteCarlo:
 
     def test_bernoulli_frequency(self):
         pf = Portfolio([Asset(1.0, 0.25, 0.0, (1.0,))])
-        grids = [discretize_normal(2)]
+        grids = [FactorGrid(2)]
         n = 10 ** 5
         dist = monte_carlo_distribution(pf, grids, joint_grid(pf, grids)[0], n, seed=99)
         freq = dist.probs[dist.losses == 1.0].sum()
@@ -379,7 +379,7 @@ class TestMonteCarlo:
         # still land on the enumeration's support points, byte for byte.
         rng = np.random.default_rng(400 + k)
         pf = random_portfolio(rng, k, 2)
-        grids = [discretize_normal(2), discretize_normal(1)]
+        grids = [FactorGrid(2), FactorGrid(1)]
         mc = monte_carlo_distribution(pf, grids, joint_grid(pf, grids)[0], 20_000, seed=k)
         support = exact_loss_distribution(pf, grids).losses
         assert set(mc.losses.view(np.int64)) <= set(support.view(np.int64))
@@ -400,7 +400,7 @@ class TestExpectedLoss:
 
     def test_zero_lgds(self):
         pf = Portfolio([Asset(0.0, 0.2, 0.1, (1.0,))])
-        dist = exact_loss_distribution(pf, [discretize_normal(2)])
+        dist = exact_loss_distribution(pf, [FactorGrid(2)])
         assert expected_loss(dist) == 0.0
 
     def test_table_value_and_identity(self):
@@ -470,7 +470,7 @@ class TestModelCdf:
         rng = np.random.default_rng(seed)
         for _ in range(12):
             pf = random_portfolio(rng, int(rng.integers(1, 5)), r, shared=shared)
-            grids = [discretize_normal(int(rng.integers(1, 3))) for _ in range(r)]
+            grids = [FactorGrid(int(rng.integers(1, 3))) for _ in range(r)]
             cdf = exact_cdf(pf, grids, variant, encoding)
             for x in thresholds(pf, grids):
                 a_circ = build_a_circuit(pf, grids, x, variant=variant, encoding=encoding)
@@ -494,7 +494,7 @@ class TestModelCdf:
         for _ in range(10):
             pf = random_portfolio(rng, int(rng.integers(1, 5)), r, shared=shared,
                                   integer=mode == "weighted_sum")
-            grids = [discretize_normal(int(rng.integers(1, 4))) for _ in range(r)]
+            grids = [FactorGrid(int(rng.integers(1, 4))) for _ in range(r)]
             table = model_distribution(pf, grids, variant, encoding)
             model = build_model(pf, grids, variant, encoding)
             narrow = state_distribution(pf, model, model_state(model, model.circuit.n_qubits))
@@ -510,7 +510,7 @@ class TestModelCdf:
         for _ in range(8):
             r = int(rng.integers(1, 3))
             pf = random_portfolio(rng, int(rng.integers(1, 4)), r, integer=True)
-            grids = [discretize_normal(int(rng.integers(1, 3))) for _ in range(r)]
+            grids = [FactorGrid(int(rng.integers(1, 3))) for _ in range(r)]
             cdf = exact_cdf(pf, grids)
             for x in thresholds(pf, grids):
                 a_circ = build_a_circuit(pf, grids, x, encoding="exact", mode="weighted_sum")
@@ -525,7 +525,7 @@ class TestModelCdf:
         pf = Portfolio([Asset(100.0, 0.1, 0.2, (0.3,))] * 20)
         with pytest.raises(ValueError, match="33554432 states, over the budget of 10000000; "
                                              "reduce risk_factors.qubits_per_factor or assets"):
-            model_distribution(pf, [discretize_normal(5)])
+            model_distribution(pf, [FactorGrid(5)])
 
     def test_iqae_probes_take_consecutive_seeds(self):
         pf, grids = table_inputs()
@@ -542,7 +542,7 @@ class TestModelCdf:
 class TestVarBisection:
     def test_single_atom_at_zero(self):
         pf = Portfolio([Asset(0.0, 0.2, 0.1, (1.0,))])
-        grids = [discretize_normal(2)]
+        grids = [FactorGrid(2)]
         for alpha in (0.05, 0.5, 0.99):
             res = bisect(pf, grids, alpha, "classical")
             assert res.var == 0.0

@@ -14,7 +14,7 @@ from scipy import stats
 
 import qvar.gaussian
 from qvar.circuit import Circuit, Gate, apply, marginal_probability, zero_state
-from qvar.gaussian import discretize_normal
+from qvar.gaussian import FactorGrid
 from qvar.resources import estimate_resources
 from qvar.risk import exact_loss_distribution
 from qvar.uncertainty import (Asset, Portfolio, _secants, build_model, default_angle,
@@ -90,7 +90,7 @@ class TestLoader:
             assert np.abs(np.abs(state.amplitudes) ** 2 - probs).max() < 1e-12
 
     def test_grid_marginals(self):
-        grid = discretize_normal(3, 2.5)
+        grid = FactorGrid(3, 2.5)
         state = loaded_state(grid.probs)
         assert np.abs(np.abs(state.amplitudes) ** 2 - grid.probs).max() < 1e-10
 
@@ -98,14 +98,14 @@ class TestLoader:
 class TestMultiRotationExact:
     def test_table_joint_matches_oracle(self):
         pf = Portfolio(ASSETS)
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         model = build_model(pf, grids, "multi_rotation", "exact")
         assert model.circuit.n_qubits == 6          # 4 factor qubits + 2 assets
         assert np.abs(model_joint(model) - oracle_joint(pf, grids)).max() < 1e-9
 
     def test_grid_register_marginals_equal_grid_probs(self):
         pf = Portfolio(ASSETS)
-        grids = [discretize_normal(2), discretize_normal(2, 2.0)]
+        grids = [FactorGrid(2), FactorGrid(2, 2.0)]
         model = build_model(pf, grids, "multi_rotation", "exact")
         state = apply(model.circuit, zero_state(model.circuit.n_qubits))
         for grid, reg in zip(grids, model.factor_qubits):
@@ -115,20 +115,20 @@ class TestMultiRotationExact:
     def test_zero_rho_single_asset(self):
         pf = Portfolio([Asset(10.0, 0.3, 0.0, (1.0,))])
         for encoding in ("exact", "linear"):
-            model = build_model(pf, [discretize_normal(2)], "single_factor", encoding)
+            model = build_model(pf, [FactorGrid(2)], "single_factor", encoding)
             state = apply(model.circuit, zero_state(model.circuit.n_qubits))
             assert marginal_probability(state, model.asset_qubits[0], 1) == pytest.approx(0.3, abs=1e-12)
 
     def test_single_factor_table_asset(self):
         # first example asset as a single-factor problem with unit weight
         pf = Portfolio([Asset(1000.5, 0.15, 0.10, (1.0,))])
-        grid = discretize_normal(2)
+        grid = FactorGrid(2)
         model = build_model(pf, [grid], "single_factor", "exact")
         assert np.abs(model_joint(model) - oracle_joint(pf, [grid])).max() < 1e-9
 
     def test_single_factor_requires_one_factor(self):
         # One rule for the builder and the resource count, with grids to match.
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         with pytest.raises(ValueError, match="single_factor variant requires"):
             build_model(Portfolio(ASSETS), grids, "single_factor")
         with pytest.raises(ValueError, match="single_factor variant requires"):
@@ -137,7 +137,7 @@ class TestMultiRotationExact:
     def test_all_zero_weights_marginal(self):
         shared = (0.0, 0.0)
         pf = Portfolio([Asset(1.0, 0.15, 0.10, shared), Asset(2.0, 0.25, 0.05, shared)])
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         model = build_model(pf, grids, "multi_rotation", "exact")
         state = apply(model.circuit, zero_state(model.circuit.n_qubits))
         for asset, q in zip(pf.assets, model.asset_qubits):
@@ -147,7 +147,7 @@ class TestMultiRotationExact:
     def test_width_grows_by_nz_per_factor(self):
         for r in (1, 2, 3):
             assets = [Asset(1.0, 0.2, 0.1, tuple([0.3] * r))]
-            grids = [discretize_normal(2) for _ in range(r)]
+            grids = [FactorGrid(2) for _ in range(r)]
             model = build_model(Portfolio(assets), grids, "multi_rotation", "linear")
             assert model.circuit.n_qubits == 2 * r + 1
 
@@ -156,7 +156,7 @@ class TestMultiRotationExact:
         for _ in range(8):
             r = int(rng.integers(1, 3))
             k = int(rng.integers(1, 4))
-            grids = [discretize_normal(int(rng.integers(1, 3)), float(rng.uniform(1.5, 4.0)))
+            grids = [FactorGrid(int(rng.integers(1, 3)), float(rng.uniform(1.5, 4.0)))
                      for _ in range(r)]
             assets = [Asset(float(rng.uniform(0, 50)), float(rng.uniform(0.05, 0.6)),
                             float(rng.uniform(0.0, 0.5)),
@@ -169,12 +169,12 @@ class TestMultiRotationExact:
 
     def test_grid_count_mismatch(self):
         with pytest.raises(ValueError):
-            build_model(Portfolio(ASSETS), [discretize_normal(2)], "multi_rotation", "exact")
+            build_model(Portfolio(ASSETS), [FactorGrid(2)], "multi_rotation", "exact")
 
     def test_conditional_defaults_per_joint_state(self):
         # P(asset k = 1 | factor registers in joint state i) equals the model PD
         pf = Portfolio(ASSETS)
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         model = build_model(pf, grids, "multi_rotation", "exact")
         state = apply(model.circuit, zero_state(model.circuit.n_qubits))
         for k, asset in enumerate(pf.assets):
@@ -211,7 +211,7 @@ class TestMultiRotationExact:
                               float(rng.uniform(0.05, 0.3)),
                               tuple(float(a) for a in rng.uniform(-0.5, 0.5, len(qubits))))
                         for _ in range(4)])
-        grids = [discretize_normal(q) for q in qubits]
+        grids = [FactorGrid(q) for q in qubits]
         want = self.reference_exact_gates(pf, grids)
         ppf = qvar.gaussian.std_normal_ppf
         calls = []
@@ -250,7 +250,7 @@ class TestOneQuantilePerAsset:
         shared = tuple(float(a) for a in rng.uniform(-0.5, 0.5, len(qubits)))
         pf = Portfolio([Asset(float(rng.uniform(500, 3000)), float(rng.uniform(0.02, 0.3)),
                               float(rng.uniform(0.05, 0.3)), shared) for _ in range(5)])
-        grids = [discretize_normal(q) for q in qubits]
+        grids = [FactorGrid(q) for q in qubits]
         ppf = qvar.gaussian.std_normal_ppf
         calls = []
         monkeypatch.setattr(qvar.gaussian, "std_normal_ppf",
@@ -281,14 +281,14 @@ class TestOneTablePerModel:
                             lambda x: cdf_calls.append(x) or cdf(x))
         monkeypatch.setattr(qvar.gaussian, "std_normal_ppf",
                             lambda p: ppf_calls.append(p) or ppf(p))
-        build(pf, [discretize_normal(2), discretize_normal(3)], variant, encoding)
+        build(pf, [FactorGrid(2), FactorGrid(3)], variant, encoding)
         assert len(cdf_calls) == 1
         assert ppf_calls == [[a.p0 for a in pf.assets]]
 
 
 class TestLinearEncoding:
     def test_fit_reproduces_endpoints(self):
-        grids = [discretize_normal(2), discretize_normal(3, 2.0)]
+        grids = [FactorGrid(2), FactorGrid(3, 2.0)]
         for asset in ASSETS:
             for f, grid in enumerate(grids):
                 slope, offset = secant(asset, f, grids)
@@ -300,14 +300,14 @@ class TestLinearEncoding:
                     assert abs(slope * i + offset - true_theta) < 1e-12
 
     def test_fit_frozen_value(self):
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         slope, offset = secant(ASSETS[0], 0, grids)
         assert abs(slope - FIT_SLOPE_A0_F0) < 1e-12
         assert abs(offset - FIT_OFFSET_A0_F0) < 1e-12
 
     def test_constant_angle_for_zero_rho(self):
         asset = Asset(5.0, 0.2, 0.0, (0.4, 0.1))
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         slope, offset = secant(asset, 0, grids)
         assert slope == pytest.approx(0.0, abs=1e-14)
         assert offset == pytest.approx(2 * math.asin(math.sqrt(0.2)), abs=1e-12)
@@ -316,13 +316,13 @@ class TestLinearEncoding:
         shared_kwargs = dict(p0=0.25, rho=0.0)
         pf = Portfolio([Asset(1.0, alphas=(0.35, 0.2), **shared_kwargs),
                         Asset(2.0, alphas=(0.1, 0.25), **shared_kwargs)])
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         exact = model_joint(build_model(pf, grids, "multi_rotation", "exact"))
         linear = model_joint(build_model(pf, grids, "multi_rotation", "linear"))
         assert np.abs(exact - linear).max() < 1e-12
 
     def test_linear_converges_to_exact_as_rho_vanishes(self):
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         for rho in (1e-12, 1e-13):
             pf = Portfolio([Asset(1.0, 0.15, rho, (0.35, 0.2)),
                             Asset(2.0, 0.25, rho, (0.1, 0.25))])
@@ -333,7 +333,7 @@ class TestLinearEncoding:
     def test_single_factor_unit_weight_matches_multi(self):
         # R=1 with alpha=1: the general combination and the classic form agree
         pf = Portfolio([Asset(3.0, 0.2, 0.15, (1.0,))])
-        grid = discretize_normal(2)
+        grid = FactorGrid(2)
         a = model_joint(build_model(pf, [grid], "single_factor", "exact"))
         b = model_joint(build_model(pf, [grid], "multi_rotation", "exact"))
         assert np.abs(a - b).max() < 1e-12
@@ -341,7 +341,7 @@ class TestLinearEncoding:
     def test_rotation_block_count(self):
         # linear encoding: one affine block per (asset, factor) pair
         pf = Portfolio(ASSETS)
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         model = build_model(pf, grids, "multi_rotation", "linear")
         ry_on_assets = [g for g in model.circuit.gates
                         if g.kind == "ry" and g.target in model.asset_qubits]
@@ -357,13 +357,13 @@ class TestSingleRotation:
                           Asset(2000.5, 0.25, 0.05, self.SHARED)])
 
     def test_heterogeneous_alphas_rejected(self):
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         with pytest.raises(ValueError, match="asset 1"):
             build_model(Portfolio(ASSETS), grids, "single_rotation")
 
     def test_marginals_match_sum_grid_oracle(self):
         pf = self.portfolio()
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         model = build_model(pf, grids, "single_rotation")
         plan = index_sum_plan(grids, self.SHARED)
 
@@ -400,14 +400,14 @@ class TestSingleRotation:
 
     def test_sum_register_uncomputed(self):
         pf = self.portfolio()
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         model = build_model(pf, grids, "single_rotation")
         state = apply(model.circuit, zero_state(model.circuit.n_qubits))
         assert probabilities(state, model.ancilla_qubits)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_reduces_to_single_factor_linear_at_r1(self):
         pf = Portfolio([Asset(7.0, 0.2, 0.1, (1.0,)), Asset(3.0, 0.3, 0.2, (1.0,))])
-        grid = discretize_normal(2)
+        grid = FactorGrid(2)
         single = build_model(pf, [grid], "single_rotation")
         linear = build_model(pf, [grid], "single_factor", "linear")
         s_state = apply(single.circuit, zero_state(single.circuit.n_qubits))
@@ -422,7 +422,7 @@ class TestSingleRotation:
         def controlled_ry_count(r):
             shared = tuple([0.3] * r)
             assets = [Asset(1.0, 0.2, 0.1, shared), Asset(2.0, 0.25, 0.05, shared)]
-            grids = [discretize_normal(1) for _ in range(r)]
+            grids = [FactorGrid(1) for _ in range(r)]
             model = build_model(Portfolio(assets), grids, "single_rotation")
             counts = []
             for q in model.asset_qubits:
@@ -442,7 +442,7 @@ class TestSingleRotation:
     def test_zero_weight_factor(self):
         shared = (0.4, 0.0)
         pf = Portfolio([Asset(1.0, 0.2, 0.1, shared)])
-        grids = [discretize_normal(2), discretize_normal(2)]
+        grids = [FactorGrid(2), FactorGrid(2)]
         model = build_model(pf, grids, "single_rotation")
         plan = index_sum_plan(grids, shared)
         assert plan.n_points[1] == 1
@@ -490,7 +490,7 @@ class TestValidation:
         # model_layout owns the weights' match to the grids, for the model builders and
         # for the enumeration oracle alike.
         pf = Portfolio(ASSETS)
-        for grids in ([discretize_normal(2)], [discretize_normal(2)] * 3):
+        for grids in ([FactorGrid(2)], [FactorGrid(2)] * 3):
             message = f"portfolio has 2 factors but {len(grids)} grids were given"
             with pytest.raises(ValueError, match=message):
                 model_layout(pf, grids, "multi_rotation")
