@@ -7,13 +7,17 @@ Conventions, fixed across the package:
 * gates carry an explicit control pattern as (qubit, polarity) pairs;
   polarity 0 means the gate fires when that control qubit is |0>, which lets
   builders match arbitrary bit patterns without X sandwiches.
+* an ry may carry a register instead, listed most significant qubit first, with one
+  angle per register value: a uniformly controlled rotation (Mottonen et al.,
+  quant-ph/0407010), the pattern-controlled RYs of its nonzero angles in one gate.
 * statevectors are dense complex vectors of length 2**n_qubits; the target
   scale is desk verification (roughly 20 qubits and below).
 
 The simulator views the amplitudes as an array of shape (2,)*n, with qubit q
 on axis n-1-q so that the flat order stays little-endian.  A gate fixes each
 control axis to its polarity and its target axis to 0 and to 1 by basic
-indexing, and updates the two resulting views of the state in place.
+indexing, and updates the two resulting views of the state in place; a register
+gate's angles broadcast over its register's axes in that update.
 """
 
 from __future__ import annotations
@@ -28,25 +32,32 @@ GATE_KINDS = ("x", "z", "ry")
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate: kind in {x, z, ry}, a target, and an optional control pattern."""
+    """One gate: kind in {x, z, ry}, a target, and an optional control pattern; an ry
+    with a register holds a tuple theta, whose entry v rotates the target where the
+    register, read most significant qubit first, holds v."""
 
     kind: str
     target: int
-    theta: float | None = None
+    theta: float | tuple[float, ...] | None = None
     controls: tuple[tuple[int, int], ...] = ()
+    register: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if self.register is not None and (self.kind != "ry" or not isinstance(self.theta, tuple)
+                                          or len(self.theta) != 2 ** len(self.register)):
+            raise ValueError("a register gate is an ry with one angle per register value")
         if self.kind == "ry":
-            if self.theta is None or not math.isfinite(self.theta):
+            angles = (self.theta,) if self.register is None else self.theta
+            if self.theta is None or not all(map(math.isfinite, angles)):
                 raise ValueError("ry gate needs a finite angle")
         elif self.theta is not None:
             raise ValueError(f"{self.kind} gate takes no angle")
         if self.target < 0:
             raise ValueError("negative target index")
         seen = {self.target}
-        for ctrl, pol in self.controls:
+        for ctrl, pol in self.controls + tuple((q, 0) for q in self.register or ()):
             if ctrl < 0:
                 raise ValueError("negative control index")
             if pol not in (0, 1):
@@ -57,12 +68,13 @@ class Gate:
 
     def adjoint(self) -> "Gate":
         if self.kind == "ry":
-            return Gate("ry", self.target, -self.theta, self.controls)
+            theta = -self.theta if self.register is None else tuple(-t for t in self.theta)
+            return Gate("ry", self.target, theta, self.controls, self.register)
         return self
 
     @property
     def max_index(self) -> int:
-        return max([self.target] + [c for c, _ in self.controls])
+        return max([self.target, *(c for c, _ in self.controls), *(self.register or ())])
 
 
 @dataclass(eq=False)
@@ -103,9 +115,6 @@ class Circuit:
     def z(self, target: int, controls=()) -> "Circuit":
         return self.append(Gate("z", target, controls=tuple(controls)))
 
-    def ry(self, theta: float, target: int, controls=()) -> "Circuit":
-        return self.append(Gate("ry", target, float(theta), tuple(controls)))
-
     @property
     def n_gates(self) -> int:
         return len(self.gates)
@@ -137,13 +146,6 @@ def zero_state(n_qubits: int) -> Statevector:
     return Statevector(amps)
 
 
-def apply(circuit: Circuit, state: Statevector) -> Statevector:
-    """Run every gate in order on a copy of the state."""
-    out = Statevector(state.amplitudes.copy())
-    evolve(circuit, out)
-    return out
-
-
 def evolve(circuit: Circuit, state: Statevector) -> None:
     """The one gate kernel: run every gate in order on the state's amplitudes, in place."""
     if state.n_qubits != circuit.n_qubits:
@@ -169,9 +171,24 @@ def evolve(circuit: Circuit, state: Statevector) -> None:
             a0[...] = a1
             a1[...] = old0
         else:  # ry
-            c = math.cos(0.5 * gate.theta)
-            s = math.sin(0.5 * gate.theta)
-            a0[...], a1[...] = c * a0 - s * a1, s * a0 + c * a1
+            if gate.register is None:
+                c, s, on = math.cos(0.5 * gate.theta), math.sin(0.5 * gate.theta), True
+            else:
+                # The register's axes last, in its order, so its angles broadcast over the rest.
+                free = [n - 1 - i for i, k in enumerate(index[:n]) if isinstance(k, slice)]
+                moved = [free.index(q) for q in gate.register], range(-len(gate.register), 0)
+                a0, a1 = np.moveaxis(a0, *moved), np.moveaxis(a1, *moved)
+                shape, half = (2,) * len(gate.register), np.multiply(gate.theta, 0.5)
+                c = np.fromiter(map(math.cos, half), float, half.size).reshape(shape)
+                s = np.fromiter(map(math.sin, half), float, half.size).reshape(shape)
+                on = (half != 0.0).reshape(shape)
+            # In place, so at most three half-state temporaries live at once.
+            new0 = c * a0
+            new0 -= s * a1
+            new1 = s * a0
+            new1 += c * a1
+            np.copyto(a0, new0, where=on)
+            np.copyto(a1, new1, where=on)
 
 
 def marginal_probability(state: Statevector, qubit: int, outcome: int) -> float:

@@ -32,7 +32,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .circuit import Circuit, apply, evolve, marginal_probability, zero_state
+from .circuit import Circuit, evolve, marginal_probability, zero_state
 from .estimation import IqaeConfig
 from .gaussian import FactorGrid
 from .objective import MODES, comparator, objective_qubit
@@ -286,7 +286,7 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     settings = iqae_config(analysis)
     variant, mode, encoding = analysis["variant"], analysis["mode"], analysis["encoding"]
     portfolio, grids = config_to_inputs(cfg)
-    check_budget(portfolio, grids, iqae=True, circuit=(variant, mode, encoding))
+    check_budget(portfolio, grids, iqae=True, circuit=(variant, mode))
     pd, pz = joint_grid(portfolio, grids)
     dist = mixture_distribution(portfolio, pd, pz)
     model = build_model(portfolio, grids, variant, encoding)
@@ -295,7 +295,8 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     # Model gates then comparator gates on one array, as the test oracle exact_amplitude
     # (tests/oracles.py) runs a threshold's A circuit; every comparator gate is an X, an
     # exact swap, so the running state's readout is that oracle's, bit for bit.
-    state = apply(Circuit(width).extend(model.circuit.gates), zero_state(width))
+    state = zero_state(width)
+    evolve(Circuit(width, model.circuit.gates), state)
     mc = monte_carlo_distribution(portfolio, grids, pd, analysis["mc_paths"], analysis["seed"])
     readout = {}        # each threshold's A-circuit readout, handed on to IQAE to sample
     sampled = cdf_estimator(readout.pop, settings)

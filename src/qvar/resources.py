@@ -6,8 +6,7 @@ ancilla per asset (hence the 2K term); width_built is what the circuits in
 this package actually allocate, which is never larger because the
 enumeration-based comparator needs no ancillas.  Both come from model_layout
 and objective_qubit, which check the variant and the mode, and no rule is
-repeated here; gate counts live beside their builders (model_gates,
-comparator_gates).
+repeated here; gate counts live beside their builders (comparator_gates).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .estimation import IqaeConfig, iqae
 from .gaussian import conditional_pd_table
 from .objective import comparator_gates
 from .resources import estimate_resources
-from .uncertainty import Portfolio, joint_cells, model_gates, model_layout, model_table
+from .uncertainty import Portfolio, joint_cells, model_layout, model_table
 
 _BLOCK_ELEMENTS = 1 << 17    # floats in one enumeration block's weights
 _GUIDE_BUCKETS = 1 << 12     # a power of two, so u * _GUIDE_BUCKETS is exact
@@ -31,7 +31,8 @@ MAX_STATE_BYTES = 1 << 30    # what one run keeps at once: grids, scipy, state, 
 _BYTES_PER_GRID_POINT = 16   # a grid's values and probs
 _BYTES_DISCRETIZING = 32     # per point, the temporaries of a grid's first probs: 25 B traced
 _IQAE_BYTES = 24 << 20       # scipy.special, which IQAE's first interval imports: 15-22 MB
-_BYTES_PER_AMPLITUDE = 64    # the state, apply's copy and its temporaries: 57 B traced
+_BYTES_PER_AMPLITUDE = 64    # the state, evolved in place, and one gate's temporaries: 40 B traced
+_BYTES_PER_ANGLE = 64        # traced, a register RY holds 36 B per angle, and 25 B more as it runs
 _BYTES_PER_GATE = 256        # traced, a built Gate is about 240 B, controls aside
 _BYTES_PER_CONTROL = 64      # a fresh (qubit, polarity) pair and its slot
 
@@ -223,27 +224,29 @@ def expected_loss(dist: LossDistribution) -> float:
 
 
 def check_budget(portfolio: Portfolio, grids, iqae: bool = False,
-                 circuit: tuple[str, str, str] | None = None) -> None:
+                 circuit: tuple[str, str] | None = None) -> None:
     """The one check that a run fits, made from sizes alone before any grid's arrays exist.
     In bytes, against MAX_STATE_BYTES: the grids' arrays, all kept and one being computed;
-    scipy where `iqae` runs; with circuit = (variant, mode, encoding), compare's A circuit.
-    In states: the enumeration's cells times 2**K."""
+    scipy where `iqae` runs; with circuit = (variant, mode), compare's A circuit: its state,
+    its model's register RY angles, in every encoding the exact one's sum(2**n_z) + K * M,
+    and its comparator's gates.  In states: the enumeration's cells times 2**K."""
     points = [g.size for g in grids]
     states = math.prod(points) * 2 ** portfolio.k
     need = (_BYTES_PER_GRID_POINT * sum(points) + _BYTES_DISCRETIZING * max(points, default=0)
             + (_IQAE_BYTES if iqae else 0))
     what, held = f"the {'-, '.join(str(g.n_z) for g in grids)}-qubit factor grids", ""
     if circuit:
-        variant, mode, encoding = circuit
+        variant, mode = circuit
         width = estimate_resources(portfolio, grids, variant, mode).width_built
-        gates, controls = map(sum, zip(model_gates(portfolio, grids, variant, encoding),
-                                       comparator_gates(portfolio, mode)))
+        angles = sum(points) + portfolio.k * math.prod(points)
+        gates, controls = comparator_gates(portfolio, mode)
         # s_free's increment keeps a loss table, masks and an index array over the 2**K
         # patterns, and its gates; zero LGDs can put every pattern in one increment.
-        need += (_BYTES_PER_AMPLITUDE * 2 ** width + _BYTES_PER_GATE * gates
-                 + _BYTES_PER_CONTROL * controls
+        need += (_BYTES_PER_AMPLITUDE * 2 ** width + _BYTES_PER_ANGLE * angles
+                 + _BYTES_PER_GATE * gates + _BYTES_PER_CONTROL * controls
                  + (3 * 8 * 2 ** portfolio.k if mode == "s_free" else 0))
-        what, held = f"the {width}-qubit A circuit", f" of state, factor grids and {gates} gates"
+        what = f"the {width}-qubit A circuit"
+        held = f" of state, factor grids, {angles} angles and {gates} gates"
     if need > MAX_STATE_BYTES:
         over = f"{what} would need about {need} bytes{held}, over the budget of {MAX_STATE_BYTES}"
     elif states > _MAX_ENUMERATION:

@@ -13,15 +13,15 @@ registers are laid out, joint_cells the one order of the joint grid cells.  Each
 construction has one private function computing its numbers once: the factor
 loaders' probabilities and each asset's rotation, whose PDs come from one
 gaussian.conditional_pd_table call over all of the model's points.
-build_model emits the gates from them (see VARIANTS), model_gates counts those
-gates unbuilt, and model_table gives the classical mixture: RYs on an asset
-qubit add up to one angle per joint cell.
+build_model emits the gates from them (see VARIANTS), and model_table gives the
+classical mixture: RYs on an asset qubit add up to one angle per joint cell.
 
-Two encodings exist for the multi-rotation model.  The "exact" encoding spends
-one pattern-controlled rotation per joint grid point per asset, which is
-exponential in the total factor width; it exists as a desk-scale oracle.  The
-"linear" encoding approximates the rotation angle by an affine function of
-the grid indices (endpoint secant per factor) and is the scalable form.
+Two encodings exist for the multi-rotation model.  The "exact" encoding rotates
+each asset by its own angle on every joint grid point: one register RY per asset
+over all factor qubits, whose angle count is exponential in the total factor width;
+it exists as a desk-scale oracle.  The "linear" encoding approximates the rotation
+angle by an affine function of the grid indices (endpoint secant per factor) and
+is the scalable form.
 
 Register layout (little-endian throughout):
   multi-rotation:  [factor 0][factor 1]...[assets]
@@ -156,31 +156,32 @@ def _angles(obligors, z) -> np.ndarray:
 def loader_gates(probs, qubits) -> list[Gate]:
     """Gates preparing sum_i sqrt(p_i)|i> on the given register.
 
-    Recursive pattern-controlled-rotation construction: the register is split
-    bit by bit from the most significant end, each split rotating the next
-    qubit by the conditional mass ratio.  probs is a nonnegative vector of
-    2**len(qubits) entries summing to 1, zeros allowed: a FactorGrid's, whose shape refuses
-    a grid of zero density, or single_rotation's marginal, normalized as it is made.
+    Grover and Rudolph's construction (quant-ph/0208112): the register is split bit by
+    bit from the most significant end, each split rotating the next qubit by the
+    conditional mass ratio, one register RY per level over the qubits above it.  A node
+    of zero mass, or under one, has angle 0, and a level of zero angles no gate.  probs is
+    a nonnegative vector of 2**len(qubits) entries summing to 1, zeros allowed: a
+    FactorGrid's, whose shape refuses a grid of zero density, or single_rotation's
+    marginal, normalized as it is made.
     """
     probs = np.asarray(probs, dtype=float)
     qubits = list(qubits)
-    gates: list[Gate] = []
+    levels = [[0.0] * (probs.size >> (level + 1)) for level in range(len(qubits))]
 
-    def descend(level, lo, hi, controls, mass):
+    def descend(level, lo, hi, mass):
         if mass <= 0.0:
             return
         mid = (lo + hi) // 2
         mass1 = float(probs[mid:hi].sum())
-        theta = default_angle(mass1 / mass)
-        if theta != 0.0:
-            gates.append(Gate("ry", qubits[level], theta, tuple(controls)))
+        levels[level][lo >> (level + 1)] = default_angle(mass1 / mass)
         if level == 0:
             return
-        descend(level - 1, lo, mid, controls + [(qubits[level], 0)], mass - mass1)
-        descend(level - 1, mid, hi, controls + [(qubits[level], 1)], mass1)
+        descend(level - 1, lo, mid, mass - mass1)
+        descend(level - 1, mid, hi, mass1)
 
-    descend(len(qubits) - 1, 0, probs.size, [], float(probs.sum()))
-    return gates
+    descend(len(qubits) - 1, 0, probs.size, float(probs.sum()))
+    return [Gate("ry", qubits[level], tuple(angles), register=tuple(reversed(qubits[level + 1:])))
+            for level, angles in reversed(list(enumerate(levels))) if any(angles)]
 
 
 def _secants(obligors, grids: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -272,7 +273,12 @@ def _single_rotation(portfolio: Portfolio, grids: list, plan: IndexSumPlan):
             probs[0] = 1.0
         else:
             density = std_normal_pdf((base + plan.delta * np.arange(n_r)) / abs(alpha))
-            probs[:n_r] = density / density.sum()
+            total = density.sum()
+            if not total > 0.0:
+                raise ValueError(f"factor {len(loads)}'s single-rotation marginal has density 0 "
+                                 f"at all {n_r} points; reduce risk_factors.bound_sigmas or "
+                                 f"raise risk_factors.qubits_per_factor")
+            probs[:n_r] = density / total
         loads.append(probs)
     ends = (plan.delta * np.array([0, s_max]) + sum(bases))[:, None]
     lows, highs = _angles([(q, rho, (1.0,)) for q, rho, _ in portfolio.obligors], ends)
@@ -323,18 +329,12 @@ def _numbers(portfolio: Portfolio, grids: list, variant: str, encoding: str):
     return model, plan, *_multi_rotation(portfolio, grids, encoding)
 
 
-def _adder_bits(model: ModelCircuit, plan: IndexSumPlan | None) -> list[tuple[int, int]]:
-    """single_rotation's index adder inputs as (qubit, j): bit j of a factor register adds
-    2**j to the sum, for the bits its n_points admit; none without a plan."""
-    return [(q, j) for reg, n_r in zip(model.factor_qubits, plan.n_points if plan else ())
-            for j, q in enumerate(reg) if 1 << j <= n_r - 1]
-
-
 def build_model(portfolio: Portfolio, grids, variant: str = "multi_rotation",
                 encoding: str = "exact") -> ModelCircuit:
     """Build the uncertainty model of one variant (see VARIANTS) on its model_layout from
-    its numbers: the factor loaders, single_rotation's index adder into the sum register,
-    each asset's rotations, then the adder's inverse, so the sum register returns to |0>.
+    its numbers: the factor loaders, one register RY per level, single_rotation's index
+    adder into the sum register, each asset's rotations (in the exact encoding one register
+    RY over all factor qubits), then the adder's inverse, so the sum register returns to |0>.
 
     single_factor is multi_rotation on a portfolio of one factor.  The single-rotation
     variant has no encoding choice.
@@ -344,45 +344,23 @@ def build_model(portfolio: Portfolio, grids, variant: str = "multi_rotation",
     circ = model.circuit
     for probs, reg in zip(loads, model.factor_qubits):
         circ.extend(loader_gates(probs, reg))
-    bits = _adder_bits(model, plan)
+    # single_rotation's index adder: bit j of a factor register adds 2**j to the sum, for
+    # the bits its n_points admit; none without a plan.
+    bits = [(q, j) for reg, n_r in zip(model.factor_qubits, plan.n_points if plan else ())
+            for j, q in enumerate(reg) if 1 << j <= n_r - 1]
     adder = arith.weighted_sum_gates([q for q, _ in bits], [1 << j for _, j in bits],
                                      model.ancilla_qubits)
     circ.extend(adder)
     if isinstance(rotations, np.ndarray):
-        cells = [[(q, (i >> j) & 1) for i, reg in zip(cell, model.factor_qubits)
-                  for j, q in enumerate(reg)] for cell in joint_cells(grids).T.tolist()]
-        for target, angles in zip(model.asset_qubits, rotations.T):
-            for angle, controls in zip(angles, cells):
-                circ.ry(angle, target, controls)
+        register = tuple(q for reg in model.factor_qubits for q in reversed(reg))  # product order
+        for target, angles in zip(model.asset_qubits, rotations.T.tolist()):
+            circ.append(Gate("ry", target, tuple(angles), register=register))
     else:
         registers = [model.ancilla_qubits] if plan else model.factor_qubits
         for offset, slopes, target in zip(*(r.tolist() for r in rotations), model.asset_qubits):
             circ.extend(_linear_rotation_gates(offset, zip(slopes, registers), target))
     circ.extend(g.adjoint() for g in reversed(adder))
     return model
-
-
-def model_gates(portfolio: Portfolio, grids, variant: str, encoding: str) -> tuple[int, int]:
-    """build_model's (gates, control entries), unbuilt: upper bounds, as builders skip
-    zero angles.  Factor loaders take sum(2**q - 1) gates; then exact encoding adds
-    K*M rotations with sum(q) controls each, linear encoding K*(1 + sum(q)) rotations,
-    and single_rotation an index adder, K*(1 + n_sum) rotations and the adder's inverse."""
-    model, plan = model_layout(portfolio, grids, variant, encoding)
-    qs = [len(reg) for reg in model.factor_qubits]
-    k, total = portfolio.k, sum(qs)
-    gates = sum(2 ** q - 1 for q in qs)
-    controls = sum((q - 2) * 2 ** q + 2 for q in qs)    # 2**d loader gates with d controls
-    if plan:
-        adder = arith.weighted_sum_size([1 << j for _, j in _adder_bits(model, plan)], plan.n_sum)
-        gates += adder[0] + k * (1 + plan.n_sum)
-        controls += adder[1] + k * plan.n_sum
-    elif encoding == "exact":
-        gates += k * 2 ** total
-        controls += k * 2 ** total * total
-    else:
-        gates += k * (1 + total)
-        controls += k * total
-    return gates, controls
 
 
 def model_table(portfolio: Portfolio, grids, variant: str = "multi_rotation",

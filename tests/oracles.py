@@ -8,8 +8,10 @@ through the same gates, so exact_amplitude is its readout's oracle.
 
 The reference rules: quantile, the textbook smallest loss whose cdf reaches a
 level; total_variation_distance between two loss distributions; conditional_pd,
-one obligor's column of gaussian.conditional_pd_table.  probabilities and dump
-give a state's measurement distribution and a circuit's text form.
+one obligor's column of gaussian.conditional_pd_table.  apply runs a circuit on a
+copy of a state; expand spells each register RY out as the pattern-controlled RYs it
+stands for; probabilities and dump give a state's measurement distribution and a
+circuit's text form.
 
 tests/ has no __init__.py, so pytest puts it on sys.path and `from oracles
 import ...` works from every test module.
@@ -17,19 +19,45 @@ import ...` works from every test module.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from qvar.circuit import Circuit, Statevector, apply, marginal_probability, zero_state
+from qvar.circuit import Circuit, Gate, Statevector, evolve, marginal_probability, zero_state
 from qvar.gaussian import conditional_pd_table, std_normal_ppf
 from qvar.objective import comparator
 from qvar.risk import LossDistribution
 from qvar.uncertainty import Portfolio, build_model
 
 
+def apply(circuit: Circuit, state: Statevector) -> Statevector:
+    """Run every gate in order on a copy of the state."""
+    out = Statevector(state.amplitudes.copy())
+    evolve(circuit, out)
+    return out
+
+
+def expand(gates) -> list[Gate]:
+    """The gates with each register RY spelled out as one pattern-controlled RY per nonzero
+    angle: values in the register's product order (itertools.product over its qubits, the
+    first most significant, as joint cells run), each gate's controls in ascending qubit
+    order.  Other gates are kept as they are."""
+    out = []
+    for gate in gates:
+        if gate.register is None:
+            out.append(gate)
+            continue
+        for bits, theta in zip(itertools.product((0, 1), repeat=len(gate.register)), gate.theta):
+            if theta != 0.0:
+                controls = tuple(sorted(gate.controls + tuple(zip(gate.register, bits))))
+                out.append(Gate("ry", gate.target, theta, controls))
+    return out
+
+
 def dump(circuit: Circuit) -> str:
-    """Debug text form, one gate per line, stable for golden tests."""
+    """Debug text form of the expanded gates, one per line, stable for golden tests."""
     lines = []
-    for gate in circuit.gates:
+    for gate in expand(circuit.gates):
         head = f"ry({gate.theta:+.15e})" if gate.kind == "ry" else gate.kind
         ctrl = " ".join(f"q{c}={p}" for c, p in gate.controls)
         lines.append(f"{head} q{gate.target}" + (f" | {ctrl}" if ctrl else ""))

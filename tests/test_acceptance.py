@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from qvar.circuit import Circuit, apply, marginal_probability, zero_state
+from qvar.circuit import Circuit, Gate, marginal_probability, zero_state
 from qvar.cli import main
 from qvar.estimation import IqaeConfig, iqae
 from qvar.gaussian import FactorGrid
@@ -22,7 +22,7 @@ from qvar.risk import (cdf_estimator, exact_loss_distribution, joint_grid, model
                        monte_carlo_distribution, var_bisection)
 from qvar.uncertainty import Asset, Portfolio, _secants
 
-from oracles import (build_a_circuit, conditional_pd, exact_amplitude, grover_operator,
+from oracles import (apply, build_a_circuit, conditional_pd, exact_amplitude, grover_operator,
                      total_variation_distance)
 
 ALPHA = 0.95
@@ -149,10 +149,11 @@ def test_criterion_7_grover_identity():
         circ = Circuit(n)
         for _ in range(8):
             t = int(rng.integers(n))
-            circ.ry(float(rng.uniform(0.2, 2.9)), t)
+            circ.append(Gate("ry", t, float(rng.uniform(0.2, 2.9))))
             if n > 1:
                 other = int(rng.choice([q for q in range(n) if q != t]))
-                circ.ry(float(rng.uniform(-2, 2)), t, ((other, int(rng.integers(2))),))
+                circ.append(Gate("ry", t, float(rng.uniform(-2, 2)),
+                                 ((other, int(rng.integers(2))),)))
         a = exact_amplitude(circ)           # the objective is qubit n - 1, the top one
         theta = math.asin(math.sqrt(a))
         q = grover_operator(circ)

@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from qvar.circuit import Circuit, Gate, Statevector, apply, marginal_probability, zero_state
+from qvar.circuit import Circuit, Gate, Statevector, marginal_probability, zero_state
 
-from oracles import dump, grover_operator, inverse, probabilities
+from oracles import apply, dump, expand, grover_operator, inverse, probabilities
 
 
 def reference_apply(circuit, state):
     """Mask-based simulator kept as the oracle for the axis-sliced kernel.
 
     Selects amplitudes with boolean masks over the flat basis index, so it
-    shares no indexing logic with `apply`; its arithmetic is the same, so the
+    shares no indexing logic with `evolve`; its arithmetic is the same, so the
     two must agree bit for bit.
     """
     amps = state.amplitudes.copy()
@@ -55,7 +55,7 @@ def random_circuit(rng, n, n_gates=12):
         picked = rng.choice(others, n_ctrl, replace=False) if n_ctrl else []
         ctrls = tuple((int(q), int(rng.integers(2))) for q in picked)
         if kind == "ry":
-            circ.ry(float(rng.uniform(-3, 3)), t, ctrls)
+            circ.append(Gate("ry", t, float(rng.uniform(-3, 3)), ctrls))
         elif kind == "x":
             circ.x(t, ctrls)
         else:
@@ -77,16 +77,16 @@ class TestGates:
 
     def test_ry_loads_probability(self):
         theta = 2 * math.asin(math.sqrt(0.3))
-        state = apply(Circuit(1).ry(theta, 0), zero_state(1))
+        state = apply(Circuit(1, [Gate("ry", 0, theta)]), zero_state(1))
         assert marginal_probability(state, 0, 1) == pytest.approx(0.3, abs=1e-12)
 
     def test_control_on_zero_fires_from_ground_state(self):
         theta = 2 * math.asin(math.sqrt(0.7))
-        circ = Circuit(2).ry(theta, 1, [(0, 0)])
+        circ = Circuit(2, [Gate("ry", 1, theta, ((0, 0),))])
         state = apply(circ, zero_state(2))
         assert marginal_probability(state, 1, 1) == pytest.approx(0.7, abs=1e-12)
         # same rotation with control-on-one does nothing to |00>
-        circ1 = Circuit(2).ry(theta, 1, [(0, 1)])
+        circ1 = Circuit(2, [Gate("ry", 1, theta, ((0, 1),))])
         state1 = apply(circ1, zero_state(2))
         assert marginal_probability(state1, 1, 1) == 0.0
 
@@ -123,6 +123,13 @@ class TestGates:
             Gate("x", 0, controls=((1, 2),))
         with pytest.raises(ValueError):
             Circuit(1).x(1)
+        for kind, theta, register in (("ry", (0.1, 0.2), (1, 2)), ("ry", 0.1, (1,)),
+                                      ("ry", (0.1, math.inf), (1,)), ("x", (0.1, 0.2), (1,)),
+                                      ("ry", (0.1, 0.2), (0,)), ("ry", (0.1, 0.2), (-1,))):
+            with pytest.raises(ValueError):
+                Gate(kind, 0, theta, register=register)
+        with pytest.raises(ValueError):
+            Circuit(2).append(Gate("ry", 0, (0.1, 0.2), register=(2,)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -147,7 +154,7 @@ class TestKernelOracle:
     def test_single_qubit_gates(self):
         # zero_state also checks the sign of zeros: z must negate, not scale
         rng = np.random.default_rng(5)
-        for circ in (Circuit(1).z(0), Circuit(1).x(0), Circuit(1).ry(0.7, 0),
+        for circ in (Circuit(1).z(0), Circuit(1).x(0), Circuit(1, [Gate("ry", 0, 0.7)]),
                      Circuit(1).x(0).z(0)):
             self.assert_same(circ, random_state(rng, 1))
             self.assert_same(circ, zero_state(1))
@@ -160,14 +167,15 @@ class TestKernelOracle:
                 for pattern in range(2 ** (n - 1)):
                     others = [q for q in range(n) if q != t]
                     ctrls = [(q, (pattern >> j) & 1) for j, q in enumerate(others)]
-                    circ = Circuit(n).z(t, ctrls).x(t, ctrls).ry(-1.3, t, ctrls)
+                    circ = Circuit(n).z(t, ctrls).x(t, ctrls)
+                    circ.append(Gate("ry", t, -1.3, tuple(ctrls)))
                     self.assert_same(circ, random_state(rng, n))
 
     def test_polarity_zero_controls(self):
         rng = np.random.default_rng(9)
         circ = Circuit(4)
-        circ.ry(0.4, 0, [(1, 0)]).x(2, [(0, 0), (3, 0)]).z(3, [(1, 0), (2, 1)])
-        circ.ry(2.1, 1, [(0, 0), (2, 0), (3, 0)])
+        circ.append(Gate("ry", 0, 0.4, ((1, 0),))).x(2, [(0, 0), (3, 0)]).z(3, [(1, 0), (2, 1)])
+        circ.append(Gate("ry", 1, 2.1, ((0, 0), (2, 0), (3, 0))))
         self.assert_same(circ, random_state(rng, 4))
 
     def test_grover_operator(self):
@@ -177,6 +185,33 @@ class TestKernelOracle:
             a = random_circuit(rng, n, n_gates=25)
             q = grover_operator(a)
             self.assert_same(q, random_state(rng, n))
+
+    def test_register_gate_is_its_expansion(self):
+        # Bit for bit, signed zeros included, against its pattern-controlled RYs applied
+        # one by one: a zero angle, +0 or -0, touches no amplitude, as the RY it stands
+        # for is never emitted.  The adjoint's negated angles hold the same.
+        rng = np.random.default_rng(14)
+        for _ in range(80):
+            n = int(rng.integers(1, 8))
+            qubits = [int(q) for q in rng.permutation(n)]
+            m = int(rng.integers(0, n))
+            register = tuple(qubits[1:1 + m])
+            controls = tuple((q, int(rng.integers(2)))
+                             for q in qubits[1 + m:1 + m + int(rng.integers(0, n - m))])
+            theta = rng.uniform(-3, 3, 2 ** m) * (rng.random(2 ** m) < 0.7)
+            theta[rng.random(2 ** m) < 0.2] = -0.0
+            gate = Gate("ry", qubits[0], tuple(theta.tolist()), controls, register)
+            amps = random_state(rng, n).amplitudes
+            for part in (amps.real, amps.imag):
+                signed = rng.random(amps.size) < 0.3
+                part[signed] = np.copysign(0.0, rng.uniform(-1, 1, signed.sum()))
+            state = Statevector(amps)
+            for g in (gate, gate.adjoint()):
+                got = apply(Circuit(n, [g]), state).amplitudes
+                one_by_one = apply(Circuit(n, expand([g])), state).amplitudes
+                masked = reference_apply(Circuit(n, expand([g])), state).amplitudes
+                assert np.array_equal(got.view(np.uint64), one_by_one.view(np.uint64))
+                assert np.array_equal(got.view(np.uint64), masked.view(np.uint64))
 
     def test_marginal_matches_flat_selection(self):
         rng = np.random.default_rng(12)
@@ -213,7 +248,7 @@ class TestInverse:
 
     def test_single_ry(self):
         theta = 1.234
-        circ = Circuit(1).ry(theta, 0)
+        circ = Circuit(1, [Gate("ry", 0, theta)])
         state = apply(inverse(circ), apply(circ, zero_state(1)))
         assert abs(state.amplitudes[0] - 1.0) < 1e-12
 
@@ -230,7 +265,7 @@ class TestNormAndMarginals:
     def test_marginal_trivial_cases(self):
         assert marginal_probability(zero_state(2), 0, 1) == 0.0
         theta = 2 * math.asin(math.sqrt(0.3))
-        state = apply(Circuit(1).ry(theta, 0), zero_state(1))
+        state = apply(Circuit(1, [Gate("ry", 0, theta)]), zero_state(1))
         p0 = marginal_probability(state, 0, 0)
         p1 = marginal_probability(state, 0, 1)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
@@ -242,7 +277,7 @@ class TestNormAndMarginals:
             marginal_probability(zero_state(2), 0, 2)
 
     def test_joint_probabilities_helper(self):
-        circ = Circuit(3).x(0).ry(2 * math.asin(math.sqrt(0.4)), 2)
+        circ = Circuit(3).x(0).append(Gate("ry", 2, 2 * math.asin(math.sqrt(0.4))))
         state = apply(circ, zero_state(3))
         joint = probabilities(state, [0, 2])
         # bit 0 of the result indexes qubit 0 (always 1), bit 1 indexes qubit 2
@@ -255,7 +290,7 @@ class TestDump:
     def test_golden_text(self):
         circ = Circuit(3)
         circ.x(0)
-        circ.ry(0.5, 2, [(0, 1), (1, 0)])
+        circ.append(Gate("ry", 2, 0.5, ((0, 1), (1, 0))))
         circ.z(1)
         assert dump(circ) == "\n".join([
             "x q0",
@@ -263,3 +298,13 @@ class TestDump:
             "z q1",
         ])
         assert circ.n_gates == 3
+
+    def test_register_gate_text(self):
+        # One line per nonzero angle, in the register's value order: register[0], here
+        # q0, is the most significant bit.
+        circ = Circuit(3).append(Gate("ry", 1, (0.5, 0.0, -0.25, 1.0), register=(0, 2)))
+        assert dump(circ) == "\n".join([
+            "ry(+5.000000000000000e-01) q1 | q0=0 q2=0",
+            "ry(-2.500000000000000e-01) q1 | q0=1 q2=0",
+            "ry(+1.000000000000000e+00) q1 | q0=1 q2=1",
+        ])

@@ -294,7 +294,7 @@ class TestAnalyze:
             raise AssertionError("analyze enumerated the classical model, built or simulated")
 
         for name, module in list(sys.modules.items()):
-            for fn in ("exact_loss_distribution", "joint_grid", "build_model", "apply", "evolve",
+            for fn in ("exact_loss_distribution", "joint_grid", "build_model", "evolve",
                        "zero_state"):
                 if name.startswith("qvar") and hasattr(module, fn):
                     monkeypatch.setattr(module, fn, refused)
@@ -508,15 +508,15 @@ class TestVariants:
         assert elapsed < 1.0 and peak < 2 ** 20
 
     @pytest.mark.parametrize("qubits, encoding, command, refused", [
-        (20, "exact", "compare", "gates, over the budget"),
-        (22, "linear", "compare", "gates, over the budget"),
+        (22, "exact", "compare", "angles and 4 gates, over the budget"),
+        (22, "linear", "compare", "angles and 4 gates, over the budget"),
         (22, "linear", "analyze", "enumeration would visit 16777216 states"),
-    ], ids=["20-exact-compare", "22-linear-compare", "22-linear-analyze"])
+    ], ids=["22-exact-compare", "22-linear-compare", "22-linear-analyze"])
     def test_gate_list_refused_before_building(self, tmp_path, capsys, monkeypatch, command,
                                                qubits, encoding, refused):
-        # 2 assets on one wide factor: a 22- or 24-qubit model whose state fits the
-        # budget but whose 3.1M or 4.2M gates, most with 20 controls, would take GBs.
-        # analyze builds no gate; the 24-qubit model's 2**24 states pass its budget.
+        # 2 assets on one 22-qubit factor: compare's 25-qubit A circuit, priced with the
+        # 12.6M angles its model's register RYs would hold, is refused before the model is
+        # built.  analyze builds no gate; it refuses the enumeration's 2**24 states.
         def build(*args, **kwargs):
             raise AssertionError("the model was built past the budget")
 
@@ -811,6 +811,24 @@ class TestUnderflowingGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main([argv[0], "--config", write_config(tmp_path, payload), *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "risk_factors.bound_sigmas" in err and "risk_factors.qubits_per_factor" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--estimator", "exact"], ["analyze", "--estimator", "iqae"], ["compare"]])
+    def test_single_rotation_marginal_of_zero_density_refused(self, tmp_path, capsys, argv):
+        # Shared weights (0.7, 0.1) at 38.9 sigmas: the common step leaves factor 1 two
+        # points at +-38.9 sigmas of 0.1 * Z, whose densities underflow to 0, so its
+        # marginal would be NaN: single_rotation refuses it, in one line.
+        payload = json.loads((CONFIGS / "two_asset.json").read_text())
+        payload["risk_factors"].update(qubits_per_factor=3, bound_sigmas=38.9)
+        for asset in payload["assets"]:
+            asset["alphas"] = [0.7, 0.1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([argv[0], "--config", write_config(tmp_path, payload), *argv[1:],
+                         "--variant", "single_rotation"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert "risk_factors.bound_sigmas" in err and "risk_factors.qubits_per_factor" in err

@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from qvar.circuit import Circuit, apply, marginal_probability, zero_state
+from qvar.circuit import Circuit, Gate, marginal_probability, zero_state
 from qvar.estimation import IqaeConfig, IqaeResult, _find_next_k, clopper_pearson, iqae
 from qvar.gaussian import FactorGrid
 from qvar.risk import exact_loss_distribution
 from qvar.uncertainty import Asset, Portfolio
 
-from oracles import build_a_circuit, exact_amplitude, grover_operator
+from oracles import apply, build_a_circuit, exact_amplitude, grover_operator
 
 
 def bernoulli_circuit(a):
     """Single-qubit operator with P(objective = 1) = a."""
     circ = Circuit(1)
-    circ.ry(2 * math.asin(math.sqrt(a)), 0)
+    circ.append(Gate("ry", 0, 2 * math.asin(math.sqrt(a))))
     return circ
 
 
@@ -93,10 +93,10 @@ def random_objective(rng, n):
     circ = Circuit(n)
     for _ in range(8):
         t = int(rng.integers(n))
-        circ.ry(float(rng.uniform(0.2, 2.9)), t)
+        circ.append(Gate("ry", t, float(rng.uniform(0.2, 2.9))))
         if n > 1:
             other = int(rng.choice([q for q in range(n) if q != t]))
-            circ.ry(float(rng.uniform(-2, 2)), t, ((other, int(rng.integers(2))),))
+            circ.append(Gate("ry", t, float(rng.uniform(-2, 2)), ((other, int(rng.integers(2))),)))
     return circ
 
 
@@ -111,7 +111,7 @@ class TestExactAmplitude:
         a_circ = bernoulli_circuit(0.42)
         base = exact_amplitude(a_circ)
         padded = Circuit(1, list(a_circ.gates))
-        padded.ry(0.0, 0)
+        padded.append(Gate("ry", 0, 0.0))
         padded.x(0)
         padded.x(0)
         assert abs(exact_amplitude(padded) - base) < 1e-12

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qvar.circuit import Circuit, Statevector, apply
+from qvar.circuit import Circuit, Statevector
 from qvar.gaussian import FactorGrid
 from qvar.objective import MODES, comparator, objective_qubit, weighted_sum_register
 from qvar.uncertainty import VARIANTS, Asset, Portfolio, build_model
 
-from oracles import build_a_circuit, dump, exact_amplitude
+from oracles import apply, build_a_circuit, dump, exact_amplitude, expand
 
 ASSETS = [
     Asset(1000.5, 0.15, 0.10, (0.35, 0.20)),
@@ -297,6 +297,6 @@ class TestACircuitPin:
                 # The objective is the top qubit.
                 digest.update(f"{a.n_qubits} {a.n_qubits - 1} {mode} {x!r}\n{dump(a)}\n".encode())
                 # dump prints 16 digits; the hex angles pin every bit.
-                digest.update(" ".join(g.theta.hex() for g in a.gates
+                digest.update(" ".join(g.theta.hex() for g in expand(a.gates)
                                        if g.kind == "ry").encode())
         assert digest.hexdigest() == self.DIGESTS[mode]

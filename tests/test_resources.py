@@ -1,5 +1,7 @@
 """Resource-accounting tests against the published width figures."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from qvar.gaussian import FactorGrid
 from qvar.objective import MODES, comparator, comparator_gates
 from qvar.resources import estimate_resources
 from qvar.risk import exact_loss_distribution
-from qvar.uncertainty import (ENCODINGS, VARIANTS, Asset, Portfolio, build_model, model_gates,
-                              model_table)
+from qvar.uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio, build_model, model_table
 
 from oracles import build_a_circuit
 
@@ -118,9 +119,9 @@ class TestGateAccounting:
         ("multi_rotation", "linear", 2), ("single_factor", "linear", 1),
         ("single_rotation", "linear", 1), ("single_rotation", "linear", 2),
     ])
-    def test_model_gates_bound_the_built_model(self, variant, encoding, r):
-        # Equal where no angle is zero; single_rotation's scaled loaders skip the
-        # branches of their zero tails, so there it is an upper bound.
+    def test_budget_angles_bound_the_built_model(self, variant, encoding, r):
+        # check_budget prices sum(2**n_z) loader angles and K * M exact-encoding angles in
+        # every encoding: equal in the exact encoding where no loader level is all zero.
         rng = np.random.default_rng(r)
         for _ in range(4):
             shared = tuple(rng.uniform(0.1, 0.5, r))
@@ -130,12 +131,11 @@ class TestGateAccounting:
                             for _ in range(int(rng.integers(1, 5)))])
             g = [FactorGrid(int(n)) for n in rng.integers(1, 5, r)]
             gates = build_model(pf, g, variant, encoding).circuit.gates
-            built = (len(gates), sum(len(gate.controls) for gate in gates))
-            counted = model_gates(pf, g, variant, encoding)
-            if variant == "single_rotation" and r > 1:
-                assert counted[0] >= built[0] and counted[1] >= built[1]
-            else:
-                assert counted == built
+            built = sum(len(gate.theta) for gate in gates if gate.register is not None)
+            cells = math.prod(grid.size for grid in g)
+            assert built <= sum(grid.size for grid in g) + pf.k * cells
+            if encoding == "exact":
+                assert built == sum(grid.size - 1 for grid in g) + pf.k * cells
 
     @pytest.mark.parametrize("mode", MODES)
     def test_comparator_gates_bound_the_built_comparator(self, mode):
@@ -203,8 +203,7 @@ class TestRuleParity:
                         Asset(2000.5, 0.25, 0.05, weights if shared else tuple([0.2] * r))])
         g = grids(n_grids)
         calls = [lambda: build_model(pf, g, variant, encoding),
-                 lambda: model_table(pf, g, variant, encoding),
-                 lambda: model_gates(pf, g, variant, encoding)]
+                 lambda: model_table(pf, g, variant, encoding)]
         # The variant's rule comes before weighted_sum's refusal of these real LGDs.
         calls += [lambda mode=mode: estimate_resources(pf, g, variant, mode) for mode in MODES]
         if n_grids != r:
@@ -222,7 +221,7 @@ class TestRuleParity:
         pf = Portfolio([Asset(1000.5, 0.15, 0.1, (0.3,) * r), Asset(2000.5, 0.25, 0.05, (0.3,) * r)])
         g = grids(r)
         messages = set()
-        for call in (build_model, model_table, model_gates):
+        for call in (build_model, model_table):
             with pytest.raises(ValueError) as refused:
                 call(pf, g, variant, "bogus")
             messages.add(str(refused.value))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qvar.risk as risk
-from qvar.circuit import Circuit, apply, zero_state
+from qvar.circuit import Circuit, zero_state
 from qvar.estimation import IqaeConfig, iqae
 from qvar.gaussian import FactorGrid
 from qvar.objective import objective_qubit
@@ -16,7 +16,7 @@ from qvar.risk import (LossDistribution, cdf_estimator, exact_loss_distribution,
                        joint_grid, model_distribution, monte_carlo_distribution, var_bisection)
 from qvar.uncertainty import Asset, Portfolio, build_model
 
-from oracles import (build_a_circuit, conditional_pd, exact_amplitude, quantile,
+from oracles import (apply, build_a_circuit, conditional_pd, exact_amplitude, quantile,
                      total_variation_distance)
 
 # frozen from the independent mpmath enumeration of the two-asset example

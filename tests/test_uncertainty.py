@@ -13,14 +13,14 @@ import pytest
 from scipy import stats
 
 import qvar.gaussian
-from qvar.circuit import Circuit, Gate, apply, marginal_probability, zero_state
+from qvar.circuit import Circuit, Gate, marginal_probability, zero_state
 from qvar.gaussian import FactorGrid
 from qvar.resources import estimate_resources
 from qvar.risk import exact_loss_distribution
 from qvar.uncertainty import (Asset, Portfolio, _secants, build_model, default_angle,
                               index_sum_plan, loader_gates, model_layout, model_table)
 
-from oracles import conditional_pd, probabilities
+from oracles import apply, conditional_pd, expand, probabilities
 
 # the running two-asset, two-factor example
 ASSETS = [
@@ -58,6 +58,30 @@ def oracle_joint(portfolio, grids):
     return out
 
 
+def reference_loader_gates(probs, qubits):
+    """The factor loader spelled out node by node: one pattern-controlled RY per node with
+    a nonzero angle, found depth first, controls in ascending qubit order."""
+    qubits = list(qubits)
+    gates = []
+
+    def descend(level, lo, hi, controls, mass):
+        if mass <= 0.0:
+            return
+        mid = (lo + hi) // 2
+        mass1 = float(probs[mid:hi].sum())
+        theta = default_angle(mass1 / mass)
+        if theta != 0.0:
+            gates.append(Gate("ry", qubits[level], theta, tuple(sorted(controls))))
+        if level == 0:
+            return
+        descend(level - 1, lo, mid, controls + [(qubits[level], 0)], mass - mass1)
+        descend(level - 1, mid, hi, controls + [(qubits[level], 1)], mass1)
+
+    descend(len(qubits) - 1, 0, probs.size, [], float(probs.sum()))
+    # Level by level, top first: within a level depth first visits the nodes in value order.
+    return sorted(gates, key=lambda g: -g.target)
+
+
 def loaded_state(probs):
     """The state loader_gates prepare on a register of their own, from |0...0>."""
     n = len(probs).bit_length() - 1
@@ -93,6 +117,21 @@ class TestLoader:
         grid = FactorGrid(3, 2.5)
         state = loaded_state(grid.probs)
         assert np.abs(np.abs(state.amplitudes) ** 2 - grid.probs).max() < 1e-10
+
+    def test_one_register_gate_per_level_expands_to_the_per_node_gates(self):
+        # Zero entries leave zero angles and zero-mass subtrees; a level of zero angles
+        # emits no gate.  The register is the qubits above the level's, top first.
+        rng = np.random.default_rng(3)
+        for m in (1, 2, 3, 4, 5):
+            for _ in range(6):
+                probs = rng.uniform(0, 1, 2 ** m) * (rng.random(2 ** m) < 0.6)
+                probs[int(rng.integers(2 ** m))] += 0.1
+                probs /= probs.sum()
+                qubits = range(2, 2 + m)
+                gates = loader_gates(probs, qubits)
+                assert len(gates) <= m and all(
+                    g.register == tuple(range(1 + m, g.target, -1)) for g in gates)
+                assert expand(gates) == reference_loader_gates(probs, qubits)
 
 
 class TestMultiRotationExact:
@@ -193,7 +232,7 @@ class TestMultiRotationExact:
         """The exact encoding's gates as built with one conditional_pd call per cell."""
         starts = [sum(g.n_z for g in grids[:r]) for r in range(len(grids) + 1)]
         gates = [g for grid, s in zip(grids, starts)
-                 for g in loader_gates(grid.probs, range(s, s + grid.n_z))]
+                 for g in reference_loader_gates(grid.probs, range(s, s + grid.n_z))]
         for k_idx, asset in enumerate(portfolio.assets):
             for combo in itertools.product(*(range(g.size) for g in grids)):
                 z = [g.values[i] for g, i in zip(grids, combo)]
@@ -219,8 +258,8 @@ class TestMultiRotationExact:
                             lambda p: calls.append(p) or ppf(p))
         got = build_model(pf, grids, "multi_rotation", "exact").circuit.gates
         assert calls == [[a.p0 for a in pf.assets]]
-        assert [(g.kind, g.target, g.theta, g.controls) for g in got] == [
-            (g.kind, g.target, g.theta, g.controls) for g in want]
+        assert len(got) == sum(g.n_z for g in grids) + pf.k
+        assert expand(got) == want
 
 
 class TestOneQuantilePerAsset:
@@ -228,17 +267,18 @@ class TestOneQuantilePerAsset:
     call for all assets as the exact encoding does (TestMultiRotationExact), and emit
     the gates they did with one conditional_pd call per angle."""
 
-    # SHA-256 of each model's gates, every angle in hex, as built with one
-    # conditional_pd call per angle.
+    # SHA-256 of each model's expanded gates, every angle in hex: the gates built with one
+    # conditional_pd call per angle, each loader's level by level, as TestLoader's per-node
+    # reference orders them.
     CASES = [
         ("multi_rotation", "linear", (2, 3),
-         "65298c13f61363df828361b2fb405f35d95864e10df55b65cd139d6dc6054116"),
+         "d6bc817695e81f4031634717355a59099b94186cd40b70153de9b7f2611ec724"),
         ("multi_rotation", "linear", (5,),
-         "c09869a569435558c19a4cd82230e2a95faf40cf3c8148f7e366e353b998263d"),
+         "b15743341d75e14ef4dd23ce92fbe61e7a2842b129c6de9dbd2346dc5eb2d1fb"),
         ("single_factor", "linear", (3,),
-         "bf20d8673ded5dd60da30e0468775b38be71e7e968e268a3337c107e2867bd85"),
+         "6e04fa167d31472af59cf2ec94a0464bf7b11929b84a80eca4d4891133a57e44"),
         ("single_rotation", "linear", (2, 3),
-         "c48607220c06941d213e66aa5a78e607985a10bce2645617731e942098d2d6c5"),
+         "e435d1dbc16c033e863599891168719c9bebf429153da628d6659de1a017bb6d"),
         ("single_rotation", "linear", (4, 1, 2),
          "6f38bef99368e47a8eb71ca30e01189ad2410b5d5d83ae91258538170eddc52d"),
     ]
@@ -258,7 +298,7 @@ class TestOneQuantilePerAsset:
         gates = build_model(pf, grids, variant, encoding).circuit.gates
         assert calls == [[a.p0 for a in pf.assets]]
         text = "\n".join(f"{g.kind} {g.target} {g.theta.hex() if g.theta is not None else None} "
-                         f"{g.controls}" for g in gates)
+                         f"{g.controls}" for g in expand(gates))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
