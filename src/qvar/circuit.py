@@ -112,13 +112,6 @@ class Circuit:
     def x(self, target: int, controls=()) -> "Circuit":
         return self.append(Gate("x", target, controls=tuple(controls)))
 
-    def z(self, target: int, controls=()) -> "Circuit":
-        return self.append(Gate("z", target, controls=tuple(controls)))
-
-    @property
-    def n_gates(self) -> int:
-        return len(self.gates)
-
 
 @dataclass(eq=False)
 class Statevector:

@@ -13,8 +13,9 @@ read exactly or through IQAE.  compare simulates its model once, at the A
 circuit's width, and steps that one state up the support in place: each threshold
 applies only the comparator gates for the losses above the previous one, and the
 objective's marginal is the readout, its exact column, that IQAE samples; one joint-grid
-table gives the enumeration and Monte Carlo the rest.  Every other command calls check_budget
-before any grid computes its arrays; resources reads the grids' shapes alone, unpriced.
+table gives the enumeration and Monte Carlo the rest.  Every other command runs check_budget
+before any grid computes its arrays (distribution through exact_loss_distribution);
+resources reads the grids' shapes alone, unpriced.
 
 Configs are JSON documents; every run echoes the fully resolved config so
 reports are self-describing, and all output is deterministic for a given
@@ -263,7 +264,6 @@ def cmd_analyze(cfg: dict, output: str | None) -> int:
 
 def cmd_distribution(cfg: dict, output: str | None) -> int:
     portfolio, grids = config_to_inputs(cfg)
-    check_budget(portfolio, grids)
     dist = exact_loss_distribution(portfolio, grids)
     lines = ["loss,probability,cdf"]
     cum = 0.0

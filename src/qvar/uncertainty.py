@@ -131,11 +131,9 @@ class ModelCircuit:
     ancilla_qubits: list[int] = field(default_factory=list)
 
 
-def default_angle(pd):
-    """Rotation angle that puts probability pd on |1>: 2*arcsin(sqrt(pd)), of a float or
-    elementwise of an array, each element by math.asin as the float's."""
-    if np.ndim(pd) == 0:
-        return 2.0 * math.asin(math.sqrt(min(max(pd, 0.0), 1.0)))
+def default_angle(pd: np.ndarray) -> np.ndarray:
+    """Rotation angle that puts probability pd on |1>: 2*arcsin(sqrt(pd)), elementwise of
+    an array, each element by math.asin so the angles keep libm's bits."""
     root = np.sqrt(np.clip(pd, 0.0, 1.0))
     return 2.0 * np.fromiter(map(math.asin, root.flat), float, root.size).reshape(root.shape)
 
@@ -158,30 +156,26 @@ def loader_gates(probs, qubits) -> list[Gate]:
 
     Grover and Rudolph's construction (quant-ph/0208112): the register is split bit by
     bit from the most significant end, each split rotating the next qubit by the
-    conditional mass ratio, one register RY per level over the qubits above it.  A node
-    of zero mass, or under one, has angle 0, and a level of zero angles no gate.  probs is
-    a nonnegative vector of 2**len(qubits) entries summing to 1, zeros allowed: a
-    FactorGrid's, whose shape refuses a grid of zero density, or single_rotation's
-    marginal, normalized as it is made.
+    conditional mass ratio, one register RY per level over the qubits above it.  Each
+    level is one array: its nodes' masses, their upper halves' sums, and the angles of
+    their ratios.  A node of mass <= 0 has angle 0 and children of mass <= 0, and a level
+    of zero angles no gate.  probs is a nonnegative vector of 2**len(qubits) entries
+    summing to 1, zeros allowed: a FactorGrid's, whose shape refuses a grid of zero
+    density, or single_rotation's marginal, normalized as it is made.
     """
     probs = np.asarray(probs, dtype=float)
     qubits = list(qubits)
-    levels = [[0.0] * (probs.size >> (level + 1)) for level in range(len(qubits))]
-
-    def descend(level, lo, hi, mass):
-        if mass <= 0.0:
-            return
-        mid = (lo + hi) // 2
-        mass1 = float(probs[mid:hi].sum())
-        levels[level][lo >> (level + 1)] = default_angle(mass1 / mass)
-        if level == 0:
-            return
-        descend(level - 1, lo, mid, mass - mass1)
-        descend(level - 1, mid, hi, mass1)
-
-    descend(len(qubits) - 1, 0, probs.size, float(probs.sum()))
-    return [Gate("ry", qubits[level], tuple(angles), register=tuple(reversed(qubits[level + 1:])))
-            for level, angles in reversed(list(enumerate(levels))) if any(angles)]
+    gates, mass = [], np.array([float(probs.sum())])
+    for level in reversed(range(len(qubits))):
+        live = mass > 0.0
+        upper = np.where(live, probs.reshape(mass.size, 2, -1)[:, 1].sum(axis=1), 0.0)
+        angles = default_angle(np.divide(upper, mass, out=np.zeros_like(mass), where=live))
+        if angles.any():
+            gates.append(Gate("ry", qubits[level], tuple(angles.tolist()),
+                              register=tuple(reversed(qubits[level + 1:]))))
+        # Each node's children, lower then upper, as the next level's nodes.
+        mass = np.column_stack((mass - upper, upper)).ravel()
+    return gates
 
 
 def _secants(obligors, grids: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -241,13 +235,10 @@ def index_sum_plan(grids, shared_alphas) -> IndexSumPlan:
 
     delta is the coarsest per-factor full-range step, so each factor covers
     its +-bound*|alpha| range within its own register; factors with smaller
-    weight simply use fewer of their grid points.
+    weight simply use fewer of their grid points.  model_layout, its caller, has
+    checked one weight per grid.
     """
-    grids = list(grids)
-    alphas = [float(a) for a in shared_alphas]
-    if len(alphas) != len(grids):
-        raise ValueError("one weight per factor grid")
-    widths = [abs(a) * 2 * g.bound for a, g in zip(alphas, grids)]
+    widths = [abs(a) * 2 * g.bound for a, g in zip(shared_alphas, grids)]
     steps = [w / (g.size - 1) for w, g in zip(widths, grids) if w > 0]
     delta = max(steps) if steps else 1.0
     n_points = []

@@ -109,11 +109,11 @@ def grover_operator(a: Circuit) -> Circuit:
     """
     n = a.n_qubits
     q = Circuit(n)
-    q.z(n - 1)
+    q.append(Gate("z", n - 1))
     q.extend(inverse(a).gates)
     others = tuple((i, 0) for i in range(1, n))
     q.x(0)
-    q.z(0, controls=others)
+    q.append(Gate("z", 0, controls=others))
     q.x(0)
     q.extend(a.gates)
     return q

@@ -642,9 +642,10 @@ class TestVariants:
             "the shared vector (0.4, 0.1)\n")
 
     def test_budget_prices_the_grids_the_run_reads(self, tmp_path, monkeypatch):
-        # The grids the budget is checked on are the ones the enumeration then reads.
+        # The grids the budget is checked on, in exact_loss_distribution, are the ones the
+        # enumeration then reads.
         priced, read = [], []
-        monkeypatch.setattr(qvar.cli, "check_budget", lambda pf, grids, **run: priced.extend(grids))
+        monkeypatch.setattr(qvar.risk, "check_budget", lambda pf, grids, **run: priced.extend(grids))
         enumerate_ = qvar.cli.exact_loss_distribution
         monkeypatch.setattr(qvar.cli, "exact_loss_distribution",
                             lambda pf, grids: read.extend(grids) or enumerate_(pf, grids))

@@ -70,7 +70,7 @@ class TestSFreeComparator:
         model = build_model(pf, grids)
 
         def n_gates(x):
-            return comparator(pf, model, "s_free", x).n_gates
+            return len(comparator(pf, model, "s_free", x).gates)
         # 1000.5 <= 1500 < 2000.5: only {} and {asset 0} qualify
         assert n_gates(1500.0) == 2
         # everything qualifies at the total loss
@@ -92,7 +92,7 @@ class TestSFreeComparator:
             qualifying = sum(
                 1 for pattern in itertools.product((0, 1), repeat=k)
                 if np.dot(lgds, pattern) <= x)
-            assert comp.n_gates == qualifying <= 2 ** k
+            assert len(comp.gates) == qualifying <= 2 ** k
 
     def test_non_finite_threshold_rejected(self):
         pf, grids = table_inputs()

@@ -118,20 +118,36 @@ class TestLoader:
         state = loaded_state(grid.probs)
         assert np.abs(np.abs(state.amplitudes) ** 2 - grid.probs).max() < 1e-10
 
+    @staticmethod
+    def loader_inputs(rng, m):
+        """One vector of 2**m entries from each family the loader must keep the bits of:
+        uniform, 70 % zeros, masses down to subnormal and zero, a FactorGrid's at a bound
+        from 1 to 37.5, and three points of masses 1, 1e-17 and 1e-300."""
+        size = 2 ** m
+        sparse = rng.uniform(0, 1, size) * (rng.random(size) < 0.3)
+        sparse[int(rng.integers(size))] += 0.1
+        points = np.zeros(size)
+        points[rng.permutation(size)[:3]] = [1.0, 1e-17, 1e-300][:size]
+        return [rng.uniform(0, 1, size), sparse, np.exp(-800 * rng.uniform(0, 1, size)),
+                FactorGrid(m, float(rng.uniform(1, 37.5))).probs, points]
+
     def test_one_register_gate_per_level_expands_to_the_per_node_gates(self):
         # Zero entries leave zero angles and zero-mass subtrees; a level of zero angles
-        # emits no gate.  The register is the qubits above the level's, top first.
+        # emits no gate.  The register is the qubits above the level's, top first.  Each
+        # angle keeps the per-node recursion's bits: == alone takes -0.0 for 0.0.
+        def bits(gates):
+            return np.array([g.theta for g in gates], dtype=float).view(np.uint64).tolist()
+
         rng = np.random.default_rng(3)
-        for m in (1, 2, 3, 4, 5):
-            for _ in range(6):
-                probs = rng.uniform(0, 1, 2 ** m) * (rng.random(2 ** m) < 0.6)
-                probs[int(rng.integers(2 ** m))] += 0.1
-                probs /= probs.sum()
-                qubits = range(2, 2 + m)
-                gates = loader_gates(probs, qubits)
-                assert len(gates) <= m and all(
-                    g.register == tuple(range(1 + m, g.target, -1)) for g in gates)
-                assert expand(gates) == reference_loader_gates(probs, qubits)
+        cases = [(m, probs) for m in range(1, 13)
+                 for probs in self.loader_inputs(rng, m)] + [(16, FactorGrid(16).probs)]
+        for m, probs in cases:
+            qubits = range(2, 2 + m)
+            gates = loader_gates(probs, qubits)
+            assert len(gates) <= m and all(
+                g.register == tuple(range(1 + m, g.target, -1)) for g in gates)
+            got, want = expand(gates), reference_loader_gates(probs, qubits)
+            assert got == want and bits(got) == bits(want)
 
 
 class TestMultiRotationExact:
