@@ -23,6 +23,7 @@ gate's angles broadcast over its register's axes in that update.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,8 @@ class Gate:
             raise ValueError("a register gate is an ry with one angle per register value")
         if self.kind == "ry":
             angles = (self.theta,) if self.register is None else self.theta
-            if self.theta is None or not all(map(math.isfinite, angles)):
-                raise ValueError("ry gate needs a finite angle")
+            if not all(isinstance(t, numbers.Real) and math.isfinite(t) for t in angles):
+                raise ValueError("ry gate needs a finite angle, or a register and a tuple of them")
         elif self.theta is not None:
             raise ValueError(f"{self.kind} gate takes no angle")
         if self.target < 0:
@@ -65,12 +66,6 @@ class Gate:
             if ctrl in seen:
                 raise ValueError("gate target/control indices must be distinct")
             seen.add(ctrl)
-
-    def adjoint(self) -> "Gate":
-        if self.kind == "ry":
-            theta = -self.theta if self.register is None else tuple(-t for t in self.theta)
-            return Gate("ry", self.target, theta, self.controls, self.register)
-        return self
 
     @property
     def max_index(self) -> int:

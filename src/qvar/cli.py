@@ -156,7 +156,8 @@ def load_config(path: str, overrides=None) -> dict:
             cfg = json.load(fh)
     except OSError as exc:                  # open's message names the path
         raise ConfigError(str(exc)) from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:   # JSON text is UTF-8
+    # JSON text is UTF-8, and nested past the recursion limit it is no config either
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if isinstance(cfg, dict) and isinstance(cfg.get("analysis"), dict):
         cfg["analysis"].update({k: v for k, v in (overrides or {}).items() if v is not None})
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:       # a config, or a path unread or unwritten
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

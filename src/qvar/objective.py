@@ -15,7 +15,8 @@ Two modes build the "total loss <= x" flag:
   controlled X.  Losses come from the portfolio's loss table at build time,
   so LGD values may be arbitrary nonnegative reals.
 * weighted_sum: the legacy construction; accumulates integer LGDs into a sum
-  register, compares the register against the threshold, then uncomputes.
+  register, compares the register against the threshold, then uncomputes it
+  by the adder's gates reversed: every adder gate is an X, its own inverse.
   Kept as the integer-only reference the s_free mode is checked against.
 """
 
@@ -77,7 +78,7 @@ def comparator(portfolio: Portfolio, model: ModelCircuit, mode: str, threshold: 
     s_free: one pattern-controlled X per default pattern whose loss lies in that
     range, in product order.  weighted_sum: the integer loss adder into the sum
     register, one X per register value in (floor(above), floor(threshold)], then
-    the un-adder.  Every gate is an X, so applying the increments of ascending
+    the adder reversed.  Every gate is an X, so applying the increments of ascending
     thresholds in turn gives the same amplitudes, bit for bit, as the last
     threshold's comparator from above = -inf.
     """
@@ -100,5 +101,5 @@ def comparator(portfolio: Portfolio, model: ModelCircuit, mode: str, threshold: 
         circ.extend(adder)
         for value in range(first, last + 1):
             circ.x(objective, ((q, value >> j & 1) for j, q in enumerate(sum_qubits)))
-        circ.extend(g.adjoint() for g in reversed(adder))
+        circ.extend(reversed(adder))
     return circ

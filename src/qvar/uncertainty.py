@@ -325,7 +325,8 @@ def build_model(portfolio: Portfolio, grids, variant: str = "multi_rotation",
     """Build the uncertainty model of one variant (see VARIANTS) on its model_layout from
     its numbers: the factor loaders, one register RY per level, single_rotation's index
     adder into the sum register, each asset's rotations (in the exact encoding one register
-    RY over all factor qubits), then the adder's inverse, so the sum register returns to |0>.
+    RY over all factor qubits), then the adder reversed, its inverse as every adder gate is
+    an X, so the sum register returns to |0>.
 
     single_factor is multi_rotation on a portfolio of one factor.  The single-rotation
     variant has no encoding choice.
@@ -350,7 +351,7 @@ def build_model(portfolio: Portfolio, grids, variant: str = "multi_rotation",
         registers = [model.ancilla_qubits] if plan else model.factor_qubits
         for offset, slopes, target in zip(*(r.tolist() for r in rotations), model.asset_qubits):
             circ.extend(_linear_rotation_gates(offset, zip(slopes, registers), target))
-    circ.extend(g.adjoint() for g in reversed(adder))
+    circ.extend(reversed(adder))
     return model
 
 

@@ -3,8 +3,9 @@
 The gate-level path: build_a_circuit assembles one threshold's whole estimation
 operator A (model, then comparator), exact_amplitude reads its objective off
 the statevector, and grover_operator builds Q from A and inverse(A), the gate
-law that estimation.iqae samples in closed form.  compare steps one state
-through the same gates, so exact_amplitude is its readout's oracle.
+law that estimation.iqae samples in closed form; adjoint is one gate's inverse.
+compare steps one state through the same gates, so exact_amplitude is its
+readout's oracle.
 
 The reference rules: quantile, the textbook smallest loss whose cdf reaches a
 level; total_variation_distance between two loss distributions; conditional_pd,
@@ -64,9 +65,17 @@ def dump(circuit: Circuit) -> str:
     return "\n".join(lines)
 
 
+def adjoint(gate: Gate) -> Gate:
+    """The gate's inverse: an ry with its angles negated; x and z are their own."""
+    if gate.kind != "ry":
+        return gate
+    theta = -gate.theta if gate.register is None else tuple(-t for t in gate.theta)
+    return Gate("ry", gate.target, theta, gate.controls, gate.register)
+
+
 def inverse(circuit: Circuit) -> Circuit:
     """Adjoint circuit: reversed gate order, each gate replaced by its adjoint."""
-    return Circuit(circuit.n_qubits, [g.adjoint() for g in reversed(circuit.gates)])
+    return Circuit(circuit.n_qubits, [adjoint(g) for g in reversed(circuit.gates)])
 
 
 def probabilities(state: Statevector, qubits=None) -> np.ndarray:

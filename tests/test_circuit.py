@@ -7,7 +7,7 @@ import pytest
 
 from qvar.circuit import Circuit, Gate, Statevector, marginal_probability, zero_state
 
-from oracles import apply, dump, expand, grover_operator, inverse, probabilities
+from oracles import adjoint, apply, dump, expand, grover_operator, inverse, probabilities
 
 
 def reference_apply(circuit, state):
@@ -125,7 +125,8 @@ class TestGates:
             Circuit(1).x(1)
         for kind, theta, register in (("ry", (0.1, 0.2), (1, 2)), ("ry", 0.1, (1,)),
                                       ("ry", (0.1, math.inf), (1,)), ("x", (0.1, 0.2), (1,)),
-                                      ("ry", (0.1, 0.2), (0,)), ("ry", (0.1, 0.2), (-1,))):
+                                      ("ry", (0.1, 0.2), (0,)), ("ry", (0.1, 0.2), (-1,)),
+                                      ("ry", (0.1, 0.2), None)):
             with pytest.raises(ValueError):
                 Gate(kind, 0, theta, register=register)
         with pytest.raises(ValueError):
@@ -207,7 +208,7 @@ class TestKernelOracle:
                 signed = rng.random(amps.size) < 0.3
                 part[signed] = np.copysign(0.0, rng.uniform(-1, 1, signed.sum()))
             state = Statevector(amps)
-            for g in (gate, gate.adjoint()):
+            for g in (gate, adjoint(gate)):
                 got = apply(Circuit(n, [g]), state).amplitudes
                 one_by_one = apply(Circuit(n, expand([g])), state).amplitudes
                 masked = reference_apply(Circuit(n, expand([g])), state).amplitudes

@@ -338,6 +338,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("case", ["config is a directory", "output is a directory",
                                       "config is not UTF-8", "config is missing",
+                                      "config nests past the recursion limit",
                                       "output directory is missing"])
     @pytest.mark.parametrize("command", ["analyze", "distribution", "resources", "compare"])
     def test_unreadable_or_unwritable_path_is_one_error_line(self, tmp_path, capsys, case,
@@ -351,6 +352,8 @@ class TestAnalyze:
             Path(config).write_bytes(json.dumps(TWO_ASSET).replace("0.95", "\"\xe9\"").encode("latin-1"))
         elif case == "config is missing":
             config = str(tmp_path / "absent.json")
+        elif case == "config nests past the recursion limit":
+            Path(config).write_text("[" * 100_000)
         else:
             output = str(tmp_path / "absent" / "report")
         assert main([command, "--config", config, "--output", output]) == 2
