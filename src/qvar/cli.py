@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -112,7 +113,7 @@ class ConfigError(ValueError):
 
 def _is_type(value, name: str) -> bool:
     return (isinstance(value, _JSON_TYPES[name]) and not isinstance(value, bool)
-            and (not isinstance(value, float) or bool(np.isfinite(value))))
+            and (not isinstance(value, float) or math.isfinite(value)))
 
 
 def _schema_errors(value, schema: dict, path=()) -> list[tuple[tuple, str]]:
@@ -180,9 +181,6 @@ def load_config(path: str, overrides=None) -> dict:
         if len(asset["alphas"]) != r:
             raise ConfigError(
                 f"assets[{idx}].alphas: expected {r} weights, got {len(asset['alphas'])}")
-    if cfg["analysis"]["variant"] == "single_factor" and r != 1:
-        raise ConfigError(
-            f"analysis.variant: single_factor requires risk_factors.count = 1, got {r}")
     return cfg
 
 
@@ -288,9 +286,9 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     variant, mode, encoding = analysis["variant"], analysis["mode"], analysis["encoding"]
     portfolio, grids = config_to_inputs(cfg)
     check_budget(portfolio, grids, iqae=True, circuit=(variant, mode))
+    model = build_model(portfolio, grids, variant, encoding)    # refusals before any grid's arrays
     pd, pz = joint_grid(portfolio, grids)
     dist = mixture_distribution(portfolio, pd, pz)
-    model = build_model(portfolio, grids, variant, encoding)
     objective = objective_qubit(portfolio, model, mode)
     width = objective + 1                   # the A circuit's, the objective on top
     # Model gates then comparator gates on one array, as the test oracle exact_amplitude

@@ -37,15 +37,14 @@ def estimate_resources(portfolio: Portfolio, grids, variant: str = "multi_rotati
     single-rotation one.  comparator_pattern_count is the worst-case number
     of comparison patterns (2**K direct patterns for s_free, 2**n_S sum-value
     patterns for the legacy mode).  sum_register_width is weighted_sum's loss
-    register, else single_rotation's index sum.  single_factor is the R = 1
-    case of the multi-rotation variant and is reported as multi_rotation.
+    register, else single_rotation's index sum.  The variant is reported as given.
     """
     model, plan = model_layout(portfolio, grids, variant)
     width_built = objective_qubit(portfolio, model, mode) + 1
     n_s = width_built - 1 - model.circuit.n_qubits      # weighted_sum's loss register
     k = portfolio.k
     return ResourceReport(
-        variant="multi_rotation" if variant == "single_factor" else variant,
+        variant=variant,
         mode=mode,
         # s_free's published layout spends one amplitude-function ancilla per asset.
         width_paper_layout=width_built + k if mode == "s_free" else width_built,

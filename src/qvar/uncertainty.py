@@ -3,7 +3,7 @@
 Two constructions are provided:
 
 * multi_rotation: one register per factor; every factor register controls one
-  rotation block per asset.  The single_factor variant is its one-factor case.
+  rotation block per asset.  On one factor it is the single-factor model.
 * single_rotation: factor marginals scaled by their weights, an index adder
   into a sum register, and a single rotation block per asset driven by the
   sum.  Requires all assets to share one weight vector.
@@ -44,7 +44,7 @@ from . import arith, gaussian
 from .circuit import Circuit, Gate
 from .gaussian import conditional_pd_table, std_normal_pdf
 
-VARIANTS = ("multi_rotation", "single_rotation", "single_factor")
+VARIANTS = ("multi_rotation", "single_rotation")
 ENCODINGS = ("exact", "linear")
 
 
@@ -277,21 +277,15 @@ def _single_rotation(portfolio: Portfolio, grids: list, plan: IndexSumPlan):
     return loads, (lows, slopes[:, None])
 
 
-def model_layout(portfolio: Portfolio, grids, variant: str,
-                 encoding: str = "exact") -> tuple[ModelCircuit, IndexSumPlan | None]:
+def model_layout(portfolio: Portfolio, grids,
+                 variant: str) -> tuple[ModelCircuit, IndexSumPlan | None]:
     """The one check of a variant's rules and layout of its registers: build_model's model
     with no gates yet, sum(n_z) + K qubits plus single_rotation's sum register, and
-    single_rotation's IndexSumPlan (else None).  single_factor needs one factor, every
-    variant one grid per factor and an encoding in ENCODINGS (single_rotation has no
-    choice of one), and single_rotation every asset on the first's weights."""
+    single_rotation's IndexSumPlan (else None).  Every variant needs one grid per factor,
+    and single_rotation every asset on the first's weights."""
     grids = list(grids)
-    if encoding not in ENCODINGS:
-        raise ValueError(f"unknown encoding {encoding!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "single_factor" and portfolio.r != 1:
-        raise ValueError(f"the single_factor variant requires a single-factor portfolio, "
-                         f"got {portfolio.r} factors")
     if len(grids) != portfolio.r:
         raise ValueError(f"portfolio has {portfolio.r} factors but {len(grids)} grids were given")
     plan = None
@@ -313,9 +307,15 @@ def model_layout(portfolio: Portfolio, grids, variant: str,
 
 def _numbers(portfolio: Portfolio, grids: list, variant: str, encoding: str):
     """One variant's model_layout and numbers: the factor registers' probability vectors,
-    and the (M, K) angles or the assets' offsets (K,) and slopes (K, registers)."""
-    model, plan = model_layout(portfolio, grids, variant, encoding)
+    and the (M, K) angles or the assets' offsets (K,) and slopes (K, registers).  The one
+    check of the encoding: one of ENCODINGS, and single_rotation's the linear one."""
+    if encoding not in ENCODINGS:
+        raise ValueError(f"unknown encoding {encoding!r}")
+    model, plan = model_layout(portfolio, grids, variant)
     if plan:
+        if encoding != "linear":
+            raise ValueError(f"the single_rotation variant takes encoding 'linear' only, got "
+                             f"{encoding!r}: its rotation is affine in the sum register")
         return model, plan, *_single_rotation(portfolio, grids, plan)
     return model, plan, *_multi_rotation(portfolio, grids, encoding)
 
@@ -328,8 +328,9 @@ def build_model(portfolio: Portfolio, grids, variant: str = "multi_rotation",
     RY over all factor qubits), then the adder reversed, its inverse as every adder gate is
     an X, so the sum register returns to |0>.
 
-    single_factor is multi_rotation on a portfolio of one factor.  The single-rotation
-    variant has no encoding choice.
+    multi_rotation on a portfolio of one factor is the single-factor model, and
+    single_rotation takes encoding="linear" only, so each accepted (variant, encoding)
+    builds its own model.
     """
     grids = list(grids)
     model, plan, loads, rotations = _numbers(portfolio, grids, variant, encoding)

@@ -424,7 +424,7 @@ class TestVariants:
         payload = json.loads(json.dumps(TWO_ASSET))
         for asset in payload["assets"]:
             asset["alphas"] = [0.35, 0.2]
-        payload["analysis"]["variant"] = "single_rotation"
+        payload["analysis"].update(variant="single_rotation", encoding="linear")
         config = write_config(tmp_path, payload)
         out = tmp_path / "report.json"
         assert main(["analyze", "--config", config, "--output", str(out)]) == 0
@@ -446,6 +446,27 @@ class TestVariants:
             errors.add(capsys.readouterr().err)
         assert len(errors) == 1
         assert "asset 1 has weights" in errors.pop()
+
+    @pytest.mark.parametrize("argv", [["analyze", "--estimator", "exact"],
+                                      ["analyze", "--estimator", "iqae"], ["compare"]])
+    def test_single_rotation_refuses_the_exact_encoding(self, tmp_path, capsys, monkeypatch,
+                                                        argv):
+        # single_rotation's rotation is affine in its sum register: the exact encoding
+        # names no model of it, so every command that builds the model refuses the pair in
+        # one line, before any grid computes its arrays.
+        _no_grid_arrays(monkeypatch)
+        payload = copy.deepcopy(SHARED_ALPHAS_AT_2_5)
+        payload["analysis"].update(epsilon=0.01, confidence=0.99)
+        config = write_config(tmp_path, payload)
+        assert main([argv[0], "--config", config, *argv[1:], "--variant", "single_rotation",
+                     "--encoding", "exact"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: the single_rotation variant takes encoding 'linear' only, got 'exact': "
+            "its rotation is affine in the sum register\n")
+        # resources builds no model and reads no encoding.
+        assert main(["resources", "--config", config, "--variant", "single_rotation",
+                     "--encoding", "exact"]) == 0
 
     def test_classical_checks_variant_before_enumerating(self, tmp_path, capsys,
                                                          monkeypatch):
@@ -692,17 +713,29 @@ class TestVariants:
         assert report["width_built"] == 3 * 20 + 1 + 1
         assert peak < 2 ** 20
 
-    def test_single_factor_requires_one_factor(self, tmp_path, capsys):
-        config = write_config(tmp_path, TWO_ASSET)
-        assert main(["analyze", "--config", config, "--variant", "single_factor"]) == 2
-        assert "single_factor" in capsys.readouterr().err
+    def test_single_factor_is_an_unknown_variant(self, tmp_path, capsys):
+        # A one-factor multi_rotation config is the single-factor model; the old name is
+        # refused on the command line and in a config alike, in one line.
+        payload = copy.deepcopy(TWO_ASSET)
+        payload["risk_factors"].update(count=1)
+        for asset in payload["assets"]:
+            asset["alphas"] = asset["alphas"][:1]
+        config = write_config(tmp_path, payload)
+        with pytest.raises(SystemExit) as exited:
+            main(["analyze", "--config", config, "--variant", "single_factor"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'single_factor'" in capsys.readouterr().err
+        payload["analysis"]["variant"] = "single_factor"
+        assert main(["analyze", "--config", write_config(tmp_path, payload)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "analysis/variant: 'single_factor' is not one of" in err
 
     def test_single_factor_runs(self, tmp_path):
         payload = {
             "risk_factors": {"count": 1, "qubits_per_factor": 2},
             "assets": [{"lgd": 100.5, "p0": 0.2, "rho": 0.1, "alphas": [1.0]}],
             "analysis": {"alpha": 0.9, "estimator": "exact", "encoding": "exact",
-                         "variant": "single_factor", "seed": 0},
+                         "variant": "multi_rotation", "seed": 0},
         }
         config = write_config(tmp_path, payload)
         out = tmp_path / "report.json"
@@ -832,7 +865,7 @@ class TestUnderflowingGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main([argv[0], "--config", write_config(tmp_path, payload), *argv[1:],
-                         "--variant", "single_rotation"]) == 1
+                         "--variant", "single_rotation", "--encoding", "linear"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert "risk_factors.bound_sigmas" in err and "risk_factors.qubits_per_factor" in err
@@ -908,8 +941,8 @@ class TestCompare:
     @pytest.mark.parametrize("seed, variant, encoding, mode, r", [
         (1, "multi_rotation", "exact", "s_free", 2),
         (2, "multi_rotation", "linear", "s_free", 2),
-        (3, "single_factor", "exact", "s_free", 1),
-        (4, "single_factor", "linear", "s_free", 1),
+        (3, "multi_rotation", "exact", "s_free", 1),
+        (4, "multi_rotation", "linear", "s_free", 1),
         (5, "single_rotation", "linear", "s_free", 2),
         (6, "multi_rotation", "exact", "weighted_sum", 2),
         (7, "multi_rotation", "linear", "weighted_sum", 1),

@@ -16,7 +16,7 @@ from scipy import stats
 from qvar.circuit import Circuit, Statevector
 from qvar.gaussian import FactorGrid
 from qvar.objective import MODES, comparator, objective_qubit, weighted_sum_register
-from qvar.uncertainty import VARIANTS, Asset, Portfolio, build_model
+from qvar.uncertainty import Asset, Portfolio, build_model
 
 from oracles import apply, build_a_circuit, dump, exact_amplitude, expand
 
@@ -198,21 +198,22 @@ class TestComparators:
                 assert not any(g.target == comp.n_qubits - 1 for g in comp.gates)
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_top_qubit_is_the_objective(self, variant, mode):
+    @pytest.mark.parametrize("seed, variant, encoding, r", [
+        (0, "multi_rotation", "exact", 2), (1, "single_rotation", "linear", 2),
+        (2, "multi_rotation", "exact", 1)])
+    def test_top_qubit_is_the_objective(self, seed, variant, encoding, r, mode):
         # No wrapper carries the objective: every comparator and A circuit puts it on
         # top, at objective_qubit, and only its flips target it.
-        rng = np.random.default_rng([VARIANTS.index(variant), MODES.index(mode)])
+        rng = np.random.default_rng([seed, MODES.index(mode)])
         for k in (1, 3):
             pf = self.portfolio(rng, k, mode)
-            r = 1 if variant == "single_factor" else 2
             pf = Portfolio([Asset(a.lgd, a.p0, a.rho, pf.assets[0].alphas[:r]) for a in pf.assets])
             grids = [FactorGrid(2), FactorGrid(1)][:r]
-            model = build_model(pf, grids, variant)
+            model = build_model(pf, grids, variant, encoding)
             objective = objective_qubit(pf, model, mode)
             x = float(pf.pattern_losses.max())
             comp = comparator(pf, model, mode, x)
-            a = build_a_circuit(pf, grids, x, variant=variant, mode=mode)
+            a = build_a_circuit(pf, grids, x, variant=variant, encoding=encoding, mode=mode)
             assert comp.n_qubits == a.n_qubits == objective + 1
             flips = [g for g in comp.gates if g.target == objective]
             assert flips and all(g.kind == "x" for g in flips)
@@ -267,7 +268,16 @@ class TestAssembleA:
 
 class TestACircuitPin:
     """build_a_circuit's gates, objective qubit and width, pinned bit for bit over seeded
-    portfolios x variants x encodings x thresholds below, on, between and above the support."""
+    portfolios x variants x encodings x thresholds below, on, between and above the support.
+
+    Each seed walks the six rows the digests were pinned over, each as the (variant,
+    encoding, factors) that builds its model, factors None being 1 + seed % 2: the third
+    row asked single_rotation for the exact encoding, which always built its linear one,
+    and the last two are multi_rotation on one factor, once named single_factor."""
+
+    ROWS = [("multi_rotation", "exact", None), ("multi_rotation", "linear", None),
+            ("single_rotation", "linear", None), ("single_rotation", "linear", None),
+            ("multi_rotation", "exact", 1), ("multi_rotation", "linear", 1)]
 
     DIGESTS = {
         "s_free": "3e16aa8b5a91cd3ac30c725f209ce96a5ba867cf70117ec52b418412f66a52dc",
@@ -277,11 +287,9 @@ class TestACircuitPin:
     @pytest.mark.parametrize("mode", MODES)
     def test_digest(self, mode):
         digest = hashlib.sha256()
-        for seed, variant, encoding in itertools.product(
-                range(12), ("multi_rotation", "single_rotation", "single_factor"),
-                ("exact", "linear")):
+        for seed, (variant, encoding, r) in itertools.product(range(12), self.ROWS):
             rng = np.random.default_rng(seed)
-            r = 1 if variant == "single_factor" else 1 + seed % 2
+            r = r or 1 + seed % 2
             shared = tuple(float(a) for a in rng.uniform(0.1, 0.5, r))
             pf = Portfolio([Asset(int(rng.integers(0, 9)) if mode == "weighted_sum"
                                   else round(float(rng.uniform(0, 3000)), 1),

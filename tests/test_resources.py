@@ -1,5 +1,6 @@
 """Resource-accounting tests against the published width figures."""
 
+import functools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from qvar.gaussian import FactorGrid
 from qvar.objective import MODES, comparator, comparator_gates
 from qvar.resources import estimate_resources
 from qvar.risk import exact_loss_distribution
-from qvar.uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio, build_model, model_table
+from qvar.uncertainty import ENCODINGS, Asset, Portfolio, build_model, model_table
 
 from oracles import build_a_circuit
 
@@ -116,7 +117,7 @@ class TestGateAccounting:
 
     @pytest.mark.parametrize("variant, encoding, r", [
         ("multi_rotation", "exact", 1), ("multi_rotation", "exact", 2),
-        ("multi_rotation", "linear", 2), ("single_factor", "linear", 1),
+        ("multi_rotation", "linear", 2), ("multi_rotation", "linear", 1),
         ("single_rotation", "linear", 1), ("single_rotation", "linear", 2),
     ])
     def test_budget_angles_bound_the_built_model(self, variant, encoding, r):
@@ -170,12 +171,13 @@ class TestRuleParity:
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_width_built_is_the_built_width(self, variant, mode, encoding):
-        rng = np.random.default_rng([VARIANTS.index(variant), MODES.index(mode),
-                                     ENCODINGS.index(encoding)])
+    @pytest.mark.parametrize("seed, variant, factors", [
+        (0, "multi_rotation", None), (1, "single_rotation", None), (2, "multi_rotation", 1)])
+    def test_width_built_is_the_built_width(self, seed, variant, factors, mode, encoding):
+        # factors None draws one or two; single_rotation refuses the exact encoding.
+        rng = np.random.default_rng([seed, MODES.index(mode), ENCODINGS.index(encoding)])
         for _ in range(4):
-            r = 1 if variant == "single_factor" else int(rng.integers(1, 3))
+            r = factors or int(rng.integers(1, 3))
             shared = variant == "single_rotation" or rng.random() < 0.5
             weights = tuple(rng.uniform(-0.5, 0.5, r))
             pf = Portfolio([Asset(int(rng.integers(0, 9)) if mode == "weighted_sum"
@@ -184,15 +186,19 @@ class TestRuleParity:
                                   weights if shared else tuple(rng.uniform(-0.5, 0.5, r)))
                             for _ in range(int(rng.integers(1, 5)))])
             g = [FactorGrid(int(n)) for n in rng.integers(1, 4, r)]
-            built = build_a_circuit(pf, g, float(pf.pattern_losses.max()), variant=variant,
-                                    encoding=encoding, mode=mode)
-            assert estimate_resources(pf, g, variant, mode).width_built == built.n_qubits
+            build = functools.partial(build_a_circuit, pf, g, float(pf.pattern_losses.max()),
+                                      variant=variant, encoding=encoding, mode=mode)
+            if (variant, encoding) == ("single_rotation", "exact"):
+                with pytest.raises(ValueError, match="takes encoding 'linear' only"):
+                    build()
+                continue
+            assert estimate_resources(pf, g, variant, mode).width_built == build().n_qubits
 
     @pytest.mark.parametrize("variant, r, n_grids, shared", [
         ("bogus", 2, 2, True),                      # an unknown variant
-        ("single_factor", 2, 2, True),              # single_factor on two factors
+        ("single_factor", 1, 1, True),              # one-factor multi_rotation's old name
         ("multi_rotation", 2, 1, False),            # a grid short
-        ("single_factor", 1, 2, True),              # a grid over
+        ("multi_rotation", 1, 2, True),             # a grid over
         ("single_rotation", 2, 3, True),            # a grid over
         ("single_rotation", 2, 2, False),           # weights that differ
     ])
@@ -215,7 +221,7 @@ class TestRuleParity:
             messages.add(str(refused.value))
         assert len(messages) == 1, messages
 
-    @pytest.mark.parametrize("variant, r", [("multi_rotation", 2), ("single_factor", 1),
+    @pytest.mark.parametrize("variant, r", [("multi_rotation", 2), ("multi_rotation", 1),
                                             ("single_rotation", 2)])
     def test_unknown_encoding_refused_by_every_variant(self, variant, r):
         pf = Portfolio([Asset(1000.5, 0.15, 0.1, (0.3,) * r), Asset(2000.5, 0.25, 0.05, (0.3,) * r)])

@@ -462,8 +462,8 @@ class TestModelCdf:
     @pytest.mark.parametrize("seed, variant, encoding, r, shared", [
         (1, "multi_rotation", "exact", 2, False),
         (2, "multi_rotation", "linear", 2, False),
-        (3, "single_factor", "exact", 1, False),
-        (4, "single_factor", "linear", 1, False),
+        (3, "multi_rotation", "exact", 1, False),
+        (4, "multi_rotation", "linear", 1, False),
         (5, "single_rotation", "linear", 2, True),
     ])
     def test_equals_s_free_readout(self, seed, variant, encoding, r, shared):
@@ -480,10 +480,10 @@ class TestModelCdf:
     @pytest.mark.parametrize("seed, variant, encoding, r, shared", [
         (21, "multi_rotation", "exact", 2, False),
         (22, "multi_rotation", "linear", 2, False),
-        (23, "single_factor", "exact", 1, False),
-        (24, "single_factor", "linear", 1, False),
+        (23, "multi_rotation", "exact", 1, False),
+        (24, "multi_rotation", "linear", 1, False),
         (25, "single_rotation", "linear", 2, True),
-        (26, "single_rotation", "exact", 2, True),
+        (26, "single_rotation", "linear", 2, True),
     ])
     def test_a_width_state_reads_as_model_width(self, seed, variant, encoding, r, shared,
                                                  mode):

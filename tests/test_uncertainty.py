@@ -17,8 +17,9 @@ from qvar.circuit import Circuit, Gate, marginal_probability, zero_state
 from qvar.gaussian import FactorGrid
 from qvar.resources import estimate_resources
 from qvar.risk import exact_loss_distribution
-from qvar.uncertainty import (Asset, Portfolio, _secants, build_model, default_angle,
-                              index_sum_plan, loader_gates, model_layout, model_table)
+from qvar.uncertainty import (ENCODINGS, VARIANTS, Asset, Portfolio, _secants, build_model,
+                              default_angle, index_sum_plan, loader_gates, model_layout,
+                              model_table)
 
 from oracles import apply, conditional_pd, expand, probabilities
 
@@ -170,7 +171,7 @@ class TestMultiRotationExact:
     def test_zero_rho_single_asset(self):
         pf = Portfolio([Asset(10.0, 0.3, 0.0, (1.0,))])
         for encoding in ("exact", "linear"):
-            model = build_model(pf, [FactorGrid(2)], "single_factor", encoding)
+            model = build_model(pf, [FactorGrid(2)], "multi_rotation", encoding)
             state = apply(model.circuit, zero_state(model.circuit.n_qubits))
             assert marginal_probability(state, model.asset_qubits[0], 1) == pytest.approx(0.3, abs=1e-12)
 
@@ -178,16 +179,16 @@ class TestMultiRotationExact:
         # first example asset as a single-factor problem with unit weight
         pf = Portfolio([Asset(1000.5, 0.15, 0.10, (1.0,))])
         grid = FactorGrid(2)
-        model = build_model(pf, [grid], "single_factor", "exact")
+        model = build_model(pf, [grid], "multi_rotation", "exact")
         assert np.abs(model_joint(model) - oracle_joint(pf, [grid])).max() < 1e-9
 
-    def test_single_factor_requires_one_factor(self):
-        # One rule for the builder and the resource count, with grids to match.
-        grids = [FactorGrid(2), FactorGrid(2)]
-        with pytest.raises(ValueError, match="single_factor variant requires"):
-            build_model(Portfolio(ASSETS), grids, "single_factor")
-        with pytest.raises(ValueError, match="single_factor variant requires"):
-            estimate_resources(Portfolio(ASSETS), grids, "single_factor")
+    def test_single_factor_is_an_unknown_variant(self):
+        # multi_rotation on one factor is the single-factor model, and no other name
+        # builds it: the builders and the resource count refuse the old one alike.
+        pf, grids = Portfolio([Asset(1000.5, 0.15, 0.10, (1.0,))]), [FactorGrid(2)]
+        for call in (build_model, model_table, estimate_resources):
+            with pytest.raises(ValueError, match="^unknown variant 'single_factor'$"):
+                call(pf, grids, "single_factor")
 
     def test_all_zero_weights_marginal(self):
         shared = (0.0, 0.0)
@@ -291,7 +292,7 @@ class TestOneQuantilePerAsset:
          "d6bc817695e81f4031634717355a59099b94186cd40b70153de9b7f2611ec724"),
         ("multi_rotation", "linear", (5,),
          "b15743341d75e14ef4dd23ce92fbe61e7a2842b129c6de9dbd2346dc5eb2d1fb"),
-        ("single_factor", "linear", (3,),
+        ("multi_rotation", "linear", (3,),
          "6e04fa167d31472af59cf2ec94a0464bf7b11929b84a80eca4d4891133a57e44"),
         ("single_rotation", "linear", (2, 3),
          "e435d1dbc16c033e863599891168719c9bebf429153da628d6659de1a017bb6d"),
@@ -324,7 +325,7 @@ class TestOneTablePerModel:
 
     @pytest.mark.parametrize("variant, encoding", [("multi_rotation", "exact"),
                                                    ("multi_rotation", "linear"),
-                                                   ("single_rotation", "exact")])
+                                                   ("single_rotation", "linear")])
     @pytest.mark.parametrize("build", [build_model, model_table])
     def test_one_cdf_call(self, monkeypatch, build, variant, encoding):
         rng = np.random.default_rng(61)
@@ -386,14 +387,6 @@ class TestLinearEncoding:
             linear = model_joint(build_model(pf, grids, "multi_rotation", "linear"))
             assert np.abs(exact - linear).max() < 1e-10
 
-    def test_single_factor_unit_weight_matches_multi(self):
-        # R=1 with alpha=1: the general combination and the classic form agree
-        pf = Portfolio([Asset(3.0, 0.2, 0.15, (1.0,))])
-        grid = FactorGrid(2)
-        a = model_joint(build_model(pf, [grid], "single_factor", "exact"))
-        b = model_joint(build_model(pf, [grid], "multi_rotation", "exact"))
-        assert np.abs(a - b).max() < 1e-12
-
     def test_rotation_block_count(self):
         # linear encoding: one affine block per (asset, factor) pair
         pf = Portfolio(ASSETS)
@@ -415,12 +408,12 @@ class TestSingleRotation:
     def test_heterogeneous_alphas_rejected(self):
         grids = [FactorGrid(2), FactorGrid(2)]
         with pytest.raises(ValueError, match="asset 1"):
-            build_model(Portfolio(ASSETS), grids, "single_rotation")
+            build_model(Portfolio(ASSETS), grids, "single_rotation", "linear")
 
     def test_marginals_match_sum_grid_oracle(self):
         pf = self.portfolio()
         grids = [FactorGrid(2), FactorGrid(2)]
-        model = build_model(pf, grids, "single_rotation")
+        model = build_model(pf, grids, "single_rotation", "linear")
         plan = index_sum_plan(grids, self.SHARED)
 
         # classical convolution over the induced sum grid: factor r's values start at
@@ -457,15 +450,15 @@ class TestSingleRotation:
     def test_sum_register_uncomputed(self):
         pf = self.portfolio()
         grids = [FactorGrid(2), FactorGrid(2)]
-        model = build_model(pf, grids, "single_rotation")
+        model = build_model(pf, grids, "single_rotation", "linear")
         state = apply(model.circuit, zero_state(model.circuit.n_qubits))
         assert probabilities(state, model.ancilla_qubits)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_reduces_to_single_factor_linear_at_r1(self):
         pf = Portfolio([Asset(7.0, 0.2, 0.1, (1.0,)), Asset(3.0, 0.3, 0.2, (1.0,))])
         grid = FactorGrid(2)
-        single = build_model(pf, [grid], "single_rotation")
-        linear = build_model(pf, [grid], "single_factor", "linear")
+        single = build_model(pf, [grid], "single_rotation", "linear")
+        linear = build_model(pf, [grid], "multi_rotation", "linear")
         s_state = apply(single.circuit, zero_state(single.circuit.n_qubits))
         l_state = apply(linear.circuit, zero_state(linear.circuit.n_qubits))
         s_joint = probabilities(s_state, list(single.factor_qubits[0]) + single.asset_qubits)
@@ -479,7 +472,7 @@ class TestSingleRotation:
             shared = tuple([0.3] * r)
             assets = [Asset(1.0, 0.2, 0.1, shared), Asset(2.0, 0.25, 0.05, shared)]
             grids = [FactorGrid(1) for _ in range(r)]
-            model = build_model(Portfolio(assets), grids, "single_rotation")
+            model = build_model(Portfolio(assets), grids, "single_rotation", "linear")
             counts = []
             for q in model.asset_qubits:
                 gates = [g for g in model.circuit.gates if g.kind == "ry" and g.target == q]
@@ -499,11 +492,38 @@ class TestSingleRotation:
         shared = (0.4, 0.0)
         pf = Portfolio([Asset(1.0, 0.2, 0.1, shared)])
         grids = [FactorGrid(2), FactorGrid(2)]
-        model = build_model(pf, grids, "single_rotation")
+        model = build_model(pf, grids, "single_rotation", "linear")
         plan = index_sum_plan(grids, shared)
         assert plan.n_points[1] == 1
         state = apply(model.circuit, zero_state(model.circuit.n_qubits))
         assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-10
+
+
+class TestOneModelPerPair:
+    """Each (variant, encoding) that build_model accepts names its own model: no pair is
+    another's alias, and every other pair, single_factor's old name among them, is
+    refused by the builder and the table alike."""
+
+    ACCEPTED = [("multi_rotation", "exact"), ("multi_rotation", "linear"),
+                ("single_rotation", "linear")]
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_no_two_accepted_pairs_build_one_model(self, r):
+        shared = (0.35, 0.2)[:r]
+        pf = Portfolio([Asset(1000.5, 0.15, 0.10, shared), Asset(2000.5, 0.25, 0.05, shared)])
+        grids = [FactorGrid(2), FactorGrid(3)][:r]
+        models = set()
+        for pair in itertools.product((*VARIANTS, "single_factor"), ENCODINGS):
+            if pair not in self.ACCEPTED:
+                for build in (build_model, model_table):
+                    with pytest.raises(ValueError):
+                        build(pf, grids, *pair)
+                continue
+            gates = expand(build_model(pf, grids, *pair).circuit.gates)
+            # Angles in hex, so two models differ by a bit at least.
+            models.add(tuple((g.kind, g.target, g.theta.hex() if g.theta is not None else None,
+                              g.controls) for g in gates))
+        assert len(models) == len(self.ACCEPTED)
 
 
 class TestValidation:
