@@ -45,7 +45,7 @@ from .risk import (cdf_estimator, check_budget, exact_loss_distribution, expecte
 from .uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio, build_model
 
 ESTIMATORS = ("exact", "iqae", "classical")
-# The analysis fields every subcommand can override from the command line, with their choices.
+# The analysis fields a flag overrides, with the values --help lists; the schema checks them.
 OVERRIDES = {"estimator": ESTIMATORS, "variant": VARIANTS, "encoding": ENCODINGS, "mode": MODES}
 
 # Every config field's type, bounds and default, as a Draft 2020-12 JSON Schema.
@@ -227,8 +227,8 @@ def cmd_analyze(cfg: dict, output: str | None) -> int:
     variant, kind, encoding = analysis["variant"], analysis["estimator"], analysis["encoding"]
     settings = iqae_config(analysis) if kind == "iqae" else None
     portfolio, grids = config_to_inputs(cfg)
-    # Checks the variant and mode rules before the budget, and both before any grid's arrays.
-    resources = asdict(estimate_resources(portfolio, grids, variant, analysis["mode"]))
+    # Checks the model's and mode's rules, then the budget, all before any grid's arrays.
+    resources = asdict(estimate_resources(portfolio, grids, variant, encoding, analysis["mode"]))
     check_budget(portfolio, grids, iqae=settings is not None)
     dist = (exact_loss_distribution(portfolio, grids) if kind == "classical"
             else model_distribution(portfolio, grids, variant, encoding))
@@ -275,7 +275,8 @@ def cmd_distribution(cfg: dict, output: str | None) -> int:
 
 def cmd_resources(cfg: dict, output: str | None) -> int:
     analysis = cfg["analysis"]
-    report = estimate_resources(*config_to_inputs(cfg), analysis["variant"], analysis["mode"])
+    report = estimate_resources(*config_to_inputs(cfg), analysis["variant"], analysis["encoding"],
+                                analysis["mode"])
     _emit(_dump_json({"config": cfg, "resources": asdict(report)}), output)
     return 0
 
@@ -285,8 +286,8 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     settings = iqae_config(analysis)
     variant, mode, encoding = analysis["variant"], analysis["mode"], analysis["encoding"]
     portfolio, grids = config_to_inputs(cfg)
-    check_budget(portfolio, grids, iqae=True, circuit=(variant, mode))
-    model = build_model(portfolio, grids, variant, encoding)    # refusals before any grid's arrays
+    check_budget(portfolio, grids, iqae=True, circuit=(variant, encoding, mode))
+    model = build_model(portfolio, grids, variant, encoding)    # before the joint grid's table
     pd, pz = joint_grid(portfolio, grids)
     dist = mixture_distribution(portfolio, pd, pz)
     objective = objective_qubit(portfolio, model, mode)
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--output", default=None, help="output path (default: stdout)")
         cmd.add_argument("--seed", type=int, default=None, help="override analysis.seed")
         for field, choices in OVERRIDES.items():
-            cmd.add_argument(f"--{field}", choices=choices, default=None)
+            cmd.add_argument(f"--{field}", metavar="{%s}" % ",".join(choices), default=None)
     return parser
 
 

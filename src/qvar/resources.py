@@ -4,9 +4,9 @@ Two widths are reported.  width_paper_layout follows the published register
 accounting, where the flexible comparator consumes one amplitude-function
 ancilla per asset (hence the 2K term); width_built is what the circuits in
 this package actually allocate, which is never larger because the
-enumeration-based comparator needs no ancillas.  Both come from model_layout
-and objective_qubit, which check the variant and the mode, and no rule is
-repeated here; gate counts live beside their builders (comparator_gates).
+enumeration-based comparator needs no ancillas.  Both come from model_layout and
+objective_qubit, which check the model and the mode (no count reads the encoding),
+and no rule is repeated here; gate counts live beside their builders (comparator_gates).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ class ResourceReport:
     sum_register_width: int | None = None
 
 
-def estimate_resources(portfolio: Portfolio, grids, variant: str = "multi_rotation",
-                       mode: str = "s_free") -> ResourceReport:
+def estimate_resources(portfolio: Portfolio, grids, variant: str, encoding: str,
+                       mode: str) -> ResourceReport:
     """Qubit/gate accounting for one pipeline configuration.
 
     rotation_count is the number of controlled linear-rotation blocks of the
@@ -39,7 +39,7 @@ def estimate_resources(portfolio: Portfolio, grids, variant: str = "multi_rotati
     patterns for the legacy mode).  sum_register_width is weighted_sum's loss
     register, else single_rotation's index sum.  The variant is reported as given.
     """
-    model, plan = model_layout(portfolio, grids, variant)
+    model, plan = model_layout(portfolio, grids, variant, encoding)
     width_built = objective_qubit(portfolio, model, mode) + 1
     n_s = width_built - 1 - model.circuit.n_qubits      # weighted_sum's loss register
     k = portfolio.k

@@ -96,7 +96,7 @@ class VarResult:
 
 def joint_grid(portfolio: Portfolio, grids: list) -> tuple[np.ndarray, np.ndarray]:
     """The discretized model's one table: each joint cell's PDs (M, K) and probability (M,)."""
-    model_layout(portfolio, grids, "multi_rotation")     # the check of one grid per factor
+    model_layout(portfolio, grids, "multi_rotation", "exact")  # the check of one grid per factor
     idx = joint_cells(grids)
     z_joint = np.column_stack([g.values[i] for i, g in zip(idx, grids)])
     pz = np.prod([g.probs[i] for i, g in zip(idx, grids)], axis=0)
@@ -136,8 +136,8 @@ def exact_loss_distribution(portfolio: Portfolio, grids) -> LossDistribution:
     return mixture_distribution(portfolio, *joint_grid(portfolio, grids))
 
 
-def model_distribution(portfolio: Portfolio, grids, variant: str = "multi_rotation",
-                       encoding: str = "exact") -> LossDistribution:
+def model_distribution(portfolio: Portfolio, grids, variant: str,
+                       encoding: str) -> LossDistribution:
     """The model's own loss distribution, with no statevector: the enumeration of its
     model_table, asset k defaulting on cell c with pd = sin^2(angles[c, k] / 2).  Its
     cdf is the A circuit's s_free readout at every threshold, to rounding."""
@@ -224,20 +224,20 @@ def expected_loss(dist: LossDistribution) -> float:
 
 
 def check_budget(portfolio: Portfolio, grids, iqae: bool = False,
-                 circuit: tuple[str, str] | None = None) -> None:
+                 circuit: tuple[str, str, str] | None = None) -> None:
     """The one check that a run fits, made from sizes alone before any grid's arrays exist.
     In bytes, against MAX_STATE_BYTES: the grids' arrays, all kept and one being computed;
-    scipy where `iqae` runs; with circuit = (variant, mode), compare's A circuit: its state,
-    its model's register RY angles, in every encoding the exact one's sum(2**n_z) + K * M,
-    and its comparator's gates.  In states: the enumeration's cells times 2**K."""
+    scipy where `iqae` runs; with circuit = (variant, encoding, mode), compare's A circuit:
+    its state, its model's register RY angles (the exact encoding's sum(2**n_z) + K * M in
+    every encoding) and its comparator's gates.  In states: the enumeration's cells x 2**K."""
     points = [g.size for g in grids]
     states = math.prod(points) * 2 ** portfolio.k
     need = (_BYTES_PER_GRID_POINT * sum(points) + _BYTES_DISCRETIZING * max(points, default=0)
             + (_IQAE_BYTES if iqae else 0))
     what, held = f"the {'-, '.join(str(g.n_z) for g in grids)}-qubit factor grids", ""
     if circuit:
-        variant, mode = circuit
-        width = estimate_resources(portfolio, grids, variant, mode).width_built
+        mode = circuit[-1]
+        width = estimate_resources(portfolio, grids, *circuit).width_built
         angles = sum(points) + portfolio.k * math.prod(points)
         gates, controls = comparator_gates(portfolio, mode)
         # s_free's increment keeps a loss table, masks and an index array over the 2**K

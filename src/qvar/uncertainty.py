@@ -8,11 +8,11 @@ Two constructions are provided:
   into a sum register, and a single rotation block per asset driven by the
   sum.  Requires all assets to share one weight vector.
 
-model_layout is the one check of a variant's rules and the one place its
-registers are laid out, joint_cells the one order of the joint grid cells.  Each
-construction has one private function computing its numbers once: the factor
-loaders' probabilities and each asset's rotation, whose PDs come from one
-gaussian.conditional_pd_table call over all of the model's points.
+model_layout is the one check of a model's rules, its (variant, encoding) pair's
+among them, and the one place its registers are laid out, joint_cells the one order
+of the joint grid cells.  Each construction has one private function computing its
+numbers once: the factor loaders' probabilities and each asset's rotation, whose PDs
+come from one gaussian.conditional_pd_table call over all of the model's points.
 build_model emits the gates from them (see VARIANTS), and model_table gives the
 classical mixture: RYs on an asset qubit add up to one angle per joint cell.
 
@@ -277,13 +277,15 @@ def _single_rotation(portfolio: Portfolio, grids: list, plan: IndexSumPlan):
     return loads, (lows, slopes[:, None])
 
 
-def model_layout(portfolio: Portfolio, grids,
-                 variant: str) -> tuple[ModelCircuit, IndexSumPlan | None]:
-    """The one check of a variant's rules and layout of its registers: build_model's model
+def model_layout(portfolio: Portfolio, grids, variant: str,
+                 encoding: str) -> tuple[ModelCircuit, IndexSumPlan | None]:
+    """The one check of a model's rules and layout of its registers: build_model's model
     with no gates yet, sum(n_z) + K qubits plus single_rotation's sum register, and
-    single_rotation's IndexSumPlan (else None).  Every variant needs one grid per factor,
-    and single_rotation every asset on the first's weights."""
+    single_rotation's IndexSumPlan (else None).  The encoding is one of ENCODINGS, every
+    variant needs one grid per factor, and single_rotation shared weights and `linear`."""
     grids = list(grids)
+    if encoding not in ENCODINGS:
+        raise ValueError(f"unknown encoding {encoding!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if len(grids) != portfolio.r:
@@ -296,6 +298,9 @@ def model_layout(portfolio: Portfolio, grids,
                 raise ValueError(
                     f"asset {k_idx} has weights {asset.alphas}, but the single-rotation "
                     f"variant requires the shared vector {shared}")
+        if encoding != "linear":
+            raise ValueError(f"the single_rotation variant takes encoding 'linear' only, got "
+                             f"{encoding!r}: its rotation is affine in the sum register")
         plan = index_sum_plan(grids, shared)
     starts = list(itertools.accumulate((g.n_z for g in grids), initial=0))
     sum_qubits = list(range(starts[-1], starts[-1] + plan.n_sum)) if plan else []
@@ -306,22 +311,15 @@ def model_layout(portfolio: Portfolio, grids,
 
 
 def _numbers(portfolio: Portfolio, grids: list, variant: str, encoding: str):
-    """One variant's model_layout and numbers: the factor registers' probability vectors,
-    and the (M, K) angles or the assets' offsets (K,) and slopes (K, registers).  The one
-    check of the encoding: one of ENCODINGS, and single_rotation's the linear one."""
-    if encoding not in ENCODINGS:
-        raise ValueError(f"unknown encoding {encoding!r}")
-    model, plan = model_layout(portfolio, grids, variant)
+    """One model's model_layout and numbers: the factor registers' probability vectors,
+    and the (M, K) angles or the assets' offsets (K,) and slopes (K, registers)."""
+    model, plan = model_layout(portfolio, grids, variant, encoding)
     if plan:
-        if encoding != "linear":
-            raise ValueError(f"the single_rotation variant takes encoding 'linear' only, got "
-                             f"{encoding!r}: its rotation is affine in the sum register")
         return model, plan, *_single_rotation(portfolio, grids, plan)
     return model, plan, *_multi_rotation(portfolio, grids, encoding)
 
 
-def build_model(portfolio: Portfolio, grids, variant: str = "multi_rotation",
-                encoding: str = "exact") -> ModelCircuit:
+def build_model(portfolio: Portfolio, grids, variant: str, encoding: str) -> ModelCircuit:
     """Build the uncertainty model of one variant (see VARIANTS) on its model_layout from
     its numbers: the factor loaders, one register RY per level, single_rotation's index
     adder into the sum register, each asset's rotations (in the exact encoding one register
@@ -329,8 +327,8 @@ def build_model(portfolio: Portfolio, grids, variant: str = "multi_rotation",
     an X, so the sum register returns to |0>.
 
     multi_rotation on a portfolio of one factor is the single-factor model, and
-    single_rotation takes encoding="linear" only, so each accepted (variant, encoding)
-    builds its own model.
+    single_rotation takes encoding="linear" only (model_layout's rule), so each accepted
+    (variant, encoding) builds its own model.
     """
     grids = list(grids)
     model, plan, loads, rotations = _numbers(portfolio, grids, variant, encoding)
@@ -356,8 +354,8 @@ def build_model(portfolio: Portfolio, grids, variant: str = "multi_rotation",
     return model
 
 
-def model_table(portfolio: Portfolio, grids, variant: str = "multi_rotation",
-                encoding: str = "exact") -> tuple[np.ndarray, np.ndarray]:
+def model_table(portfolio: Portfolio, grids, variant: str,
+                encoding: str) -> tuple[np.ndarray, np.ndarray]:
     """build_model's model as a classical mixture, no gate built: the probabilities (M,)
     of the factor registers' joint cells in itertools.product order, and each asset's
     total angle on each cell (M, K).  RYs on one qubit add up, so on cell c asset k

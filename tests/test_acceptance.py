@@ -63,7 +63,7 @@ def test_criterion_2_var_reproduction():
     start = time.perf_counter()
     pf, grids = two_asset_portfolio(), factor_grids()
     dist = exact_loss_distribution(pf, grids)
-    cdf = model_distribution(pf, grids, encoding="exact").cdf
+    cdf = model_distribution(pf, grids, "multi_rotation", "exact").cdf
     res = var_bisection(dist, ALPHA, cdf_estimator(cdf))
     probed = {p.threshold: p.estimate for p in res.bisection_trace}
     predecessor_ok = probed.get(1000.5, 1.0) < ALPHA
@@ -96,12 +96,13 @@ def test_criterion_3_iqae_contract_at_reference_settings():
 
 
 def test_criterion_4_width_reproduction():
-    rep = estimate_resources(two_asset_portfolio(), factor_grids(), "multi_rotation", "s_free")
+    rep = estimate_resources(two_asset_portfolio(), factor_grids(), "multi_rotation", "linear",
+                             "s_free")
     widths = []
     for k in (2, 3, 4):
         assets = [Asset(100.0 + i, 0.2, 0.1, (0.35, 0.20)) for i in range(k)]
         widths.append(estimate_resources(Portfolio(assets), factor_grids(),
-                                         "multi_rotation", "s_free").width_paper_layout)
+                                         "multi_rotation", "linear", "s_free").width_paper_layout)
     ok = rep.width_paper_layout == 9 and widths == [9, 11, 13]
     report(4, ok,
            f"width_paper_layout = {rep.width_paper_layout} (reference figure 9); "

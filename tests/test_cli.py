@@ -20,11 +20,11 @@ import qvar.cli
 import qvar.risk
 import qvar.uncertainty
 from qvar.circuit import evolve, marginal_probability
-from qvar.cli import (CONFIG_SCHEMA, OVERRIDES, ConfigError, _schema_errors, config_to_inputs,
-                      iqae_config, load_config, main)
+from qvar.cli import (COMMANDS, CONFIG_SCHEMA, OVERRIDES, ConfigError, _schema_errors,
+                      config_to_inputs, iqae_config, load_config, main)
 from qvar.gaussian import FactorGrid, conditional_pd_table
 from qvar.risk import _BYTES_PER_AMPLITUDE, exact_loss_distribution
-from qvar.uncertainty import ENCODINGS, Portfolio, model_table
+from qvar.uncertainty import ENCODINGS, VARIANTS, Portfolio, model_table
 
 from oracles import build_a_circuit, exact_amplitude
 
@@ -447,26 +447,40 @@ class TestVariants:
         assert len(errors) == 1
         assert "asset 1 has weights" in errors.pop()
 
-    @pytest.mark.parametrize("argv", [["analyze", "--estimator", "exact"],
-                                      ["analyze", "--estimator", "iqae"], ["compare"]])
-    def test_single_rotation_refuses_the_exact_encoding(self, tmp_path, capsys, monkeypatch,
-                                                        argv):
-        # single_rotation's rotation is affine in its sum register: the exact encoding
-        # names no model of it, so every command that builds the model refuses the pair in
-        # one line, before any grid computes its arrays.
-        _no_grid_arrays(monkeypatch)
+    @pytest.mark.parametrize("variant, encoding, error", [
+        ("multi_rotation", "exact", None), ("multi_rotation", "linear", None),
+        ("single_rotation", "linear", None),
+        ("single_rotation", "exact", "the single_rotation variant takes encoding 'linear' only, "
+                                     "got 'exact': its rotation is affine in the sum register"),
+        ("single_factor", "linear", "{config}: schema violations: analysis/variant: "
+                                    "'single_factor' is not one of "
+                                    "['multi_rotation', 'single_rotation']"),
+        ("multi_rotation", "bogus", "{config}: schema violations: analysis/encoding: "
+                                    "'bogus' is not one of ['exact', 'linear']"),
+    ], ids=lambda value: "runs" if value is None else "refused" if " " in value else value)
+    def test_every_model_command_refuses_a_pair_that_is_no_model(self, tmp_path, capsys,
+                                                                  monkeypatch, variant,
+                                                                  encoding, error):
+        # Every command that names a model, whatever it then computes, runs the accepted
+        # (variant, encoding) pairs and refuses any other in one line, in the same words,
+        # before any grid computes its arrays.  single_rotation's rotation is affine in
+        # its sum register, so the exact encoding names no model of it.
         payload = copy.deepcopy(SHARED_ALPHAS_AT_2_5)
         payload["analysis"].update(epsilon=0.01, confidence=0.99)
         config = write_config(tmp_path, payload)
-        assert main([argv[0], "--config", config, *argv[1:], "--variant", "single_rotation",
-                     "--encoding", "exact"]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err == (
-            "error: the single_rotation variant takes encoding 'linear' only, got 'exact': "
-            "its rotation is affine in the sum register\n")
-        # resources builds no model and reads no encoding.
-        assert main(["resources", "--config", config, "--variant", "single_rotation",
-                     "--encoding", "exact"]) == 0
+        for argv in (["analyze", "--estimator", "exact"], ["analyze", "--estimator", "iqae"],
+                     ["analyze", "--estimator", "classical"], ["compare"], ["resources"]):
+            with monkeypatch.context() as patched:
+                if error:
+                    _no_grid_arrays(patched)
+                code = main([argv[0], "--config", config, *argv[1:], "--variant", variant,
+                             "--encoding", encoding, "--output", os.devnull])
+            out, err = capsys.readouterr()
+            if error is None:
+                assert (code, out, err) == (0, "", ""), argv
+            else:
+                assert out == "" and err == f"error: {error.format(config=config)}\n", argv
+                assert code == (1 if variant in VARIANTS and encoding in ENCODINGS else 2)
 
     def test_classical_checks_variant_before_enumerating(self, tmp_path, capsys,
                                                          monkeypatch):
@@ -665,6 +679,24 @@ class TestVariants:
             "error: asset 1 has weights (0.3, 0.2), but the single-rotation variant requires "
             "the shared vector (0.4, 0.1)\n")
 
+    @pytest.mark.parametrize("argv", [["analyze", "--estimator", "exact"],
+                                      ["analyze", "--estimator", "classical"], ["compare"]])
+    def test_pair_refused_before_the_budget(self, tmp_path, capsys, monkeypatch, argv):
+        # Two assets on shared weights and two 12-qubit factors: over the enumeration's
+        # count (2**26 states), and single_rotation with the exact encoding is no model.
+        # The pair is checked first.
+        _no_grid_arrays(monkeypatch)
+        payload = {
+            "risk_factors": {"count": 2, "qubits_per_factor": 12},
+            "assets": [{"lgd": 100.5, "p0": 0.1, "rho": 0.2, "alphas": [0.4, 0.1]},
+                       {"lgd": 200.5, "p0": 0.2, "rho": 0.1, "alphas": [0.4, 0.1]}],
+            "analysis": {"alpha": 0.95, "epsilon": 0.01, "confidence": 0.99,
+                         "variant": "single_rotation", "encoding": "exact"},
+        }
+        config = write_config(tmp_path, payload)
+        assert main([argv[0], "--config", config, *argv[1:]]) == 1
+        assert "takes encoding 'linear' only" in capsys.readouterr().err
+
     def test_budget_prices_the_grids_the_run_reads(self, tmp_path, monkeypatch):
         # The grids the budget is checked on, in exact_loss_distribution, are the ones the
         # enumeration then reads.
@@ -721,14 +753,12 @@ class TestVariants:
         for asset in payload["assets"]:
             asset["alphas"] = asset["alphas"][:1]
         config = write_config(tmp_path, payload)
-        with pytest.raises(SystemExit) as exited:
-            main(["analyze", "--config", config, "--variant", "single_factor"])
-        assert exited.value.code == 2
-        assert "invalid choice: 'single_factor'" in capsys.readouterr().err
-        payload["analysis"]["variant"] = "single_factor"
-        assert main(["analyze", "--config", write_config(tmp_path, payload)]) == 2
+        assert main(["analyze", "--config", config, "--variant", "single_factor"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "analysis/variant: 'single_factor' is not one of" in err
+        payload["analysis"]["variant"] = "single_factor"
+        assert main(["analyze", "--config", write_config(tmp_path, payload)]) == 2
+        assert capsys.readouterr().err == err
 
     def test_single_factor_runs(self, tmp_path):
         payload = {
@@ -1261,6 +1291,29 @@ class TestParser:
         for field, choices in OVERRIDES.items():
             assert list(choices) == analysis[field]["enum"]
 
+    @pytest.mark.parametrize("field", OVERRIDES)
+    def test_flag_values_pass_the_schema_alone(self, tmp_path, capsys, field):
+        # argparse checks no value: a bad flag is merged into the config and refused by
+        # the schema in one line, exit 2, in the words of the same value in the config.
+        payload = copy.deepcopy(TWO_ASSET)
+        for command in COMMANDS:
+            config = write_config(tmp_path, TWO_ASSET)
+            assert main([command, "--config", config, f"--{field}", "nope"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == (
+                f"error: {config}: schema violations: analysis/{field}: "
+                f"'nope' is not one of {list(OVERRIDES[field])!r}\n")
+            payload["analysis"][field] = "nope"
+            assert main([command, "--config", write_config(tmp_path, payload)]) == 2
+            assert capsys.readouterr() == (out, err)
+
+    def test_help_lists_the_schema_values(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["analyze", "--help"])
+        usage = capsys.readouterr().out
+        for field, choices in OVERRIDES.items():
+            assert f"--{field} {{{','.join(choices)}}}" in usage
+
     def test_main_builds_one_parser(self, tmp_path):
         qvar.cli.build_parser.cache_clear()
         config = write_config(tmp_path, TWO_ASSET)
@@ -1270,7 +1323,7 @@ class TestParser:
 
     @pytest.mark.parametrize("argv, code", [
         (["--help"], 0), (["compare", "--help"], 0), ([], 2), (["bogus"], 2),
-        (["analyze", "--config", "c.json", "--estimator", "nope"], 2)])
+        (["analyze", "--estimator", "exact"], 2)])
     @pytest.mark.parametrize("columns", ["40", "120"])
     def test_help_and_errors_unchanged(self, capsys, monkeypatch, argv, code, columns):
         # The cached parser, after serving a run, prints what a fresh one prints: help is

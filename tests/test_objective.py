@@ -67,7 +67,7 @@ class TestWeightedSumRegister:
 class TestSFreeComparator:
     def test_pattern_counts(self):
         pf, grids = table_inputs()
-        model = build_model(pf, grids)
+        model = build_model(pf, grids, "multi_rotation", "exact")
 
         def n_gates(x):
             return len(comparator(pf, model, "s_free", x).gates)
@@ -88,7 +88,8 @@ class TestSFreeComparator:
             assets = [Asset(float(l), 0.2, 0.1, (1.0,)) for l in lgds]
             pf = Portfolio(assets)
             x = float(rng.uniform(-1, lgds.sum() + 1))
-            comp = comparator(pf, build_model(pf, [FactorGrid(1)]), "s_free", x)
+            model = build_model(pf, [FactorGrid(1)], "multi_rotation", "exact")
+            comp = comparator(pf, model, "s_free", x)
             qualifying = sum(
                 1 for pattern in itertools.product((0, 1), repeat=k)
                 if np.dot(lgds, pattern) <= x)
@@ -97,7 +98,8 @@ class TestSFreeComparator:
     def test_non_finite_threshold_rejected(self):
         pf, grids = table_inputs()
         with pytest.raises(ValueError):
-            comparator(pf, build_model(pf, grids), "s_free", float("nan"))
+            comparator(pf, build_model(pf, grids, "multi_rotation", "exact"), "s_free",
+                       float("nan"))
 
 
 class TestWeightedSum:
@@ -191,7 +193,7 @@ class TestComparators:
     @pytest.mark.parametrize("mode", MODES)
     def test_above_at_or_past_threshold_adds_no_flip(self, mode):
         pf = self.portfolio(np.random.default_rng(5), 4, mode)
-        model = build_model(pf, [FactorGrid(1)] * 2)
+        model = build_model(pf, [FactorGrid(1)] * 2, "multi_rotation", "exact")
         for x in np.unique(pf.pattern_losses):
             for above in (x, x + 0.5, x + 1e6):
                 comp = comparator(pf, model, mode, float(x), float(above))
@@ -222,7 +224,7 @@ class TestComparators:
     @pytest.mark.parametrize("mode", MODES)
     def test_non_finite_threshold_rejected(self, mode):
         pf = self.portfolio(np.random.default_rng(4), 3, mode)
-        model = build_model(pf, [FactorGrid(1)] * 2)
+        model = build_model(pf, [FactorGrid(1)] * 2, "multi_rotation", "exact")
         for x in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="threshold must be finite"):
                 comparator(pf, model, mode, x)

@@ -9,7 +9,7 @@ import pytest
 from qvar.gaussian import FactorGrid
 from qvar.objective import MODES, comparator, comparator_gates
 from qvar.resources import estimate_resources
-from qvar.risk import exact_loss_distribution
+from qvar.risk import check_budget, exact_loss_distribution, model_distribution
 from qvar.uncertainty import ENCODINGS, Asset, Portfolio, build_model, model_table
 
 from oracles import build_a_circuit
@@ -26,7 +26,8 @@ def grids(r=2, n_z=2):
 
 class TestWidthAccounting:
     def test_reference_nine_qubits(self):
-        report = estimate_resources(two_asset_portfolio(), grids(), "multi_rotation", "s_free")
+        report = estimate_resources(two_asset_portfolio(), grids(), "multi_rotation", "linear",
+                                    "s_free")
         assert report.width_paper_layout == 9      # 4 factor + 2 asset + 2 ancilla + 1 objective
         assert report.width_built == 7
         assert report.sum_register_width is None
@@ -35,7 +36,8 @@ class TestWidthAccounting:
         widths = []
         for k in (2, 3, 4):
             assets = [Asset(10.0 + i, 0.2, 0.1, (0.35, 0.20)) for i in range(k)]
-            report = estimate_resources(Portfolio(assets), grids(), "multi_rotation", "s_free")
+            report = estimate_resources(Portfolio(assets), grids(), "multi_rotation", "linear",
+                                        "s_free")
             widths.append(report.width_paper_layout)
         assert widths == [9, 11, 13]
 
@@ -44,14 +46,16 @@ class TestWidthAccounting:
         for r in (2, 3, 4):
             assets = [Asset(10.0, 0.2, 0.1, tuple([0.3] * r)),
                       Asset(20.0, 0.3, 0.1, tuple([0.2] * r))]
-            report = estimate_resources(Portfolio(assets), grids(r), "multi_rotation", "s_free")
+            report = estimate_resources(Portfolio(assets), grids(r), "multi_rotation", "linear",
+                                        "s_free")
             widths.append(report.width_paper_layout)
         assert widths == [9, 11, 13]
 
     def test_legacy_sum_register(self):
         assets = [Asset(1, 0.2, 0.1, (1.0,)), Asset(2, 0.2, 0.1, (1.0,)),
                   Asset(4, 0.2, 0.1, (1.0,))]
-        report = estimate_resources(Portfolio(assets), grids(1), "multi_rotation", "weighted_sum")
+        report = estimate_resources(Portfolio(assets), grids(1), "multi_rotation", "linear",
+                                    "weighted_sum")
         assert report.sum_register_width == 3      # floor(log2(7)) + 1
         assert report.mode == "weighted_sum"
         # factors (2) + assets (3) + sum (3) + objective (1)
@@ -64,20 +68,21 @@ class TestWidthAccounting:
             p = pf if variant == "multi_rotation" else Portfolio(
                 [Asset(1000.5, 0.15, 0.10, (0.35, 0.20)),
                  Asset(2000.5, 0.25, 0.05, (0.35, 0.20))])
-            report = estimate_resources(p, grids(), variant, "s_free")
+            report = estimate_resources(p, grids(), variant, "linear", "s_free")
             assert report.width_built <= report.width_paper_layout
 
     def test_single_rotation_reports_sum_register(self):
         shared = (0.35, 0.20)
         pf = Portfolio([Asset(1000.5, 0.15, 0.10, shared),
                         Asset(2000.5, 0.25, 0.05, shared)])
-        report = estimate_resources(pf, grids(), "single_rotation", "s_free")
+        report = estimate_resources(pf, grids(), "single_rotation", "linear", "s_free")
         assert report.sum_register_width is not None
         assert report.rotation_count == pf.k
 
     def test_weighted_sum_rejects_non_integers(self):
         with pytest.raises(ValueError):
-            estimate_resources(two_asset_portfolio(), grids(), "multi_rotation", "weighted_sum")
+            estimate_resources(two_asset_portfolio(), grids(), "multi_rotation", "linear",
+                               "weighted_sum")
 
 
 class TestGateAccounting:
@@ -85,20 +90,22 @@ class TestGateAccounting:
         for k in (1, 2, 3):
             for r in (1, 2, 3):
                 assets = [Asset(1.0, 0.2, 0.1, tuple([0.3] * r)) for _ in range(k)]
-                report = estimate_resources(Portfolio(assets), grids(r), "multi_rotation")
+                report = estimate_resources(Portfolio(assets), grids(r), "multi_rotation",
+                                            "linear", "s_free")
                 assert report.rotation_count == k * r
 
     def test_single_rotation_count_independent_of_r(self):
         for r in (1, 2, 3):
             shared = tuple([0.3] * r)
             assets = [Asset(1.0, 0.2, 0.1, shared), Asset(2.0, 0.3, 0.1, shared)]
-            report = estimate_resources(Portfolio(assets), grids(r), "single_rotation")
+            report = estimate_resources(Portfolio(assets), grids(r), "single_rotation", "linear",
+                                        "s_free")
             assert report.rotation_count == 2
 
     def test_measured_counts_within_worst_case(self):
         pf = two_asset_portfolio()
         g = grids()
-        report = estimate_resources(pf, g, "multi_rotation", "s_free")
+        report = estimate_resources(pf, g, "multi_rotation", "exact", "s_free")
 
         built = build_a_circuit(pf, g, 1500.0, encoding="exact")
         assert built.n_qubits == report.width_built
@@ -146,7 +153,7 @@ class TestGateAccounting:
         for _ in range(6):
             pf = Portfolio([Asset(int(rng.integers(0, 40)), 0.1, 0.1, (0.3,))
                             for _ in range(int(rng.integers(1, 6)))])
-            model = build_model(pf, grids(1, 1))
+            model = build_model(pf, grids(1, 1), "multi_rotation", "exact")
             counted = comparator_gates(pf, mode)
             for x in (float(pf.pattern_losses.max()), 2.0 ** 20):
                 gates = comparator(pf, model, mode, x).gates
@@ -158,11 +165,12 @@ class TestGateAccounting:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            estimate_resources(two_asset_portfolio(), grids(), "bogus")
+            estimate_resources(two_asset_portfolio(), grids(), "bogus", "linear", "s_free")
         with pytest.raises(ValueError):
-            estimate_resources(two_asset_portfolio(), grids(), "multi_rotation", "bogus")
+            estimate_resources(two_asset_portfolio(), grids(), "multi_rotation", "linear", "bogus")
         with pytest.raises(ValueError):
-            estimate_resources(two_asset_portfolio(), grids(1), "multi_rotation")
+            estimate_resources(two_asset_portfolio(), grids(1), "multi_rotation", "linear",
+                               "s_free")
 
 
 class TestRuleParity:
@@ -174,7 +182,8 @@ class TestRuleParity:
     @pytest.mark.parametrize("seed, variant, factors", [
         (0, "multi_rotation", None), (1, "single_rotation", None), (2, "multi_rotation", 1)])
     def test_width_built_is_the_built_width(self, seed, variant, factors, mode, encoding):
-        # factors None draws one or two; single_rotation refuses the exact encoding.
+        # factors None draws one or two; single_rotation refuses the exact encoding, in the
+        # accounting as in the build.
         rng = np.random.default_rng([seed, MODES.index(mode), ENCODINGS.index(encoding)])
         for _ in range(4):
             r = factors or int(rng.integers(1, 3))
@@ -188,11 +197,13 @@ class TestRuleParity:
             g = [FactorGrid(int(n)) for n in rng.integers(1, 4, r)]
             build = functools.partial(build_a_circuit, pf, g, float(pf.pattern_losses.max()),
                                       variant=variant, encoding=encoding, mode=mode)
+            estimate = functools.partial(estimate_resources, pf, g, variant, encoding, mode)
             if (variant, encoding) == ("single_rotation", "exact"):
-                with pytest.raises(ValueError, match="takes encoding 'linear' only"):
-                    build()
+                for call in (build, estimate):
+                    with pytest.raises(ValueError, match="takes encoding 'linear' only"):
+                        call()
                 continue
-            assert estimate_resources(pf, g, variant, mode).width_built == build().n_qubits
+            assert estimate().width_built == build().n_qubits
 
     @pytest.mark.parametrize("variant, r, n_grids, shared", [
         ("bogus", 2, 2, True),                      # an unknown variant
@@ -211,7 +222,8 @@ class TestRuleParity:
         calls = [lambda: build_model(pf, g, variant, encoding),
                  lambda: model_table(pf, g, variant, encoding)]
         # The variant's rule comes before weighted_sum's refusal of these real LGDs.
-        calls += [lambda mode=mode: estimate_resources(pf, g, variant, mode) for mode in MODES]
+        calls += [lambda mode=mode: estimate_resources(pf, g, variant, encoding, mode)
+                  for mode in MODES]
         if n_grids != r:
             calls.append(lambda: exact_loss_distribution(pf, g))
         messages = set()
@@ -227,8 +239,34 @@ class TestRuleParity:
         pf = Portfolio([Asset(1000.5, 0.15, 0.1, (0.3,) * r), Asset(2000.5, 0.25, 0.05, (0.3,) * r)])
         g = grids(r)
         messages = set()
-        for call in (build_model, model_table):
+        calls = [lambda call=call: call(pf, g, variant, "bogus")
+                 for call in (build_model, model_table, model_distribution)]
+        calls += [lambda mode=mode: estimate_resources(pf, g, variant, "bogus", mode)
+                  for mode in MODES]
+        for call in calls:
             with pytest.raises(ValueError) as refused:
-                call(pf, g, variant, "bogus")
+                call()
             messages.add(str(refused.value))
         assert messages == {"unknown encoding 'bogus'"}
+
+    def test_single_rotation_exact_refused_in_the_same_words(self, monkeypatch):
+        # model_layout owns the pair rule: every library function that names a model
+        # refuses single_rotation with the exact encoding in its words, before any grid
+        # computes its arrays.
+        for name in ("values", "probs"):
+            monkeypatch.setattr(FactorGrid, name, property(
+                lambda grid, name=name: pytest.fail(f"a grid computed its {name}")))
+        shared = (0.35, 0.2)
+        pf = Portfolio([Asset(1000.5, 0.15, 0.1, shared), Asset(2000.5, 0.25, 0.05, shared)])
+        g, model = grids(), ("single_rotation", "exact")
+        calls = [lambda call=call: call(pf, g, *model)
+                 for call in (build_model, model_table, model_distribution)]
+        calls += [lambda mode=mode: estimate_resources(pf, g, *model, mode) for mode in MODES]
+        calls += [lambda mode=mode: check_budget(pf, g, iqae=True, circuit=(*model, mode))
+                  for mode in MODES]
+        for call in calls:
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == (
+                "the single_rotation variant takes encoding 'linear' only, got 'exact': "
+                "its rotation is affine in the sum register")

@@ -525,7 +525,7 @@ class TestModelCdf:
         pf = Portfolio([Asset(100.0, 0.1, 0.2, (0.3,))] * 20)
         with pytest.raises(ValueError, match="33554432 states, over the budget of 10000000; "
                                              "reduce risk_factors.qubits_per_factor or assets"):
-            model_distribution(pf, [FactorGrid(5)])
+            model_distribution(pf, [FactorGrid(5)], "multi_rotation", "exact")
 
     def test_iqae_probes_take_consecutive_seeds(self):
         pf, grids = table_inputs()

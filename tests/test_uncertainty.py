@@ -186,9 +186,9 @@ class TestMultiRotationExact:
         # multi_rotation on one factor is the single-factor model, and no other name
         # builds it: the builders and the resource count refuse the old one alike.
         pf, grids = Portfolio([Asset(1000.5, 0.15, 0.10, (1.0,))]), [FactorGrid(2)]
-        for call in (build_model, model_table, estimate_resources):
+        for call, mode in ((build_model, ()), (model_table, ()), (estimate_resources, ("s_free",))):
             with pytest.raises(ValueError, match="^unknown variant 'single_factor'$"):
-                call(pf, grids, "single_factor")
+                call(pf, grids, "single_factor", "linear", *mode)
 
     def test_all_zero_weights_marginal(self):
         shared = (0.0, 0.0)
@@ -569,8 +569,8 @@ class TestValidation:
         for grids in ([FactorGrid(2)], [FactorGrid(2)] * 3):
             message = f"portfolio has 2 factors but {len(grids)} grids were given"
             with pytest.raises(ValueError, match=message):
-                model_layout(pf, grids, "multi_rotation")
+                model_layout(pf, grids, "multi_rotation", "exact")
             with pytest.raises(ValueError, match=message):
-                build_model(pf, grids)
+                build_model(pf, grids, "multi_rotation", "exact")
             with pytest.raises(ValueError, match=message):
                 exact_loss_distribution(pf, grids)
