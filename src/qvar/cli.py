@@ -171,16 +171,16 @@ def load_config(path: str, overrides=None) -> dict:
     factors = cfg["risk_factors"]
     r = factors["count"]
     qubits = factors["qubits_per_factor"]
-    if isinstance(qubits, list):
-        if len(qubits) != r:
-            raise ConfigError(
-                f"risk_factors.qubits_per_factor: expected {r} entries, got {len(qubits)}")
-    else:
-        factors["qubits_per_factor"] = [qubits] * r
+    # Lengths first: a scalar qubits_per_factor becomes r entries once the weights match r.
+    if isinstance(qubits, list) and len(qubits) != r:
+        raise ConfigError(
+            f"risk_factors.qubits_per_factor: expected {r} entries, got {len(qubits)}")
     for idx, asset in enumerate(cfg["assets"]):
         if len(asset["alphas"]) != r:
             raise ConfigError(
                 f"assets[{idx}].alphas: expected {r} weights, got {len(asset['alphas'])}")
+    if not isinstance(qubits, list):
+        factors["qubits_per_factor"] = [qubits] * r
     return cfg
 
 
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--output", default=None, help="output path (default: stdout)")
-        cmd.add_argument("--seed", type=int, default=None, help="override analysis.seed")
+        cmd.add_argument("--seed", default=None, help="override analysis.seed")
         for field, choices in OVERRIDES.items():
             cmd.add_argument(f"--{field}", metavar="{%s}" % ",".join(choices), default=None)
     return parser
@@ -358,7 +358,11 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {"seed": args.seed, **{field: getattr(args, field) for field in OVERRIDES}}
+    try:
+        seed = int(args.seed)
+    except (TypeError, ValueError):     # no --seed, or one int() refuses: the schema says why
+        seed = args.seed
+    overrides = {"seed": seed, **{field: getattr(args, field) for field in OVERRIDES}}
     try:
         cfg = load_config(args.config, overrides)
         return COMMANDS[args.command](cfg, args.output)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -282,7 +283,8 @@ def model_layout(portfolio: Portfolio, grids, variant: str,
     """The one check of a model's rules and layout of its registers: build_model's model
     with no gates yet, sum(n_z) + K qubits plus single_rotation's sum register, and
     single_rotation's IndexSumPlan (else None).  The encoding is one of ENCODINGS, every
-    variant needs one grid per factor, and single_rotation shared weights and `linear`."""
+    variant needs one grid per factor, and single_rotation shared weights, `linear` and
+    factors of at most 1,023 qubits."""
     grids = list(grids)
     if encoding not in ENCODINGS:
         raise ValueError(f"unknown encoding {encoding!r}")
@@ -301,6 +303,12 @@ def model_layout(portfolio: Portfolio, grids, variant: str,
         if encoding != "linear":
             raise ValueError(f"the single_rotation variant takes encoding 'linear' only, got "
                              f"{encoding!r}: its rotation is affine in the sum register")
+        widest = max(g.n_z for g in grids)
+        if widest >= sys.float_info.max_exp:    # index_sum_plan steps over 2**n_z - 1 points
+            raise ValueError(f"the single_rotation variant steps each factor's range over its "
+                             f"2**n_z - 1 points in floats, so it takes factors of at most "
+                             f"{sys.float_info.max_exp - 1} qubits, got {widest}; reduce "
+                             f"risk_factors.qubits_per_factor")
         plan = index_sum_plan(grids, shared)
     starts = list(itertools.accumulate((g.n_z for g in grids), initial=0))
     sum_qubits = list(range(starts[-1], starts[-1] + plan.n_sum)) if plan else []

@@ -2,7 +2,6 @@
 
 import copy
 import functools
-import hashlib
 import json
 import os
 import subprocess
@@ -177,6 +176,14 @@ class TestConfigLoading:
         bad["assets"][1]["alphas"] = [0.1]
         with pytest.raises(ConfigError, match=r"assets\[1\]\.alphas"):
             load_config(write_config(tmp_path, bad))
+
+    def test_count_past_the_weights_refused_before_allocating(self, tmp_path, capsys):
+        # A scalar qubits_per_factor becomes a list of `count` entries only once every
+        # length has been checked: [2] * 10**13 would raise MemoryError first.
+        payload = set_field(TWO_ASSET, "risk_factors/count", 10 ** 13)
+        assert main(["resources", "--config", write_config(tmp_path, payload)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: assets[0].alphas: expected 10000000000000 weights, got 2\n")
 
     def test_iqae_requires_epsilon(self, tmp_path):
         # The config loads: only iqae_config, where IQAE runs, needs the settings.
@@ -492,6 +499,35 @@ class TestVariants:
         assert main(["analyze", "--config", config, "--variant", "single_rotation",
                      "--estimator", "classical"]) == 1
         assert "asset 1 has weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["resources"], ["analyze", "--estimator", "exact"],
+                                      ["compare"]])
+    def test_single_rotation_factor_past_1023_qubits_refused(self, tmp_path, capsys,
+                                                             monkeypatch, argv):
+        # index_sum_plan steps each factor's range over its 2**n_z - 1 points in floats,
+        # and no float holds 2**1024 - 1: a 1,024-qubit factor is refused in one line
+        # naming the field.  At 1,023 the plan computes, and resources reports it while
+        # analyze and compare refuse the budget; no grid computes its arrays either way.
+        _no_grid_arrays(monkeypatch)
+        payload = copy.deepcopy(SHARED_ALPHAS_AT_2_5)
+        payload["analysis"].update(epsilon=0.01, confidence=0.99, variant="single_rotation")
+        for qubits in (1023, 1024):
+            payload["risk_factors"]["qubits_per_factor"] = [qubits, 3]
+            config = write_config(tmp_path, payload)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main([*argv, "--config", config, "--output", os.devnull])
+            err = capsys.readouterr().err
+            if qubits == 1023 and argv == ["resources"]:
+                assert (code, err) == (0, "")
+            elif qubits == 1023:
+                assert code == 1 and err.count("\n") == 1 and "over the budget" in err
+            else:
+                assert (code, err) == (1, "error: the single_rotation variant steps each "
+                                          "factor's range over its 2**n_z - 1 points in "
+                                          "floats, so it takes factors of at most 1023 "
+                                          "qubits, got 1024; reduce "
+                                          "risk_factors.qubits_per_factor\n")
 
     def test_statevector_budget_refused_before_allocating(self, tmp_path, capsys):
         # 8 factor qubits, an 8-qubit index sum and 10 assets: a 26-qubit model and a
@@ -900,17 +936,6 @@ class TestUnderflowingGrid:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert "risk_factors.bound_sigmas" in err and "risk_factors.qubits_per_factor" in err
 
-    @pytest.mark.parametrize("argv, digest", [
-        (["analyze", "--estimator", "classical"],
-         "0077cb2bd86dea7aeee158548f3f28cbc79647287c4e85b2e9d657441a3fe055"),
-        (["compare"], "b046b8dba9c51306b18fa53aa3893c8411c4d12974e2de9fe6ac21e191fa071b")])
-    def test_subnormal_densities_keep_their_bytes(self, tmp_path, capsys, argv, digest):
-        # At 38 sigmas a 1-qubit grid's densities are subnormal but positive, so it runs.
-        payload = json.loads((CONFIGS / "two_asset.json").read_text())
-        payload["risk_factors"].update(qubits_per_factor=1, bound_sigmas=38.0)
-        assert main([argv[0], "--config", write_config(tmp_path, payload), *argv[1:]]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
 
 # Two assets on one shared weight vector, so single_rotation runs, on grids truncated at
 # 2.5 rather than the default 3: the bound reaches the grid values, the linear secants and
@@ -923,24 +948,6 @@ SHARED_ALPHAS_AT_2_5 = {
     ],
     "analysis": {"alpha": 0.95},
 }
-
-
-@pytest.mark.parametrize("argv, digest", [
-    (["analyze", "--estimator", "exact", "--encoding", "linear"],
-     "a3618da3398594a33372d594b996d0a693cf91a3876875afb3ebacbdd539f7ec"),
-    (["analyze", "--estimator", "exact", "--encoding", "exact"],
-     "75efd376a859007b0142223d14655b8843e7b1a4474b4a8e76b5f71acac2cedd"),
-    (["analyze", "--estimator", "exact", "--variant", "single_rotation"],
-     "1dc9f9786163af3eac28106e44b46f30c1769be8ba952203118103b395763dff"),
-    (["distribution"], "9bb825ccd81a31fd3b2860f277bac7303c572780c8329d5a5b61e2c9a806e27a"),
-    (["resources", "--variant", "single_rotation"],
-     "ef8f6b374755b541caabd703c85de7a2c09fb4d4a794a41bc098cd8cf4c2b3ac"),
-])
-def test_non_default_bound_golden_bytes(tmp_path, capsys, argv, digest):
-    # SHA-256 of stdout as the grids with a mean, a std and a [z_min, z_max] range printed it.
-    config = write_config(tmp_path, SHARED_ALPHAS_AT_2_5)
-    assert main([argv[0], "--config", config, *argv[1:]]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestCompare:
@@ -956,17 +963,6 @@ class TestCompare:
         body = [line for line in text.split("\n") if "True" in line or "False" in line]
         assert len(body) == 4
         assert all("False" not in line for line in body)
-
-    @pytest.mark.parametrize("config, options, digest", [
-        ("two_asset.json", [],
-         "c230789c991f49176c894543f98b39d6a3c88b943e2baa2e05b54d99882e044b"),
-        ("two_asset_integer.json", ["--mode", "weighted_sum"],
-         "b2306e6dd24cbd228d4b297a2a63244a82e79a5b284085aac13eaa9484aa3224"),
-    ])
-    def test_golden_bytes(self, capsys, config, options, digest):
-        # SHA-256 of the table as the per-threshold A-circuit compare printed it.
-        assert main(["compare", "--config", str(CONFIGS / config), *options]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("seed, variant, encoding, mode, r", [
         (1, "multi_rotation", "exact", "s_free", 2),
@@ -1306,6 +1302,15 @@ class TestParser:
             payload["analysis"][field] = "nope"
             assert main([command, "--config", write_config(tmp_path, payload)]) == 2
             assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_seed_int_refuses_passes_the_schema_alone(self, tmp_path, capsys, value):
+        # --seed is read as int() reads it, as argparse's type=int did; a value int()
+        # refuses reaches the schema as given and is refused there, in one line.
+        config = write_config(tmp_path, TWO_ASSET)
+        assert main(["analyze", "--config", config, "--seed", value]) == 2
+        assert capsys.readouterr() == ("", f"error: {config}: schema violations: "
+                                           f"analysis/seed: {value!r} is not of type 'integer'\n")
 
     def test_help_lists_the_schema_values(self, capsys):
         with pytest.raises(SystemExit):
