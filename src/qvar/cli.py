@@ -30,12 +30,12 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .circuit import Circuit, evolve, marginal_probability, zero_state
-from .estimation import IqaeConfig
+from .estimation import IqaeConfig, iqae
 from .gaussian import FactorGrid
 from .objective import MODES, comparator, objective_qubit
 from .resources import estimate_resources
@@ -157,8 +157,9 @@ def load_config(path: str, overrides=None) -> dict:
             cfg = json.load(fh)
     except OSError as exc:                  # open's message names the path
         raise ConfigError(str(exc)) from exc
-    # JSON text is UTF-8, and nested past the recursion limit it is no config either
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # Not UTF-8, not JSON (both ValueErrors), an integer past Python's 4,300-digit limit,
+    # or nested past the recursion limit: no config either way
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if isinstance(cfg, dict) and isinstance(cfg.get("analysis"), dict):
         cfg["analysis"].update({k: v for k, v in (overrides or {}).items() if v is not None})
@@ -207,7 +208,17 @@ def iqae_config(analysis: dict) -> IqaeConfig:
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # A report's counts are exact: 2**K patterns pass int's 4,300-digit str limit at
+    # K = 14,285, so the limit is lifted while one report is written (Python 3.10 before
+    # 3.10.7 has none).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _emit(text: str, output: str | None):
@@ -298,19 +309,17 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     state = zero_state(width)
     evolve(Circuit(width, model.circuit.gates), state)
     mc = monte_carlo_distribution(portfolio, grids, pd, analysis["mc_paths"], analysis["seed"])
-    readout = {}        # each threshold's A-circuit readout, handed on to IQAE to sample
-    sampled = cdf_estimator(readout.pop, settings)
     above = -np.inf
     header = (f"{'threshold':>12}  {'classical':>12}  {'exact':>12}  {'|e-c|':>9}  "
               f"{'iqae':>12}  {'|q-e|':>9}  {'<=eps':>5}  {'mc':>12}  {'|m-e|':>9}  {'<=3sd':>5}")
     lines = [header, "-" * len(header)]
     ok = True
-    for x in dist.losses.tolist():
+    for i, x in enumerate(dist.losses.tolist()):
         classical = dist.cdf(x)
         evolve(comparator(portfolio, model, mode, x, above), state)
-        exact = readout[x] = marginal_probability(state, objective, 1)
+        exact = marginal_probability(state, objective, 1)   # the A circuit's readout
         above = x
-        q = sampled(x)
+        q = iqae(exact, replace(settings, seed=settings.seed + i))
         mc_val = mc.cdf(x)
         p = min(max(exact, 0.0), 1.0)        # a readout of 1 can round past it
         sigma = max(np.sqrt(p * (1 - p) / analysis["mc_paths"]), 1e-12)

@@ -223,6 +223,15 @@ def expected_loss(dist: LossDistribution) -> float:
     return float(dist.losses @ dist.probs)
 
 
+def _count(n: int) -> str:
+    """n to three significant digits, as 3.36e+7, in time linear in its bits: exact below
+    2**90, else n's top 90 bits times 2**shift at 28 digits.  The whole integer never
+    becomes a str (Python refuses past 4,300 digits, in time quadratic in them) or a float."""
+    from decimal import MAX_EMAX, Context   # only a refusal counts: no run that fits loads it
+    shift, context = max(n.bit_length() - 90, 0), Context(prec=28, Emax=MAX_EMAX)
+    return format(context.multiply(n >> shift, context.power(2, shift)), ".3g")
+
+
 def check_budget(portfolio: Portfolio, grids, iqae: bool = False,
                  circuit: tuple[str, str, str] | None = None) -> None:
     """The one check that a run fits, made from sizes alone before any grid's arrays exist.
@@ -230,11 +239,13 @@ def check_budget(portfolio: Portfolio, grids, iqae: bool = False,
     scipy where `iqae` runs; with circuit = (variant, encoding, mode), compare's A circuit:
     its state, its model's register RY angles (the exact encoding's sum(2**n_z) + K * M in
     every encoding) and its comparator's gates.  In states: the enumeration's cells x 2**K."""
-    points = [g.size for g in grids]
+    points, n_z = [g.size for g in grids], [g.n_z for g in grids]
     states = math.prod(points) * 2 ** portfolio.k
     need = (_BYTES_PER_GRID_POINT * sum(points) + _BYTES_DISCRETIZING * max(points, default=0)
             + (_IQAE_BYTES if iqae else 0))
-    what, held = f"the {'-, '.join(str(g.n_z) for g in grids)}-qubit factor grids", ""
+    what = (f"the {'-, '.join(map(str, n_z))}-qubit factor grids" if len(n_z) <= 3 else
+            f"the {len(n_z)} factor grids, the widest of {max(n_z)} qubits,")
+    held = ""
     if circuit:
         mode = circuit[-1]
         width = estimate_resources(portfolio, grids, *circuit).width_built
@@ -246,11 +257,13 @@ def check_budget(portfolio: Portfolio, grids, iqae: bool = False,
                  + _BYTES_PER_GATE * gates + _BYTES_PER_CONTROL * controls
                  + (3 * 8 * 2 ** portfolio.k if mode == "s_free" else 0))
         what = f"the {width}-qubit A circuit"
-        held = f" of state, factor grids, {angles} angles and {gates} gates"
+        held = f" with {_count(angles)} angles and {_count(gates)} gates"
     if need > MAX_STATE_BYTES:
-        over = f"{what} would need about {need} bytes{held}, over the budget of {MAX_STATE_BYTES}"
+        over = (f"{what} would need about {_count(need)} bytes{held}, over the budget of "
+                f"{_count(MAX_STATE_BYTES)}")
     elif states > _MAX_ENUMERATION:
-        over = f"enumeration would visit {states} states, over the budget of {_MAX_ENUMERATION}"
+        over = (f"enumeration would visit {_count(states)} states, over the budget of "
+                f"{_count(_MAX_ENUMERATION)}")
     else:
         return
     raise ValueError(f"{over}; reduce risk_factors.qubits_per_factor or assets")

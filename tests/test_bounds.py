@@ -1,0 +1,40 @@
+"""The bounds table (bounds.json) is well formed: each row uses only known fields, and its
+config loads with the flags in its argv.  `python3 tests/bounds.py` measures the rows."""
+
+import json
+
+import numpy as np
+import pytest
+
+import bounds
+import golden
+from qvar.cli import OVERRIDES, build_parser, load_config
+
+TABLE = json.loads(bounds.TABLE.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("row", TABLE["rows"], ids=golden.label)
+def test_row_is_well_formed(row, tmp_path):
+    assert {"config", "argv", "exit", "why"} <= row.keys() <= bounds.FIELDS
+    assert row["exit"] and all(isinstance(code, int) for code in row["exit"])
+    assert all(row[key] > 0 for key in ("seconds", "rss_mb") if key in row)
+    golden.write_config(row["config"], TABLE["configs"], tmp_path)
+    path = str(tmp_path / golden.CONFIG)
+    args = build_parser().parse_args([*row["argv"], "--config", path])
+    load_config(path, {field: getattr(args, field) for field in OVERRIDES})
+
+
+@pytest.mark.parametrize("k", [12, 14])
+def test_wide_compare_configs_are_the_generators(k, tmp_path):
+    # The 12- and 14-asset configs, byte for byte as this generator writes them, so a
+    # wider row (K=16) comes from the same portfolio family.
+    rng = np.random.default_rng(12)
+    assets = [{"lgd": round(float(rng.uniform(500, 3000)), 1),
+               "p0": float(rng.uniform(0.02, 0.3)), "rho": float(rng.uniform(0.05, 0.3)),
+               "alphas": [float(rng.uniform(0.1, 0.5))]} for _ in range(k)]
+    with open(tmp_path / "generated.json", "w") as fh:
+        json.dump({"risk_factors": {"count": 1, "qubits_per_factor": 2}, "assets": assets,
+                   "analysis": {"alpha": 0.95, "epsilon": 0.01, "confidence": 0.99,
+                                "mc_paths": 1000}}, fh)
+    golden.write_config(f"assets_{k}", TABLE["configs"], tmp_path)
+    assert (tmp_path / golden.CONFIG).read_bytes() == (tmp_path / "generated.json").read_bytes()

@@ -1,12 +1,13 @@
 """End-to-end CLI tests: config validation, output formats, determinism."""
 
 import copy
+import decimal
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 from time import perf_counter
@@ -25,6 +26,7 @@ from qvar.gaussian import FactorGrid, conditional_pd_table
 from qvar.risk import _BYTES_PER_AMPLITUDE, exact_loss_distribution
 from qvar.uncertainty import ENCODINGS, VARIANTS, Portfolio, model_table
 
+from bounds import run_child, traced
 from oracles import build_a_circuit, exact_amplitude
 
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -86,16 +88,12 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
-def traced_run(argv):
-    """(exit code, tracemalloc's peak in bytes) of qvar.cli.main(argv) in a fresh process,
-    as the installed `qvar` runs it, with nothing imported beforehand."""
-    script = ("import tracemalloc, qvar.cli; tracemalloc.start(); "
-              f"code = qvar.cli.main({argv!r}); print(code, tracemalloc.get_traced_memory()[1])")
-    env = dict(os.environ, PYTHONPATH=str(Path(qvar.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, check=True, env=env)
-    code, peak = map(int, out.stdout.split())
-    return code, peak
+def traced_run(argv, price=False):
+    """run_child's traced measurement of qvar.cli.main(argv) in a fresh process, as
+    the installed `qvar` runs it, on the qvar imported here: exit, peak (tracemalloc's, in
+    bytes) and, with price, the rerun's priced_exit and priced_stderr at peak - 1 bytes."""
+    return run_child(argv, trace=True, price=price,
+                     pythonpath=str(Path(qvar.__file__).parents[1]))
 
 
 def set_field(cfg, field, value):
@@ -210,6 +208,15 @@ class TestConfigLoading:
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(str(path))
+
+    def test_integer_past_the_digit_limit_is_a_config_error(self, tmp_path, capsys):
+        # Python parses no JSON integer of more than 4,300 digits: no config either.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(TWO_ASSET).replace("1000.5", "1" * 5000))
+        assert main(["distribution", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: not valid JSON (Exceeds the limit (4300 digits)")
 
     def test_walker_agrees_with_jsonschema(self):
         # The walker against jsonschema as an oracle, on seeded mutants of the
@@ -541,19 +548,15 @@ class TestVariants:
                          "estimator": "exact", "variant": "single_rotation"},
         }
         config = write_config(tmp_path, payload)
-        tracemalloc.start()
-        try:
-            assert main(["compare", "--config", config]) == 1
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced(lambda: main(["compare", "--config", config]))
+        assert code == 1
         err = capsys.readouterr().err
         assert "27-qubit A circuit" in err and "risk_factors.qubits_per_factor" in err
         assert peak < 100 * 2 ** 20
         assert main(["analyze", "--config", config, "--output", str(tmp_path / "r.json")]) == 0
 
     @pytest.mark.parametrize("command, refused", [
-        pytest.param("analyze", "enumeration would visit 33554432 states",
+        pytest.param("analyze", "enumeration would visit 3.36e+7 states",
                      id="analyze-25-qubit model"),
         ("compare", "26-qubit A circuit")])
     def test_model_over_budget_refused_before_building(self, tmp_path, capsys, command,
@@ -569,14 +572,10 @@ class TestVariants:
                          "estimator": "exact", "encoding": "exact"},
         }
         config = write_config(tmp_path, payload)
-        tracemalloc.start()
         start = perf_counter()
-        try:
-            assert main([command, "--config", config]) == 1
-            elapsed = perf_counter() - start
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced(lambda: main([command, "--config", config]))
+        elapsed = perf_counter() - start
+        assert code == 1
         err = capsys.readouterr().err
         assert refused in err and "risk_factors.qubits_per_factor" in err
         assert elapsed < 1.0 and peak < 2 ** 20
@@ -584,7 +583,7 @@ class TestVariants:
     @pytest.mark.parametrize("qubits, encoding, command, refused", [
         (22, "exact", "compare", "angles and 4 gates, over the budget"),
         (22, "linear", "compare", "angles and 4 gates, over the budget"),
-        (22, "linear", "analyze", "enumeration would visit 16777216 states"),
+        (22, "linear", "analyze", "enumeration would visit 1.68e+7 states"),
     ], ids=["22-exact-compare", "22-linear-compare", "22-linear-analyze"])
     def test_gate_list_refused_before_building(self, tmp_path, capsys, monkeypatch, command,
                                                qubits, encoding, refused):
@@ -603,14 +602,10 @@ class TestVariants:
                          "estimator": "exact", "encoding": encoding},
         }
         config = write_config(tmp_path, payload)
-        tracemalloc.start()
         start = perf_counter()
-        try:
-            assert main([command, "--config", config]) == 1
-            elapsed = perf_counter() - start
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced(lambda: main([command, "--config", config]))
+        elapsed = perf_counter() - start
+        assert code == 1
         err = capsys.readouterr().err
         assert refused in err and "risk_factors.qubits_per_factor" in err
         assert elapsed < 1.0 and peak < 200 * 2 ** 20
@@ -633,7 +628,7 @@ class TestVariants:
         assert len(tables) == 1 - code
         if code:
             assert capsys.readouterr().err == (
-                "error: enumeration would visit 16777216 states, over the budget of 10000000; "
+                "error: enumeration would visit 1.68e+7 states, over the budget of 1.00e+7; "
                 "reduce risk_factors.qubits_per_factor or assets\n")
 
     @pytest.mark.parametrize("estimator", ["classical", "exact"])
@@ -648,9 +643,9 @@ class TestVariants:
             "analysis": {"alpha": 0.95, "estimator": estimator},
         }
         assert 2 * 2 ** 22 <= qvar.risk._MAX_ENUMERATION < 2 * 2 ** 23
-        code, peak = traced_run(["analyze", "--config", write_config(tmp_path, payload),
-                                 "--output", str(tmp_path / "r.json")])
-        assert code == 0 and peak < qvar.risk.MAX_STATE_BYTES
+        got = traced_run(["analyze", "--config", write_config(tmp_path, payload),
+                          "--output", str(tmp_path / "r.json")])
+        assert got["exit"] == 0 and got["peak"] < qvar.risk.MAX_STATE_BYTES
 
     @pytest.mark.parametrize("command", ["analyze", "distribution"])
     def test_factor_grid_refused_before_its_arrays(self, tmp_path, capsys, monkeypatch,
@@ -666,12 +661,8 @@ class TestVariants:
             "analysis": {"alpha": 0.95, "estimator": "classical"},
         }
         config = write_config(tmp_path, payload)
-        tracemalloc.start()
-        try:
-            assert main([command, "--config", config]) == 1
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced(lambda: main([command, "--config", config]))
+        assert code == 1
         err = capsys.readouterr().err
         assert "22-qubit factor grid" in err and "risk_factors.qubits_per_factor" in err
         assert peak < 100 * 2 ** 20
@@ -688,14 +679,10 @@ class TestVariants:
             "analysis": {"alpha": 0.95, "estimator": "classical"},
         }
         config = write_config(tmp_path, payload)
-        tracemalloc.start()
-        try:
-            assert main([command, "--config", config]) == 1
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced(lambda: main([command, "--config", config]))
+        assert code == 1
         assert capsys.readouterr().err == (
-            "error: enumeration would visit 16777216 states, over the budget of 10000000; "
+            "error: enumeration would visit 1.68e+7 states, over the budget of 1.00e+7; "
             "reduce risk_factors.qubits_per_factor or assets\n")
         assert peak < 2 ** 20
 
@@ -763,20 +750,16 @@ class TestVariants:
         config = write_config(tmp_path, self.THREE_20_QUBIT_FACTORS)
         assert main(["distribution", "--config", config]) == 1
         assert capsys.readouterr().err == (
-            "error: the 20-, 20-, 20-qubit factor grids would need about 83886080 bytes, over "
-            "the budget of 75497472; reduce risk_factors.qubits_per_factor or assets\n")
+            "error: the 20-, 20-, 20-qubit factor grids would need about 8.39e+7 bytes, over "
+            "the budget of 7.55e+7; reduce risk_factors.qubits_per_factor or assets\n")
 
     def test_resources_reads_shapes_alone(self, tmp_path, capsys, monkeypatch):
         # resources prices nothing and computes no grid's arrays: its report needs each
         # grid's n_z and range only, so three 20-qubit factors run without a byte of grid.
         _no_grid_arrays(monkeypatch)
         config = write_config(tmp_path, self.THREE_20_QUBIT_FACTORS)
-        tracemalloc.start()
-        try:
-            assert main(["resources", "--config", config]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced(lambda: main(["resources", "--config", config]))
+        assert code == 0
         report = json.loads(capsys.readouterr().out)["resources"]
         assert report["width_built"] == 3 * 20 + 1 + 1
         assert peak < 2 ** 20
@@ -884,6 +867,55 @@ class TestResources:
         report = json.loads(capsys.readouterr().out)["resources"]
         assert (report["sum_register_width"], report["width_built"],
                 report["comparator_pattern_count"]) == (49, 1 + 1 + 49 + 1, 2 ** 49)
+
+
+class TestHugeSizes:
+    """Counts past Python's 4,300-digit limit on int-to-str conversion get qvar's answer:
+    resources prints them whole, and a budget refusal in three significant digits."""
+
+    @staticmethod
+    def _assets(tmp_path, k, qubits=1, count=1):
+        return write_config(tmp_path, {
+            "risk_factors": {"count": count, "qubits_per_factor": qubits},
+            "assets": [{"lgd": 100.5, "p0": 0.1, "rho": 0.2, "alphas": [0.4] * count}] * k,
+            "analysis": {"alpha": 0.95, "epsilon": 0.01, "confidence": 0.99}})
+
+    @pytest.mark.parametrize("assets", [14_285, 20_000])
+    def test_resources_prints_exact_pattern_counts(self, tmp_path, capsys, assets):
+        # 2**14285 has 4,301 digits, one past the limit; 2**20000 has 6,021.
+        assert main(["resources", "--config", self._assets(tmp_path, assets)]) == 0
+        out, err = capsys.readouterr()
+        digits = re.search(r'"comparator_pattern_count": (\d+),', out).group(1)
+        with decimal.localcontext() as ctx:
+            ctx.prec = len(digits) + 1
+            assert decimal.Decimal(digits) == decimal.Decimal(2) ** assets
+        assert err == ""
+
+    @pytest.mark.parametrize("config, argv, refusal", [
+        ((20_000,), ["analyze", "--estimator", "classical"],
+         "enumeration would visit 7.96e+6020 states, over the budget of 1.00e+7"),
+        ((14_285,), ["analyze", "--estimator", "exact"],
+         "enumeration would visit 3.27e+4300 states, over the budget of 1.00e+7"),
+        ((20_000,), ["compare"], "the 20002-qubit A circuit would need about 5.10e+6026 "
+         "bytes with 4.00e+4 angles and 3.98e+6020 gates, over the budget of 1.07e+9"),
+        ((1, 1023), ["analyze", "--estimator", "classical"],
+         "the 1023-qubit factor grids would need about 4.31e+309 bytes, over the budget of "
+         "1.07e+9"),
+        ((1, 22, 17), ["distribution"], "the 17 factor grids, the widest of 22 qubits, would "
+         "need about 1.28e+9 bytes, over the budget of 1.07e+9"),
+        # 3,010,302 digits: converted whole, as Decimal(n) does, they would take minutes.
+        ((1, 10 ** 7), ["compare"], "the 10000002-qubit A circuit would need about "
+         "3.91e+3010302 bytes with 1.81e+3010300 angles and 2 gates, over the budget of 1.07e+9"),
+    ], ids=["20000-classical", "14285-exact", "20000-compare", "1023-qubit", "17-factors",
+            "10-million-qubit"])
+    def test_budget_refusal_is_one_short_line(self, tmp_path, capsys, monkeypatch, config,
+                                              argv, refusal):
+        _no_grid_arrays(monkeypatch)
+        assert main([argv[0], "--config", self._assets(tmp_path, *config), *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: {refusal}; reduce "
+                                     f"risk_factors.qubits_per_factor or assets\n")
+        assert len(err) < 200
 
 
 class TestOverflowingLosses:
@@ -1041,12 +1073,9 @@ class TestCompare:
                          "variant": "single_rotation"},
         }
         config = write_config(tmp_path, payload)
-        tracemalloc.start()
-        try:
-            assert main(["compare", "--config", config, "--mode", "weighted_sum"]) == 1
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced(lambda: main(["compare", "--config", config,
+                                          "--mode", "weighted_sum"]))
+        assert code == 1
         err = capsys.readouterr().err
         assert "31-qubit A circuit" in err and "risk_factors.qubits_per_factor" in err
         assert peak < 100 * 2 ** 20
@@ -1179,16 +1208,13 @@ class TestCompare:
                          "estimator": "exact", "encoding": "linear", "mc_paths": 100},
         }
         config = write_config(tmp_path, payload)
-        tracemalloc.start()
-        try:
-            assert main([command, "--config", config, "--output", str(tmp_path / "o")]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced(lambda: main([command, "--config", config,
+                                          "--output", str(tmp_path / "o")]))
+        assert code == 0
         assert peak <= _BYTES_PER_AMPLITUDE * 2 ** (18 + extra_qubits)
 
     @staticmethod
-    def _refused_one_byte_under_the_traced_peak(tmp_path, monkeypatch, capsys, assets):
+    def _refused_one_byte_under_the_traced_peak(tmp_path, assets):
         """`assets` equal-LGD assets on one 1-qubit factor, compared in a fresh process, as
         `qvar compare` is, which loads scipy for IQAE: a budget one byte under that traced
         peak must refuse the run."""
@@ -1199,22 +1225,21 @@ class TestCompare:
         }
         argv = ["compare", "--config", write_config(tmp_path, payload),
                 "--output", str(tmp_path / "out")]
-        code, peak = traced_run(argv)
-        assert code == 0
-        monkeypatch.setattr(qvar.risk, "MAX_STATE_BYTES", peak - 1)
-        assert main(argv) == 1
-        assert f"{assets + 2}-qubit A circuit" in capsys.readouterr().err
+        got = traced_run(argv, price=True)
+        assert got["exit"] == 0
+        assert got["priced_exit"] == 1
+        assert f"{assets + 2}-qubit A circuit" in got["priced_stderr"]
 
-    def test_s_free_budget_covers_the_traced_peak(self, tmp_path, monkeypatch, capsys):
+    def test_s_free_budget_covers_the_traced_peak(self, tmp_path):
         # 16 assets: the budget prices 2**16 pattern gates of 16 controls each and three
         # 8-byte tables per pattern beside the state; compare holds one increment's gates,
         # loss table, masks and index array at a time, while scipy loads.
-        self._refused_one_byte_under_the_traced_peak(tmp_path, monkeypatch, capsys, 16)
+        self._refused_one_byte_under_the_traced_peak(tmp_path, 16)
 
-    def test_scipy_import_is_priced(self, tmp_path, monkeypatch, capsys):
+    def test_scipy_import_is_priced(self, tmp_path):
         # 12 assets: the state, gates and tables come to about 5.3 MB, and scipy's import
         # takes the traced peak past 16 MB; the budget prices it as one fixed term.
-        self._refused_one_byte_under_the_traced_peak(tmp_path, monkeypatch, capsys, 12)
+        self._refused_one_byte_under_the_traced_peak(tmp_path, 12)
 
     def test_compare_requires_iqae_settings(self, tmp_path, capsys):
         payload = json.loads(json.dumps(TWO_ASSET))

@@ -523,7 +523,7 @@ class TestModelCdf:
 
         monkeypatch.setattr(risk, "model_table", table)
         pf = Portfolio([Asset(100.0, 0.1, 0.2, (0.3,))] * 20)
-        with pytest.raises(ValueError, match="33554432 states, over the budget of 10000000; "
+        with pytest.raises(ValueError, match=r"3\.36e\+7 states, over the budget of 1\.00e\+7; "
                                              "reduce risk_factors.qubits_per_factor or assets"):
             model_distribution(pf, [FactorGrid(5)], "multi_rotation", "exact")
 
