@@ -10,8 +10,9 @@ Conventions, fixed across the package:
 * an ry may carry a register instead, listed most significant qubit first, with one
   angle per register value: a uniformly controlled rotation (Mottonen et al.,
   quant-ph/0407010), the pattern-controlled RYs of its nonzero angles in one gate.
-* statevectors are dense complex vectors of length 2**n_qubits; the target
-  scale is desk verification (roughly 20 qubits and below).
+* a state is a plain C-contiguous float64 vector of 2**n_qubits amplitudes: every gate
+  is real, and the kernel reads no dtype, so a complex state evolves to the same real
+  parts.  The target scale is desk verification (roughly 20 qubits and below).
 
 The simulator views the amplitudes as an array of shape (2,)*n, with qubit q
 on axis n-1-q so that the flat order stays little-endian.  A gate fixes each
@@ -108,39 +109,22 @@ class Circuit:
         return self.append(Gate("x", target, controls=tuple(controls)))
 
 
-@dataclass(eq=False)
-class Statevector:
-    """Dense amplitude vector in little-endian qubit order."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        n = self.amplitudes.size
-        if n < 2 or (n & (n - 1)) != 0:
-            raise ValueError("statevector length must be a power of two >= 2")
-
-    @property
-    def n_qubits(self) -> int:
-        return self.amplitudes.size.bit_length() - 1
-
-
-def zero_state(n_qubits: int) -> Statevector:
-    """|0...0> on n_qubits."""
+def zero_state(n_qubits: int) -> np.ndarray:
+    """|0...0> on n_qubits, as a float64 vector."""
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
-    amps = np.zeros(2 ** n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return Statevector(amps)
+    state = np.zeros(2 ** n_qubits)
+    state[0] = 1.0
+    return state
 
 
-def evolve(circuit: Circuit, state: Statevector) -> None:
-    """The one gate kernel: run every gate in order on the state's amplitudes, in place."""
-    if state.n_qubits != circuit.n_qubits:
-        raise ValueError(
-            f"state has {state.n_qubits} qubits, circuit expects {circuit.n_qubits}")
+def evolve(circuit: Circuit, state: np.ndarray) -> None:
+    """The one gate kernel: run every gate in order on the state, in place."""
     n = circuit.n_qubits
-    tensor = state.amplitudes.reshape((2,) * n)
+    if state.shape != (2 ** n,) or not state.flags.c_contiguous:    # else reshape copies
+        raise ValueError(f"a {n}-qubit circuit evolves a C-contiguous vector of {2 ** n} "
+                         f"amplitudes, not one of shape {state.shape}")
+    tensor = state.reshape((2,) * n)
     for gate in circuit.gates:
         # The trailing Ellipsis keeps a fully fixed index a 0-d view, not a copy.
         index = [slice(None)] * n + [Ellipsis]
@@ -150,7 +134,7 @@ def evolve(circuit: Circuit, state: Statevector) -> None:
         index[axis] = 1
         a1 = tensor[tuple(index)]
         if gate.kind == "z":
-            np.negative(a1, out=a1)
+            a1[...] = -a1       # numpy 2.4 negates a float64 view of stride 64 B wrongly in place
             continue
         index[axis] = 0
         a0 = tensor[tuple(index)]
@@ -179,12 +163,11 @@ def evolve(circuit: Circuit, state: Statevector) -> None:
             np.copyto(a1, new1, where=on)
 
 
-def marginal_probability(state: Statevector, qubit: int, outcome: int) -> float:
+def marginal_probability(state: np.ndarray, qubit: int, outcome: int) -> float:
     """Probability that measuring `qubit` yields `outcome`."""
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {state.n_qubits}-qubit state")
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
+    n = state.size.bit_length() - 1
+    if state.shape != (2 ** n,) or not 0 <= qubit < n or outcome not in (0, 1):
+        raise ValueError(f"no outcome {outcome!r} of qubit {qubit} in a state shaped {state.shape}")
     # Copied out in index order so the pairwise sum matches a flat selection.
-    half = state.amplitudes.reshape(-1, 2, 2 ** qubit)[:, outcome, :]
+    half = state.reshape(-1, 2, 2 ** qubit)[:, outcome, :]
     return float(np.sum(np.abs(np.ascontiguousarray(half).ravel()) ** 2))

@@ -87,9 +87,10 @@ def comparator(portfolio: Portfolio, model: ModelCircuit, mode: str, threshold: 
         raise ValueError("threshold must be finite")
     circ = Circuit(objective + 1)
     if mode == "s_free":
-        k, losses = portfolio.k, portfolio.pattern_losses
+        k, losses, order = portfolio.k, portfolio.pattern_losses, portfolio.loss_order
         pairs = [((q, 0), (q, 1)) for q in model.asset_qubits]   # shared by every gate
-        for i in map(int, np.flatnonzero((losses > above) & (losses <= threshold))):
+        lo, hi = losses.searchsorted([above, threshold], "right", sorter=order)
+        for i in np.sort(order[lo:hi]).tolist():
             circ.x(objective, (pair[i >> (k - 1 - j) & 1] for j, pair in enumerate(pairs)))
     else:
         # No carry ancillas: the adder works through multi-controlled increments.

@@ -10,6 +10,7 @@ check_budget is the one check that a run fits, in bytes and in enumerated states
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from collections.abc import Callable
@@ -31,7 +32,7 @@ MAX_STATE_BYTES = 1 << 30    # what one run keeps at once: grids, scipy, state, 
 _BYTES_PER_GRID_POINT = 16   # a grid's values and probs
 _BYTES_DISCRETIZING = 32     # per point, the temporaries of a grid's first probs: 25 B traced
 _IQAE_BYTES = 24 << 20       # scipy.special, which IQAE's first interval imports: 15-22 MB
-_BYTES_PER_AMPLITUDE = 64    # the state, evolved in place, and one gate's temporaries: 40 B traced
+_BYTES_PER_AMPLITUDE = 40    # the state, evolved in place, and one gate's temporaries: 22 B traced
 _BYTES_PER_ANGLE = 64        # traced, a register RY holds 36 B per angle, and 25 B more as it runs
 _BYTES_PER_GATE = 256        # traced, a built Gate is about 240 B, controls aside
 _BYTES_PER_CONTROL = 64      # a fresh (qubit, polarity) pair and its slot
@@ -65,7 +66,8 @@ class LossDistribution:
         return cls(support[np.append(starts, True)], np.bincount(cluster, weights=probs))
 
     def cdf(self, x: float) -> float:
-        return float(self.probs[self.losses <= x].sum())
+        """P[L <= x]: the probabilities up to x, one pairwise sum (1.0 at a NaN x)."""
+        return float(self.probs[:self.losses.searchsorted(x, "right")].sum())
 
 
 @dataclass
@@ -223,13 +225,15 @@ def expected_loss(dist: LossDistribution) -> float:
     return float(dist.losses @ dist.probs)
 
 
-def _count(n: int) -> str:
-    """n to three significant digits, as 3.36e+7, in time linear in its bits: exact below
-    2**90, else n's top 90 bits times 2**shift at 28 digits.  The whole integer never
-    becomes a str (Python refuses past 4,300 digits, in time quadratic in them) or a float."""
-    from decimal import MAX_EMAX, Context   # only a refusal counts: no run that fits loads it
-    shift, context = max(n.bit_length() - 90, 0), Context(prec=28, Emax=MAX_EMAX)
-    return format(context.multiply(n >> shift, context.power(2, shift)), ".3g")
+def _count(n) -> str:
+    """n to three significant digits, as 3.36e+7: a Decimal as it is, an int exact below 2**90,
+    else its top 90 bits times 2**shift at 28 digits, so no whole int becomes a str (Python
+    refuses past 4,300 digits, in time quadratic in them) or a float."""
+    from decimal import MAX_EMAX, Context, Decimal   # only a refusal counts: no fit loads it
+    if not isinstance(n, Decimal):
+        shift, context = max(n.bit_length() - 90, 0), Context(prec=28, Emax=MAX_EMAX)
+        n = context.multiply(n >> shift, context.power(2, shift))
+    return format(n, ".3g")
 
 
 def check_budget(portfolio: Portfolio, grids, iqae: bool = False,
@@ -239,33 +243,40 @@ def check_budget(portfolio: Portfolio, grids, iqae: bool = False,
     scipy where `iqae` runs; with circuit = (variant, encoding, mode), compare's A circuit:
     its state, its model's register RY angles (the exact encoding's sum(2**n_z) + K * M in
     every encoding) and its comparator's gates.  In states: the enumeration's cells x 2**K."""
-    points, n_z = [g.size for g in grids], [g.n_z for g in grids]
-    states = math.prod(points) * 2 ** portfolio.k
-    need = (_BYTES_PER_GRID_POINT * sum(points) + _BYTES_DISCRETIZING * max(points, default=0)
-            + (_IQAE_BYTES if iqae else 0))
-    what = (f"the {'-, '.join(map(str, n_z))}-qubit factor grids" if len(n_z) <= 3 else
-            f"the {len(n_z)} factor grids, the widest of {max(n_z)} qubits,")
-    held = ""
-    if circuit:
-        mode = circuit[-1]
-        width = estimate_resources(portfolio, grids, *circuit).width_built
-        angles = sum(points) + portfolio.k * math.prod(points)
-        gates, controls = comparator_gates(portfolio, mode)
-        # s_free's increment keeps a loss table, masks and an index array over the 2**K
-        # patterns, and its gates; zero LGDs can put every pattern in one increment.
-        need += (_BYTES_PER_AMPLITUDE * 2 ** width + _BYTES_PER_ANGLE * angles
-                 + _BYTES_PER_GATE * gates + _BYTES_PER_CONTROL * controls
-                 + (3 * 8 * 2 ** portfolio.k if mode == "s_free" else 0))
-        what = f"the {width}-qubit A circuit"
-        held = f" with {_count(angles)} angles and {_count(gates)} gates"
-    if need > MAX_STATE_BYTES:
-        over = (f"{what} would need about {_count(need)} bytes{held}, over the budget of "
-                f"{_count(MAX_STATE_BYTES)}")
-    elif states > _MAX_ENUMERATION:
-        over = (f"enumeration would visit {_count(states)} states, over the budget of "
-                f"{_count(_MAX_ENUMERATION)}")
-    else:
-        return
+    n_z, lone_grid = [g.n_z for g in grids], _BYTES_PER_GRID_POINT + _BYTES_DISCRETIZING
+    if max(n_z, default=0) < (MAX_STATE_BYTES // lone_grid).bit_length():
+        ctx, two = contextlib.nullcontext(), (lambda e: 2 ** e)    # exact ints
+    else:   # a grid whose arrays alone overflow: 28-digit Decimals, no int of n_z bits
+        from decimal import MAX_EMAX, Context, Decimal, localcontext
+        ctx, two = localcontext(Context(prec=28, Emax=MAX_EMAX)), (lambda e: Decimal(2) ** e)
+    with ctx:
+        points = [two(n) for n in n_z]
+        states = math.prod(points) * two(portfolio.k)
+        need = (_BYTES_PER_GRID_POINT * sum(points) + _BYTES_DISCRETIZING * max(points, default=0)
+                + (_IQAE_BYTES if iqae else 0))
+        what = (f"the {'-, '.join(map(str, n_z))}-qubit factor grids" if len(n_z) <= 3 else
+                f"the {len(n_z)} factor grids, the widest of {max(n_z)} qubits,")
+        held = ""
+        if circuit:
+            mode = circuit[-1]
+            width = estimate_resources(portfolio, grids, *circuit).width_built
+            angles = sum(points) + portfolio.k * math.prod(points)
+            gates, controls = comparator_gates(portfolio, mode)
+            # s_free keeps the loss table and its stable order over the 2**K patterns, and an
+            # increment its sorted indices and gates; zero LGDs can put every pattern in one.
+            need += (_BYTES_PER_AMPLITUDE * two(width) + _BYTES_PER_ANGLE * angles
+                     + _BYTES_PER_GATE * gates + _BYTES_PER_CONTROL * controls
+                     + (3 * 8 * two(portfolio.k) if mode == "s_free" else 0))
+            what = f"the {width}-qubit A circuit"
+            held = f" with {_count(angles)} angles and {_count(gates)} gates"
+        if need > MAX_STATE_BYTES:
+            over = (f"{what} would need about {_count(need)} bytes{held}, over the budget of "
+                    f"{_count(MAX_STATE_BYTES)}")
+        elif states > _MAX_ENUMERATION:
+            over = (f"enumeration would visit {_count(states)} states, over the budget of "
+                    f"{_count(_MAX_ENUMERATION)}")
+        else:
+            return
     raise ValueError(f"{over}; reduce risk_factors.qubits_per_factor or assets")
 
 

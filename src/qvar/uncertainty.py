@@ -121,6 +121,13 @@ class Portfolio:
         loss.flags.writeable = False
         return loss
 
+    @cached_property
+    def loss_order(self) -> np.ndarray:
+        """The loss table's stable argsort, built once and read-only."""
+        order = np.argsort(self.pattern_losses, kind="stable")
+        order.flags.writeable = False
+        return order
+
 
 @dataclass(eq=False)
 class ModelCircuit:

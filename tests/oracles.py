@@ -24,16 +24,16 @@ import itertools
 
 import numpy as np
 
-from qvar.circuit import Circuit, Gate, Statevector, evolve, marginal_probability, zero_state
+from qvar.circuit import Circuit, Gate, evolve, marginal_probability, zero_state
 from qvar.gaussian import conditional_pd_table, std_normal_ppf
 from qvar.objective import comparator
 from qvar.risk import LossDistribution
 from qvar.uncertainty import Portfolio, build_model
 
 
-def apply(circuit: Circuit, state: Statevector) -> Statevector:
-    """Run every gate in order on a copy of the state."""
-    out = Statevector(state.amplitudes.copy())
+def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
+    """Run every gate in order on a copy of the state (np.array keeps its dtype)."""
+    out = np.array(state)
     evolve(circuit, out)
     return out
 
@@ -78,20 +78,20 @@ def inverse(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qubits, [adjoint(g) for g in reversed(circuit.gates)])
 
 
-def probabilities(state: Statevector, qubits=None) -> np.ndarray:
+def probabilities(state: np.ndarray, qubits=None) -> np.ndarray:
     """Measurement distribution, optionally marginalized onto `qubits`.
 
     When `qubits` is given, bit j of the returned index corresponds to the
     j-th entry of `qubits`.
     """
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(state) ** 2
     if qubits is None:
         return probs
     qubits = list(qubits)
     if len(set(qubits)) != len(qubits):
         raise ValueError("duplicate qubit in marginal request")
     for q in qubits:
-        if not 0 <= q < state.n_qubits:
+        if not 0 <= q < state.size.bit_length() - 1:
             raise ValueError(f"qubit {q} out of range")
     index = np.arange(probs.size)
     keys = np.zeros(probs.size, dtype=np.int64)

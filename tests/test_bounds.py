@@ -24,10 +24,10 @@ def test_row_is_well_formed(row, tmp_path):
     load_config(path, {field: getattr(args, field) for field in OVERRIDES})
 
 
-@pytest.mark.parametrize("k", [12, 14])
+@pytest.mark.parametrize("k", [12, 14, 16])
 def test_wide_compare_configs_are_the_generators(k, tmp_path):
-    # The 12- and 14-asset configs, byte for byte as this generator writes them, so a
-    # wider row (K=16) comes from the same portfolio family.
+    # The 12-, 14- and 16-asset configs, byte for byte as this generator writes them, so
+    # the wide compare rows come from one portfolio family.
     rng = np.random.default_rng(12)
     assets = [{"lgd": round(float(rng.uniform(500, 3000)), 1),
                "p0": float(rng.uniform(0.02, 0.3)), "rho": float(rng.uniform(0.05, 0.3)),

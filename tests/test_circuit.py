@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qvar.circuit import Circuit, Gate, Statevector, marginal_probability, zero_state
+from qvar.circuit import Circuit, Gate, evolve, marginal_probability, zero_state
 
 from oracles import adjoint, apply, dump, expand, grover_operator, inverse, probabilities
 
@@ -17,7 +17,7 @@ def reference_apply(circuit, state):
     shares no indexing logic with `evolve`; its arithmetic is the same, so the
     two must agree bit for bit.
     """
-    amps = state.amplitudes.copy()
+    amps = np.array(state)
     index = np.arange(amps.size)
     for gate in circuit.gates:
         mask = None
@@ -42,7 +42,7 @@ def reference_apply(circuit, state):
             s = math.sin(0.5 * gate.theta)
             amps[i0] = c * a0 - s * a1
             amps[i1] = s * a0 + c * a1
-    return Statevector(amps)
+    return amps
 
 
 def random_circuit(rng, n, n_gates=12):
@@ -63,16 +63,29 @@ def random_circuit(rng, n, n_gates=12):
     return circ
 
 
+def random_register_gate(rng, n):
+    """A register RY on a random target, register and control pattern of n qubits, with
+    some angles +0 and some -0."""
+    qubits = [int(q) for q in rng.permutation(n)]
+    m = int(rng.integers(0, n))
+    register = tuple(qubits[1:1 + m])
+    controls = tuple((q, int(rng.integers(2)))
+                     for q in qubits[1 + m:1 + m + int(rng.integers(0, n - m))])
+    theta = rng.uniform(-3, 3, 2 ** m) * (rng.random(2 ** m) < 0.7)
+    theta[rng.random(2 ** m) < 0.2] = -0.0
+    return Gate("ry", qubits[0], tuple(theta.tolist()), controls, register)
+
+
 def random_state(rng, n):
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-    return Statevector(amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
 class TestGates:
     def test_x_flips_zero(self):
         circ = Circuit(1).x(0)
         state = apply(circ, zero_state(1))
-        assert abs(state.amplitudes[1] - 1.0) < 1e-15
+        assert abs(state[1] - 1.0) < 1e-15
         assert marginal_probability(state, 0, 1) == pytest.approx(1.0)
 
     def test_ry_loads_probability(self):
@@ -92,7 +105,7 @@ class TestGates:
 
     def test_z_phase(self):
         state = apply(Circuit(1).x(0).append(Gate("z", 0)), zero_state(1))
-        assert state.amplitudes[1] == pytest.approx(-1.0)
+        assert state[1] == pytest.approx(-1.0)
 
     def test_multi_control_identity_off_pattern(self):
         # exhaustive over basis states for a few widths
@@ -103,9 +116,9 @@ class TestGates:
             circ = Circuit(n)
             circ.x(t, ctrls)
             for basis in range(2 ** n):
-                amps = np.zeros(2 ** n, dtype=complex)
+                amps = np.zeros(2 ** n)
                 amps[basis] = 1.0
-                out = apply(circ, Statevector(amps)).amplitudes
+                out = apply(circ, amps)
                 matches = all(((basis >> q) & 1) == pol for q, pol in ctrls)
                 if matches:
                     assert abs(out[basis ^ (1 << t)] - 1.0) < 1e-15
@@ -136,13 +149,28 @@ class TestGates:
         with pytest.raises(ValueError):
             apply(Circuit(2).x(0), zero_state(3))
 
+    def test_state_is_a_contiguous_vector_of_2_to_the_n(self):
+        assert zero_state(3).dtype == np.float64 and zero_state(3).flags.c_contiguous
+        circ = Circuit(2).x(0)
+        for wrong in (np.zeros(3), np.zeros((2, 2)), np.zeros(1), np.zeros(8)):
+            with pytest.raises(ValueError, match="vector of 4 amplitudes"):
+                evolve(circ, wrong)
+        for wrong in (np.zeros(3), np.zeros((2, 2)), np.zeros(1)):
+            with pytest.raises(ValueError, match="in a state shaped"):
+                marginal_probability(wrong, 0, 1)
+        # A strided view would be reshaped into a copy, and the gates would miss it.
+        strided = np.zeros(8)[::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            evolve(circ, strided)
+        assert not strided.any()
+
 
 class TestKernelOracle:
     """The axis-sliced kernel against the mask reference, byte for byte."""
 
     def assert_same(self, circ, state):
-        got = apply(circ, state).amplitudes
-        want = reference_apply(circ, state).amplitudes
+        got = apply(circ, state)
+        want = reference_apply(circ, state)
         assert got.tobytes() == want.tobytes()
 
     def test_random_circuits(self):
@@ -195,23 +223,15 @@ class TestKernelOracle:
         rng = np.random.default_rng(14)
         for _ in range(80):
             n = int(rng.integers(1, 8))
-            qubits = [int(q) for q in rng.permutation(n)]
-            m = int(rng.integers(0, n))
-            register = tuple(qubits[1:1 + m])
-            controls = tuple((q, int(rng.integers(2)))
-                             for q in qubits[1 + m:1 + m + int(rng.integers(0, n - m))])
-            theta = rng.uniform(-3, 3, 2 ** m) * (rng.random(2 ** m) < 0.7)
-            theta[rng.random(2 ** m) < 0.2] = -0.0
-            gate = Gate("ry", qubits[0], tuple(theta.tolist()), controls, register)
-            amps = random_state(rng, n).amplitudes
-            for part in (amps.real, amps.imag):
-                signed = rng.random(amps.size) < 0.3
+            gate = random_register_gate(rng, n)
+            state = random_state(rng, n)
+            for part in (state.real, state.imag):
+                signed = rng.random(state.size) < 0.3
                 part[signed] = np.copysign(0.0, rng.uniform(-1, 1, signed.sum()))
-            state = Statevector(amps)
             for g in (gate, adjoint(gate)):
-                got = apply(Circuit(n, [g]), state).amplitudes
-                one_by_one = apply(Circuit(n, expand([g])), state).amplitudes
-                masked = reference_apply(Circuit(n, expand([g])), state).amplitudes
+                got = apply(Circuit(n, [g]), state)
+                one_by_one = apply(Circuit(n, expand([g])), state)
+                masked = reference_apply(Circuit(n, expand([g])), state)
                 assert np.array_equal(got.view(np.uint64), one_by_one.view(np.uint64))
                 assert np.array_equal(got.view(np.uint64), masked.view(np.uint64))
 
@@ -224,8 +244,36 @@ class TestKernelOracle:
             for q in range(n):
                 for outcome in (0, 1):
                     sel = ((index >> q) & 1) == outcome
-                    want = float(np.sum(np.abs(state.amplitudes[sel]) ** 2))
+                    want = float(np.sum(np.abs(state[sel]) ** 2))
                     assert marginal_probability(state, q, outcome) == want
+
+
+class TestRealStates:
+    def test_a_real_state_evolves_as_its_complex_copy(self):
+        # Every gate is real: a complex copy's imaginary parts stay 0, and its real part is
+        # the float64 state's (== lets +-0 agree), so every marginal reads the same bits.
+        rng = np.random.default_rng(33)
+        for _ in range(150):
+            n = int(rng.integers(1, 9))
+            gates = random_circuit(rng, n, n_gates=40).gates
+            gates += [random_register_gate(rng, n) for _ in range(int(rng.integers(0, 8)))]
+            circ = Circuit(n, [gates[i] for i in rng.permutation(len(gates))])
+            real = rng.normal(size=2 ** n)
+            real[rng.random(real.size) < 0.1] = -0.0
+            got, want = apply(circ, real), apply(circ, real.astype(complex))
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want.real) and not want.imag.any()
+            for q in range(n):
+                for outcome in (0, 1):
+                    assert (marginal_probability(got, q, outcome)
+                            == marginal_probability(want, q, outcome))
+
+
+    def test_z_negates_a_view_whose_stride_is_8_amplitudes(self):
+        # Amplitudes 1 and 9: numpy 2.4's in-place negative would read 1 and 2 instead.
+        state = np.arange(16.0)
+        evolve(Circuit(4, [Gate("z", 0, controls=((1, 0), (2, 0)))]), state)
+        assert state.tolist() == [-v if v in (1, 9) else v for v in range(16)]
 
 
 class TestInverse:
@@ -236,7 +284,7 @@ class TestInverse:
             circ = random_circuit(rng, n)
             state = random_state(rng, n)
             back = apply(inverse(circ), apply(circ, state))
-            assert np.abs(back.amplitudes - state.amplitudes).max() < 1e-10
+            assert np.abs(back - state).max() < 1e-10
 
     def test_involution(self):
         rng = np.random.default_rng(8)
@@ -246,13 +294,13 @@ class TestInverse:
             state = random_state(rng, n)
             a = apply(inverse(inverse(circ)), state)
             b = apply(circ, state)
-            assert np.abs(a.amplitudes - b.amplitudes).max() < 1e-10
+            assert np.abs(a - b).max() < 1e-10
 
     def test_single_ry(self):
         theta = 1.234
         circ = Circuit(1, [Gate("ry", 0, theta)])
         state = apply(inverse(circ), apply(circ, zero_state(1)))
-        assert abs(state.amplitudes[0] - 1.0) < 1e-12
+        assert abs(state[0] - 1.0) < 1e-12
 
 
 class TestNormAndMarginals:
@@ -262,7 +310,7 @@ class TestNormAndMarginals:
             n = int(rng.integers(1, 6))
             circ = random_circuit(rng, n, n_gates=20)
             state = apply(circ, random_state(rng, n))
-            assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
+            assert abs(np.linalg.norm(state) - 1.0) < 1e-10
 
     def test_marginal_trivial_cases(self):
         assert marginal_probability(zero_state(2), 0, 1) == 0.0

@@ -19,13 +19,15 @@ import qvar
 import qvar.cli
 import qvar.risk
 import qvar.uncertainty
-from qvar.circuit import evolve, marginal_probability
+from qvar.circuit import evolve, marginal_probability, zero_state
 from qvar.cli import (COMMANDS, CONFIG_SCHEMA, OVERRIDES, ConfigError, _schema_errors,
                       config_to_inputs, iqae_config, load_config, main)
 from qvar.gaussian import FactorGrid, conditional_pd_table
+from qvar.objective import MODES
 from qvar.risk import _BYTES_PER_AMPLITUDE, exact_loss_distribution
 from qvar.uncertainty import ENCODINGS, VARIANTS, Portfolio, model_table
 
+import golden
 from bounds import run_child, traced
 from oracles import build_a_circuit, exact_amplitude
 
@@ -905,9 +907,13 @@ class TestHugeSizes:
          "need about 1.28e+9 bytes, over the budget of 1.07e+9"),
         # 3,010,302 digits: converted whole, as Decimal(n) does, they would take minutes.
         ((1, 10 ** 7), ["compare"], "the 10000002-qubit A circuit would need about "
-         "3.91e+3010302 bytes with 1.81e+3010300 angles and 2 gates, over the budget of 1.07e+9"),
+         "3.04e+3010302 bytes with 1.81e+3010300 angles and 2 gates, over the budget of 1.07e+9"),
+        # A 2**n_z of 10**10 bits would hold 1.25 GB: the budget counts in Decimals there.
+        ((1, 10 ** 10), ["compare"], "the 10000000002-qubit A circuit would need about "
+         "1.47e+3010299959 bytes with 8.73e+3010299956 angles and 2 gates, over the budget of "
+         "1.07e+9"),
     ], ids=["20000-classical", "14285-exact", "20000-compare", "1023-qubit", "17-factors",
-            "10-million-qubit"])
+            "10-million-qubit", "10-billion-qubit"])
     def test_budget_refusal_is_one_short_line(self, tmp_path, capsys, monkeypatch, config,
                                               argv, refusal):
         _no_grid_arrays(monkeypatch)
@@ -1046,6 +1052,27 @@ class TestCompare:
             rows = [line.split()[2:4] for line in out.read_text().split("\n")[2:2 + len(oracle)]]
             assert rows == [[f"{e:.9f}", f"{abs(e - dist.cdf(float(x))):.2e}"]
                             for e, x in zip(oracle, dist.losses)]
+
+    @pytest.mark.parametrize("config", ["two_asset.json", "two_asset_integer.json",
+                                        "shared_alphas_at_2_5", "shared_alphas_at_2_5_iqae",
+                                        "two_asset_subnormal"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("variant, encoding", [("multi_rotation", "exact"),
+                                                   ("multi_rotation", "linear"),
+                                                   ("single_rotation", "linear")])
+    def test_a_complex_state_prints_the_same_bytes(self, tmp_path, monkeypatch, config, mode,
+                                                  variant, encoding):
+        # Every gate is real, so a complex128 state's readout, and each IQAE draw from it,
+        # is the float64 state's, bit for bit: the golden configs' compare bytes hold.
+        monkeypatch.chdir(tmp_path)
+        golden.write_config(config, golden.load_table()["configs"])
+        argv = ["compare", "--variant", variant, "--encoding", encoding, "--mode", mode,
+                "--config", golden.CONFIG]
+        real, made = golden.run(argv), []
+        monkeypatch.setattr(qvar.cli, "zero_state",
+                            lambda n: made.append(n) or zero_state(n).astype(complex))
+        assert golden.run(argv) == real
+        assert bool(made) == bool(real[1])     # a state was made wherever a table printed
 
     def test_ulp_apart_losses_print_one_threshold(self, tmp_path):
         # Every distinct loss once, as integer tenths sum them; before losses

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qvar.circuit import Circuit, Statevector
+from qvar.circuit import Circuit
 from qvar.gaussian import FactorGrid
 from qvar.objective import MODES, comparator, objective_qubit, weighted_sum_register
+from qvar.risk import LossDistribution
 from qvar.uncertainty import Asset, Portfolio, build_model
 
 from oracles import apply, build_a_circuit, dump, exact_amplitude, expand
@@ -95,6 +96,35 @@ class TestSFreeComparator:
                 if np.dot(lgds, pattern) <= x)
             assert len(comp.gates) == qualifying <= 2 ** k
 
+    def test_increments_and_cdf_match_masks_over_the_loss_table(self):
+        # The increments come from the loss table's sorted order, the cdf from a prefix of
+        # the support: each must be the mask's patterns, in product order, and its sum.
+        rng = np.random.default_rng(35)
+        # ULP_PAIRS' LGDs (tests/test_cli.py) sum equal losses an ulp apart; zero and
+        # repeated LGDs tie patterns.
+        lgd_sets = [[1076.3, 1974.6, 721.9, 1798.2]]
+        for _ in range(30):
+            k = int(rng.integers(1, 9))
+            lgd_sets.append([float(rng.choice([0.0, 2.5, round(rng.uniform(500, 3000), 1)]))
+                             for _ in range(k)])
+        for lgds in lgd_sets:
+            pf = Portfolio([Asset(lgd, 0.2, 0.1, (0.3,)) for lgd in lgds])
+            model = build_model(pf, [FactorGrid(1)], "multi_rotation", "linear")
+            losses = pf.pattern_losses
+            dist = LossDistribution.from_pairs(losses, rng.dirichlet(np.ones(losses.size)))
+            support = dist.losses
+            # Below the support, on and between its points, and above it, ascending.
+            xs = sorted([support[0] - 1.0, *support, *(support[:-1] + np.diff(support) / 2),
+                         *np.nextafter(support, np.inf), support[-1] + 1e6])
+            above = -math.inf
+            for x in map(float, xs):
+                step = comparator(pf, model, "s_free", x, above)
+                patterns = [int("".join(str(pol) for _, pol in g.controls), 2)
+                            for g in step.gates]
+                assert patterns == np.flatnonzero((losses > above) & (losses <= x)).tolist()
+                assert dist.cdf(x) == float(dist.probs[dist.losses <= x].sum())
+                above = x
+
     def test_non_finite_threshold_rejected(self):
         pf, grids = table_inputs()
         with pytest.raises(ValueError):
@@ -170,8 +200,8 @@ class TestComparators:
             # [model][loss register, weighted_sum only][objective]
             width = model.circuit.n_qubits
             objective = width + (weighted_sum_register(pf)[1] if mode == "weighted_sum" else 0)
-            start = Statevector(rng.normal(size=2 ** (objective + 1))
-                                + 1j * rng.normal(size=2 ** (objective + 1)))
+            start = (rng.normal(size=2 ** (objective + 1))
+                     + 1j * rng.normal(size=2 ** (objective + 1)))
             support = np.unique(pf.pattern_losses)
             # Below the support, on and between its points, and above it, ascending.
             thresholds = sorted([support[0] - 1.0, *support,
@@ -184,7 +214,7 @@ class TestComparators:
                 got = (step.n_qubits, step.n_qubits - 1)
                 assert got == (objective + 1, objective)
                 state = apply(step, state)
-                assert np.array_equal(state.amplitudes, apply(whole, start).amplitudes)
+                assert np.array_equal(state, apply(whole, start))
                 if mode == "s_free":
                     stepped.update(step.gates)
                     assert stepped == Counter(whole.gates)

@@ -49,7 +49,7 @@ def state_distribution(portfolio, model, state):
     """The oracle of the model distribution, off a model_state: each pattern of the
     model's top K (asset) qubits sums |amplitude|^2 over its first 2**width amplitudes."""
     n, k = model.circuit.n_qubits, portfolio.k
-    probs = np.abs(state.amplitudes[:2 ** n]) ** 2
+    probs = np.abs(state[:2 ** n]) ** 2
     # Axis i of the reshape is asset K-1-i; reversing the K axes gives product order.
     per_pattern = probs.reshape((2,) * k + (-1,)).sum(axis=-1).transpose().ravel()
     return LossDistribution.from_pairs(portfolio.pattern_losses, per_pattern)

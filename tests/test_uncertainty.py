@@ -112,12 +112,12 @@ class TestLoader:
                 probs[0] = 1.0
             probs /= probs.sum()
             state = loaded_state(probs)
-            assert np.abs(np.abs(state.amplitudes) ** 2 - probs).max() < 1e-12
+            assert np.abs(np.abs(state) ** 2 - probs).max() < 1e-12
 
     def test_grid_marginals(self):
         grid = FactorGrid(3, 2.5)
         state = loaded_state(grid.probs)
-        assert np.abs(np.abs(state.amplitudes) ** 2 - grid.probs).max() < 1e-10
+        assert np.abs(np.abs(state) ** 2 - grid.probs).max() < 1e-10
 
     @staticmethod
     def loader_inputs(rng, m):
@@ -496,7 +496,7 @@ class TestSingleRotation:
         plan = index_sum_plan(grids, shared)
         assert plan.n_points[1] == 1
         state = apply(model.circuit, zero_state(model.circuit.n_qubits))
-        assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-10
+        assert abs(np.linalg.norm(state) - 1) < 1e-10
 
 
 class TestOneModelPerPair:
