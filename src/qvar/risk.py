@@ -25,6 +25,7 @@ from .resources import estimate_resources
 from .uncertainty import Portfolio, joint_cells, model_layout, model_table
 
 _BLOCK_ELEMENTS = 1 << 17    # floats in one enumeration block's weights
+_ROW_ELEMENTS = 1 << 10      # floats in one row of a block: its head patterns side by side
 _GUIDE_BUCKETS = 1 << 12     # a power of two, so u * _GUIDE_BUCKETS is exact
 _MERGE_RTOL = 1e-12          # losses this close, relative to the largest, are one point
 _MAX_ENUMERATION = 10_000_000  # (joint cell, default pattern) states: a bound on time
@@ -105,29 +106,48 @@ def joint_grid(portfolio: Portfolio, grids: list) -> tuple[np.ndarray, np.ndarra
     return conditional_pd_table(portfolio.obligors, z_joint), pz
 
 
+def _aligned(shape: tuple) -> np.ndarray:
+    """An uninitialised float64 array of the shape whose data starts on a 64-byte line."""
+    raw = np.empty(math.prod(shape) + 8)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip:skip + math.prod(shape)].reshape(shape)
+
+
 def mixture_distribution(portfolio: Portfolio, pd: np.ndarray, pz: np.ndarray) -> LossDistribution:
     """Loss distribution of a mixture over the joint grid cells, by blocked
     enumeration of the cells' default probabilities pd (M, K) and probabilities
     pz (M,), which callers make only once check_budget admits the count.
     Default patterns run in the loss table's order, in blocks of about
-    _BLOCK_ELEMENTS floats.  A pattern's weight multiplies its conditional
-    (non)default probabilities left to right, and its mixture is one dot
-    product, so the result equals the pattern-by-pattern loop bit for bit."""
+    _BLOCK_ELEMENTS floats.  A block's leading head patterns sit side by side as
+    columns, so each tree level multiplies rows of about _ROW_ELEMENTS floats.  A
+    pattern's weight multiplies its conditional (non)default probabilities left to
+    right, and its mixture is one dot product, so the result equals the
+    pattern-by-pattern loop bit for bit."""
     k, m = portfolio.k, pz.size
     q = np.ascontiguousarray(np.stack([1.0 - pd, pd]).transpose(2, 0, 1))   # q[asset, bit, z]
     tail = min(k, max(0, (_BLOCK_ELEMENTS // m).bit_length() - 1))
-    # Reused by every block: fresh arrays per step page-fault once freed to the OS.
-    buffers = np.empty((2, 2 ** tail * m))
-    probs = np.empty((2 ** k, 1, 1))
+    cols = min(tail, max(0, (_ROW_ELEMENTS // m).bit_length() - 1))
+    levels, width = tail - cols, 2 ** cols * m
+    # Block pattern start + (c << levels) + r is row r, column c, so each tree asset's
+    # q[j] is tiled once per column.  Buffers are reused by every block (fresh arrays
+    # per step page-fault once freed to the OS) and start on a 64-byte line, so the
+    # kernel's speed does not follow where the heap happens to place them.
+    tiles = _aligned((levels, 2, width))
+    tiles[...] = np.tile(q[k - levels:], 2 ** cols)
+    buffers = _aligned((2, 2 ** tail * m))
+    dots = np.empty((2 ** levels, 2 ** cols, 1, 1))
+    probs = np.empty(2 ** k)
     for start in range(0, 2 ** k, 2 ** tail):
-        head = (start >> np.arange(k - 1, tail - 1, -1)) & 1
-        weight = np.prod(q[np.arange(k - tail), head], axis=0)[None, :]
-        for j in range(k - tail, k):
-            out = buffers[j % 2, :2 * weight.size].reshape(-1, 2, m)
-            weight = np.multiply(weight[:, None, :], q[j], out=out).reshape(-1, m)
-        # One 1-D dot per row, as `pz @ weight`; gemv rounds otherwise.
-        np.matmul(weight[:, None, :], pz[:, None], out=probs[start:start + 2 ** tail])
-    return LossDistribution.from_pairs(portfolio.pattern_losses, probs.ravel())
+        pattern = start + (np.arange(2 ** cols) << levels)
+        head = (pattern >> np.arange(k - 1, levels - 1, -1)[:, None]) & 1
+        weight = np.prod(q[np.arange(k - levels)[:, None], head], axis=0).reshape(1, width)
+        for j, tile in enumerate(tiles):
+            out = buffers[j % 2, :2 * weight.size].reshape(-1, 2, width)
+            weight = np.multiply(weight[:, None, :], tile, out=out).reshape(-1, width)
+        # One 1-D dot per pattern, as `pz @ weight`; gemv rounds otherwise.
+        np.matmul(weight.reshape(2 ** levels, 2 ** cols, 1, m), pz[:, None], out=dots)
+        probs[start:start + 2 ** tail].reshape(2 ** cols, -1)[...] = dots[..., 0, 0].T
+    return LossDistribution.from_pairs(portfolio.pattern_losses, probs)
 
 
 def exact_loss_distribution(portfolio: Portfolio, grids) -> LossDistribution:

@@ -19,8 +19,10 @@ table's "configs" map), its argv, and the exit codes it accepts.  Optional bound
 "why" says what the row guards.
 
 This process imports neither qvar nor numpy: Linux starts a child at its parent's RSS
-high-water mark, so a heavy parent would raise every child's ru_maxrss.  The child runs
-`child` below; tier-1 tests take their fresh-process measurements from run_child too.
+high-water mark, so a heavy parent would raise every child's ru_maxrss.  For the same
+reason a child sends back the line count of its stdout's table, not the table.  The
+child runs `child` below; tier-1 tests take their fresh-process measurements from
+run_child too.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ def traced(call):
 
 
 def child(spec: str) -> None:
-    """In the fresh interpreter: run one argv and print its measurement as one JSON line."""
+    """In the fresh interpreter: run one argv and print its measurement as one short
+    JSON line."""
     import qvar.cli         # before the clock and the trace, as a step's script imported it
     import qvar.risk
     spec = json.loads(spec)
@@ -60,7 +63,8 @@ def child(spec: str) -> None:
         (code, out, err), peak = traced(lambda: run(spec["argv"]))
     else:
         code, out, err = run(spec["argv"])
-    got = {"exit": code, "seconds": time.perf_counter() - start, "stdout": out, "stderr": err,
+    got = {"exit": code, "seconds": time.perf_counter() - start,
+           "table_lines": len(out.split("\n\n")[0].splitlines()), "stderr": err,
            "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
     if spec["trace"]:
         got["peak"] = peak
@@ -74,9 +78,10 @@ def run_child(argv: list[str], trace: bool = False, price: bool = False,
               timeout: float | None = None, cwd: str | None = None,
               pythonpath: str | None = None) -> dict:
     """The measurement of qvar.cli.main(argv) in a fresh interpreter, as `qvar` runs it:
-    exit, seconds, stdout, stderr and rss_mb; with trace, tracemalloc's peak; with price
-    (which traces), the rerun's priced_exit and priced_stderr at a budget of peak - 1.
-    The child finds qvar on pythonpath, else on the inherited PYTHONPATH."""
+    exit, seconds, table_lines (stdout's lines up to its first blank line), stderr and
+    rss_mb; with trace, tracemalloc's peak; with price (which traces), the rerun's
+    priced_exit and priced_stderr at a budget of peak - 1.  The child finds qvar on
+    pythonpath, else on the inherited PYTHONPATH."""
     import subprocess
     path = [str(Path(__file__).resolve().parent), pythonpath or os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
@@ -118,8 +123,8 @@ def check_row(row: dict, configs: dict) -> tuple[str, list[str]]:
             broken.append(f"exit {got['priced_exit']}, not 1, at a budget one byte under "
                           f"the traced peak")
     if row.get("rows_per_loss"):
-        rows = len(got["stdout"].split("\n\n")[0].splitlines()) - 2    # header and rule
-        support = len(losses["stdout"].splitlines()) - 1                # header
+        rows = got["table_lines"] - 2          # header and rule
+        support = losses["table_lines"] - 1    # header
         values.append(f"{rows} rows for {support} losses")
         if rows != support:
             broken.append(f"{rows} table rows for {support} losses")

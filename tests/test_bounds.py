@@ -38,3 +38,16 @@ def test_wide_compare_configs_are_the_generators(k, tmp_path):
                                 "mc_paths": 1000}}, fh)
     golden.write_config(f"assets_{k}", TABLE["configs"], tmp_path)
     assert (tmp_path / golden.CONFIG).read_bytes() == (tmp_path / "generated.json").read_bytes()
+
+
+def test_a_child_sends_back_a_short_line(tmp_path, capsys):
+    # The 16-asset row's distribution prints 54,030 losses.  Its child sends back their
+    # line count, not the table, so the parent's RSS, which every later child starts
+    # from, does not grow with a row's table.
+    golden.write_config("assets_16", TABLE["configs"], tmp_path)
+    argv = ["distribution", "--config", str(tmp_path / golden.CONFIG)]
+    bounds.child(json.dumps({"argv": argv, "trace": False, "price": False}))
+    line = capsys.readouterr().out
+    got = json.loads(line)
+    assert got["exit"] == 0 and got["table_lines"] == 1 + 54_030
+    assert len(line) < 200

@@ -152,9 +152,10 @@ class TestBlockedEnumeration:
             assert_same_bytes(edge_portfolio(rng, k, len(grids),
                                              decimals=int(rng.integers(0, 3))), grids)
 
-    @pytest.mark.parametrize("k", [9, 10, 11, 12, 13])
+    @pytest.mark.parametrize("k", [9, 10, 11, 12, 13, 14])
     def test_block_seams(self, k):
-        # At M = 64 a block holds 2**11 patterns: one block up to K = 11, then 2, 4.
+        # At M = 64 a block holds 2**11 patterns, 16 columns a row: one block up to
+        # K = 11, then 2, 4 and 8.
         rng = np.random.default_rng(200 + k)
         assert_same_bytes(edge_portfolio(rng, k, 2), [FactorGrid(3)] * 2)
 
@@ -166,6 +167,7 @@ class TestBlockedEnumeration:
     def test_sixteen_assets(self):
         # 16 terms is where a BLAS dot starts its unrolled kernel; a loss taken
         # as `lgds @ bits` would round differently from the asset-by-asset sum.
+        # At M = 2 the one block holds 512 columns a row and 7 tree levels.
         rng = np.random.default_rng(16)
         assert_same_bytes(edge_portfolio(rng, 16, 1), [FactorGrid(1)])
 
@@ -189,18 +191,44 @@ class TestBlockedEnumeration:
                         for i, a in enumerate(pf.assets)])
         assert_same_bytes(pf, [FactorGrid(2), FactorGrid(2)])
 
+    @pytest.mark.parametrize("k, n_z", [
+        (4, [2, 2]),       # M = 16: every pattern is a column of one row, no tree level
+        (5, [10]),         # M = 1,024 fills a row: one column, no columns beside it
+        (2, [18]),         # M past _BLOCK_ELEMENTS: a block is one pattern
+    ])
+    def test_column_seams(self, k, n_z):
+        rng = np.random.default_rng(400 + k)
+        assert_same_bytes(edge_portfolio(rng, k, len(n_z)), [FactorGrid(n) for n in n_z])
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 14, 16, 23, 64, 512])
     def test_stacked_matmul_is_the_vector_dot(self, n):
         # The kernel relies on (rows[:, None, :] @ v[:, None]) running the same
-        # dot as the loop's `v @ row`, and conditional_pd_table's z @ alphas on
-        # (N, 1, R) points on `row @ v`; a numpy/BLAS change there must fail here.
+        # dot as the loop's `v @ row`, also with the rows stacked as (n, w, 1, m)
+        # columns, and conditional_pd_table's z @ alphas on (N, 1, R) points on
+        # `row @ v`; a numpy/BLAS change there must fail here.
         rng = np.random.default_rng(n)
         rows = rng.random((300, n)) * rng.choice([1e-3, 1.0, 1e3], (300, n))
         vector = rng.random(n)
+        want = np.array([vector @ row for row in rows]).tobytes()
         stacked = (rows[:, None, :] @ vector[:, None])[:, 0, 0]
-        assert stacked.tobytes() == np.array([vector @ row for row in rows]).tobytes()
+        assert stacked.tobytes() == want
+        for w in (1, 4, 15):
+            columns = rows.reshape(-1, w, 1, n) @ vector[:, None]
+            assert columns.ravel().tobytes() == want
         points = (rows[:, None, :] @ vector)[:, 0]
         assert points.tobytes() == np.array([row @ vector for row in rows]).tobytes()
+
+    def test_aligned_buffers_start_on_a_64_byte_line(self):
+        # Odd-sized arrays between the calls move where the heap puts the next one.
+        # An empty array holds no line to start on.
+        keep = []
+        for shape in [(0,), (1,), (7,), (8,), (1000,), (3, 5), (2, 4096), (0, 2, 64), (7, 2, 1024)]:
+            keep.append(np.empty(int(np.prod(shape)) % 13 + 1))
+            buffer = risk._aligned(shape)
+            assert buffer.size == 0 or buffer.ctypes.data % 64 == 0
+            assert buffer.shape == shape and buffer.flags.c_contiguous
+            buffer[...] = 1.0
+            keep.append(buffer)
 
 
 class TestGridMonteCarlo:
