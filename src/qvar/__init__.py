@@ -6,7 +6,7 @@ probabilities either exactly or through iterative amplitude estimation, and
 verifies everything against classical enumeration and Monte Carlo oracles.
 """
 
-from .circuit import Circuit, Gate, marginal_probability, zero_state
+from .circuit import Gate, marginal_probability, zero_state
 from .estimation import IqaeConfig, IqaeResult, clopper_pearson, iqae
 from .gaussian import FactorGrid, std_normal_cdf, std_normal_pdf, std_normal_ppf
 from .objective import comparator, weighted_sum_register
@@ -19,7 +19,7 @@ from .uncertainty import Asset, ModelCircuit, Portfolio, build_model, model_tabl
 __version__ = "0.1.0"
 
 __all__ = [
-    "Asset", "BisectionProbe", "Circuit", "FactorGrid", "Gate", "IqaeConfig",
+    "Asset", "BisectionProbe", "FactorGrid", "Gate", "IqaeConfig",
     "IqaeResult", "LossDistribution", "ModelCircuit",
     "Portfolio", "ResourceReport", "VarResult",
     "build_model", "cdf_estimator", "clopper_pearson", "comparator",

@@ -1,4 +1,4 @@
-"""Minimal gate-level circuit representation and dense statevector simulator.
+"""Gates and the dense statevector simulator that runs them.
 
 Conventions, fixed across the package:
 
@@ -13,6 +13,9 @@ Conventions, fixed across the package:
 * a state is a plain C-contiguous float64 vector of 2**n_qubits amplitudes: every gate
   is real, and the kernel reads no dtype, so a complex state evolves to the same real
   parts.  The target scale is desk verification (roughly 20 qubits and below).
+* a circuit is a plain list of gates with no width of its own: it runs on any state
+  wide enough for its highest qubit, so a model's gates run unchanged on the wider
+  state of its estimation circuit.
 
 The simulator views the amplitudes as an array of shape (2,)*n, with qubit q
 on axis n-1-q so that the flat order stays little-endian.  A gate fixes each
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,42 +76,6 @@ class Gate:
         return max([self.target, *(c for c, _ in self.controls), *(self.register or ())])
 
 
-@dataclass(eq=False)
-class Circuit:
-    """Ordered gate list over a fixed number of qubits.
-
-    Circuits are treated as immutable once built; the builder methods below
-    are only meant for construction.
-    """
-
-    n_qubits: int
-    gates: list[Gate] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("circuit needs at least one qubit")
-        for gate in self.gates:
-            self._check(gate)
-
-    def _check(self, gate: Gate):
-        if gate.max_index >= self.n_qubits:
-            raise ValueError(
-                f"gate touches qubit {gate.max_index} but circuit has {self.n_qubits} qubits")
-
-    def append(self, gate: Gate) -> "Circuit":
-        self._check(gate)
-        self.gates.append(gate)
-        return self
-
-    def extend(self, gates) -> "Circuit":
-        for gate in gates:
-            self.append(gate)
-        return self
-
-    def x(self, target: int, controls=()) -> "Circuit":
-        return self.append(Gate("x", target, controls=tuple(controls)))
-
-
 def zero_state(n_qubits: int) -> np.ndarray:
     """|0...0> on n_qubits, as a float64 vector."""
     if n_qubits < 1:
@@ -118,14 +85,18 @@ def zero_state(n_qubits: int) -> np.ndarray:
     return state
 
 
-def evolve(circuit: Circuit, state: np.ndarray) -> None:
-    """The one gate kernel: run every gate in order on the state, in place."""
-    n = circuit.n_qubits
+def evolve(gates: list[Gate], state: np.ndarray) -> None:
+    """The one gate kernel: run every gate in order on the state, in place.  The state
+    gives the width, and a gate past it is refused before any amplitude moves."""
+    n = state.size.bit_length() - 1
     if state.shape != (2 ** n,) or not state.flags.c_contiguous:    # else reshape copies
-        raise ValueError(f"a {n}-qubit circuit evolves a C-contiguous vector of {2 ** n} "
-                         f"amplitudes, not one of shape {state.shape}")
+        raise ValueError(f"the kernel evolves a C-contiguous vector of 2**n amplitudes, "
+                         f"not one of shape {state.shape}")
+    widest = max((gate.max_index for gate in gates), default=-1)
+    if widest >= n:
+        raise ValueError(f"a gate touches qubit {widest}, but the state has {n} qubits")
     tensor = state.reshape((2,) * n)
-    for gate in circuit.gates:
+    for gate in gates:
         # The trailing Ellipsis keeps a fully fixed index a 0-d view, not a copy.
         index = [slice(None)] * n + [Ellipsis]
         for ctrl, pol in gate.controls:

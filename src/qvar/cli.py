@@ -30,11 +30,11 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .circuit import Circuit, evolve, marginal_probability, zero_state
+from .circuit import evolve, marginal_probability, zero_state
 from .estimation import IqaeConfig, iqae
 from .gaussian import FactorGrid
 from .objective import MODES, comparator, objective_qubit
@@ -230,7 +230,7 @@ def _emit(text: str, output: str | None):
 
 
 def _probes(trace) -> list[dict]:
-    return [{k: v for k, v in asdict(p).items() if v is not None} for p in trace]
+    return [{k: v for k, v in vars(p).items() if v is not None} for p in trace]
 
 
 def cmd_analyze(cfg: dict, output: str | None) -> int:
@@ -239,7 +239,7 @@ def cmd_analyze(cfg: dict, output: str | None) -> int:
     settings = iqae_config(analysis) if kind == "iqae" else None
     portfolio, grids = config_to_inputs(cfg)
     # Checks the model's and mode's rules, then the budget, all before any grid's arrays.
-    resources = asdict(estimate_resources(portfolio, grids, variant, encoding, analysis["mode"]))
+    resources = vars(estimate_resources(portfolio, grids, variant, encoding, analysis["mode"]))
     check_budget(portfolio, grids, iqae=settings is not None)
     dist = (exact_loss_distribution(portfolio, grids) if kind == "classical"
             else model_distribution(portfolio, grids, variant, encoding))
@@ -288,7 +288,7 @@ def cmd_resources(cfg: dict, output: str | None) -> int:
     analysis = cfg["analysis"]
     report = estimate_resources(*config_to_inputs(cfg), analysis["variant"], analysis["encoding"],
                                 analysis["mode"])
-    _emit(_dump_json({"config": cfg, "resources": asdict(report)}), output)
+    _emit(_dump_json({"config": cfg, "resources": vars(report)}), output)
     return 0
 
 
@@ -302,12 +302,11 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     pd, pz = joint_grid(portfolio, grids)
     dist = mixture_distribution(portfolio, pd, pz)
     objective = objective_qubit(portfolio, model, mode)
-    width = objective + 1                   # the A circuit's, the objective on top
-    # Model gates then comparator gates on one array, as the test oracle exact_amplitude
-    # (tests/oracles.py) runs a threshold's A circuit; every comparator gate is an X, an
-    # exact swap, so the running state's readout is that oracle's, bit for bit.
-    state = zero_state(width)
-    evolve(Circuit(width, model.circuit.gates), state)
+    # Model gates then comparator gates on one state as wide as the A circuit, as the test
+    # oracle exact_amplitude (tests/oracles.py) runs a threshold's A circuit; every comparator
+    # gate is an X, an exact swap, so the running state's readout is that oracle's, bit for bit.
+    state = zero_state(objective + 1)
+    evolve(model.gates, state)
     mc = monte_carlo_distribution(portfolio, grids, pd, analysis["mc_paths"], analysis["seed"])
     above = -np.inf
     header = (f"{'threshold':>12}  {'classical':>12}  {'exact':>12}  {'|e-c|':>9}  "

@@ -1,7 +1,7 @@
 """Comparison operator turning an uncertainty model into the estimation circuit.
 
 The A register is [model][sum register, weighted_sum only][objective]: the
-objective is its top qubit, so a circuit's width gives it.
+objective is its top qubit, so objective_qubit + 1 is the A circuit's width.
 comparator(portfolio, model, mode, threshold, above) is the one place a
 comparator is wired onto a built model's asset qubits: the gates that flip the
 objective for losses in (above, threshold], so compare can step one state from
@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from . import arith
-from .circuit import Circuit
+from .circuit import Gate
 from .uncertainty import ModelCircuit, Portfolio
 
 MODES = ("s_free", "weighted_sum")
@@ -54,7 +54,7 @@ def objective_qubit(portfolio: Portfolio, model: ModelCircuit, mode: str) -> int
     on a built or a model_layout model: the one check of the mode."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    width = model.circuit.n_qubits
+    width = model.n_qubits
     return width if mode == "s_free" else width + weighted_sum_register(portfolio)[1]
 
 
@@ -71,7 +71,7 @@ def comparator_gates(portfolio: Portfolio, mode: str) -> tuple[int, int]:
 
 
 def comparator(portfolio: Portfolio, model: ModelCircuit, mode: str, threshold: float,
-               above: float = -math.inf) -> Circuit:
+               above: float = -math.inf) -> list[Gate]:
     """The comparator gates that flip the objective for every loss in (above, threshold],
     on a built model's A register.
 
@@ -85,22 +85,20 @@ def comparator(portfolio: Portfolio, model: ModelCircuit, mode: str, threshold: 
     objective = objective_qubit(portfolio, model, mode)   # refuses a bad mode or LGD
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    circ = Circuit(objective + 1)
     if mode == "s_free":
         k, losses, order = portfolio.k, portfolio.pattern_losses, portfolio.loss_order
         pairs = [((q, 0), (q, 1)) for q in model.asset_qubits]   # shared by every gate
         lo, hi = losses.searchsorted([above, threshold], "right", sorter=order)
-        for i in np.sort(order[lo:hi]).tolist():
-            circ.x(objective, (pair[i >> (k - 1 - j) & 1] for j, pair in enumerate(pairs)))
-    else:
-        # No carry ancillas: the adder works through multi-controlled increments.
-        lgds, n_s = weighted_sum_register(portfolio)
-        sum_qubits = range(objective - n_s, objective)
-        adder = arith.weighted_sum_gates(model.asset_qubits, lgds, sum_qubits)
-        first = math.floor(max(above, -1.0)) + 1          # register values are nonnegative
-        last = min(math.floor(threshold), 2 ** n_s - 1)
-        circ.extend(adder)
-        for value in range(first, last + 1):
-            circ.x(objective, ((q, value >> j & 1) for j, q in enumerate(sum_qubits)))
-        circ.extend(reversed(adder))
-    return circ
+        return [Gate("x", objective,
+                     controls=tuple(pair[i >> (k - 1 - j) & 1] for j, pair in enumerate(pairs)))
+                for i in np.sort(order[lo:hi]).tolist()]
+    # No carry ancillas: the adder works through multi-controlled increments.
+    lgds, n_s = weighted_sum_register(portfolio)
+    sum_qubits = range(objective - n_s, objective)
+    adder = arith.weighted_sum_gates(model.asset_qubits, lgds, sum_qubits)
+    first = math.floor(max(above, -1.0)) + 1          # register values are nonnegative
+    last = min(math.floor(threshold), 2 ** n_s - 1)
+    flips = [Gate("x", objective,
+                  controls=tuple((q, value >> j & 1) for j, q in enumerate(sum_qubits)))
+             for value in range(first, last + 1)]
+    return adder + flips + adder[::-1]

@@ -41,7 +41,7 @@ def estimate_resources(portfolio: Portfolio, grids, variant: str, encoding: str,
     """
     model, plan = model_layout(portfolio, grids, variant, encoding)
     width_built = objective_qubit(portfolio, model, mode) + 1
-    n_s = width_built - 1 - model.circuit.n_qubits      # weighted_sum's loss register
+    n_s = width_built - 1 - model.n_qubits      # weighted_sum's loss register
     k = portfolio.k
     return ResourceReport(
         variant=variant,

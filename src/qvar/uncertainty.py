@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import arith, gaussian
-from .circuit import Circuit, Gate
+from .circuit import Gate
 from .gaussian import conditional_pd_table, std_normal_pdf
 
 VARIANTS = ("multi_rotation", "single_rotation")
@@ -131,12 +131,14 @@ class Portfolio:
 
 @dataclass(eq=False)
 class ModelCircuit:
-    """An uncertainty operator plus its register map (model_layout's has no gates yet)."""
+    """An uncertainty operator's width, gates and register map (model_layout's has no
+    gates yet)."""
 
-    circuit: Circuit
+    n_qubits: int
     factor_qubits: list[range]
     asset_qubits: list[int]
     ancilla_qubits: list[int] = field(default_factory=list)
+    gates: list[Gate] = field(default_factory=list)
 
 
 def default_angle(pd: np.ndarray) -> np.ndarray:
@@ -320,7 +322,7 @@ def model_layout(portfolio: Portfolio, grids, variant: str,
     starts = list(itertools.accumulate((g.n_z for g in grids), initial=0))
     sum_qubits = list(range(starts[-1], starts[-1] + plan.n_sum)) if plan else []
     asset_qubits = [starts[-1] + len(sum_qubits) + i for i in range(portfolio.k)]
-    return ModelCircuit(Circuit(asset_qubits[-1] + 1),
+    return ModelCircuit(asset_qubits[-1] + 1,
                         [range(s, s + g.n_z) for s, g in zip(starts, grids)],
                         asset_qubits, sum_qubits), plan
 
@@ -347,25 +349,25 @@ def build_model(portfolio: Portfolio, grids, variant: str, encoding: str) -> Mod
     """
     grids = list(grids)
     model, plan, loads, rotations = _numbers(portfolio, grids, variant, encoding)
-    circ = model.circuit
+    gates = model.gates
     for probs, reg in zip(loads, model.factor_qubits):
-        circ.extend(loader_gates(probs, reg))
+        gates.extend(loader_gates(probs, reg))
     # single_rotation's index adder: bit j of a factor register adds 2**j to the sum, for
     # the bits its n_points admit; none without a plan.
     bits = [(q, j) for reg, n_r in zip(model.factor_qubits, plan.n_points if plan else ())
             for j, q in enumerate(reg) if 1 << j <= n_r - 1]
     adder = arith.weighted_sum_gates([q for q, _ in bits], [1 << j for _, j in bits],
                                      model.ancilla_qubits)
-    circ.extend(adder)
+    gates.extend(adder)
     if isinstance(rotations, np.ndarray):
         register = tuple(q for reg in model.factor_qubits for q in reversed(reg))  # product order
         for target, angles in zip(model.asset_qubits, rotations.T.tolist()):
-            circ.append(Gate("ry", target, tuple(angles), register=register))
+            gates.append(Gate("ry", target, tuple(angles), register=register))
     else:
         registers = [model.ancilla_qubits] if plan else model.factor_qubits
         for offset, slopes, target in zip(*(r.tolist() for r in rotations), model.asset_qubits):
-            circ.extend(_linear_rotation_gates(offset, zip(slopes, registers), target))
-    circ.extend(reversed(adder))
+            gates.extend(_linear_rotation_gates(offset, zip(slopes, registers), target))
+    gates.extend(reversed(adder))
     return model
 
 

@@ -1,9 +1,10 @@
 """Test-side oracles: what the tests check qvar against, and nothing a command runs.
 
-The gate-level path: build_a_circuit assembles one threshold's whole estimation
-operator A (model, then comparator), exact_amplitude reads its objective off
-the statevector, and grover_operator builds Q from A and inverse(A), the gate
-law that estimation.iqae samples in closed form; adjoint is one gate's inverse.
+The gate-level path: a circuit is a list of gates.  build_a_circuit assembles one
+threshold's whole estimation operator A (model, then comparator) and returns its width
+beside it, exact_amplitude reads A's top qubit, the objective, off the statevector of
+that width, and grover_operator builds Q from A and inverse(A) over that width, the
+gate law that estimation.iqae samples in closed form; adjoint is one gate's inverse.
 compare steps one state through the same gates, so exact_amplitude is its
 readout's oracle.
 
@@ -24,17 +25,17 @@ import itertools
 
 import numpy as np
 
-from qvar.circuit import Circuit, Gate, evolve, marginal_probability, zero_state
+from qvar.circuit import Gate, evolve, marginal_probability, zero_state
 from qvar.gaussian import conditional_pd_table, std_normal_ppf
-from qvar.objective import comparator
+from qvar.objective import comparator, objective_qubit
 from qvar.risk import LossDistribution
 from qvar.uncertainty import Portfolio, build_model
 
 
-def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
+def apply(gates: list[Gate], state: np.ndarray) -> np.ndarray:
     """Run every gate in order on a copy of the state (np.array keeps its dtype)."""
     out = np.array(state)
-    evolve(circuit, out)
+    evolve(gates, out)
     return out
 
 
@@ -55,10 +56,10 @@ def expand(gates) -> list[Gate]:
     return out
 
 
-def dump(circuit: Circuit) -> str:
+def dump(gates: list[Gate]) -> str:
     """Debug text form of the expanded gates, one per line, stable for golden tests."""
     lines = []
-    for gate in expand(circuit.gates):
+    for gate in expand(gates):
         head = f"ry({gate.theta:+.15e})" if gate.kind == "ry" else gate.kind
         ctrl = " ".join(f"q{c}={p}" for c, p in gate.controls)
         lines.append(f"{head} q{gate.target}" + (f" | {ctrl}" if ctrl else ""))
@@ -73,9 +74,9 @@ def adjoint(gate: Gate) -> Gate:
     return Gate("ry", gate.target, theta, gate.controls, gate.register)
 
 
-def inverse(circuit: Circuit) -> Circuit:
+def inverse(gates: list[Gate]) -> list[Gate]:
     """Adjoint circuit: reversed gate order, each gate replaced by its adjoint."""
-    return Circuit(circuit.n_qubits, [adjoint(g) for g in reversed(circuit.gates)])
+    return [adjoint(g) for g in reversed(gates)]
 
 
 def probabilities(state: np.ndarray, qubits=None) -> np.ndarray:
@@ -102,39 +103,33 @@ def probabilities(state: np.ndarray, qubits=None) -> np.ndarray:
     return out
 
 
-def exact_amplitude(a: Circuit) -> float:
-    """Objective-qubit probability of A|0...0>, read off the statevector; the
-    objective is A's top qubit."""
-    state = apply(a, zero_state(a.n_qubits))
-    return marginal_probability(state, a.n_qubits - 1, 1)
+def exact_amplitude(a: list[Gate], n_qubits: int) -> float:
+    """Objective-qubit probability of A|0...0> on n_qubits, read off the statevector;
+    the objective is the top qubit."""
+    state = apply(a, zero_state(n_qubits))
+    return marginal_probability(state, n_qubits - 1, 1)
 
 
-def grover_operator(a: Circuit) -> Circuit:
-    """Q = A * S0 * A^-1 * S_good (rightmost factor acts first).
+def grover_operator(a: list[Gate], n_qubits: int) -> list[Gate]:
+    """Q = A * S0 * A^-1 * S_good (rightmost factor acts first) on n_qubits.
 
-    S_good flips the phase of states whose objective qubit, A's top one, is 1
+    S_good flips the phase of states whose objective qubit, the top one, is 1
     (a plain Z); S0 flips the phase of the all-zeros state, realized as an
     X-conjugated Z on qubit 0 controlled on every other qubit being 0.
     """
-    n = a.n_qubits
-    q = Circuit(n)
-    q.append(Gate("z", n - 1))
-    q.extend(inverse(a).gates)
-    others = tuple((i, 0) for i in range(1, n))
-    q.x(0)
-    q.append(Gate("z", 0, controls=others))
-    q.x(0)
-    q.extend(a.gates)
-    return q
+    others = tuple((i, 0) for i in range(1, n_qubits))
+    s0 = [Gate("x", 0), Gate("z", 0, controls=others), Gate("x", 0)]
+    return [Gate("z", n_qubits - 1)] + inverse(a) + s0 + a
 
 
 def build_a_circuit(portfolio: Portfolio, grids, threshold: float, *,
                     variant: str = "multi_rotation", encoding: str = "exact",
-                    mode: str = "s_free") -> Circuit:
-    """Build the complete estimation operator for one threshold: model, then comparator."""
+                    mode: str = "s_free") -> tuple[list[Gate], int]:
+    """The complete estimation operator for one threshold, model then comparator, and
+    its width: the objective, its top qubit, plus one."""
     model = build_model(portfolio, grids, variant, encoding)
-    comp = comparator(portfolio, model, mode, threshold)
-    return Circuit(comp.n_qubits, model.circuit.gates + comp.gates)
+    width = objective_qubit(portfolio, model, mode) + 1
+    return model.gates + comparator(portfolio, model, mode, threshold), width
 
 
 def conditional_pd(p0: float, rho: float, alphas, z):

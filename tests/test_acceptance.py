@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from qvar.circuit import Circuit, Gate, marginal_probability, zero_state
+from qvar.circuit import Gate, marginal_probability, zero_state
 from qvar.cli import main
 from qvar.estimation import IqaeConfig, iqae
 from qvar.gaussian import FactorGrid
@@ -51,7 +51,7 @@ def test_criterion_1_oracle_equivalence():
     dist = exact_loss_distribution(pf, grids)
     worst = 0.0
     for x in dist.losses:
-        amp = exact_amplitude(build_a_circuit(pf, grids, float(x), encoding="exact"))
+        amp = exact_amplitude(*build_a_circuit(pf, grids, float(x), encoding="exact"))
         worst = max(worst, abs(amp - dist.cdf(float(x))))
     elapsed = time.perf_counter() - start
     report(1, worst < 1e-9 and elapsed < 1.0,
@@ -80,7 +80,7 @@ def test_criterion_3_iqae_contract_at_reference_settings():
     start = time.perf_counter()
     pf, grids = two_asset_portfolio(), factor_grids()
     a_circ = build_a_circuit(pf, grids, 1500.0, encoding="exact")
-    truth = exact_amplitude(a_circ)
+    truth = exact_amplitude(*a_circ)
     hits = 0
     samples = []
     for seed in range(100):
@@ -114,8 +114,9 @@ def test_criterion_5_legacy_equivalence():
     grids = factor_grids()
     worst = 0.0
     for x in (0.0, 1.0, 2.0, 3.0):
-        a_free = exact_amplitude(build_a_circuit(pf, grids, x, encoding="exact", mode="s_free"))
-        a_sum = exact_amplitude(build_a_circuit(pf, grids, x, encoding="exact", mode="weighted_sum"))
+        a_free = exact_amplitude(*build_a_circuit(pf, grids, x, encoding="exact", mode="s_free"))
+        a_sum = exact_amplitude(*build_a_circuit(pf, grids, x, encoding="exact",
+                                                 mode="weighted_sum"))
         worst = max(worst, abs(a_free - a_sum))
     n_s = weighted_sum_register(pf)[1]
     ok = worst < 1e-10 and n_s == 2
@@ -135,7 +136,7 @@ def test_criterion_6_non_integer_rejection_and_acceptance():
         named = "asset 0" in str(exc) and "1000.5" in str(exc)
     dist = exact_loss_distribution(pf, grids)
     s_free_ok = (dist.losses.size == 4 and 3001.0 in dist.losses
-                 and exact_amplitude(build_a_circuit(pf, grids, 3001.0, mode="s_free")) > 0.999)
+                 and exact_amplitude(*build_a_circuit(pf, grids, 3001.0, mode="s_free")) > 0.999)
     ok = rejected and named and s_free_ok
     report(6, ok,
            f"weighted_sum rejected LGD 1000.5 naming the asset ({rejected and named}); "
@@ -147,7 +148,7 @@ def test_criterion_7_grover_identity():
     worst = 0.0
     for _ in range(10):
         n = int(rng.integers(1, 4))
-        circ = Circuit(n)
+        circ = []
         for _ in range(8):
             t = int(rng.integers(n))
             circ.append(Gate("ry", t, float(rng.uniform(0.2, 2.9))))
@@ -155,9 +156,9 @@ def test_criterion_7_grover_identity():
                 other = int(rng.choice([q for q in range(n) if q != t]))
                 circ.append(Gate("ry", t, float(rng.uniform(-2, 2)),
                                  ((other, int(rng.integers(2))),)))
-        a = exact_amplitude(circ)           # the objective is qubit n - 1, the top one
+        a = exact_amplitude(circ, n)        # the objective is qubit n - 1, the top one
         theta = math.asin(math.sqrt(a))
-        q = grover_operator(circ)
+        q = grover_operator(circ, n)
         state = apply(circ, zero_state(n))
         for k in range(9):
             want = math.sin((2 * k + 1) * theta) ** 2
@@ -197,8 +198,8 @@ def test_criterion_9_linear_encoding_sanity():
         pf_flat = Portfolio([Asset(1000.5, 0.15, rho, (0.35, 0.20)),
                              Asset(2000.5, 0.25, rho, (0.10, 0.25))])
         for x in (0.0, 1000.5, 2000.5):
-            a_lin = exact_amplitude(build_a_circuit(pf_flat, grids, x, encoding="linear"))
-            a_ex = exact_amplitude(build_a_circuit(pf_flat, grids, x, encoding="exact"))
+            a_lin = exact_amplitude(*build_a_circuit(pf_flat, grids, x, encoding="linear"))
+            a_ex = exact_amplitude(*build_a_circuit(pf_flat, grids, x, encoding="exact"))
             worst_amp = max(worst_amp, abs(a_lin - a_ex))
     ok = worst_fit < 1e-12 and worst_amp < 1e-10
     report(9, ok,

@@ -3,7 +3,6 @@
 import numpy as np
 
 from qvar.arith import weighted_sum_gates, weighted_sum_size
-from qvar.circuit import Circuit
 
 from oracles import apply
 
@@ -34,7 +33,7 @@ class TestWeightedSum:
         rng = np.random.default_rng(28)
         for n, inputs, weights, register, adder in random_adders(rng, 60):
             assert all(g.kind == "x" and g.theta is None for g in adder)
-            labels = apply(Circuit(n, adder), np.arange(2.0 ** n))
+            labels = apply(adder, np.arange(2.0 ** n))
             index = np.arange(2 ** n)
             sent = np.empty_like(index)
             sent[labels.astype(int)] = index
@@ -48,8 +47,8 @@ class TestWeightedSum:
         rng = np.random.default_rng(29)
         for n, _, _, _, adder in random_adders(rng, 60):
             state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-            there = apply(Circuit(n, adder), state)
-            back = apply(Circuit(n, list(reversed(adder))), there)
+            there = apply(adder, state)
+            back = apply(adder[::-1], there)
             assert back.tobytes() == state.tobytes()
 
     def test_size_counts_the_adder_and_its_inverse(self):

@@ -1044,7 +1044,7 @@ class TestCompare:
             assert main(["compare", "--config", config, "--output", str(out)]) in (0, 1)
             portfolio, grids = config_to_inputs(load_config(config))
             dist = exact_loss_distribution(portfolio, grids)
-            oracle = [exact_amplitude(build_a_circuit(portfolio, grids, float(x), variant=variant,
+            oracle = [exact_amplitude(*build_a_circuit(portfolio, grids, float(x), variant=variant,
                                                       encoding=encoding, mode=mode))
                       for x in dist.losses]
             assert readouts == oracle
@@ -1138,11 +1138,12 @@ class TestCompare:
                                                               config, mode, flips):
         builds, applies = [], []
 
-        def simulated(circuit, state):
-            # The objective is the A register's top qubit; only comparators flip it.
-            applies.append(sum(g.kind == "x" and g.target == circuit.n_qubits - 1
-                               for g in circuit.gates))
-            evolve(circuit, state)
+        def simulated(gates, state):
+            # The objective is the A register's top qubit, the state's; only comparators
+            # flip it.
+            objective = state.size.bit_length() - 2
+            applies.append(sum(g.kind == "x" and g.target == objective for g in gates))
+            evolve(gates, state)
 
         build_model = qvar.cli.build_model
         monkeypatch.setattr(qvar.cli, "build_model",
@@ -1215,7 +1216,7 @@ class TestCompare:
         }
         config = write_config(tmp_path, payload)
         portfolio, grids = config_to_inputs(load_config(config))
-        assert exact_amplitude(build_a_circuit(portfolio, grids, 4.0, encoding="linear")) > 1.0
+        assert exact_amplitude(*build_a_circuit(portfolio, grids, 4.0, encoding="linear")) > 1.0
         out = tmp_path / "compare.txt"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from qvar.circuit import Circuit, Gate, marginal_probability, zero_state
+from qvar.circuit import Gate, marginal_probability, zero_state
 from qvar.estimation import IqaeConfig, IqaeResult, _find_next_k, clopper_pearson, iqae
 from qvar.gaussian import FactorGrid
 from qvar.risk import exact_loss_distribution
@@ -14,26 +14,28 @@ from qvar.uncertainty import Asset, Portfolio
 
 from oracles import apply, build_a_circuit, exact_amplitude, grover_operator
 
+# An A operator here is (gates, n_qubits), as build_a_circuit returns it: the objective
+# is its top qubit.
+
 
 def bernoulli_circuit(a):
     """Single-qubit operator with P(objective = 1) = a."""
-    circ = Circuit(1)
-    circ.append(Gate("ry", 0, 2 * math.asin(math.sqrt(a))))
-    return circ
+    return [Gate("ry", 0, 2 * math.asin(math.sqrt(a)))], 1
 
 
 def bernoulli_amplitude(a):
-    return exact_amplitude(bernoulli_circuit(a))
+    return exact_amplitude(*bernoulli_circuit(a))
 
 
 class PowerStates:
     """Statevectors of Q^k A|0>, extended by applying the Grover circuit."""
 
     def __init__(self, a_circuit):
-        self._grover = grover_operator(a_circuit)
-        self._state = apply(a_circuit, zero_state(a_circuit.n_qubits))
+        gates, n = a_circuit
+        self._grover = grover_operator(gates, n)
+        self._state = apply(gates, zero_state(n))
         self._k = 0
-        self._objective = a_circuit.n_qubits - 1
+        self._objective = n - 1
 
     def probability(self, k):
         assert k >= self._k, "powers must be nondecreasing"
@@ -90,7 +92,7 @@ def reference_iqae(a_circuit, cfg):
 
 
 def random_objective(rng, n):
-    circ = Circuit(n)
+    circ = []
     for _ in range(8):
         t = int(rng.integers(n))
         circ.append(Gate("ry", t, float(rng.uniform(0.2, 2.9))))
@@ -102,33 +104,30 @@ def random_objective(rng, n):
 
 class TestExactAmplitude:
     def test_bernoulli(self):
-        assert exact_amplitude(bernoulli_circuit(0.3)) == pytest.approx(0.3, abs=1e-12)
+        assert exact_amplitude(*bernoulli_circuit(0.3)) == pytest.approx(0.3, abs=1e-12)
 
     def test_idle_objective(self):
-        assert exact_amplitude(Circuit(2).x(0)) == 0.0
+        assert exact_amplitude([Gate("x", 0)], 2) == 0.0
 
     def test_invariant_under_appended_identities(self):
-        a_circ = bernoulli_circuit(0.42)
-        base = exact_amplitude(a_circ)
-        padded = Circuit(1, list(a_circ.gates))
-        padded.append(Gate("ry", 0, 0.0))
-        padded.x(0)
-        padded.x(0)
-        assert abs(exact_amplitude(padded) - base) < 1e-12
+        gates, n = bernoulli_circuit(0.42)
+        base = exact_amplitude(gates, n)
+        padded = gates + [Gate("ry", 0, 0.0), Gate("x", 0), Gate("x", 0)]
+        assert abs(exact_amplitude(padded, n) - base) < 1e-12
 
 
 class TestGroverOperator:
     def test_quarter_amplitude_single_step(self):
         # a = 1/4 means theta = pi/6; one Grover step amplifies to sin^2(pi/2) = 1
-        a_circ = bernoulli_circuit(0.25)
-        state = apply(a_circ, zero_state(1))
-        state = apply(grover_operator(a_circ), state)
+        gates, n = bernoulli_circuit(0.25)
+        state = apply(gates, zero_state(n))
+        state = apply(grover_operator(gates, n), state)
         assert marginal_probability(state, 0, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_amplitude_stays_zero(self):
-        a_circ = Circuit(2).x(0)
+        a_circ = [Gate("x", 0)]
         state = apply(a_circ, zero_state(2))
-        q = grover_operator(a_circ)
+        q = grover_operator(a_circ, 2)
         for _ in range(4):
             state = apply(q, state)
             assert marginal_probability(state, 1, 1) < 1e-12
@@ -138,13 +137,13 @@ class TestGroverOperator:
         for _ in range(10):
             n = int(rng.integers(1, 4))
             a_circ = random_objective(rng, n)
-            a = exact_amplitude(a_circ)
+            a = exact_amplitude(a_circ, n)
             theta = math.asin(math.sqrt(a))
-            q = grover_operator(a_circ)
+            q = grover_operator(a_circ, n)
             state = apply(a_circ, zero_state(n))
             for k in range(9):
                 want = math.sin((2 * k + 1) * theta) ** 2
-                got = marginal_probability(state, a_circ.n_qubits - 1, 1)
+                got = marginal_probability(state, n - 1, 1)
                 assert abs(got - want) < 1e-9
                 state = apply(q, state)
 
@@ -152,14 +151,14 @@ class TestGroverOperator:
         pf = Portfolio([Asset(1000.5, 0.15, 0.10, (0.35, 0.20)),
                         Asset(2000.5, 0.25, 0.05, (0.10, 0.25))])
         grids = [FactorGrid(2), FactorGrid(2)]
-        a_circ = build_a_circuit(pf, grids, 1500.0, encoding="exact")
-        a = exact_amplitude(a_circ)
+        a_circ, n = build_a_circuit(pf, grids, 1500.0, encoding="exact")
+        a = exact_amplitude(a_circ, n)
         theta = math.asin(math.sqrt(a))
-        q = grover_operator(a_circ)
-        state = apply(a_circ, zero_state(a_circ.n_qubits))
+        q = grover_operator(a_circ, n)
+        state = apply(a_circ, zero_state(n))
         for k in range(5):
             want = math.sin((2 * k + 1) * theta) ** 2
-            assert abs(marginal_probability(state, a_circ.n_qubits - 1, 1) - want) < 1e-9
+            assert abs(marginal_probability(state, n - 1, 1) - want) < 1e-9
             state = apply(q, state)
 
 
@@ -217,14 +216,14 @@ class TestIqae:
             IqaeConfig(epsilon=0.01, confidence=0.9, shots_per_round=0)
 
     def test_zero_amplitude(self):
-        res = iqae(exact_amplitude(Circuit(2).x(0)),
+        res = iqae(exact_amplitude([Gate("x", 0)], 2),
                    IqaeConfig(epsilon=0.01, confidence=0.95, seed=3))
         assert res.converged
         assert res.ci_low == 0.0
         assert res.estimate <= 0.01
 
     def test_full_amplitude(self):
-        res = iqae(exact_amplitude(Circuit(1).x(0)),
+        res = iqae(exact_amplitude([Gate("x", 0)], 1),
                    IqaeConfig(epsilon=0.01, confidence=0.95, seed=3))
         assert res.converged
         assert res.ci_high == pytest.approx(1.0)
@@ -315,7 +314,7 @@ class TestClosedFormMatchesGroverCircuit:
     """iqae on the closed-form law gives the same results as simulating Q^k."""
 
     def check(self, a_circ, epsilon, confidence, seeds=range(20)):
-        amplitude = exact_amplitude(a_circ)
+        amplitude = exact_amplitude(*a_circ)
         for seed in seeds:
             cfg = IqaeConfig(epsilon=epsilon, confidence=confidence, seed=seed)
             assert iqae(amplitude, cfg) == reference_iqae(a_circ, cfg)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qvar.circuit import Circuit
 from qvar.gaussian import FactorGrid
 from qvar.objective import MODES, comparator, objective_qubit, weighted_sum_register
 from qvar.risk import LossDistribution
@@ -71,7 +70,7 @@ class TestSFreeComparator:
         model = build_model(pf, grids, "multi_rotation", "exact")
 
         def n_gates(x):
-            return len(comparator(pf, model, "s_free", x).gates)
+            return len(comparator(pf, model, "s_free", x))
         # 1000.5 <= 1500 < 2000.5: only {} and {asset 0} qualify
         assert n_gates(1500.0) == 2
         # everything qualifies at the total loss
@@ -94,7 +93,7 @@ class TestSFreeComparator:
             qualifying = sum(
                 1 for pattern in itertools.product((0, 1), repeat=k)
                 if np.dot(lgds, pattern) <= x)
-            assert len(comp.gates) == qualifying <= 2 ** k
+            assert len(comp) == qualifying <= 2 ** k
 
     def test_increments_and_cdf_match_masks_over_the_loss_table(self):
         # The increments come from the loss table's sorted order, the cdf from a prefix of
@@ -120,7 +119,7 @@ class TestSFreeComparator:
             for x in map(float, xs):
                 step = comparator(pf, model, "s_free", x, above)
                 patterns = [int("".join(str(pol) for _, pol in g.controls), 2)
-                            for g in step.gates]
+                            for g in step]
                 assert patterns == np.flatnonzero((losses > above) & (losses <= x)).tolist()
                 assert dist.cdf(x) == float(dist.probs[dist.losses <= x].sum())
                 above = x
@@ -146,15 +145,16 @@ class TestWeightedSum:
         pf = self.integer_portfolio()
         grids = [FactorGrid(2), FactorGrid(2)]
         for x in (-1.0, 0.0, 1.0, 2.0, 3.0, 10.0):
-            a_free = exact_amplitude(build_a_circuit(pf, grids, x, mode="s_free"))
-            a_sum = exact_amplitude(build_a_circuit(pf, grids, x, mode="weighted_sum"))
+            a_free = exact_amplitude(*build_a_circuit(pf, grids, x, mode="s_free"))
+            a_sum = exact_amplitude(*build_a_circuit(pf, grids, x, mode="weighted_sum"))
             assert abs(a_free - a_sum) < 1e-10
 
     def test_all_zero_lgds_accept_everything(self):
         pf = Portfolio([Asset(0, 0.2, 0.1, (1.0,)), Asset(0, 0.3, 0.1, (1.0,))])
         grids = [FactorGrid(1)]
         for x in (0.0, 1.0):
-            assert exact_amplitude(build_a_circuit(pf, grids, x, mode="weighted_sum")) == pytest.approx(1.0, abs=1e-12)
+            a = exact_amplitude(*build_a_circuit(pf, grids, x, mode="weighted_sum"))
+            assert a == pytest.approx(1.0, abs=1e-12)
 
     def test_randomized_equivalence(self):
         rng = np.random.default_rng(17)
@@ -166,8 +166,9 @@ class TestWeightedSum:
             grids = [FactorGrid(1)]
             total = sum(a.lgd for a in assets)
             for x in range(-1, int(total) + 2):
-                a_free = exact_amplitude(build_a_circuit(pf, grids, float(x), mode="s_free"))
-                a_sum = exact_amplitude(build_a_circuit(pf, grids, float(x), mode="weighted_sum"))
+                a_free = exact_amplitude(*build_a_circuit(pf, grids, float(x), mode="s_free"))
+                a_sum = exact_amplitude(*build_a_circuit(pf, grids, float(x),
+                                                         mode="weighted_sum"))
                 assert abs(a_free - a_sum) < 1e-10
 
 
@@ -198,7 +199,7 @@ class TestComparators:
             model = build_model(pf, [FactorGrid(2), FactorGrid(1)],
                                 variant, encoding)
             # [model][loss register, weighted_sum only][objective]
-            width = model.circuit.n_qubits
+            width = model.n_qubits
             objective = width + (weighted_sum_register(pf)[1] if mode == "weighted_sum" else 0)
             start = (rng.normal(size=2 ** (objective + 1))
                      + 1j * rng.normal(size=2 ** (objective + 1)))
@@ -211,23 +212,23 @@ class TestComparators:
             for x in map(float, thresholds):
                 step = comparator(pf, model, mode, x, above)
                 whole = comparator(pf, model, mode, x)
-                got = (step.n_qubits, step.n_qubits - 1)
-                assert got == (objective + 1, objective)
+                assert all(g.max_index <= objective for g in step + whole)
                 state = apply(step, state)
                 assert np.array_equal(state, apply(whole, start))
                 if mode == "s_free":
-                    stepped.update(step.gates)
-                    assert stepped == Counter(whole.gates)
+                    stepped.update(step)
+                    assert stepped == Counter(whole)
                 above = x
 
     @pytest.mark.parametrize("mode", MODES)
     def test_above_at_or_past_threshold_adds_no_flip(self, mode):
         pf = self.portfolio(np.random.default_rng(5), 4, mode)
         model = build_model(pf, [FactorGrid(1)] * 2, "multi_rotation", "exact")
+        objective = objective_qubit(pf, model, mode)
         for x in np.unique(pf.pattern_losses):
             for above in (x, x + 0.5, x + 1e6):
                 comp = comparator(pf, model, mode, float(x), float(above))
-                assert not any(g.target == comp.n_qubits - 1 for g in comp.gates)
+                assert not any(g.target == objective for g in comp)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed, variant, encoding, r", [
@@ -245,11 +246,13 @@ class TestComparators:
             objective = objective_qubit(pf, model, mode)
             x = float(pf.pattern_losses.max())
             comp = comparator(pf, model, mode, x)
-            a = build_a_circuit(pf, grids, x, variant=variant, encoding=encoding, mode=mode)
-            assert comp.n_qubits == a.n_qubits == objective + 1
-            flips = [g for g in comp.gates if g.target == objective]
+            a, width = build_a_circuit(pf, grids, x, variant=variant, encoding=encoding,
+                                       mode=mode)
+            assert a == model.gates + comp
+            assert width == max(g.max_index for g in a) + 1 == objective + 1
+            flips = [g for g in comp if g.target == objective]
             assert flips and all(g.kind == "x" for g in flips)
-            assert not any(g.target == objective for g in model.circuit.gates)
+            assert not any(g.target == objective for g in model.gates)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_non_finite_threshold_rejected(self, mode):
@@ -265,28 +268,28 @@ class TestAssembleA:
         pf, grids = table_inputs()
         model = build_model(pf, grids, "multi_rotation", "exact")
         comp = comparator(pf, model, "s_free", 1500.0)
-        a_circ = Circuit(7, model.circuit.gates + comp.gates)     # objective 6, on top
-        assert abs(exact_amplitude(a_circ) - ORACLE_CDF[1000.5]) < 1e-9
+        a_circ = model.gates + comp     # objective 6, on top
+        assert abs(exact_amplitude(a_circ, 7) - ORACLE_CDF[1000.5]) < 1e-9
 
     def test_amplitudes_on_support_match_oracle(self):
         pf, grids = table_inputs()
         for x, want in ORACLE_CDF.items():
             a_circ = build_a_circuit(pf, grids, x, encoding="exact")
-            assert abs(exact_amplitude(a_circ) - want) < 1e-9
+            assert abs(exact_amplitude(*a_circ) - want) < 1e-9
 
     def test_empty_acceptance_set(self):
         pf, grids = table_inputs()
-        assert exact_amplitude(build_a_circuit(pf, grids, -1.0, encoding="exact")) == 0.0
+        assert exact_amplitude(*build_a_circuit(pf, grids, -1.0, encoding="exact")) == 0.0
 
     def test_single_asset_below_lgd(self):
         pf = Portfolio([Asset(10.0, 0.3, 0.0, (1.0,))])
         grids = [FactorGrid(2)]
         a_circ = build_a_circuit(pf, grids, 9.999, encoding="exact")
-        assert exact_amplitude(a_circ) == pytest.approx(0.7, abs=1e-12)
+        assert exact_amplitude(*a_circ) == pytest.approx(0.7, abs=1e-12)
 
     def test_monotone_in_threshold(self):
         pf, grids = table_inputs()
-        amps = [exact_amplitude(build_a_circuit(pf, grids, x, encoding="exact"))
+        amps = [exact_amplitude(*build_a_circuit(pf, grids, x, encoding="exact"))
                 for x in (-1.0, 0.0, 500.0, 1000.5, 2000.5, 3001.0, 5000.0)]
         assert all(a <= b + 1e-15 for a, b in zip(amps, amps[1:]))
 
@@ -333,10 +336,11 @@ class TestACircuitPin:
             support = np.unique(pf.pattern_losses)
             for x in map(float, [support[0] - 1.0, *support,
                                  *(support[:-1] + np.diff(support) / 2), support[-1] + 1e6]):
-                a = build_a_circuit(pf, grids, x, variant=variant, encoding=encoding, mode=mode)
+                a, n = build_a_circuit(pf, grids, x, variant=variant, encoding=encoding,
+                                       mode=mode)
                 # The objective is the top qubit.
-                digest.update(f"{a.n_qubits} {a.n_qubits - 1} {mode} {x!r}\n{dump(a)}\n".encode())
+                digest.update(f"{n} {n - 1} {mode} {x!r}\n{dump(a)}\n".encode())
                 # dump prints 16 digits; the hex angles pin every bit.
-                digest.update(" ".join(g.theta.hex() for g in expand(a.gates)
+                digest.update(" ".join(g.theta.hex() for g in expand(a)
                                        if g.kind == "ry").encode())
         assert digest.hexdigest() == self.DIGESTS[mode]

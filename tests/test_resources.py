@@ -107,15 +107,15 @@ class TestGateAccounting:
         g = grids()
         report = estimate_resources(pf, g, "multi_rotation", "exact", "s_free")
 
-        built = build_a_circuit(pf, g, 1500.0, encoding="exact")
-        assert built.n_qubits == report.width_built
-        comparator_gates = [gate for gate in built.gates
-                            if gate.kind == "x" and gate.target == built.n_qubits - 1]
+        built, width = build_a_circuit(pf, g, 1500.0, encoding="exact")
+        assert width == report.width_built
+        comparator_gates = [gate for gate in built
+                            if gate.kind == "x" and gate.target == width - 1]
         assert len(comparator_gates) <= report.comparator_pattern_count
 
         model = build_model(pf, g, "multi_rotation", "linear")
         blocks = {(gate.target, tuple(sorted(c for c, _ in gate.controls)))
-                  for gate in model.circuit.gates
+                  for gate in model.gates
                   if gate.kind == "ry" and gate.target in model.asset_qubits and gate.controls}
         # one controlled block per (asset, factor): factor register bits collapse
         per_factor_blocks = {(t, frozenset({0, 1} if min(cs) < 2 else {2, 3}))
@@ -138,7 +138,7 @@ class TestGateAccounting:
                                   else tuple(rng.uniform(0.1, 0.5, r)))
                             for _ in range(int(rng.integers(1, 5)))])
             g = [FactorGrid(int(n)) for n in rng.integers(1, 5, r)]
-            gates = build_model(pf, g, variant, encoding).circuit.gates
+            gates = build_model(pf, g, variant, encoding).gates
             built = sum(len(gate.theta) for gate in gates if gate.register is not None)
             cells = math.prod(grid.size for grid in g)
             assert built <= sum(grid.size for grid in g) + pf.k * cells
@@ -156,7 +156,7 @@ class TestGateAccounting:
             model = build_model(pf, grids(1, 1), "multi_rotation", "exact")
             counted = comparator_gates(pf, mode)
             for x in (float(pf.pattern_losses.max()), 2.0 ** 20):
-                gates = comparator(pf, model, mode, x).gates
+                gates = comparator(pf, model, mode, x)
                 built = (len(gates), sum(len(gate.controls) for gate in gates))
                 if x == 2.0 ** 20:
                     assert counted == built
@@ -203,7 +203,7 @@ class TestRuleParity:
                     with pytest.raises(ValueError, match="takes encoding 'linear' only"):
                         call()
                 continue
-            assert estimate().width_built == build().n_qubits
+            assert estimate().width_built == build()[1]
 
     @pytest.mark.parametrize("variant, r, n_grids, shared", [
         ("bogus", 2, 2, True),                      # an unknown variant

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qvar.risk as risk
-from qvar.circuit import Circuit, zero_state
+from qvar.circuit import zero_state
 from qvar.estimation import IqaeConfig, iqae
 from qvar.gaussian import FactorGrid
 from qvar.objective import objective_qubit
@@ -42,13 +42,13 @@ def exact_cdf(pf, grids, variant="multi_rotation", encoding="exact"):
 
 def model_state(model, n_qubits):
     """The model's gates run on |0> of n_qubits, its width or an A circuit's."""
-    return apply(Circuit(n_qubits).extend(model.circuit.gates), zero_state(n_qubits))
+    return apply(model.gates, zero_state(n_qubits))
 
 
 def state_distribution(portfolio, model, state):
     """The oracle of the model distribution, off a model_state: each pattern of the
     model's top K (asset) qubits sums |amplitude|^2 over its first 2**width amplitudes."""
-    n, k = model.circuit.n_qubits, portfolio.k
+    n, k = model.n_qubits, portfolio.k
     probs = np.abs(state[:2 ** n]) ** 2
     # Axis i of the reshape is asset K-1-i; reversing the K axes gives product order.
     per_pattern = probs.reshape((2,) * k + (-1,)).sum(axis=-1).transpose().ravel()
@@ -314,16 +314,23 @@ class TestGridMonteCarlo:
         assert np.flatnonzero(guide < 0).tolist() == split.tolist()
 
     def test_memory_does_not_grow_with_paths(self):
+        # The second case is 4 assets on one 10-qubit factor at 5e6 paths: its 1,024 grid
+        # points split many guide buckets, so the searched draws run too.
         rng = np.random.default_rng(8)
-        pf = random_portfolio(rng, 4, 2)
-        grids = [FactorGrid(2), FactorGrid(2)]
-        tracemalloc.start()
-        try:
-            monte_carlo_distribution(pf, grids, joint_grid(pf, grids)[0], 10 ** 6, seed=8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        wide = Portfolio([Asset(1000.5, 0.15, 0.1, (0.35,)), Asset(2000.5, 0.25, 0.05, (0.1,)),
+                          Asset(1500.0, 0.05, 0.2, (0.4,)), Asset(700.0, 0.3, 0.15, (0.25,))])
+        for pf, grids, paths, seed in [
+                (random_portfolio(rng, 4, 2), [FactorGrid(2), FactorGrid(2)], 10 ** 6, 8),
+                (wide, [FactorGrid(10)], 5 * 10 ** 6, 11)]:
+            tracemalloc.start()
+            try:
+                dist = monte_carlo_distribution(pf, grids, joint_grid(pf, grids)[0], paths,
+                                                seed=seed)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2 ** 20
+            assert abs(dist.probs.sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("options", [
         {"rho": 0.0},
@@ -502,7 +509,7 @@ class TestModelCdf:
             cdf = exact_cdf(pf, grids, variant, encoding)
             for x in thresholds(pf, grids):
                 a_circ = build_a_circuit(pf, grids, x, variant=variant, encoding=encoding)
-                assert abs(cdf(x) - exact_amplitude(a_circ)) <= 1e-12
+                assert abs(cdf(x) - exact_amplitude(*a_circ)) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["s_free", "weighted_sum"])
     @pytest.mark.parametrize("seed, variant, encoding, r, shared", [
@@ -525,7 +532,7 @@ class TestModelCdf:
             grids = [FactorGrid(int(rng.integers(1, 4))) for _ in range(r)]
             table = model_distribution(pf, grids, variant, encoding)
             model = build_model(pf, grids, variant, encoding)
-            narrow = state_distribution(pf, model, model_state(model, model.circuit.n_qubits))
+            narrow = state_distribution(pf, model, model_state(model, model.n_qubits))
             wide = state_distribution(pf, model,
                                       model_state(model, objective_qubit(pf, model, mode) + 1))
             assert wide.probs.tobytes() == narrow.probs.tobytes()
@@ -542,7 +549,7 @@ class TestModelCdf:
             cdf = exact_cdf(pf, grids)
             for x in thresholds(pf, grids):
                 a_circ = build_a_circuit(pf, grids, x, encoding="exact", mode="weighted_sum")
-                assert abs(cdf(x) - exact_amplitude(a_circ)) <= 1e-12
+                assert abs(cdf(x) - exact_amplitude(*a_circ)) <= 1e-12
 
     def test_enumeration_budget_refuses_before_the_table(self, monkeypatch):
         # 20 assets on a 5-qubit factor: 2**25 states, over the enumeration's 1e7.

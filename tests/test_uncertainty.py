@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 import qvar.gaussian
-from qvar.circuit import Circuit, Gate, marginal_probability, zero_state
+from qvar.circuit import Gate, marginal_probability, zero_state
 from qvar.gaussian import FactorGrid
 from qvar.resources import estimate_resources
 from qvar.risk import exact_loss_distribution
@@ -86,7 +86,7 @@ def reference_loader_gates(probs, qubits):
 def loaded_state(probs):
     """The state loader_gates prepare on a register of their own, from |0...0>."""
     n = len(probs).bit_length() - 1
-    return apply(Circuit(n).extend(loader_gates(probs, range(n))), zero_state(n))
+    return apply(loader_gates(probs, range(n)), zero_state(n))
 
 
 def secant(asset, f, grids):
@@ -96,7 +96,7 @@ def secant(asset, f, grids):
 
 
 def model_joint(model):
-    state = apply(model.circuit, zero_state(model.circuit.n_qubits))
+    state = apply(model.gates, zero_state(model.n_qubits))
     order = [q for reg in model.factor_qubits for q in reg] + model.asset_qubits
     return probabilities(state, order)
 
@@ -156,14 +156,14 @@ class TestMultiRotationExact:
         pf = Portfolio(ASSETS)
         grids = [FactorGrid(2), FactorGrid(2)]
         model = build_model(pf, grids, "multi_rotation", "exact")
-        assert model.circuit.n_qubits == 6          # 4 factor qubits + 2 assets
+        assert model.n_qubits == 6          # 4 factor qubits + 2 assets
         assert np.abs(model_joint(model) - oracle_joint(pf, grids)).max() < 1e-9
 
     def test_grid_register_marginals_equal_grid_probs(self):
         pf = Portfolio(ASSETS)
         grids = [FactorGrid(2), FactorGrid(2, 2.0)]
         model = build_model(pf, grids, "multi_rotation", "exact")
-        state = apply(model.circuit, zero_state(model.circuit.n_qubits))
+        state = apply(model.gates, zero_state(model.n_qubits))
         for grid, reg in zip(grids, model.factor_qubits):
             marg = probabilities(state, list(reg))
             assert np.abs(marg - grid.probs).max() < 1e-10
@@ -172,7 +172,7 @@ class TestMultiRotationExact:
         pf = Portfolio([Asset(10.0, 0.3, 0.0, (1.0,))])
         for encoding in ("exact", "linear"):
             model = build_model(pf, [FactorGrid(2)], "multi_rotation", encoding)
-            state = apply(model.circuit, zero_state(model.circuit.n_qubits))
+            state = apply(model.gates, zero_state(model.n_qubits))
             assert marginal_probability(state, model.asset_qubits[0], 1) == pytest.approx(0.3, abs=1e-12)
 
     def test_single_factor_table_asset(self):
@@ -195,7 +195,7 @@ class TestMultiRotationExact:
         pf = Portfolio([Asset(1.0, 0.15, 0.10, shared), Asset(2.0, 0.25, 0.05, shared)])
         grids = [FactorGrid(2), FactorGrid(2)]
         model = build_model(pf, grids, "multi_rotation", "exact")
-        state = apply(model.circuit, zero_state(model.circuit.n_qubits))
+        state = apply(model.gates, zero_state(model.n_qubits))
         for asset, q in zip(pf.assets, model.asset_qubits):
             want = stats.norm.cdf(stats.norm.ppf(asset.p0) / math.sqrt(1 - asset.rho))
             assert marginal_probability(state, q, 1) == pytest.approx(want, abs=1e-12)
@@ -205,7 +205,7 @@ class TestMultiRotationExact:
             assets = [Asset(1.0, 0.2, 0.1, tuple([0.3] * r))]
             grids = [FactorGrid(2) for _ in range(r)]
             model = build_model(Portfolio(assets), grids, "multi_rotation", "linear")
-            assert model.circuit.n_qubits == 2 * r + 1
+            assert model.n_qubits == 2 * r + 1
 
     def test_randomized_joint_property(self):
         rng = np.random.default_rng(5)
@@ -220,7 +220,7 @@ class TestMultiRotationExact:
                       for _ in range(k)]
             pf = Portfolio(assets)
             model = build_model(pf, grids, "multi_rotation", "exact")
-            assert model.circuit.n_qubits <= 12
+            assert model.n_qubits <= 12
             assert np.abs(model_joint(model) - oracle_joint(pf, grids)).max() < 1e-9
 
     def test_grid_count_mismatch(self):
@@ -232,7 +232,7 @@ class TestMultiRotationExact:
         pf = Portfolio(ASSETS)
         grids = [FactorGrid(2), FactorGrid(2)]
         model = build_model(pf, grids, "multi_rotation", "exact")
-        state = apply(model.circuit, zero_state(model.circuit.n_qubits))
+        state = apply(model.gates, zero_state(model.n_qubits))
         for k, asset in enumerate(pf.assets):
             order = [q for reg in model.factor_qubits for q in reg] + [model.asset_qubits[k]]
             joint = probabilities(state, order)
@@ -273,7 +273,7 @@ class TestMultiRotationExact:
         calls = []
         monkeypatch.setattr(qvar.gaussian, "std_normal_ppf",
                             lambda p: calls.append(p) or ppf(p))
-        got = build_model(pf, grids, "multi_rotation", "exact").circuit.gates
+        got = build_model(pf, grids, "multi_rotation", "exact").gates
         assert calls == [[a.p0 for a in pf.assets]]
         assert len(got) == sum(g.n_z for g in grids) + pf.k
         assert expand(got) == want
@@ -312,7 +312,7 @@ class TestOneQuantilePerAsset:
         calls = []
         monkeypatch.setattr(qvar.gaussian, "std_normal_ppf",
                             lambda p: calls.append(p) or ppf(p))
-        gates = build_model(pf, grids, variant, encoding).circuit.gates
+        gates = build_model(pf, grids, variant, encoding).gates
         assert calls == [[a.p0 for a in pf.assets]]
         text = "\n".join(f"{g.kind} {g.target} {g.theta.hex() if g.theta is not None else None} "
                          f"{g.controls}" for g in expand(gates))
@@ -392,7 +392,7 @@ class TestLinearEncoding:
         pf = Portfolio(ASSETS)
         grids = [FactorGrid(2), FactorGrid(2)]
         model = build_model(pf, grids, "multi_rotation", "linear")
-        ry_on_assets = [g for g in model.circuit.gates
+        ry_on_assets = [g for g in model.gates
                         if g.kind == "ry" and g.target in model.asset_qubits]
         # per asset: 1 offset rotation + n_z controlled per factor
         assert len(ry_on_assets) == 2 * (1 + 2 + 2)
@@ -435,7 +435,7 @@ class TestSingleRotation:
 
         y_lo = y_of_sum(0)
         y_hi = y_of_sum(s_max)
-        state = apply(model.circuit, zero_state(model.circuit.n_qubits))
+        state = apply(model.gates, zero_state(model.n_qubits))
         for asset, q in zip(pf.assets, model.asset_qubits):
             def theta_at(y):
                 pd = stats.norm.cdf(
@@ -451,7 +451,7 @@ class TestSingleRotation:
         pf = self.portfolio()
         grids = [FactorGrid(2), FactorGrid(2)]
         model = build_model(pf, grids, "single_rotation", "linear")
-        state = apply(model.circuit, zero_state(model.circuit.n_qubits))
+        state = apply(model.gates, zero_state(model.n_qubits))
         assert probabilities(state, model.ancilla_qubits)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_reduces_to_single_factor_linear_at_r1(self):
@@ -459,8 +459,8 @@ class TestSingleRotation:
         grid = FactorGrid(2)
         single = build_model(pf, [grid], "single_rotation", "linear")
         linear = build_model(pf, [grid], "multi_rotation", "linear")
-        s_state = apply(single.circuit, zero_state(single.circuit.n_qubits))
-        l_state = apply(linear.circuit, zero_state(linear.circuit.n_qubits))
+        s_state = apply(single.gates, zero_state(single.n_qubits))
+        l_state = apply(linear.gates, zero_state(linear.n_qubits))
         s_joint = probabilities(s_state, list(single.factor_qubits[0]) + single.asset_qubits)
         l_joint = probabilities(l_state, list(linear.factor_qubits[0]) + linear.asset_qubits)
         assert np.abs(s_joint - l_joint).max() < 1e-9
@@ -475,7 +475,7 @@ class TestSingleRotation:
             model = build_model(Portfolio(assets), grids, "single_rotation", "linear")
             counts = []
             for q in model.asset_qubits:
-                gates = [g for g in model.circuit.gates if g.kind == "ry" and g.target == q]
+                gates = [g for g in model.gates if g.kind == "ry" and g.target == q]
                 assert all(set(c for c, _ in g.controls) <= set(model.ancilla_qubits)
                            for g in gates)
                 counts.append(len(gates))
@@ -495,7 +495,7 @@ class TestSingleRotation:
         model = build_model(pf, grids, "single_rotation", "linear")
         plan = index_sum_plan(grids, shared)
         assert plan.n_points[1] == 1
-        state = apply(model.circuit, zero_state(model.circuit.n_qubits))
+        state = apply(model.gates, zero_state(model.n_qubits))
         assert abs(np.linalg.norm(state) - 1) < 1e-10
 
 
@@ -519,7 +519,7 @@ class TestOneModelPerPair:
                     with pytest.raises(ValueError):
                         build(pf, grids, *pair)
                 continue
-            gates = expand(build_model(pf, grids, *pair).circuit.gates)
+            gates = expand(build_model(pf, grids, *pair).gates)
             # Angles in hex, so two models differ by a bit at least.
             models.add(tuple((g.kind, g.target, g.theta.hex() if g.theta is not None else None,
                               g.controls) for g in gates))
