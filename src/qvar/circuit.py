@@ -86,8 +86,9 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 
 def evolve(gates: list[Gate], state: np.ndarray) -> None:
-    """The one gate kernel: run every gate in order on the state, in place.  The state
-    gives the width, and a gate past it is refused before any amplitude moves."""
+    """The one gate kernel: run every gate of the list in order on the state, in place.
+    The state gives the width, and the list is read once before the run, so a gate past
+    that width is refused before any amplitude moves."""
     n = state.size.bit_length() - 1
     if state.shape != (2 ** n,) or not state.flags.c_contiguous:    # else reshape copies
         raise ValueError(f"the kernel evolves a C-contiguous vector of 2**n amplitudes, "

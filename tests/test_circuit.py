@@ -206,14 +206,16 @@ class TestKernelOracle:
                 for pattern in range(2 ** (n - 1)):
                     others = [q for q in range(n) if q != t]
                     ctrls = [(q, (pattern >> j) & 1) for j, q in enumerate(others)]
-                    circ = [Gate("z", t, controls=tuple(ctrls)), Gate("x", t, controls=tuple(ctrls)),
-                            Gate("ry", t, -1.3, tuple(ctrls))]
+                    ctrls = tuple(ctrls)
+                    circ = [Gate("z", t, controls=ctrls), Gate("x", t, controls=ctrls),
+                            Gate("ry", t, -1.3, ctrls)]
                     self.assert_same(circ, random_state(rng, n))
 
     def test_polarity_zero_controls(self):
         rng = np.random.default_rng(9)
         circ = [Gate("ry", 0, 0.4, ((1, 0),)), Gate("x", 2, controls=((0, 0), (3, 0))),
-                Gate("z", 3, controls=((1, 0), (2, 1))), Gate("ry", 1, 2.1, ((0, 0), (2, 0), (3, 0)))]
+                Gate("z", 3, controls=((1, 0), (2, 1))),
+                Gate("ry", 1, 2.1, ((0, 0), (2, 0), (3, 0)))]
         self.assert_same(circ, random_state(rng, 4))
 
     def test_grover_operator(self):
