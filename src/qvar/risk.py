@@ -1,7 +1,8 @@
 """Risk measures: loss distributions, VaR bisection and classical oracles.
 
-Every distribution here takes its losses from the portfolio's one loss table
-and its support from LossDistribution.from_pairs: the model's own, the blocked
+Every distribution here lies on its portfolio's one support map (Portfolio.support:
+the loss table sorted once, each pattern's index into the merged support) and is one
+np.bincount of per-pattern probabilities over it: the model's own, the blocked
 enumeration of its model_table with no statevector, and two classical references
 that read one joint_grid table, the same enumeration of the discretized model and a
 seeded Monte Carlo simulation.  VaR is a discrete bisection over a distribution's support.
@@ -27,7 +28,6 @@ from .uncertainty import Portfolio, joint_cells, model_layout, model_table
 _BLOCK_ELEMENTS = 1 << 17    # floats in one enumeration block's weights
 _ROW_ELEMENTS = 1 << 10      # floats in one row of a block: its head patterns side by side
 _GUIDE_BUCKETS = 1 << 12     # a power of two, so u * _GUIDE_BUCKETS is exact
-_MERGE_RTOL = 1e-12          # losses this close, relative to the largest, are one point
 _MAX_ENUMERATION = 10_000_000  # (joint cell, default pattern) states: a bound on time
 MAX_STATE_BYTES = 1 << 30    # what one run keeps at once: grids, scipy, state, gates, tables
 _BYTES_PER_GRID_POINT = 16   # a grid's values and probs
@@ -55,16 +55,6 @@ class LossDistribution:
             raise ValueError("loss support must be strictly increasing")
         if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > 1e-9:
             raise ValueError("probabilities must be nonnegative and sum to 1")
-
-    @classmethod
-    def from_pairs(cls, losses, probs) -> "LossDistribution":
-        """The one place losses become a support: sorted losses with gaps within
-        _MERGE_RTOL x the largest |loss| are one point, their largest, so `loss <= x`
-        there takes in them all; probabilities are summed in input order."""
-        support, inverse = np.unique(np.asarray(losses, dtype=float), return_inverse=True)
-        starts = np.diff(support) > _MERGE_RTOL * np.abs(support).max()
-        cluster = np.concatenate(([0], np.cumsum(starts)))[inverse]
-        return cls(support[np.append(starts, True)], np.bincount(cluster, weights=probs))
 
     def cdf(self, x: float) -> float:
         """P[L <= x]: the probabilities up to x, one pairwise sum (1.0 at a NaN x)."""
@@ -147,7 +137,8 @@ def mixture_distribution(portfolio: Portfolio, pd: np.ndarray, pz: np.ndarray) -
         # One 1-D dot per pattern, as `pz @ weight`; gemv rounds otherwise.
         np.matmul(weight.reshape(2 ** levels, 2 ** cols, 1, m), pz[:, None], out=dots)
         probs[start:start + 2 ** tail].reshape(2 ** cols, -1)[...] = dots[..., 0, 0].T
-    return LossDistribution.from_pairs(portfolio.pattern_losses, probs)
+    support, index = portfolio.support
+    return LossDistribution(support, np.bincount(index, weights=probs))
 
 
 def exact_loss_distribution(portfolio: Portfolio, grids) -> LossDistribution:
@@ -235,9 +226,9 @@ def monte_carlo_distribution(portfolio: Portfolio, grids, pd: np.ndarray, n_path
         # Product-order pattern codes; a float dot is exact here and beats an int one.
         c[:] = np.matmul(defaults, powers, out=codes[:n])
         counts += np.bincount(c, minlength=2 ** k)
-    dist = LossDistribution.from_pairs(portfolio.pattern_losses, counts / n_paths)
-    seen = dist.probs > 0
-    return LossDistribution(dist.losses[seen], dist.probs[seen])
+    support, index = portfolio.support
+    probs = np.bincount(index, weights=counts / n_paths)
+    return LossDistribution(support[probs > 0], probs[probs > 0])
 
 
 def expected_loss(dist: LossDistribution) -> float:
@@ -282,8 +273,8 @@ def check_budget(portfolio: Portfolio, grids, iqae: bool = False,
             width = estimate_resources(portfolio, grids, *circuit).width_built
             angles = sum(points) + portfolio.k * math.prod(points)
             gates, controls = comparator_gates(portfolio, mode)
-            # s_free keeps the loss table and its stable order over the 2**K patterns, and an
-            # increment its sorted indices and gates; zero LGDs can put every pattern in one.
+            # s_free keeps the loss table, its sort and the support map's index over the 2**K
+            # patterns; the support and an increment's sorted indices ride in its gates' price.
             need += (_BYTES_PER_AMPLITUDE * two(width) + _BYTES_PER_ANGLE * angles
                      + _BYTES_PER_GATE * gates + _BYTES_PER_CONTROL * controls
                      + (3 * 8 * two(portfolio.k) if mode == "s_free" else 0))

@@ -47,6 +47,7 @@ from .gaussian import conditional_pd_table, std_normal_pdf
 
 VARIANTS = ("multi_rotation", "single_rotation")
 ENCODINGS = ("exact", "linear")
+_MERGE_RTOL = 1e-12          # losses this close, relative to the largest, are one point
 
 
 @dataclass
@@ -114,19 +115,42 @@ class Portfolio:
     @cached_property
     def pattern_losses(self) -> np.ndarray:
         """The one loss table, built once and read-only: each default pattern's loss in
-        itertools.product order (asset 0 most significant), summed asset by asset from 0.0."""
+        itertools.product order (asset 0 most significant), summed asset by asset from 0.0,
+        each asset doubling the table in two column passes over an (n, 2) buffer."""
         loss = np.zeros(1)
         for lgd in self.lgds:
-            loss = (loss[:, None] + np.array([0.0, lgd])).ravel()
+            pair = np.empty((loss.size, 2))
+            np.add(loss, 0.0, out=pair[:, 0])
+            np.add(loss, lgd, out=pair[:, 1])
+            loss = pair.ravel()
         loss.flags.writeable = False
         return loss
 
     @cached_property
     def loss_order(self) -> np.ndarray:
-        """The loss table's stable argsort, built once and read-only."""
-        order = np.argsort(self.pattern_losses, kind="stable")
+        """The loss table's one sort, argsort's default (not stable), built once and read-only."""
+        order = np.argsort(self.pattern_losses)
         order.flags.writeable = False
         return order
+
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """support_map over loss_order, built once and read-only: the support of every
+        distribution here, and each pattern's index, for one np.bincount(index, probs)."""
+        support, index = support_map(self.pattern_losses, self.loss_order)
+        support.flags.writeable = index.flags.writeable = False
+        return support, index
+
+
+def support_map(losses: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one place losses become a support, and each loss's index into it: sorted losses
+    with gaps within _MERGE_RTOL x the largest |loss| are one point, their largest, so
+    `loss <= x` there takes in them all.  order is any permutation that sorts losses."""
+    ranked = losses[order]
+    starts = np.diff(ranked) > _MERGE_RTOL * np.abs(ranked).max()
+    index = np.empty(losses.size, dtype=np.intp)
+    index[order] = np.concatenate(([0], np.cumsum(starts)))
+    return ranked[np.append(starts, True)], index
 
 
 @dataclass(eq=False)

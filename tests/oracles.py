@@ -10,10 +10,11 @@ readout's oracle.
 
 The reference rules: quantile, the textbook smallest loss whose cdf reaches a
 level; total_variation_distance between two loss distributions; conditional_pd,
-one obligor's column of gaussian.conditional_pd_table.  apply runs a circuit on a
-copy of a state; expand spells each register RY out as the pattern-controlled RYs it
-stands for; probabilities and dump give a state's measurement distribution and a
-circuit's text form.
+one obligor's column of gaussian.conditional_pd_table; distribution, the support
+rule over arbitrary (loss, probability) pairs, sorted by np.argsort.  apply runs a
+circuit on a copy of a state; expand spells each register RY out as the
+pattern-controlled RYs it stands for; probabilities and dump give a state's
+measurement distribution and a circuit's text form.
 
 tests/ has no __init__.py, so pytest puts it on sys.path and `from oracles
 import ...` works from every test module.
@@ -29,7 +30,7 @@ from qvar.circuit import Gate, evolve, marginal_probability, zero_state
 from qvar.gaussian import conditional_pd_table, std_normal_ppf
 from qvar.objective import comparator, objective_qubit
 from qvar.risk import LossDistribution
-from qvar.uncertainty import Portfolio, build_model
+from qvar.uncertainty import Portfolio, build_model, support_map
 
 
 def apply(gates: list[Gate], state: np.ndarray) -> np.ndarray:
@@ -159,6 +160,15 @@ def quantile(dist: LossDistribution, alpha: float) -> float:
     cum = np.cumsum(dist.probs)
     idx = int(np.searchsorted(cum, alpha - 1e-12))
     return float(dist.losses[min(idx, dist.losses.size - 1)])
+
+
+def distribution(losses, probs) -> LossDistribution:
+    """The distribution of arbitrary (loss, probability) pairs on their support: the
+    portfolio's rule, support_map, over np.argsort(losses), each point's probability
+    summed in input order by one bincount."""
+    losses = np.asarray(losses, dtype=float)
+    support, index = support_map(losses, np.argsort(losses))
+    return LossDistribution(support, np.bincount(index, weights=probs))
 
 
 def total_variation_distance(a: LossDistribution, b: LossDistribution) -> float:

@@ -419,6 +419,24 @@ class TestAnalyze:
         assert (results["var"], results["cdf_at_var"]) == (2000.0, 1.0)
         assert results["bisection_trace"][-1] == {"threshold": 2000.0, "estimate": 1.0}
 
+    def test_a_cdf_equal_to_alpha_reaches_it(self, tmp_path, capsys):
+        # Two independent fair assets with LGDs 1 and 2: the classical cdf is 0.25,
+        # 0.5, 0.75 and 1, so at alpha 0.25 the VaR is 0.0, whose cdf equals alpha; a
+        # bisection that asked for cdf > alpha would report 1.0.  The exact estimator
+        # reports 1.0 here, for its readouts at 0 and 1 round to 0.2499999999999999 and
+        # 0.4999999999999999.
+        payload = {"risk_factors": {"count": 1, "qubits_per_factor": 1},
+                   "assets": [{"lgd": lgd, "p0": 0.5, "rho": 0.0, "alphas": [0.3]}
+                              for lgd in (1, 2)],
+                   "analysis": {"alpha": 0.25}}
+        config = write_config(tmp_path, payload)
+        reports = {}
+        for estimator in ("classical", "exact"):
+            assert main(["analyze", "--config", config, "--estimator", estimator]) == 0
+            results = json.loads(capsys.readouterr().out)["results"]
+            reports[estimator] = (results["var"], results["cdf_at_var"])
+        assert reports == {"classical": (0.0, 0.25), "exact": (1.0, 0.4999999999999999)}
+
     def test_non_convergent_probe_flags_report(self, tmp_path, capsys):
         # alpha low enough that even wide-interval estimates clear it, so the
         # bisection completes while every probe reports non-convergence
@@ -1164,9 +1182,11 @@ class TestCompare:
     def test_each_table_once_per_run(self, tmp_path, monkeypatch, qubits, shapes, encoding):
         # One F^-1 call for the portfolio, one PD table for the model's points and one for
         # the joint grid, which the enumeration and the Monte Carlo share, one loss table,
-        # one budget check, then each distinct grid shape's values and probs once, and
-        # one kernel call for the model and per threshold.
-        calls = dict.fromkeys(["ppf", "table", "losses", "budget", "values", "probs", "kernel"], 0)
+        # one sort of it and one support map, which the enumeration, the Monte Carlo and
+        # the comparator share, one budget check, then each distinct grid shape's values
+        # and probs once, and one kernel call for the model and per threshold.
+        calls = dict.fromkeys(["ppf", "table", "losses", "order", "support", "argsort",
+                               "budget", "values", "probs", "kernel"], 0)
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -1187,9 +1207,12 @@ class TestCompare:
                 for attr, value in list(vars(module).items()):
                     if callable(value) and value in counters:
                         monkeypatch.setattr(module, attr, counted(counters[value], value))
-        losses = functools.cached_property(counted("losses", Portfolio.pattern_losses.func))
-        losses.__set_name__(Portfolio, "pattern_losses")
-        monkeypatch.setattr(Portfolio, "pattern_losses", losses)
+        for key, name in (("losses", "pattern_losses"), ("order", "loss_order"),
+                          ("support", "support")):
+            table = functools.cached_property(counted(key, getattr(Portfolio, name).func))
+            table.__set_name__(Portfolio, name)
+            monkeypatch.setattr(Portfolio, name, table)
+        monkeypatch.setattr(np, "argsort", counted("argsort", np.argsort))
         for name in ("values", "probs"):
             array = functools.cached_property(after_budget(name, getattr(FactorGrid, name).func))
             array.__set_name__(FactorGrid, name)
@@ -1202,8 +1225,9 @@ class TestCompare:
                      "--output", str(out)]) == 0
         rows = out.read_text().split("\n\n")[0].split("\n")[2:]
         assert len(rows) == 4       # the support points 0, 1000.5, 2000.5 and 3001
-        assert calls == {"ppf": 1, "table": 2, "losses": 1, "budget": 1, "values": shapes,
-                         "probs": shapes, "kernel": 1 + 4}
+        assert calls == {"ppf": 1, "table": 2, "losses": 1, "order": 1, "support": 1,
+                         "argsort": 1, "budget": 1, "values": shapes, "probs": shapes,
+                         "kernel": 1 + 4}
 
     def test_monte_carlo_sigma_clips_a_readout_past_one(self, tmp_path):
         # One linear-encoded asset on a 1-qubit factor: the top threshold's

@@ -15,10 +15,9 @@ from scipy import stats
 
 from qvar.gaussian import FactorGrid
 from qvar.objective import MODES, comparator, objective_qubit, weighted_sum_register
-from qvar.risk import LossDistribution
 from qvar.uncertainty import Asset, Portfolio, build_model
 
-from oracles import apply, build_a_circuit, dump, exact_amplitude, expand
+from oracles import apply, build_a_circuit, distribution, dump, exact_amplitude, expand
 
 ASSETS = [
     Asset(1000.5, 0.15, 0.10, (0.35, 0.20)),
@@ -110,7 +109,7 @@ class TestSFreeComparator:
             pf = Portfolio([Asset(lgd, 0.2, 0.1, (0.3,)) for lgd in lgds])
             model = build_model(pf, [FactorGrid(1)], "multi_rotation", "linear")
             losses = pf.pattern_losses
-            dist = LossDistribution.from_pairs(losses, rng.dirichlet(np.ones(losses.size)))
+            dist = distribution(losses, rng.dirichlet(np.ones(losses.size)))
             support = dist.losses
             # Below the support, on and between its points, and above it, ascending.
             xs = sorted([support[0] - 1.0, *support, *(support[:-1] + np.diff(support) / 2),

@@ -16,8 +16,8 @@ from qvar.risk import (LossDistribution, cdf_estimator, exact_loss_distribution,
                        joint_grid, model_distribution, monte_carlo_distribution, var_bisection)
 from qvar.uncertainty import Asset, Portfolio, build_model
 
-from oracles import (apply, build_a_circuit, conditional_pd, exact_amplitude, quantile,
-                     total_variation_distance)
+from oracles import (apply, build_a_circuit, conditional_pd, distribution, exact_amplitude,
+                     quantile, total_variation_distance)
 
 # frozen from the independent mpmath enumeration of the two-asset example
 ORACLE_LOSSES = [0.0, 1000.5, 2000.5, 3001.0]
@@ -52,7 +52,7 @@ def state_distribution(portfolio, model, state):
     probs = np.abs(state[:2 ** n]) ** 2
     # Axis i of the reshape is asset K-1-i; reversing the K axes gives product order.
     per_pattern = probs.reshape((2,) * k + (-1,)).sum(axis=-1).transpose().ravel()
-    return LossDistribution.from_pairs(portfolio.pattern_losses, per_pattern)
+    return distribution(portfolio.pattern_losses, per_pattern)
 
 
 def bisect(pf, grids, alpha, kind, iqae_config=None):
@@ -94,7 +94,7 @@ def reference_exact_loss_distribution(portfolio, grids):
         weight = np.prod(np.where(bits, pd, 1.0 - pd), axis=1)
         losses.append(sum(lgd * bit for lgd, bit in zip(portfolio.lgds, pattern)))
         probs.append(float(pz @ weight))
-    return LossDistribution.from_pairs(losses, probs)
+    return distribution(losses, probs)
 
 
 def edge_portfolio(rng, k, r, *, p0=None, rho=None, lgd=None, alphas=None, decimals=1):
@@ -124,7 +124,7 @@ def reference_monte_carlo_distribution(portfolio, grids, n_paths, seed):
     seen, counts = np.unique(defaults, axis=0, return_counts=True)
     per_pattern = dict(zip(map(tuple, seen.astype(int).tolist()), counts.tolist()))
     patterns = list(itertools.product((0, 1), repeat=portfolio.k))
-    dist = LossDistribution.from_pairs(
+    dist = distribution(
         [sum(lgd * bit for lgd, bit in zip(portfolio.lgds, p)) for p in patterns],
         [per_pattern.get(p, 0) / n_paths for p in patterns])
     keep = dist.probs > 0
@@ -680,28 +680,6 @@ class TestEconomicCapital:
 
 
 class TestLossDistribution:
-    def test_from_pairs_aggregates(self):
-        dist = LossDistribution.from_pairs([1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
-        assert np.allclose(dist.losses, [0.0, 1.0])
-        assert np.allclose(dist.probs, [0.5, 0.5])
-
-    def test_from_pairs_merges_an_ulp_cluster_at_its_largest(self):
-        low = 0.0 + 1076.3 + 721.9                   # 1798.1999999999998
-        high = np.nextafter(1798.2, np.inf)
-        assert low < 1798.2 < high
-        dist = LossDistribution.from_pairs([1798.2, 0.0, high, low], [0.25, 0.5, 0.125, 0.125])
-        assert dist.losses.tolist() == [0.0, high]
-        assert dist.probs.tolist() == [0.5, 0.5]
-        assert dist.cdf(high) == 1.0
-
-    def test_from_pairs_keeps_points_past_the_tolerance(self):
-        top = 1e6
-        step = 2e-12 * top                           # twice the merge tolerance
-        losses = [0.0, 5.0, 5.0 + step, 5.0 + 2 * step, top]
-        dist = LossDistribution.from_pairs(losses[::-1], [0.2] * 5)
-        assert dist.losses.tolist() == losses
-        assert dist.probs.tolist() == [0.2] * 5
-
     def test_validation(self):
         with pytest.raises(ValueError):
             LossDistribution(np.array([1.0, 0.5]), np.array([0.5, 0.5]))

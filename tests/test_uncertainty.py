@@ -16,10 +16,10 @@ import qvar.gaussian
 from qvar.circuit import Gate, marginal_probability, zero_state
 from qvar.gaussian import FactorGrid
 from qvar.resources import estimate_resources
-from qvar.risk import exact_loss_distribution
+from qvar.risk import LossDistribution, exact_loss_distribution
 from qvar.uncertainty import (ENCODINGS, VARIANTS, Asset, Portfolio, _secants, build_model,
                               default_angle, index_sum_plan, loader_gates, model_layout,
-                              model_table)
+                              model_table, support_map)
 
 from oracles import apply, conditional_pd, expand, probabilities
 
@@ -557,6 +557,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="read-only"):
             losses += 1.0
         assert losses.tolist() == [0.0, 3.0, 250.0, 253.0, 1000.5, 1003.5, 1250.5, 1253.5]
+        # The one sort and the support map built on it are cached and read-only too.
+        order, (support, index) = pf.loss_order, pf.support
+        assert pf.loss_order is order and pf.support[0] is support and pf.support[1] is index
+        for array in (order, support, index):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert support.tolist() == losses.tolist() and index.tolist() == list(range(8))
 
     def test_portfolio_requires_uniform_factor_count(self):
         with pytest.raises(ValueError, match="asset 1"):
@@ -574,3 +581,89 @@ class TestValidation:
                 build_model(pf, grids, "multi_rotation", "exact")
             with pytest.raises(ValueError, match=message):
                 exact_loss_distribution(pf, grids)
+
+
+class TestLossTable:
+    def test_pattern_losses_are_their_definition(self):
+        # Bit for bit the plain loop: each itertools.product pattern (asset 0 most
+        # significant) summed asset by asset from 0.0, an LGD where the asset defaults.
+        rng = np.random.default_rng(36)
+        for k in [*range(1, 11), *rng.integers(1, 11, 20)]:
+            lgds = [float(rng.choice([0.0, rng.integers(1, 9), round(rng.uniform(0, 3000), 1)]))
+                    for _ in range(k)]
+            pf = Portfolio([Asset(lgd, 0.2, 0.1, (0.3,)) for lgd in lgds])
+            expected = []
+            for pattern in itertools.product((0, 1), repeat=k):
+                loss = 0.0
+                for lgd, bit in zip(lgds, pattern):
+                    loss += lgd if bit else 0.0
+                expected.append(loss)
+            assert pf.pattern_losses.tobytes() == np.array(expected).tobytes(), lgds
+
+
+class TestSupportMap:
+    """support_map, the one support rule, and the distributions it maps: each
+    probability summed in input order by one bincount."""
+
+    @staticmethod
+    def mapped(losses, probs, order):
+        support, index = support_map(np.asarray(losses, dtype=float), order)
+        return support, index, np.bincount(index, weights=probs)
+
+    @staticmethod
+    def ties_reversed(losses):
+        """A sorting permutation that puts tied losses in descending input order."""
+        return losses.size - 1 - np.argsort(losses[::-1], kind="stable")
+
+    def test_aggregates(self):
+        losses = np.array([1.0, 0.0, 1.0])
+        support, index, probs = self.mapped(losses, [0.25, 0.5, 0.25], np.argsort(losses))
+        assert support.tolist() == [0.0, 1.0] and index.tolist() == [1, 0, 1]
+        assert probs.tolist() == [0.5, 0.5]
+
+    def test_merges_an_ulp_cluster_at_its_largest(self):
+        low = 0.0 + 1076.3 + 721.9                   # 1798.1999999999998
+        high = np.nextafter(1798.2, np.inf)
+        assert low < 1798.2 < high
+        losses = np.array([1798.2, 0.0, high, low])
+        support, index, probs = self.mapped(losses, [0.25, 0.5, 0.125, 0.125],
+                                            np.argsort(losses))
+        assert support.tolist() == [0.0, high] and index.tolist() == [1, 0, 1, 1]
+        assert probs.tolist() == [0.5, 0.5]
+        assert LossDistribution(support, probs).cdf(high) == 1.0
+
+    def test_keeps_points_past_the_tolerance(self):
+        top = 1e6
+        step = 2e-12 * top                           # twice the merge tolerance
+        losses = [0.0, 5.0, 5.0 + step, 5.0 + 2 * step, top]
+        order = np.arange(5)[::-1]
+        support, index, probs = self.mapped(losses[::-1], [0.2] * 5, order)
+        assert support.tolist() == losses and index.tolist() == [4, 3, 2, 1, 0]
+        assert probs.tolist() == [0.2] * 5
+
+    def test_every_sorting_permutation_gives_the_same_bytes(self):
+        # ULP_PAIRS' LGDs (tests/test_cli.py) put 1798.2 an ulp from 1076.3 + 721.9;
+        # the zero and repeated LGDs tie patterns exactly.
+        pf = Portfolio([Asset(lgd, 0.2, 0.1, (0.3,))
+                        for lgd in (1076.3, 1974.6, 721.9, 1798.2, 0.0, 2.5, 2.5)])
+        losses = pf.pattern_losses
+        probs = np.random.default_rng(36).dirichlet(np.ones(losses.size))
+        orders = [np.argsort(losses, kind="stable"), np.argsort(losses),
+                  self.ties_reversed(losses)]
+        assert not np.array_equal(orders[0], orders[2])
+        for order in orders:
+            assert np.all(np.diff(losses[order]) >= 0)
+        stable = self.mapped(losses, probs, orders[0])
+        assert np.unique(losses).size > stable[0].size     # the ulp cluster merged
+        for order in orders[1:]:
+            got = self.mapped(losses, probs, order)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, stable))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(pf.support, stable[:2]))
+
+    def test_tied_probabilities_sum_in_input_order(self):
+        losses, probs = np.array([0.0, 5.0, 5.0, 5.0]), np.array([0.4, 0.1, 0.2, 0.3])
+        # In sorted order with the ties reversed, the tie would sum to 0.6.
+        order = self.ties_reversed(losses)
+        assert order.tolist() == [0, 3, 2, 1] and float(probs[order][1:].sum()) == 0.6
+        for order in (np.argsort(losses), order, np.argsort(losses, kind="stable")):
+            assert self.mapped(losses, probs, order)[2].tolist() == [0.4, 0.6000000000000001]
