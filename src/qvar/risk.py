@@ -26,7 +26,7 @@ from .resources import estimate_resources
 from .uncertainty import Portfolio, joint_cells, model_layout, model_table
 
 _BLOCK_ELEMENTS = 1 << 17    # floats in one enumeration block's weights
-_ROW_ELEMENTS = 1 << 10      # floats in one row of a block: its head patterns side by side
+_ROW_ELEMENTS = 1 << 13      # floats in one row of a block: its head patterns side by side
 _GUIDE_BUCKETS = 1 << 12     # a power of two, so u * _GUIDE_BUCKETS is exact
 _MAX_ENUMERATION = 10_000_000  # (joint cell, default pattern) states: a bound on time
 MAX_STATE_BYTES = 1 << 30    # what one run keeps at once: grids, scipy, state, gates, tables
@@ -108,35 +108,44 @@ def mixture_distribution(portfolio: Portfolio, pd: np.ndarray, pz: np.ndarray) -
     enumeration of the cells' default probabilities pd (M, K) and probabilities
     pz (M,), which callers make only once check_budget admits the count.
     Default patterns run in the loss table's order, in blocks of about
-    _BLOCK_ELEMENTS floats.  A block's leading head patterns sit side by side as
-    columns, so each tree level multiplies rows of about _ROW_ELEMENTS floats.  A
-    pattern's weight multiplies its conditional (non)default probabilities left to
-    right, and its mixture is one dot product, so the result equals the
-    pattern-by-pattern loop bit for bit."""
+    _BLOCK_ELEMENTS floats.  A block's patterns share the bits of its outer
+    (leading) assets, whose weight is one row of a running prefix of
+    (outer + 1) x M floats; the per-block gather this replaced held
+    (K - levels) x 2**cols x M.  The next cols assets expand that row into the
+    block's 2**cols head patterns side by side, so each of the last levels assets
+    multiplies rows of about _ROW_ELEMENTS floats.  A pattern's weight multiplies
+    its conditional (non)default probabilities left to right, and its mixture is
+    one dot product, so the result equals the pattern-by-pattern loop bit for bit."""
     k, m = portfolio.k, pz.size
     q = np.ascontiguousarray(np.stack([1.0 - pd, pd]).transpose(2, 0, 1))   # q[asset, bit, z]
     tail = min(k, max(0, (_BLOCK_ELEMENTS // m).bit_length() - 1))
     cols = min(tail, max(0, (_ROW_ELEMENTS // m).bit_length() - 1))
-    levels, width = tail - cols, 2 ** cols * m
-    # Block pattern start + (c << levels) + r is row r, column c, so each tree asset's
-    # q[j] is tiled once per column.  Buffers are reused by every block (fresh arrays
-    # per step page-fault once freed to the OS) and start on a 64-byte line, so the
-    # kernel's speed does not follow where the heap happens to place them.
+    outer, levels, width = k - tail, tail - cols, 2 ** cols * m
+    # Block b's pattern (b << tail) + (c << levels) + r is row r, column c.  prefix[j + 1]
+    # is prefix[j] * q[j, bit] (prefix[0] is ones, and 1.0 * x == x), and a block
+    # recomputes only the rows below the highest outer bit changed since block b - 1.
+    # The tree's first cols levels multiply rows of M floats into the head columns, and
+    # each row asset's q[j] is tiled once per column.  Buffers are reused by every block
+    # (fresh arrays per step page-fault once freed to the OS) and start on a 64-byte
+    # line, so the kernel's speed does not follow where the heap happens to place them.
     tiles = _aligned((levels, 2, width))
     tiles[...] = np.tile(q[k - levels:], 2 ** cols)
+    tree = [*q[outer:k - levels], *tiles]
+    prefix = np.ones((outer + 1, m))
     buffers = _aligned((2, 2 ** tail * m))
     dots = np.empty((2 ** levels, 2 ** cols, 1, 1))
     probs = np.empty(2 ** k)
-    for start in range(0, 2 ** k, 2 ** tail):
-        pattern = start + (np.arange(2 ** cols) << levels)
-        head = (pattern >> np.arange(k - 1, levels - 1, -1)[:, None]) & 1
-        weight = np.prod(q[np.arange(k - levels)[:, None], head], axis=0).reshape(1, width)
-        for j, tile in enumerate(tiles):
-            out = buffers[j % 2, :2 * weight.size].reshape(-1, 2, width)
-            weight = np.multiply(weight[:, None, :], tile, out=out).reshape(-1, width)
+    for block in range(2 ** outer):
+        first = outer - (block ^ (block - 1)).bit_length() if block else 0
+        for j in range(first, outer):
+            np.multiply(prefix[j], q[j, block >> (outer - 1 - j) & 1], out=prefix[j + 1])
+        weight = prefix[outer:]
+        for j, row in enumerate(tree):
+            out = buffers[j % 2, :2 * weight.size].reshape(-1, 2, row.shape[-1])
+            weight = np.multiply(weight.reshape(-1, 1, row.shape[-1]), row, out=out)
         # One 1-D dot per pattern, as `pz @ weight`; gemv rounds otherwise.
         np.matmul(weight.reshape(2 ** levels, 2 ** cols, 1, m), pz[:, None], out=dots)
-        probs[start:start + 2 ** tail].reshape(2 ** cols, -1)[...] = dots[..., 0, 0].T
+        probs[block << tail:(block + 1) << tail].reshape(2 ** cols, -1)[...] = dots[..., 0, 0].T
     support, index = portfolio.support
     return LossDistribution(support, np.bincount(index, weights=probs))
 

@@ -154,8 +154,9 @@ class TestBlockedEnumeration:
 
     @pytest.mark.parametrize("k", [9, 10, 11, 12, 13, 14])
     def test_block_seams(self, k):
-        # At M = 64 a block holds 2**11 patterns, 16 columns a row: one block up to
-        # K = 11, then 2, 4 and 8.
+        # At M = 64 a block holds 2**11 patterns, 128 columns a row over 4 row levels:
+        # one block up to K = 11, then 2, 4 and 8, so at K = 14 the running prefix
+        # restarts from each of its 3 outer bits.
         rng = np.random.default_rng(200 + k)
         assert_same_bytes(edge_portfolio(rng, k, 2), [FactorGrid(3)] * 2)
 
@@ -167,7 +168,7 @@ class TestBlockedEnumeration:
     def test_sixteen_assets(self):
         # 16 terms is where a BLAS dot starts its unrolled kernel; a loss taken
         # as `lgds @ bits` would round differently from the asset-by-asset sum.
-        # At M = 2 the one block holds 512 columns a row and 7 tree levels.
+        # At M = 2 the one block holds 4,096 columns a row and 4 row levels.
         rng = np.random.default_rng(16)
         assert_same_bytes(edge_portfolio(rng, 16, 1), [FactorGrid(1)])
 
@@ -192,13 +193,38 @@ class TestBlockedEnumeration:
         assert_same_bytes(pf, [FactorGrid(2), FactorGrid(2)])
 
     @pytest.mark.parametrize("k, n_z", [
-        (4, [2, 2]),       # M = 16: every pattern is a column of one row, no tree level
-        (5, [10]),         # M = 1,024 fills a row: one column, no columns beside it
+        (4, [2, 2]),       # M = 16: one block, no outer bit, every pattern a column, no row level
+        (5, [10]),         # M = 1,024: one block, 8 columns a row over 2 row levels
         (2, [18]),         # M past _BLOCK_ELEMENTS: a block is one pattern
+        (8, [13]),         # M = 8,192 fills a row: no column beside another, and 16 blocks
+                           # of 16 patterns restart the prefix from each of 4 outer bits
+        (3, [17]),         # M = _BLOCK_ELEMENTS: a block is one pattern, read off the prefix
     ])
     def test_column_seams(self, k, n_z):
         rng = np.random.default_rng(400 + k)
         assert_same_bytes(edge_portfolio(rng, k, len(n_z)), [FactorGrid(n) for n in n_z])
+
+    @pytest.mark.parametrize("k, n_z", [(14, [3, 3]), (8, [13])])
+    def test_blocks_allocate_nothing(self, k, n_z):
+        # A call holds its two block buffers, its tiled rows, q, its prefix and a few
+        # arrays of 2**K floats.  A tree level written over its own input would still
+        # give the same bytes, since numpy first copies an input that overlaps the
+        # output, but that copy is up to half a block more.
+        rng = np.random.default_rng(500 + k)
+        pf, grids = edge_portfolio(rng, k, len(n_z)), [FactorGrid(n) for n in n_z]
+        pd, pz = joint_grid(pf, grids)
+        pf.support    # cached before the call, as every caller's loss table is
+        m = pz.size
+        tail = min(k, (risk._BLOCK_ELEMENTS // m).bit_length() - 1)
+        cols = min(tail, (risk._ROW_ELEMENTS // m).bit_length() - 1)
+        floats = 2 * 2 ** tail * m + 2 * (tail - cols) * 2 ** cols * m + (3 * k - tail + 1) * m
+        tracemalloc.start()
+        try:
+            risk.mixture_distribution(pf, pd, pz)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (floats + 4 * 2 ** k) + (64 << 10)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 14, 16, 23, 64, 512])
     def test_stacked_matmul_is_the_vector_dot(self, n):
