@@ -35,7 +35,7 @@ from dataclasses import replace
 import numpy as np
 
 from .circuit import evolve, marginal_probability, zero_state
-from .estimation import IqaeConfig, iqae
+from .estimation import IqaeConfig, iqae_rows
 from .gaussian import FactorGrid
 from .objective import MODES, comparator, objective_qubit
 from .resources import estimate_resources
@@ -47,6 +47,7 @@ from .uncertainty import ENCODINGS, VARIANTS, Asset, Portfolio, build_model
 ESTIMATORS = ("exact", "iqae", "classical")
 # The analysis fields a flag overrides, with the values --help lists; the schema checks them.
 OVERRIDES = {"estimator": ESTIMATORS, "variant": VARIANTS, "encoding": ENCODINGS, "mode": MODES}
+_CHUNK_ROWS = 1024      # compare's thresholds per lockstep IQAE call; each row holds a generator
 
 # Every config field's type, bounds and default, as a Draft 2020-12 JSON Schema.
 CONFIG_SCHEMA = {
@@ -308,27 +309,30 @@ def cmd_compare(cfg: dict, output: str | None) -> int:
     state = zero_state(objective + 1)
     evolve(model.gates, state)
     mc = monte_carlo_distribution(portfolio, grids, pd, analysis["mc_paths"], analysis["seed"])
-    above = -np.inf
     header = (f"{'threshold':>12}  {'classical':>12}  {'exact':>12}  {'|e-c|':>9}  "
               f"{'iqae':>12}  {'|q-e|':>9}  {'<=eps':>5}  {'mc':>12}  {'|m-e|':>9}  {'<=3sd':>5}")
     lines = [header, "-" * len(header)]
     ok = True
-    for i, x in enumerate(dist.losses.tolist()):
-        classical = dist.cdf(x)
-        evolve(comparator(portfolio, model, mode, x, above), state)
-        exact = marginal_probability(state, objective, 1)   # the A circuit's readout
-        above = x
-        q = iqae(exact, replace(settings, seed=settings.seed + i))
-        mc_val = mc.cdf(x)
-        p = min(max(exact, 0.0), 1.0)        # a readout of 1 can round past it
-        sigma = max(np.sqrt(p * (1 - p) / analysis["mc_paths"]), 1e-12)
-        q_ok = abs(q.estimate - exact) <= settings.epsilon
-        mc_ok = abs(mc_val - exact) <= 3 * sigma
-        ok = ok and q_ok
-        lines.append(
-            f"{x:>12.6g}  {classical:>12.9f}  {exact:>12.9f}  {abs(exact - classical):>9.2e}  "
-            f"{q.estimate:>12.9f}  {abs(q.estimate - exact):>9.2e}  {str(q_ok):>5}  "
-            f"{mc_val:>12.9f}  {abs(mc_val - exact):>9.2e}  {str(mc_ok):>5}")
+    losses, above = dist.losses.tolist(), -np.inf
+    # Per chunk: its readouts, its IQAE rows in lockstep (row i seeded seed + i), its lines.
+    for start in range(0, len(losses), _CHUNK_ROWS):
+        chunk, readouts = losses[start:start + _CHUNK_ROWS], []
+        for x in chunk:
+            evolve(comparator(portfolio, model, mode, x, above), state)
+            readouts.append(marginal_probability(state, objective, 1))   # the A circuit's readout
+            above = x
+        for x, exact, q in zip(chunk, readouts,
+                               iqae_rows(readouts, replace(settings, seed=settings.seed + start))):
+            classical, mc_val = dist.cdf(x), mc.cdf(x)
+            p = min(max(exact, 0.0), 1.0)        # a readout of 1 can round past it
+            sigma = max(np.sqrt(p * (1 - p) / analysis["mc_paths"]), 1e-12)
+            q_ok = abs(q.estimate - exact) <= settings.epsilon
+            mc_ok = abs(mc_val - exact) <= 3 * sigma
+            ok = ok and q_ok
+            lines.append(
+                f"{x:>12.6g}  {classical:>12.9f}  {exact:>12.9f}  {abs(exact - classical):>9.2e}  "
+                f"{q.estimate:>12.9f}  {abs(q.estimate - exact):>9.2e}  {str(q_ok):>5}  "
+                f"{mc_val:>12.9f}  {abs(mc_val - exact):>9.2e}  {str(mc_ok):>5}")
     lines.append("")
     lines.append(f"expected loss (model): {expected_loss(dist):.12g}")
     lines.append(f"monte carlo paths: {analysis['mc_paths']}, seed: {analysis['seed']}")

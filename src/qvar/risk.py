@@ -125,14 +125,15 @@ def mixture_distribution(portfolio: Portfolio, pd: np.ndarray, pz: np.ndarray) -
     # is prefix[j] * q[j, bit] (prefix[0] is ones, and 1.0 * x == x), and a block
     # recomputes only the rows below the highest outer bit changed since block b - 1.
     # The tree's first cols levels multiply rows of M floats into the head columns, and
-    # each row asset's q[j] is tiled once per column.  Buffers are reused by every block
-    # (fresh arrays per step page-fault once freed to the OS) and start on a 64-byte
-    # line, so the kernel's speed does not follow where the heap happens to place them.
+    # each row asset's q[j] is tiled once per column.  The tree's levels alternate
+    # between (at most) two buffers, none where no level runs, reused by every block
+    # (fresh arrays per step page-fault once freed to the OS) and on a 64-byte line,
+    # so the kernel's speed does not follow where the heap happens to place them.
     tiles = _aligned((levels, 2, width))
     tiles[...] = np.tile(q[k - levels:], 2 ** cols)
     tree = [*q[outer:k - levels], *tiles]
     prefix = np.ones((outer + 1, m))
-    buffers = _aligned((2, 2 ** tail * m))
+    buffers = _aligned((min(tail, 2), 2 ** tail * m))
     dots = np.empty((2 ** levels, 2 ** cols, 1, 1))
     probs = np.empty(2 ** k)
     for block in range(2 ** outer):

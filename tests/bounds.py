@@ -1,11 +1,11 @@
 """The bounds table: each row of bounds.json is one qvar command held to the time and
 memory bounds that say how far qvar scales, checked in a fresh interpreter.
 
-    PYTHONPATH=$PWD/src python3 tests/bounds.py
+    PYTHONPATH=src python3 tests/bounds.py
 
 It takes no flags.  It prints each row's measured values, and exits 1 listing every row
-that is out of bounds.  The PYTHONPATH must be absolute, because each row runs in a
-temporary directory; with qvar installed, none is needed.
+that is out of bounds.  Each row runs in a temporary directory, so each PYTHONPATH entry
+is made absolute first; with qvar installed, none is needed.
 
 A row names its config as golden.json's rows do (a file under configs/ or a key of the
 table's "configs" map), its argv, and the exit codes it accepts.  Optional bounds:
@@ -81,10 +81,12 @@ def run_child(argv: list[str], trace: bool = False, price: bool = False,
     exit, seconds, table_lines (stdout's lines up to its first blank line), stderr and
     rss_mb; with trace, tracemalloc's peak; with price (which traces), the rerun's
     priced_exit and priced_stderr at a budget of peak - 1.  The child finds qvar on
-    pythonpath, else on the inherited PYTHONPATH."""
+    pythonpath, else on the inherited PYTHONPATH, each entry resolved against this
+    process's working directory, since the child may run in another (cwd)."""
     import subprocess
-    path = [str(Path(__file__).resolve().parent), pythonpath or os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    path = (pythonpath or os.environ.get("PYTHONPATH") or "").split(os.pathsep)
+    path = [Path(__file__).resolve().parent, *(Path(entry).resolve() for entry in path if entry)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)))
     spec = json.dumps({"argv": argv, "trace": trace or price, "price": price})
     done = subprocess.run([sys.executable, "-c", "import sys, bounds; bounds.child(sys.argv[1])",
                            spec], capture_output=True, text=True, timeout=timeout, cwd=cwd,

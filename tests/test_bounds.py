@@ -2,6 +2,7 @@
 config loads with the flags in its argv.  `python3 tests/bounds.py` measures the rows."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,3 +52,16 @@ def test_a_child_sends_back_a_short_line(tmp_path, capsys):
     got = json.loads(line)
     assert got["exit"] == 0 and got["table_lines"] == 1 + 54_030
     assert len(line) < 200
+
+
+def test_a_relative_pythonpath_reaches_the_child(tmp_path, monkeypatch):
+    # The tier-1 command's PYTHONPATH=src is relative to the repository root, and each
+    # row's child runs in a temporary directory, which holds no src/: run_child makes
+    # the entry absolute, so the child imports qvar (with qvar installed it would find
+    # it either way).
+    root = Path(bounds.__file__).resolve().parents[1]
+    monkeypatch.chdir(root)
+    monkeypatch.setenv("PYTHONPATH", "src")
+    got = bounds.run_child(["resources", "--config", str(root / "configs" / "two_asset.json")],
+                           cwd=str(tmp_path))
+    assert got["exit"] == 0 and got["stderr"] == ""

@@ -3,12 +3,14 @@
 import copy
 import decimal
 import functools
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -20,15 +22,16 @@ import qvar.cli
 import qvar.risk
 import qvar.uncertainty
 from qvar.circuit import evolve, marginal_probability, zero_state
-from qvar.cli import (COMMANDS, CONFIG_SCHEMA, OVERRIDES, ConfigError, _schema_errors,
-                      config_to_inputs, iqae_config, load_config, main)
+from qvar.cli import (_CHUNK_ROWS, COMMANDS, CONFIG_SCHEMA, OVERRIDES, ConfigError,
+                      _schema_errors, config_to_inputs, iqae_config, load_config, main)
+from qvar.estimation import iqae
 from qvar.gaussian import FactorGrid, conditional_pd_table
 from qvar.objective import MODES
 from qvar.risk import _BYTES_PER_AMPLITUDE, exact_loss_distribution
 from qvar.uncertainty import ENCODINGS, VARIANTS, Portfolio, model_table
 
 import golden
-from bounds import run_child, traced
+from bounds import TABLE, run_child, traced
 from oracles import build_a_circuit, exact_amplitude
 
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -1091,6 +1094,73 @@ class TestCompare:
                             lambda n: made.append(n) or zero_state(n).astype(complex))
         assert golden.run(argv) == real
         assert bool(made) == bool(real[1])     # a state was made wherever a table printed
+
+    @staticmethod
+    def recorded_rows(monkeypatch):
+        """Every lockstep call compare makes, as (readouts, results), in order."""
+        calls, engine = [], qvar.cli.iqae_rows
+
+        def recorded(amplitudes, cfg):
+            calls.append((list(amplitudes), engine(amplitudes, cfg)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(qvar.cli, "iqae_rows", recorded)
+        return calls
+
+    def check_one_row_runs(self, argv, calls, settings):
+        calls.clear()
+        assert main([*argv, "--output", os.devnull]) in (0, 1)
+        readouts = [a for chunk, _ in calls for a in chunk]
+        rows = [r for _, results in calls for r in results]
+        assert [len(chunk) for chunk, _ in calls] == [
+            min(_CHUNK_ROWS, len(rows) - start) for start in range(0, len(rows), _CHUNK_ROWS)]
+        assert rows == [iqae(a, replace(settings, seed=settings.seed + i))
+                        for i, a in enumerate(readouts)]
+        return rows
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_iqae_column_is_the_one_row_runs(self, tmp_path, monkeypatch, seed):
+        # compare estimates its thresholds in lockstep, _CHUNK_ROWS rows a call, threshold
+        # i seeded settings.seed + i: each row is that one-row run.  On the benchmark's
+        # verify_compare configs every row also converges, so perfbench's converged check,
+        # which wraps qvar.estimation.iqae and no longer sees compare's rows, hides no
+        # failure there.
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)    # for its dataclasses
+        spec.loader.exec_module(workloads)
+        ops, configs = workloads.generate("verify_compare", seed, Path(__file__).parents[1],
+                                          tmp_path)
+        calls = self.recorded_rows(monkeypatch)
+        for op in ops:
+            run_seed = int(op["argv"][op["argv"].index("--seed") + 1])
+            settings = iqae_config(load_config(str(configs[op["config"]]), {"seed": run_seed})
+                                   ["analysis"])
+            rows = self.check_one_row_runs(op["argv"], calls, settings)
+            assert len(rows) == 16 and all(r.converged for r in rows)
+
+    def test_iqae_rows_across_chunks(self, tmp_path, monkeypatch):
+        # The 12-asset bounds config prints 4,096 thresholds: four chunks, three seams.
+        monkeypatch.chdir(tmp_path)
+        golden.write_config("assets_12", json.loads(TABLE.read_text())["configs"])
+        calls = self.recorded_rows(monkeypatch)
+        settings = iqae_config(load_config(golden.CONFIG)["analysis"])
+        rows = self.check_one_row_runs(["compare", "--config", golden.CONFIG], calls, settings)
+        assert len(rows) == 4 * _CHUNK_ROWS
+
+    def test_iqae_rows_are_held_one_chunk_at_a_time(self, tmp_path, monkeypatch):
+        # Each lockstep row holds a generator, about 1.6 KB traced.  compare takes its
+        # readouts, IQAE rows and lines one chunk at a time, so on the 12-asset bounds
+        # config (four chunks) its traced peak was 2.7 MiB; with the whole support in one
+        # call it was 6.2 MiB.  scipy is loaded first, as any earlier IQAE run loads it.
+        from scipy import special  # noqa: F401
+        monkeypatch.chdir(tmp_path)
+        golden.write_config("assets_12", json.loads(TABLE.read_text())["configs"])
+        code, peak = traced(lambda: main(["compare", "--config", golden.CONFIG,
+                                          "--output", "out.txt"]))
+        assert code in (0, 1)
+        assert peak < (2 << 20) + 2048 * _CHUNK_ROWS
 
     def test_ulp_apart_losses_print_one_threshold(self, tmp_path):
         # Every distinct loss once, as integer tenths sum them; before losses

@@ -1,13 +1,16 @@
 """Amplitude-estimation tests: exact readout, Grover operator, iterative QAE."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
 from qvar.circuit import Gate, marginal_probability, zero_state
-from qvar.estimation import IqaeConfig, IqaeResult, _find_next_k, clopper_pearson, iqae
+from qvar.cli import _CHUNK_ROWS
+from qvar.estimation import (IqaeConfig, IqaeResult, _find_next_k, clopper_pearson, iqae,
+                             iqae_rows)
 from qvar.gaussian import FactorGrid
 from qvar.risk import exact_loss_distribution
 from qvar.uncertainty import Asset, Portfolio
@@ -182,9 +185,11 @@ class TestClopperPearson:
         # binomial(400, >=0.9) with 3 sigma slack
         assert hits / trials >= 0.9 - 3 * math.sqrt(0.9 * 0.1 / trials)
 
-    def test_validation(self):
+    @pytest.mark.parametrize("ones, shots", [(5, 4), (-1, 4), (0, 0), ([0, 5], [4, 4]),
+                                             ([0, -1], [4, 4]), ([1, 0], [4, 0])])
+    def test_validation(self, ones, shots):
         with pytest.raises(ValueError):
-            clopper_pearson(5, 4, 0.05)
+            clopper_pearson(ones, shots, 0.05)
 
     @pytest.mark.parametrize("shots", [1, 100, 3000])
     @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.3])
@@ -197,13 +202,18 @@ class TestClopperPearson:
     @pytest.mark.parametrize("shots", [1, 100, 300])
     @pytest.mark.parametrize("alpha", [1e-4, 0.05, 0.3])
     def test_one_call_is_the_two_call_form(self, shots, alpha):
-        # Both bounds from one betaincinv call are the doubles of one call per bound.
+        # Both bounds from one betaincinv call, for one count or for a list of them, are
+        # the doubles of one call per bound.
+        want = []
         for ones in range(shots + 1):
             lo = 0.0 if ones == 0 else float(special.betaincinv(ones, shots - ones + 1, alpha / 2))
             hi = (1.0 if ones == shots
                   else float(special.betaincinv(ones + 1, shots - ones, 1 - alpha / 2)))
             got = clopper_pearson(ones, shots, alpha)
             assert got == (lo, hi) and all(type(b) is float for b in got)
+            want.append(got)
+        lo, hi = clopper_pearson(list(range(shots + 1)), [shots] * (shots + 1), alpha)
+        assert list(zip(lo, hi)) == want
 
 
 class TestIqae:
@@ -308,6 +318,36 @@ class TestIqae:
         res = iqae(amplitude, IqaeConfig(epsilon=0.01, confidence=0.95, seed=5))
         assert res.converged
         assert abs(res.estimate - min(max(amplitude, 0.0), 1.0)) <= 0.01
+
+
+def uniform_rows(n, seed=38):
+    return np.random.default_rng(seed).uniform(0.0, 1.0, n).tolist()
+
+
+class TestIqaeRows:
+    """iqae_rows runs its rows in lockstep, one clopper_pearson call a round, and each
+    row is the one-row run seeded cfg.seed + its index."""
+
+    @pytest.mark.parametrize("amplitudes, settings", [
+        # readouts at and an ulp past the ends, and a signed zero
+        ([0.0, 1.0, 1.0 + 2.0 ** -52, -0.0, 1e-17, 0.5, 0.25], {}),
+        (uniform_rows(40), {"shots_per_round": 1}),
+        (uniform_rows(40), {"max_rounds": 1}),            # no row converges
+        (uniform_rows(40), {"confidence": 0.5}),
+        (uniform_rows(40), {"confidence": 1 - 1e-12}),
+        (uniform_rows(_CHUNK_ROWS - 1), {}),              # compare's chunk sizes, and past them
+        (uniform_rows(_CHUNK_ROWS), {}),
+        (uniform_rows(_CHUNK_ROWS + 1), {}),
+        (uniform_rows(2 * _CHUNK_ROWS + 1), {}),
+    ], ids=["edges", "one_shot", "one_round", "confidence_half", "confidence_near_one",
+            "chunk_less_one", "chunk", "chunk_plus_one", "two_chunks_plus_one"])
+    def test_rows_are_the_one_row_runs(self, amplitudes, settings):
+        cfg = IqaeConfig(**{"epsilon": 0.01, "confidence": 0.99, "seed": 11, **settings})
+        rows = iqae_rows(amplitudes, cfg)
+        alone = [iqae(a, replace(cfg, seed=cfg.seed + i)) for i, a in enumerate(amplitudes)]
+        assert list(map(repr, rows)) == list(map(repr, alone))    # repr tells -0.0 from 0.0
+        if settings.get("max_rounds") == 1:
+            assert not any(r.converged for r in rows)
 
 
 class TestClosedFormMatchesGroverCircuit:

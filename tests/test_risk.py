@@ -204,20 +204,22 @@ class TestBlockedEnumeration:
         rng = np.random.default_rng(400 + k)
         assert_same_bytes(edge_portfolio(rng, k, len(n_z)), [FactorGrid(n) for n in n_z])
 
-    @pytest.mark.parametrize("k, n_z", [(14, [3, 3]), (8, [13])])
+    @pytest.mark.parametrize("k, n_z", [(14, [3, 3]), (8, [13]), (1, [20])])
     def test_blocks_allocate_nothing(self, k, n_z):
-        # A call holds its two block buffers, its tiled rows, q, its prefix and a few
-        # arrays of 2**K floats.  A tree level written over its own input would still
-        # give the same bytes, since numpy first copies an input that overlaps the
-        # output, but that copy is up to half a block more.
+        # A call holds its block buffers, where a tree level runs, its tiled rows, q, its
+        # prefix and a few arrays of 2**K floats.  A tree level written over its own input
+        # would still give the same bytes, since numpy first copies an input that overlaps
+        # the output, but that copy is up to half a block more.  At M = 2**20 no level
+        # runs (tail 0), and two unread block buffers were 16 MiB of a 48 MiB peak.
         rng = np.random.default_rng(500 + k)
         pf, grids = edge_portfolio(rng, k, len(n_z)), [FactorGrid(n) for n in n_z]
         pd, pz = joint_grid(pf, grids)
         pf.support    # cached before the call, as every caller's loss table is
         m = pz.size
-        tail = min(k, (risk._BLOCK_ELEMENTS // m).bit_length() - 1)
-        cols = min(tail, (risk._ROW_ELEMENTS // m).bit_length() - 1)
-        floats = 2 * 2 ** tail * m + 2 * (tail - cols) * 2 ** cols * m + (3 * k - tail + 1) * m
+        tail = min(k, max(0, (risk._BLOCK_ELEMENTS // m).bit_length() - 1))
+        cols = min(tail, max(0, (risk._ROW_ELEMENTS // m).bit_length() - 1))
+        floats = ((2 * 2 ** tail * m if tail else 0) + 2 * (tail - cols) * 2 ** cols * m
+                  + (3 * k - tail + 1) * m)
         tracemalloc.start()
         try:
             risk.mixture_distribution(pf, pd, pz)
