@@ -117,7 +117,9 @@ def mixture_distribution(portfolio: Portfolio, pd: np.ndarray, pz: np.ndarray) -
     its conditional (non)default probabilities left to right, and its mixture is
     one dot product, so the result equals the pattern-by-pattern loop bit for bit."""
     k, m = portfolio.k, pz.size
-    q = np.ascontiguousarray(np.stack([1.0 - pd, pd]).transpose(2, 0, 1))   # q[asset, bit, z]
+    q = np.empty((k, 2, m))   # q[asset, bit, z], written in place: no transient copies
+    np.subtract(1.0, pd.T, out=q[:, 0])
+    q[:, 1] = pd.T
     tail = min(k, max(0, (_BLOCK_ELEMENTS // m).bit_length() - 1))
     cols = min(tail, max(0, (_ROW_ELEMENTS // m).bit_length() - 1))
     outer, levels, width = k - tail, tail - cols, 2 ** cols * m
@@ -199,7 +201,7 @@ def monte_carlo_distribution(portfolio: Portfolio, grids, pd: np.ndarray, n_path
     The draws are default_rng(seed)'s, in a fixed order: each factor's n_paths
     uniforms, factor by factor, then the (n_paths, K) default uniforms.  They are
     read as F + 1 streams (the i-th is PCG64(seed) advanced i * n_paths draws), one
-    block of paths at a time through reused buffers, so memory is flat in n_paths.
+    block of paths at a time through one buffer per call, so memory is flat in n_paths.
     A factor index is rng.choice's inverse-cdf draw, cdf.searchsorted(u, "right"),
     taken from a guide table of _GUIDE_BUCKETS buckets per distinct grid's cdf: only
     draws in a bucket that a cdf point splits are searched.  PDs are gathered from pd,
@@ -214,10 +216,15 @@ def monte_carlo_distribution(portfolio: Portfolio, grids, pd: np.ndarray, n_path
     streams = [np.random.Generator(np.random.PCG64(seed).advance(i * n_paths))
                for i in range(len(grids) + 1)]
     # A block's buffers hold about _BLOCK_ELEMENTS floats, as an enumeration block does.
-    # Never fewer rows than the count array, which each block's bincount fills.
+    # Never fewer rows than the count array, which each block's bincount fills.  They are
+    # slices of one allocation, which keeps its pages between calls: glibc hands freed heap
+    # back to the kernel past twice the largest block it freed from mmap, and separate
+    # arrays (~950 KB in all at K = 4, the largest ~380 KB) were faulted in at every call.
     rows = min(n_paths, max(_BLOCK_ELEMENTS // (2 * k + 3), 2 ** k))
-    cell, codes = np.empty(rows, dtype=np.intp), np.empty(rows)
-    draws, pds, powers = np.empty((rows, k)), np.empty((rows, k)), 2.0 ** np.arange(k - 1, -1, -1)
+    buffer = np.empty((2 * k + 2) * rows)
+    cell, codes = buffer[:rows].view(np.intp), buffer[rows:2 * rows]
+    draws, pds = buffer[2 * rows:].reshape(2, rows, k)
+    powers = 2.0 ** np.arange(k - 1, -1, -1)
     # The factor draws come before the defaults: their guide buckets and grid
     # indices borrow the default and PD buffers, read as integers.
     bucket, point = (b.reshape(-1).view(np.intp)[:rows] for b in (draws, pds))

@@ -1,8 +1,12 @@
 """Risk-measure tests: oracles, Monte Carlo, cdf paths and VaR bisection."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,7 +208,8 @@ class TestBlockedEnumeration:
         rng = np.random.default_rng(400 + k)
         assert_same_bytes(edge_portfolio(rng, k, len(n_z)), [FactorGrid(n) for n in n_z])
 
-    @pytest.mark.parametrize("k, n_z", [(14, [3, 3]), (8, [13]), (1, [20])])
+    @pytest.mark.parametrize("k, n_z", [(14, [3, 3]), (8, [13]), (1, [20]), (2, [18]),
+                                        (3, [17])])
     def test_blocks_allocate_nothing(self, k, n_z):
         # A call holds its block buffers, where a tree level runs, its tiled rows, q, its
         # prefix and a few arrays of 2**K floats.  A tree level written over its own input
@@ -372,6 +377,36 @@ class TestGridMonteCarlo:
         grids = [FactorGrid(2), FactorGrid(3)]
         for k in (1, 6, 11):
             self.assert_same_draws(edge_portfolio(rng, k, 2, **options), grids, 50_000, seed=k)
+
+    def test_buffers_keep_their_pages(self):
+        # A call's block buffers are one allocation.  As four arrays, the ~950 KB they freed
+        # at the heap's top passed glibc's trim threshold (twice the largest, ~380 KB), went
+        # back to the kernel, and every later call faulted it in again: about 200 minor faults
+        # on this verify_compare-shaped call.  A fresh interpreter, as pytest's own heap
+        # would hide it.  The first call maps the block, the second takes it from the heap.
+        pytest.importorskip("resource")
+        code = """if True:
+            import resource
+            from qvar.gaussian import FactorGrid
+            from qvar.risk import joint_grid, monte_carlo_distribution
+            from qvar.uncertainty import Asset, Portfolio
+            pf = Portfolio([Asset(1000.5, 0.15, 0.1, (0.35, 0.2)),
+                            Asset(2000.5, 0.25, 0.05, (0.1, 0.25)),
+                            Asset(1500.0, 0.05, 0.2, (0.4, 0.1)),
+                            Asset(700.0, 0.3, 0.15, (0.25, 0.3))])
+            grids = [FactorGrid(2), FactorGrid(2)]
+            pd = joint_grid(pf, grids)[0]
+            pf.support
+            for seed in range(6):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                monte_carlo_distribution(pf, grids, pd, 10 ** 5, seed)
+                print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(risk.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        faults = [int(line) for line in out.stdout.split()]
+        assert len(faults) == 6 and max(faults[3:]) < 32, faults
 
 
 class TestExactLossDistribution:
