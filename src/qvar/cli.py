@@ -29,8 +29,10 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -103,9 +105,9 @@ CONFIG_SCHEMA = {
 }
 
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "number": (int, float)}
-_BOUNDS = (("minimum", lambda v, b: v < b, "is less than the minimum of"),
-           ("exclusiveMinimum", lambda v, b: v <= b, "is less than or equal to the minimum of"),
-           ("exclusiveMaximum", lambda v, b: v >= b, "is greater than or equal to the maximum of"))
+_BOUNDS = (("minimum", operator.lt, "is less than the minimum of"),
+           ("exclusiveMinimum", operator.le, "is less than or equal to the minimum of"),
+           ("exclusiveMaximum", operator.ge, "is greater than or equal to the maximum of"))
 
 
 class ConfigError(ValueError):
@@ -117,34 +119,60 @@ def _is_type(value, name: str) -> bool:
             and (not isinstance(value, float) or math.isfinite(value)))
 
 
+def _compile(schema: dict):
+    """A schema node as a checker, check(value, path, errors), its types, enum, bounds and
+    children read here, once; `_is_type` runs only where a value's exact class leaves it open."""
+    types = [schema["type"]] if isinstance(schema.get("type"), str) else schema.get("type", [])
+    exact, numeric = {_JSON_TYPES[t] for t in types if t != "number"}, "number" in types
+    enum, items = schema.get("enum"), _compile(schema["items"]) if "items" in schema else None
+    bounds = [(schema[key], fails, f" {text} {schema[key]!r}")
+              for key, fails, text in _BOUNDS if key in schema]
+    props, required = schema.get("properties"), schema.get("required")
+    min_items = schema.get("minItems", 0)
+    fields = [(key, _compile(sub), "default" in sub, sub.get("default"))
+              for key, sub in (props or {}).items()]
+
+    def check(value, path, errors):
+        cls = type(value)       # a float is finite where value - value is 0.0, not nan
+        number = value - value == 0.0 if cls is float else cls is int or _is_type(value, "number")
+        if types and not (cls in exact or number and numeric
+                          or any(_is_type(value, t) for t in types)):
+            errors.append((path, f"{value!r} is not of type {', '.join(map(repr, types))}"))
+        if enum is not None and value not in enum:
+            errors.append((path, f"{value!r} is not one of {enum!r}"))
+        if number:
+            for bound, fails, text in bounds:
+                if fails(value, bound):
+                    errors.append((path, f"{value!r}{text}"))
+        elif items is not None and isinstance(value, list):
+            if len(value) < min_items:
+                errors.append((path, f"{value!r} should be non-empty"))
+            for idx, item in enumerate(value):
+                items(item, path + (idx,), errors)
+        elif props is not None and isinstance(value, dict):
+            for key in required:
+                if key not in value:
+                    errors.append((path, f"{key!r} is a required property"))
+            extras = sorted(value.keys() - props.keys())
+            if extras and schema["additionalProperties"] is False:
+                errors.append((path, "Additional properties are not allowed (%s %s unexpected)" % (
+                    ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")))
+            for key, sub, has_default, default in fields:
+                if key in value or has_default:
+                    sub(value.setdefault(key, default), path + (key,), errors)
+    return check
+
+
 def _schema_errors(value, schema: dict, path=()) -> list[tuple[tuple, str]]:
     """(path, message) per way `value` breaks a CONFIG_SCHEMA node, in jsonschema's words but
-    "integer" a JSON integer and "number" a finite one; fills in absent properties' defaults."""
-    types = [schema["type"]] if isinstance(schema.get("type"), str) else schema.get("type", [])
+    "integer" a JSON integer and "number" a finite one; fills in absent properties' defaults.
+    CONFIG_SCHEMA runs its checker tree, compiled once at import."""
     errors = []
-    if types and not any(_is_type(value, t) for t in types):
-        errors.append((path, f"{value!r} is not of type {', '.join(map(repr, types))}"))
-    if "enum" in schema and value not in schema["enum"]:
-        errors.append((path, f"{value!r} is not one of {schema['enum']!r}"))
-    if _is_type(value, "number"):
-        errors += [(path, f"{value!r} {text} {schema[key]!r}") for key, fails, text in _BOUNDS
-                   if key in schema and fails(value, schema[key])]
-    elif isinstance(value, list) and "items" in schema:
-        if len(value) < schema.get("minItems", 0):
-            errors.append((path, f"{value!r} should be non-empty"))
-        for idx, item in enumerate(value):
-            errors += _schema_errors(item, schema["items"], (*path, idx))
-    elif isinstance(value, dict) and "properties" in schema:
-        errors += [(path, f"{key!r} is a required property")
-                   for key in schema["required"] if key not in value]
-        extras = sorted(value.keys() - schema["properties"].keys())
-        if extras and schema["additionalProperties"] is False:
-            errors.append((path, "Additional properties are not allowed (%s %s unexpected)" % (
-                ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")))
-        for key, sub in schema["properties"].items():
-            if key in value or "default" in sub:
-                errors += _schema_errors(value.setdefault(key, sub.get("default")), sub, (*path, key))
+    (_CONFIG_CHECK if schema is CONFIG_SCHEMA else _compile(schema))(value, path, errors)
     return errors
+
+
+_CONFIG_CHECK = _compile(CONFIG_SCHEMA)
 
 
 def load_config(path: str, overrides=None) -> dict:
@@ -208,6 +236,42 @@ def iqae_config(analysis: dict) -> IqaeConfig:
                       max_rounds=analysis["max_rounds"], seed=analysis["seed"])
 
 
+_JSON_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
+              bool: {True: "true", False: "false"}.get, type(None): {None: "null"}.get}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}   # float.__repr__'s, json's
+
+
+def _encode(value, indent: str, out: list) -> list:
+    """Append json.dumps(value, sort_keys=True, indent=2)'s text at nesting `indent` to `out`,
+    without the generators of json's pure-Python encoder, which its indent forces."""
+    keyed = isinstance(value, dict)
+    if not (keyed or isinstance(value, (list, tuple))):     # a leaf, by its class or its base
+        leaf = _JSON_TEXT.get(type(value)) or next(
+            (_JSON_TEXT[base] for base in (str, int, float) if isinstance(value, base)), None)
+        if leaf is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        text = leaf(value)
+        out.append(_NONFINITE.get(text, text))
+    elif not value:
+        out.append("{}" if keyed else "[]")
+    else:
+        inner = indent + "  "
+        sep, nxt = ("{\n" if keyed else "[\n") + inner, ",\n" + inner
+        for item in sorted(value.items()) if keyed else value:
+            if keyed:       # str keys alone (json takes numbers too; no report has one)
+                sep, item = f"{sep}{encode_basestring_ascii(item[0])}: ", item[1]
+            leaf = _JSON_TEXT.get(type(item))       # a plain leaf is written here, with no call
+            if leaf is None:
+                out.append(sep)
+                _encode(item, inner, out)
+            else:
+                text = leaf(item)
+                out.append(sep + _NONFINITE.get(text, text))
+            sep = nxt
+        out.append("\n" + indent + ("}" if keyed else "]"))
+    return out
+
+
 def _dump_json(payload: dict) -> str:
     # A report's counts are exact: 2**K patterns pass int's 4,300-digit str limit at
     # K = 14,285, so the limit is lifted while one report is written (Python 3.10 before
@@ -216,7 +280,7 @@ def _dump_json(payload: dict) -> str:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return "".join(_encode(payload, "", [])) + "\n"
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

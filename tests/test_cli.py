@@ -22,8 +22,8 @@ import qvar.cli
 import qvar.risk
 import qvar.uncertainty
 from qvar.circuit import evolve, marginal_probability, zero_state
-from qvar.cli import (_CHUNK_ROWS, COMMANDS, CONFIG_SCHEMA, OVERRIDES, ConfigError,
-                      _schema_errors, config_to_inputs, iqae_config, load_config, main)
+from qvar.cli import (_CHUNK_ROWS, COMMANDS, CONFIG_SCHEMA, OVERRIDES, ConfigError, _dump_json,
+                      _is_type, _schema_errors, config_to_inputs, iqae_config, load_config, main)
 from qvar.estimation import iqae
 from qvar.gaussian import FactorGrid, conditional_pd_table
 from qvar.objective import MODES
@@ -99,6 +99,20 @@ def traced_run(argv, price=False):
     bytes) and, with price, the rerun's priced_exit and priced_stderr at peak - 1 bytes."""
     return run_child(argv, trace=True, price=price,
                      pythonpath=str(Path(qvar.__file__).parents[1]))
+
+
+class Float(float):
+    """A float subclass: _is_type takes it only where it is finite."""
+
+
+class Integer(int):
+    """An int subclass, which _is_type takes as an integer."""
+
+
+def value_id(value) -> str:
+    """A test id naming a value's class and, short of a 5,000-digit int, its repr."""
+    big = isinstance(value, int) and abs(value).bit_length() > 64
+    return type(value).__name__ + ("-big" if big else repr(value)[:24])
 
 
 def set_field(cfg, field, value):
@@ -225,23 +239,25 @@ class TestConfigLoading:
 
     def test_walker_agrees_with_jsonschema(self):
         # The walker against jsonschema as an oracle, on seeded mutants of the
-        # repository configs: the same verdict and the same error paths.
+        # repository configs: the same verdict and the same (path, message) pairs.
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
         oracle = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
         bases = [json.loads((CONFIGS / name).read_text())
                  for name in ("two_asset.json", "two_asset_integer.json")] + [TWO_ASSET]
         rng = np.random.default_rng(2020)
-        verdicts = []
+        verdicts, messages = [], 0
         for trial in range(600):
             cfg = copy.deepcopy(bases[trial % len(bases)])
             for _ in range(rng.choice([1, 1, 2, 3])):
                 cfg = mutate(cfg, rng)
-            expected = sorted(tuple(e.absolute_path) for e in oracle.iter_errors(cfg))
-            got = sorted(path for path, _ in _schema_errors(copy.deepcopy(cfg), CONFIG_SCHEMA))
+            expected = sorted((tuple(e.absolute_path), e.message) for e in oracle.iter_errors(cfg))
+            got = sorted(_schema_errors(copy.deepcopy(cfg), CONFIG_SCHEMA))
             assert got == expected, cfg
             verdicts.append(not got)
+            messages += len(got)
         assert min(sum(verdicts), len(verdicts) - sum(verdicts)) >= 50
+        assert messages >= 700
 
     @pytest.mark.parametrize("text", ["[]", '"config"', "3"])
     def test_non_object_config_names_the_root(self, tmp_path, capsys, text):
@@ -279,6 +295,115 @@ class TestConfigLoading:
         bad = set_field(TWO_ASSET, field, value)
         assert main(["analyze", "--config", write_config(tmp_path, bad)]) == 2
         assert f"{field}: {value!r} is not of type 'number'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [
+        Float("inf"), Float("nan"), Float(0.5), Integer(1), np.float64("inf"), np.float64(0.5),
+        np.int64(1), True, float("-inf"), 1, 0.5, "0.5", None], ids=value_id)
+    @pytest.mark.parametrize("field", ["assets/0/lgd", "risk_factors/count"])
+    def test_checker_tree_types_a_value_as_is_type_does(self, field, value):
+        # The tree's class tests are a shortcut: whatever they pass, _is_type passes too,
+        # so a float subclass holding inf is refused as the plain float is.
+        name = "number" if field == "assets/0/lgd" else "integer"
+        errors = _schema_errors(set_field(TWO_ASSET, field, value), CONFIG_SCHEMA)
+        typed = [msg for path, msg in errors if "/".join(map(str, path)) == field
+                 and msg.endswith(f"is not of type {name!r}")]
+        assert typed == ([] if _is_type(value, name) else [f"{value!r} is not of type {name!r}"])
+
+    @pytest.mark.parametrize("source", ["configs/two_asset.json", "assets_14"])
+    def test_schema_compiles_once_at_import(self, tmp_path, monkeypatch, source):
+        # load_config runs the checker tree built at import: with the compiler gone it
+        # still checks and fills the schema's defaults, and refuses what it refused.
+        if source == "assets_14":
+            raw = json.loads(TABLE.read_text())["configs"][source]
+            path = write_config(tmp_path, raw)
+        else:
+            path = str(CONFIGS.parent / source)
+            raw = json.loads(Path(path).read_text())
+        monkeypatch.setattr(qvar.cli, "_compile", _unreachable)
+        cfg = load_config(path)
+        for section, node in CONFIG_SCHEMA["properties"].items():
+            for key, sub in node.get("properties", {}).items():
+                if "default" in sub and key not in raw[section]:
+                    assert cfg[section][key] == sub["default"], (section, key)
+        assert len(cfg["assets"]) == len(raw["assets"])
+        with pytest.raises(ConfigError, match=r"assets/0/p0: 1\.5 is greater than or equal to the"):
+            load_config(write_config(tmp_path, set_field(raw, "assets/0/p0", 1.5), "bad.json"))
+
+
+def random_payload(rng, depth=0):
+    """A random JSON-able value: nested dicts, lists and tuples of str, int, float, bool
+    and None leaves, empty containers among them."""
+    kind = rng.integers(9 if depth < 4 else 5)
+    if kind == 0:
+        return "".join(map(chr, rng.integers(0, 0x2FF, rng.integers(0, 6))))
+    if kind == 1:
+        return int(rng.integers(-10 ** 6, 10 ** 6)) * int(rng.choice([1, 10 ** 12]))
+    if kind == 2:
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-30, 30))
+    if kind == 3:
+        return bool(rng.integers(2))
+    if kind == 4:
+        return None
+    items = [random_payload(rng, depth + 1) for _ in range(rng.integers(0, 5))]
+    if kind == 5:
+        return items
+    if kind == 6:
+        return tuple(items)
+    return {"".join(map(chr, rng.integers(32, 0x17F, rng.integers(0, 5)))): item
+            for item in items}
+
+
+def dumps(payload) -> str:
+    """json.dumps' report text, with int's digit limit lifted as _dump_json lifts it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestReportEncoder:
+    def test_random_payloads_read_as_json_dumps(self):
+        rng = np.random.default_rng(40)
+        kinds = set()
+        for _ in range(400):
+            payload = {"payload": random_payload(rng)}
+            assert _dump_json(payload) == dumps(payload), payload
+            kinds.add(type(payload["payload"]))
+        assert kinds == {str, int, float, bool, type(None), list, tuple, dict}
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16, 1e-5, 0.1, 10 ** 5000,
+        -(10 ** 5000), "caf\u00e9 \u2603 \U0001f600", "\x00\x1f\t\n\r\"\\/\x7f", "",
+        [], (), {}, [[]], [{}], {"a": []}, {"a": {"b": {}}}, [[[()]]], [1, [], {}, (2,)],
+        Float(0.25), Float("nan"), Integer(7), np.float64(0.1), np.float64("-inf")], ids=value_id)
+    def test_fixed_cases_read_as_json_dumps(self, value):
+        for payload in (value, {"x": value}, [value, {"y": [value]}]):
+            assert _dump_json(payload) == dumps(payload)
+
+    def test_key_order_and_escapes_are_json_dumps(self):
+        payload = {"b": 1, "a": {"\u00e9": 2, "A": 3, "": 4}, "\n": [{"z": 0, "y": 1}]}
+        assert _dump_json(payload) == dumps(payload)
+
+    @pytest.mark.parametrize("value", [np.int64(1), {1, 2}, object(), b"bytes"], ids=value_id)
+    def test_what_json_refuses_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps({"x": value}, sort_keys=True, indent=2)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _dump_json({"x": value})
+
+    def test_digit_limit_restored_after_a_raise(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert _dump_json({"n": 10 ** 6000}).count("0") == 6000    # past the limit, lifted
+            assert sys.get_int_max_str_digits() == 5000
+            with pytest.raises(TypeError):
+                _dump_json({"n": 10 ** 6000, "s": {1}})
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestAnalyze:
